@@ -9,6 +9,10 @@ merge-count distribution.  It prints the pairwise-collision rule's length
 the expected recurrence of a single gram, not collisions between all gram
 pairs, so its lengths sit well below the zero-merge knee; the pairwise rule
 bounds the expected number of colliding node-gram pairs by one.
+
+The Lambert-W rule needs biased bits (p > 0.5).  For uniform bits (--p 0.5)
+it is printed as undefined, and the sweep starts `--spread` lengths below the
+pairwise rule instead, which brackets the zero-merge knee.
 """
 
 import argparse
@@ -38,14 +42,22 @@ def main() -> int:
     parser.add_argument("--p", type=float, default=0.6, help="bit bias of the trial strings, fed to both sizing rules")
     parser.add_argument("--trials", type=int, default=30)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--spread", type=int, default=10, help="lengths above the rule to sweep")
+    parser.add_argument(
+        "--spread", type=int, default=10,
+        help="lengths to sweep above the Lambert-W rule, or below the pairwise rule at --p 0.5",
+    )
     args = parser.parse_args()
 
-    l_rule = recommend_shingle_len(args.n, args.p)
     l_pairs = merge_free_shingle_len(args.n, args.p)
+    if args.p > 0.5:
+        l_rule = recommend_shingle_len(args.n, args.p)
+        first = l_rule
+    else:  # uniform bits; merge_free_shingle_len has rejected p < 0.5
+        l_rule = "undefined"
+        first = max(2, l_pairs - args.spread)
     print(f"sizing rules: n={args.n} p={args.p} -> Lambert-W l={l_rule}, pairwise-collision l={l_pairs}")
     print(f"{'l':>4} {'zero-merge':>11} {'median merges':>14} {'max merges':>11}")
-    for l in range(l_rule, l_rule + args.spread + 1):
+    for l in range(first, first + args.spread + 1):
         frac, counts = zero_merge_stats(args.n, l, args.trials, args.seed + l, args.p)
         print(f"{l:>4} {frac:>11.2f} {int(statistics.median(counts)):>14} {max(counts):>11}")
     return 0

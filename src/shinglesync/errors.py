@@ -69,5 +69,9 @@ class ProtocolError(ShingleSyncError):
     """A malformed or unexpected frame arrived on the wire."""
 
 
+class InvariantError(ShingleSyncError):
+    """An internal consistency check of a session failed."""
+
+
 class SessionAbortError(ShingleSyncError):
     """The reconciliation session was aborted by either endpoint."""

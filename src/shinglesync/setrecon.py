@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .alphabet import Alphabet
 from .errors import (
@@ -19,6 +20,7 @@ from .errors import (
     EncodingCapacityError,
     InvalidParameterError,
     InvalidPointError,
+    InvalidSymbolError,
     PointCollisionError,
 )
 from .field import (
@@ -55,17 +57,26 @@ class ShingleCodec:
     field: FieldSpec
     occ_bits: int = DEFAULT_OCC_BITS
 
+    @cached_property
+    def _digits(self) -> dict[str, int]:
+        """Digit of each character: its alphabet index, the top digit for the delimiter."""
+        table = {ch: i for i, ch in enumerate(self.alphabet)}
+        table[self.alphabet.delimiter] = len(self.alphabet)
+        return table
+
     def encode(self, shingle: str, occurrence: int) -> int:
         if occurrence < 1:
             raise InvalidParameterError("occurrence counter starts at 1")
         if occurrence > (1 << self.occ_bits):
             raise EncodingCapacityError(f"occurrence {occurrence} exceeds {self.occ_bits} bits")
         base = len(self.alphabet) + 1
-        delim_digit = len(self.alphabet)
+        digits = self._digits
         value = 1
-        for ch in shingle:
-            digit = delim_digit if ch == self.alphabet.delimiter else self.alphabet.index(ch)
-            value = value * base + digit
+        try:
+            for ch in shingle:
+                value = value * base + digits[ch]
+        except KeyError as exc:
+            raise InvalidSymbolError(f"symbol {exc.args[0]!r} not in alphabet") from None
         element = (value << self.occ_bits) | (occurrence - 1)
         if element >= self.field.encoding_limit:
             raise EncodingCapacityError(f"shingle {shingle!r} does not fit the encoding range")

@@ -23,6 +23,7 @@ from .decider import TokenDecider
 from .errors import (
     BoundExceededError,
     InvalidParameterError,
+    InvariantError,
     ProtocolError,
     SessionAbortError,
 )
@@ -154,22 +155,26 @@ def merge_until_ud(
     return ms, seams
 
 
-def _position_instances(ordered: list[str]) -> list[tuple[str, int]]:
-    """Instance identity (shingle, occurrence) of each stream position."""
-    seen: Counter = Counter()
-    out = []
-    for s in ordered:
-        seen[s] += 1
-        out.append((s, seen[s]))
-    return out
-
-
 def seams_to_records(ordered: list[str], seams: list[tuple[int, int]]) -> list[MergeRecord]:
-    """Convert position seams to canonical instance-index records."""
-    instances = _position_instances(ordered)
-    index_of = {inst: i for i, inst in enumerate(ShingleMultiset(Counter(ordered)).instances())}
+    """Convert position seams to canonical instance-index records.
+
+    The canonical index of the occ-th occurrence of shingle s is the number of
+    instances sorted before s (by UTF-8 bytes) plus occ - 1, the position of
+    (s, occ) in `ShingleMultiset.instances()`.
+    """
+    counts = Counter(ordered)
+    next_index: dict[str, int] = {}
+    running = 0
+    for s in sorted(counts, key=lambda x: x.encode("utf-8")):
+        next_index[s] = running
+        running += counts[s]
+    # stream order meets the occurrences of each shingle in order 1, 2, ...
+    index = []
+    for s in ordered:
+        index.append(next_index[s])
+        next_index[s] += 1
     return [
-        MergeRecord(atom_index=index_of[instances[right]], anchor_index=index_of[instances[left]])
+        MergeRecord(atom_index=index[right], anchor_index=index[left])
         for left, right in seams
     ]
 
@@ -223,6 +228,11 @@ def apply_merge_records(
 
 
 def _pack_indices(values: list[int], bits: int) -> bytes:
+    """Big-endian bit packing of `bits`-wide values, zero-padded to a byte.
+
+    `acc` is cut back to its `nbits` unemitted bits after each value, so every
+    shift works on a few machine words whatever the length of the output.
+    """
     acc = 0
     nbits = 0
     out = bytearray()
@@ -232,17 +242,18 @@ def _pack_indices(values: list[int], bits: int) -> bytes:
         while nbits >= 8:
             nbits -= 8
             out.append((acc >> nbits) & 0xFF)
+        acc &= (1 << nbits) - 1
     if nbits:
         out.append((acc << (8 - nbits)) & 0xFF)
     return bytes(out)
 
 
 def _unpack_indices(data: bytes, bits: int, count: int) -> list[int]:
+    """Inverse of `_pack_indices`: the first `count` values of the block."""
     acc = 0
     nbits = 0
     out = []
     it = iter(data)
-    mask = (1 << bits) - 1
     for _ in range(count):
         while nbits < bits:
             try:
@@ -251,7 +262,8 @@ def _unpack_indices(data: bytes, bits: int, count: int) -> list[int]:
                 raise ProtocolError("truncated merge index block") from None
             nbits += 8
         nbits -= bits
-        out.append((acc >> nbits) & mask)
+        out.append(acc >> nbits)
+        acc &= (1 << nbits) - 1
     return out
 
 
@@ -302,10 +314,9 @@ def decode_hello(payload: bytes) -> tuple[ReconConfig, int, int, str]:
 
 
 def encode_bundle(bundle: EvalBundle) -> bytes:
-    out = struct.pack(">QI", bundle.set_size, len(bundle.points))
-    for z, v in zip(bundle.points, bundle.values):
-        out += struct.pack(">QQ", z, v)
-    return out
+    count = len(bundle.points)
+    flat = [x for pair in zip(bundle.points, bundle.values) for x in pair]
+    return struct.pack(f">QI{2 * count}Q", bundle.set_size, count, *flat)
 
 
 def decode_bundle(payload: bytes) -> EvalBundle:
@@ -324,10 +335,8 @@ def decode_bundle(payload: bytes) -> EvalBundle:
 
 
 def encode_pairs(pairs: list[tuple[int, int]]) -> bytes:
-    out = struct.pack(">I", len(pairs))
-    for z, v in pairs:
-        out += struct.pack(">QQ", z, v)
-    return out
+    flat = [x for pair in pairs for x in pair]
+    return struct.pack(f">I{len(flat)}Q", len(pairs), *flat)
 
 
 def decode_pairs(payload: bytes) -> list[tuple[int, int]]:
@@ -344,13 +353,8 @@ DELTA_POLY = 1  # second block holds a polynomial whose roots the receiver owns
 
 
 def encode_delta_elements(mode: int, sender_only: list[int], second: list[int]) -> bytes:
-    out = struct.pack(">BI", mode, len(sender_only))
-    for e in sender_only:
-        out += struct.pack(">Q", e)
-    out += struct.pack(">I", len(second))
-    for e in second:
-        out += struct.pack(">Q", e)
-    return out
+    n1, n2 = len(sender_only), len(second)
+    return struct.pack(f">BI{n1}QI{n2}Q", mode, n1, *sender_only, n2, *second)
 
 
 def decode_delta_elements(payload: bytes) -> tuple[int, list[int], list[int]]:
@@ -384,6 +388,9 @@ def decode_merges(payload: bytes) -> list[MergeRecord]:
     count, bits = struct.unpack_from(">IB", payload)
     if not 1 <= bits <= 32:
         raise ProtocolError("bad merge index width")
+    # checked before unpacking, so a peer-chosen count cannot drive the loop
+    if len(payload) != 5 + (2 * count * bits + 7) // 8:
+        raise ProtocolError("merges frame length mismatch")
     flat = _unpack_indices(payload[5:], bits, 2 * count)
     return [MergeRecord(atom_index=flat[2 * i], anchor_index=flat[2 * i + 1]) for i in range(count)]
 
@@ -518,6 +525,12 @@ def _run(
     merged_ms, seams = merge_until_ud(ordered, config.l, config.delimiter)
     records = seams_to_records(ordered, seams)
     report.merges_local = len(records)
+    # each record glues two instances into one; checked before it is shipped
+    if merged_ms.total() != local_ms.total() - len(records):
+        raise InvariantError(
+            f"merged multiset holds {merged_ms.total()} instances, "
+            f"expected {local_ms.total()} - {len(records)} merges"
+        )
 
     # step 5: exchange merge seams
     wire.step = "step5"
@@ -545,8 +558,6 @@ def _run(
         report.outcome = "digest-mismatch"
         raise ProtocolError("peer recovered a different string")
     report.outcome = "ok"
-    # sanity: the merged multiset we shipped decodes back to our own word
-    assert merged_ms.total() == local_ms.total() - len(records)
     return remote_word
 
 

@@ -10,6 +10,7 @@ from shinglesync.errors import (
     EncodingCapacityError,
     InvalidParameterError,
     InvalidPointError,
+    InvalidSymbolError,
     PointCollisionError,
 )
 from shinglesync.setrecon import (
@@ -64,6 +65,11 @@ class TestCodec:
             CODEC.encode("a", 1 << 20)
         with pytest.raises(InvalidParameterError):
             CODEC.encode("a", 0)
+
+    def test_foreign_symbol_rejected(self):
+        for shingle in ("az", "a$b#"):
+            with pytest.raises(InvalidSymbolError):
+                CODEC.encode(shingle, 1)
 
     def test_multiset_encoding_is_canonical(self):
         ms = ShingleMultiset({"ab": 2, "cd": 1})

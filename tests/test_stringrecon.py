@@ -22,8 +22,10 @@ from shinglesync import (
     seams_to_records,
     shingle_sequence,
 )
+from shinglesync import stringrecon
 from shinglesync.errors import (
     BoundExceededError,
+    InvariantError,
     ProtocolError,
     SessionAbortError,
 )
@@ -101,16 +103,45 @@ class TestMergeBookkeeping:
             MergeRecord(atom_index=index_of[pos_inst[i + 1]], anchor_index=index_of[pos_inst[i]])
             for i in range(len(ordered) - 1)
         ]
+        assert seams_to_records(ordered, [(i, i + 1) for i in range(len(ordered) - 1)]) == records
         rebuilt = apply_merge_records(ms, records, 2)
         assert rebuilt == ShingleMultiset({"$abc$": 1})
 
 
+# bytes produced by the original, unmasked packer: the wire format must not drift
+GOLDEN_VALUES = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181, 6765]
+GOLDEN_PACKED_13 = bytes.fromhex("0000004004003002802001a01501100dc0b209007485e44c43db31ea8620aba6d0")
+GOLDEN_MERGES_3 = bytes.fromhex("0000000303af8c40")
+
+
+@st.composite
+def width_and_values(draw):
+    bits = draw(st.integers(min_value=1, max_value=32))
+    values = draw(st.lists(st.integers(min_value=0, max_value=2**bits - 1), max_size=3000))
+    return bits, values
+
+
 class TestWireCodecs:
-    @given(st.lists(st.integers(min_value=0, max_value=2**13 - 1), max_size=40))
-    def test_index_packing_round_trip(self, values):
-        packed = _pack_indices(values, 13)
-        assert _unpack_indices(packed, 13, len(values)) == values
-        assert len(packed) == (13 * len(values) + 7) // 8
+    @settings(max_examples=60, deadline=None)
+    @given(width_and_values())
+    def test_index_packing_round_trip(self, case):
+        bits, values = case
+        packed = _pack_indices(values, bits)
+        assert _unpack_indices(packed, bits, len(values)) == values
+        assert len(packed) == (bits * len(values) + 7) // 8
+
+    def test_index_packing_golden_bytes(self):
+        assert _pack_indices(GOLDEN_VALUES, 13) == GOLDEN_PACKED_13
+        assert _unpack_indices(GOLDEN_PACKED_13, 13, len(GOLDEN_VALUES)) == GOLDEN_VALUES
+        assert _pack_indices([1, 0, 1, 1, 0, 1, 1], 1) == bytes([0xB6])
+        assert _pack_indices([2**32 - 1, 0, 12345678, 2**31], 32) == bytes.fromhex("ffffffff0000000000bc614e80000000")
+        records = [MergeRecord(5, 3), MergeRecord(7, 0), MergeRecord(6, 1)]
+        assert encode_merges(records, 3) == GOLDEN_MERGES_3
+        assert decode_merges(GOLDEN_MERGES_3) == records
+
+    def test_truncated_index_block_rejected(self):
+        with pytest.raises(ProtocolError):
+            _unpack_indices(GOLDEN_PACKED_13[:-1], 13, len(GOLDEN_VALUES))
 
     @given(
         st.lists(
@@ -121,6 +152,11 @@ class TestWireCodecs:
     def test_merges_frame_round_trip(self, pairs):
         records = [MergeRecord(a, b) for a, b in pairs]
         assert decode_merges(encode_merges(records, 9)) == records
+
+    @pytest.mark.parametrize("payload", [GOLDEN_MERGES_3 + b"\x00", GOLDEN_MERGES_3[:-1]])
+    def test_merges_frame_length_must_match_count(self, payload):
+        with pytest.raises(ProtocolError):
+            decode_merges(payload)
 
     def test_hello_round_trip(self):
         config = ReconConfig(l=7, mode=MODE_FIXED, m_hat=33, k=5, seed=12345)
@@ -191,6 +227,23 @@ class TestSessions:
                 fut_b.result(timeout=60)
             with pytest.raises(SessionAbortError):
                 fut_a.result(timeout=60)
+
+    def test_merge_count_mismatch_raises(self, monkeypatch):
+        real = stringrecon.merge_until_ud
+
+        def one_instance_extra(ordered, l, delimiter="$"):
+            merged, seams = real(ordered, l, delimiter)
+            return merged.union(ShingleMultiset({"zz": 1})), seams
+
+        monkeypatch.setattr(stringrecon, "merge_until_ud", one_instance_extra)
+        config = ReconConfig(l=2, mode=MODE_RATELESS, seed=11)
+        a, b = channel_pair()
+        with ThreadPoolExecutor(2) as pool:
+            fut_a = pool.submit(run_protocol, "katana", a, "initiator", config)
+            fut_b = pool.submit(run_protocol, "katna", b, "responder", config)
+            for fut in (fut_a, fut_b):
+                with pytest.raises(InvariantError):
+                    fut.result(timeout=60)
 
     def test_responder_echo_mismatch_detected(self):
         config = ReconConfig(l=2, mode=MODE_RATELESS, seed=4)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, InvalidPointError
 
 # Smallest prime above 2**61; products of two residues stay well inside
 # Python's fast int range.
@@ -239,6 +239,111 @@ class NewtonInterpolator:
     def modulus(self) -> list[int]:
         """prod (Z - x_i) over the points added so far."""
         return list(self._basis)
+
+
+def _sub_scaled(a: list[int], b: list[int], c: int, p: int) -> None:
+    """a -= c * b, in place."""
+    if len(a) < len(b):
+        a.extend([0] * (len(b) - len(a)))
+    a[: len(b)] = [(ai - c * bi) % p for ai, bi in zip(a, b)]
+    ptrim(a)
+
+
+def _mul_linear(a: list[int], x: int, p: int) -> None:
+    """a *= (Z - x), in place."""
+    if a:
+        a[:] = [(lo - x * hi) % p for lo, hi in zip([0, *a], [*a, 0])]
+
+
+class RationalInterpolator:
+    """Incremental rational interpolation over a two-element order basis.
+
+    Keeps a basis of the module {(A, B) : A(x_i) = y_i * B(x_i) at every node
+    added so far}, reduced for the shifted degree max(deg A, deg B + shift)
+    (Beckermann & Labahn, SIAM J. Matrix Anal. Appl. 1994).  Each node costs
+    O(degree): both residuals are evaluated, the element with a nonzero
+    residual and the smaller shifted degree (the lower index on a tie) clears
+    the other's residual, and is then multiplied by (Z - x).  The two shifted
+    degrees always sum to the node count plus `shift`, so once the nodes
+    outnumber the degrees of a pair that fits them all, that pair is the
+    strictly smaller element and stays unchanged while further nodes agree.
+
+    The nodes are meant to be w = 1/z with values r(z) * w**shift for a ratio
+    r = num/den of monic polynomials with deg num - deg den = shift, plus
+    the node (0, 1), which makes the reversed pair monic; `candidate` reads
+    the pair back in z.
+    """
+
+    def __init__(self, p: int, shift: int):
+        if shift < 0:
+            raise InvalidParameterError("shift must be >= 0")
+        self.p = p
+        self.shift = shift
+        self.nodes = 0
+        self.basis: list[tuple[list[int], list[int]]] = [([1], []), ([], [1])]
+        self.degrees = [0, shift]
+        self.changed = [-1, -1]  # index of the node at which each element last changed
+        self._xs: set[int] = set()
+        self._rejected: tuple[int, int] | None = None
+
+    def add_node(self, x: int, y: int) -> None:
+        p = self.p
+        x %= p
+        if x in self._xs:
+            # a repeated node would pass as one more verified node
+            raise InvalidPointError(f"repeated interpolation node {x}")
+        self._xs.add(x)
+        residuals = [(peval(a, x, p) - y * peval(b, x, p)) % p for a, b in self.basis]
+        live = [i for i in (0, 1) if residuals[i]]
+        if live:
+            pivot = min(live, key=lambda i: (self.degrees[i], i))
+            other = 1 - pivot
+            pa, pb = self.basis[pivot]
+            if residuals[other]:
+                c = residuals[other] * pow(residuals[pivot], p - 2, p) % p
+                oa, ob = self.basis[other]
+                _sub_scaled(oa, pa, c, p)
+                _sub_scaled(ob, pb, c, p)
+                self.changed[other] = self.nodes
+            _mul_linear(pa, x, p)
+            _mul_linear(pb, x, p)
+            self.degrees[pivot] += 1
+            self.changed[pivot] = self.nodes
+        self.nodes += 1
+
+    def _smaller(self) -> int | None:
+        d0, d1 = self.degrees
+        if d0 == d1:
+            return None
+        return 0 if d0 < d1 else 1
+
+    def candidate(self, k: int) -> tuple[list[int], list[int]] | None:
+        """Monic (num, den) in z = 1/w from the strictly smaller element.
+
+        Returns None unless that element has fitted at least `k` nodes since
+        it last changed, has not been rejected in its current form, and its
+        reversed coefficients give deg num - deg den = shift with equal,
+        nonzero leading coefficients.
+        """
+        i = self._smaller()
+        if i is None or self.nodes - 1 - self.changed[i] < k:
+            return None
+        if self._rejected == (i, self.changed[i]):
+            return None
+        a, b = self.basis[i]
+        num, den = ptrim(a[::-1]), ptrim(b[::-1])
+        if not num or not den or len(num) - len(den) != self.shift or num[-1] != den[-1]:
+            self._rejected = (i, self.changed[i])
+            return None
+        p = self.p
+        inv = pow(num[-1], p - 2, p)
+        return pscale(num, inv, p), pscale(den, inv, p)
+
+    def reject(self) -> None:
+        """Skip the current candidate until the element it came from changes."""
+        i = self._smaller()
+        if i is not None:
+            self._rejected = (i, self.changed[i])
 
 
 def find_roots(f: list[int], p: int, rng: random.Random | None = None) -> list[int] | None:

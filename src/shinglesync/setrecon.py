@@ -23,10 +23,13 @@ from .errors import (
     InvalidSymbolError,
     PointCollisionError,
 )
-from .field import (
-    GAUSS_LIMIT,
+# NewtonInterpolator, interpolate_rational_gauss and rational_from_modulus are
+# unused here but stay importable from this module: perfbench/tracing.py
+# rebinds them on it
+from .field import (  # noqa: F401
     FieldSpec,
     NewtonInterpolator,
+    RationalInterpolator,
     _draw_points,
     find_roots,
     interpolate_rational,
@@ -334,9 +337,13 @@ class RatelessSource:
 class RatelessDecoder:
     """Consumes remote (point, value) pairs until a verified delta emerges.
 
-    Degree hypotheses grow as pairs arrive; a hypothesis is accepted when the
-    interpolated ratio checks out on `k` fresh verification pairs and its
-    roots decode to instances consistent with the local multiset.
+    Every pair is one node of an incremental rational interpolation
+    (`RationalInterpolator`), fed at w = 1/z with value ratio * w**s, where s
+    is the size difference and the larger side stays in the numerator, after
+    a first node (0, 1) that makes both difference polynomials monic.  A
+    difference of m instances is pinned down by m pairs; the candidate is
+    accepted once it has fitted `k` further pairs unchanged and its roots
+    decode to instances consistent with the local multiset.
     """
 
     def __init__(
@@ -357,23 +364,18 @@ class RatelessDecoder:
         self.size_diff = len(self.elements) - remote_set_size
         # larger difference side goes in the numerator (see reconcile_fixed)
         self._flip = self.size_diff < 0
-        self._points: list[int] = []
-        self._ratios: list[int] = []
-        self._remote_vals: list[int] = []
-        self._local_vals: list[int] = []
-        self._t = 0  # hypothesis: instances beyond the forced size difference, per side
-        self._interp = NewtonInterpolator(codec.field.p)
+        # no true difference exceeds both multisets, so it is found by then
+        self.budget = len(self.elements) + remote_set_size + k
+        self._t = 0  # request ladder: instances beyond the forced size difference, per side
+        self._interp = RationalInterpolator(codec.field.p, abs(self.size_diff))
+        self._interp.add_node(0, 1)
         self.pairs_consumed = 0
         self.result: Delta | PartialDecode | None = None
 
-    def _hypothesis_degrees(self) -> tuple[int, int]:
-        return self._t + abs(self.size_diff), self._t
-
     def pairs_wanted(self) -> int:
-        """How many more pairs the next hypothesis attempt needs."""
-        deg_num, deg_den = self._hypothesis_degrees()
-        needed = rational_points_needed(deg_num, deg_den) + self.k
-        return max(0, needed - len(self._points))
+        """How many more pairs the current rung of the request ladder needs."""
+        deg_num, deg_den = self._t + abs(self.size_diff), self._t
+        return max(0, min(deg_num + deg_den + self.k, self.budget) - self.pairs_consumed)
 
     def feed(self, point: int, value: int) -> Delta | PartialDecode | None:
         """Consume one remote pair; returns the result once confident."""
@@ -388,49 +390,33 @@ class RatelessDecoder:
         acc = 1
         for e in self.elements:
             acc = acc * (point - e) % p
-        self._points.append(point)
-        self._local_vals.append(acc)
-        self._remote_vals.append(value)
         top, bot = (value, acc) if self._flip else (acc, value)
-        self._ratios.append(top * pow(bot, p - 2, p) % p)
+        shift = self._interp.shift
+        # node w = 1/z carries (top / bot) * w**shift
+        self._interp.add_node(
+            pow(point, p - 2, p), top * pow(bot * pow(point, shift, p), p - 2, p) % p
+        )
         self.pairs_consumed += 1
+        if self._attempt():
+            return self.result
+        if self.pairs_consumed >= self.budget:
+            raise BoundExceededError(f"no verified difference within {self.budget} pairs")
         while self.pairs_wanted() == 0:
-            if self._attempt():
-                return self.result
-            # step the hypothesis; exact up to 32 per side, widening beyond
+            # exact up to 32 per side, widening beyond
             self._t += 1 if self._t < 32 else max(1, self._t // 8)
         return None
 
     def _attempt(self) -> bool:
-        deg_num, deg_den = self._hypothesis_degrees()
+        candidate = self._interp.candidate(self.k)
+        if candidate is None:
+            return False
+        if self._decode(*candidate):
+            return True
+        self._interp.reject()
+        return False
+
+    def _decode(self, num: list[int], den: list[int]) -> bool:
         p = self.codec.field.p
-        needed = rational_points_needed(deg_num, deg_den)
-        if deg_num + deg_den <= GAUSS_LIMIT:
-            result = interpolate_rational_gauss(
-                self._points[:needed], self._ratios[:needed], deg_num, deg_den, p
-            )
-        else:
-            # the interpolant is shared across attempts and only ever extended
-            while len(self._interp.xs) < needed:
-                i = len(self._interp.xs)
-                self._interp.add_point(self._points[i], self._ratios[i])
-            result = rational_from_modulus(
-                self._interp.modulus(), self._interp.polynomial(), deg_num, deg_den, p
-            )
-        if result is None:
-            return False
-        num, den = result
-        top_vals = self._remote_vals if self._flip else self._local_vals
-        bot_vals = self._local_vals if self._flip else self._remote_vals
-        if not _verify(
-            num,
-            den,
-            self._points[needed : needed + self.k],
-            top_vals[needed : needed + self.k],
-            bot_vals[needed : needed + self.k],
-            p,
-        ):
-            return False
         local_poly, remote_poly = (den, num) if self._flip else (num, den)
         if not self.partial:
             delta = _decode_delta(local_poly, remote_poly, self.codec, self._element_set)

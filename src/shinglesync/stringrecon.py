@@ -92,6 +92,7 @@ class SessionReport:
     outcome: str = "incomplete"
     merges_local: int = 0
     merges_remote: int = 0
+    step2_pairs: int = 0  # (point, value) pairs that crossed the wire in step 2
     alpha: int | None = None
     bits: dict[str, list[int]] = dc_field(default_factory=dict)
 
@@ -112,6 +113,7 @@ class SessionReport:
             lines.append(f"alpha={self.alpha}")
         lines.append(f"merges_local={self.merges_local}")
         lines.append(f"merges_remote={self.merges_remote}")
+        lines.append(f"step2_pairs={self.step2_pairs}")
         total_sent = total_recv = 0
         for step in sorted(self.bits):
             sent, received = self.bits[step]
@@ -322,16 +324,11 @@ def encode_bundle(bundle: EvalBundle) -> bytes:
 def decode_bundle(payload: bytes) -> EvalBundle:
     if len(payload) < 12:
         raise ProtocolError("short bundle frame")
-    set_size, count = struct.unpack_from(">QI", payload)
+    (count,) = struct.unpack_from(">I", payload, 8)
     if len(payload) != 12 + 16 * count:
         raise ProtocolError("bundle frame length mismatch")
-    points = []
-    values = []
-    for i in range(count):
-        z, v = struct.unpack_from(">QQ", payload, 12 + 16 * i)
-        points.append(z)
-        values.append(v)
-    return EvalBundle(tuple(points), tuple(values), set_size)
+    set_size, _count, *flat = struct.unpack(f">QI{2 * count}Q", payload)
+    return EvalBundle(tuple(flat[0::2]), tuple(flat[1::2]), set_size)
 
 
 def encode_pairs(pairs: list[tuple[int, int]]) -> bytes:
@@ -345,7 +342,8 @@ def decode_pairs(payload: bytes) -> list[tuple[int, int]]:
     (count,) = struct.unpack_from(">I", payload)
     if len(payload) != 4 + 16 * count:
         raise ProtocolError("pair frame length mismatch")
-    return [struct.unpack_from(">QQ", payload, 4 + 16 * i) for i in range(count)]
+    _count, *flat = struct.unpack(f">I{2 * count}Q", payload)
+    return list(zip(flat[0::2], flat[1::2]))
 
 
 DELTA_ELEMENTS = 0  # second block holds the receiver's missing elements
@@ -366,12 +364,11 @@ def decode_delta_elements(payload: bytes) -> tuple[int, list[int], list[int]]:
     off = 5 + 8 * n1
     if len(payload) < off + 4:
         raise ProtocolError("delta frame length mismatch")
-    first = [struct.unpack_from(">Q", payload, 5 + 8 * i)[0] for i in range(n1)]
     (n2,) = struct.unpack_from(">I", payload, off)
     if len(payload) != off + 4 + 8 * n2:
         raise ProtocolError("delta frame length mismatch")
-    second = [struct.unpack_from(">Q", payload, off + 4 + 8 * i)[0] for i in range(n2)]
-    return mode, first, second
+    _mode, _n1, *rest = struct.unpack(f">BI{n1}QI{n2}Q", payload)
+    return mode, rest[:n1], rest[n1 + 1 :]
 
 
 def encode_merges(records: list[MergeRecord], index_bits: int) -> bytes:
@@ -518,7 +515,7 @@ def _run(
 
     # step 2: reconcile the multisets
     wire.step = "step2"
-    delta = _reconcile_step(wire, role, config, codec, local_ms)
+    delta = _reconcile_step(wire, role, config, codec, local_ms, n_remote + config.l - 1, report)
     remote_initial = local_ms.difference(delta.only_local).union(delta.only_remote)
 
     # steps 3-4: merge to unique decodability (local work only)
@@ -567,14 +564,16 @@ def _reconcile_step(
     config: ReconConfig,
     codec: ShingleCodec,
     local_ms: ShingleMultiset,
+    remote_instances: int,
+    report: SessionReport,
 ) -> Delta:
     field = codec.field
     if config.mode == MODE_FIXED:
-        n_points = config.m_hat + config.k + 1
-        points = field.sample_points(config.seed, n_points)
         if role == ROLE_INITIATOR:
+            points = field.sample_points(config.seed, config.m_hat + config.k + 1)
             bundle = char_poly_evals(local_ms, points, codec)
             wire.send(FrameKind.EVAL_BUNDLE, encode_bundle(bundle))
+            report.step2_pairs = len(points)
             _mode, sender_only, receiver_only = decode_delta_elements(
                 wire.expect(FrameKind.DELTA).payload
             )
@@ -582,7 +581,13 @@ def _reconcile_step(
                 only_local=codec.decode_multiset(receiver_only),
                 only_remote=codec.decode_multiset(sender_only),
             )
-        remote_bundle = decode_bundle(wire.expect(FrameKind.EVAL_BUNDLE).payload)
+        remote_bundle = _expect_bundle(wire, remote_instances)
+        if len(remote_bundle.points) != config.m_hat + config.k + 1:
+            raise ProtocolError(
+                f"bundle holds {len(remote_bundle.points)} points, "
+                f"m_hat + k + 1 = {config.m_hat + config.k + 1}"
+            )
+        report.step2_pairs = len(remote_bundle.points)
         try:
             delta = reconcile_fixed(local_ms, remote_bundle, codec, config.m_hat, config.k)
         except BoundExceededError as exc:
@@ -598,14 +603,24 @@ def _reconcile_step(
     # handed-over polynomial at its own elements (all roots live there)
     if role == ROLE_INITIATOR:
         source = RatelessSource(local_ms, codec, config.seed)
+        # no true difference needs more pairs than both multisets plus k
+        budget = source.set_size + remote_instances + config.k
         wire.send(
             FrameKind.EVAL_BUNDLE, encode_bundle(EvalBundle((), (), local_ms.total()))
         )
         while True:
             frame = wire.recv()
             if frame.kind == FrameKind.DELTA_REQ:
+                if len(frame.payload) != 4:
+                    raise ProtocolError("pair request frame length mismatch")
                 (count,) = struct.unpack(">I", frame.payload)
+                if not 1 <= count <= budget - report.step2_pairs:
+                    raise ProtocolError(
+                        f"pair request for {count} after {report.step2_pairs} "
+                        f"exceeds the budget of {budget}"
+                    )
                 wire.send(FrameKind.EVAL_PAIR, encode_pairs(source.next_pairs(count)))
+                report.step2_pairs += count
             elif frame.kind == FrameKind.DELTA:
                 mode, sender_only, second = decode_delta_elements(frame.payload)
                 if mode != DELTA_POLY:
@@ -620,13 +635,17 @@ def _reconcile_step(
                 )
             else:
                 raise ProtocolError(f"unexpected frame {frame.kind.name} during reconciliation")
-    header = decode_bundle(wire.expect(FrameKind.EVAL_BUNDLE).payload)
+    header = _expect_bundle(wire, remote_instances)
     decoder = RatelessDecoder(local_ms, codec, header.set_size, k=config.k, partial=True)
     partial: PartialDecode | None = None
     while partial is None:
-        wanted = max(1, decoder.pairs_wanted())
+        wanted = decoder.pairs_wanted()
         wire.send(FrameKind.DELTA_REQ, struct.pack(">I", wanted))
-        for z, v in decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload):
+        pairs = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload)
+        if len(pairs) != wanted:
+            raise ProtocolError(f"asked for {wanted} pairs, got {len(pairs)}")
+        report.step2_pairs += wanted
+        for z, v in pairs:
             partial = decoder.feed(z, v)
             if partial is not None:
                 break
@@ -642,6 +661,17 @@ def _reconcile_step(
         only_local=partial.only_local,
         only_remote=codec.decode_multiset(remote_elems),
     )
+
+
+def _expect_bundle(wire: _MeteredEndpoint, remote_instances: int) -> EvalBundle:
+    """The peer's bundle, whose set size must match the length in its hello."""
+    bundle = decode_bundle(wire.expect(FrameKind.EVAL_BUNDLE).payload)
+    if bundle.set_size != remote_instances:
+        raise ProtocolError(
+            f"bundle set size {bundle.set_size} does not match the {remote_instances} "
+            "instances of the announced word"
+        )
+    return bundle
 
 
 def random_edits(word: str, alpha: int, rng: random.Random, symbols: str) -> str:

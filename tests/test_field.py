@@ -1,10 +1,15 @@
-import pytest
+import random
 
-from shinglesync.errors import InvalidParameterError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shinglesync.errors import InvalidParameterError, InvalidPointError
 from shinglesync.field import (
     P61,
     FieldSpec,
     NewtonInterpolator,
+    RationalInterpolator,
     find_roots,
     interpolate_rational_eea,
     interpolate_rational_gauss,
@@ -197,3 +202,75 @@ class TestRationalInterpolation:
     def test_point_shortage_raises(self):
         with pytest.raises(InvalidParameterError):
             interpolate_rational_gauss([1, 2], [1, 1], 2, 2, SMALL_P)
+
+
+class TestRationalInterpolator:
+    SPEC = FieldSpec.default61()
+    K = 8
+
+    @classmethod
+    def node(cls, num, den, z):
+        """The node w = 1/z carrying num(z)/den(z) * w**shift, as the decoder feeds it."""
+        p = cls.SPEC.p
+        shift = len(num) - len(den)
+        w = pow(z, p - 2, p)
+        return w, peval(num, z, p) * pow(peval(den, z, p), p - 2, p) * pow(w, shift, p) % p
+
+    @given(
+        st.integers(0, 24),
+        st.integers(0, 24),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_accepts_the_true_pair_after_degrees_plus_k_nodes(self, d1, d2, seed):
+        rng = random.Random(seed)
+        spec, k = self.SPEC, self.K
+        dn, dd = max(d1, d2), min(d1, d2)
+        roots = rng.sample(range(1, spec.encoding_limit), dn + dd)
+        num = poly_from_roots(roots[:dn], spec.p)
+        den = poly_from_roots(roots[dn:], spec.p)
+        interp = RationalInterpolator(spec.p, dn - dd)
+        interp.add_node(0, 1)
+        for z in spec.sample_points(seed, dn + dd + k):
+            assert interp.candidate(k) is None
+            interp.add_node(*self.node(num, den, z))
+        assert interp.candidate(k) == (num, den)
+
+    def test_random_values_never_accepted(self, rng):
+        p = self.SPEC.p
+        for shift in (0, 1, 5):
+            interp = RationalInterpolator(p, shift)
+            interp.add_node(0, 1)
+            for z in self.SPEC.sample_points(shift, 120):
+                interp.add_node(pow(z, p - 2, p), rng.randrange(1, p))
+                assert interp.candidate(2) is None
+
+    def test_rejected_candidate_stays_rejected_until_it_changes(self):
+        p = self.SPEC.p
+        num, den = poly_from_roots([5, 6], p), poly_from_roots([7], p)
+        interp = RationalInterpolator(p, 1)
+        interp.add_node(0, 1)
+        for z in self.SPEC.sample_points(3, 3 + 2):
+            interp.add_node(*self.node(num, den, z))
+        assert interp.candidate(2) == (num, den)
+        interp.reject()
+        assert interp.candidate(2) is None
+        interp.add_node(*self.node(num, den, self.SPEC.p - 2))
+        assert interp.candidate(2) is None
+
+    def test_repeated_point_raises(self):
+        interp = RationalInterpolator(SMALL_P, 0)
+        interp.add_node(0, 1)
+        interp.add_node(5, 3)
+        with pytest.raises(InvalidPointError):
+            interp.add_node(5, 3)
+        with pytest.raises(InvalidPointError):
+            interp.add_node(SMALL_P, 1)
+
+    def test_shifted_degrees_sum_to_nodes_plus_shift(self, rng):
+        interp = RationalInterpolator(SMALL_P, 3)
+        for x in rng.sample(range(SMALL_P), 40):
+            interp.add_node(x, rng.randrange(SMALL_P))
+            assert sum(interp.degrees) == interp.nodes + 3
+            for (a, b), d in zip(interp.basis, interp.degrees):
+                assert d == max(len(a) - 1, len(b) - 1 + 3 if b else -1)

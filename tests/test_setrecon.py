@@ -184,12 +184,15 @@ class TestRateless:
         assert decoder.pairs_consumed == 8
 
     def test_m_differences_need_m_plus_k_pairs(self, rng):
-        for half in (1, 4, 12):
+        # 36 per side puts m above 64, where a Euclidean reconstruction
+        # would need one pair more
+        for half in (1, 4, 12, 36):
             base = random_multiset(rng, 80)
             a = base.union(random_multiset(rng, half))
             b = base.union(random_multiset(rng, half))
             only_a, only_b = true_delta(a, b)
             m = only_a.total() + only_b.total()
+            assert half < 36 or m > 64
             decoder, delta = drive_rateless(a, b, k=8)
             assert (delta.only_local, delta.only_remote) == (only_a, only_b)
             assert decoder.pairs_consumed == m + 8
@@ -222,6 +225,27 @@ class TestRateless:
             decoder.feed(FIELD.p - 1, 0)
         with pytest.raises(InvalidPointError):
             decoder.feed(123, 1)
+
+    def test_repeated_point_rejected(self, rng):
+        ms = random_multiset(rng, 4)
+        decoder = RatelessDecoder(ms, CODEC, remote_set_size=4, k=2)
+        decoder.feed(FIELD.p - 1, 7)
+        with pytest.raises(InvalidPointError):
+            decoder.feed(FIELD.p - 1, 7)
+
+    def test_random_values_exhaust_the_budget(self, rng):
+        # no difference can exceed both multisets, so garbage stops there
+        ms = random_multiset(rng, 6)
+        decoder = RatelessDecoder(ms, CODEC, remote_set_size=9, k=3)
+        assert decoder.budget == 6 + 9 + 3
+        points = iter(FIELD.sample_points(21, decoder.budget))
+        with pytest.raises(BoundExceededError):
+            while True:
+                wanted = decoder.pairs_wanted()
+                assert 1 <= wanted <= decoder.budget - decoder.pairs_consumed
+                for _ in range(wanted):
+                    assert decoder.feed(next(points), rng.randrange(1, FIELD.p)) is None
+        assert decoder.pairs_consumed == decoder.budget
 
     def test_wildly_skewed_sizes_decode_in_both_orientations(self, rng):
         # the decoder keeps the larger difference side in the numerator so the

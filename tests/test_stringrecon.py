@@ -1,4 +1,5 @@
 import math
+import struct
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -28,14 +29,23 @@ from shinglesync.errors import (
     InvariantError,
     ProtocolError,
     SessionAbortError,
+    TransportClosedError,
 )
+from shinglesync.setrecon import EvalBundle
 from shinglesync.stringrecon import (
+    DELTA_POLY,
     _pack_indices,
     _unpack_indices,
+    decode_bundle,
+    decode_delta_elements,
     decode_hello,
     decode_merges,
+    decode_pairs,
+    encode_bundle,
+    encode_delta_elements,
     encode_hello,
     encode_merges,
+    encode_pairs,
 )
 from shinglesync.transport import Frame, FrameKind, Listener, connect
 
@@ -48,6 +58,41 @@ def run_session(word_a, word_b, config_a, config_b=None, alpha=None, timeout=120
         res_a = fut_a.result(timeout=timeout)
         res_b = fut_b.result(timeout=timeout)
     return res_a, res_b
+
+
+def scripted_session(word, role, config, script, timeout=30):
+    """Run one party while `script` plays its peer on the other endpoint.
+
+    Returns what the party raised, or None when it returned.  The party
+    closes its endpoint when it stops, so a script waiting for a frame that
+    never comes ends; the party runs in a daemon thread, so a session that
+    never ends fails the test instead of hanging it.
+    """
+    mine, peer = channel_pair()
+    raised = {}
+
+    def party():
+        try:
+            run_protocol(word, mine, role, config)
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            raised["exc"] = exc
+        finally:
+            mine.close()
+
+    thread = threading.Thread(target=party, daemon=True)
+    thread.start()
+    try:
+        script(peer)
+    except TransportClosedError:
+        pass
+    peer.close()
+    thread.join(timeout)
+    assert not thread.is_alive(), "session still running"
+    return raised.get("exc")
+
+
+def hello_for(config, role, word):
+    return Frame(FrameKind.HELLO, encode_hello(config, role, len(word), "".join(sorted(set(word)))))
 
 
 class TestMergeBookkeeping:
@@ -158,6 +203,31 @@ class TestWireCodecs:
         with pytest.raises(ProtocolError):
             decode_merges(payload)
 
+    def test_pair_frame_round_trip_and_exact_length(self):
+        payload = encode_pairs([(1, 2), (3, 2**64 - 1)])
+        assert decode_pairs(payload) == [(1, 2), (3, 2**64 - 1)]
+        assert decode_pairs(encode_pairs([])) == []
+        for bad in (payload[:3], payload[:-1], payload + b"\x00"):
+            with pytest.raises(ProtocolError):
+                decode_pairs(bad)
+
+    def test_bundle_frame_round_trip_and_exact_length(self):
+        bundle = EvalBundle((7, 9), (1, 2**64 - 1), 5)
+        payload = encode_bundle(bundle)
+        assert decode_bundle(payload) == bundle
+        assert decode_bundle(encode_bundle(EvalBundle((), (), 3))) == EvalBundle((), (), 3)
+        for bad in (payload[:11], payload[:-1], payload + b"\x00"):
+            with pytest.raises(ProtocolError):
+                decode_bundle(bad)
+
+    def test_delta_frame_round_trip_and_exact_length(self):
+        payload = encode_delta_elements(DELTA_POLY, [4, 5], [6])
+        assert decode_delta_elements(payload) == (DELTA_POLY, [4, 5], [6])
+        assert decode_delta_elements(encode_delta_elements(DELTA_POLY, [], [])) == (DELTA_POLY, [], [])
+        for bad in (payload[:4], payload[:12], payload[:-1], payload + b"\x00"):
+            with pytest.raises(ProtocolError):
+                decode_delta_elements(bad)
+
     def test_hello_round_trip(self):
         config = ReconConfig(l=7, mode=MODE_FIXED, m_hat=33, k=5, seed=12345)
         payload = encode_hello(config, 0, 999, "abc")
@@ -201,6 +271,20 @@ class TestSessions:
             "merges_local=",
         ):
             assert key in text, key
+
+    @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 16), (MODE_RATELESS, 0)])
+    def test_both_parties_report_the_step2_pairs(self, mode, m_hat):
+        config = ReconConfig(l=3, mode=mode, m_hat=m_hat, k=4, seed=9)
+        (_, rep_a), (_, rep_b) = run_session("katana", "katna", config)
+        assert rep_a.step2_pairs == rep_b.step2_pairs > 0
+        if mode == MODE_FIXED:
+            assert rep_a.step2_pairs == m_hat + 4 + 1
+        assert f"step2_pairs={rep_a.step2_pairs}\n" in rep_a.to_text()
+
+    def test_zero_difference_rateless_session_sends_k_pairs(self):
+        config = ReconConfig(l=2, mode=MODE_RATELESS, k=6, seed=5)
+        (_, rep_a), (_, rep_b) = run_session("hello", "hello", config)
+        assert rep_a.step2_pairs == rep_b.step2_pairs == 6
 
     def test_random_edit_sessions_both_modes(self, rng):
         for mode, m_hat in ((MODE_RATELESS, 0), (MODE_FIXED, 96)):
@@ -286,6 +370,82 @@ class TestSessions:
             thread.join()
             listener.close()
         assert results["a"][0] == wb and results["b"][0] == wa
+
+
+class TestHostileStep2:
+    """A scripted peer sends one bad step-2 frame; the party must stop with
+    `ProtocolError` at once."""
+
+    CONFIG = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=3)
+
+    def initiator_facing(self, *requests):
+        """The initiator "abcab" against a responder "abcba" that sends `requests`
+        as DELTA_REQ payloads, reading the pairs served after each."""
+
+        def script(peer):
+            peer.recv()
+            peer.send(hello_for(self.CONFIG, 1, "abcba"))
+            peer.recv()  # the set-size header
+            for payload in requests:
+                peer.send(Frame(FrameKind.DELTA_REQ, payload))
+                frame = peer.recv()
+                if frame.kind != FrameKind.EVAL_PAIR:
+                    return
+                assert len(decode_pairs(frame.payload)) == int.from_bytes(payload, "big")
+
+        return scripted_session("abcab", "initiator", self.CONFIG, script)
+
+    @pytest.mark.parametrize("payload", [b"", b"\x00\x00\x08", b"\x00\x00\x00\x08\x00"])
+    def test_pair_request_must_be_four_bytes(self, payload):
+        assert isinstance(self.initiator_facing(payload), ProtocolError)
+
+    def test_pair_request_count_must_be_positive(self):
+        assert isinstance(self.initiator_facing((0).to_bytes(4, "big")), ProtocolError)
+
+    def test_pair_requests_stay_within_the_budget(self):
+        # 6 + 6 instances at l = 2, plus k = 8
+        budget = 6 + 6 + 8
+        exc = self.initiator_facing((budget + 1).to_bytes(4, "big"))
+        assert isinstance(exc, ProtocolError)
+        exc = self.initiator_facing((budget - 3).to_bytes(4, "big"), (4).to_bytes(4, "big"))
+        assert isinstance(exc, ProtocolError)
+        exc = self.initiator_facing((2**32 - 1).to_bytes(4, "big"))
+        assert isinstance(exc, ProtocolError)
+
+    def responder_facing(self, config, bundle, pairs_for=None):
+        """The responder "abcba" against an initiator "abcab" that sends `bundle`
+        and then answers the first pair request with `pairs_for(count)`."""
+
+        def script(peer):
+            peer.send(hello_for(config, 0, "abcab"))
+            peer.recv()
+            peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(bundle)))
+            if pairs_for is not None:
+                frame = peer.recv()
+                (count,) = struct.unpack(">I", frame.payload)
+                peer.send(Frame(FrameKind.EVAL_PAIR, encode_pairs(pairs_for(count))))
+
+        return scripted_session("abcba", "responder", config, script)
+
+    def test_pair_frame_must_hold_the_requested_count(self):
+        points = self.CONFIG.field_spec().sample_points(1, 40)
+        for extra in (-1, 1):
+            exc = self.responder_facing(
+                self.CONFIG,
+                EvalBundle((), (), 6),
+                lambda count: [(z, 1) for z in points[: count + extra]],
+            )
+            assert isinstance(exc, ProtocolError)
+
+    def test_bundle_set_size_must_match_the_hello(self):
+        assert isinstance(self.responder_facing(self.CONFIG, EvalBundle((), (), 7)), ProtocolError)
+
+    def test_fixed_responder_never_draws_the_peer_m_hat(self):
+        # drawing m_hat + k + 1 = 2**32 + 8 points would take hours
+        config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=2**32 - 1, k=8, seed=3)
+        points = tuple(config.field_spec().sample_points(3, 4))
+        exc = self.responder_facing(config, EvalBundle(points, (1, 1, 1, 1), 6))
+        assert isinstance(exc, ProtocolError)
 
 
 class TestRandomEdits:

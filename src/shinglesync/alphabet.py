@@ -66,11 +66,6 @@ class Alphabet:
         except KeyError as exc:
             raise InvalidSymbolError(f"symbol {exc.args[0]!r} not in alphabet") from None
 
-    def require_word(self, word: str) -> str:
-        """Validate that every character of `word` is an alphabet symbol."""
-        self.encode(word)
-        return word
-
 
 def validate_word(word: str, delimiter: str = DEFAULT_DELIMITER) -> str:
     """Reject words containing the delimiter; the delimiter is reserved."""

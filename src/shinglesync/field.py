@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, InvalidPointError
+from .errors import CapacityError, InvalidParameterError, InvalidPointError
 
 # Smallest prime above 2**61; products of two residues stay well inside
 # Python's fast int range.
@@ -75,24 +75,35 @@ class FieldSpec:
         return self.p - self.point_span
 
     def sample_points(self, seed: int, count: int) -> list[int]:
-        """Deterministic distinct points from the reserved top range."""
-        rng = random.Random(seed)
-        return _draw_points(rng, self, count, set())
+        """The first `count` points of `PointStream(self, seed)`."""
+        return PointStream(self, seed).take(count)
 
 
-def _draw_points(rng: random.Random, field: FieldSpec, count: int, seen: set[int]) -> list[int]:
-    from .errors import CapacityError
+class PointStream:
+    """The seeded sequence of distinct points from a field's reserved top range.
 
-    if count > field.point_span - len(seen):
-        raise CapacityError("field too small for the requested number of points")
-    out: list[int] = []
-    while len(out) < count:
-        z = field.p - 1 - rng.randrange(field.point_span)
-        if z in seen:
-            continue
-        seen.add(z)
-        out.append(z)
-    return out
+    Both parties of a session draw the same sequence from the shared seed, so
+    an evaluation crosses the wire as its value alone.
+    """
+
+    def __init__(self, field: FieldSpec, seed: int):
+        self.field = field
+        self._rng = random.Random(seed)
+        self._seen: set[int] = set()
+
+    def take(self, count: int) -> list[int]:
+        """The next `count` points of the sequence."""
+        field, seen = self.field, self._seen
+        if count > field.point_span - len(seen):
+            raise CapacityError("field too small for the requested number of points")
+        out: list[int] = []
+        while len(out) < count:
+            z = field.p - 1 - self._rng.randrange(field.point_span)
+            if z in seen:
+                continue
+            seen.add(z)
+            out.append(z)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +501,6 @@ def interpolate_rational_eea(
 # above this many unknowns the cubic-cost linear solve is replaced by the
 # quadratic Euclidean route (one extra sample point)
 GAUSS_LIMIT = 64
-
-
-def rational_points_needed(deg_num: int, deg_den: int) -> int:
-    u = deg_num + deg_den
-    return u if u <= GAUSS_LIMIT else u + 1
 
 
 def interpolate_rational(

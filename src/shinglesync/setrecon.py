@@ -4,8 +4,10 @@ Each (shingle, occurrence) instance is encoded injectively into the low range
 of a prime field; both hosts evaluate the product of (Z - element) over their
 multisets at shared points drawn from the reserved top range.  The pointwise
 ratio of the two evaluations equals the ratio of the difference polynomials,
-whose roots decode back to the differing instances.  A fixed-bound one-shot
-mode and a rateless streaming mode share the machinery.
+whose roots decode back to the differing instances.  One decoder,
+`RatelessDecoder`, absorbs the pairs one at a time and stops at the first
+verified difference, whether they stream in on request (rateless mode) or
+arrive as one bundle sized for a bound (fixed mode, `reconcile_fixed`).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .alphabet import Alphabet
 from .errors import (
@@ -23,14 +26,14 @@ from .errors import (
     InvalidSymbolError,
     PointCollisionError,
 )
-# NewtonInterpolator, interpolate_rational_gauss and rational_from_modulus are
-# unused here but stay importable from this module: perfbench/tracing.py
-# rebinds them on it
+# interpolate_rational, interpolate_rational_gauss, rational_from_modulus and
+# NewtonInterpolator are unused here but stay importable from this module:
+# perfbench/tracing.py rebinds them on it
 from .field import (  # noqa: F401
     FieldSpec,
     NewtonInterpolator,
+    PointStream,
     RationalInterpolator,
-    _draw_points,
     find_roots,
     interpolate_rational,
     interpolate_rational_gauss,
@@ -39,7 +42,6 @@ from .field import (  # noqa: F401
     pgcd,
     pscale,
     rational_from_modulus,
-    rational_points_needed,
 )
 from .shingles import ShingleMultiset
 
@@ -66,6 +68,20 @@ class ShingleCodec:
         table = {ch: i for i, ch in enumerate(self.alphabet)}
         table[self.alphabet.delimiter] = len(self.alphabet)
         return table
+
+    @cached_property
+    def max_shingle_len(self) -> int:
+        """The largest l whose smallest length-l encoding, base**l << occ_bits,
+        lies below the encoding limit; no longer shingle can be encoded.
+
+        A base below 2 (no symbols) is counted as 2, so the answer is finite.
+        """
+        base = max(2, len(self.alphabet) + 1)
+        length, smallest = 0, 1 << self.occ_bits
+        while smallest * base < self.field.encoding_limit:
+            smallest *= base
+            length += 1
+        return length
 
     def encode(self, shingle: str, occurrence: int) -> int:
         if occurrence < 1:
@@ -192,22 +208,6 @@ def eval_bundle(elements: list[int], points: list[int], field: FieldSpec) -> Eva
     return EvalBundle(tuple(points), tuple(values), len(elements))
 
 
-def _degree_split(total: int, size_diff: int) -> tuple[int, int] | None:
-    """Degrees (num, den) for a difference of at most `total` instances, with
-    the larger side (`size_diff` = absolute set-size gap) in the numerator.
-
-    The true difference count always has the parity of the size difference,
-    so a mismatched bound rounds down.
-    """
-    if (total - size_diff) % 2 != 0:
-        total -= 1
-    den = (total - size_diff) // 2
-    num = den + size_diff
-    if den < 0 or num < 0:
-        return None
-    return num, den
-
-
 def _decode_delta(
     num: list[int],
     den: list[int],
@@ -255,61 +255,21 @@ def reconcile_fixed(
 ) -> Delta:
     """One-shot reconciliation assuming at most `bound` differing instances.
 
-    The remote bundle must carry enough points for the interpolation plus `k`
-    verification points.  Verification failure raises BoundExceededError, the
-    caller's cue to raise the bound or switch to the rateless mode.
+    Feeds the remote bundle's pairs in order to a `RatelessDecoder`, which
+    pins down a difference of m instances with m + k pairs, so the bundle
+    must carry at least `bound + k` points.  A bundle that runs out before a
+    verified difference raises BoundExceededError, the caller's cue to raise
+    the bound or switch to the rateless mode.
     """
     if bound < 0 or k < 1:
         raise InvalidParameterError("bound must be >= 0 and k >= 1")
-    p = codec.field.p
-    elements = codec.encode_multiset(local)
-    local_bundle = eval_bundle(elements, list(remote.points), codec.field)
-    diff = local_bundle.set_size - remote.set_size
-    split = _degree_split(bound, abs(diff))
-    if split is None:
-        raise BoundExceededError(f"size difference {diff} exceeds the bound {bound}")
-    # keep the larger difference side in the numerator so the Euclidean route
-    # stops early; flip back when reading the roots
-    flip = diff < 0
-    deg_num, deg_den = split
-    needed = rational_points_needed(deg_num, deg_den)
-    if len(remote.points) < needed + k:
-        raise InvalidParameterError(f"need {needed + k} shared points, have {len(remote.points)}")
-    ratios = []
-    for lv, rv in zip(local_bundle.values, remote.values):
-        if rv == 0 or lv == 0:
-            raise PointCollisionError("characteristic value is zero at a sample point")
-        top, bot = (rv, lv) if flip else (lv, rv)
-        ratios.append(top * pow(bot, p - 2, p) % p)
-    zs = list(remote.points)
-    result = interpolate_rational(zs[:needed], ratios[:needed], deg_num, deg_den, p)
-    delta = None
-    if result is not None:
-        num, den = result
-        top_vals = remote.values if flip else local_bundle.values
-        bot_vals = local_bundle.values if flip else remote.values
-        if _verify(num, den, zs[needed : needed + k], top_vals[needed : needed + k],
-                   bot_vals[needed : needed + k], p):
-            local_poly, remote_poly = (den, num) if flip else (num, den)
-            delta = _decode_delta(local_poly, remote_poly, codec, set(elements))
+    if len(remote.points) < bound + k:
+        raise InvalidParameterError(f"need {bound + k} shared points, have {len(remote.points)}")
+    decoder = RatelessDecoder(local, codec, remote.set_size, k=k)
+    delta = decoder.feed_all(zip(remote.points, remote.values))
     if delta is None:
-        raise BoundExceededError("verification failed; difference larger than the bound")
+        raise BoundExceededError(f"no verified difference within {len(remote.points)} points")
     return delta
-
-
-def _verify(
-    num: list[int],
-    den: list[int],
-    points: list[int] | tuple[int, ...],
-    local_vals: list[int] | tuple[int, ...],
-    remote_vals: list[int] | tuple[int, ...],
-    p: int,
-) -> bool:
-    """Check num/den == chi_local/chi_remote at every verification point."""
-    for z, lv, rv in zip(points, local_vals, remote_vals):
-        if peval(num, z, p) * rv % p != peval(den, z, p) * lv % p:
-            return False
-    return True
 
 
 class RatelessSource:
@@ -319,11 +279,10 @@ class RatelessSource:
         self.codec = codec
         self.elements = codec.encode_multiset(ms)
         self.set_size = len(self.elements)
-        self._rng = random.Random(seed)
-        self._seen: set[int] = set()
+        self._points = PointStream(codec.field, seed)
 
     def next_pairs(self, count: int) -> list[tuple[int, int]]:
-        points = _draw_points(self._rng, self.codec.field, count, self._seen)
+        points = self._points.take(count)
         p = self.codec.field.p
         out = []
         for z in points:
@@ -362,7 +321,8 @@ class RatelessDecoder:
         self.elements = codec.encode_multiset(local)
         self._element_set = set(self.elements)
         self.size_diff = len(self.elements) - remote_set_size
-        # larger difference side goes in the numerator (see reconcile_fixed)
+        # the interpolator's shift, deg num - deg den, is never negative, so
+        # the larger difference side goes in the numerator
         self._flip = self.size_diff < 0
         # no true difference exceeds both multisets, so it is found by then
         self.budget = len(self.elements) + remote_set_size + k
@@ -404,6 +364,17 @@ class RatelessDecoder:
         while self.pairs_wanted() == 0:
             # exact up to 32 per side, widening beyond
             self._t += 1 if self._t < 32 else max(1, self._t // 8)
+        return None
+
+    def feed_all(self, pairs: Iterable[tuple[int, int]]) -> Delta | PartialDecode | None:
+        """Feed pairs in order until a result emerges; None if they run out first.
+
+        Pairs after the result are not drawn from `pairs`.
+        """
+        for point, value in pairs:
+            result = self.feed(point, value)
+            if result is not None:
+                return result
         return None
 
     def _attempt(self) -> bool:

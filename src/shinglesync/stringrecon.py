@@ -1,8 +1,9 @@
 """End-to-end string reconciliation over a framed transport.
 
 Session outline: exchange hello frames (parameters, lengths, observed
-symbols), reconcile the two initial shingle multisets (fixed-bound bundle or
-rateless pair streaming), merge each side's ordered shingling to unique
+symbols), reconcile the two initial shingle multisets (one pre-sized bundle
+of characteristic values in fixed mode, values streamed on request in
+rateless mode), merge each side's ordered shingling to unique
 decodability, exchange merge seams as canonical instance-index pairs, rebuild
 and uniquely decode the remote multiset, then confirm with digests.  Only the
 multiset reconciliation and the merge exchange carry data proportional to the
@@ -27,23 +28,23 @@ from .errors import (
     ProtocolError,
     SessionAbortError,
 )
-from .field import P61, FieldSpec
-from .setrecon import (
+from .field import P61, FieldSpec, PointStream
+# reconcile_fixed is unused here but stays importable from this module:
+# perfbench/tracing.py rebinds it on it
+from .setrecon import (  # noqa: F401
     DEFAULT_OCC_BITS,
     Delta,
     EvalBundle,
-    PartialDecode,
     RatelessDecoder,
     RatelessSource,
     ShingleCodec,
-    char_poly_evals,
     reconcile_fixed,
     roots_by_candidates,
 )
 from .shingles import ShingleMultiset, fold, shingle_sequence
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 MODE_FIXED = "fixed"
 MODE_RATELESS = "rateless"
@@ -92,7 +93,7 @@ class SessionReport:
     outcome: str = "incomplete"
     merges_local: int = 0
     merges_remote: int = 0
-    step2_pairs: int = 0  # (point, value) pairs that crossed the wire in step 2
+    step2_pairs: int = 0  # evaluation values that crossed the wire in step 2
     alpha: int | None = None
     bits: dict[str, list[int]] = dc_field(default_factory=dict)
 
@@ -315,60 +316,68 @@ def decode_hello(payload: bytes) -> tuple[ReconConfig, int, int, str]:
     return config, role, word_len, sym
 
 
+def _pack_values(values: list[int]) -> bytes:
+    """One value block: `count:u32be` then `count` 8-byte big-endian values."""
+    return struct.pack(f">I{len(values)}Q", len(values), *values)
+
+
+def _unpack_values(payload: bytes, blocks: int, what: str, offset: int = 0) -> list[list[int]]:
+    """`blocks` consecutive value blocks from `offset`, which must fill the payload exactly."""
+    out = []
+    for _ in range(blocks):
+        if len(payload) < offset + 4:
+            raise ProtocolError(f"short {what} frame")
+        (count,) = struct.unpack_from(">I", payload, offset)
+        offset += 4
+        if len(payload) < offset + 8 * count:
+            raise ProtocolError(f"{what} frame length mismatch")
+        out.append(list(struct.unpack_from(f">{count}Q", payload, offset)))
+        offset += 8 * count
+    if offset != len(payload):
+        raise ProtocolError(f"{what} frame length mismatch")
+    return out
+
+
 def encode_bundle(bundle: EvalBundle) -> bytes:
-    count = len(bundle.points)
-    flat = [x for pair in zip(bundle.points, bundle.values) for x in pair]
-    return struct.pack(f">QI{2 * count}Q", bundle.set_size, count, *flat)
+    """`set_size:u64be` then the values; the peer derives the points from the seed."""
+    return struct.pack(">Q", bundle.set_size) + _pack_values(list(bundle.values))
 
 
-def decode_bundle(payload: bytes) -> EvalBundle:
-    if len(payload) < 12:
+def decode_bundle(payload: bytes) -> tuple[int, list[int]]:
+    """(set size, values) of a bundle frame."""
+    if len(payload) < 8:
         raise ProtocolError("short bundle frame")
-    (count,) = struct.unpack_from(">I", payload, 8)
-    if len(payload) != 12 + 16 * count:
-        raise ProtocolError("bundle frame length mismatch")
-    set_size, _count, *flat = struct.unpack(f">QI{2 * count}Q", payload)
-    return EvalBundle(tuple(flat[0::2]), tuple(flat[1::2]), set_size)
+    (set_size,) = struct.unpack_from(">Q", payload)
+    return set_size, _unpack_values(payload, 1, "bundle", offset=8)[0]
 
 
 def encode_pairs(pairs: list[tuple[int, int]]) -> bytes:
-    flat = [x for pair in pairs for x in pair]
-    return struct.pack(f">I{len(flat)}Q", len(pairs), *flat)
+    """The values of (point, value) pairs; the peer derives the points from the seed."""
+    return _pack_values([value for _point, value in pairs])
 
 
-def decode_pairs(payload: bytes) -> list[tuple[int, int]]:
-    if len(payload) < 4:
-        raise ProtocolError("short pair frame")
-    (count,) = struct.unpack_from(">I", payload)
-    if len(payload) != 4 + 16 * count:
-        raise ProtocolError("pair frame length mismatch")
-    _count, *flat = struct.unpack(f">I{2 * count}Q", payload)
-    return list(zip(flat[0::2], flat[1::2]))
+def decode_pairs(payload: bytes) -> list[int]:
+    return _unpack_values(payload, 1, "pair")[0]
 
 
-DELTA_ELEMENTS = 0  # second block holds the receiver's missing elements
-DELTA_POLY = 1  # second block holds a polynomial whose roots the receiver owns
+def encode_handoff(sender_only: list[int], poly: list[int]) -> bytes:
+    """The responder's DELTA: its own difference instances, then the polynomial
+    (little-endian coefficients) whose roots are the initiator's."""
+    return _pack_values(sender_only) + _pack_values(poly)
 
 
-def encode_delta_elements(mode: int, sender_only: list[int], second: list[int]) -> bytes:
-    n1, n2 = len(sender_only), len(second)
-    return struct.pack(f">BI{n1}QI{n2}Q", mode, n1, *sender_only, n2, *second)
+def decode_handoff(payload: bytes) -> tuple[list[int], list[int]]:
+    sender_only, poly = _unpack_values(payload, 2, "delta")
+    return sender_only, poly
 
 
-def decode_delta_elements(payload: bytes) -> tuple[int, list[int], list[int]]:
-    if len(payload) < 5:
-        raise ProtocolError("short delta frame")
-    mode, n1 = struct.unpack_from(">BI", payload)
-    if mode not in (DELTA_ELEMENTS, DELTA_POLY):
-        raise ProtocolError(f"unknown delta mode {mode}")
-    off = 5 + 8 * n1
-    if len(payload) < off + 4:
-        raise ProtocolError("delta frame length mismatch")
-    (n2,) = struct.unpack_from(">I", payload, off)
-    if len(payload) != off + 4 + 8 * n2:
-        raise ProtocolError("delta frame length mismatch")
-    _mode, _n1, *rest = struct.unpack(f">BI{n1}QI{n2}Q", payload)
-    return mode, rest[:n1], rest[n1 + 1 :]
+def encode_roots(roots: list[int]) -> bytes:
+    """The initiator's DELTA: the hand-off polynomial's roots among its instances."""
+    return _pack_values(roots)
+
+
+def decode_roots(payload: bytes) -> list[int]:
+    return _unpack_values(payload, 1, "delta")[0]
 
 
 def encode_merges(records: list[MergeRecord], index_bits: int) -> bytes:
@@ -508,6 +517,13 @@ def _run(
     alphabet = Alphabet(sorted(set(word) | set(peer_syms)), delimiter=config.delimiter)
     field = config.field_spec()
     codec = ShingleCodec(alphabet, field, config.occ_bits)
+    # before shingling: a peer may announce any l below 2**32, and shingling
+    # builds |w| + l - 1 windows of length l
+    if config.l > codec.max_shingle_len:
+        raise ProtocolError(
+            f"l = {config.l} exceeds {codec.max_shingle_len}, the longest shingle "
+            "the encoding range holds"
+        )
 
     # step 1: shingle locally
     ordered = shingle_sequence(word, config.l, config.delimiter)
@@ -567,111 +583,78 @@ def _reconcile_step(
     remote_instances: int,
     report: SessionReport,
 ) -> Delta:
-    field = codec.field
-    if config.mode == MODE_FIXED:
-        if role == ROLE_INITIATOR:
-            points = field.sample_points(config.seed, config.m_hat + config.k + 1)
-            bundle = char_poly_evals(local_ms, points, codec)
-            wire.send(FrameKind.EVAL_BUNDLE, encode_bundle(bundle))
-            report.step2_pairs = len(points)
-            _mode, sender_only, receiver_only = decode_delta_elements(
-                wire.expect(FrameKind.DELTA).payload
-            )
-            return Delta(
-                only_local=codec.decode_multiset(receiver_only),
-                only_remote=codec.decode_multiset(sender_only),
-            )
-        remote_bundle = _expect_bundle(wire, remote_instances)
-        if len(remote_bundle.points) != config.m_hat + config.k + 1:
-            raise ProtocolError(
-                f"bundle holds {len(remote_bundle.points)} points, "
-                f"m_hat + k + 1 = {config.m_hat + config.k + 1}"
-            )
-        report.step2_pairs = len(remote_bundle.points)
-        try:
-            delta = reconcile_fixed(local_ms, remote_bundle, codec, config.m_hat, config.k)
-        except BoundExceededError as exc:
-            wire.send(FrameKind.ABORT, f"needs-larger-bound: {exc}".encode("utf-8"))
-            raise
-        local_elems = [codec.encode(s, occ) for s, occ in delta.only_local.instances()]
-        remote_elems = [codec.encode(s, occ) for s, occ in delta.only_remote.instances()]
-        wire.send(FrameKind.DELTA, encode_delta_elements(DELTA_ELEMENTS, local_elems, remote_elems))
-        return delta
+    """Step 2, one flow for both modes.
 
-    # rateless mode: the responder interpolates and pulls out its own side's
-    # instances; the initiator extracts the other side by evaluating the
-    # handed-over polynomial at its own elements (all roots live there)
+    The initiator sends characteristic values at the shared seed's points:
+    the first m_hat + k + 1 in its bundle in fixed mode, none there in
+    rateless mode and then whatever the responder requests.  The responder
+    feeds them to its decoder until a verified difference emerges, pulls out
+    its own side's instances and hands the rest over as a polynomial whose
+    roots the initiator finds among its own elements.
+    """
+    fixed = config.mode == MODE_FIXED
+    first = config.m_hat + config.k + 1 if fixed else 0
     if role == ROLE_INITIATOR:
         source = RatelessSource(local_ms, codec, config.seed)
         # no true difference needs more pairs than both multisets plus k
         budget = source.set_size + remote_instances + config.k
-        wire.send(
-            FrameKind.EVAL_BUNDLE, encode_bundle(EvalBundle((), (), local_ms.total()))
-        )
-        while True:
-            frame = wire.recv()
-            if frame.kind == FrameKind.DELTA_REQ:
-                if len(frame.payload) != 4:
-                    raise ProtocolError("pair request frame length mismatch")
-                (count,) = struct.unpack(">I", frame.payload)
-                if not 1 <= count <= budget - report.step2_pairs:
-                    raise ProtocolError(
-                        f"pair request for {count} after {report.step2_pairs} "
-                        f"exceeds the budget of {budget}"
-                    )
-                wire.send(FrameKind.EVAL_PAIR, encode_pairs(source.next_pairs(count)))
-                report.step2_pairs += count
-            elif frame.kind == FrameKind.DELTA:
-                mode, sender_only, second = decode_delta_elements(frame.payload)
-                if mode != DELTA_POLY:
-                    raise ProtocolError("expected the polynomial hand-off delta")
-                my_roots = roots_by_candidates(list(second), source.elements, field.p)
-                if my_roots is None:
-                    raise SessionAbortError("hand-off polynomial does not split over local elements")
-                wire.send(FrameKind.DELTA, encode_delta_elements(DELTA_ELEMENTS, my_roots, []))
-                return Delta(
-                    only_local=codec.decode_multiset(my_roots),
-                    only_remote=codec.decode_multiset(sender_only),
+        pairs = source.next_pairs(first)
+        bundle = EvalBundle(tuple(z for z, _ in pairs), tuple(v for _, v in pairs), source.set_size)
+        wire.send(FrameKind.EVAL_BUNDLE, encode_bundle(bundle))
+        report.step2_pairs = first
+        while (frame := wire.recv()).kind != FrameKind.DELTA:
+            if frame.kind != FrameKind.DELTA_REQ or fixed:
+                raise ProtocolError(f"unexpected frame {frame.kind.name} during {config.mode} step 2")
+            if len(frame.payload) != 4:
+                raise ProtocolError("pair request frame length mismatch")
+            (count,) = struct.unpack(">I", frame.payload)
+            if not 1 <= count <= budget - report.step2_pairs:
+                raise ProtocolError(
+                    f"pair request for {count} after {report.step2_pairs} "
+                    f"exceeds the budget of {budget}"
                 )
-            else:
-                raise ProtocolError(f"unexpected frame {frame.kind.name} during reconciliation")
-    header = _expect_bundle(wire, remote_instances)
-    decoder = RatelessDecoder(local_ms, codec, header.set_size, k=config.k, partial=True)
-    partial: PartialDecode | None = None
-    while partial is None:
+            wire.send(FrameKind.EVAL_PAIR, encode_pairs(source.next_pairs(count)))
+            report.step2_pairs += count
+        remote_only, poly = decode_handoff(frame.payload)
+        my_roots = roots_by_candidates(poly, source.elements, codec.field.p)
+        if my_roots is None:
+            raise SessionAbortError("hand-off polynomial does not split over local elements")
+        wire.send(FrameKind.DELTA, encode_roots(my_roots))
+        return Delta(
+            only_local=codec.decode_multiset(my_roots),
+            only_remote=codec.decode_multiset(remote_only),
+        )
+
+    set_size, values = decode_bundle(wire.expect(FrameKind.EVAL_BUNDLE).payload)
+    if set_size != remote_instances:
+        raise ProtocolError(
+            f"bundle set size {set_size} does not match the {remote_instances} "
+            "instances of the announced word"
+        )
+    if len(values) != first:
+        raise ProtocolError(f"bundle holds {len(values)} values, expected {first}")
+    report.step2_pairs = first
+    decoder = RatelessDecoder(local_ms, codec, set_size, k=config.k, partial=True)
+    points = PointStream(codec.field, config.seed)
+    # each value meets its point only when fed, so no point is drawn past the result
+    while (partial := decoder.feed_all((points.take(1)[0], v) for v in values)) is None:
+        if fixed:
+            raise BoundExceededError(
+                f"needs-larger-bound: no verified difference within the {first} bundled values"
+            )
         wanted = decoder.pairs_wanted()
         wire.send(FrameKind.DELTA_REQ, struct.pack(">I", wanted))
-        pairs = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload)
-        if len(pairs) != wanted:
-            raise ProtocolError(f"asked for {wanted} pairs, got {len(pairs)}")
+        values = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload)
+        if len(values) != wanted:
+            raise ProtocolError(f"asked for {wanted} pairs, got {len(values)}")
         report.step2_pairs += wanted
-        for z, v in pairs:
-            partial = decoder.feed(z, v)
-            if partial is not None:
-                break
     local_elems = [codec.encode(s, occ) for s, occ in partial.only_local.instances()]
-    wire.send(
-        FrameKind.DELTA,
-        encode_delta_elements(DELTA_POLY, local_elems, list(partial.remote_poly)),
-    )
-    mode, remote_elems, _ = decode_delta_elements(wire.expect(FrameKind.DELTA).payload)
-    if mode != DELTA_ELEMENTS:
-        raise ProtocolError("expected the extracted-elements delta")
+    wire.send(FrameKind.DELTA, encode_handoff(local_elems, list(partial.remote_poly)))
+    remote_elems = decode_roots(wire.expect(FrameKind.DELTA).payload)
     return Delta(
         only_local=partial.only_local,
         only_remote=codec.decode_multiset(remote_elems),
     )
-
-
-def _expect_bundle(wire: _MeteredEndpoint, remote_instances: int) -> EvalBundle:
-    """The peer's bundle, whose set size must match the length in its hello."""
-    bundle = decode_bundle(wire.expect(FrameKind.EVAL_BUNDLE).payload)
-    if bundle.set_size != remote_instances:
-        raise ProtocolError(
-            f"bundle set size {bundle.set_size} does not match the {remote_instances} "
-            "instances of the announced word"
-        )
-    return bundle
 
 
 def random_edits(word: str, alpha: int, rng: random.Random, symbols: str) -> str:

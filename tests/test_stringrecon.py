@@ -1,6 +1,7 @@
 import math
 import struct
 import threading
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -23,7 +24,7 @@ from shinglesync import (
     seams_to_records,
     shingle_sequence,
 )
-from shinglesync import stringrecon
+from shinglesync import field, setrecon, stringrecon
 from shinglesync.errors import (
     BoundExceededError,
     InvariantError,
@@ -31,21 +32,22 @@ from shinglesync.errors import (
     SessionAbortError,
     TransportClosedError,
 )
-from shinglesync.setrecon import EvalBundle
+from shinglesync.setrecon import EvalBundle, RatelessDecoder
 from shinglesync.stringrecon import (
-    DELTA_POLY,
     _pack_indices,
     _unpack_indices,
     decode_bundle,
-    decode_delta_elements,
+    decode_handoff,
     decode_hello,
     decode_merges,
     decode_pairs,
+    decode_roots,
     encode_bundle,
-    encode_delta_elements,
+    encode_handoff,
     encode_hello,
     encode_merges,
     encode_pairs,
+    encode_roots,
 )
 from shinglesync.transport import Frame, FrameKind, Listener, connect
 
@@ -204,29 +206,39 @@ class TestWireCodecs:
             decode_merges(payload)
 
     def test_pair_frame_round_trip_and_exact_length(self):
+        # values only, 8 bytes each: the peer derives the points
         payload = encode_pairs([(1, 2), (3, 2**64 - 1)])
-        assert decode_pairs(payload) == [(1, 2), (3, 2**64 - 1)]
+        assert len(payload) == 4 + 8 * 2
+        assert decode_pairs(payload) == [2, 2**64 - 1]
         assert decode_pairs(encode_pairs([])) == []
         for bad in (payload[:3], payload[:-1], payload + b"\x00"):
             with pytest.raises(ProtocolError):
                 decode_pairs(bad)
 
     def test_bundle_frame_round_trip_and_exact_length(self):
-        bundle = EvalBundle((7, 9), (1, 2**64 - 1), 5)
-        payload = encode_bundle(bundle)
-        assert decode_bundle(payload) == bundle
-        assert decode_bundle(encode_bundle(EvalBundle((), (), 3))) == EvalBundle((), (), 3)
-        for bad in (payload[:11], payload[:-1], payload + b"\x00"):
+        payload = encode_bundle(EvalBundle((7, 9), (1, 2**64 - 1), 5))
+        assert len(payload) == 8 + 4 + 8 * 2
+        assert decode_bundle(payload) == (5, [1, 2**64 - 1])
+        assert decode_bundle(encode_bundle(EvalBundle((), (), 3))) == (3, [])
+        for bad in (payload[:7], payload[:11], payload[:-1], payload + b"\x00"):
             with pytest.raises(ProtocolError):
                 decode_bundle(bad)
 
-    def test_delta_frame_round_trip_and_exact_length(self):
-        payload = encode_delta_elements(DELTA_POLY, [4, 5], [6])
-        assert decode_delta_elements(payload) == (DELTA_POLY, [4, 5], [6])
-        assert decode_delta_elements(encode_delta_elements(DELTA_POLY, [], [])) == (DELTA_POLY, [], [])
-        for bad in (payload[:4], payload[:12], payload[:-1], payload + b"\x00"):
+    def test_handoff_and_roots_frames_round_trip_and_exact_length(self):
+        payload = encode_handoff([4, 5], [6])
+        assert len(payload) == 4 + 8 * 2 + 4 + 8
+        assert decode_handoff(payload) == ([4, 5], [6])
+        assert decode_handoff(encode_handoff([], [])) == ([], [])
+        for bad in (payload[:3], payload[:12], payload[:23], payload[:-1], payload + b"\x00"):
             with pytest.raises(ProtocolError):
-                decode_delta_elements(bad)
+                decode_handoff(bad)
+        roots = encode_roots([7, 2**64 - 1])
+        assert len(roots) == 4 + 8 * 2
+        assert decode_roots(roots) == [7, 2**64 - 1]
+        assert decode_roots(encode_roots([])) == []
+        for bad in (roots[:3], roots[:-1], roots + b"\x00"):
+            with pytest.raises(ProtocolError):
+                decode_roots(bad)
 
     def test_hello_round_trip(self):
         config = ReconConfig(l=7, mode=MODE_FIXED, m_hat=33, k=5, seed=12345)
@@ -285,6 +297,71 @@ class TestSessions:
         config = ReconConfig(l=2, mode=MODE_RATELESS, k=6, seed=5)
         (_, rep_a), (_, rep_b) = run_session("hello", "hello", config)
         assert rep_a.step2_pairs == rep_b.step2_pairs == 6
+
+    @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 96), (MODE_RATELESS, 0)])
+    def test_sessions_never_factor_or_solve(self, monkeypatch, rng, mode, m_hat):
+        # both modes run the one rateless decoder and the polynomial hand-off
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a session reached the fixed-mode route")
+
+        for mod, name in ((field, "find_roots"), (setrecon, "find_roots"),
+                          (field, "interpolate_rational"), (setrecon, "interpolate_rational"),
+                          (setrecon, "reconcile_fixed"), (stringrecon, "reconcile_fixed"),
+                          (setrecon, "_decode_delta")):
+            monkeypatch.setattr(mod, name, forbidden)
+        wa = "".join(rng.choice("01") for _ in range(96))
+        wb = random_edits(wa, 3, rng, "01")
+        config = ReconConfig(l=13, mode=mode, m_hat=m_hat, k=8, seed=41)
+        (ra, _), (rb, _) = run_session(wa, wb, config)
+        assert ra == wb and rb == wa
+
+    def test_fixed_responder_feeds_m_plus_k_bundle_pairs(self, monkeypatch, rng):
+        fed = []
+        real_feed = RatelessDecoder.feed
+
+        def spy(decoder, point, value):
+            fed.append(point)
+            return real_feed(decoder, point, value)
+
+        monkeypatch.setattr(RatelessDecoder, "feed", spy)
+        wa = "".join(rng.choice("01") for _ in range(96))
+        wb = random_edits(wa, 2, rng, "01")
+        l, k, m_hat = 13, 8, 96
+        ca, cb = Counter(shingle_sequence(wa, l)), Counter(shingle_sequence(wb, l))
+        m = sum(((ca - cb) + (cb - ca)).values())
+        assert 0 < m < m_hat
+        config = ReconConfig(l=l, mode=MODE_FIXED, m_hat=m_hat, k=k, seed=17)
+        (ra, rep_a), (rb, _) = run_session(wa, wb, config)
+        assert ra == wb and rb == wa
+        assert rep_a.step2_pairs == m_hat + k + 1
+        assert len(fed) == m + k
+        assert fed == config.field_spec().sample_points(config.seed, m + k)
+
+    def test_rateless_step2_bits_are_the_frame_arithmetic(self, monkeypatch, rng):
+        batches = []
+        real_encode = stringrecon.encode_pairs
+
+        def spy(pairs):
+            batches.append(len(pairs))
+            return real_encode(pairs)
+
+        monkeypatch.setattr(stringrecon, "encode_pairs", spy)
+        wa = "".join(rng.choice("01") for _ in range(96))
+        wb = random_edits(wa, 3, rng, "01")
+        l = 13
+        ca, cb = Counter(shingle_sequence(wa, l)), Counter(shingle_sequence(wb, l))
+        only_a, only_b = sum((ca - cb).values()), sum((cb - ca).values())
+        config = ReconConfig(l=l, mode=MODE_RATELESS, k=8, seed=23)
+        (_, rep_a), (_, rep_b) = run_session(wa, wb, config)
+        pairs, requests = rep_a.step2_pairs, len(batches)
+        assert sum(batches) == pairs == rep_b.step2_pairs
+        header = 40  # length:u32 and kind:u8
+        # initiator: set-size bundle, one value frame per request, its roots
+        sent_a = (header + 96) + requests * (header + 32) + 64 * pairs + (header + 32 + 64 * only_a)
+        # responder: the requests, then its instances and the monic polynomial of degree only_a
+        sent_b = requests * (header + 32) + header + 2 * 32 + 64 * (only_b + only_a + 1)
+        assert rep_a.step_bits("step2") == (sent_a, sent_b)
+        assert rep_b.step_bits("step2") == (sent_b, sent_a)
 
     def test_random_edit_sessions_both_modes(self, rng):
         for mode, m_hat in ((MODE_RATELESS, 0), (MODE_FIXED, 96)):
@@ -373,8 +450,9 @@ class TestSessions:
 
 
 class TestHostileStep2:
-    """A scripted peer sends one bad step-2 frame; the party must stop with
-    `ProtocolError` at once."""
+    """A scripted peer sends one bad hello or step-2 frame; the party must stop
+    with `ProtocolError` at once (`BoundExceededError` once a fixed-mode
+    bundle exhausts the decoder's budget)."""
 
     CONFIG = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=3)
 
@@ -412,6 +490,34 @@ class TestHostileStep2:
         exc = self.initiator_facing((2**32 - 1).to_bytes(4, "big"))
         assert isinstance(exc, ProtocolError)
 
+    def test_fixed_mode_initiator_refuses_pair_requests(self):
+        config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=4, k=8, seed=3)
+
+        def script(peer):
+            peer.recv()
+            peer.send(hello_for(config, 1, "abcba"))
+            peer.recv()  # the bundle
+            peer.send(Frame(FrameKind.DELTA_REQ, (1).to_bytes(4, "big")))
+            peer.recv()
+
+        assert isinstance(scripted_session("abcab", "initiator", config, script), ProtocolError)
+
+    def test_hello_shingle_length_is_bounded_before_shingling(self, monkeypatch):
+        # a length-64 shingle over {0, 1} needs 3**64 > 2**61 values: the
+        # session stops before building windows of that length
+        def no_shingling(*_args, **_kwargs):
+            raise AssertionError("shingled at an unencodable l")
+
+        monkeypatch.setattr(stringrecon, "shingle_sequence", no_shingling)
+        config = ReconConfig(l=64, mode=MODE_RATELESS, k=8, seed=3)
+
+        def script(peer):
+            peer.send(hello_for(config, 0, "0110"))
+            peer.recv()
+            peer.recv()
+
+        assert isinstance(scripted_session("0101", "responder", config, script), ProtocolError)
+
     def responder_facing(self, config, bundle, pairs_for=None):
         """The responder "abcba" against an initiator "abcab" that sends `bundle`
         and then answers the first pair request with `pairs_for(count)`."""
@@ -446,6 +552,25 @@ class TestHostileStep2:
         points = tuple(config.field_spec().sample_points(3, 4))
         exc = self.responder_facing(config, EvalBundle(points, (1, 1, 1, 1), 6))
         assert isinstance(exc, ProtocolError)
+
+    def test_fixed_responder_stops_at_its_budget(self, monkeypatch, rng):
+        # a bundle matching a huge m_hat is fed only up to the decoder's budget
+        budgets = []
+        real_feed = RatelessDecoder.feed
+
+        def spy(decoder, point, value):
+            budgets.append(decoder.budget)
+            return real_feed(decoder, point, value)
+
+        monkeypatch.setattr(RatelessDecoder, "feed", spy)
+        config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=100_000, k=8, seed=3)
+        count = config.m_hat + config.k + 1
+        values = tuple(rng.randrange(1, config.prime) for _ in range(count))
+        start = time.perf_counter()
+        exc = self.responder_facing(config, EvalBundle(tuple(range(count)), values, 6))
+        assert isinstance(exc, BoundExceededError)
+        assert time.perf_counter() - start < 10
+        assert 0 < len(budgets) <= budgets[0] == 6 + 6 + 8
 
 
 class TestRandomEdits:

@@ -8,10 +8,14 @@ whose roots decode back to the differing instances.  One decoder,
 `RatelessDecoder`, absorbs the pairs one at a time and stops at the first
 verified difference, whether they stream in on request (rateless mode) or
 arrive as one bundle sized for a bound (fixed mode, `reconcile_fixed`).
+`partition` splits encoded elements into seeded hash buckets, and the
+`from_elements` constructors build a source or decoder for one bucket, so a
+session can reconcile each bucket on its own.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,6 +50,7 @@ from .field import (  # noqa: F401
 from .shingles import ShingleMultiset
 
 DEFAULT_OCC_BITS = 16
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -272,14 +277,47 @@ def reconcile_fixed(
     return delta
 
 
+def partition(elements: list[int], buckets: int, seed: int) -> list[list[int]]:
+    """Split encoded elements into `buckets` lists by a seeded multiply-shift
+    hash, the top log2(buckets) bits of a * e mod 2**64 (Dietzfelbinger et
+    al., J. Algorithms 1997), so two parties sharing the seed put every element
+    in the same bucket.  `buckets` is a power of two; order within a bucket
+    follows `elements`.
+    """
+    if buckets < 1 or buckets & (buckets - 1):
+        raise InvalidParameterError(f"bucket count {buckets} is not a power of two")
+    if buckets == 1:
+        return [list(elements)]
+    # the multiplier: odd, 64 bits, fixed by the seed
+    a = int.from_bytes(hashlib.sha256(b"shinglesync-buckets:%d" % seed).digest()[:8], "big") | 1
+    shift = 64 - (buckets.bit_length() - 1)
+    out: list[list[int]] = [[] for _ in range(buckets)]
+    for e in elements:
+        out[(a * e & _MASK64) >> shift].append(e)
+    return out
+
+
 class RatelessSource:
     """Produces (point, value) pairs for the local multiset on demand."""
 
     def __init__(self, ms: ShingleMultiset, codec: ShingleCodec, seed: int):
+        self._start(codec.encode_multiset(ms), codec, PointStream(codec.field, seed))
+
+    @classmethod
+    def from_elements(
+        cls, elements: list[int], codec: ShingleCodec, points: PointStream
+    ) -> "RatelessSource":
+        """A source over encoded elements that draws its points from `points`,
+        a stream it may share with other sources."""
+        source = cls.__new__(cls)
+        source._start(list(elements), codec, points)
+        return source
+
+    def _start(self, elements: list[int], codec: ShingleCodec, points: PointStream) -> None:
         self.codec = codec
-        self.elements = codec.encode_multiset(ms)
-        self.set_size = len(self.elements)
-        self._points = PointStream(codec.field, seed)
+        self.elements = elements
+        self.set_size = len(elements)
+        self._points = points
 
     def next_pairs(self, count: int) -> list[tuple[int, int]]:
         points = self._points.take(count)
@@ -313,12 +351,31 @@ class RatelessDecoder:
         k: int = 8,
         partial: bool = False,
     ):
+        self._start(codec.encode_multiset(local), codec, remote_set_size, k, partial)
+
+    @classmethod
+    def from_elements(
+        cls,
+        elements: list[int],
+        codec: ShingleCodec,
+        remote_set_size: int,
+        k: int = 8,
+        partial: bool = False,
+    ) -> "RatelessDecoder":
+        """A decoder whose local side is a list of encoded elements."""
+        decoder = cls.__new__(cls)
+        decoder._start(list(elements), codec, remote_set_size, k, partial)
+        return decoder
+
+    def _start(
+        self, elements: list[int], codec: ShingleCodec, remote_set_size: int, k: int, partial: bool
+    ) -> None:
         if k < 1:
             raise InvalidParameterError("k must be >= 1")
         self.codec = codec
         self.k = k
         self.partial = partial
-        self.elements = codec.encode_multiset(local)
+        self.elements = elements
         self._element_set = set(self.elements)
         self.size_diff = len(self.elements) - remote_set_size
         # the interpolator's shift, deg num - deg den, is never negative, so

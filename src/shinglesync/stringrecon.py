@@ -1,9 +1,9 @@
 """End-to-end string reconciliation over a framed transport.
 
 Session outline: exchange hello frames (parameters, lengths, observed
-symbols), reconcile the two initial shingle multisets (one pre-sized bundle
-of characteristic values in fixed mode, values streamed on request in
-rateless mode), merge each side's ordered shingling to unique
+symbols), reconcile the two initial shingle multisets bucket by bucket (one
+pre-sized bundle of characteristic values in fixed mode, values streamed on
+request in rateless mode), merge each side's ordered shingling to unique
 decodability, exchange merge seams as canonical instance-index pairs, rebuild
 and uniquely decode the remote multiset, then confirm with digests.  Only the
 multiset reconciliation and the merge exchange carry data proportional to the
@@ -12,6 +12,7 @@ difference; everything else is constant-size framing.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 import struct
@@ -38,13 +39,16 @@ from .setrecon import (  # noqa: F401
     RatelessDecoder,
     RatelessSource,
     ShingleCodec,
+    partition,
     reconcile_fixed,
     roots_by_candidates,
 )
 from .shingles import ShingleMultiset, fold, shingle_sequence
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
+
+MAX_REQUEST = 0xFFFF  # a DELTA_REQ count is a u16: the most pairs one bucket asks for per round
 
 MODE_FIXED = "fixed"
 MODE_RATELESS = "rateless"
@@ -94,6 +98,8 @@ class SessionReport:
     merges_local: int = 0
     merges_remote: int = 0
     step2_pairs: int = 0  # evaluation values that crossed the wire in step 2
+    step2_buckets: int = 0  # hash buckets step 2 split the instances into
+    step2_rounds: int = 0  # DELTA_REQ frames, one per round of requested values
     alpha: int | None = None
     bits: dict[str, list[int]] = dc_field(default_factory=dict)
 
@@ -115,6 +121,8 @@ class SessionReport:
         lines.append(f"merges_local={self.merges_local}")
         lines.append(f"merges_remote={self.merges_remote}")
         lines.append(f"step2_pairs={self.step2_pairs}")
+        lines.append(f"step2_buckets={self.step2_buckets}")
+        lines.append(f"step2_rounds={self.step2_rounds}")
         total_sent = total_recv = 0
         for step in sorted(self.bits):
             sent, received = self.bits[step]
@@ -270,24 +278,28 @@ def _unpack_indices(data: bytes, bits: int, count: int) -> list[int]:
     return out
 
 
+def encode_config(config: ReconConfig) -> bytes:
+    """The session parameters as they cross the wire in a hello; every field
+    the peer must adopt, and nothing else."""
+    return struct.pack(
+        ">IBIHBQQQ",
+        config.l,
+        0 if config.mode == MODE_FIXED else 1,
+        config.m_hat,
+        config.k,
+        config.occ_bits,
+        config.seed,
+        config.prime,
+        config.point_span,
+    )
+
+
 def encode_hello(config: ReconConfig, role: int, word_len: int, symbols: str) -> bytes:
     sym = symbols.encode("utf-8")
     return (
-        struct.pack(
-            ">BBIBIHBQQQQ",
-            PROTOCOL_VERSION,
-            role,
-            config.l,
-            0 if config.mode == MODE_FIXED else 1,
-            config.m_hat,
-            config.k,
-            config.occ_bits,
-            config.seed,
-            config.prime,
-            config.point_span,
-            word_len,
-        )
-        + struct.pack(">I", len(sym))
+        struct.pack(">BB", PROTOCOL_VERSION, role)
+        + encode_config(config)
+        + struct.pack(">QI", word_len, len(sym))
         + sym
     )
 
@@ -302,7 +314,10 @@ def decode_hello(payload: bytes) -> tuple[ReconConfig, int, int, str]:
     (sym_len,) = struct.unpack_from(">I", payload, head.size)
     if len(payload) != head.size + 4 + sym_len:
         raise ProtocolError("hello frame length mismatch")
-    sym = payload[head.size + 4 :].decode("utf-8")
+    try:
+        sym = payload[head.size + 4 :].decode("utf-8")
+    except UnicodeDecodeError:
+        raise ProtocolError("hello symbol field is not valid UTF-8") from None
     config = ReconConfig(
         l=l,
         mode=MODE_FIXED if mode == 0 else MODE_RATELESS,
@@ -338,17 +353,33 @@ def _unpack_values(payload: bytes, blocks: int, what: str, offset: int = 0) -> l
     return out
 
 
-def encode_bundle(bundle: EvalBundle) -> bytes:
-    """`set_size:u64be` then the values; the peer derives the points from the seed."""
-    return struct.pack(">Q", bundle.set_size) + _pack_values(list(bundle.values))
+def encode_bundle(bundle: EvalBundle, *, bucket_sizes: list[int]) -> bytes:
+    """One `u32be` instance count per bucket, whose sum is the bundle's set
+    size, then the values; the peer derives the points from the seed.
+
+    `bucket_sizes` is keyword-only: perfbench/tracing.py counts the bundle's
+    pairs from the one positional argument.
+    """
+    return struct.pack(f">{len(bucket_sizes)}I", *bucket_sizes) + _pack_values(list(bundle.values))
 
 
-def decode_bundle(payload: bytes) -> tuple[int, list[int]]:
-    """(set size, values) of a bundle frame."""
-    if len(payload) < 8:
+def decode_bundle(payload: bytes, buckets: int) -> tuple[list[int], list[int]]:
+    """(bucket sizes, values) of a bundle frame."""
+    if len(payload) < 4 * buckets:
         raise ProtocolError("short bundle frame")
-    (set_size,) = struct.unpack_from(">Q", payload)
-    return set_size, _unpack_values(payload, 1, "bundle", offset=8)[0]
+    sizes = list(struct.unpack_from(f">{buckets}I", payload))
+    return sizes, _unpack_values(payload, 1, "bundle", offset=4 * buckets)[0]
+
+
+def encode_request(counts: list[int]) -> bytes:
+    """One `count:u16be` per bucket: the values it asks for this round, 0 once it is done."""
+    return struct.pack(f">{len(counts)}H", *counts)
+
+
+def decode_request(payload: bytes, buckets: int) -> list[int]:
+    if len(payload) != 2 * buckets:
+        raise ProtocolError("pair request frame length mismatch")
+    return list(struct.unpack(f">{buckets}H", payload))
 
 
 def encode_pairs(pairs: list[tuple[int, int]]) -> bytes:
@@ -360,19 +391,20 @@ def decode_pairs(payload: bytes) -> list[int]:
     return _unpack_values(payload, 1, "pair")[0]
 
 
-def encode_handoff(sender_only: list[int], poly: list[int]) -> bytes:
-    """The responder's DELTA: its own difference instances, then the polynomial
-    (little-endian coefficients) whose roots are the initiator's."""
-    return _pack_values(sender_only) + _pack_values(poly)
+def encode_handoff(sender_only: list[int], polys: list[list[int]]) -> bytes:
+    """The responder's DELTA: its own difference instances, then per bucket the
+    monic polynomial (little-endian coefficients, the leading 1 left out)
+    whose roots are the initiator's instances in that bucket."""
+    return _pack_values(sender_only) + b"".join(_pack_values(poly[:-1]) for poly in polys)
 
 
-def decode_handoff(payload: bytes) -> tuple[list[int], list[int]]:
-    sender_only, poly = _unpack_values(payload, 2, "delta")
-    return sender_only, poly
+def decode_handoff(payload: bytes, buckets: int) -> tuple[list[int], list[list[int]]]:
+    sender_only, *coefficients = _unpack_values(payload, 1 + buckets, "delta")
+    return sender_only, [block + [1] for block in coefficients]
 
 
 def encode_roots(roots: list[int]) -> bytes:
-    """The initiator's DELTA: the hand-off polynomial's roots among its instances."""
+    """The initiator's DELTA: the hand-off polynomials' roots among its instances."""
     return _pack_values(roots)
 
 
@@ -488,24 +520,11 @@ def _run(
     if role == ROLE_INITIATOR:
         wire.send(FrameKind.HELLO, my_hello)
         peer_cfg, _peer_role, n_remote, peer_syms = decode_hello(wire.expect(FrameKind.HELLO).payload)
-        if (peer_cfg.l, peer_cfg.mode, peer_cfg.m_hat, peer_cfg.k, peer_cfg.seed,
-                peer_cfg.occ_bits, peer_cfg.prime, peer_cfg.point_span) != (
-                config.l, config.mode, config.m_hat, config.k, config.seed,
-                config.occ_bits, config.prime, config.point_span):
+        if encode_config(peer_cfg) != encode_config(config):
             raise SessionAbortError("peer did not adopt the offered parameters")
     else:
         peer_cfg, _peer_role, n_remote, peer_syms = decode_hello(wire.expect(FrameKind.HELLO).payload)
-        config = ReconConfig(
-            l=peer_cfg.l,
-            mode=peer_cfg.mode,
-            m_hat=peer_cfg.m_hat,
-            k=peer_cfg.k,
-            seed=peer_cfg.seed,
-            occ_bits=peer_cfg.occ_bits,
-            prime=peer_cfg.prime,
-            point_span=peer_cfg.point_span,
-            delimiter=config.delimiter,
-        )
+        config = dataclasses.replace(peer_cfg, delimiter=config.delimiter)
         my_hello = encode_hello(config, 1, len(word), "".join(sorted(set(word))))
         wire.send(FrameKind.HELLO, my_hello)
 
@@ -531,7 +550,9 @@ def _run(
 
     # step 2: reconcile the multisets
     wire.step = "step2"
-    delta = _reconcile_step(wire, role, config, codec, local_ms, n_remote + config.l - 1, report)
+    remote_instances = n_remote + config.l - 1
+    buckets = step2_buckets(config.mode, local_ms.total(), remote_instances)
+    delta = _reconcile_step(wire, role, config, codec, local_ms, remote_instances, buckets, report)
     remote_initial = local_ms.difference(delta.only_local).union(delta.only_remote)
 
     # steps 3-4: merge to unique decodability (local work only)
@@ -574,6 +595,32 @@ def _run(
     return remote_word
 
 
+def step2_buckets(mode: str, local_instances: int, remote_instances: int) -> int:
+    """How many hash buckets step 2 splits the instances into.
+
+    Partitioned reconciliation (Minsky & Trachtenberg, "Practical set
+    reconciliation", Allerton 2002) runs one decoder per bucket, so a point
+    costs about n/B work per side instead of n, and root search scans only
+    the bucket's own elements.  Each bucket pays k verification values and a
+    few framing bits, so B grows only as the square root of the instance
+    count: in rateless mode B is the largest power of two with
+    16 * B**2 <= min(local, remote instances), which is 16 at 4096 instances,
+    32 at 16384 and 1 below 64.  Both parties know both counts from the
+    hellos, so B never crosses the wire.
+
+    Fixed mode keeps B = 1, because `m_hat` bounds the whole difference and
+    not each bucket's share of it.  A one-shot bound per bucket would need a
+    tail margin of about m_hat/B + 5 * sqrt(m_hat/B) values in every bucket:
+    at m_hat = 256 and B = 16 that is about 704 values against 265, some 17%
+    more bits on a 4096-symbol session.
+    """
+    buckets = 1
+    if mode == MODE_RATELESS:
+        while 16 * (2 * buckets) ** 2 <= min(local_instances, remote_instances):
+            buckets *= 2
+    return buckets
+
+
 def _reconcile_step(
     wire: _MeteredEndpoint,
     role: str,
@@ -581,80 +628,126 @@ def _reconcile_step(
     codec: ShingleCodec,
     local_ms: ShingleMultiset,
     remote_instances: int,
+    buckets: int,
     report: SessionReport,
 ) -> Delta:
     """Step 2, one flow for both modes.
 
-    The initiator sends characteristic values at the shared seed's points:
-    the first m_hat + k + 1 in its bundle in fixed mode, none there in
-    rateless mode and then whatever the responder requests.  The responder
-    feeds them to its decoder until a verified difference emerges, pulls out
-    its own side's instances and hands the rest over as a polynomial whose
-    roots the initiator finds among its own elements.
+    Both parties hash their encoded instances into `buckets` buckets, and
+    each bucket runs its own source (initiator) or decoder (responder) over
+    the session's one point stream, whose points go to the buckets in bucket
+    order.  The initiator sends characteristic values: the first m_hat + k + 1
+    per bucket in its bundle in fixed mode (where B = 1), none there in
+    rateless mode and then whatever the responder requests, one DELTA_REQ
+    holding a count for every bucket.  The responder feeds each bucket's
+    decoder until it holds a verified difference, pulls out its own side's
+    instances and hands the rest over as one polynomial per bucket, whose
+    roots the initiator finds among that bucket's elements.
     """
     fixed = config.mode == MODE_FIXED
     first = config.m_hat + config.k + 1 if fixed else 0
+    points = PointStream(codec.field, config.seed)
+    parts = partition(codec.encode_multiset(local_ms), buckets, config.seed)
+    report.step2_buckets = buckets
     if role == ROLE_INITIATOR:
-        source = RatelessSource(local_ms, codec, config.seed)
-        # no true difference needs more pairs than both multisets plus k
-        budget = source.set_size + remote_instances + config.k
-        pairs = source.next_pairs(first)
-        bundle = EvalBundle(tuple(z for z, _ in pairs), tuple(v for _, v in pairs), source.set_size)
-        wire.send(FrameKind.EVAL_BUNDLE, encode_bundle(bundle))
-        report.step2_pairs = first
+        sources = [RatelessSource.from_elements(part, codec, points) for part in parts]
+        sizes = [len(part) for part in parts]
+        # no bucket's true difference needs more pairs than its own instances,
+        # every remote instance and k; no session's more than both totals and B * k
+        bucket_budget = [size + remote_instances + config.k for size in sizes]
+        budget = sum(sizes) + remote_instances + buckets * config.k
+        served = [first] * buckets
+        pairs = [pair for source in sources for pair in source.next_pairs(first)]
+        bundle = EvalBundle(tuple(z for z, _ in pairs), tuple(v for _, v in pairs), sum(sizes))
+        wire.send(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, bucket_sizes=sizes))
+        report.step2_pairs = len(pairs)
         while (frame := wire.recv()).kind != FrameKind.DELTA:
             if frame.kind != FrameKind.DELTA_REQ or fixed:
                 raise ProtocolError(f"unexpected frame {frame.kind.name} during {config.mode} step 2")
-            if len(frame.payload) != 4:
-                raise ProtocolError("pair request frame length mismatch")
-            (count,) = struct.unpack(">I", frame.payload)
-            if not 1 <= count <= budget - report.step2_pairs:
+            counts = decode_request(frame.payload, buckets)
+            if not any(counts):
+                raise ProtocolError("pair request asks for no values")
+            for b, count in enumerate(counts):
+                if served[b] + count > bucket_budget[b]:
+                    raise ProtocolError(
+                        f"pair request for {count} in bucket {b} after {served[b]} "
+                        f"exceeds its budget of {bucket_budget[b]}"
+                    )
+            if report.step2_pairs + sum(counts) > budget:
                 raise ProtocolError(
-                    f"pair request for {count} after {report.step2_pairs} "
+                    f"pair request for {sum(counts)} after {report.step2_pairs} "
                     f"exceeds the budget of {budget}"
                 )
-            wire.send(FrameKind.EVAL_PAIR, encode_pairs(source.next_pairs(count)))
-            report.step2_pairs += count
-        remote_only, poly = decode_handoff(frame.payload)
-        my_roots = roots_by_candidates(poly, source.elements, codec.field.p)
-        if my_roots is None:
-            raise SessionAbortError("hand-off polynomial does not split over local elements")
+            pairs = [pair for source, count in zip(sources, counts) for pair in source.next_pairs(count)]
+            wire.send(FrameKind.EVAL_PAIR, encode_pairs(pairs))
+            served = [s + count for s, count in zip(served, counts)]
+            report.step2_pairs += len(pairs)
+            report.step2_rounds += 1
+        remote_only, polys = decode_handoff(frame.payload, buckets)
+        # the whole hand-off is checked before the reply goes out
+        only_remote = _decode_instances(codec, remote_only)
+        my_roots: list[int] = []
+        for b, (poly, part) in enumerate(zip(polys, parts)):
+            roots = roots_by_candidates(poly, part, codec.field.p)
+            if roots is None:
+                raise ProtocolError(f"hand-off polynomial of bucket {b} does not split over its local elements")
+            my_roots += roots
         wire.send(FrameKind.DELTA, encode_roots(my_roots))
-        return Delta(
-            only_local=codec.decode_multiset(my_roots),
-            only_remote=codec.decode_multiset(remote_only),
-        )
+        return Delta(only_local=codec.decode_multiset(my_roots), only_remote=only_remote)
 
-    set_size, values = decode_bundle(wire.expect(FrameKind.EVAL_BUNDLE).payload)
-    if set_size != remote_instances:
+    sizes, values = decode_bundle(wire.expect(FrameKind.EVAL_BUNDLE).payload, buckets)
+    if sum(sizes) != remote_instances:
         raise ProtocolError(
-            f"bundle set size {set_size} does not match the {remote_instances} "
+            f"bundle bucket sizes sum to {sum(sizes)}, not the {remote_instances} "
             "instances of the announced word"
         )
-    if len(values) != first:
-        raise ProtocolError(f"bundle holds {len(values)} values, expected {first}")
-    report.step2_pairs = first
-    decoder = RatelessDecoder(local_ms, codec, set_size, k=config.k, partial=True)
-    points = PointStream(codec.field, config.seed)
-    # each value meets its point only when fed, so no point is drawn past the result
-    while (partial := decoder.feed_all((points.take(1)[0], v) for v in values)) is None:
+    if len(values) != first * buckets:
+        raise ProtocolError(f"bundle holds {len(values)} values, expected {first * buckets}")
+    report.step2_pairs = len(values)
+    decoders = [
+        RatelessDecoder.from_elements(part, codec, size, k=config.k, partial=True)
+        for part, size in zip(parts, sizes)
+    ]
+    counts = [first] * buckets
+    while True:
+        offset = 0
+        for decoder, count in zip(decoders, counts):
+            # every value takes the next point in bucket order, fed or not,
+            # so both parties stay on the same points
+            batch = zip(points.take(count), values[offset : offset + count])
+            offset += count
+            decoder.feed_all(batch)
+        if all(decoder.result is not None for decoder in decoders):
+            break
         if fixed:
             raise BoundExceededError(
                 f"needs-larger-bound: no verified difference within the {first} bundled values"
             )
-        wanted = decoder.pairs_wanted()
-        wire.send(FrameKind.DELTA_REQ, struct.pack(">I", wanted))
+        counts = [0 if d.result is not None else min(d.pairs_wanted(), MAX_REQUEST) for d in decoders]
+        wire.send(FrameKind.DELTA_REQ, encode_request(counts))
+        report.step2_rounds += 1
         values = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload)
-        if len(values) != wanted:
-            raise ProtocolError(f"asked for {wanted} pairs, got {len(values)}")
-        report.step2_pairs += wanted
-    local_elems = [codec.encode(s, occ) for s, occ in partial.only_local.instances()]
-    wire.send(FrameKind.DELTA, encode_handoff(local_elems, list(partial.remote_poly)))
+        if len(values) != sum(counts):
+            raise ProtocolError(f"asked for {sum(counts)} pairs, got {len(values)}")
+        report.step2_pairs += len(values)
+    only_local = ShingleMultiset()
+    for decoder in decoders:
+        only_local = only_local.union(decoder.result.only_local)
+    polys = [list(decoder.result.remote_poly) for decoder in decoders]
+    local_elems = [codec.encode(s, occ) for s, occ in only_local.instances()]
+    wire.send(FrameKind.DELTA, encode_handoff(local_elems, polys))
     remote_elems = decode_roots(wire.expect(FrameKind.DELTA).payload)
-    return Delta(
-        only_local=partial.only_local,
-        only_remote=codec.decode_multiset(remote_elems),
-    )
+    if len(remote_elems) != sum(len(poly) - 1 for poly in polys):
+        raise ProtocolError("roots frame does not hold one root per hand-off degree")
+    return Delta(only_local=only_local, only_remote=_decode_instances(codec, remote_elems))
+
+
+def _decode_instances(codec: ShingleCodec, elements: list[int]) -> ShingleMultiset:
+    """The shingles of instances the peer sent; a malformed one is the peer's fault."""
+    try:
+        return codec.decode_multiset(elements)
+    except InvalidParameterError as exc:
+        raise ProtocolError(f"peer sent a malformed instance: {exc}") from None
 
 
 def random_edits(word: str, alpha: int, rng: random.Random, symbols: str) -> str:

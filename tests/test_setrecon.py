@@ -13,6 +13,7 @@ from shinglesync.errors import (
     InvalidSymbolError,
     PointCollisionError,
 )
+from shinglesync.field import PointStream
 from shinglesync.setrecon import (
     PartialDecode,
     RatelessDecoder,
@@ -20,6 +21,7 @@ from shinglesync.setrecon import (
     ShingleCodec,
     char_poly_evals,
     eval_bundle,
+    partition,
     reconcile_fixed,
     roots_by_candidates,
 )
@@ -264,6 +266,45 @@ class TestRateless:
             b = base.union(random_multiset(rng, rng.randrange(0, 6)))
             _, delta = drive_rateless(a, b, k=8, seed=trial)
             assert (delta.only_local, delta.only_remote) == true_delta(a, b)
+
+
+class TestPartition:
+    def test_buckets_split_the_elements_by_a_seeded_hash(self, rng):
+        elements = CODEC.encode_multiset(random_multiset(rng, 300))
+        parts = partition(elements, 8, seed=5)
+        assert len(parts) == 8 and sorted(sum(parts, [])) == sorted(elements)
+        assert all(parts)  # 300 elements leave no bucket of 8 empty
+        # the bucket depends on the element and the seed, not on the other elements
+        shuffled = list(reversed(elements))
+        assert [sorted(b) for b in partition(shuffled, 8, seed=5)] == [sorted(b) for b in parts]
+        assert partition(elements, 8, seed=6) != parts
+        assert partition(elements, 1, seed=5) == [elements]
+
+    @pytest.mark.parametrize("buckets", [0, 3, 12])
+    def test_bucket_count_must_be_a_power_of_two(self, buckets):
+        with pytest.raises(InvalidParameterError):
+            partition([1, 2], buckets, seed=1)
+
+    def test_from_elements_matches_the_multiset_constructors(self, rng):
+        base = random_multiset(rng, 60)
+        a = base.union(random_multiset(rng, 3))
+        b = base.union(random_multiset(rng, 5))
+        elems_a, elems_b = CODEC.encode_multiset(a), CODEC.encode_multiset(b)
+        source = RatelessSource.from_elements(elems_b, CODEC, PointStream(FIELD, 99))
+        assert source.next_pairs(4) == RatelessSource(b, CODEC, 99).next_pairs(4)
+        decoder = RatelessDecoder.from_elements(elems_a, CODEC, len(elems_b), k=8)
+        result = None
+        while result is None:
+            for z, v in source.next_pairs(decoder.pairs_wanted()):
+                result = decoder.feed(z, v)
+        assert (result.only_local, result.only_remote) == true_delta(a, b)
+
+    def test_sources_sharing_a_stream_take_its_points_in_turn(self):
+        points = PointStream(FIELD, 4)
+        first = RatelessSource.from_elements([1, 2], CODEC, points)
+        second = RatelessSource.from_elements([3], CODEC, points)
+        drawn = [z for z, _ in first.next_pairs(2) + second.next_pairs(3)]
+        assert drawn == FIELD.sample_points(4, 5)
 
 
 def test_small_field_capacity_error():

@@ -1,5 +1,5 @@
 import math
-import struct
+import random
 import threading
 import time
 from collections import Counter
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from shinglesync import (
     MODE_FIXED,
     MODE_RATELESS,
+    Alphabet,
     MergeRecord,
     ReconConfig,
     ShingleMultiset,
@@ -32,22 +33,28 @@ from shinglesync.errors import (
     SessionAbortError,
     TransportClosedError,
 )
-from shinglesync.setrecon import EvalBundle, RatelessDecoder
+from shinglesync.setrecon import EvalBundle, RatelessDecoder, ShingleCodec, partition
 from shinglesync.stringrecon import (
+    SessionReport,
+    _MeteredEndpoint,
     _pack_indices,
+    _reconcile_step,
     _unpack_indices,
     decode_bundle,
     decode_handoff,
     decode_hello,
     decode_merges,
     decode_pairs,
+    decode_request,
     decode_roots,
     encode_bundle,
     encode_handoff,
     encode_hello,
     encode_merges,
     encode_pairs,
+    encode_request,
     encode_roots,
+    step2_buckets,
 )
 from shinglesync.transport import Frame, FrameKind, Listener, connect
 
@@ -216,22 +223,41 @@ class TestWireCodecs:
                 decode_pairs(bad)
 
     def test_bundle_frame_round_trip_and_exact_length(self):
-        payload = encode_bundle(EvalBundle((7, 9), (1, 2**64 - 1), 5))
-        assert len(payload) == 8 + 4 + 8 * 2
-        assert decode_bundle(payload) == (5, [1, 2**64 - 1])
-        assert decode_bundle(encode_bundle(EvalBundle((), (), 3))) == (3, [])
-        for bad in (payload[:7], payload[:11], payload[:-1], payload + b"\x00"):
+        # one u32 size per bucket, then a value block
+        payload = encode_bundle(EvalBundle((7, 9), (1, 2**64 - 1), 5), bucket_sizes=[5])
+        assert len(payload) == 4 + 4 + 8 * 2
+        assert decode_bundle(payload, 1) == ([5], [1, 2**64 - 1])
+        empty = encode_bundle(EvalBundle((), (), 3), bucket_sizes=[1, 0, 2, 0])
+        assert len(empty) == 4 * 4 + 4
+        assert decode_bundle(empty, 4) == ([1, 0, 2, 0], [])
+        for bad in (payload[:3], payload[:7], payload[:-1], payload + b"\x00"):
             with pytest.raises(ProtocolError):
-                decode_bundle(bad)
+                decode_bundle(bad, 1)
+        with pytest.raises(ProtocolError):
+            decode_bundle(empty, 2)
+
+    def test_request_frame_round_trip_and_exact_length(self):
+        payload = encode_request([3, 0, 2**16 - 1])
+        assert payload == bytes.fromhex("00030000ffff")
+        assert decode_request(payload, 3) == [3, 0, 2**16 - 1]
+        for bad, buckets in ((payload, 2), (payload, 4), (payload[:-1], 3), (b"", 1)):
+            with pytest.raises(ProtocolError):
+                decode_request(bad, buckets)
 
     def test_handoff_and_roots_frames_round_trip_and_exact_length(self):
-        payload = encode_handoff([4, 5], [6])
+        # the instances, then per bucket a monic polynomial without its leading 1
+        payload = encode_handoff([4, 5], [[6, 1]])
         assert len(payload) == 4 + 8 * 2 + 4 + 8
-        assert decode_handoff(payload) == ([4, 5], [6])
-        assert decode_handoff(encode_handoff([], [])) == ([], [])
+        assert decode_handoff(payload, 1) == ([4, 5], [[6, 1]])
+        assert decode_handoff(encode_handoff([], [[1]]), 1) == ([], [[1]])
+        two = encode_handoff([4], [[1], [8, 9, 1]])
+        assert len(two) == 4 + 8 + 4 + 4 + 8 * 2
+        assert decode_handoff(two, 2) == ([4], [[1], [8, 9, 1]])
         for bad in (payload[:3], payload[:12], payload[:23], payload[:-1], payload + b"\x00"):
             with pytest.raises(ProtocolError):
-                decode_handoff(bad)
+                decode_handoff(bad, 1)
+        with pytest.raises(ProtocolError):
+            decode_handoff(payload, 2)
         roots = encode_roots([7, 2**64 - 1])
         assert len(roots) == 4 + 8 * 2
         assert decode_roots(roots) == [7, 2**64 - 1]
@@ -245,6 +271,12 @@ class TestWireCodecs:
         payload = encode_hello(config, 0, 999, "abc")
         got_cfg, role, n, syms = decode_hello(payload)
         assert (got_cfg, role, n, syms) == (config, 0, 999, "abc")
+
+    def test_hello_symbols_must_be_utf8(self):
+        payload = encode_hello(ReconConfig(l=7, seed=1), 0, 2, "ab")
+        bad = payload[:-2] + b"\xff\xfe"
+        with pytest.raises(ProtocolError):
+            decode_hello(bad)
 
 
 class TestSessions:
@@ -293,10 +325,38 @@ class TestSessions:
             assert rep_a.step2_pairs == m_hat + 4 + 1
         assert f"step2_pairs={rep_a.step2_pairs}\n" in rep_a.to_text()
 
-    def test_zero_difference_rateless_session_sends_k_pairs(self):
+    def test_zero_difference_rateless_session_sends_k_pairs(self, rng):
         config = ReconConfig(l=2, mode=MODE_RATELESS, k=6, seed=5)
         (_, rep_a), (_, rep_b) = run_session("hello", "hello", config)
         assert rep_a.step2_pairs == rep_b.step2_pairs == 6
+        # 300 + 12 instances make four buckets, each verified by its own k pairs
+        word = "".join(rng.choice("01") for _ in range(300))
+        config = ReconConfig(l=13, mode=MODE_RATELESS, k=8, seed=5)
+        (_, rep_a), (_, rep_b) = run_session(word, word, config)
+        assert rep_a.step2_buckets == rep_b.step2_buckets == 4
+        assert rep_a.step2_pairs == rep_b.step2_pairs == 4 * 8
+
+    @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 96), (MODE_RATELESS, 0)])
+    def test_both_parties_report_buckets_and_rounds(self, monkeypatch, rng, mode, m_hat):
+        kinds = []
+        real_send = _MeteredEndpoint.send
+
+        def spy(wire, kind, payload=b""):
+            kinds.append(kind)
+            return real_send(wire, kind, payload)
+
+        monkeypatch.setattr(_MeteredEndpoint, "send", spy)
+        wa = "".join(rng.choice("01") for _ in range(300))
+        wb = random_edits(wa, 3, rng, "01")
+        config = ReconConfig(l=13, mode=mode, m_hat=m_hat, k=8, seed=29)
+        (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
+        assert ra == wb and rb == wa
+        assert rep_a.step2_buckets == rep_b.step2_buckets == (1 if mode == MODE_FIXED else 4)
+        assert rep_a.step2_rounds == rep_b.step2_rounds == kinds.count(FrameKind.DELTA_REQ)
+        assert (rep_a.step2_rounds > 0) == (mode == MODE_RATELESS)
+        text = rep_b.to_text()
+        assert f"step2_buckets={rep_b.step2_buckets}\n" in text
+        assert f"step2_rounds={rep_b.step2_rounds}\n" in text
 
     @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 96), (MODE_RATELESS, 0)])
     def test_sessions_never_factor_or_solve(self, monkeypatch, rng, mode, m_hat):
@@ -346,22 +406,34 @@ class TestSessions:
             return real_encode(pairs)
 
         monkeypatch.setattr(stringrecon, "encode_pairs", spy)
-        wa = "".join(rng.choice("01") for _ in range(96))
-        wb = random_edits(wa, 3, rng, "01")
-        l = 13
-        ca, cb = Counter(shingle_sequence(wa, l)), Counter(shingle_sequence(wb, l))
-        only_a, only_b = sum((ca - cb).values()), sum((cb - ca).values())
-        config = ReconConfig(l=l, mode=MODE_RATELESS, k=8, seed=23)
-        (_, rep_a), (_, rep_b) = run_session(wa, wb, config)
-        pairs, requests = rep_a.step2_pairs, len(batches)
-        assert sum(batches) == pairs == rep_b.step2_pairs
         header = 40  # length:u32 and kind:u8
-        # initiator: set-size bundle, one value frame per request, its roots
-        sent_a = (header + 96) + requests * (header + 32) + 64 * pairs + (header + 32 + 64 * only_a)
-        # responder: the requests, then its instances and the monic polynomial of degree only_a
-        sent_b = requests * (header + 32) + header + 2 * 32 + 64 * (only_b + only_a + 1)
-        assert rep_a.step_bits("step2") == (sent_a, sent_b)
-        assert rep_b.step_bits("step2") == (sent_b, sent_a)
+        l = 13
+        # 40 + 12 instances keep one bucket; 300 + 12 make four
+        for n, buckets in ((40, 1), (300, 4)):
+            batches.clear()
+            wa = "".join(rng.choice("01") for _ in range(n))
+            wb = random_edits(wa, 3, rng, "01")
+            ca, cb = Counter(shingle_sequence(wa, l)), Counter(shingle_sequence(wb, l))
+            only_a, only_b = sum((ca - cb).values()), sum((cb - ca).values())
+            config = ReconConfig(l=l, mode=MODE_RATELESS, k=8, seed=23)
+            (_, rep_a), (_, rep_b) = run_session(wa, wb, config)
+            assert rep_a.step2_buckets == buckets
+            pairs, rounds = rep_a.step2_pairs, rep_a.step2_rounds
+            assert sum(batches) == pairs == rep_b.step2_pairs
+            assert len(batches) == rounds == rep_b.step2_rounds
+            # initiator: bundle of bucket sizes and no values, one value frame
+            # per request, its roots
+            sent_a = (
+                (header + 32 * buckets + 32)
+                + rounds * (header + 32)
+                + 64 * pairs
+                + (header + 32 + 64 * only_a)
+            )
+            # responder: the u16 count vectors, then its instances and one
+            # polynomial block per bucket, whose degrees sum to only_a
+            sent_b = rounds * (header + 16 * buckets) + header + 32 * (1 + buckets) + 64 * (only_b + only_a)
+            assert rep_a.step_bits("step2") == (sent_a, sent_b)
+            assert rep_b.step_bits("step2") == (sent_b, sent_a)
 
     def test_random_edit_sessions_both_modes(self, rng):
         for mode, m_hat in ((MODE_RATELESS, 0), (MODE_FIXED, 96)):
@@ -449,46 +521,146 @@ class TestSessions:
         assert results["a"][0] == wb and results["b"][0] == wa
 
 
+def step2_exchange(ms_a, ms_b, buckets, config, codec):
+    """Step 2 alone between an initiator holding `ms_a` and a responder holding
+    `ms_b`, at a given bucket count; returns both deltas and reports."""
+    a, b = channel_pair()
+    reports = (SessionReport("initiator"), SessionReport("responder"))
+    with ThreadPoolExecutor(2) as pool:
+        futures = [
+            pool.submit(_reconcile_step, _MeteredEndpoint(end, rep), role, config, codec, mine,
+                        theirs.total(), buckets, rep)
+            for end, rep, role, mine, theirs in (
+                (a, reports[0], "initiator", ms_a, ms_b),
+                (b, reports[1], "responder", ms_b, ms_a),
+            )
+        ]
+        deltas = [fut.result(timeout=60) for fut in futures]
+    return deltas, reports
+
+
+class TestPartitionedStep2:
+    def test_bucket_rule(self):
+        assert step2_buckets(MODE_FIXED, 16403, 16403) == 1
+        assert step2_buckets(MODE_RATELESS, 63, 10**6) == 1
+        assert step2_buckets(MODE_RATELESS, 64, 64) == 2
+        assert step2_buckets(MODE_RATELESS, 96 + 12, 96 + 12) == 2  # 96 bits at l = 13
+        assert step2_buckets(MODE_RATELESS, 4113, 4113) == 16
+        assert step2_buckets(MODE_RATELESS, 4113, 4095) == 8
+        assert step2_buckets(MODE_RATELESS, 16403, 16403) == 32
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 4, 16]),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=12),
+    )
+    def test_difference_recovered_with_m_plus_k_pairs_per_bucket(self, buckets, seed, extra_a, extra_b):
+        rng = random.Random(seed)
+
+        def shingles(count):
+            return Counter("".join(rng.choice("abcd") for _ in range(4)) for _ in range(count))
+
+        base = shingles(80)
+        count_a, count_b = base + shingles(extra_a), base + shingles(extra_b)
+        ms_a, ms_b = ShingleMultiset(count_a), ShingleMultiset(count_b)
+        only_a, only_b = ShingleMultiset(count_a - count_b), ShingleMultiset(count_b - count_a)
+        config = ReconConfig(l=4, mode=MODE_RATELESS, k=8, seed=seed)
+        codec = ShingleCodec(Alphabet("abcd"), config.field_spec(), config.occ_bits)
+        (delta_a, delta_b), (rep_a, rep_b) = step2_exchange(ms_a, ms_b, buckets, config, codec)
+        assert (delta_a.only_local, delta_a.only_remote) == (only_a, only_b)
+        assert (delta_b.only_local, delta_b.only_remote) == (only_b, only_a)
+        # at most 12 instances per side, so no bucket's rung passes the exact
+        # part of the ladder, and each lands on m_b + k
+        parts_a = partition(codec.encode_multiset(ms_a), buckets, seed)
+        parts_b = partition(codec.encode_multiset(ms_b), buckets, seed)
+        expected = sum(len(set(pa) ^ set(pb)) + config.k for pa, pb in zip(parts_a, parts_b))
+        assert rep_a.step2_pairs == rep_b.step2_pairs == expected
+        assert rep_a.step2_buckets == rep_b.step2_buckets == buckets
+
+
+def flip(word, i):
+    return word[:i] + ("1" if word[i] == "0" else "0") + word[i + 1 :]
+
+
+WIDE_A = "".join(random.Random(6).choice("01") for _ in range(96))
+WIDE_B = flip(WIDE_A, 40)
+
+
 class TestHostileStep2:
     """A scripted peer sends one bad hello or step-2 frame; the party must stop
     with `ProtocolError` at once (`BoundExceededError` once a fixed-mode
     bundle exhausts the decoder's budget)."""
 
     CONFIG = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=3)
+    # two 96-bit words: 108 instances each, so two buckets
+    WIDE = ReconConfig(l=13, mode=MODE_RATELESS, k=8, seed=3)
 
-    def initiator_facing(self, *requests):
-        """The initiator "abcab" against a responder "abcba" that sends `requests`
-        as DELTA_REQ payloads, reading the pairs served after each."""
+    def initiator_facing(self, *requests, wide=False):
+        """The initiator against a responder that sends `requests` as DELTA_REQ
+        payloads, checking the values served after each; a request may be a
+        function of the bucket sizes in the initiator's bundle.  The words are
+        "abcab" against "abcba" (one bucket), or WIDE_A against WIDE_B (two
+        buckets) when `wide`."""
+        config, mine, theirs, buckets = (
+            (self.WIDE, WIDE_A, WIDE_B, 2) if wide else (self.CONFIG, "abcab", "abcba", 1)
+        )
 
         def script(peer):
             peer.recv()
-            peer.send(hello_for(self.CONFIG, 1, "abcba"))
-            peer.recv()  # the set-size header
-            for payload in requests:
+            peer.send(hello_for(config, 1, theirs))
+            sizes, _ = decode_bundle(peer.recv().payload, buckets)
+            for request in requests:
+                payload = request(sizes) if callable(request) else request
                 peer.send(Frame(FrameKind.DELTA_REQ, payload))
                 frame = peer.recv()
                 if frame.kind != FrameKind.EVAL_PAIR:
                     return
-                assert len(decode_pairs(frame.payload)) == int.from_bytes(payload, "big")
+                assert len(decode_pairs(frame.payload)) == sum(decode_request(payload, buckets))
 
-        return scripted_session("abcab", "initiator", self.CONFIG, script)
+        return scripted_session(mine, "initiator", config, script)
 
     @pytest.mark.parametrize("payload", [b"", b"\x00\x00\x08", b"\x00\x00\x00\x08\x00"])
-    def test_pair_request_must_be_four_bytes(self, payload):
+    def test_pair_request_frame_length_is_checked(self, payload):
+        # one bucket: a request is exactly one u16
         assert isinstance(self.initiator_facing(payload), ProtocolError)
 
+    def test_pair_request_vector_needs_one_count_per_bucket(self):
+        for counts in ([1], [1, 1, 1]):
+            assert isinstance(self.initiator_facing(encode_request(counts), wide=True), ProtocolError)
+
     def test_pair_request_count_must_be_positive(self):
-        assert isinstance(self.initiator_facing((0).to_bytes(4, "big")), ProtocolError)
+        assert isinstance(self.initiator_facing(encode_request([0])), ProtocolError)
+
+    def test_all_zero_pair_request_rejected(self):
+        assert isinstance(self.initiator_facing(encode_request([0, 0]), wide=True), ProtocolError)
 
     def test_pair_requests_stay_within_the_budget(self):
         # 6 + 6 instances at l = 2, plus k = 8
         budget = 6 + 6 + 8
-        exc = self.initiator_facing((budget + 1).to_bytes(4, "big"))
+        exc = self.initiator_facing(encode_request([budget + 1]))
         assert isinstance(exc, ProtocolError)
-        exc = self.initiator_facing((budget - 3).to_bytes(4, "big"), (4).to_bytes(4, "big"))
+        exc = self.initiator_facing(encode_request([budget - 3]), encode_request([4]))
         assert isinstance(exc, ProtocolError)
-        exc = self.initiator_facing((2**32 - 1).to_bytes(4, "big"))
+        exc = self.initiator_facing(encode_request([2**16 - 1]))
         assert isinstance(exc, ProtocolError)
+        # two buckets, each asked up to its own budget: together past the
+        # session's 108 + 108 + 2 * 8
+        exc = self.initiator_facing(
+            lambda sizes: encode_request([size + 108 + 8 for size in sizes]), wide=True
+        )
+        assert isinstance(exc, ProtocolError) and "budget of 232" in str(exc)
+
+    def test_bucket_requests_stay_within_the_bucket_budget(self):
+        # a bucket is served its own instances, every remote instance and k:
+        # exactly that passes, one more value fails
+        exc = self.initiator_facing(
+            lambda sizes: encode_request([0, sizes[1] + 108 + 8]),
+            encode_request([0, 1]),
+            wide=True,
+        )
+        assert isinstance(exc, ProtocolError) and "in bucket 1" in str(exc)
 
     def test_fixed_mode_initiator_refuses_pair_requests(self):
         config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=4, k=8, seed=3)
@@ -497,10 +669,33 @@ class TestHostileStep2:
             peer.recv()
             peer.send(hello_for(config, 1, "abcba"))
             peer.recv()  # the bundle
-            peer.send(Frame(FrameKind.DELTA_REQ, (1).to_bytes(4, "big")))
+            peer.send(Frame(FrameKind.DELTA_REQ, encode_request([1])))
             peer.recv()
 
         assert isinstance(scripted_session("abcab", "initiator", config, script), ProtocolError)
+
+    @pytest.mark.parametrize(
+        "handoff",
+        [
+            encode_handoff([5], [[1]]),  # 5 encodes no shingle
+            encode_handoff([], [[7, 1]]),  # Z + 7 has no root among the initiator's elements
+        ],
+        ids=["malformed-instance", "poly-does-not-split"],
+    )
+    def test_initiator_checks_the_hand_off_before_replying(self, handoff):
+        after = []
+
+        def script(peer):
+            peer.recv()
+            peer.send(hello_for(self.CONFIG, 1, "abcba"))
+            peer.recv()  # the bundle
+            peer.send(Frame(FrameKind.DELTA, handoff))
+            while True:
+                after.append(peer.recv().kind)
+
+        exc = scripted_session("abcab", "initiator", self.CONFIG, script)
+        assert isinstance(exc, ProtocolError)
+        assert FrameKind.DELTA not in after
 
     def test_hello_shingle_length_is_bounded_before_shingling(self, monkeypatch):
         # a length-64 shingle over {0, 1} needs 3**64 > 2**61 values: the
@@ -520,15 +715,15 @@ class TestHostileStep2:
 
     def responder_facing(self, config, bundle, pairs_for=None):
         """The responder "abcba" against an initiator "abcab" that sends `bundle`
-        and then answers the first pair request with `pairs_for(count)`."""
+        as its one bucket and then answers the first pair request with
+        `pairs_for(count)`."""
 
         def script(peer):
             peer.send(hello_for(config, 0, "abcab"))
             peer.recv()
-            peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(bundle)))
+            peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, bucket_sizes=[bundle.set_size])))
             if pairs_for is not None:
-                frame = peer.recv()
-                (count,) = struct.unpack(">I", frame.payload)
+                (count,) = decode_request(peer.recv().payload, 1)
                 peer.send(Frame(FrameKind.EVAL_PAIR, encode_pairs(pairs_for(count))))
 
         return scripted_session("abcba", "responder", config, script)
@@ -545,6 +740,45 @@ class TestHostileStep2:
 
     def test_bundle_set_size_must_match_the_hello(self):
         assert isinstance(self.responder_facing(self.CONFIG, EvalBundle((), (), 7)), ProtocolError)
+
+    def test_bundle_bucket_sizes_must_sum_to_the_hello(self):
+        # WIDE_A has 108 instances in two buckets; any split with that sum passes
+        def first_reply(sizes):
+            replies = []
+
+            def script(peer):
+                peer.send(hello_for(self.WIDE, 0, WIDE_A))
+                peer.recv()
+                peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(EvalBundle((), (), 0), bucket_sizes=sizes)))
+                replies.append(peer.recv().kind)
+
+            return scripted_session(WIDE_B, "responder", self.WIDE, script), replies
+
+        for sizes in ([54, 53], [108, 1], [0, 0]):
+            exc, replies = first_reply(sizes)
+            assert isinstance(exc, ProtocolError) and replies == []
+        exc, replies = first_reply([100, 8])
+        assert replies == [FrameKind.DELTA_REQ]
+
+    def test_responder_checks_the_roots_count(self):
+        # equal words: every bucket polynomial has degree 0, so no root may come back
+        config = self.CONFIG
+        codec = ShingleCodec(Alphabet("abc"), config.field_spec(), config.occ_bits)
+        ms = ShingleMultiset(Counter(shingle_sequence("abcba", config.l)))
+        source = setrecon.RatelessSource(ms, codec, config.seed)
+
+        def script(peer):
+            peer.send(hello_for(config, 0, "abcba"))
+            peer.recv()
+            peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(EvalBundle((), (), 6), bucket_sizes=[6])))
+            while (frame := peer.recv()).kind == FrameKind.DELTA_REQ:
+                (count,) = decode_request(frame.payload, 1)
+                peer.send(Frame(FrameKind.EVAL_PAIR, encode_pairs(source.next_pairs(count))))
+            assert decode_handoff(frame.payload, 1) == ([], [[1]])
+            peer.send(Frame(FrameKind.DELTA, encode_roots([codec.encode("ab", 1)])))
+            peer.recv()
+
+        assert isinstance(scripted_session("abcba", "responder", config, script), ProtocolError)
 
     def test_fixed_responder_never_draws_the_peer_m_hat(self):
         # drawing m_hat + k + 1 = 2**32 + 8 points would take hours

@@ -8,10 +8,8 @@ one-to-one).  The delimiter byte '$' is reserved and rejected in inputs.
 from __future__ import annotations
 
 import argparse
-import statistics
-import sys
-import time
 import random
+import sys
 
 from . import __version__
 from .alphabet import Alphabet
@@ -124,28 +122,6 @@ def cmd_reconcile(args) -> int:
     return 0
 
 
-def cmd_bench_ud(args) -> int:
-    rng = random.Random(args.seed)
-    symbols = "".join(chr(ord("a") + i) for i in range(args.sigma))
-    alphabet = Alphabet(symbols)
-    sizes = [args.n, 2 * args.n]
-    medians = []
-    for n in sizes:
-        times = []
-        for _ in range(args.trials):
-            ids = [rng.randrange(args.sigma) for _ in range(n)]
-            decider = UdDecider(alphabet)
-            t0 = time.perf_counter()
-            decider.feed_ids(ids)
-            times.append(time.perf_counter() - t0)
-            assert decider.slot_count() == args.sigma
-        med = statistics.median(times)
-        medians.append(med)
-        print(f"n={n} trials={args.trials} median_s={med:.4f} per_char_ns={med / n * 1e9:.0f}")
-    print(f"ratio={medians[1] / medians[0]:.2f}")
-    return 0
-
-
 def cmd_gen_pevzner(args) -> int:
     rng = random.Random(args.seed)
     symbols = "abcd"
@@ -206,15 +182,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--k", type=int, default=8, help="verification points")
     p.add_argument("--seed", type=int, default=1, help="session seed")
     p.set_defaults(func=cmd_reconcile)
-
-    p = sub.add_parser("bench", help="performance checks")
-    bench_sub = p.add_subparsers(dest="bench_target", required=True)
-    b = bench_sub.add_parser("ud", help="decider throughput at n and 2n")
-    b.add_argument("--n", type=int, default=1_000_000)
-    b.add_argument("--sigma", type=int, default=16)
-    b.add_argument("--trials", type=int, default=5)
-    b.add_argument("--seed", type=int, default=0)
-    b.set_defaults(func=cmd_bench_ud)
 
     p = sub.add_parser("gen", help="generators")
     gen_sub = p.add_subparsers(dest="gen_target", required=True)

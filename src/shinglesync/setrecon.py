@@ -8,16 +8,19 @@ whose roots decode back to the differing instances.  One decoder,
 `RatelessDecoder`, absorbs the pairs one at a time and stops at the first
 verified difference, whether they stream in on request (rateless mode) or
 arrive as one bundle sized for a bound (fixed mode, `reconcile_fixed`).
-`partition` splits encoded elements into seeded hash buckets, and the
-`from_elements` constructors build a source or decoder for one bucket, so a
-session can reconcile each bucket on its own.
+The decoder finds its own side's roots among its own elements and keeps the
+other side as a polynomial (`Delta.remote_poly`): a session hands that to the
+peer, who finds its roots among the peer's elements, and only the library's
+`Delta.only_remote` factors it.  `partition` splits encoded elements into
+seeded hash buckets, and the `from_elements` constructors build a source or
+decoder for one bucket, so a session can reconcile each bucket on its own.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Iterable
 
@@ -44,7 +47,6 @@ from .field import (  # noqa: F401
     pdivmod,
     peval,
     pgcd,
-    pscale,
     rational_from_modulus,
 )
 from .shingles import ShingleMultiset
@@ -151,27 +153,43 @@ class EvalBundle:
 
 @dataclass(frozen=True)
 class Delta:
-    """Instances present on exactly one side."""
+    """A verified difference, as the decoder leaves it.
 
-    only_local: ShingleMultiset
-    only_remote: ShingleMultiset
-
-    @property
-    def size(self) -> int:
-        return self.only_local.total() + self.only_remote.total()
-
-
-@dataclass(frozen=True)
-class PartialDecode:
-    """A verified decode with only the local side's roots extracted.
-
-    The remaining polynomial's roots all lie in the remote multiset, so the
-    peer can extract them by evaluating at its own elements instead of
-    factoring.
+    `local_roots` are the local elements missing on the remote side, and
+    `only_local` their instances.  `remote_poly` (little-endian, monic) has
+    the remote side's missing elements as its roots; a session hands it to
+    the peer, which finds them among its own elements, and `only_remote`
+    factors it here.
     """
 
     only_local: ShingleMultiset
+    local_roots: tuple[int, ...]
     remote_poly: tuple[int, ...]
+    codec: ShingleCodec = dc_field(compare=False)
+    # the decoder's elements: no remote root may be one of them
+    local_elements: list[int] = dc_field(compare=False, repr=False)
+
+    @property
+    def size(self) -> int:
+        return self.only_local.total() + len(self.remote_poly) - 1
+
+    @cached_property
+    def only_remote(self) -> ShingleMultiset:
+        """The remote side's instances, from the roots of `remote_poly`.
+
+        Raises BoundExceededError unless the polynomial splits into distinct
+        roots, none of them a local element, that decode to instances (which
+        also puts them below the encoding limit).
+        """
+        roots = find_roots(list(self.remote_poly), self.codec.field.p, random.Random(0x5EED))
+        if roots is None:
+            raise BoundExceededError("the remote difference polynomial does not split")
+        if not set(self.local_elements).isdisjoint(roots):
+            raise BoundExceededError("a remote difference root is a local element")
+        try:
+            return self.codec.decode_multiset(roots)
+        except InvalidParameterError as exc:
+            raise BoundExceededError(f"a remote difference root does not decode: {exc}") from None
 
 
 def roots_by_candidates(poly: list[int], candidates: list[int], p: int) -> list[int] | None:
@@ -202,53 +220,21 @@ def char_poly_evals(
 def eval_bundle(elements: list[int], points: list[int], field: FieldSpec) -> EvalBundle:
     p = field.p
     limit = field.encoding_limit
-    values = []
     for z in points:
         if not limit <= z < p:
             raise InvalidPointError(f"point {z} lies inside the encoding range")
+    return EvalBundle(tuple(points), tuple(_char_values(elements, points, p)), len(elements))
+
+
+def _char_values(elements: list[int], points: list[int], p: int) -> list[int]:
+    """prod (z - e) mod p over `elements`, at each point z."""
+    out = []
+    for z in points:
         acc = 1
         for e in elements:
             acc = acc * (z - e) % p
-        values.append(acc)
-    return EvalBundle(tuple(points), tuple(values), len(elements))
-
-
-def _decode_delta(
-    num: list[int],
-    den: list[int],
-    codec: ShingleCodec,
-    local_elements: set[int],
-) -> Delta | None:
-    """Roots -> instances, with structural checks; None when anything is off."""
-    p = codec.field.p
-    g = pgcd(num, den, p)
-    if len(g) > 1:
-        num = pdivmod(num, g, p)[0]
-        den = pdivmod(den, g, p)[0]
-    inv = pow(den[-1], p - 2, p) if den else 0
-    num, den = pscale(num, inv, p), pscale(den, inv, p)
-    if not num or num[-1] != 1:
-        return None
-    rng = random.Random(0x5EED)
-    roots_local = find_roots(num, p, rng)
-    roots_remote = find_roots(den, p, rng)
-    if roots_local is None or roots_remote is None:
-        return None
-    if set(roots_local) & set(roots_remote):
-        return None
-    limit = codec.field.encoding_limit
-    if any(r >= limit for r in roots_local) or any(r >= limit for r in roots_remote):
-        return None
-    if not set(roots_local) <= local_elements:
-        return None
-    if set(roots_remote) & local_elements:
-        return None
-    try:
-        only_local = codec.decode_multiset(roots_local)
-        only_remote = codec.decode_multiset(roots_remote)
-    except InvalidParameterError:
-        return None
-    return Delta(only_local, only_remote)
+        out.append(acc)
+    return out
 
 
 def reconcile_fixed(
@@ -274,6 +260,7 @@ def reconcile_fixed(
     delta = decoder.feed_all(zip(remote.points, remote.values))
     if delta is None:
         raise BoundExceededError(f"no verified difference within {len(remote.points)} points")
+    delta.only_remote  # factors the remote side now, so a bad one raises here
     return delta
 
 
@@ -321,14 +308,7 @@ class RatelessSource:
 
     def next_pairs(self, count: int) -> list[tuple[int, int]]:
         points = self._points.take(count)
-        p = self.codec.field.p
-        out = []
-        for z in points:
-            acc = 1
-            for e in self.elements:
-                acc = acc * (z - e) % p
-            out.append((z, acc))
-        return out
+        return list(zip(points, _char_values(self.elements, points, self.codec.field.p)))
 
 
 class RatelessDecoder:
@@ -339,8 +319,10 @@ class RatelessDecoder:
     is the size difference and the larger side stays in the numerator, after
     a first node (0, 1) that makes both difference polynomials monic.  A
     difference of m instances is pinned down by m pairs; the candidate is
-    accepted once it has fitted `k` further pairs unchanged and its roots
-    decode to instances consistent with the local multiset.
+    accepted once it has fitted `k` further pairs unchanged and, after any
+    common factor is cancelled, its local side has all its roots among the
+    local elements and they decode.  The result is a `Delta`, whose remote
+    side stays a polynomial.
     """
 
     def __init__(
@@ -349,9 +331,8 @@ class RatelessDecoder:
         codec: ShingleCodec,
         remote_set_size: int,
         k: int = 8,
-        partial: bool = False,
     ):
-        self._start(codec.encode_multiset(local), codec, remote_set_size, k, partial)
+        self._start(codec.encode_multiset(local), codec, remote_set_size, k)
 
     @classmethod
     def from_elements(
@@ -360,23 +341,18 @@ class RatelessDecoder:
         codec: ShingleCodec,
         remote_set_size: int,
         k: int = 8,
-        partial: bool = False,
     ) -> "RatelessDecoder":
         """A decoder whose local side is a list of encoded elements."""
         decoder = cls.__new__(cls)
-        decoder._start(list(elements), codec, remote_set_size, k, partial)
+        decoder._start(list(elements), codec, remote_set_size, k)
         return decoder
 
-    def _start(
-        self, elements: list[int], codec: ShingleCodec, remote_set_size: int, k: int, partial: bool
-    ) -> None:
+    def _start(self, elements: list[int], codec: ShingleCodec, remote_set_size: int, k: int) -> None:
         if k < 1:
             raise InvalidParameterError("k must be >= 1")
         self.codec = codec
         self.k = k
-        self.partial = partial
         self.elements = elements
-        self._element_set = set(self.elements)
         self.size_diff = len(self.elements) - remote_set_size
         # the interpolator's shift, deg num - deg den, is never negative, so
         # the larger difference side goes in the numerator
@@ -387,14 +363,14 @@ class RatelessDecoder:
         self._interp = RationalInterpolator(codec.field.p, abs(self.size_diff))
         self._interp.add_node(0, 1)
         self.pairs_consumed = 0
-        self.result: Delta | PartialDecode | None = None
+        self.result: Delta | None = None
 
     def pairs_wanted(self) -> int:
         """How many more pairs the current rung of the request ladder needs."""
         deg_num, deg_den = self._t + abs(self.size_diff), self._t
         return max(0, min(deg_num + deg_den + self.k, self.budget) - self.pairs_consumed)
 
-    def feed(self, point: int, value: int) -> Delta | PartialDecode | None:
+    def feed(self, point: int, value: int) -> Delta | None:
         """Consume one remote pair; returns the result once confident."""
         if self.result is not None:
             return self.result
@@ -404,9 +380,7 @@ class RatelessDecoder:
         if not field.encoding_limit <= point < field.p:
             raise InvalidPointError(f"point {point} lies inside the encoding range")
         p = field.p
-        acc = 1
-        for e in self.elements:
-            acc = acc * (point - e) % p
+        acc = _char_values(self.elements, [point], p)[0]
         top, bot = (value, acc) if self._flip else (acc, value)
         shift = self._interp.shift
         # node w = 1/z carries (top / bot) * w**shift
@@ -423,7 +397,7 @@ class RatelessDecoder:
             self._t += 1 if self._t < 32 else max(1, self._t // 8)
         return None
 
-    def feed_all(self, pairs: Iterable[tuple[int, int]]) -> Delta | PartialDecode | None:
+    def feed_all(self, pairs: Iterable[tuple[int, int]]) -> Delta | None:
         """Feed pairs in order until a result emerges; None if they run out first.
 
         Pairs after the result are not drawn from `pairs`.
@@ -446,14 +420,8 @@ class RatelessDecoder:
     def _decode(self, num: list[int], den: list[int]) -> bool:
         p = self.codec.field.p
         local_poly, remote_poly = (den, num) if self._flip else (num, den)
-        if not self.partial:
-            delta = _decode_delta(local_poly, remote_poly, self.codec, self._element_set)
-            if delta is None:
-                return False
-            self.result = delta
-            return True
         # drop any common factor, then pull the local side's roots out of the
-        # local elements directly; the peer owns the remaining polynomial
+        # local elements directly; the remote side stays a polynomial
         g = pgcd(local_poly, remote_poly, p)
         if len(g) > 1:
             local_poly = pdivmod(local_poly, g, p)[0]
@@ -465,5 +433,5 @@ class RatelessDecoder:
             only_local = self.codec.decode_multiset(local_roots)
         except InvalidParameterError:
             return False
-        self.result = PartialDecode(only_local, tuple(remote_poly))
+        self.result = Delta(only_local, tuple(local_roots), tuple(remote_poly), self.codec, self.elements)
         return True

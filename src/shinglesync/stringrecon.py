@@ -34,7 +34,6 @@ from .field import P61, FieldSpec, PointStream
 # perfbench/tracing.py rebinds it on it
 from .setrecon import (  # noqa: F401
     DEFAULT_OCC_BITS,
-    Delta,
     EvalBundle,
     RatelessDecoder,
     RatelessSource,
@@ -71,6 +70,8 @@ class ReconConfig:
     def __post_init__(self):
         if self.l < 2:
             raise InvalidParameterError("l must be >= 2")
+        if self.k < 1:
+            raise InvalidParameterError("k must be >= 1")
         if self.mode not in (MODE_FIXED, MODE_RATELESS):
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
 
@@ -278,11 +279,15 @@ def _unpack_indices(data: bytes, bits: int, count: int) -> list[int]:
     return out
 
 
+# the session parameters in a hello: l, mode (0 fixed, 1 rateless), m_hat, k,
+# occ_bits, seed, prime, point_span
+_CONFIG = struct.Struct(">IBIHBQQQ")
+
+
 def encode_config(config: ReconConfig) -> bytes:
     """The session parameters as they cross the wire in a hello; every field
     the peer must adopt, and nothing else."""
-    return struct.pack(
-        ">IBIHBQQQ",
+    return _CONFIG.pack(
         config.l,
         0 if config.mode == MODE_FIXED else 1,
         config.m_hat,
@@ -305,29 +310,36 @@ def encode_hello(config: ReconConfig, role: int, word_len: int, symbols: str) ->
 
 
 def decode_hello(payload: bytes) -> tuple[ReconConfig, int, int, str]:
-    head = struct.Struct(">BBIBIHBQQQQ")
-    if len(payload) < head.size + 4:
+    head = 2 + _CONFIG.size + 12  # version, role, config, word length, symbol bytes
+    if len(payload) < head:
         raise ProtocolError("short hello frame")
-    version, role, l, mode, m_hat, k, occ_bits, seed, prime, span, word_len = head.unpack_from(payload)
+    version, role = struct.unpack_from(">BB", payload)
     if version != PROTOCOL_VERSION:
         raise ProtocolError(f"unsupported protocol version {version}")
-    (sym_len,) = struct.unpack_from(">I", payload, head.size)
-    if len(payload) != head.size + 4 + sym_len:
+    l, mode, m_hat, k, occ_bits, seed, prime, span = _CONFIG.unpack_from(payload, 2)
+    word_len, sym_len = struct.unpack_from(">QI", payload, 2 + _CONFIG.size)
+    if len(payload) != head + sym_len:
         raise ProtocolError("hello frame length mismatch")
     try:
-        sym = payload[head.size + 4 :].decode("utf-8")
+        sym = payload[head:].decode("utf-8")
     except UnicodeDecodeError:
         raise ProtocolError("hello symbol field is not valid UTF-8") from None
-    config = ReconConfig(
-        l=l,
-        mode=MODE_FIXED if mode == 0 else MODE_RATELESS,
-        m_hat=m_hat,
-        k=k,
-        seed=seed,
-        occ_bits=occ_bits,
-        prime=prime,
-        point_span=span,
-    )
+    if mode not in (0, 1):
+        raise ProtocolError(f"hello mode byte {mode} is neither 0 (fixed) nor 1 (rateless)")
+    try:
+        config = ReconConfig(
+            l=l,
+            mode=MODE_FIXED if mode == 0 else MODE_RATELESS,
+            m_hat=m_hat,
+            k=k,
+            seed=seed,
+            occ_bits=occ_bits,
+            prime=prime,
+            point_span=span,
+        )
+        config.field_spec()  # checks the prime and the point span
+    except InvalidParameterError as exc:
+        raise ProtocolError(f"bad hello: {exc}") from None
     return config, role, word_len, sym
 
 
@@ -392,9 +404,10 @@ def decode_pairs(payload: bytes) -> list[int]:
 
 
 def encode_handoff(sender_only: list[int], polys: list[list[int]]) -> bytes:
-    """The responder's DELTA: its own difference instances, then per bucket the
-    monic polynomial (little-endian coefficients, the leading 1 left out)
-    whose roots are the initiator's instances in that bucket."""
+    """The responder's DELTA: its own difference instances, the roots its
+    decoders found, then per bucket the monic polynomial (little-endian
+    coefficients, the leading 1 left out) whose roots are the initiator's
+    instances in that bucket."""
     return _pack_values(sender_only) + b"".join(_pack_values(poly[:-1]) for poly in polys)
 
 
@@ -552,8 +565,10 @@ def _run(
     wire.step = "step2"
     remote_instances = n_remote + config.l - 1
     buckets = step2_buckets(config.mode, local_ms.total(), remote_instances)
-    delta = _reconcile_step(wire, role, config, codec, local_ms, remote_instances, buckets, report)
-    remote_initial = local_ms.difference(delta.only_local).union(delta.only_remote)
+    only_local, only_remote = _reconcile_step(
+        wire, role, config, codec, local_ms, remote_instances, buckets, report
+    )
+    remote_initial = local_ms.difference(only_local).union(only_remote)
 
     # steps 3-4: merge to unique decodability (local work only)
     merged_ms, seams = merge_until_ud(ordered, config.l, config.delimiter)
@@ -630,8 +645,9 @@ def _reconcile_step(
     remote_instances: int,
     buckets: int,
     report: SessionReport,
-) -> Delta:
-    """Step 2, one flow for both modes.
+) -> tuple[ShingleMultiset, ShingleMultiset]:
+    """Step 2, one flow for both modes; returns the (local, remote) instances
+    that are on one side only.
 
     Both parties hash their encoded instances into `buckets` buckets, and
     each bucket runs its own source (initiator) or decoder (responder) over
@@ -640,9 +656,10 @@ def _reconcile_step(
     per bucket in its bundle in fixed mode (where B = 1), none there in
     rateless mode and then whatever the responder requests, one DELTA_REQ
     holding a count for every bucket.  The responder feeds each bucket's
-    decoder until it holds a verified difference, pulls out its own side's
-    instances and hands the rest over as one polynomial per bucket, whose
-    roots the initiator finds among that bucket's elements.
+    decoder until it holds a verified difference, whose local roots it finds
+    among its own elements.  It sends those roots and hands the rest over as
+    one polynomial per bucket, whose roots the initiator finds among that
+    bucket's elements.
     """
     fixed = config.mode == MODE_FIXED
     first = config.m_hat + config.k + 1 if fixed else 0
@@ -693,7 +710,7 @@ def _reconcile_step(
                 raise ProtocolError(f"hand-off polynomial of bucket {b} does not split over its local elements")
             my_roots += roots
         wire.send(FrameKind.DELTA, encode_roots(my_roots))
-        return Delta(only_local=codec.decode_multiset(my_roots), only_remote=only_remote)
+        return codec.decode_multiset(my_roots), only_remote
 
     sizes, values = decode_bundle(wire.expect(FrameKind.EVAL_BUNDLE).payload, buckets)
     if sum(sizes) != remote_instances:
@@ -705,7 +722,7 @@ def _reconcile_step(
         raise ProtocolError(f"bundle holds {len(values)} values, expected {first * buckets}")
     report.step2_pairs = len(values)
     decoders = [
-        RatelessDecoder.from_elements(part, codec, size, k=config.k, partial=True)
+        RatelessDecoder.from_elements(part, codec, size, k=config.k)
         for part, size in zip(parts, sizes)
     ]
     counts = [first] * buckets
@@ -733,13 +750,13 @@ def _reconcile_step(
     only_local = ShingleMultiset()
     for decoder in decoders:
         only_local = only_local.union(decoder.result.only_local)
+    local_roots = [root for decoder in decoders for root in decoder.result.local_roots]
     polys = [list(decoder.result.remote_poly) for decoder in decoders]
-    local_elems = [codec.encode(s, occ) for s, occ in only_local.instances()]
-    wire.send(FrameKind.DELTA, encode_handoff(local_elems, polys))
+    wire.send(FrameKind.DELTA, encode_handoff(local_roots, polys))
     remote_elems = decode_roots(wire.expect(FrameKind.DELTA).payload)
     if len(remote_elems) != sum(len(poly) - 1 for poly in polys):
         raise ProtocolError("roots frame does not hold one root per hand-off degree")
-    return Delta(only_local=only_local, only_remote=_decode_instances(codec, remote_elems))
+    return only_local, _decode_instances(codec, remote_elems)
 
 
 def _decode_instances(codec: ShingleCodec, elements: list[int]) -> ShingleMultiset:

@@ -104,15 +104,6 @@ class TestGen:
             assert interior_qgrams(x, 2) == interior_qgrams(xp, 2)
 
 
-class TestBench:
-    def test_small_run_reports_table(self, capsys):
-        code, out = run_cli(capsys, "bench", "ud", "--n", "4000", "--sigma", "4", "--trials", "2")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0].startswith("n=4000") and lines[1].startswith("n=8000")
-        assert lines[2].startswith("ratio=")
-
-
 class TestReconcile:
     def test_socket_session(self, capsys, tmp_path):
         (tmp_path / "a.txt").write_bytes(b"katana")

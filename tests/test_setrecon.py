@@ -13,9 +13,9 @@ from shinglesync.errors import (
     InvalidSymbolError,
     PointCollisionError,
 )
-from shinglesync.field import PointStream
+from shinglesync.field import PointStream, poly_from_roots
 from shinglesync.setrecon import (
-    PartialDecode,
+    Delta,
     RatelessDecoder,
     RatelessSource,
     ShingleCodec,
@@ -166,9 +166,9 @@ class TestFixedMode:
             reconcile_fixed(ms, char_poly_evals(ms, pts, CODEC), CODEC, bound=8)
 
 
-def drive_rateless(a, b, k=8, seed=99, partial=False):
+def drive_rateless(a, b, k=8, seed=99):
     source = RatelessSource(b, CODEC, seed)
-    decoder = RatelessDecoder(a, CODEC, remote_set_size=b.total(), k=k, partial=partial)
+    decoder = RatelessDecoder(a, CODEC, remote_set_size=b.total(), k=k)
     result = None
     while result is None:
         for z, v in source.next_pairs(max(1, decoder.pairs_wanted())):
@@ -206,19 +206,37 @@ class TestRateless:
         assert delta.only_local == a and delta.only_remote == b
         assert decoder.pairs_consumed <= 2 * 10 + 8
 
-    def test_partial_mode_hands_over_remote_polynomial(self, rng):
+    def test_result_hands_over_remote_polynomial(self, rng):
         base = random_multiset(rng, 60)
         a = base.union(random_multiset(rng, 3))
         b = base.union(random_multiset(rng, 5))
         only_a, only_b = true_delta(a, b)
-        _, partial = drive_rateless(a, b, partial=True)
-        assert isinstance(partial, PartialDecode)
-        assert partial.only_local == only_a
+        _, result = drive_rateless(a, b)
+        assert isinstance(result, Delta)
+        assert result.only_local == only_a
+        assert CODEC.decode_multiset(list(result.local_roots)) == only_a
         remote_roots = roots_by_candidates(
-            list(partial.remote_poly), CODEC.encode_multiset(b), FIELD.p
+            list(result.remote_poly), CODEC.encode_multiset(b), FIELD.p
         )
         assert remote_roots is not None
         assert CODEC.decode_multiset(remote_roots) == only_b
+        assert result.size == only_a.total() + only_b.total()
+
+    def test_remote_root_among_local_elements_is_rejected(self, rng):
+        base = random_multiset(rng, 40)
+        a = base.union(random_multiset(rng, 3))
+        b = base.union(random_multiset(rng, 4))
+        decoder, result = drive_rateless(a, b)
+        assert result.only_remote == true_delta(a, b)[1]
+        # one remote root replaced by a local element that is on both sides
+        common = next(e for e in decoder.elements if e not in result.local_roots)
+        roots = [common] + roots_by_candidates(
+            list(result.remote_poly), CODEC.encode_multiset(b), FIELD.p
+        )[1:]
+        poly = tuple(poly_from_roots(roots, FIELD.p))
+        forged = Delta(result.only_local, result.local_roots, poly, CODEC, decoder.elements)
+        with pytest.raises(BoundExceededError):
+            forged.only_remote
 
     def test_point_collision_detected(self, rng):
         ms = random_multiset(rng, 4)

@@ -35,6 +35,7 @@ from shinglesync.errors import (
 )
 from shinglesync.setrecon import EvalBundle, RatelessDecoder, ShingleCodec, partition
 from shinglesync.stringrecon import (
+    _CONFIG,
     SessionReport,
     _MeteredEndpoint,
     _pack_indices,
@@ -102,6 +103,17 @@ def scripted_session(word, role, config, script, timeout=30):
 
 def hello_for(config, role, word):
     return Frame(FrameKind.HELLO, encode_hello(config, role, len(word), "".join(sorted(set(word)))))
+
+
+def hello_with(config, role, word, index, value):
+    """A hello payload for `config` whose config field number `index` (in
+    `_CONFIG` order: l, mode, m_hat, k, occ_bits, seed, prime, point_span)
+    is replaced by `value`."""
+    payload = bytearray(encode_hello(config, role, len(word), "".join(sorted(set(word)))))
+    fields = list(_CONFIG.unpack_from(payload, 2))
+    fields[index] = value
+    _CONFIG.pack_into(payload, 2, *fields)
+    return bytes(payload)
 
 
 class TestMergeBookkeeping:
@@ -278,6 +290,15 @@ class TestWireCodecs:
         with pytest.raises(ProtocolError):
             decode_hello(bad)
 
+    @pytest.mark.parametrize(
+        "index,value",
+        [(0, 1), (1, 2), (3, 0), (6, field.P61 - 1), (7, field.P61)],
+        ids=["l-below-2", "unknown-mode", "k-zero", "prime-not-prime", "span-not-below-prime"],
+    )
+    def test_hello_fields_are_validated(self, index, value):
+        with pytest.raises(ProtocolError):
+            decode_hello(hello_with(ReconConfig(l=7, seed=1), 0, "ab", index, value))
+
 
 class TestSessions:
     def test_equal_strings(self):
@@ -366,14 +387,36 @@ class TestSessions:
 
         for mod, name in ((field, "find_roots"), (setrecon, "find_roots"),
                           (field, "interpolate_rational"), (setrecon, "interpolate_rational"),
-                          (setrecon, "reconcile_fixed"), (stringrecon, "reconcile_fixed"),
-                          (setrecon, "_decode_delta")):
+                          (setrecon, "reconcile_fixed"), (stringrecon, "reconcile_fixed")):
             monkeypatch.setattr(mod, name, forbidden)
         wa = "".join(rng.choice("01") for _ in range(96))
         wb = random_edits(wa, 3, rng, "01")
         config = ReconConfig(l=13, mode=mode, m_hat=m_hat, k=8, seed=41)
         (ra, _), (rb, _) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
+
+    def test_responder_hands_over_the_instances_it_found(self, monkeypatch):
+        # "aa" three times on the responder's side against once: the hand-off
+        # holds the responder's (aa, 2) and (aa, 3), not the shared (aa, 1)
+        sent = []
+        real_encode = stringrecon.encode_handoff
+
+        def spy(sender_only, polys):
+            sent.append(sender_only)
+            return real_encode(sender_only, polys)
+
+        monkeypatch.setattr(stringrecon, "encode_handoff", spy)
+        wa, wb = "aab", "aaaab"
+        config = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=7)
+        (ra, _), (rb, _) = run_session(wa, wb, config)
+        assert ra == wb and rb == wa
+        codec = ShingleCodec(Alphabet("ab"), config.field_spec(), config.occ_bits)
+        mine, theirs = (
+            set(codec.encode_multiset(ShingleMultiset(Counter(shingle_sequence(w, 2)))))
+            for w in (wb, wa)
+        )
+        assert len(sent) == 1 and sorted(sent[0]) == sorted(mine - theirs)
+        assert sorted(sent[0]) == [codec.encode("aa", 2), codec.encode("aa", 3)]
 
     def test_fixed_responder_feeds_m_plus_k_bundle_pairs(self, monkeypatch, rng):
         fed = []
@@ -523,7 +566,8 @@ class TestSessions:
 
 def step2_exchange(ms_a, ms_b, buckets, config, codec):
     """Step 2 alone between an initiator holding `ms_a` and a responder holding
-    `ms_b`, at a given bucket count; returns both deltas and reports."""
+    `ms_b`, at a given bucket count; returns both parties' (only local, only
+    remote) multisets and reports."""
     a, b = channel_pair()
     reports = (SessionReport("initiator"), SessionReport("responder"))
     with ThreadPoolExecutor(2) as pool:
@@ -569,8 +613,8 @@ class TestPartitionedStep2:
         config = ReconConfig(l=4, mode=MODE_RATELESS, k=8, seed=seed)
         codec = ShingleCodec(Alphabet("abcd"), config.field_spec(), config.occ_bits)
         (delta_a, delta_b), (rep_a, rep_b) = step2_exchange(ms_a, ms_b, buckets, config, codec)
-        assert (delta_a.only_local, delta_a.only_remote) == (only_a, only_b)
-        assert (delta_b.only_local, delta_b.only_remote) == (only_b, only_a)
+        assert delta_a == (only_a, only_b)
+        assert delta_b == (only_b, only_a)
         # at most 12 instances per side, so no bucket's rung passes the exact
         # part of the ladder, and each lands on m_b + k
         parts_a = partition(codec.encode_multiset(ms_a), buckets, seed)
@@ -696,6 +740,15 @@ class TestHostileStep2:
         exc = scripted_session("abcab", "initiator", self.CONFIG, script)
         assert isinstance(exc, ProtocolError)
         assert FrameKind.DELTA not in after
+
+    def test_responder_rejects_a_hello_with_k_zero(self):
+        config = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=3)
+
+        def script(peer):
+            peer.send(Frame(FrameKind.HELLO, hello_with(config, 0, "abcab", 3, 0)))
+            peer.recv()
+
+        assert isinstance(scripted_session("abcba", "responder", config, script), ProtocolError)
 
     def test_hello_shingle_length_is_bounded_before_shingling(self, monkeypatch):
         # a length-64 shingle over {0, 1} needs 3**64 > 2**61 values: the

@@ -12,12 +12,11 @@ from .alphabet import DEFAULT_DELIMITER
 from .decider import TokenDecider
 from .errors import (
     InconsistentMultisetError,
-    InvalidMergeError,
     InvalidParameterError,
     InvalidShingleError,
     NotUniqueError,
 )
-from .shingles import ShingleMultiset, noconcat
+from .shingles import ShingleMultiset
 
 
 class DeBruijnGraph:
@@ -76,28 +75,6 @@ class DeBruijnGraph:
     def edge(self, label: str) -> tuple[str, str, int]:
         src, dst, w = self.edges[label]
         return src, dst, w
-
-    def merge(self, label1: str, label2: str) -> "DeBruijnGraph":
-        """Replace adjacent edges by their transitive closure.
-
-        One unit of weight is taken from each edge and a unit edge labeled by
-        their non-overlapping concatenation is added.
-        """
-        e1 = self.edges.get(label1)
-        e2 = self.edges.get(label2)
-        if e1 is None or e2 is None:
-            raise InvalidMergeError("both edges must be present in the graph")
-        if e1[1] != e2[0]:
-            raise InvalidMergeError(
-                f"edges are not adjacent: {label1!r} ends at {e1[1]!r}, {label2!r} starts at {e2[0]!r}"
-            )
-        merged = noconcat(label1, label2, self.l)
-        for label, entry in ((label1, e1), (label2, e2)):
-            entry[2] -= 1
-            if entry[2] == 0:
-                del self.edges[label]
-        self.add_edge(merged, 1)
-        return self
 
     def eulerian_labels(self) -> list[str]:
         """Some closed Eulerian walk from the all-delimiter node, as labels."""

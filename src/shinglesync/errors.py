@@ -25,10 +25,6 @@ class OverlapMismatchError(ShingleSyncError, ValueError):
     """Two shingles do not overlap as required by non-overlapping concatenation."""
 
 
-class InvalidMergeError(ShingleSyncError, ValueError):
-    """Edge merge requested on non-adjacent edges or exhausted weights."""
-
-
 class ProtocolMisuseError(ShingleSyncError):
     """A stateful API was driven outside its legal call sequence."""
 

@@ -12,12 +12,12 @@ difference; everything else is constant-size framing.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import random
 import struct
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from typing import ClassVar
 
 from .alphabet import DEFAULT_DELIMITER, Alphabet, validate_word
 from .debruijn import DeBruijnGraph
@@ -29,11 +29,10 @@ from .errors import (
     ProtocolError,
     SessionAbortError,
 )
-from .field import P61, FieldSpec, PointStream
+from .field import FieldSpec, PointStream
 # reconcile_fixed is unused here but stays importable from this module:
 # perfbench/tracing.py rebinds it on it
 from .setrecon import (  # noqa: F401
-    DEFAULT_OCC_BITS,
     EvalBundle,
     RatelessDecoder,
     RatelessSource,
@@ -45,7 +44,11 @@ from .setrecon import (  # noqa: F401
 from .shingles import ShingleMultiset, fold, shingle_sequence
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
+
+# the one field every session runs over: P61 with points drawn from its top
+# 2**40 residues; neither party announces it, so it never crosses the wire
+FIELD = FieldSpec.default61()
 
 MAX_REQUEST = 0xFFFF  # a DELTA_REQ count is a u16: the most pairs one bucket asks for per round
 
@@ -55,17 +58,19 @@ MODE_RATELESS = "rateless"
 
 @dataclass(frozen=True)
 class ReconConfig:
-    """Parameters one session runs under; the initiator's copy wins."""
+    """Parameters one session runs under; the initiator's copy wins.
+
+    Only what sessions vary is a field.  Every session runs over the module
+    constant `FIELD` (`FieldSpec.default61()`), `ShingleCodec`'s default
+    `DEFAULT_OCC_BITS` occurrence bits and the delimiter `DEFAULT_DELIMITER`.
+    """
 
     l: int
     mode: str = MODE_RATELESS
     m_hat: int = 64
     k: int = 8
     seed: int = 1
-    occ_bits: int = DEFAULT_OCC_BITS
-    prime: int = P61
-    point_span: int = 1 << 40
-    delimiter: str = DEFAULT_DELIMITER
+    delimiter: ClassVar[str] = DEFAULT_DELIMITER
 
     def __post_init__(self):
         if self.l < 2:
@@ -74,9 +79,6 @@ class ReconConfig:
             raise InvalidParameterError("k must be >= 1")
         if self.mode not in (MODE_FIXED, MODE_RATELESS):
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
-
-    def field_spec(self) -> FieldSpec:
-        return FieldSpec(self.prime, self.point_span)
 
 
 @dataclass(frozen=True)
@@ -279,45 +281,31 @@ def _unpack_indices(data: bytes, bits: int, count: int) -> list[int]:
     return out
 
 
-# the session parameters in a hello: l, mode (0 fixed, 1 rateless), m_hat, k,
-# occ_bits, seed, prime, point_span
-_CONFIG = struct.Struct(">IBIHBQQQ")
+# the session parameters in a hello: l, mode (0 fixed, 1 rateless), m_hat, k, seed
+_CONFIG = struct.Struct(">IBIHQ")
 
 
-def encode_config(config: ReconConfig) -> bytes:
-    """The session parameters as they cross the wire in a hello; every field
-    the peer must adopt, and nothing else."""
-    return _CONFIG.pack(
-        config.l,
-        0 if config.mode == MODE_FIXED else 1,
-        config.m_hat,
-        config.k,
-        config.occ_bits,
-        config.seed,
-        config.prime,
-        config.point_span,
-    )
-
-
-def encode_hello(config: ReconConfig, role: int, word_len: int, symbols: str) -> bytes:
+def encode_hello(config: ReconConfig, word_len: int, symbols: str) -> bytes:
+    """`version:u8`, the parameters the peer must adopt, the word's length and
+    its observed symbols as `count:u32be` UTF-8 bytes."""
     sym = symbols.encode("utf-8")
+    mode = 0 if config.mode == MODE_FIXED else 1
     return (
-        struct.pack(">BB", PROTOCOL_VERSION, role)
-        + encode_config(config)
+        struct.pack(">B", PROTOCOL_VERSION)
+        + _CONFIG.pack(config.l, mode, config.m_hat, config.k, config.seed)
         + struct.pack(">QI", word_len, len(sym))
         + sym
     )
 
 
-def decode_hello(payload: bytes) -> tuple[ReconConfig, int, int, str]:
-    head = 2 + _CONFIG.size + 12  # version, role, config, word length, symbol bytes
+def decode_hello(payload: bytes) -> tuple[ReconConfig, int, str]:
+    head = 1 + _CONFIG.size + 12  # version, config, word length, symbol bytes
     if len(payload) < head:
         raise ProtocolError("short hello frame")
-    version, role = struct.unpack_from(">BB", payload)
-    if version != PROTOCOL_VERSION:
-        raise ProtocolError(f"unsupported protocol version {version}")
-    l, mode, m_hat, k, occ_bits, seed, prime, span = _CONFIG.unpack_from(payload, 2)
-    word_len, sym_len = struct.unpack_from(">QI", payload, 2 + _CONFIG.size)
+    if payload[0] != PROTOCOL_VERSION:
+        raise ProtocolError(f"unsupported protocol version {payload[0]}")
+    l, mode, m_hat, k, seed = _CONFIG.unpack_from(payload, 1)
+    word_len, sym_len = struct.unpack_from(">QI", payload, 1 + _CONFIG.size)
     if len(payload) != head + sym_len:
         raise ProtocolError("hello frame length mismatch")
     try:
@@ -327,20 +315,10 @@ def decode_hello(payload: bytes) -> tuple[ReconConfig, int, int, str]:
     if mode not in (0, 1):
         raise ProtocolError(f"hello mode byte {mode} is neither 0 (fixed) nor 1 (rateless)")
     try:
-        config = ReconConfig(
-            l=l,
-            mode=MODE_FIXED if mode == 0 else MODE_RATELESS,
-            m_hat=m_hat,
-            k=k,
-            seed=seed,
-            occ_bits=occ_bits,
-            prime=prime,
-            point_span=span,
-        )
-        config.field_spec()  # checks the prime and the point span
+        config = ReconConfig(l=l, mode=MODE_FIXED if mode == 0 else MODE_RATELESS, m_hat=m_hat, k=k, seed=seed)
     except InvalidParameterError as exc:
         raise ProtocolError(f"bad hello: {exc}") from None
-    return config, role, word_len, sym
+    return config, word_len, sym
 
 
 def _pack_values(values: list[int]) -> bytes:
@@ -426,27 +404,28 @@ def decode_roots(payload: bytes) -> list[int]:
 
 
 def encode_merges(records: list[MergeRecord], index_bits: int) -> bytes:
+    """`count:u32be`, then the records' indices packed `index_bits` wide; the
+    peer derives the width from the sender's instance count."""
     flat: list[int] = []
     for rec in records:
         flat.append(rec.atom_index)
         flat.append(rec.anchor_index)
-    return struct.pack(">IB", len(records), index_bits) + _pack_indices(flat, index_bits)
+    return struct.pack(">I", len(records)) + _pack_indices(flat, index_bits)
 
 
-def decode_merges(payload: bytes) -> list[MergeRecord]:
-    if len(payload) < 5:
+def decode_merges(payload: bytes, index_bits: int) -> list[MergeRecord]:
+    if len(payload) < 4:
         raise ProtocolError("short merges frame")
-    count, bits = struct.unpack_from(">IB", payload)
-    if not 1 <= bits <= 32:
-        raise ProtocolError("bad merge index width")
+    (count,) = struct.unpack_from(">I", payload)
     # checked before unpacking, so a peer-chosen count cannot drive the loop
-    if len(payload) != 5 + (2 * count * bits + 7) // 8:
+    if len(payload) != 4 + (2 * count * index_bits + 7) // 8:
         raise ProtocolError("merges frame length mismatch")
-    flat = _unpack_indices(payload[5:], bits, 2 * count)
+    flat = _unpack_indices(payload[4:], index_bits, 2 * count)
     return [MergeRecord(atom_index=flat[2 * i], anchor_index=flat[2 * i + 1]) for i in range(count)]
 
 
 def _index_bits(n_instances: int) -> int:
+    """The merge index width for a word with `n_instances` shingle instances."""
     return max(1, (max(n_instances - 1, 1)).bit_length())
 
 
@@ -527,19 +506,15 @@ def _run(
     report: SessionReport,
 ) -> str:
     validate_word(word, config.delimiter)
-    my_hello = encode_hello(
-        config, 0 if role == ROLE_INITIATOR else 1, len(word), "".join(sorted(set(word)))
-    )
+    symbols = "".join(sorted(set(word)))
     if role == ROLE_INITIATOR:
-        wire.send(FrameKind.HELLO, my_hello)
-        peer_cfg, _peer_role, n_remote, peer_syms = decode_hello(wire.expect(FrameKind.HELLO).payload)
-        if encode_config(peer_cfg) != encode_config(config):
+        wire.send(FrameKind.HELLO, encode_hello(config, len(word), symbols))
+        peer_cfg, n_remote, peer_syms = decode_hello(wire.expect(FrameKind.HELLO).payload)
+        if peer_cfg != config:
             raise SessionAbortError("peer did not adopt the offered parameters")
     else:
-        peer_cfg, _peer_role, n_remote, peer_syms = decode_hello(wire.expect(FrameKind.HELLO).payload)
-        config = dataclasses.replace(peer_cfg, delimiter=config.delimiter)
-        my_hello = encode_hello(config, 1, len(word), "".join(sorted(set(word))))
-        wire.send(FrameKind.HELLO, my_hello)
+        config, n_remote, peer_syms = decode_hello(wire.expect(FrameKind.HELLO).payload)
+        wire.send(FrameKind.HELLO, encode_hello(config, len(word), symbols))
 
     report.l = config.l
     report.mode = config.mode
@@ -547,8 +522,7 @@ def _run(
     report.n_remote = n_remote
 
     alphabet = Alphabet(sorted(set(word) | set(peer_syms)), delimiter=config.delimiter)
-    field = config.field_spec()
-    codec = ShingleCodec(alphabet, field, config.occ_bits)
+    codec = ShingleCodec(alphabet, FIELD)
     # before shingling: a peer may announce any l below 2**32, and shingling
     # builds |w| + l - 1 windows of length l
     if config.l > codec.max_shingle_len:
@@ -584,11 +558,12 @@ def _run(
     # step 5: exchange merge seams
     wire.step = "step5"
     merges_payload = encode_merges(records, _index_bits(local_ms.total()))
+    remote_bits = _index_bits(remote_instances)
     if role == ROLE_INITIATOR:
         wire.send(FrameKind.MERGES, merges_payload)
-        remote_records = decode_merges(wire.expect(FrameKind.MERGES).payload)
+        remote_records = decode_merges(wire.expect(FrameKind.MERGES).payload, remote_bits)
     else:
-        remote_records = decode_merges(wire.expect(FrameKind.MERGES).payload)
+        remote_records = decode_merges(wire.expect(FrameKind.MERGES).payload, remote_bits)
         wire.send(FrameKind.MERGES, merges_payload)
     report.merges_remote = len(remote_records)
 
@@ -626,7 +601,7 @@ def step2_buckets(mode: str, local_instances: int, remote_instances: int) -> int
     Fixed mode keeps B = 1, because `m_hat` bounds the whole difference and
     not each bucket's share of it.  A one-shot bound per bucket would need a
     tail margin of about m_hat/B + 5 * sqrt(m_hat/B) values in every bucket:
-    at m_hat = 256 and B = 16 that is about 704 values against 265, some 17%
+    at m_hat = 256 and B = 16 that is about 704 values against 264, some 17%
     more bits on a 4096-symbol session.
     """
     buckets = 1
@@ -652,7 +627,7 @@ def _reconcile_step(
     Both parties hash their encoded instances into `buckets` buckets, and
     each bucket runs its own source (initiator) or decoder (responder) over
     the session's one point stream, whose points go to the buckets in bucket
-    order.  The initiator sends characteristic values: the first m_hat + k + 1
+    order.  The initiator sends characteristic values: the first m_hat + k
     per bucket in its bundle in fixed mode (where B = 1), none there in
     rateless mode and then whatever the responder requests, one DELTA_REQ
     holding a count for every bucket.  The responder feeds each bucket's
@@ -662,7 +637,7 @@ def _reconcile_step(
     bucket's elements.
     """
     fixed = config.mode == MODE_FIXED
-    first = config.m_hat + config.k + 1 if fixed else 0
+    first = config.m_hat + config.k if fixed else 0
     points = PointStream(codec.field, config.seed)
     parts = partition(codec.encode_multiset(local_ms), buckets, config.seed)
     report.step2_buckets = buckets

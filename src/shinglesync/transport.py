@@ -3,6 +3,8 @@
 Frames are a 4-byte big-endian payload length, a 1-byte kind, then the
 payload.  The in-process channel pair and the socket-backed endpoint carry
 identical bytes; counters account for every framed byte in both directions.
+A receive that waits longer than `RECV_TIMEOUT_S` raises
+`TransportClosedError`, so a peer that stops sending cannot hang a session.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .errors import ProtocolError, TransportClosedError
 
 MAX_PAYLOAD = 1 << 26
 HEADER = struct.Struct(">IB")
+RECV_TIMEOUT_S = 300.0  # the longest one receive waits for the peer's next bytes
 
 
 class FrameKind(IntEnum):
@@ -109,7 +112,10 @@ class PipeEndpoint(Endpoint):
 
     def _recv_exactly(self, n: int) -> bytes:
         while len(self._buffer) < n:
-            chunk = self._inbox.get()
+            try:
+                chunk = self._inbox.get(timeout=RECV_TIMEOUT_S)
+            except queue.Empty:
+                raise TransportClosedError(f"peer sent nothing for {RECV_TIMEOUT_S} s") from None
             if chunk is self._CLOSED:
                 raise TransportClosedError("peer closed the channel")
             self._buffer += chunk
@@ -130,6 +136,9 @@ def channel_pair() -> tuple[PipeEndpoint, PipeEndpoint]:
 class SocketEndpoint(Endpoint):
     def __init__(self, sock: socket.socket):
         super().__init__()
+        # a timed-out call raises TimeoutError, an OSError, which maps to
+        # TransportClosedError below
+        sock.settimeout(RECV_TIMEOUT_S)
         self._sock = sock
 
     def _send_bytes(self, data: bytes) -> None:

@@ -10,7 +10,6 @@ from shinglesync import (
 )
 from shinglesync.errors import (
     InconsistentMultisetError,
-    InvalidMergeError,
     InvalidShingleError,
     NotUniqueError,
 )
@@ -37,38 +36,6 @@ def test_build_two_edge_path():
 def test_build_rejects_short_shingles():
     with pytest.raises(InvalidShingleError):
         DeBruijnGraph.build(ShingleMultiset({"a": 1}), 2)
-
-
-def test_merge_chain_reproduces_unique_graph():
-    g = katana_graph()
-    g.merge("ta", "an").merge("tan", "na")
-    assert set(g.edges) == {"$k", "ka", "at", "tana", "a$"}
-    assert g.edge("tana") == ("t", "a", 1)
-    assert g.decode_unique() == "katana"
-
-
-def test_merge_start_edges():
-    g = katana_graph()
-    g.merge("$k", "ka")
-    assert g.edge("$ka") == ("$", "a", 1)
-
-
-def test_merge_keeps_residual_weight():
-    g = DeBruijnGraph.build(ShingleMultiset({"$a": 1, "aa": 2, "a$": 1}), 2)
-    g.merge("aa", "aa")
-    assert g.edge("aaa") == ("a", "a", 1)
-    assert "aa" not in g.edges
-    g2 = DeBruijnGraph.build(ShingleMultiset({"$a": 1, "aa": 3, "a$": 1}), 2)
-    g2.merge("aa", "aa")
-    assert g2.edge("aa")[2] == 1
-
-
-def test_merge_rejects_non_adjacent():
-    g = katana_graph()
-    with pytest.raises(InvalidMergeError):
-        g.merge("$k", "at")
-    with pytest.raises(InvalidMergeError):
-        g.merge("$k", "zz")
 
 
 def test_decode_unique_rejects_ambiguous_graph():
@@ -108,30 +75,6 @@ def test_round_trip_on_ud_words(w, l):
     else:
         with pytest.raises(NotUniqueError):
             g.decode_unique()
-
-
-def test_merge_never_increases_decoding_count(rng):
-    for _ in range(200):
-        w = "".join(rng.choice("abc") for _ in range(rng.randrange(1, 10)))
-        ms = shingling(w, 2)
-        g = DeBruijnGraph.build(ms, 2)
-        before = decoding_count(ms, cap=6).count
-        labels = sorted(g.edges)
-        rng.shuffle(labels)
-        merged = False
-        for a in labels:
-            if a not in g.edges:
-                continue
-            _, dst, _ = g.edge(a)
-            for b in sorted(g.edges):
-                if b != a and g.edge(b)[0] == dst:
-                    g.merge(a, b)
-                    merged = True
-                    break
-            if merged:
-                break
-        after = decoding_count(g.multiset(), cap=6).count
-        assert after <= before
 
 
 def test_to_text_golden():

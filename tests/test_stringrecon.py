@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import threading
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shinglesync import (
+    DEFAULT_DELIMITER,
     MODE_FIXED,
     MODE_RATELESS,
     Alphabet,
@@ -25,7 +27,7 @@ from shinglesync import (
     seams_to_records,
     shingle_sequence,
 )
-from shinglesync import field, setrecon, stringrecon
+from shinglesync import field, setrecon, stringrecon, transport
 from shinglesync.errors import (
     BoundExceededError,
     InvariantError,
@@ -36,6 +38,7 @@ from shinglesync.errors import (
 from shinglesync.setrecon import EvalBundle, RatelessDecoder, ShingleCodec, partition
 from shinglesync.stringrecon import (
     _CONFIG,
+    FIELD,
     SessionReport,
     _MeteredEndpoint,
     _pack_indices,
@@ -101,18 +104,17 @@ def scripted_session(word, role, config, script, timeout=30):
     return raised.get("exc")
 
 
-def hello_for(config, role, word):
-    return Frame(FrameKind.HELLO, encode_hello(config, role, len(word), "".join(sorted(set(word)))))
+def hello_for(config, word):
+    return Frame(FrameKind.HELLO, encode_hello(config, len(word), "".join(sorted(set(word)))))
 
 
-def hello_with(config, role, word, index, value):
+def hello_with(config, word, index, value):
     """A hello payload for `config` whose config field number `index` (in
-    `_CONFIG` order: l, mode, m_hat, k, occ_bits, seed, prime, point_span)
-    is replaced by `value`."""
-    payload = bytearray(encode_hello(config, role, len(word), "".join(sorted(set(word)))))
-    fields = list(_CONFIG.unpack_from(payload, 2))
+    `_CONFIG` order: l, mode, m_hat, k, seed) is replaced by `value`."""
+    payload = bytearray(encode_hello(config, len(word), "".join(sorted(set(word)))))
+    fields = list(_CONFIG.unpack_from(payload, 1))
     fields[index] = value
-    _CONFIG.pack_into(payload, 2, *fields)
+    _CONFIG.pack_into(payload, 1, *fields)
     return bytes(payload)
 
 
@@ -177,7 +179,7 @@ class TestMergeBookkeeping:
 # bytes produced by the original, unmasked packer: the wire format must not drift
 GOLDEN_VALUES = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181, 6765]
 GOLDEN_PACKED_13 = bytes.fromhex("0000004004003002802001a01501100dc0b209007485e44c43db31ea8620aba6d0")
-GOLDEN_MERGES_3 = bytes.fromhex("0000000303af8c40")
+GOLDEN_MERGES_3 = bytes.fromhex("00000003af8c40")
 
 
 @st.composite
@@ -203,7 +205,7 @@ class TestWireCodecs:
         assert _pack_indices([2**32 - 1, 0, 12345678, 2**31], 32) == bytes.fromhex("ffffffff0000000000bc614e80000000")
         records = [MergeRecord(5, 3), MergeRecord(7, 0), MergeRecord(6, 1)]
         assert encode_merges(records, 3) == GOLDEN_MERGES_3
-        assert decode_merges(GOLDEN_MERGES_3) == records
+        assert decode_merges(GOLDEN_MERGES_3, 3) == records
 
     def test_truncated_index_block_rejected(self):
         with pytest.raises(ProtocolError):
@@ -217,12 +219,16 @@ class TestWireCodecs:
     )
     def test_merges_frame_round_trip(self, pairs):
         records = [MergeRecord(a, b) for a, b in pairs]
-        assert decode_merges(encode_merges(records, 9)) == records
+        assert decode_merges(encode_merges(records, 9), 9) == records
 
-    @pytest.mark.parametrize("payload", [GOLDEN_MERGES_3 + b"\x00", GOLDEN_MERGES_3[:-1]])
+    @pytest.mark.parametrize(
+        "payload",
+        [GOLDEN_MERGES_3 + b"\x00", GOLDEN_MERGES_3[:-1], b"\x00\x00\x00"],
+        ids=["one-byte-long", "one-byte-short", "short-count"],
+    )
     def test_merges_frame_length_must_match_count(self, payload):
         with pytest.raises(ProtocolError):
-            decode_merges(payload)
+            decode_merges(payload, 3)
 
     def test_pair_frame_round_trip_and_exact_length(self):
         # values only, 8 bytes each: the peer derives the points
@@ -280,24 +286,27 @@ class TestWireCodecs:
 
     def test_hello_round_trip(self):
         config = ReconConfig(l=7, mode=MODE_FIXED, m_hat=33, k=5, seed=12345)
-        payload = encode_hello(config, 0, 999, "abc")
-        got_cfg, role, n, syms = decode_hello(payload)
-        assert (got_cfg, role, n, syms) == (config, 0, 999, "abc")
+        payload = encode_hello(config, 999, "abc")
+        assert decode_hello(payload) == (config, 999, "abc")
+
+    def test_config_holds_only_what_sessions_vary(self):
+        assert [f.name for f in dataclasses.fields(ReconConfig)] == ["l", "mode", "m_hat", "k", "seed"]
+        assert ReconConfig(l=2).delimiter == DEFAULT_DELIMITER
 
     def test_hello_symbols_must_be_utf8(self):
-        payload = encode_hello(ReconConfig(l=7, seed=1), 0, 2, "ab")
+        payload = encode_hello(ReconConfig(l=7, seed=1), 2, "ab")
         bad = payload[:-2] + b"\xff\xfe"
         with pytest.raises(ProtocolError):
             decode_hello(bad)
 
     @pytest.mark.parametrize(
         "index,value",
-        [(0, 1), (1, 2), (3, 0), (6, field.P61 - 1), (7, field.P61)],
-        ids=["l-below-2", "unknown-mode", "k-zero", "prime-not-prime", "span-not-below-prime"],
+        [(0, 1), (1, 2), (3, 0)],
+        ids=["l-below-2", "unknown-mode", "k-zero"],
     )
     def test_hello_fields_are_validated(self, index, value):
         with pytest.raises(ProtocolError):
-            decode_hello(hello_with(ReconConfig(l=7, seed=1), 0, "ab", index, value))
+            decode_hello(hello_with(ReconConfig(l=7, seed=1), "ab", index, value))
 
 
 class TestSessions:
@@ -343,7 +352,7 @@ class TestSessions:
         (_, rep_a), (_, rep_b) = run_session("katana", "katna", config)
         assert rep_a.step2_pairs == rep_b.step2_pairs > 0
         if mode == MODE_FIXED:
-            assert rep_a.step2_pairs == m_hat + 4 + 1
+            assert rep_a.step2_pairs == m_hat + 4
         assert f"step2_pairs={rep_a.step2_pairs}\n" in rep_a.to_text()
 
     def test_zero_difference_rateless_session_sends_k_pairs(self, rng):
@@ -410,7 +419,7 @@ class TestSessions:
         config = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=7)
         (ra, _), (rb, _) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
-        codec = ShingleCodec(Alphabet("ab"), config.field_spec(), config.occ_bits)
+        codec = ShingleCodec(Alphabet("ab"), FIELD)
         mine, theirs = (
             set(codec.encode_multiset(ShingleMultiset(Counter(shingle_sequence(w, 2)))))
             for w in (wb, wa)
@@ -436,9 +445,60 @@ class TestSessions:
         config = ReconConfig(l=l, mode=MODE_FIXED, m_hat=m_hat, k=k, seed=17)
         (ra, rep_a), (rb, _) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
-        assert rep_a.step2_pairs == m_hat + k + 1
+        assert rep_a.step2_pairs == m_hat + k
         assert len(fed) == m + k
-        assert fed == config.field_spec().sample_points(config.seed, m + k)
+        assert fed == FIELD.sample_points(config.seed, m + k)
+
+    def test_fixed_bundle_of_m_hat_plus_k_values_recovers_a_difference_of_m_hat(self):
+        wa = "".join(random.Random(8).choice("01") for _ in range(96))
+        wb = flip(wa, 40)
+        l, k = 13, 8
+        ca, cb = Counter(shingle_sequence(wa, l)), Counter(shingle_sequence(wb, l))
+        m = sum(((ca - cb) + (cb - ca)).values())
+        assert m > 0
+        config = ReconConfig(l=l, mode=MODE_FIXED, m_hat=m, k=k, seed=19)
+        (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
+        assert ra == wb and rb == wa
+        assert rep_a.step2_pairs == rep_b.step2_pairs == m + k
+
+    def test_hello_bits_are_the_frame_arithmetic(self):
+        config = ReconConfig(l=2, mode=MODE_RATELESS, seed=5)
+        (_, rep_a), (_, rep_b) = run_session("katana", "kana", config)
+        for rep, symbols in ((rep_a, "aknt"), (rep_b, "akn")):
+            # frame header, then version, the five parameters, the word length
+            # and symbol count, and the symbols
+            assert rep.step_bits("hello")[0] == 40 + 8 * (1 + 19 + 12 + len(symbols))
+
+    @pytest.mark.parametrize("over", ["channel", "socket"])
+    def test_silent_peer_ends_the_session_at_the_receive_deadline(self, monkeypatch, over):
+        # the peer sends its hello and then nothing, without closing
+        monkeypatch.setattr(transport, "RECV_TIMEOUT_S", 0.2)
+        if over == "channel":
+            mine, peer = channel_pair()
+        else:
+            listener = Listener("127.0.0.1", 0)
+            peer = connect("127.0.0.1", listener.port)
+            mine = listener.accept()
+            listener.close()
+        config = ReconConfig(l=2, mode=MODE_RATELESS, seed=3)
+        peer.send(hello_for(config, "abcab"))
+        raised = {}
+
+        def party():
+            try:
+                run_protocol("abcba", mine, "responder", config)
+            except Exception as exc:  # noqa: BLE001 - handed to the test
+                raised["exc"] = exc
+
+        thread = threading.Thread(target=party, daemon=True)
+        start = time.perf_counter()
+        thread.start()
+        thread.join(5)
+        elapsed = time.perf_counter() - start
+        mine.close()
+        peer.close()
+        assert not thread.is_alive() and elapsed < 5
+        assert isinstance(raised.get("exc"), TransportClosedError)
 
     def test_rateless_step2_bits_are_the_frame_arithmetic(self, monkeypatch, rng):
         batches = []
@@ -526,17 +586,15 @@ class TestSessions:
         a, b = channel_pair()
 
         def fake_responder():
-            frame = b.recv()
-            bad = ReconConfig(l=3, mode=MODE_RATELESS, seed=4)
-            from shinglesync.stringrecon import encode_hello as eh
+            b.recv()
+            b.send(hello_for(ReconConfig(l=3, mode=MODE_RATELESS, seed=4), "ab"))
 
-            b.send(Frame(FrameKind.HELLO, eh(bad, 1, 2, "ab")))
-
-        thread = threading.Thread(target=fake_responder)
+        thread = threading.Thread(target=fake_responder, daemon=True)
         thread.start()
         with pytest.raises(SessionAbortError):
             run_protocol("ab", a, "initiator", config)
-        thread.join()
+        thread.join(60)
+        assert not thread.is_alive()
 
     def test_socket_transport_interchangeable(self, rng):
         wa = "".join(rng.choice("01") for _ in range(64))
@@ -552,15 +610,16 @@ class TestSessions:
             finally:
                 endpoint.close()
 
-        thread = threading.Thread(target=serve)
+        thread = threading.Thread(target=serve, daemon=True)
         thread.start()
         client = connect("127.0.0.1", listener.port)
         try:
             results["a"] = run_protocol(wa, client, "initiator", config)
         finally:
             client.close()
-            thread.join()
+            thread.join(60)
             listener.close()
+        assert not thread.is_alive()
         assert results["a"][0] == wb and results["b"][0] == wa
 
 
@@ -611,7 +670,7 @@ class TestPartitionedStep2:
         ms_a, ms_b = ShingleMultiset(count_a), ShingleMultiset(count_b)
         only_a, only_b = ShingleMultiset(count_a - count_b), ShingleMultiset(count_b - count_a)
         config = ReconConfig(l=4, mode=MODE_RATELESS, k=8, seed=seed)
-        codec = ShingleCodec(Alphabet("abcd"), config.field_spec(), config.occ_bits)
+        codec = ShingleCodec(Alphabet("abcd"), FIELD)
         (delta_a, delta_b), (rep_a, rep_b) = step2_exchange(ms_a, ms_b, buckets, config, codec)
         assert delta_a == (only_a, only_b)
         assert delta_b == (only_b, only_a)
@@ -653,7 +712,7 @@ class TestHostileStep2:
 
         def script(peer):
             peer.recv()
-            peer.send(hello_for(config, 1, theirs))
+            peer.send(hello_for(config, theirs))
             sizes, _ = decode_bundle(peer.recv().payload, buckets)
             for request in requests:
                 payload = request(sizes) if callable(request) else request
@@ -711,7 +770,7 @@ class TestHostileStep2:
 
         def script(peer):
             peer.recv()
-            peer.send(hello_for(config, 1, "abcba"))
+            peer.send(hello_for(config, "abcba"))
             peer.recv()  # the bundle
             peer.send(Frame(FrameKind.DELTA_REQ, encode_request([1])))
             peer.recv()
@@ -731,7 +790,7 @@ class TestHostileStep2:
 
         def script(peer):
             peer.recv()
-            peer.send(hello_for(self.CONFIG, 1, "abcba"))
+            peer.send(hello_for(self.CONFIG, "abcba"))
             peer.recv()  # the bundle
             peer.send(Frame(FrameKind.DELTA, handoff))
             while True:
@@ -745,7 +804,7 @@ class TestHostileStep2:
         config = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=3)
 
         def script(peer):
-            peer.send(Frame(FrameKind.HELLO, hello_with(config, 0, "abcab", 3, 0)))
+            peer.send(Frame(FrameKind.HELLO, hello_with(config, "abcab", 3, 0)))
             peer.recv()
 
         assert isinstance(scripted_session("abcba", "responder", config, script), ProtocolError)
@@ -760,7 +819,7 @@ class TestHostileStep2:
         config = ReconConfig(l=64, mode=MODE_RATELESS, k=8, seed=3)
 
         def script(peer):
-            peer.send(hello_for(config, 0, "0110"))
+            peer.send(hello_for(config, "0110"))
             peer.recv()
             peer.recv()
 
@@ -772,7 +831,7 @@ class TestHostileStep2:
         `pairs_for(count)`."""
 
         def script(peer):
-            peer.send(hello_for(config, 0, "abcab"))
+            peer.send(hello_for(config, "abcab"))
             peer.recv()
             peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, bucket_sizes=[bundle.set_size])))
             if pairs_for is not None:
@@ -782,7 +841,7 @@ class TestHostileStep2:
         return scripted_session("abcba", "responder", config, script)
 
     def test_pair_frame_must_hold_the_requested_count(self):
-        points = self.CONFIG.field_spec().sample_points(1, 40)
+        points = FIELD.sample_points(1, 40)
         for extra in (-1, 1):
             exc = self.responder_facing(
                 self.CONFIG,
@@ -800,7 +859,7 @@ class TestHostileStep2:
             replies = []
 
             def script(peer):
-                peer.send(hello_for(self.WIDE, 0, WIDE_A))
+                peer.send(hello_for(self.WIDE, WIDE_A))
                 peer.recv()
                 peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(EvalBundle((), (), 0), bucket_sizes=sizes)))
                 replies.append(peer.recv().kind)
@@ -816,12 +875,12 @@ class TestHostileStep2:
     def test_responder_checks_the_roots_count(self):
         # equal words: every bucket polynomial has degree 0, so no root may come back
         config = self.CONFIG
-        codec = ShingleCodec(Alphabet("abc"), config.field_spec(), config.occ_bits)
+        codec = ShingleCodec(Alphabet("abc"), FIELD)
         ms = ShingleMultiset(Counter(shingle_sequence("abcba", config.l)))
         source = setrecon.RatelessSource(ms, codec, config.seed)
 
         def script(peer):
-            peer.send(hello_for(config, 0, "abcba"))
+            peer.send(hello_for(config, "abcba"))
             peer.recv()
             peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(EvalBundle((), (), 6), bucket_sizes=[6])))
             while (frame := peer.recv()).kind == FrameKind.DELTA_REQ:
@@ -834,9 +893,9 @@ class TestHostileStep2:
         assert isinstance(scripted_session("abcba", "responder", config, script), ProtocolError)
 
     def test_fixed_responder_never_draws_the_peer_m_hat(self):
-        # drawing m_hat + k + 1 = 2**32 + 8 points would take hours
+        # drawing m_hat + k = 2**32 + 7 points would take hours
         config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=2**32 - 1, k=8, seed=3)
-        points = tuple(config.field_spec().sample_points(3, 4))
+        points = tuple(FIELD.sample_points(3, 4))
         exc = self.responder_facing(config, EvalBundle(points, (1, 1, 1, 1), 6))
         assert isinstance(exc, ProtocolError)
 
@@ -851,8 +910,8 @@ class TestHostileStep2:
 
         monkeypatch.setattr(RatelessDecoder, "feed", spy)
         config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=100_000, k=8, seed=3)
-        count = config.m_hat + config.k + 1
-        values = tuple(rng.randrange(1, config.prime) for _ in range(count))
+        count = config.m_hat + config.k
+        values = tuple(rng.randrange(1, FIELD.p) for _ in range(count))
         start = time.perf_counter()
         exc = self.responder_facing(config, EvalBundle(tuple(range(count)), values, 6))
         assert isinstance(exc, BoundExceededError)

@@ -1,11 +1,14 @@
 import threading
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shinglesync import transport
 from shinglesync.errors import ProtocolError, TransportClosedError
 from shinglesync.transport import (
+    HEADER,
     Frame,
     FrameKind,
     Listener,
@@ -77,15 +80,47 @@ def test_socket_endpoint_matches_pipe_behavior():
         server_side["bits"] = (endpoint.bits_sent(), endpoint.bits_received())
         endpoint.close()
 
-    thread = threading.Thread(target=serve)
+    thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     client = connect("127.0.0.1", listener.port)
     client.send(Frame(FrameKind.EVAL_BUNDLE, b"hello"))
     reply = client.recv()
-    thread.join()
+    thread.join(60)
     listener.close()
+    assert not thread.is_alive()
     assert reply == Frame(FrameKind.DONE, b"olleh")
     assert client.bits_sent() == (5 + 5) * 8
     assert client.bits_received() == (5 + 5) * 8
     assert server_side["bits"] == (80, 80)
     client.close()
+
+
+@pytest.mark.parametrize("over", ["channel", "socket"])
+def test_frame_cut_short_ends_at_the_receive_deadline(monkeypatch, over):
+    # the peer sends a header for 10 payload bytes, then 3 of them, then nothing
+    monkeypatch.setattr(transport, "RECV_TIMEOUT_S", 0.2)
+    if over == "channel":
+        mine, peer = channel_pair()
+    else:
+        listener = Listener("127.0.0.1", 0)
+        peer = connect("127.0.0.1", listener.port)
+        mine = listener.accept()
+        listener.close()
+    peer._send_bytes(HEADER.pack(10, int(FrameKind.DONE)) + b"abc")
+    raised = []
+
+    def receive():
+        try:
+            mine.recv()
+        except TransportClosedError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=receive, daemon=True)
+    start = time.perf_counter()
+    thread.start()
+    thread.join(5)
+    elapsed = time.perf_counter() - start
+    mine.close()
+    peer.close()
+    assert not thread.is_alive() and elapsed < 5
+    assert len(raised) == 1

@@ -97,9 +97,16 @@ def _parse_mode(text: str) -> tuple[str, int]:
 
 def cmd_reconcile(args) -> int:
     word = _read_input(args.input)
-    mode, m_hat = args.mode
-    l = args.l or recommend_shingle_len(max(2, len(word)), 0.6)
-    config = ReconConfig(l=l, mode=mode, m_hat=m_hat or 64, k=args.k, seed=args.seed)
+    if args.action == "serve":
+        # the responder adopts the initiator's parameters from its hello and
+        # sends none of its own, so any valid config will do
+        config = ReconConfig(l=2)
+    else:
+        mode, m_hat = args.mode or (MODE_RATELESS, 0)
+        # k and seed keep ReconConfig's defaults unless given
+        given = {name: getattr(args, name) for name in ("k", "seed") if getattr(args, name) is not None}
+        l = args.l or recommend_shingle_len(max(2, len(word)), 0.6)
+        config = ReconConfig(l=l, mode=mode, m_hat=m_hat or 64, **given)
     host, _, port = args.addr.rpartition(":")
     if args.action == "serve":
         listener = Listener(host or "127.0.0.1", int(port))
@@ -177,11 +184,13 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("addr", help="host:port")
     p.add_argument("--input", required=True, help="local string (or @file)")
     p.add_argument("--output", help="write the recovered remote string here")
+    # session parameters, for connect only: serve adopts the peer's
     p.add_argument("--l", type=int, help="shingle length (default: sized from input)")
-    p.add_argument("--mode", type=_parse_mode, default=(MODE_RATELESS, 0), help="rateless or fixed:<m>")
-    p.add_argument("--k", type=int, default=8, help="verification points")
-    p.add_argument("--seed", type=int, default=1, help="session seed")
+    p.add_argument("--mode", type=_parse_mode, help="rateless (default) or fixed:<m>")
+    p.add_argument("--k", type=int, help="verification points (default 8)")
+    p.add_argument("--seed", type=int, help="session seed (default 1)")
     p.set_defaults(func=cmd_reconcile)
+    reconcile_parser = p
 
     p = sub.add_parser("gen", help="generators")
     gen_sub = p.add_subparsers(dest="gen_target", required=True)
@@ -192,6 +201,10 @@ def main(argv: list[str] | None = None) -> int:
     g.set_defaults(func=cmd_gen_pevzner)
 
     args = parser.parse_args(argv)
+    if args.command == "reconcile" and args.action == "serve":
+        given = [f"--{name}" for name in ("l", "mode", "k", "seed") if getattr(args, name) is not None]
+        if given:
+            reconcile_parser.error(f"serve adopts the connecting peer's parameters; drop {', '.join(given)}")
     try:
         return args.func(args)
     except ShingleSyncError as exc:

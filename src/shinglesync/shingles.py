@@ -99,14 +99,15 @@ class ShingleMultiset:
         return min((len(s) for s in self.entries), default=0)
 
     def instances(self) -> list[tuple[str, int]]:
-        """Canonical instance list: (shingle, occurrence) sorted by shingle bytes.
+        """Canonical instance list: (shingle, occurrence) sorted by shingle,
+        in code-point order, which is the order of the shingles' UTF-8 bytes.
 
         Occurrences run 1..multiplicity, which turns the multiset into a set.
         Both reconciliation endpoints compute the same list from the same
         multiset, so instance indices agree without any shared ordering state.
         """
         out: list[tuple[str, int]] = []
-        for s in sorted(self.entries, key=lambda x: x.encode("utf-8")):
+        for s in sorted(self.entries):
             out.extend((s, occ) for occ in range(1, self.entries[s] + 1))
         return out
 
@@ -129,12 +130,9 @@ class ShingleMultiset:
     def to_text(self) -> str:
         """Render the bit-exact text format: `<multiplicity> TAB <shingle>` per line.
 
-        Lines are sorted lexicographically by the shingle's UTF-8 bytes.
+        Lines are sorted by the shingle's UTF-8 bytes, which is code-point order.
         """
-        lines = [
-            f"{self.entries[s]}\t{s}"
-            for s in sorted(self.entries, key=lambda x: x.encode("utf-8"))
-        ]
+        lines = [f"{self.entries[s]}\t{s}" for s in sorted(self.entries)]
         return "".join(line + "\n" for line in lines)
 
     @classmethod

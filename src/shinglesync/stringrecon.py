@@ -73,10 +73,15 @@ class ReconConfig:
     delimiter: ClassVar[str] = DEFAULT_DELIMITER
 
     def __post_init__(self):
-        if self.l < 2:
-            raise InvalidParameterError("l must be >= 2")
-        if self.k < 1:
-            raise InvalidParameterError("k must be >= 1")
+        # the bounds are the hello's field widths (`_CONFIG`)
+        if not 2 <= self.l < 2**32:
+            raise InvalidParameterError("l must be in [2, 2**32)")
+        if not 0 <= self.m_hat < 2**32:
+            raise InvalidParameterError("m_hat must be in [0, 2**32)")
+        if not 1 <= self.k < 2**16:
+            raise InvalidParameterError("k must be in [1, 2**16)")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidParameterError("seed must be in [0, 2**64)")
         if self.mode not in (MODE_FIXED, MODE_RATELESS):
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
 
@@ -173,13 +178,13 @@ def seams_to_records(ordered: list[str], seams: list[tuple[int, int]]) -> list[M
     """Convert position seams to canonical instance-index records.
 
     The canonical index of the occ-th occurrence of shingle s is the number of
-    instances sorted before s (by UTF-8 bytes) plus occ - 1, the position of
-    (s, occ) in `ShingleMultiset.instances()`.
+    instances sorted before s (by code point, which is UTF-8 byte order) plus
+    occ - 1, the position of (s, occ) in `ShingleMultiset.instances()`.
     """
     counts = Counter(ordered)
     next_index: dict[str, int] = {}
     running = 0
-    for s in sorted(counts, key=lambda x: x.encode("utf-8")):
+    for s in sorted(counts):
         next_index[s] = running
         running += counts[s]
     # stream order meets the occurrences of each shingle in order 1, 2, ...

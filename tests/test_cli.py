@@ -1,5 +1,7 @@
 import threading
 
+import pytest
+
 from shinglesync import interior_qgrams
 from shinglesync.cli import main
 
@@ -120,8 +122,7 @@ class TestReconcile:
 
         def serve():
             results["serve"] = main(
-                ["reconcile", "serve", addr, "--input", f"@{tmp_path}/a.txt",
-                 "--l", "2", "--mode", "fixed:16", "--output", str(out_b)]
+                ["reconcile", "serve", addr, "--input", f"@{tmp_path}/a.txt", "--output", str(out_b)]
             )
 
         thread = threading.Thread(target=serve)
@@ -138,3 +139,24 @@ class TestReconcile:
         assert code == 0 and results["serve"] == 0
         assert out_a.read_bytes() == b"katana"
         assert out_b.read_bytes() == b"katna"
+
+    @pytest.mark.parametrize(
+        "option", [["--l", "5"], ["--mode", "fixed:16"], ["--k", "4"], ["--seed", "3"]]
+    )
+    def test_serve_rejects_session_parameters(self, capsys, option):
+        # the responder adopts the initiator's hello, so these would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["reconcile", "serve", "127.0.0.1:0", "--input", "katana", *option])
+        assert exc.value.code == 2
+        assert option[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--seed", "-1"], ["--seed", str(2**64)], ["--k", str(2**16)], ["--l", str(2**32)],
+         ["--mode", f"fixed:{2**32}"], ["--mode", "fixed:-1"]],
+    )
+    def test_connect_rejects_parameters_the_hello_cannot_carry(self, capsys, option):
+        # refused before any connection is attempted: port 1 is never dialled
+        code = main(["reconcile", "connect", "127.0.0.1:1", "--input", "katana", *option])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")

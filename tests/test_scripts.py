@@ -1,0 +1,40 @@
+"""Smoke runs of the scripts under `scripts/`, at tiny sizes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import shinglesync
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(shinglesync.__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_recon_demo_fixed_session():
+    # 72 bundled values against 267 instances: the step-2 kernel's route
+    lines = run_script("recon_demo.py", "--n", "256", "--alphas", "1", "--mode", "fixed", "--m-hat", "64")
+    assert lines[0] == "# alpha=1"
+    for line in ("role=initiator", "outcome=ok", "mode=fixed", "n_local=256", "step2_pairs=72"):
+        assert line in lines
+
+
+def test_merge_stats_sweep():
+    lines = run_script("merge_stats.py", "--n", "256", "--trials", "2")
+    assert lines[0].startswith("sizing rules: n=256 p=0.6 -> Lambert-W l=")
+    assert lines[1].split() == ["l", "zero-merge", "median", "merges", "max", "merges"]
+    rows = [line.split() for line in lines[2:]]
+    assert rows and all(len(row) == 4 for row in rows)
+    assert all(0.0 <= float(row[1]) <= 1.0 for row in rows)

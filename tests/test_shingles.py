@@ -147,3 +147,14 @@ def test_multiset_difference_and_union():
 def test_instances_are_canonical():
     ms = ShingleMultiset({"ab": 2, "$a": 1})
     assert ms.instances() == [("$a", 1), ("ab", 1), ("ab", 2)]
+
+
+def test_canonical_order_is_utf8_byte_order_on_multibyte_symbols():
+    # 1- to 4-byte UTF-8 symbols, where code-point and byte order could part
+    symbols = ["a", "z", "\x7f", "\x80", "é", "ÿ", "\u07ff", "\u0800", "€", "\uffff", "\U00010000", "𝄞"]
+    words = [x + y for x in symbols for y in symbols]
+    ms = ShingleMultiset({w: 1 + i % 3 for i, w in enumerate(words)})
+    by_bytes = sorted(words, key=lambda w: w.encode("utf-8"))
+    assert sorted(words) == by_bytes
+    assert [s for s, occ in ms.instances() if occ == 1] == by_bytes
+    assert [line.split("\t")[1] for line in ms.to_text().splitlines()] == by_bytes

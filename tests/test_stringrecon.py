@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 import threading
@@ -30,6 +31,7 @@ from shinglesync import (
 from shinglesync import field, setrecon, stringrecon, transport
 from shinglesync.errors import (
     BoundExceededError,
+    InvalidParameterError,
     InvariantError,
     ProtocolError,
     SessionAbortError,
@@ -293,6 +295,24 @@ class TestWireCodecs:
         assert [f.name for f in dataclasses.fields(ReconConfig)] == ["l", "mode", "m_hat", "k", "seed"]
         assert ReconConfig(l=2).delimiter == DEFAULT_DELIMITER
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("l", 2), ("l", 2**32 - 1), ("m_hat", 0), ("m_hat", 2**32 - 1),
+         ("k", 1), ("k", 2**16 - 1), ("seed", 0), ("seed", 2**64 - 1)],
+    )
+    def test_config_bounds_fit_the_hello(self, name, value):
+        config = ReconConfig(**{"l": 7, name: value})
+        assert decode_hello(encode_hello(config, 5, "ab"))[0] == config
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("l", 1), ("l", 2**32), ("m_hat", -1), ("m_hat", 2**32),
+         ("k", 0), ("k", 2**16), ("seed", -1), ("seed", 2**64)],
+    )
+    def test_config_rejects_what_the_hello_cannot_carry(self, name, value):
+        with pytest.raises(InvalidParameterError):
+            ReconConfig(**{"l": 7, name: value})
+
     def test_hello_symbols_must_be_utf8(self):
         payload = encode_hello(ReconConfig(l=7, seed=1), 2, "ab")
         bad = payload[:-2] + b"\xff\xfe"
@@ -431,9 +451,9 @@ class TestSessions:
         fed = []
         real_feed = RatelessDecoder.feed
 
-        def spy(decoder, point, value):
+        def spy(decoder, point, value, local=None):
             fed.append(point)
-            return real_feed(decoder, point, value)
+            return real_feed(decoder, point, value, local)
 
         monkeypatch.setattr(RatelessDecoder, "feed", spy)
         wa = "".join(rng.choice("01") for _ in range(96))
@@ -640,6 +660,70 @@ def step2_exchange(ms_a, ms_b, buckets, config, codec):
         ]
         deltas = [fut.result(timeout=60) for fut in futures]
     return deltas, reports
+
+
+class TestStep2Kernel:
+    """The packed kernel (`field.char_values_p61`) in whole sessions."""
+
+    @pytest.fixture
+    def kernel_threads(self, monkeypatch):
+        threads = []
+        real = setrecon.char_values_p61
+
+        def spy(elements, points):
+            threads.append(threading.current_thread().name)
+            return real(elements, points)
+
+        monkeypatch.setattr(setrecon, "char_values_p61", spy)
+        return threads
+
+    @staticmethod
+    def pair(seed, n, alpha):
+        rng = random.Random(seed)
+        word = "".join(rng.choice("01") for _ in range(n))
+        return word, random_edits(word, alpha, rng, "01")
+
+    def test_fixed_session_evaluates_once_per_party_with_the_kernel(self, kernel_threads):
+        wa, wb = self.pair(3, 400, 2)
+        # m_hat covers the worst-case difference 2 * alpha * (l + 1) = 52
+        config = ReconConfig(l=12, mode=MODE_FIXED, m_hat=64, k=8, seed=5)
+        assert config.m_hat + config.k >= setrecon.KERNEL_MIN_POINTS
+        assert len(wa) + config.l - 1 >= setrecon.KERNEL_MIN_ELEMENTS
+        (ra, _), (rb, _) = run_session(wa, wb, config)
+        assert ra == wb and rb == wa
+        # the initiator's bundle and the responder's side of it
+        assert len(kernel_threads) == len(set(kernel_threads)) == 2
+
+    def test_small_rateless_session_never_enters_the_kernel(self, kernel_threads):
+        wa, wb = self.pair(4, 400, 2)
+        (ra, _), (rb, _) = run_session(wa, wb, ReconConfig(l=12, mode=MODE_RATELESS, seed=5))
+        assert ra == wb and rb == wa
+        assert kernel_threads == []
+
+    def test_fixed_bundle_payload_is_golden(self):
+        # taken before the kernel existed: the bundle's values are unchanged
+        rng = random.Random(11)
+        wa = "".join(rng.choice("01") for _ in range(600))
+        wb = random_edits(wa, 3, rng, "01")
+        config = ReconConfig(l=12, mode=MODE_FIXED, m_hat=64, k=8, seed=7)
+        a, b = channel_pair()
+        sent = []
+        send = a.send
+
+        def record(frame):
+            sent.append(frame)
+            send(frame)
+
+        a.send = record
+        with ThreadPoolExecutor(2) as pool:
+            fut_a = pool.submit(run_protocol, wa, a, "initiator", config)
+            fut_b = pool.submit(run_protocol, wb, b, "responder", config)
+            assert fut_a.result(timeout=60)[0] == wb and fut_b.result(timeout=60)[0] == wa
+        (payload,) = [f.payload for f in sent if f.kind == FrameKind.EVAL_BUNDLE]
+        assert len(payload) == 8 + 8 * (config.m_hat + config.k)
+        assert hashlib.sha256(payload).hexdigest() == (
+            "822dfc92a983410e4c3934b2a068815ab8041233c8999eba87b56b47efc79e30"
+        )
 
 
 class TestPartitionedStep2:
@@ -904,9 +988,9 @@ class TestHostileStep2:
         budgets = []
         real_feed = RatelessDecoder.feed
 
-        def spy(decoder, point, value):
+        def spy(decoder, point, value, local=None):
             budgets.append(decoder.budget)
-            return real_feed(decoder, point, value)
+            return real_feed(decoder, point, value, local)
 
         monkeypatch.setattr(RatelessDecoder, "feed", spy)
         config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=100_000, k=8, seed=3)

@@ -10,6 +10,7 @@ delimiter runs.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .alphabet import DEFAULT_DELIMITER, validate_word
@@ -52,7 +53,7 @@ class ShingleMultiset:
     0 when the multiset is heterogeneous or of unknown origin.
     """
 
-    __slots__ = ("entries", "base_len")
+    __slots__ = ("entries", "base_len", "_order")
 
     def __init__(self, entries: Iterable[str] | dict[str, int] | Counter | None = None, base_len: int = 0):
         if entries is None:
@@ -66,6 +67,7 @@ class ShingleMultiset:
                 raise InvalidParameterError(f"multiplicity for {s!r} must be >= 1")
         self.entries = counter
         self.base_len = base_len
+        self._order: list[str] | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShingleMultiset):
@@ -98,18 +100,29 @@ class ShingleMultiset:
     def min_len(self) -> int:
         return min((len(s) for s in self.entries), default=0)
 
+    def _canonical_order(self) -> list[str]:
+        """The distinct shingles by code point, which is the order of their
+        UTF-8 bytes; sorted once and kept, as a multiset is not changed once built."""
+        if self._order is None:
+            self._order = sorted(self.entries)
+        return self._order
+
+    def offsets(self) -> dict[str, int]:
+        """The canonical index of each shingle's first instance: the number of
+        instances of the shingles before it in canonical order."""
+        order = self._canonical_order()
+        return dict(zip(order, accumulate((self.entries[s] for s in order), initial=0)))
+
     def instances(self) -> list[tuple[str, int]]:
-        """Canonical instance list: (shingle, occurrence) sorted by shingle,
-        in code-point order, which is the order of the shingles' UTF-8 bytes.
+        """Canonical instance list: (shingle, occurrence) in canonical order,
+        so instance (s, occ) sits at index offsets()[s] + occ - 1.
 
         Occurrences run 1..multiplicity, which turns the multiset into a set.
         Both reconciliation endpoints compute the same list from the same
         multiset, so instance indices agree without any shared ordering state.
         """
-        out: list[tuple[str, int]] = []
-        for s in sorted(self.entries):
-            out.extend((s, occ) for occ in range(1, self.entries[s] + 1))
-        return out
+        entries = self.entries
+        return [(s, occ) for s in self._canonical_order() for occ in range(1, entries[s] + 1)]
 
     def union(self, other: "ShingleMultiset") -> "ShingleMultiset":
         return ShingleMultiset(self.entries + other.entries, base_len=self.base_len or other.base_len)

@@ -13,6 +13,7 @@ difference; everything else is constant-size framing.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import struct
 from collections import Counter
@@ -29,7 +30,7 @@ from .errors import (
     ProtocolError,
     SessionAbortError,
 )
-from .field import FieldSpec, PointStream
+from .field import P61, FieldSpec, PointStream
 # reconcile_fixed is unused here but stays importable from this module:
 # perfbench/tracing.py rebinds it on it
 from .setrecon import (  # noqa: F401
@@ -44,11 +45,14 @@ from .setrecon import (  # noqa: F401
 from .shingles import ShingleMultiset, fold, shingle_sequence
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 # the one field every session runs over: P61 with points drawn from its top
 # 2**40 residues; neither party announces it, so it never crosses the wire
 FIELD = FieldSpec.default61()
+# every residue on the wire (evaluation value, coefficient, instance) takes
+# the bit length of P61
+VALUE_BITS = P61.bit_length()
 
 MAX_REQUEST = 0xFFFF  # a DELTA_REQ count is a u16: the most pairs one bucket asks for per round
 
@@ -174,19 +178,16 @@ def merge_until_ud(
     return ms, seams
 
 
-def seams_to_records(ordered: list[str], seams: list[tuple[int, int]]) -> list[MergeRecord]:
+def seams_to_records(
+    ordered: list[str], seams: list[tuple[int, int]], offsets: dict[str, int]
+) -> list[MergeRecord]:
     """Convert position seams to canonical instance-index records.
 
-    The canonical index of the occ-th occurrence of shingle s is the number of
-    instances sorted before s (by code point, which is UTF-8 byte order) plus
-    occ - 1, the position of (s, occ) in `ShingleMultiset.instances()`.
+    `offsets` is `ShingleMultiset.offsets()` of the multiset of `ordered`:
+    the canonical index of the occ-th occurrence of shingle s is
+    offsets[s] + occ - 1, the position of (s, occ) in `instances()`.
     """
-    counts = Counter(ordered)
-    next_index: dict[str, int] = {}
-    running = 0
-    for s in sorted(counts):
-        next_index[s] = running
-        running += counts[s]
+    next_index = dict(offsets)
     # stream order meets the occurrences of each shingle in order 1, 2, ...
     index = []
     for s in ordered:
@@ -246,7 +247,7 @@ def apply_merge_records(
 # wire payload codecs
 
 
-def _pack_indices(values: list[int], bits: int) -> bytes:
+def _pack_block(values: list[int], bits: int) -> bytes:
     """Big-endian bit packing of `bits`-wide values, zero-padded to a byte.
 
     `acc` is cut back to its `nbits` unemitted bits after each value, so every
@@ -267,23 +268,37 @@ def _pack_indices(values: list[int], bits: int) -> bytes:
     return bytes(out)
 
 
-def _unpack_indices(data: bytes, bits: int, count: int) -> list[int]:
-    """Inverse of `_pack_indices`: the first `count` values of the block."""
+def _unpack_block(data: bytes, bits: int, count: int, what: str) -> list[int]:
+    """Inverse of `_pack_block`: `count` values that fill `data` exactly.
+
+    The length is checked before anything is read, so a count the peer chose
+    cannot drive the loop; the padding bits must be zero.
+    """
+    if len(data) != (count * bits + 7) // 8:
+        raise ProtocolError(f"{what} block holds {len(data)} bytes, not {count} values of {bits} bits")
     acc = 0
     nbits = 0
     out = []
     it = iter(data)
     for _ in range(count):
         while nbits < bits:
-            try:
-                acc = (acc << 8) | next(it)
-            except StopIteration:
-                raise ProtocolError("truncated merge index block") from None
+            acc = (acc << 8) | next(it)
             nbits += 8
         nbits -= bits
         out.append(acc >> nbits)
         acc &= (1 << nbits) - 1
+    if acc:
+        raise ProtocolError(f"{what} block has nonzero padding bits")
     return out
+
+
+def _unpack_residues(data: bytes, count: int, what: str) -> list[int]:
+    """`count` residues mod P61, packed `VALUE_BITS` wide; any entry of P61 or
+    more is no residue."""
+    values = _unpack_block(data, VALUE_BITS, count, what)
+    if values and max(values) >= P61:
+        raise ProtocolError(f"{what} block holds a value of P61 or more")
+    return values
 
 
 # the session parameters in a hello: l, mode (0 fixed, 1 rateless), m_hat, k, seed
@@ -326,107 +341,82 @@ def decode_hello(payload: bytes) -> tuple[ReconConfig, int, str]:
     return config, word_len, sym
 
 
-def _pack_values(values: list[int]) -> bytes:
-    """One value block: `count:u32be` then `count` 8-byte big-endian values."""
-    return struct.pack(f">I{len(values)}Q", len(values), *values)
-
-
-def _unpack_values(payload: bytes, blocks: int, what: str, offset: int = 0) -> list[list[int]]:
-    """`blocks` consecutive value blocks from `offset`, which must fill the payload exactly."""
-    out = []
-    for _ in range(blocks):
-        if len(payload) < offset + 4:
-            raise ProtocolError(f"short {what} frame")
-        (count,) = struct.unpack_from(">I", payload, offset)
-        offset += 4
-        if len(payload) < offset + 8 * count:
-            raise ProtocolError(f"{what} frame length mismatch")
-        out.append(list(struct.unpack_from(f">{count}Q", payload, offset)))
-        offset += 8 * count
-    if offset != len(payload):
-        raise ProtocolError(f"{what} frame length mismatch")
-    return out
-
-
 def encode_bundle(bundle: EvalBundle, *, bucket_sizes: list[int]) -> bytes:
     """One `u32be` instance count per bucket, whose sum is the bundle's set
-    size, then the values; the peer derives the points from the seed.
+    size, then the values; the peer derives the points from the seed and
+    their number from the hello.
 
     `bucket_sizes` is keyword-only: perfbench/tracing.py counts the bundle's
     pairs from the one positional argument.
     """
-    return struct.pack(f">{len(bucket_sizes)}I", *bucket_sizes) + _pack_values(list(bundle.values))
+    return _pack_block(bucket_sizes, 32) + _pack_block(list(bundle.values), VALUE_BITS)
 
 
-def decode_bundle(payload: bytes, buckets: int) -> tuple[list[int], list[int]]:
-    """(bucket sizes, values) of a bundle frame."""
-    if len(payload) < 4 * buckets:
-        raise ProtocolError("short bundle frame")
-    sizes = list(struct.unpack_from(f">{buckets}I", payload))
-    return sizes, _unpack_values(payload, 1, "bundle", offset=4 * buckets)[0]
+def decode_bundle(payload: bytes, buckets: int, count: int) -> tuple[list[int], list[int]]:
+    """(bucket sizes, values) of a bundle frame holding `count` values."""
+    head = 4 * buckets
+    return _unpack_block(payload[:head], 32, buckets, "bundle"), _unpack_residues(payload[head:], count, "bundle")
 
 
 def encode_request(counts: list[int]) -> bytes:
     """One `count:u16be` per bucket: the values it asks for this round, 0 once it is done."""
-    return struct.pack(f">{len(counts)}H", *counts)
+    return _pack_block(counts, 16)
 
 
 def decode_request(payload: bytes, buckets: int) -> list[int]:
-    if len(payload) != 2 * buckets:
-        raise ProtocolError("pair request frame length mismatch")
-    return list(struct.unpack(f">{buckets}H", payload))
+    return _unpack_block(payload, 16, buckets, "pair request")
 
 
 def encode_pairs(pairs: list[tuple[int, int]]) -> bytes:
-    """The values of (point, value) pairs; the peer derives the points from the seed."""
-    return _pack_values([value for _point, value in pairs])
+    """The values of (point, value) pairs; the peer derives the points from
+    the seed and their number from its own request."""
+    return _pack_block([value for _point, value in pairs], VALUE_BITS)
 
 
-def decode_pairs(payload: bytes) -> list[int]:
-    return _unpack_values(payload, 1, "pair")[0]
+def decode_pairs(payload: bytes, count: int) -> list[int]:
+    return _unpack_residues(payload, count, "pair")
 
 
 def encode_handoff(sender_only: list[int], polys: list[list[int]]) -> bytes:
-    """The responder's DELTA: its own difference instances, the roots its
-    decoders found, then per bucket the monic polynomial (little-endian
-    coefficients, the leading 1 left out) whose roots are the initiator's
-    instances in that bucket."""
-    return _pack_values(sender_only) + b"".join(_pack_values(poly[:-1]) for poly in polys)
+    """The responder's DELTA: `1 + B` counts as `u32be`, then one block with
+    its own difference instances (the roots its decoders found) and, per
+    bucket, the little-endian coefficients of the monic polynomial whose
+    roots are the initiator's instances in that bucket, the leading 1 left
+    out."""
+    blocks = [sender_only] + [poly[:-1] for poly in polys]
+    values = [value for block in blocks for value in block]
+    return _pack_block([len(block) for block in blocks], 32) + _pack_block(values, VALUE_BITS)
 
 
 def decode_handoff(payload: bytes, buckets: int) -> tuple[list[int], list[list[int]]]:
-    sender_only, *coefficients = _unpack_values(payload, 1 + buckets, "delta")
+    head = 4 * (1 + buckets)
+    counts = _unpack_block(payload[:head], 32, 1 + buckets, "delta")
+    values = iter(_unpack_residues(payload[head:], sum(counts), "delta"))
+    sender_only, *coefficients = [list(itertools.islice(values, count)) for count in counts]
     return sender_only, [block + [1] for block in coefficients]
 
 
 def encode_roots(roots: list[int]) -> bytes:
-    """The initiator's DELTA: the hand-off polynomials' roots among its instances."""
-    return _pack_values(roots)
+    """The initiator's DELTA: the hand-off polynomials' roots among its
+    instances, as many as their degrees sum to."""
+    return _pack_block(roots, VALUE_BITS)
 
 
-def decode_roots(payload: bytes) -> list[int]:
-    return _unpack_values(payload, 1, "delta")[0]
+def decode_roots(payload: bytes, count: int) -> list[int]:
+    return _unpack_residues(payload, count, "delta")
 
 
 def encode_merges(records: list[MergeRecord], index_bits: int) -> bytes:
     """`count:u32be`, then the records' indices packed `index_bits` wide; the
     peer derives the width from the sender's instance count."""
-    flat: list[int] = []
-    for rec in records:
-        flat.append(rec.atom_index)
-        flat.append(rec.anchor_index)
-    return struct.pack(">I", len(records)) + _pack_indices(flat, index_bits)
+    flat = [index for rec in records for index in (rec.atom_index, rec.anchor_index)]
+    return _pack_block([len(records)], 32) + _pack_block(flat, index_bits)
 
 
 def decode_merges(payload: bytes, index_bits: int) -> list[MergeRecord]:
-    if len(payload) < 4:
-        raise ProtocolError("short merges frame")
-    (count,) = struct.unpack_from(">I", payload)
-    # checked before unpacking, so a peer-chosen count cannot drive the loop
-    if len(payload) != 4 + (2 * count * index_bits + 7) // 8:
-        raise ProtocolError("merges frame length mismatch")
-    flat = _unpack_indices(payload[4:], index_bits, 2 * count)
-    return [MergeRecord(atom_index=flat[2 * i], anchor_index=flat[2 * i + 1]) for i in range(count)]
+    (count,) = _unpack_block(payload[:4], 32, 1, "merges")
+    flat = iter(_unpack_block(payload[4:], index_bits, 2 * count, "merges"))
+    return [MergeRecord(atom_index=atom, anchor_index=anchor) for atom, anchor in zip(flat, flat)]
 
 
 def _index_bits(n_instances: int) -> int:
@@ -551,7 +541,7 @@ def _run(
 
     # steps 3-4: merge to unique decodability (local work only)
     merged_ms, seams = merge_until_ud(ordered, config.l, config.delimiter)
-    records = seams_to_records(ordered, seams)
+    records = seams_to_records(ordered, seams, local_ms.offsets())
     report.merges_local = len(records)
     # each record glues two instances into one; checked before it is shipped
     if merged_ms.total() != local_ms.total() - len(records):
@@ -692,14 +682,12 @@ def _reconcile_step(
         wire.send(FrameKind.DELTA, encode_roots(my_roots))
         return codec.decode_multiset(my_roots), only_remote
 
-    sizes, values = decode_bundle(wire.expect(FrameKind.EVAL_BUNDLE).payload, buckets)
+    sizes, values = decode_bundle(wire.expect(FrameKind.EVAL_BUNDLE).payload, buckets, first * buckets)
     if sum(sizes) != remote_instances:
         raise ProtocolError(
             f"bundle bucket sizes sum to {sum(sizes)}, not the {remote_instances} "
             "instances of the announced word"
         )
-    if len(values) != first * buckets:
-        raise ProtocolError(f"bundle holds {len(values)} values, expected {first * buckets}")
     report.step2_pairs = len(values)
     decoders = [
         RatelessDecoder.from_elements(part, codec, size, k=config.k)
@@ -723,9 +711,7 @@ def _reconcile_step(
         counts = [0 if d.result is not None else min(d.pairs_wanted(), MAX_REQUEST) for d in decoders]
         wire.send(FrameKind.DELTA_REQ, encode_request(counts))
         report.step2_rounds += 1
-        values = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload)
-        if len(values) != sum(counts):
-            raise ProtocolError(f"asked for {sum(counts)} pairs, got {len(values)}")
+        values = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload, sum(counts))
         report.step2_pairs += len(values)
     only_local = ShingleMultiset()
     for decoder in decoders:
@@ -733,9 +719,7 @@ def _reconcile_step(
     local_roots = [root for decoder in decoders for root in decoder.result.local_roots]
     polys = [list(decoder.result.remote_poly) for decoder in decoders]
     wire.send(FrameKind.DELTA, encode_handoff(local_roots, polys))
-    remote_elems = decode_roots(wire.expect(FrameKind.DELTA).payload)
-    if len(remote_elems) != sum(len(poly) - 1 for poly in polys):
-        raise ProtocolError("roots frame does not hold one root per hand-off degree")
+    remote_elems = decode_roots(wire.expect(FrameKind.DELTA).payload, sum(len(poly) - 1 for poly in polys))
     return only_local, _decode_instances(codec, remote_elems)
 
 

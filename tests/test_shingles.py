@@ -145,8 +145,10 @@ def test_multiset_difference_and_union():
 
 
 def test_instances_are_canonical():
-    ms = ShingleMultiset({"ab": 2, "$a": 1})
-    assert ms.instances() == [("$a", 1), ("ab", 1), ("ab", 2)]
+    ms = ShingleMultiset({"ab": 2, "$a": 1, "b$": 3})
+    assert ms.instances() == [("$a", 1), ("ab", 1), ("ab", 2), ("b$", 1), ("b$", 2), ("b$", 3)]
+    assert ms.offsets() == {"$a": 0, "ab": 1, "b$": 3}
+    assert all(ms.instances()[ms.offsets()[s] + occ - 1] == (s, occ) for s, occ in ms.instances())
 
 
 def test_canonical_order_is_utf8_byte_order_on_multibyte_symbols():

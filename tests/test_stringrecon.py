@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import struct
 import threading
 import time
 from collections import Counter
@@ -37,15 +38,17 @@ from shinglesync.errors import (
     SessionAbortError,
     TransportClosedError,
 )
+from shinglesync.field import P61
 from shinglesync.setrecon import EvalBundle, RatelessDecoder, ShingleCodec, partition
 from shinglesync.stringrecon import (
     _CONFIG,
     FIELD,
+    VALUE_BITS,
     SessionReport,
     _MeteredEndpoint,
-    _pack_indices,
+    _pack_block,
     _reconcile_step,
-    _unpack_indices,
+    _unpack_block,
     decode_bundle,
     decode_handoff,
     decode_hello,
@@ -142,8 +145,8 @@ class TestMergeBookkeeping:
     def test_records_rebuild_remote_merge(self, w, l):
         ordered = shingle_sequence(w, l)
         merged, seams = merge_until_ud(ordered, l)
-        records = seams_to_records(ordered, seams)
         initial = ShingleMultiset(Counter(ordered), base_len=l)
+        records = seams_to_records(ordered, seams, initial.offsets())
         assert apply_merge_records(initial, records, l) == merged
 
     def test_bad_records_rejected(self):
@@ -173,7 +176,7 @@ class TestMergeBookkeeping:
             MergeRecord(atom_index=index_of[pos_inst[i + 1]], anchor_index=index_of[pos_inst[i]])
             for i in range(len(ordered) - 1)
         ]
-        assert seams_to_records(ordered, [(i, i + 1) for i in range(len(ordered) - 1)]) == records
+        assert seams_to_records(ordered, [(i, i + 1) for i in range(len(ordered) - 1)], ms.offsets()) == records
         rebuilt = apply_merge_records(ms, records, 2)
         assert rebuilt == ShingleMultiset({"$abc$": 1})
 
@@ -186,9 +189,14 @@ GOLDEN_MERGES_3 = bytes.fromhex("00000003af8c40")
 
 @st.composite
 def width_and_values(draw):
-    bits = draw(st.integers(min_value=1, max_value=32))
+    bits = draw(st.integers(min_value=1, max_value=VALUE_BITS))
     values = draw(st.lists(st.integers(min_value=0, max_value=2**bits - 1), max_size=3000))
     return bits, values
+
+
+def value_block_bytes(count):
+    """Bytes of a block of `count` values at the value width."""
+    return (VALUE_BITS * count + 7) // 8
 
 
 class TestWireCodecs:
@@ -196,22 +204,39 @@ class TestWireCodecs:
     @given(width_and_values())
     def test_index_packing_round_trip(self, case):
         bits, values = case
-        packed = _pack_indices(values, bits)
-        assert _unpack_indices(packed, bits, len(values)) == values
+        packed = _pack_block(values, bits)
+        assert _unpack_block(packed, bits, len(values), "test") == values
         assert len(packed) == (bits * len(values) + 7) // 8
 
     def test_index_packing_golden_bytes(self):
-        assert _pack_indices(GOLDEN_VALUES, 13) == GOLDEN_PACKED_13
-        assert _unpack_indices(GOLDEN_PACKED_13, 13, len(GOLDEN_VALUES)) == GOLDEN_VALUES
-        assert _pack_indices([1, 0, 1, 1, 0, 1, 1], 1) == bytes([0xB6])
-        assert _pack_indices([2**32 - 1, 0, 12345678, 2**31], 32) == bytes.fromhex("ffffffff0000000000bc614e80000000")
+        assert _pack_block(GOLDEN_VALUES, 13) == GOLDEN_PACKED_13
+        assert _unpack_block(GOLDEN_PACKED_13, 13, len(GOLDEN_VALUES), "test") == GOLDEN_VALUES
+        assert _pack_block([1, 0, 1, 1, 0, 1, 1], 1) == bytes([0xB6])
+        assert _pack_block([2**32 - 1, 0, 12345678, 2**31], 32) == bytes.fromhex("ffffffff0000000000bc614e80000000")
         records = [MergeRecord(5, 3), MergeRecord(7, 0), MergeRecord(6, 1)]
         assert encode_merges(records, 3) == GOLDEN_MERGES_3
         assert decode_merges(GOLDEN_MERGES_3, 3) == records
 
+    def test_value_blocks_are_62_bits_wide(self):
+        # one big-endian integer of count * 62 bits, zero-padded to a byte
+        assert VALUE_BITS == 62
+        values = [1, P61 - 1, 0, 2**61 + 3]
+        as_int = 0
+        for v in values:
+            as_int = (as_int << 62) | v
+        nbytes = value_block_bytes(len(values))
+        assert _pack_block(values, VALUE_BITS) == (as_int << (8 * nbytes - 62 * len(values))).to_bytes(nbytes, "big")
+
     def test_truncated_index_block_rejected(self):
+        for bad in (GOLDEN_PACKED_13[:-1], GOLDEN_PACKED_13 + b"\x00"):
+            with pytest.raises(ProtocolError):
+                _unpack_block(bad, 13, len(GOLDEN_VALUES), "test")
+
+    def test_block_padding_must_be_zero(self):
+        # 20 values of 13 bits leave 4 padding bits in the last byte
+        bad = GOLDEN_PACKED_13[:-1] + bytes([GOLDEN_PACKED_13[-1] | 1])
         with pytest.raises(ProtocolError):
-            _unpack_indices(GOLDEN_PACKED_13[:-1], 13, len(GOLDEN_VALUES))
+            _unpack_block(bad, 13, len(GOLDEN_VALUES), "test")
 
     @given(
         st.lists(
@@ -233,28 +258,43 @@ class TestWireCodecs:
             decode_merges(payload, 3)
 
     def test_pair_frame_round_trip_and_exact_length(self):
-        # values only, 8 bytes each: the peer derives the points
-        payload = encode_pairs([(1, 2), (3, 2**64 - 1)])
-        assert len(payload) == 4 + 8 * 2
-        assert decode_pairs(payload) == [2, 2**64 - 1]
-        assert decode_pairs(encode_pairs([])) == []
-        for bad in (payload[:3], payload[:-1], payload + b"\x00"):
+        # values only, 62 bits each: the peer derives the points and the count
+        payload = encode_pairs([(1, 2), (3, P61 - 1)])
+        assert len(payload) == value_block_bytes(2) == 16
+        assert decode_pairs(payload, 2) == [2, P61 - 1]
+        assert encode_pairs([]) == b"" and decode_pairs(b"", 0) == []
+        for bad, count in ((payload[:-1], 2), (payload + b"\x00", 2), (payload, 1), (payload, 3)):
             with pytest.raises(ProtocolError):
-                decode_pairs(bad)
+                decode_pairs(bad, count)
+
+    def test_value_blocks_hold_residues_only(self):
+        for value in (P61, 2**VALUE_BITS - 1):
+            block = _pack_block([7, value], VALUE_BITS)
+            for decode in (
+                lambda: decode_pairs(block, 2),
+                lambda: decode_roots(block, 2),
+                lambda: decode_bundle(struct.pack(">I", 5) + block, 1, 2),
+                lambda: decode_handoff(struct.pack(">II", 1, 1) + block, 1),
+            ):
+                with pytest.raises(ProtocolError):
+                    decode()
 
     def test_bundle_frame_round_trip_and_exact_length(self):
-        # one u32 size per bucket, then a value block
-        payload = encode_bundle(EvalBundle((7, 9), (1, 2**64 - 1), 5), bucket_sizes=[5])
-        assert len(payload) == 4 + 4 + 8 * 2
-        assert decode_bundle(payload, 1) == ([5], [1, 2**64 - 1])
+        # one u32 size per bucket, then the values, as many as the hello implies
+        payload = encode_bundle(EvalBundle((7, 9), (1, P61 - 1), 5), bucket_sizes=[5])
+        assert len(payload) == 4 + value_block_bytes(2)
+        assert decode_bundle(payload, 1, 2) == ([5], [1, P61 - 1])
         empty = encode_bundle(EvalBundle((), (), 3), bucket_sizes=[1, 0, 2, 0])
-        assert len(empty) == 4 * 4 + 4
-        assert decode_bundle(empty, 4) == ([1, 0, 2, 0], [])
+        assert len(empty) == 4 * 4
+        assert decode_bundle(empty, 4, 0) == ([1, 0, 2, 0], [])
         for bad in (payload[:3], payload[:7], payload[:-1], payload + b"\x00"):
             with pytest.raises(ProtocolError):
-                decode_bundle(bad, 1)
+                decode_bundle(bad, 1, 2)
+        for count in (1, 3):
+            with pytest.raises(ProtocolError):
+                decode_bundle(payload, 1, count)
         with pytest.raises(ProtocolError):
-            decode_bundle(empty, 2)
+            decode_bundle(empty, 2, 0)
 
     def test_request_frame_round_trip_and_exact_length(self):
         payload = encode_request([3, 0, 2**16 - 1])
@@ -265,26 +305,28 @@ class TestWireCodecs:
                 decode_request(bad, buckets)
 
     def test_handoff_and_roots_frames_round_trip_and_exact_length(self):
-        # the instances, then per bucket a monic polynomial without its leading 1
+        # 1 + B u32 counts, then the instances and per bucket a monic
+        # polynomial without its leading 1, in one block
         payload = encode_handoff([4, 5], [[6, 1]])
-        assert len(payload) == 4 + 8 * 2 + 4 + 8
+        assert payload[:8] == struct.pack(">II", 2, 1)
+        assert len(payload) == 4 * 2 + value_block_bytes(3)
         assert decode_handoff(payload, 1) == ([4, 5], [[6, 1]])
         assert decode_handoff(encode_handoff([], [[1]]), 1) == ([], [[1]])
         two = encode_handoff([4], [[1], [8, 9, 1]])
-        assert len(two) == 4 + 8 + 4 + 4 + 8 * 2
+        assert len(two) == 4 * 3 + value_block_bytes(3)
         assert decode_handoff(two, 2) == ([4], [[1], [8, 9, 1]])
-        for bad in (payload[:3], payload[:12], payload[:23], payload[:-1], payload + b"\x00"):
+        for bad in (payload[:3], payload[:7], payload[:15], payload[:-1], payload + b"\x00"):
             with pytest.raises(ProtocolError):
                 decode_handoff(bad, 1)
         with pytest.raises(ProtocolError):
             decode_handoff(payload, 2)
-        roots = encode_roots([7, 2**64 - 1])
-        assert len(roots) == 4 + 8 * 2
-        assert decode_roots(roots) == [7, 2**64 - 1]
-        assert decode_roots(encode_roots([])) == []
-        for bad in (roots[:3], roots[:-1], roots + b"\x00"):
+        roots = encode_roots([7, P61 - 1])
+        assert len(roots) == value_block_bytes(2)
+        assert decode_roots(roots, 2) == [7, P61 - 1]
+        assert decode_roots(encode_roots([]), 0) == []
+        for bad, count in ((roots[:-1], 2), (roots + b"\x00", 2), (roots, 1), (roots, 3)):
             with pytest.raises(ProtocolError):
-                decode_roots(bad)
+                decode_roots(bad, count)
 
     def test_hello_round_trip(self):
         config = ReconConfig(l=7, mode=MODE_FIXED, m_hat=33, k=5, seed=12345)
@@ -544,17 +586,19 @@ class TestSessions:
             pairs, rounds = rep_a.step2_pairs, rep_a.step2_rounds
             assert sum(batches) == pairs == rep_b.step2_pairs
             assert len(batches) == rounds == rep_b.step2_rounds
+            def block(count):  # 62-bit values, zero-padded to a byte
+                return 8 * ((62 * count + 7) // 8)
+
             # initiator: bundle of bucket sizes and no values, one value frame
             # per request, its roots
             sent_a = (
-                (header + 32 * buckets + 32)
-                + rounds * (header + 32)
-                + 64 * pairs
-                + (header + 32 + 64 * only_a)
+                (header + 32 * buckets)
+                + sum(header + block(batch) for batch in batches)
+                + (header + block(only_a))
             )
-            # responder: the u16 count vectors, then its instances and one
-            # polynomial block per bucket, whose degrees sum to only_a
-            sent_b = rounds * (header + 16 * buckets) + header + 32 * (1 + buckets) + 64 * (only_b + only_a)
+            # responder: the u16 count vectors, then 1 + B u32 counts over one
+            # block of its instances and the polynomials, whose degrees sum to only_a
+            sent_b = rounds * (header + 16 * buckets) + header + 32 * (1 + buckets) + block(only_b + only_a)
             assert rep_a.step_bits("step2") == (sent_a, sent_b)
             assert rep_b.step_bits("step2") == (sent_b, sent_a)
 
@@ -701,7 +745,8 @@ class TestStep2Kernel:
         assert kernel_threads == []
 
     def test_fixed_bundle_payload_is_golden(self):
-        # taken before the kernel existed: the bundle's values are unchanged
+        # taken before the kernel existed, in the protocol-4 layout (u32 size,
+        # u32 count, 64-bit values): the bundle's values are unchanged
         rng = random.Random(11)
         wa = "".join(rng.choice("01") for _ in range(600))
         wb = random_edits(wa, 3, rng, "01")
@@ -720,8 +765,11 @@ class TestStep2Kernel:
             fut_b = pool.submit(run_protocol, wb, b, "responder", config)
             assert fut_a.result(timeout=60)[0] == wb and fut_b.result(timeout=60)[0] == wa
         (payload,) = [f.payload for f in sent if f.kind == FrameKind.EVAL_BUNDLE]
-        assert len(payload) == 8 + 8 * (config.m_hat + config.k)
-        assert hashlib.sha256(payload).hexdigest() == (
+        count = config.m_hat + config.k
+        assert len(payload) == 4 + value_block_bytes(count)
+        sizes, values = decode_bundle(payload, 1, count)
+        v4_payload = struct.pack(">I", *sizes) + struct.pack(f">I{count}Q", count, *values)
+        assert hashlib.sha256(v4_payload).hexdigest() == (
             "822dfc92a983410e4c3934b2a068815ab8041233c8999eba87b56b47efc79e30"
         )
 
@@ -797,14 +845,14 @@ class TestHostileStep2:
         def script(peer):
             peer.recv()
             peer.send(hello_for(config, theirs))
-            sizes, _ = decode_bundle(peer.recv().payload, buckets)
+            sizes, _ = decode_bundle(peer.recv().payload, buckets, 0)
             for request in requests:
                 payload = request(sizes) if callable(request) else request
                 peer.send(Frame(FrameKind.DELTA_REQ, payload))
                 frame = peer.recv()
                 if frame.kind != FrameKind.EVAL_PAIR:
                     return
-                assert len(decode_pairs(frame.payload)) == sum(decode_request(payload, buckets))
+                decode_pairs(frame.payload, sum(decode_request(payload, buckets)))
 
         return scripted_session(mine, "initiator", config, script)
 
@@ -933,6 +981,12 @@ class TestHostileStep2:
                 lambda count: [(z, 1) for z in points[: count + extra]],
             )
             assert isinstance(exc, ProtocolError)
+
+    @pytest.mark.parametrize("value", [P61, 2**62 - 1], ids=["P61", "2**62-1"])
+    def test_pair_values_must_be_residues(self, value):
+        # P61 is 0 mod P61 but is no residue: the frame is rejected, not fed
+        exc = self.responder_facing(self.CONFIG, EvalBundle((), (), 6), lambda count: [(0, value)] * count)
+        assert isinstance(exc, ProtocolError)
 
     def test_bundle_set_size_must_match_the_hello(self):
         assert isinstance(self.responder_facing(self.CONFIG, EvalBundle((), (), 7)), ProtocolError)

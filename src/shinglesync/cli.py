@@ -186,7 +186,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--output", help="write the recovered remote string here")
     # session parameters, for connect only: serve adopts the peer's
     p.add_argument("--l", type=int, help="shingle length (default: sized from input)")
-    p.add_argument("--mode", type=_parse_mode, help="rateless (default) or fixed:<m>")
+    p.add_argument(
+        "--mode",
+        type=_parse_mode,
+        help="rateless (default), or fixed:<m>: a first batch of values pre-sized "
+        "for about m differing instances, topped up on request",
+    )
     p.add_argument("--k", type=int, help="verification points (default 8)")
     p.add_argument("--seed", type=int, help="session seed (default 1)")
     p.set_defaults(func=cmd_reconcile)

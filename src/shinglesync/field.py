@@ -8,7 +8,6 @@ primes selectable for tests.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 
@@ -213,124 +212,6 @@ def poly_from_roots(roots: list[int], p: int) -> list[int]:
     out = [1]
     for r in roots:
         out = pmul(out, [(-r) % p, 1], p)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# batch evaluation of prod (z - e) over P61, on packed integers
-#
-# A polynomial is packed into one int, coefficient i in bits [144 i, 144 i + 144)
-# (Kronecker substitution: Harvey, J. Symbolic Comput. 2009), so one C-level int
-# multiply does a whole polynomial product.  Coefficients enter a product below
-# 2**62 + 16, so a slot holds a sum of up to 2**20 - 1 such products; `_Folder`
-# brings every slot back below that bound.
-
-_SLOT = 144
-_SLOT_BYTES = _SLOT // 8
-_LOW61 = (1 << 61) - 1
-_HIGH83 = (1 << 83) - 1
-_HIGH27 = (1 << 27) - 1
-# a multiple of P61 no smaller than 15 * _HIGH83, so the first fold's slots stay >= 0
-_FOLD_OFFSET = -(-15 * _HIGH83 // P61) * P61
-# the most points one kernel call takes: its widest sum is 2m products per slot
-KERNEL_MAX_POINTS = 1 << 18
-
-
-@functools.lru_cache(maxsize=1)
-def _slot_ones(slots: int) -> int:
-    """An int with a 1 at the bottom of each of `slots` slots."""
-    return int.from_bytes((b"\x01" + bytes(_SLOT_BYTES - 1)) * slots, "little")
-
-
-class _Folder:
-    """Reduces every slot of a packed polynomial below 2**62 + 16, keeping it
-    congruent mod P61, by using 2**61 = -15 (mod P61) twice.
-
-    The masks and offsets for each slot count are cut from one cached mask and
-    kept for the life of the folder, which is one kernel call.
-    """
-
-    def __init__(self, max_slots: int):
-        # a power of two, so calls of similar size share the cached mask
-        self._cap = 1 << max_slots.bit_length()
-        self._ones = _slot_ones(self._cap)
-        self._consts: dict[int, tuple[int, int, int, int, int]] = {}
-
-    def __call__(self, x: int, slots: int) -> int:
-        """`x` has `slots` slots, each below 2**144."""
-        consts = self._consts.get(slots)
-        if consts is None:
-            ones = self._ones >> (_SLOT * (self._cap - slots))
-            consts = self._consts[slots] = (
-                ones * _LOW61, ones * _HIGH83, ones * _FOLD_OFFSET, ones * _HIGH27, ones * P61
-            )
-        low, high1, offset1, high2, offset2 = consts
-        # slot = high * 2**61 + low = low - 15 * high (mod P61); the offsets keep
-        # every slot >= 0, so no borrow crosses a slot boundary
-        x = (x & low) + offset1 - 15 * ((x >> 61) & high1)
-        return (x & low) + offset2 - 15 * ((x >> 61) & high2)
-
-
-def _packed_product(roots: list[int], fold: _Folder) -> int:
-    """prod (Z - r) over residues `roots`, packed, by a product tree."""
-    nodes = [((P61 - r) | 1 << _SLOT, 1) for r in roots]  # (packed, degree)
-    while len(nodes) > 1:
-        paired = []
-        for (a, da), (b, db) in zip(nodes[::2], nodes[1::2]):
-            paired.append((fold(a * b, da + db + 1), da + db))
-        nodes = paired + nodes[-1:] if len(nodes) & 1 else paired
-    return nodes[0][0] if nodes else 1
-
-
-def char_values_p61(elements: list[int], points: list[int]) -> list[int]:
-    """prod (z - e) mod P61 over `elements`, at each point z.
-
-    Equal to the plain loop for at most KERNEL_MAX_POINTS points, none of them
-    0 mod P61.  With m points, each chunk of m elements is multiplied out by a
-    product tree of packed polynomials.  The chunk products are accumulated
-    modulo M = prod (Z - z) by polynomial Montgomery reduction: each step
-    multiplies by Z**-m, which is a right shift.  The accumulator, of degree
-    < m, is evaluated at each point by Horner's rule, and one `pow` per point
-    undoes the Z**-m factors.
-    """
-    m, p = len(points), P61
-    if m > KERNEL_MAX_POINTS:
-        raise InvalidParameterError(f"{m} points exceed the kernel's {KERNEL_MAX_POINTS}")
-    if not m:
-        return []
-    fold = _Folder(2 * m)
-    big_m = _packed_product([z % p for z in points], fold)
-    m0 = big_m & ((1 << _SLOT) - 1)
-    if m0 % p == 0:
-        raise InvalidPointError("an evaluation point is 0 mod P61")
-    # neg_inv = -1/M mod Z**m by Newton's iteration N <- N + N (1 + M N),
-    # which doubles the precision of N each round
-    neg_inv, k = -pow(m0, -1, p) % p, 1
-    while k < m:
-        k = min(2 * k, m)
-        low = (1 << _SLOT * k) - 1
-        err = fold(((big_m & low) * neg_inv) & low, k) + 1
-        neg_inv = fold((neg_inv * err + neg_inv) & low, k)
-    low = (1 << _SLOT * m) - 1
-    acc, steps = 1, 0
-    for i in range(0, len(elements), m):
-        x = acc * _packed_product([e % p for e in elements[i : i + m]], fold)
-        # q = -x/M mod Z**m clears the low m slots of x + q M mod P61, so
-        # dropping them divides by Z**m
-        q = fold((fold(x & low, m) * neg_inv) & low, m)
-        acc = fold(x + q * big_m, 2 * m) >> (_SLOT * m)
-        steps += 1
-    raw = acc.to_bytes(_SLOT_BYTES * m, "little")
-    coeffs = [  # highest degree first
-        int.from_bytes(raw[j : j + _SLOT_BYTES], "little")
-        for j in range(len(raw) - _SLOT_BYTES, -1, -_SLOT_BYTES)
-    ]
-    out = []
-    for z in points:
-        value = 0
-        for c in coeffs:
-            value = (value * z + c) % p
-        out.append(value * pow(z, m * steps, p) % p)
     return out
 
 

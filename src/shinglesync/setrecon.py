@@ -14,8 +14,7 @@ peer, who finds its roots among the peer's elements, and only the library's
 `Delta.only_remote` factors it.  `partition` splits encoded elements into
 seeded hash buckets, and the `from_elements` constructors build a source or
 decoder for one bucket, so a session can reconcile each bucket on its own.
-Sources and decoders evaluate a batch of points at a time, and a large batch
-over P61 goes to the packed kernel `field.char_values_p61` (`_char_values`).
+Sources and decoders evaluate a batch of points at a time (`_char_values`).
 """
 
 from __future__ import annotations
@@ -40,13 +39,10 @@ from .errors import (
 # NewtonInterpolator are unused here but stay importable from this module:
 # perfbench/tracing.py rebinds them on it
 from .field import (  # noqa: F401
-    KERNEL_MAX_POINTS,
-    P61,
     FieldSpec,
     NewtonInterpolator,
     PointStream,
     RationalInterpolator,
-    char_values_p61,
     find_roots,
     interpolate_rational,
     interpolate_rational_gauss,
@@ -59,13 +55,6 @@ from .shingles import ShingleMultiset
 
 DEFAULT_OCC_BITS = 16
 _MASK64 = (1 << 64) - 1
-# The smallest batch `char_values_p61` takes; below it the plain loop is about
-# as fast.  Measured on a 2-vCPU Xeon with CPython 3.11, loop time over kernel
-# time: below 1 at every batch size with 128 elements; 1.2-1.4 from 24 to 48
-# points with 257 elements; 1.5 at 32 points and about 4 at 264 points with
-# 4113 elements.
-KERNEL_MIN_POINTS = 32
-KERNEL_MIN_ELEMENTS = 256
 
 
 @dataclass(frozen=True)
@@ -240,21 +229,9 @@ def eval_bundle(elements: list[int], points: list[int], field: FieldSpec) -> Eva
 
 
 def _char_values(elements: list[int], points: list[int], p: int) -> list[int]:
-    """prod (z - e) mod p over `elements`, at each point z.
-
-    A batch over P61 of at least KERNEL_MIN_ELEMENTS elements and at least
-    KERNEL_MIN_POINTS points, but no more points than elements, goes to
-    `char_values_p61` in slices it can take.  Any other batch, and every other
-    prime, takes the plain loop: the kernel's Horner pass costs m**2 at m
-    points, more than the loop's n * m once m exceeds n.
-    """
-    n, m = len(elements), len(points)
-    if p == P61 and n >= KERNEL_MIN_ELEMENTS and KERNEL_MIN_POINTS <= m <= n:
-        return [
-            value
-            for i in range(0, m, KERNEL_MAX_POINTS)
-            for value in char_values_p61(elements, points[i : i + KERNEL_MAX_POINTS])
-        ]
+    """prod (z - e) mod p over `elements`, at each point z, one multiply per
+    element and point.  A session evaluates one bucket's elements at a time, so
+    a point costs each party about n/B multiplies at B buckets."""
     out = []
     for z in points:
         acc = 1

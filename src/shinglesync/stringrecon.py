@@ -1,11 +1,12 @@
 """End-to-end string reconciliation over a framed transport.
 
 Session outline: exchange hello frames (parameters, lengths, observed
-symbols), reconcile the two initial shingle multisets bucket by bucket (one
-pre-sized bundle of characteristic values in fixed mode, values streamed on
-request in rateless mode), merge each side's ordered shingling to unique
-decodability, exchange merge seams as canonical instance-index pairs, rebuild
-and uniquely decode the remote multiset, then confirm with digests.  Only the
+symbols), reconcile the two initial shingle multisets bucket by bucket (a
+first batch of characteristic values pre-sized from the bound in fixed mode
+and empty in rateless mode, then values on request until every bucket is
+done), merge each side's ordered shingling to unique decodability, exchange
+merge seams as canonical instance-index pairs, rebuild and uniquely decode
+the remote multiset, then confirm with digests.  Only the
 multiset reconciliation and the merge exchange carry data proportional to the
 difference; everything else is constant-size framing.
 """
@@ -24,7 +25,6 @@ from .alphabet import DEFAULT_DELIMITER, Alphabet, validate_word
 from .debruijn import DeBruijnGraph
 from .decider import TokenDecider
 from .errors import (
-    BoundExceededError,
     InvalidParameterError,
     InvariantError,
     ProtocolError,
@@ -45,7 +45,7 @@ from .setrecon import (  # noqa: F401
 from .shingles import ShingleMultiset, fold, shingle_sequence
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 # the one field every session runs over: P61 with points drawn from its top
 # 2**40 residues; neither party announces it, so it never crosses the wire
@@ -533,7 +533,7 @@ def _run(
     # step 2: reconcile the multisets
     wire.step = "step2"
     remote_instances = n_remote + config.l - 1
-    buckets = step2_buckets(config.mode, local_ms.total(), remote_instances)
+    buckets = step2_buckets(local_ms.total(), remote_instances)
     only_local, only_remote = _reconcile_step(
         wire, role, config, codec, local_ms, remote_instances, buckets, report
     )
@@ -580,29 +580,22 @@ def _run(
     return remote_word
 
 
-def step2_buckets(mode: str, local_instances: int, remote_instances: int) -> int:
-    """How many hash buckets step 2 splits the instances into.
+def step2_buckets(local_instances: int, remote_instances: int) -> int:
+    """How many hash buckets step 2 splits the instances into, in either mode.
 
     Partitioned reconciliation (Minsky & Trachtenberg, "Practical set
     reconciliation", Allerton 2002) runs one decoder per bucket, so a point
     costs about n/B work per side instead of n, and root search scans only
     the bucket's own elements.  Each bucket pays k verification values and a
     few framing bits, so B grows only as the square root of the instance
-    count: in rateless mode B is the largest power of two with
+    count: B is the largest power of two with
     16 * B**2 <= min(local, remote instances), which is 16 at 4096 instances,
     32 at 16384 and 1 below 64.  Both parties know both counts from the
     hellos, so B never crosses the wire.
-
-    Fixed mode keeps B = 1, because `m_hat` bounds the whole difference and
-    not each bucket's share of it.  A one-shot bound per bucket would need a
-    tail margin of about m_hat/B + 5 * sqrt(m_hat/B) values in every bucket:
-    at m_hat = 256 and B = 16 that is about 704 values against 264, some 17%
-    more bits on a 4096-symbol session.
     """
     buckets = 1
-    if mode == MODE_RATELESS:
-        while 16 * (2 * buckets) ** 2 <= min(local_instances, remote_instances):
-            buckets *= 2
+    while 16 * (2 * buckets) ** 2 <= min(local_instances, remote_instances):
+        buckets *= 2
     return buckets
 
 
@@ -622,55 +615,72 @@ def _reconcile_step(
     Both parties hash their encoded instances into `buckets` buckets, and
     each bucket runs its own source (initiator) or decoder (responder) over
     the session's one point stream, whose points go to the buckets in bucket
-    order.  The initiator sends characteristic values: the first m_hat + k
-    per bucket in its bundle in fixed mode (where B = 1), none there in
-    rateless mode and then whatever the responder requests, one DELTA_REQ
-    holding a count for every bucket.  The responder feeds each bucket's
-    decoder until it holds a verified difference, whose local roots it finds
-    among its own elements.  It sends those roots and hands the rest over as
-    one polynomial per bucket, whose roots the initiator finds among that
-    bucket's elements.
+    order.  The initiator sends characteristic values: a first batch per
+    bucket in its bundle, then whatever the responder requests, one DELTA_REQ
+    holding a count for every bucket.  The mode chooses only the first batch:
+    none in rateless mode, and in fixed mode ceil(m_hat / B) + 1, a bucket's
+    share of the bound, so a bucket whose share of the difference is larger
+    tops up through the requests.  The responder feeds each bucket's decoder
+    until it holds a verified difference, whose local roots it finds among its
+    own elements.  It sends those roots and hands the rest over as one
+    polynomial per bucket, whose roots the initiator finds among that bucket's
+    elements.
     """
-    fixed = config.mode == MODE_FIXED
-    first = config.m_hat + config.k if fixed else 0
+    first = -(-config.m_hat // buckets) + 1 if config.mode == MODE_FIXED else 0
     points = PointStream(codec.field, config.seed)
     parts = partition(codec.encode_multiset(local_ms), buckets, config.seed)
     report.step2_buckets = buckets
     if role == ROLE_INITIATOR:
         sources = [RatelessSource.from_elements(part, codec, points) for part in parts]
         sizes = [len(part) for part in parts]
-        # no bucket's true difference needs more pairs than its own instances,
-        # every remote instance and k; no session's more than both totals and B * k
+        # the budgets bound what the responder requests beyond the bundle,
+        # which the initiator sized itself and which may over-serve a bucket
+        # done early: no bucket's true difference needs more pairs than its own
+        # instances, every remote instance and k; no session's more than both
+        # totals and B * k
         bucket_budget = [size + remote_instances + config.k for size in sizes]
         budget = sum(sizes) + remote_instances + buckets * config.k
-        served = [first] * buckets
+        requested = [0] * buckets
         pairs = [pair for source in sources for pair in source.next_pairs(first)]
         bundle = EvalBundle(tuple(z for z, _ in pairs), tuple(v for _, v in pairs), sum(sizes))
         wire.send(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, bucket_sizes=sizes))
         report.step2_pairs = len(pairs)
         while (frame := wire.recv()).kind != FrameKind.DELTA:
-            if frame.kind != FrameKind.DELTA_REQ or fixed:
-                raise ProtocolError(f"unexpected frame {frame.kind.name} during {config.mode} step 2")
+            if frame.kind != FrameKind.DELTA_REQ:
+                raise ProtocolError(f"unexpected frame {frame.kind.name} during step 2")
             counts = decode_request(frame.payload, buckets)
             if not any(counts):
                 raise ProtocolError("pair request asks for no values")
             for b, count in enumerate(counts):
-                if served[b] + count > bucket_budget[b]:
+                if requested[b] + count > bucket_budget[b]:
                     raise ProtocolError(
-                        f"pair request for {count} in bucket {b} after {served[b]} "
+                        f"pair request for {count} in bucket {b} after {requested[b]} "
                         f"exceeds its budget of {bucket_budget[b]}"
                     )
-            if report.step2_pairs + sum(counts) > budget:
+            if sum(requested) + sum(counts) > budget:
                 raise ProtocolError(
-                    f"pair request for {sum(counts)} after {report.step2_pairs} "
+                    f"pair request for {sum(counts)} after {sum(requested)} "
                     f"exceeds the budget of {budget}"
                 )
             pairs = [pair for source, count in zip(sources, counts) for pair in source.next_pairs(count)]
             wire.send(FrameKind.EVAL_PAIR, encode_pairs(pairs))
-            served = [s + count for s, count in zip(served, counts)]
+            requested = [r + count for r, count in zip(requested, counts)]
             report.step2_pairs += len(pairs)
             report.step2_rounds += 1
         remote_only, polys = decode_handoff(frame.payload, buckets)
+        # the hand-off is bounded before anything in it is decoded or searched:
+        # a root search costs the polynomial's degree times the bucket's size
+        if len(remote_only) > remote_instances:
+            raise ProtocolError(
+                f"hand-off holds {len(remote_only)} instances, more than the "
+                f"{remote_instances} the peer announced"
+            )
+        for b, (poly, part) in enumerate(zip(polys, parts)):
+            if len(poly) - 1 > len(part):
+                raise ProtocolError(
+                    f"hand-off polynomial of bucket {b} has degree {len(poly) - 1}, "
+                    f"more than the bucket's {len(part)} instances"
+                )
         # the whole hand-off is checked before the reply goes out
         only_remote = _decode_instances(codec, remote_only)
         my_roots: list[int] = []
@@ -704,10 +714,6 @@ def _reconcile_step(
             decoder.feed_all(batch)
         if all(decoder.result is not None for decoder in decoders):
             break
-        if fixed:
-            raise BoundExceededError(
-                f"needs-larger-bound: no verified difference within the {first} bundled values"
-            )
         counts = [0 if d.result is not None else min(d.pairs_wanted(), MAX_REQUEST) for d in decoders]
         wire.send(FrameKind.DELTA_REQ, encode_request(counts))
         report.step2_rounds += 1

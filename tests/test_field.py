@@ -1,17 +1,11 @@
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shinglesync import field as field_module
 from shinglesync.errors import InvalidParameterError, InvalidPointError
 from shinglesync.field import (
-    KERNEL_MAX_POINTS,
     P61,
     FieldSpec,
     NewtonInterpolator,
@@ -19,7 +13,6 @@ from shinglesync.field import (
     find_roots,
     interpolate_rational_eea,
     interpolate_rational_gauss,
-    char_values_p61,
     is_probable_prime,
     padd,
     pdivmod,
@@ -32,8 +25,6 @@ from shinglesync.field import (
     pscale,
     solve_linear,
 )
-
-from conftest import char_values_loop
 
 SMALL_P = 10007
 
@@ -284,51 +275,3 @@ class TestRationalInterpolator:
             for (a, b), d in zip(interp.basis, interp.degrees):
                 assert d == max(len(a) - 1, len(b) - 1 + 3 if b else -1)
 
-
-class TestCharValuesKernel:
-    LIMIT = FieldSpec.default61().encoding_limit
-    EDGE_ELEMENTS = [0, LIMIT - 1]
-    EDGE_POINTS = [LIMIT, P61 - 1]
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        elements=st.lists(
-            st.one_of(st.sampled_from(EDGE_ELEMENTS), st.integers(0, LIMIT - 1)), max_size=600
-        ),
-        points=st.lists(
-            st.one_of(st.sampled_from(EDGE_POINTS), st.integers(LIMIT, P61 - 1)),
-            min_size=1, max_size=80, unique=True,
-        ),
-    )
-    def test_equals_the_loop(self, elements, points):
-        assert char_values_p61(elements, points) == char_values_loop(elements, points, P61)
-
-    # n < m, n = m, n not a multiple of m, and both sides of the session's
-    # crossover (32 points, 256 elements)
-    @pytest.mark.parametrize(
-        "n,m",
-        [(0, 1), (0, 40), (1, 1), (1, 2), (10, 40), (40, 40), (255, 31), (256, 32),
-         (257, 33), (600, 64), (513, 8), (600, 200), (600, 601)],
-    )
-    def test_equals_the_loop_at_chosen_sizes(self, rng, n, m):
-        elements = [rng.randrange(self.LIMIT) for _ in range(n)]
-        elements[: min(n, 2)] = self.EDGE_ELEMENTS[: min(n, 2)]
-        points = self.EDGE_POINTS[:m] + rng.sample(range(self.LIMIT + 1, P61 - 1), max(0, m - 2))
-        rng.shuffle(points)
-        assert char_values_p61(elements, points) == char_values_loop(elements, points, P61)
-
-    def test_repeated_points_and_elements(self, rng):
-        elements = [rng.randrange(self.LIMIT) for _ in range(50)] * 3
-        points = [P61 - 1 - rng.randrange(1 << 40) for _ in range(20)] * 2
-        assert char_values_p61(elements, points) == char_values_loop(elements, points, P61)
-
-    def test_rejects_what_it_cannot_evaluate(self):
-        with pytest.raises(InvalidPointError):
-            char_values_p61([1, 2, 3], [P61 - 1, P61])
-        with pytest.raises(InvalidParameterError):
-            char_values_p61([1], [P61 - 1] * (KERNEL_MAX_POINTS + 1))
-
-    def test_builds_nothing_at_import(self):
-        code = "from shinglesync import field; assert field._slot_ones.cache_info().currsize == 0"
-        src = str(Path(field_module.__file__).resolve().parents[1])
-        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

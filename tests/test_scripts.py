@@ -24,10 +24,12 @@ def run_script(name, *args):
 
 
 def test_recon_demo_fixed_session():
-    # 72 bundled values against 267 instances: the step-2 kernel's route
+    # 267 instances make four buckets, each bundled 64 / 4 + 1 values, which
+    # cover the difference without a request
     lines = run_script("recon_demo.py", "--n", "256", "--alphas", "1", "--mode", "fixed", "--m-hat", "64")
     assert lines[0] == "# alpha=1"
-    for line in ("role=initiator", "outcome=ok", "mode=fixed", "n_local=256", "step2_pairs=72"):
+    for line in ("role=initiator", "outcome=ok", "mode=fixed", "n_local=256", "step2_pairs=68",
+                 "step2_buckets=4", "step2_rounds=0"):
         assert line in lines
 
 

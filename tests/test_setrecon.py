@@ -14,23 +14,18 @@ from shinglesync.errors import (
     PointCollisionError,
 )
 from shinglesync import setrecon
-from shinglesync.field import P61, PointStream, poly_from_roots
+from shinglesync.field import PointStream, poly_from_roots
 from shinglesync.setrecon import (
-    KERNEL_MIN_ELEMENTS,
-    KERNEL_MIN_POINTS,
     Delta,
     RatelessDecoder,
     RatelessSource,
     ShingleCodec,
-    _char_values,
     char_poly_evals,
     eval_bundle,
     partition,
     reconcile_fixed,
     roots_by_candidates,
 )
-
-from conftest import char_values_loop
 
 FIELD = FieldSpec.default61()
 ALPHA = Alphabet("abcdefgh")
@@ -342,70 +337,25 @@ def test_small_field_capacity_error():
         source.next_pairs(small.point_span + 1)
 
 
-class TestKernelRoute:
-    @pytest.fixture
-    def kernel_calls(self, monkeypatch):
-        calls = []
-        real = setrecon.char_values_p61
-
-        def spy(elements, points):
-            calls.append((len(elements), len(points)))
-            return real(elements, points)
-
-        monkeypatch.setattr(setrecon, "char_values_p61", spy)
-        return calls
-
-    @staticmethod
-    def batch(rng, field, n, m):
-        elements = [rng.randrange(field.encoding_limit) for _ in range(n)]
-        return elements, field.sample_points(rng.randrange(2**32), m)
-
-    @pytest.mark.parametrize(
-        "n,m,routed",
-        [
-            (KERNEL_MIN_ELEMENTS, KERNEL_MIN_POINTS, True),
-            (KERNEL_MIN_ELEMENTS - 1, KERNEL_MIN_POINTS, False),
-            (KERNEL_MIN_ELEMENTS, KERNEL_MIN_POINTS - 1, False),
-            (KERNEL_MIN_ELEMENTS, KERNEL_MIN_ELEMENTS, True),
-            (KERNEL_MIN_ELEMENTS, KERNEL_MIN_ELEMENTS + 1, False),
-            (600, 100, True),
-        ],
-    )
-    def test_only_large_p61_batches_take_the_kernel(self, rng, kernel_calls, n, m, routed):
-        elements, points = self.batch(rng, FIELD, n, m)
-        assert _char_values(elements, points, P61) == char_values_loop(elements, points, P61)
-        assert kernel_calls == ([(n, m)] if routed else [])
-
-    @pytest.mark.parametrize("p", [10007, 65537, (1 << 31) - 1])
-    def test_other_primes_take_the_loop(self, rng, kernel_calls, p):
-        elements, points = self.batch(rng, FieldSpec.small(p), 300, 40)
-        assert _char_values(elements, points, p) == char_values_loop(elements, points, p)
-        assert kernel_calls == []
-
-    def test_batches_beyond_the_slot_limit_are_split(self, rng, kernel_calls, monkeypatch):
-        monkeypatch.setattr(setrecon, "KERNEL_MAX_POINTS", 40)
-        elements, points = self.batch(rng, FIELD, 300, 100)
-        assert _char_values(elements, points, P61) == char_values_loop(elements, points, P61)
-        assert kernel_calls == [(300, 40), (300, 40), (300, 20)]
-
-    def test_reconcile_fixed_evaluates_the_bundle_once(self, rng, kernel_calls, monkeypatch):
+class TestBatchEvaluation:
+    def test_reconcile_fixed_evaluates_the_bundle_once(self, rng, monkeypatch):
         a = random_multiset(rng, 400, width=6)
         extra = random_multiset(rng, 5, width=7)
         bound, k = 40, 8
         bundle = char_poly_evals(a.union(extra), FIELD.sample_points(9, bound + k), CODEC)
-        kernel_calls.clear()
-        evaluated = []
-        real = setrecon.eval_bundle
+        batches = []
+        real = setrecon._char_values
 
-        def spy(elements, points, field):
-            evaluated.append(len(points))
-            return real(elements, points, field)
+        def spy(elements, points, p):
+            batches.append((len(elements), len(points)))
+            return real(elements, points, p)
 
-        monkeypatch.setattr(setrecon, "eval_bundle", spy)
+        monkeypatch.setattr(setrecon, "_char_values", spy)
         delta = reconcile_fixed(a, bundle, CODEC, bound=bound, k=k)
         assert delta.only_remote == extra and delta.only_local.total() == 0
-        assert evaluated == [bound + k]
-        assert kernel_calls == [(a.total(), bound + k)]
+        # one batch at every bundled point: no fed pair falls back to
+        # `feed`'s one-point evaluation
+        assert batches == [(a.total(), bound + k)]
 
     def test_feed_all_raises_at_the_pair_that_is_wrong(self, rng):
         decoder = RatelessDecoder(random_multiset(rng, 300, width=6), CODEC, 300, k=8)

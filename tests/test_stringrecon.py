@@ -67,6 +67,8 @@ from shinglesync.stringrecon import (
 )
 from shinglesync.transport import Frame, FrameKind, Listener, connect
 
+from conftest import char_values_loop
+
 
 def run_session(word_a, word_b, config_a, config_b=None, alpha=None, timeout=120):
     a, b = channel_pair()
@@ -76,6 +78,17 @@ def run_session(word_a, word_b, config_a, config_b=None, alpha=None, timeout=120
         res_a = fut_a.result(timeout=timeout)
         res_b = fut_b.result(timeout=timeout)
     return res_a, res_b
+
+
+def bucket_differences(word_a, word_b, l, buckets, seed):
+    """Shingle instances on one side only in each step-2 bucket, for two words
+    over {0, 1}."""
+    codec = ShingleCodec(Alphabet("01"), FIELD)
+    parts_a, parts_b = (
+        partition(codec.encode_multiset(ShingleMultiset(Counter(shingle_sequence(w, l)))), buckets, seed)
+        for w in (word_a, word_b)
+    )
+    return [len(set(pa) ^ set(pb)) for pa, pb in zip(parts_a, parts_b)]
 
 
 def scripted_session(word, role, config, script, timeout=30):
@@ -414,7 +427,9 @@ class TestSessions:
         (_, rep_a), (_, rep_b) = run_session("katana", "katna", config)
         assert rep_a.step2_pairs == rep_b.step2_pairs > 0
         if mode == MODE_FIXED:
-            assert rep_a.step2_pairs == m_hat + 4
+            # one bucket, whose first batch of m_hat + 1 values covers the difference
+            assert rep_a.step2_buckets == 1
+            assert rep_a.step2_pairs == m_hat + 1
         assert f"step2_pairs={rep_a.step2_pairs}\n" in rep_a.to_text()
 
     def test_zero_difference_rateless_session_sends_k_pairs(self, rng):
@@ -443,8 +458,10 @@ class TestSessions:
         config = ReconConfig(l=13, mode=mode, m_hat=m_hat, k=8, seed=29)
         (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
-        assert rep_a.step2_buckets == rep_b.step2_buckets == (1 if mode == MODE_FIXED else 4)
+        assert rep_a.step2_buckets == rep_b.step2_buckets == 4
         assert rep_a.step2_rounds == rep_b.step2_rounds == kinds.count(FrameKind.DELTA_REQ)
+        # a rateless bundle holds no values; these fixed first batches of
+        # 96 / 4 + 1 cover every bucket
         assert (rep_a.step2_rounds > 0) == (mode == MODE_RATELESS)
         text = rep_b.to_text()
         assert f"step2_buckets={rep_b.step2_buckets}\n" in text
@@ -501,17 +518,22 @@ class TestSessions:
         wa = "".join(rng.choice("01") for _ in range(96))
         wb = random_edits(wa, 2, rng, "01")
         l, k, m_hat = 13, 8, 96
-        ca, cb = Counter(shingle_sequence(wa, l)), Counter(shingle_sequence(wb, l))
-        m = sum(((ca - cb) + (cb - ca)).values())
-        assert 0 < m < m_hat
         config = ReconConfig(l=l, mode=MODE_FIXED, m_hat=m_hat, k=k, seed=17)
+        # 108 instances a side make two buckets, each bundled 96 / 2 + 1 values
+        diffs = bucket_differences(wa, wb, l, 2, config.seed)
+        first = m_hat // 2 + 1
+        assert all(0 < m + k <= first for m in diffs)
         (ra, rep_a), (rb, _) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
-        assert rep_a.step2_pairs == m_hat + k
-        assert len(fed) == m + k
-        assert fed == FIELD.sample_points(config.seed, m + k)
+        assert rep_a.step2_pairs == 2 * first and rep_a.step2_rounds == 0
+        # each bucket's decoder feeds the first m_b + k of its own points
+        points = FIELD.sample_points(config.seed, 2 * first)
+        assert fed == points[: diffs[0] + k] + points[first : first + diffs[1] + k]
 
-    def test_fixed_bundle_of_m_hat_plus_k_values_recovers_a_difference_of_m_hat(self):
+    def test_fixed_session_recovers_a_difference_of_m_hat_with_top_ups(self):
+        # a bucket's first batch is its share of m_hat plus 1, so a bucket
+        # holding about its share of the difference tops up its k
+        # verification values in a later round
         wa = "".join(random.Random(8).choice("01") for _ in range(96))
         wb = flip(wa, 40)
         l, k = 13, 8
@@ -519,9 +541,15 @@ class TestSessions:
         m = sum(((ca - cb) + (cb - ca)).values())
         assert m > 0
         config = ReconConfig(l=l, mode=MODE_FIXED, m_hat=m, k=k, seed=19)
+        diffs = bucket_differences(wa, wb, l, 2, config.seed)
+        assert sum(diffs) == m
+        first = -(-m // 2) + 1
         (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
-        assert rep_a.step2_pairs == rep_b.step2_pairs == m + k
+        assert rep_a.step2_buckets == 2
+        # a bucket is served its first batch or, past it, m_b + k
+        assert rep_a.step2_pairs == rep_b.step2_pairs == sum(max(first, d + k) for d in diffs)
+        assert rep_a.step2_rounds == rep_b.step2_rounds >= 1
 
     def test_hello_bits_are_the_frame_arithmetic(self):
         config = ReconConfig(l=2, mode=MODE_RATELESS, seed=5)
@@ -615,18 +643,15 @@ class TestSessions:
                 assert rep_a.step_bits("step5")[0] <= bound
                 assert rep_b.step_bits("step5")[0] <= bound
 
-    def test_fixed_mode_bound_exceeded_aborts_both_sides(self, rng):
+    def test_fixed_mode_past_its_bound_tops_up(self, rng):
+        # a difference far past m_hat = 4 is requested bucket by bucket
         wa = "".join(rng.choice("01") for _ in range(128))
         wb = random_edits(wa, 12, rng, "01")
         config = ReconConfig(l=13, mode=MODE_FIXED, m_hat=4, k=4, seed=77)
-        a, b = channel_pair()
-        with ThreadPoolExecutor(2) as pool:
-            fut_a = pool.submit(run_protocol, wa, a, "initiator", config)
-            fut_b = pool.submit(run_protocol, wb, b, "responder", config)
-            with pytest.raises(BoundExceededError):
-                fut_b.result(timeout=60)
-            with pytest.raises(SessionAbortError):
-                fut_a.result(timeout=60)
+        (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
+        assert ra == wb and rb == wa
+        assert rep_a.step2_rounds == rep_b.step2_rounds >= 1
+        assert rep_a.step2_pairs == rep_b.step2_pairs > 2 * (4 // 2 + 1)
 
     def test_merge_count_mismatch_raises(self, monkeypatch):
         real = stringrecon.merge_until_ud
@@ -706,47 +731,44 @@ def step2_exchange(ms_a, ms_b, buckets, config, codec):
     return deltas, reports
 
 
-class TestStep2Kernel:
-    """The packed kernel (`field.char_values_p61`) in whole sessions."""
+class TestStep2Evaluation:
+    """Characteristic values in whole fixed-mode sessions."""
 
-    @pytest.fixture
-    def kernel_threads(self, monkeypatch):
-        threads = []
-        real = setrecon.char_values_p61
+    def test_fixed_session_evaluates_once_per_party(self, monkeypatch):
+        batches = []
+        real_values = setrecon._char_values
 
-        def spy(elements, points):
-            threads.append(threading.current_thread().name)
-            return real(elements, points)
+        def values_spy(elements, points, p):
+            batches.append((threading.current_thread().name, len(points)))
+            return real_values(elements, points, p)
 
-        monkeypatch.setattr(setrecon, "char_values_p61", spy)
-        return threads
+        fed, fed_alone = [], []
+        real_feed = RatelessDecoder.feed
 
-    @staticmethod
-    def pair(seed, n, alpha):
-        rng = random.Random(seed)
-        word = "".join(rng.choice("01") for _ in range(n))
-        return word, random_edits(word, alpha, rng, "01")
+        def feed_spy(decoder, point, value, local=None):
+            fed.append(threading.current_thread().name)
+            if local is None:
+                fed_alone.append(point)
+            return real_feed(decoder, point, value, local)
 
-    def test_fixed_session_evaluates_once_per_party_with_the_kernel(self, kernel_threads):
-        wa, wb = self.pair(3, 400, 2)
-        # m_hat covers the worst-case difference 2 * alpha * (l + 1) = 52
+        monkeypatch.setattr(setrecon, "_char_values", values_spy)
+        monkeypatch.setattr(RatelessDecoder, "feed", feed_spy)
+        rng = random.Random(3)
+        wa = "".join(rng.choice("01") for _ in range(400))
+        wb = random_edits(wa, 2, rng, "01")
         config = ReconConfig(l=12, mode=MODE_FIXED, m_hat=64, k=8, seed=5)
-        assert config.m_hat + config.k >= setrecon.KERNEL_MIN_POINTS
-        assert len(wa) + config.l - 1 >= setrecon.KERNEL_MIN_ELEMENTS
-        (ra, _), (rb, _) = run_session(wa, wb, config)
+        (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
-        # the initiator's bundle and the responder's side of it
-        assert len(kernel_threads) == len(set(kernel_threads)) == 2
-
-    def test_small_rateless_session_never_enters_the_kernel(self, kernel_threads):
-        wa, wb = self.pair(4, 400, 2)
-        (ra, _), (rb, _) = run_session(wa, wb, ReconConfig(l=12, mode=MODE_RATELESS, seed=5))
-        assert ra == wb and rb == wa
-        assert kernel_threads == []
+        (responder,) = set(fed)
+        (initiator,) = {thread for thread, _ in batches} - {responder}
+        # the initiator evaluates every value it sends once; the responder each
+        # value it feeds once, in batches, and no value that reaches a bucket
+        # already done
+        assert sum(m for thread, m in batches if thread == initiator) == rep_a.step2_pairs
+        assert len(fed) <= sum(m for thread, m in batches if thread == responder) <= rep_b.step2_pairs
+        assert fed_alone == []
 
     def test_fixed_bundle_payload_is_golden(self):
-        # taken before the kernel existed, in the protocol-4 layout (u32 size,
-        # u32 count, 64-bit values): the bundle's values are unchanged
         rng = random.Random(11)
         wa = "".join(rng.choice("01") for _ in range(600))
         wb = random_edits(wa, 3, rng, "01")
@@ -765,24 +787,31 @@ class TestStep2Kernel:
             fut_b = pool.submit(run_protocol, wb, b, "responder", config)
             assert fut_a.result(timeout=60)[0] == wb and fut_b.result(timeout=60)[0] == wa
         (payload,) = [f.payload for f in sent if f.kind == FrameKind.EVAL_BUNDLE]
-        count = config.m_hat + config.k
-        assert len(payload) == 4 + value_block_bytes(count)
-        sizes, values = decode_bundle(payload, 1, count)
-        v4_payload = struct.pack(">I", *sizes) + struct.pack(f">I{count}Q", count, *values)
-        assert hashlib.sha256(v4_payload).hexdigest() == (
-            "822dfc92a983410e4c3934b2a068815ab8041233c8999eba87b56b47efc79e30"
+        # 611 instances a side make four buckets, each bundled 64 / 4 + 1 values
+        buckets, first = 4, 17
+        assert len(payload) == 4 * buckets + value_block_bytes(buckets * first)
+        sizes, values = decode_bundle(payload, buckets, buckets * first)
+        codec = ShingleCodec(Alphabet("01"), FIELD)
+        ms = ShingleMultiset(Counter(shingle_sequence(wa, config.l)))
+        parts = partition(codec.encode_multiset(ms), buckets, config.seed)
+        assert sizes == [len(part) for part in parts]
+        points = FIELD.sample_points(config.seed, buckets * first)
+        for b, part in enumerate(parts):
+            window = slice(b * first, (b + 1) * first)
+            assert values[window] == char_values_loop(part, points[window], P61)
+        assert hashlib.sha256(payload).hexdigest() == (
+            "b2cc5f7129ca55eb304c619a828347d562d39a422c09b8d6ca3d76d45b988923"
         )
 
 
 class TestPartitionedStep2:
     def test_bucket_rule(self):
-        assert step2_buckets(MODE_FIXED, 16403, 16403) == 1
-        assert step2_buckets(MODE_RATELESS, 63, 10**6) == 1
-        assert step2_buckets(MODE_RATELESS, 64, 64) == 2
-        assert step2_buckets(MODE_RATELESS, 96 + 12, 96 + 12) == 2  # 96 bits at l = 13
-        assert step2_buckets(MODE_RATELESS, 4113, 4113) == 16
-        assert step2_buckets(MODE_RATELESS, 4113, 4095) == 8
-        assert step2_buckets(MODE_RATELESS, 16403, 16403) == 32
+        assert step2_buckets(63, 10**6) == 1
+        assert step2_buckets(64, 64) == 2
+        assert step2_buckets(96 + 12, 96 + 12) == 2  # 96 bits at l = 13
+        assert step2_buckets(4113, 4113) == 16
+        assert step2_buckets(4113, 4095) == 8
+        assert step2_buckets(16403, 16403) == 32
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -832,20 +861,25 @@ class TestHostileStep2:
     # two 96-bit words: 108 instances each, so two buckets
     WIDE = ReconConfig(l=13, mode=MODE_RATELESS, k=8, seed=3)
 
-    def initiator_facing(self, *requests, wide=False):
+    def initiator_facing(self, *requests, wide=False, fixed=False):
         """The initiator against a responder that sends `requests` as DELTA_REQ
         payloads, checking the values served after each; a request may be a
         function of the bucket sizes in the initiator's bundle.  The words are
         "abcab" against "abcba" (one bucket), or WIDE_A against WIDE_B (two
-        buckets) when `wide`."""
+        buckets) when `wide`.  When `fixed`, the session runs in fixed mode
+        with m_hat = 4, so the bundle holds ceil(4 / B) + 1 values per bucket."""
         config, mine, theirs, buckets = (
             (self.WIDE, WIDE_A, WIDE_B, 2) if wide else (self.CONFIG, "abcab", "abcba", 1)
         )
+        first = 0
+        if fixed:
+            config = dataclasses.replace(config, mode=MODE_FIXED, m_hat=4)
+            first = 4 // buckets + 1
 
         def script(peer):
             peer.recv()
             peer.send(hello_for(config, theirs))
-            sizes, _ = decode_bundle(peer.recv().payload, buckets, 0)
+            sizes, _ = decode_bundle(peer.recv().payload, buckets, first * buckets)
             for request in requests:
                 payload = request(sizes) if callable(request) else request
                 peer.send(Frame(FrameKind.DELTA_REQ, payload))
@@ -871,43 +905,36 @@ class TestHostileStep2:
     def test_all_zero_pair_request_rejected(self):
         assert isinstance(self.initiator_facing(encode_request([0, 0]), wide=True), ProtocolError)
 
+    # the budgets bound what the requests add to the bundle, so both modes
+    # share every count below
     def test_pair_requests_stay_within_the_budget(self):
         # 6 + 6 instances at l = 2, plus k = 8
         budget = 6 + 6 + 8
-        exc = self.initiator_facing(encode_request([budget + 1]))
-        assert isinstance(exc, ProtocolError)
-        exc = self.initiator_facing(encode_request([budget - 3]), encode_request([4]))
-        assert isinstance(exc, ProtocolError)
-        exc = self.initiator_facing(encode_request([2**16 - 1]))
-        assert isinstance(exc, ProtocolError)
-        # two buckets, each asked up to its own budget: together past the
-        # session's 108 + 108 + 2 * 8
-        exc = self.initiator_facing(
-            lambda sizes: encode_request([size + 108 + 8 for size in sizes]), wide=True
-        )
-        assert isinstance(exc, ProtocolError) and "budget of 232" in str(exc)
+        for fixed in (False, True):
+            exc = self.initiator_facing(encode_request([budget + 1]), fixed=fixed)
+            assert isinstance(exc, ProtocolError)
+            exc = self.initiator_facing(encode_request([budget - 3]), encode_request([4]), fixed=fixed)
+            assert isinstance(exc, ProtocolError)
+            exc = self.initiator_facing(encode_request([2**16 - 1]), fixed=fixed)
+            assert isinstance(exc, ProtocolError)
+            # two buckets, each asked up to its own budget: together past the
+            # session's 108 + 108 + 2 * 8
+            exc = self.initiator_facing(
+                lambda sizes: encode_request([size + 108 + 8 for size in sizes]), wide=True, fixed=fixed
+            )
+            assert isinstance(exc, ProtocolError) and "budget of 232" in str(exc)
 
     def test_bucket_requests_stay_within_the_bucket_budget(self):
         # a bucket is served its own instances, every remote instance and k:
         # exactly that passes, one more value fails
-        exc = self.initiator_facing(
-            lambda sizes: encode_request([0, sizes[1] + 108 + 8]),
-            encode_request([0, 1]),
-            wide=True,
-        )
-        assert isinstance(exc, ProtocolError) and "in bucket 1" in str(exc)
-
-    def test_fixed_mode_initiator_refuses_pair_requests(self):
-        config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=4, k=8, seed=3)
-
-        def script(peer):
-            peer.recv()
-            peer.send(hello_for(config, "abcba"))
-            peer.recv()  # the bundle
-            peer.send(Frame(FrameKind.DELTA_REQ, encode_request([1])))
-            peer.recv()
-
-        assert isinstance(scripted_session("abcab", "initiator", config, script), ProtocolError)
+        for fixed in (False, True):
+            exc = self.initiator_facing(
+                lambda sizes: encode_request([0, sizes[1] + 108 + 8]),
+                encode_request([0, 1]),
+                wide=True,
+                fixed=fixed,
+            )
+            assert isinstance(exc, ProtocolError) and "in bucket 1" in str(exc)
 
     @pytest.mark.parametrize(
         "handoff",
@@ -931,6 +958,35 @@ class TestHostileStep2:
         exc = scripted_session("abcab", "initiator", self.CONFIG, script)
         assert isinstance(exc, ProtocolError)
         assert FrameKind.DELTA not in after
+
+    @pytest.mark.parametrize(
+        "handoff",
+        [
+            # more one-sided instances than the responder's 6
+            encode_handoff([5] * 7, [[1]]),
+            # degree 40,000 against the initiator's 6 instances in its one bucket
+            encode_handoff([], [[7] * 40_000 + [1]]),
+        ],
+        ids=["one-sided", "degree"],
+    )
+    def test_hand_off_is_bounded_before_any_search(self, monkeypatch, handoff):
+        def forbidden(*_args):
+            raise AssertionError("an oversized hand-off was decoded or searched")
+
+        monkeypatch.setattr(stringrecon, "_decode_instances", forbidden)
+        monkeypatch.setattr(stringrecon, "roots_by_candidates", forbidden)
+
+        def script(peer):
+            peer.recv()
+            peer.send(hello_for(self.CONFIG, "abcba"))
+            peer.recv()  # the bundle
+            peer.send(Frame(FrameKind.DELTA, handoff))
+            peer.recv()
+
+        start = time.perf_counter()
+        exc = scripted_session("abcab", "initiator", self.CONFIG, script)
+        assert time.perf_counter() - start < 1
+        assert isinstance(exc, ProtocolError)
 
     def test_responder_rejects_a_hello_with_k_zero(self):
         config = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=3)
@@ -1031,7 +1087,7 @@ class TestHostileStep2:
         assert isinstance(scripted_session("abcba", "responder", config, script), ProtocolError)
 
     def test_fixed_responder_never_draws_the_peer_m_hat(self):
-        # drawing m_hat + k = 2**32 + 7 points would take hours
+        # drawing m_hat + 1 = 2**32 points for the one bucket would take hours
         config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=2**32 - 1, k=8, seed=3)
         points = tuple(FIELD.sample_points(3, 4))
         exc = self.responder_facing(config, EvalBundle(points, (1, 1, 1, 1), 6))
@@ -1048,7 +1104,7 @@ class TestHostileStep2:
 
         monkeypatch.setattr(RatelessDecoder, "feed", spy)
         config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=100_000, k=8, seed=3)
-        count = config.m_hat + config.k
+        count = config.m_hat + 1
         values = tuple(rng.randrange(1, FIELD.p) for _ in range(count))
         start = time.perf_counter()
         exc = self.responder_facing(config, EvalBundle(tuple(range(count)), values, 6))

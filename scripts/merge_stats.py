@@ -4,7 +4,8 @@
 Sweeps shingle lengths upward from the paper's Lambert-W rule
 (recommend_shingle_len) and reports, per length, the fraction of trials whose
 ordered shingling streams through the decider with zero merges, plus the
-merge-count distribution.  It prints the pairwise-collision rule's length
+merge-count distribution and the time merge_until_ud takes per symbol, in
+microseconds, over all trials (the shingling pass excluded).  It prints the pairwise-collision rule's length
 (merge_free_shingle_len) beside the Lambert-W one.  The Lambert-W rule bounds
 the expected recurrence of a single gram, not collisions between all gram
 pairs, so its lengths sit well below the zero-merge knee; the pairwise rule
@@ -18,22 +19,26 @@ pairwise rule instead, which brackets the zero-merge knee.
 import argparse
 import random
 import statistics
+import time
 
-from shinglesync import TokenDecider, merge_free_shingle_len, recommend_shingle_len, shingle_sequence
+from shinglesync import Alphabet, ShingledWord, merge_free_shingle_len, merge_until_ud, recommend_shingle_len
+
+BITS = Alphabet("01")
 
 
-def zero_merge_stats(n: int, l: int, trials: int, seed: int, bias: float) -> tuple[float, list[int]]:
+def zero_merge_stats(n: int, l: int, trials: int, seed: int, bias: float) -> tuple[float, list[int], float]:
+    """The zero-merge fraction, the merge counts and the merge microseconds per symbol."""
     rng = random.Random(seed)
     counts = []
+    merge_s = 0.0
     for _ in range(trials):
-        word = "".join("0" if rng.random() < bias else "1" for _ in range(n))
-        decider = TokenDecider(l, track_undo=True)
-        merges = 0
-        for s in shingle_sequence(word, l):
-            merges += decider.push_or_merge(s).merges
-        counts.append(merges)
+        word = ShingledWord("".join("0" if rng.random() < bias else "1" for _ in range(n)), l, BITS)
+        start = time.perf_counter()
+        _labels, seams = merge_until_ud(word)
+        merge_s += time.perf_counter() - start
+        counts.append(len(seams))
     zero = sum(1 for c in counts if c == 0)
-    return zero / trials, counts
+    return zero / trials, counts, merge_s * 1e6 / (trials * n)
 
 
 def main() -> int:
@@ -56,10 +61,10 @@ def main() -> int:
         l_rule = "undefined"
         first = max(2, l_pairs - args.spread)
     print(f"sizing rules: n={args.n} p={args.p} -> Lambert-W l={l_rule}, pairwise-collision l={l_pairs}")
-    print(f"{'l':>4} {'zero-merge':>11} {'median merges':>14} {'max merges':>11}")
+    print(f"{'l':>4} {'zero-merge':>11} {'median merges':>14} {'max merges':>11} {'us/symbol':>10}")
     for l in range(first, first + args.spread + 1):
-        frac, counts = zero_merge_stats(args.n, l, args.trials, args.seed + l, args.p)
-        print(f"{l:>4} {frac:>11.2f} {int(statistics.median(counts)):>14} {max(counts):>11}")
+        frac, counts, us = zero_merge_stats(args.n, l, args.trials, args.seed + l, args.p)
+        print(f"{l:>4} {frac:>11.2f} {int(statistics.median(counts)):>14} {max(counts):>11} {us:>10.2f}")
     return 0
 
 

@@ -18,10 +18,11 @@ Three rejection rules apply when consuming character c after prefix u:
   early exit only; it never changes the final verdict, just when it lands.
 
 `TokenDecider` runs the same transition system over an interned alphabet of
-length l-1 node grams, where each pushed shingle contributes one edge.  With
-undo tracking enabled it supports the merge loop: a rejected shingle is fused
-with its predecessor into their transitive closure and retried, which always
-terminates because a single shingle spanning the whole stream is accepted.
+length l-1 node grams, where each pushed shingle contributes one edge.
+`merge_until_ud` runs the transition system with undo over a word's node
+ids: a rejected shingle is fused with its predecessor into their transitive
+closure and retried, which always terminates because a single label spanning
+the whole stream is accepted.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
     InvalidTokenError,
     ProtocolMisuseError,
 )
-from .shingles import noconcat, shingle_sequence
+from .shingles import ShingledWord, shingle_sequence
 
 
 class Reason(Enum):
@@ -271,23 +272,6 @@ def is_ud(word: str, alphabet: Alphabet | None = None) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MergeOutcome:
-    """Result of push_or_merge: either a plain accept or a fused shingle.
-
-    `label` is the shingle that ended up as the latest edge; `merges` counts
-    how many predecessor edges were folded into it.
-    """
-
-    accepted: bool
-    label: str
-    merges: int = 0
-
-    @property
-    def merged(self) -> bool:
-        return self.merges > 0
-
-
 class TokenDecider:
     """Decider over the node grams of length-l shingles.
 
@@ -296,19 +280,16 @@ class TokenDecider:
     grows with the token alphabet, not the stream length.
     """
 
-    def __init__(self, l: int, delimiter: str = DEFAULT_DELIMITER, track_undo: bool = False):
+    def __init__(self, l: int, delimiter: str = DEFAULT_DELIMITER):
         if l < 2:
             raise InvalidParameterError(f"shingle length l must be >= 2, got {l}")
         self.l = l
         self.delimiter = delimiter
         self._ids: dict[str, int] = {}
-        self._core = _Core(0, track_undo=track_undo)
-        self._track_undo = track_undo
+        self._core = _Core(0)
         self._labels: list[str] = []
         # (source id, target id) -> the one label allowed on that node pair
         self._edge_labels: dict[tuple[int, int], str] = {}
-        # per accepted shingle: the edge key it introduced, or None
-        self._label_keys: list[tuple[int, int] | None] = []
 
     @property
     def verdict(self) -> Verdict:
@@ -344,7 +325,7 @@ class TokenDecider:
     def push_shingle(self, shingle: str) -> Verdict:
         """Walk the edge of one shingle; the first push also visits its source."""
         src, dst = self._split(shingle)
-        if not self._core.verdict.ok and not self._track_undo:
+        if not self._core.verdict.ok:
             return self._core.verdict
         sid = self._intern(src)
         if self._core.pos == 0:
@@ -355,18 +336,13 @@ class TokenDecider:
         key = (sid, did)
         existing = self._edge_labels.get(key)
         if existing is not None and existing != shingle:
-            verdict = Verdict(False, Reason.PARALLEL_LABELS, self._core.pos + 1)
-            if not self._track_undo:
-                self._core.verdict = verdict
-            return verdict
+            self._core.verdict = Verdict(False, Reason.PARALLEL_LABELS, self._core.pos + 1)
+            return self._core.verdict
         out = self._core.step(did)
         if out.ok:
             self._labels.append(shingle)
             if existing is None:
                 self._edge_labels[key] = shingle
-                self._label_keys.append(key)
-            else:
-                self._label_keys.append(None)
         return out
 
     def push_word(self, word: str) -> Verdict:
@@ -375,40 +351,60 @@ class TokenDecider:
             out = self.push_shingle(s)
         return out
 
-    def undo_last(self) -> str:
-        """Revert the most recent accepted shingle, returning its label."""
-        if not self._track_undo:
-            raise ProtocolMisuseError("undo tracking disabled")
-        if not self._labels:
-            raise ProtocolMisuseError("no accepted shingle to undo")
-        self._core.undo_last()
-        if self._core.pos == 1:
-            # removing the first edge also removes the initial source visit
-            self._core.undo_last()
-        key = self._label_keys.pop()
-        if key is not None:
-            del self._edge_labels[key]
-        return self._labels.pop()
 
-    def push_or_merge(self, shingle: str) -> MergeOutcome:
-        """Push a shingle, fusing it leftward with predecessors until accepted.
+def merge_until_ud(word: ShingledWord) -> tuple[list[int], list[int]]:
+    """Merge a word's shingles, in stream order, until they decode uniquely.
 
-        Each fuse replaces the previous edge (u, v) and the pending edge
-        (v, w) with the single transitive-closure edge (u, w) labeled by their
-        non-overlapping concatenation.
-        """
-        if not self._track_undo:
-            raise ProtocolMisuseError("push_or_merge requires undo tracking")
-        out = self.push_shingle(shingle)
-        if out.ok:
-            return MergeOutcome(True, shingle, 0)
-        merges = 0
-        pending = shingle
+    Each shingle walks its edge between the word's node ids through a `_Core`
+    with undo.  A rejected label is fused with the live label before it,
+    undoing that label's step, and retried.  A label is a span of shingle
+    positions, so a fuse costs O(1).  Two labels on one node pair are equal
+    only if their spans have equal lengths, and two single shingles on one
+    node pair are always equal, so text is compared only for longer labels of
+    equal length.
+
+    Returns the first position of each live label in stream order (label j
+    spans positions firsts[j] to firsts[j + 1] - 1), and the seams: the left
+    position of every glued boundary, in the order they were glued, each
+    merge's seams left to right.
+    """
+    nodes, text, l = word.nodes, word.text, word.l
+    slots = max(nodes) + 1
+    core = _Core(slots, track_undo=True)
+    step, undo = core.step, core.undo_last
+    step(nodes[0])
+    firsts: list[int] = []
+    # per live label: the node pair whose label it became, or -1 if the pair had one
+    introduced: list[int] = []
+    # node pair -> (first, last) position of the one label on it
+    spans: dict[int, tuple[int, int]] = {}
+    seams: list[int] = []
+    for last in range(len(nodes) - 1):
+        dst = nodes[last + 1]
+        first = last
+        glued = len(seams)
         while True:
-            if not self._labels:
-                raise ProtocolMisuseError("merge requested with no prior edge")
-            prev_label = self.undo_last()
-            pending = noconcat(prev_label, pending, self.l)
-            merges += 1
-            if self.push_shingle(pending).ok:
-                return MergeOutcome(False, pending, merges)
+            pair = nodes[first] * slots + dst
+            span = spans.get(pair)
+            if span is None:
+                if step(dst).ok:
+                    spans[pair] = (first, last)
+                    introduced.append(pair)
+                    break
+            elif (
+                span[1] - span[0] == last - first
+                and (first == last or text[span[0] : span[1] + l] == text[first : last + l])
+                and step(dst).ok
+            ):
+                introduced.append(-1)
+                break
+            undo()
+            pair = introduced.pop()
+            if pair >= 0:
+                del spans[pair]
+            seams.append(first - 1)
+            first = firsts.pop()
+        firsts.append(first)
+        if len(seams) - glued > 1:
+            seams[glued:] = seams[glued:][::-1]
+    return firsts, seams

@@ -24,6 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from operator import add
 from typing import Iterable
 
 from .alphabet import Alphabet
@@ -51,7 +52,7 @@ from .field import (  # noqa: F401
     pgcd,
     rational_from_modulus,
 )
-from .shingles import ShingleMultiset
+from .shingles import ShingledWord, ShingleMultiset, encoding_digits
 
 DEFAULT_OCC_BITS = 16
 _MASK64 = (1 << 64) - 1
@@ -73,10 +74,7 @@ class ShingleCodec:
 
     @cached_property
     def _digits(self) -> dict[str, int]:
-        """Digit of each character: its alphabet index, the top digit for the delimiter."""
-        table = {ch: i for i, ch in enumerate(self.alphabet)}
-        table[self.alphabet.delimiter] = len(self.alphabet)
-        return table
+        return encoding_digits(self.alphabet)
 
     @cached_property
     def max_shingle_len(self) -> int:
@@ -129,6 +127,29 @@ class ShingleCodec:
 
     def encode_multiset(self, ms: ShingleMultiset) -> list[int]:
         return [self.encode(s, occ) for s, occ in ms.instances()]
+
+    def encode_word(self, word: ShingledWord) -> list[int]:
+        """`encode_multiset` of the word's shingling, from the codes of its
+        one pass: each shingle's instances are consecutive elements, the
+        sentinel and code shifted past the occurrence bits, plus occ - 1."""
+        alphabet = word.alphabet
+        if (alphabet.symbols, alphabet.delimiter) != (self.alphabet.symbols, self.alphabet.delimiter):
+            raise InvalidParameterError("the word was shingled over another alphabet")
+        table = word.table
+        bits = self.occ_bits
+        sentinel = (len(self.alphabet) + 1) ** word.l
+        mults = list(table.counts.values())
+        codes, where = word.codes, table.where
+        starts = [(sentinel + codes[where[key]]) << bits for key in table.counts]
+        most = max(mults)
+        if most > 1 << bits or max(starts) + most > self.field.encoding_limit:
+            # some instance may not fit: encode raises at the first that does not
+            return [
+                self.encode(table.shingle(key), occ)
+                for key, mult in table.counts.items()
+                for occ in range(1, mult + 1)
+            ]
+        return list(itertools.chain.from_iterable(map(range, starts, map(add, starts, mults))))
 
     def decode_multiset(self, elements: list[int]) -> ShingleMultiset:
         counts: dict[str, int] = {}

@@ -5,16 +5,25 @@ delimiter confined to a leading or trailing run.  A word of length n shingled
 at length l yields the n + l - 1 windows of the word padded with l - 1
 delimiters on each side, so the first and last windows are anchored at pure
 delimiter runs.
+
+`ShingledWord` holds the same windows as integers, from one rolling pass over
+the padded word, and `ShingleTable` a multiset of length-l shingles under
+integer keys that sort in canonical order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, chain, count, repeat
 from typing import Iterable, Iterator
 
-from .alphabet import DEFAULT_DELIMITER, validate_word
-from .errors import InvalidParameterError, InvalidShingleError, OverlapMismatchError
+from .alphabet import DEFAULT_DELIMITER, Alphabet, validate_word
+from .errors import (
+    InvalidParameterError,
+    InvalidShingleError,
+    InvalidSymbolError,
+    OverlapMismatchError,
+)
 
 
 def is_valid_shingle(s: str, delimiter: str = DEFAULT_DELIMITER) -> bool:
@@ -107,15 +116,10 @@ class ShingleMultiset:
             self._order = sorted(self.entries)
         return self._order
 
-    def offsets(self) -> dict[str, int]:
-        """The canonical index of each shingle's first instance: the number of
-        instances of the shingles before it in canonical order."""
-        order = self._canonical_order()
-        return dict(zip(order, accumulate((self.entries[s] for s in order), initial=0)))
-
     def instances(self) -> list[tuple[str, int]]:
         """Canonical instance list: (shingle, occurrence) in canonical order,
-        so instance (s, occ) sits at index offsets()[s] + occ - 1.
+        so instance (s, occ) sits after every instance of the shingles before
+        s and occ - 1 instances of s.
 
         Occurrences run 1..multiplicity, which turns the multiset into a set.
         Both reconciliation endpoints compute the same list from the same
@@ -219,3 +223,145 @@ def fold(shingles: Iterable[str], l: int) -> str:
     for s in it:
         acc = noconcat(acc, s, l)
     return acc
+
+
+def encoding_digits(alphabet: Alphabet) -> dict[str, int]:
+    """The digit `ShingleCodec` reads for each character: a symbol's alphabet
+    index, and the top digit, |alphabet|, for the delimiter."""
+    table = {ch: i for i, ch in enumerate(alphabet)}
+    table[alphabet.delimiter] = len(alphabet)
+    return table
+
+
+def rank_digits(alphabet: Alphabet) -> dict[str, int]:
+    """Each character's rank by code point among the symbols and the delimiter."""
+    return {ch: i for i, ch in enumerate(sorted((*alphabet.symbols, alphabet.delimiter)))}
+
+
+class ShingleTable:
+    """A multiset of length-l shingles, each held under its key.
+
+    A key reads its shingle as base-(|alphabet| + 1) digits, each character's
+    digit its `rank_digits` rank, so keys order like their shingles: sorted
+    keys are `ShingleMultiset`'s canonical order.  `key // base` and
+    `key % base**(l-1)` are the keys of the shingle's first and last
+    l - 1 characters, and `key % base` ranks its last character.
+
+    `counts` holds the multiplicities.  The shingle of a counted key is
+    `text[where[key] : where[key] + l]`.
+    """
+
+    __slots__ = ("l", "ranks", "base", "counts", "text", "where")
+
+    def __init__(self, l: int, ranks: dict[str, int], counts: dict[int, int], text: str, where: dict[int, int]):
+        self.l = l
+        self.ranks = ranks
+        self.base = len(ranks)
+        self.counts = counts
+        self.text = text
+        self.where = where
+
+    def key(self, shingle: str) -> int:
+        if len(shingle) != self.l:
+            raise InvalidParameterError(f"shingle {shingle!r} does not have length l={self.l}")
+        key = 0
+        try:
+            for ch in shingle:
+                key = key * self.base + self.ranks[ch]
+        except KeyError as exc:
+            raise InvalidSymbolError(f"symbol {exc.args[0]!r} not in alphabet") from None
+        return key
+
+    def shingle(self, key: int) -> str:
+        i = self.where[key]
+        return self.text[i : i + self.l]
+
+    def instance_keys(self) -> list[int]:
+        """The key of every instance, in canonical instance order."""
+        order = sorted(self.counts)
+        return list(chain.from_iterable(map(repeat, order, map(self.counts.__getitem__, order))))
+
+    def offsets(self) -> dict[int, int]:
+        """The canonical index of each key's first instance."""
+        order = sorted(self.counts)
+        return dict(zip(order, accumulate(map(self.counts.__getitem__, order), initial=0)))
+
+    def moved(self, remove: ShingleMultiset, add: ShingleMultiset) -> "ShingleTable":
+        """This multiset less `remove`, which it must contain, plus `add`."""
+        counts = dict(self.counts)
+        for s, mult in remove.entries.items():
+            key = self.key(s)
+            left = counts.get(key, 0) - mult
+            if left < 0:
+                raise InvalidParameterError(f"cannot remove {mult} x {s!r}, only {counts.get(key, 0)} present")
+            if left:
+                counts[key] = left
+            else:
+                del counts[key]
+        where = dict(self.where)
+        new = []
+        for s, mult in add.entries.items():
+            key = self.key(s)
+            counts[key] = counts.get(key, 0) + mult
+            if key not in where:
+                where[key] = len(self.text) + self.l * len(new)
+                new.append(s)
+        return ShingleTable(self.l, self.ranks, counts, self.text + "".join(new), where)
+
+
+class ShingledWord:
+    """The shingles of one word as integers, from one rolling pass.
+
+    Shingle i is the window `text[i : i + l]` of the padded word: the edge
+    from node i to node i + 1, where node j is the gram `text[j : j + l - 1]`.
+
+    * `keys[i]` is the `ShingleTable` key of shingle i;
+    * `nodes[j]` is a dense id of node j, equal ids for equal grams;
+    * `codes[i]` reads shingle i in `encoding_digits`, the number
+      `ShingleCodec` encodes behind its sentinel digit;
+    * `table` holds the distinct shingles in canonical order, each at its
+      first position.
+    """
+
+    __slots__ = ("alphabet", "text", "l", "keys", "nodes", "codes", "table")
+
+    def __init__(self, word: str, l: int, alphabet: Alphabet):
+        if l < 2:
+            raise InvalidParameterError(f"shingle length l must be >= 2, got {l}")
+        validate_word(word, alphabet.delimiter)
+        text = delimited(word, l, alphabet.delimiter)
+        ranks = rank_digits(alphabet)
+        base = len(ranks)
+        top = base ** (l - 1)
+        try:
+            rank_of = list(map(ranks.__getitem__, text))
+            digit_of = list(map(encoding_digits(alphabet).__getitem__, text))
+        except KeyError as exc:
+            raise InvalidSymbolError(f"symbol {exc.args[0]!r} not in alphabet") from None
+        # the window before shingle 0 is the l - 1 leading delimiters
+        key = code = 0
+        for r, d in zip(rank_of[: l - 1], digit_of[: l - 1]):
+            key = key * base + r
+            code = code * base + d
+        keys = []
+        codes = []
+        for r, d in zip(rank_of[l - 1 :], digit_of[l - 1 :]):
+            key = key % top * base + r
+            code = code % top * base + d
+            keys.append(key)
+            codes.append(code)
+        grams = [key // base for key in keys]
+        grams.append(keys[-1] % top)
+        ids = dict(zip(dict.fromkeys(grams), count()))
+        counts = Counter(keys)
+        order = sorted(counts)
+
+        self.alphabet = alphabet
+        self.text = text
+        self.l = l
+        self.keys = keys
+        self.nodes = list(map(ids.__getitem__, grams))
+        self.codes = codes
+        # the first position of each key: later positions are overwritten
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        self.table = ShingleTable(l, ranks, dict(zip(order, map(counts.__getitem__, order))), text, first)

@@ -6,7 +6,10 @@ first batch of characteristic values pre-sized from the bound in fixed mode
 and empty in rateless mode, then values on request until every bucket is
 done), merge each side's ordered shingling to unique decodability, exchange
 merge seams as canonical instance-index pairs, rebuild and uniquely decode
-the remote multiset, then confirm with digests.  Only the
+the remote multiset, then confirm with digests.  Steps 1 to 6 run on integer
+positions of the padded word (`ShingledWord`): merged labels are spans of
+positions, merge records flat index lists, and the remote multiset a
+`ShingleTable`; only the rebuilt labels are strings.  Only the
 multiset reconciliation and the merge exchange carry data proportional to the
 difference; everything else is constant-size framing.
 """
@@ -17,13 +20,12 @@ import hashlib
 import itertools
 import random
 import struct
-from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import ClassVar
 
 from .alphabet import DEFAULT_DELIMITER, Alphabet, validate_word
 from .debruijn import DeBruijnGraph
-from .decider import TokenDecider
+from .decider import merge_until_ud
 from .errors import (
     InvalidParameterError,
     InvariantError,
@@ -42,7 +44,9 @@ from .setrecon import (  # noqa: F401
     reconcile_fixed,
     roots_by_candidates,
 )
-from .shingles import ShingleMultiset, fold, shingle_sequence
+# shingle_sequence is unused here but stays importable from this module:
+# perfbench/tracing.py rebinds it on it
+from .shingles import ShingledWord, ShingleMultiset, ShingleTable, shingle_sequence  # noqa: F401
 from .transport import Endpoint, Frame, FrameKind
 
 PROTOCOL_VERSION = 6
@@ -88,15 +92,6 @@ class ReconConfig:
             raise InvalidParameterError("seed must be in [0, 2**64)")
         if self.mode not in (MODE_FIXED, MODE_RATELESS):
             raise InvalidParameterError(f"unknown mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class MergeRecord:
-    """One merge seam: the canonical instance index of the absorbed length-l
-    shingle and of the anchor shingle it was concatenated onto."""
-
-    atom_index: int
-    anchor_index: int
 
 
 @dataclass
@@ -151,96 +146,78 @@ class SessionReport:
 # merge bookkeeping
 
 
-def merge_until_ud(
-    ordered: list[str], l: int, delimiter: str = DEFAULT_DELIMITER
-) -> tuple[ShingleMultiset, list[tuple[int, int]]]:
-    """Stream ordered shingles through the merging decider.
+def seams_to_records(word: ShingledWord, seams: list[int]) -> list[int]:
+    """Flat merge records of position seams: per seam, the canonical instance
+    index of the absorbed shingle right of it (the atom), then of the anchor
+    left of it.
 
-    Returns the uniquely decodable merged multiset plus the glued seams as
-    (left_position, right_position) pairs over the input ordering.
+    The occ-th occurrence of a shingle in stream order is its occ-th instance
+    in canonical order, at its first instance's offset plus occ - 1.
     """
-    decider = TokenDecider(l, delimiter, track_undo=True)
-    ranges: list[tuple[int, int]] = []
-    seams: list[tuple[int, int]] = []
-    for pos, shingle in enumerate(ordered):
-        outcome = decider.push_or_merge(shingle)
-        if outcome.merges:
-            pieces = ranges[-outcome.merges :]
-            del ranges[-outcome.merges :]
-            pieces.append((pos, pos))
-            for (lo_a, hi_a), (lo_b, _hi_b) in zip(pieces, pieces[1:]):
-                assert hi_a + 1 == lo_b
-                seams.append((hi_a, lo_b))
-            ranges.append((pieces[0][0], pos))
-        else:
-            ranges.append((pos, pos))
-    ms = ShingleMultiset(Counter(decider.labels()), base_len=l)
-    return ms, seams
-
-
-def seams_to_records(
-    ordered: list[str], seams: list[tuple[int, int]], offsets: dict[str, int]
-) -> list[MergeRecord]:
-    """Convert position seams to canonical instance-index records.
-
-    `offsets` is `ShingleMultiset.offsets()` of the multiset of `ordered`:
-    the canonical index of the occ-th occurrence of shingle s is
-    offsets[s] + occ - 1, the position of (s, occ) in `instances()`.
-    """
-    next_index = dict(offsets)
-    # stream order meets the occurrences of each shingle in order 1, 2, ...
+    next_index = word.table.offsets()
     index = []
-    for s in ordered:
-        index.append(next_index[s])
-        next_index[s] += 1
-    return [
-        MergeRecord(atom_index=index[right], anchor_index=index[left])
-        for left, right in seams
-    ]
+    for key in word.keys:
+        index.append(next_index[key])
+        next_index[key] += 1
+    return [i for left in seams for i in (index[left + 1], index[left])]
 
 
-def apply_merge_records(
-    ms: ShingleMultiset, records: list[MergeRecord], l: int
-) -> ShingleMultiset:
-    """Rebuild a merged multiset from an initial multiset plus seam records.
+def apply_merge_records(initial: ShingleTable, records: list[int]) -> ShingleMultiset:
+    """Rebuild a merged multiset from an initial multiset plus flat
+    (atom, anchor) records over its canonical instances.
 
-    Each record glues two instances left-to-right; gluing chains are folded
-    with the non-overlapping concatenation.
+    Each record glues two instances left to right.  The records must form
+    chains of distinct instances whose neighbours overlap in l - 1
+    characters; each chain is joined once into one label.  Records the peer
+    could not have made raise ProtocolError.
     """
-    instances = ms.instances()
-    successor: dict[int, int] = {}
-    has_pred: set[int] = set()
-    for rec in records:
-        if not (0 <= rec.anchor_index < len(instances) and 0 <= rec.atom_index < len(instances)):
-            raise ProtocolError("merge record index out of range")
-        if rec.anchor_index in successor or rec.atom_index in has_pred:
+    keys = initial.instance_keys()
+    n = len(keys)
+    if records and not (min(records) >= 0 and max(records) < n):
+        raise ProtocolError("merge record index out of range")
+    successor = [-1] * n
+    predecessor = [-1] * n
+    flat = iter(records)
+    for atom, anchor in zip(flat, flat):
+        if successor[anchor] >= 0 or predecessor[atom] >= 0:
             raise ProtocolError("conflicting merge records")
-        successor[rec.anchor_index] = rec.atom_index
-        has_pred.add(rec.atom_index)
-    merged: Counter = Counter()
+        successor[anchor] = atom
+        predecessor[atom] = anchor
+    base = initial.base
+    # key % top and key // base are the keys of a shingle's last and first
+    # l - 1 characters
+    top = base ** (initial.l - 1)
+    # the character of each rank, for the last character of a key
+    chars = sorted(initial.ranks)
+    merged: dict[str, int] = {}
     covered = 0
-    consumed: set[int] = set()
-    for idx in range(len(instances)):
-        if idx in has_pred or idx in consumed or idx not in successor:
+    for head in range(n):
+        if predecessor[head] >= 0:
             continue
-        chain = [idx]
-        cur = idx
-        while cur in successor:
-            cur = successor[cur]
-            if cur in consumed or len(chain) > len(instances):
-                raise ProtocolError("merge records form a cycle")
-            chain.append(cur)
-        consumed.update(chain)
-        covered += len(chain)
-        merged[fold([instances[i][0] for i in chain], l)] += 1
-    for idx, (shingle, _occ) in enumerate(instances):
-        if idx not in consumed and idx not in has_pred:
-            merged[shingle] += 1
+        key = keys[head]
+        label = initial.shingle(key)
+        nxt = successor[head]
+        if nxt >= 0:
+            parts = [label]
+            while nxt >= 0:
+                atom = keys[nxt]
+                if key % top != atom // base:
+                    raise ProtocolError(
+                        f"merge record glues {initial.shingle(atom)!r} onto "
+                        f"{initial.shingle(key)!r}, which do not overlap"
+                    )
+                parts.append(chars[atom % base])
+                key = atom
+                nxt = successor[nxt]
+            covered += len(parts)
+            label = "".join(parts)
+        else:
             covered += 1
+        merged[label] = merged.get(label, 0) + 1
     # a pure record cycle has no chain head, leaving its instances uncovered
-    if covered != len(instances):
+    if covered != n:
         raise ProtocolError("merge records form a cycle")
-    return ShingleMultiset(merged, base_len=l)
+    return ShingleMultiset(merged, base_len=initial.l)
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +383,17 @@ def decode_roots(payload: bytes, count: int) -> list[int]:
     return _unpack_residues(payload, count, "delta")
 
 
-def encode_merges(records: list[MergeRecord], index_bits: int) -> bytes:
-    """`count:u32be`, then the records' indices packed `index_bits` wide; the
-    peer derives the width from the sender's instance count."""
-    flat = [index for rec in records for index in (rec.atom_index, rec.anchor_index)]
-    return _pack_block([len(records)], 32) + _pack_block(flat, index_bits)
+def encode_merges(records: list[int], index_bits: int) -> bytes:
+    """`count:u32be`, then the flat (atom, anchor) records packed
+    `index_bits` wide; the peer derives the width from the sender's instance
+    count."""
+    return _pack_block([len(records) // 2], 32) + _pack_block(records, index_bits)
 
 
-def decode_merges(payload: bytes, index_bits: int) -> list[MergeRecord]:
+def decode_merges(payload: bytes, index_bits: int) -> list[int]:
+    """The flat (atom, anchor) records of a MERGES payload."""
     (count,) = _unpack_block(payload[:4], 32, 1, "merges")
-    flat = iter(_unpack_block(payload[4:], index_bits, 2 * count, "merges"))
-    return [MergeRecord(atom_index=atom, anchor_index=anchor) for atom, anchor in zip(flat, flat)]
+    return _unpack_block(payload[4:], index_bits, 2 * count, "merges")
 
 
 def _index_bits(n_instances: int) -> int:
@@ -526,33 +503,34 @@ def _run(
             "the encoding range holds"
         )
 
-    # step 1: shingle locally
-    ordered = shingle_sequence(word, config.l, config.delimiter)
-    local_ms = ShingleMultiset(Counter(ordered), base_len=config.l)
+    # step 1: one pass over the padded word gives every shingle its node ids
+    # and key, and every instance its field element
+    local = ShingledWord(word, config.l, alphabet)
+    instances = len(local.keys)
+    elements = codec.encode_word(local)
 
     # step 2: reconcile the multisets
     wire.step = "step2"
     remote_instances = n_remote + config.l - 1
-    buckets = step2_buckets(local_ms.total(), remote_instances)
+    buckets = step2_buckets(instances, remote_instances)
     only_local, only_remote = _reconcile_step(
-        wire, role, config, codec, local_ms, remote_instances, buckets, report
+        wire, role, config, codec, elements, remote_instances, buckets, report
     )
-    remote_initial = local_ms.difference(only_local).union(only_remote)
+    remote_initial = local.table.moved(only_local, only_remote)
 
     # steps 3-4: merge to unique decodability (local work only)
-    merged_ms, seams = merge_until_ud(ordered, config.l, config.delimiter)
-    records = seams_to_records(ordered, seams, local_ms.offsets())
-    report.merges_local = len(records)
-    # each record glues two instances into one; checked before it is shipped
-    if merged_ms.total() != local_ms.total() - len(records):
+    labels, seams = merge_until_ud(local)
+    records = seams_to_records(local, seams)
+    report.merges_local = len(seams)
+    # each seam glues two instances into one; checked before it is shipped
+    if len(labels) != instances - len(seams):
         raise InvariantError(
-            f"merged multiset holds {merged_ms.total()} instances, "
-            f"expected {local_ms.total()} - {len(records)} merges"
+            f"merge left {len(labels)} labels, expected {instances} - {len(seams)} merges"
         )
 
     # step 5: exchange merge seams
     wire.step = "step5"
-    merges_payload = encode_merges(records, _index_bits(local_ms.total()))
+    merges_payload = encode_merges(records, _index_bits(instances))
     remote_bits = _index_bits(remote_instances)
     if role == ROLE_INITIATOR:
         wire.send(FrameKind.MERGES, merges_payload)
@@ -560,10 +538,10 @@ def _run(
     else:
         remote_records = decode_merges(wire.expect(FrameKind.MERGES).payload, remote_bits)
         wire.send(FrameKind.MERGES, merges_payload)
-    report.merges_remote = len(remote_records)
+    report.merges_remote = len(remote_records) // 2
 
     # step 6: rebuild and uniquely decode the remote string
-    remote_merged = apply_merge_records(remote_initial, remote_records, config.l)
+    remote_merged = apply_merge_records(remote_initial, remote_records)
     remote_word = DeBruijnGraph.build(remote_merged, config.l, config.delimiter).decode_unique()
 
     wire.step = "done"
@@ -604,7 +582,7 @@ def _reconcile_step(
     role: str,
     config: ReconConfig,
     codec: ShingleCodec,
-    local_ms: ShingleMultiset,
+    elements: list[int],
     remote_instances: int,
     buckets: int,
     report: SessionReport,
@@ -628,7 +606,7 @@ def _reconcile_step(
     """
     first = -(-config.m_hat // buckets) + 1 if config.mode == MODE_FIXED else 0
     points = PointStream(codec.field, config.seed)
-    parts = partition(codec.encode_multiset(local_ms), buckets, config.seed)
+    parts = partition(elements, buckets, config.seed)
     report.step2_buckets = buckets
     if role == ROLE_INITIATOR:
         sources = [RatelessSource.from_elements(part, codec, points) for part in parts]
@@ -682,7 +660,7 @@ def _reconcile_step(
                     f"more than the bucket's {len(part)} instances"
                 )
         # the whole hand-off is checked before the reply goes out
-        only_remote = _decode_instances(codec, remote_only)
+        only_remote = _decode_instances(codec, remote_only, config.l)
         my_roots: list[int] = []
         for b, (poly, part) in enumerate(zip(polys, parts)):
             roots = roots_by_candidates(poly, part, codec.field.p)
@@ -726,15 +704,19 @@ def _reconcile_step(
     polys = [list(decoder.result.remote_poly) for decoder in decoders]
     wire.send(FrameKind.DELTA, encode_handoff(local_roots, polys))
     remote_elems = decode_roots(wire.expect(FrameKind.DELTA).payload, sum(len(poly) - 1 for poly in polys))
-    return only_local, _decode_instances(codec, remote_elems)
+    return only_local, _decode_instances(codec, remote_elems, config.l)
 
 
-def _decode_instances(codec: ShingleCodec, elements: list[int]) -> ShingleMultiset:
-    """The shingles of instances the peer sent; a malformed one is the peer's fault."""
+def _decode_instances(codec: ShingleCodec, elements: list[int], l: int) -> ShingleMultiset:
+    """The length-l shingles of instances the peer sent; a malformed one is
+    the peer's fault."""
     try:
-        return codec.decode_multiset(elements)
+        ms = codec.decode_multiset(elements)
     except InvalidParameterError as exc:
         raise ProtocolError(f"peer sent a malformed instance: {exc}") from None
+    if any(len(s) != l for s in ms):
+        raise ProtocolError(f"peer sent an instance whose shingle does not have length l={l}")
+    return ms
 
 
 def random_edits(word: str, alpha: int, rng: random.Random, symbols: str) -> str:

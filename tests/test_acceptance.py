@@ -26,6 +26,7 @@ from shinglesync import (
     RatelessSource,
     ReconConfig,
     ShingleCodec,
+    ShingledWord,
     ShingleMultiset,
     UdDecider,
     bigram_map,
@@ -43,10 +44,11 @@ from shinglesync import (
     recommend_shingle_len,
     rotation_pair,
     run_protocol,
-    shingle_sequence,
     shingling,
     transposition_pair,
 )
+
+from conftest import span_labels
 
 # step-2 communication constant, fitted once from calibration runs (observed
 # total step-2 bits / (alpha * l^2) peaked near 31) and frozen with headroom
@@ -102,7 +104,9 @@ def test_criterion_3_reference_fixtures():
     assert is_ud("axbxa")
     assert not is_ud("axbxbax")
 
-    merged, _ = merge_until_ud(shingle_sequence("katana", 2), 2)
+    katana = ShingledWord("katana", 2, Alphabet.from_text("katana"))
+    firsts, _ = merge_until_ud(katana)
+    merged = ShingleMultiset(Counter(span_labels(katana, firsts)), base_len=2)
     decoded = DeBruijnGraph.build(merged, 2).decode_unique()
     assert decoded == "katana"
     unique = decoding_count(merged, l=2)
@@ -222,7 +226,7 @@ def test_criterion_7_set_reconciliation():
 
 
 def _merge_count(word: str, l: int) -> int:
-    return len(merge_until_ud(shingle_sequence(word, l), l)[1])
+    return len(merge_until_ud(ShingledWord(word, l, Alphabet("01")))[1])
 
 
 @pytest.fixture(scope="module")

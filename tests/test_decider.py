@@ -9,22 +9,25 @@ from hypothesis import strategies as st
 from shinglesync import (
     Alphabet,
     Reason,
+    ShingledWord,
     ShingleMultiset,
     TokenDecider,
     UdDecider,
     bigram_map,
     decoding_count,
     is_ud,
+    merge_until_ud,
     qgram_map,
     shingle_sequence,
 )
+from shinglesync.decider import _Core
 from shinglesync.errors import (
     InvalidSymbolError,
     InvalidTokenError,
     ProtocolMisuseError,
 )
 
-from conftest import words_ab, words_abc
+from conftest import reference_merge, span_labels, words_ab, words_abc
 
 
 def push_all(word, alphabet=None):
@@ -188,72 +191,84 @@ class TestTokenDecider:
         assert td.slot_count() == 2
 
 
+def merged(word, l):
+    """The merge loop's live labels and seams over `word`."""
+    shingled = ShingledWord(word, l, Alphabet.from_text(word))
+    firsts, seams = merge_until_ud(shingled)
+    return span_labels(shingled, firsts), seams
+
+
 class TestMerging:
     def test_katana_merges_to_tana(self):
-        td = TokenDecider(2, track_undo=True)
-        outcomes = [td.push_or_merge(s) for s in shingle_sequence("katana", 2)]
-        assert td.labels() == ["$k", "ka", "at", "tana", "a$"]
-        merged = [o for o in outcomes if o.merged]
-        assert len(merged) == 1 and merged[0].label == "tana" and merged[0].merges == 2
+        labels, seams = merged("katana", 2)
+        assert labels == ["$k", "ka", "at", "tana", "a$"]
+        # one merge fused "ta", "an" and "na": two seams, left to right
+        assert seams == [3, 4]
 
     def test_ud_stream_all_accepted_and_state_matches_plain(self):
         plain = TokenDecider(2)
-        merging = TokenDecider(2, track_undo=True)
         for s in shingle_sequence("axbxa", 2):
-            plain.push_shingle(s)
-            assert merging.push_or_merge(s).accepted
-        assert plain.labels() == merging.labels()
-        assert plain.verdict.ok and merging.verdict.ok
+            assert plain.push_shingle(s).ok
+        labels, seams = merged("axbxa", 2)
+        assert seams == []
+        assert labels == plain.labels()
 
     def test_all_same_character_needs_no_merges(self):
-        td = TokenDecider(2, track_undo=True)
-        merges = sum(td.push_or_merge(s).merges for s in shingle_sequence("aaaa", 2))
-        assert merges == 0
-        ms = ShingleMultiset(Counter(td.labels()), base_len=2)
+        labels, seams = merged("aaaa", 2)
+        assert seams == []
+        ms = ShingleMultiset(Counter(labels), base_len=2)
         result = decoding_count(ms)
         assert result.count == 1 and result.witnesses == ("aaaa",)
 
     def test_merge_without_prior_edge_raises(self):
-        td = TokenDecider(2, track_undo=True)
+        core = _Core(2, track_undo=True)
         with pytest.raises(ProtocolMisuseError):
-            td.undo_last()
-
-    def test_push_or_merge_requires_undo_tracking(self):
-        td = TokenDecider(2)
-        with pytest.raises(ProtocolMisuseError):
-            td.push_or_merge("$a")
+            core.undo_last()
 
     @settings(max_examples=200, deadline=None)
     @given(words_abc, st.integers(min_value=2, max_value=3))
     def test_merged_multiset_decodes_to_original(self, w, l):
-        td = TokenDecider(l, track_undo=True)
-        for s in shingle_sequence(w, l):
-            td.push_or_merge(s)
-        assert td.verdict.ok
-        ms = ShingleMultiset(Counter(td.labels()), base_len=l)
+        labels, _ = merged(w, l)
+        ms = ShingleMultiset(Counter(labels), base_len=l)
         result = decoding_count(ms)
         assert result.count == 1 and result.witnesses == (w,)
 
     @given(words_ab)
     def test_merge_count_bounded_by_stream_length(self, w):
-        td = TokenDecider(2, track_undo=True)
-        total = sum(td.push_or_merge(s).merges for s in shingle_sequence(w, 2))
-        assert total <= len(w) + 1
+        _, seams = merged(w, 2)
+        assert len(seams) <= len(w) + 1
 
     def test_undo_restores_state_exactly(self):
-        reference = TokenDecider(2, track_undo=True)
-        probe = TokenDecider(2, track_undo=True)
-        seq = shingle_sequence("axbxa", 2)
-        for s in seq[:3]:
-            reference.push_shingle(s)
-            probe.push_shingle(s)
-        probe.push_shingle(seq[3])
+        # the merge loop's undo: an undone step and a rejected step both leave
+        # the core as it was, so the stream goes on as if they never happened
+        katan = [0, 1, 2, 1, 3]  # symbol ids; 4 is a fresh symbol
+        reference = _Core(5, track_undo=True)
+        probe = _Core(5, track_undo=True)
+        for cid in katan:
+            reference.step(cid)
+            probe.step(cid)
+        assert probe.step(4).ok
         probe.undo_last()
-        assert probe.labels() == reference.labels()
-        for s in seq[3:]:
-            assert reference.push_shingle(s).ok
-            assert probe.push_shingle(s).ok
-        assert probe.labels() == reference.labels()
+        verdict = probe.step(1)  # katana's last "a"
+        assert not verdict.ok and verdict.reason is Reason.CYCLE_INTRUSION
+        fields = ("visited", "on_cycle", "children", "parents", "first_ix", "last_ix", "stack", "prev", "pos")
+        assert [getattr(probe, f) for f in fields] == [getattr(reference, f) for f in fields]
+        assert reference.step(4).ok and probe.step(4).ok
+        assert [getattr(probe, f) for f in fields] == [getattr(reference, f) for f in fields]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["a", "ab", "abc"]).flatmap(lambda symbols: st.text(alphabet=symbols, max_size=300)),
+        st.integers(min_value=2, max_value=8),
+    )
+    def test_span_merge_matches_the_string_loop(self, w, l):
+        # labels, seams in order and the merge count, against the string loop
+        ref_labels, ref_seams = reference_merge(w, l)
+        shingled = ShingledWord(w, l, Alphabet.from_text(w))
+        firsts, seams = merge_until_ud(shingled)
+        assert seams == ref_seams
+        assert span_labels(shingled, firsts) == ref_labels
+        assert len(seams) == len(shingled.keys) - len(firsts)
 
     def test_parallel_labels_rejected_on_replay(self):
         # two differently-labeled edges between the same node pair are always

@@ -36,7 +36,8 @@ def test_recon_demo_fixed_session():
 def test_merge_stats_sweep():
     lines = run_script("merge_stats.py", "--n", "256", "--trials", "2")
     assert lines[0].startswith("sizing rules: n=256 p=0.6 -> Lambert-W l=")
-    assert lines[1].split() == ["l", "zero-merge", "median", "merges", "max", "merges"]
+    assert lines[1].split() == ["l", "zero-merge", "median", "merges", "max", "merges", "us/symbol"]
     rows = [line.split() for line in lines[2:]]
-    assert rows and all(len(row) == 4 for row in rows)
+    assert rows and all(len(row) == 5 for row in rows)
     assert all(0.0 <= float(row[1]) <= 1.0 for row in rows)
+    assert all(float(row[4]) > 0 for row in rows)

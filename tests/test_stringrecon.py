@@ -1,12 +1,17 @@
 import dataclasses
 import hashlib
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +22,8 @@ from shinglesync import (
     MODE_FIXED,
     MODE_RATELESS,
     Alphabet,
-    MergeRecord,
     ReconConfig,
+    ShingledWord,
     ShingleMultiset,
     apply_merge_records,
     channel_pair,
@@ -33,7 +38,6 @@ from shinglesync import field, setrecon, stringrecon, transport
 from shinglesync.errors import (
     BoundExceededError,
     InvalidParameterError,
-    InvariantError,
     ProtocolError,
     SessionAbortError,
     TransportClosedError,
@@ -67,7 +71,9 @@ from shinglesync.stringrecon import (
 )
 from shinglesync.transport import Frame, FrameKind, Listener, connect
 
-from conftest import char_values_loop
+from conftest import char_values_loop, span_labels
+
+SRC = Path(stringrecon.__file__).resolve().parents[1]
 
 
 def run_session(word_a, word_b, config_a, config_b=None, alpha=None, timeout=120):
@@ -136,62 +142,91 @@ def hello_with(config, word, index, value):
     return bytes(payload)
 
 
+def shingled(word, l):
+    return ShingledWord(word, l, Alphabet(sorted(set(word))))
+
+
+def reference_records(word, l, seams):
+    """Flat records of position seams, from the canonical instance list of
+    the shingle strings."""
+    ordered = shingle_sequence(word, l)
+    index_of = {inst: i for i, inst in enumerate(ShingleMultiset(Counter(ordered)).instances())}
+    seen = Counter()
+    index = []
+    for s in ordered:
+        seen[s] += 1
+        index.append(index_of[(s, seen[s])])
+    return [i for left in seams for i in (index[left + 1], index[left])]
+
+
+def merged_multiset(word, l):
+    w = shingled(word, l)
+    firsts, _ = merge_until_ud(w)
+    return ShingleMultiset(Counter(span_labels(w, firsts)), base_len=l)
+
+
 class TestMergeBookkeeping:
     def test_katana_merge_set(self):
-        ordered = shingle_sequence("katana", 2)
-        merged, seams = merge_until_ud(ordered, 2)
+        w = shingled("katana", 2)
+        firsts, seams = merge_until_ud(w)
+        merged = ShingleMultiset(Counter(span_labels(w, firsts)))
         assert merged == ShingleMultiset({"$k": 1, "ka": 1, "at": 1, "tana": 1, "a$": 1})
-        assert seams == [(3, 4), (4, 5)]
+        assert seams == [3, 4]
         result = decoding_count(merged, l=2)
         assert result.count == 1 and result.witnesses == ("katana",)
 
     def test_ud_word_has_empty_merge_log(self):
-        _, seams = merge_until_ud(shingle_sequence("axbxa", 2), 2)
+        _, seams = merge_until_ud(shingled("axbxa", 2))
         assert seams == []
 
     def test_repeated_character_word(self):
-        merged, seams = merge_until_ud(shingle_sequence("aaaa", 2), 2)
-        assert decoding_count(merged, l=2).witnesses == ("aaaa",)
+        assert decoding_count(merged_multiset("aaaa", 2), l=2).witnesses == ("aaaa",)
 
     @settings(max_examples=150, deadline=None)
     @given(st.text(alphabet="abc", max_size=24), st.integers(min_value=2, max_value=3))
     def test_records_rebuild_remote_merge(self, w, l):
-        ordered = shingle_sequence(w, l)
-        merged, seams = merge_until_ud(ordered, l)
-        initial = ShingleMultiset(Counter(ordered), base_len=l)
-        records = seams_to_records(ordered, seams, initial.offsets())
-        assert apply_merge_records(initial, records, l) == merged
+        word = shingled(w, l)
+        firsts, seams = merge_until_ud(word)
+        records = seams_to_records(word, seams)
+        assert records == reference_records(w, l, seams)
+        assert apply_merge_records(word.table, records) == ShingleMultiset(Counter(span_labels(word, firsts)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.text(alphabet="abc", max_size=30), st.text(alphabet="abd", max_size=30), st.integers(2, 5))
+    def test_moved_table_is_the_peer_multiset(self, mine, theirs, l):
+        # local less the local-only shingles plus the remote-only ones: the
+        # remote multiset, in its canonical instance order
+        alphabet = Alphabet("abcd")
+        ms_mine, ms_theirs = (ShingleMultiset(Counter(shingle_sequence(w, l))) for w in (mine, theirs))
+        moved = ShingledWord(mine, l, alphabet).table.moved(
+            ShingleMultiset(ms_mine.entries - ms_theirs.entries),
+            ShingleMultiset(ms_theirs.entries - ms_mine.entries),
+        )
+        assert [moved.shingle(key) for key in moved.instance_keys()] == [s for s, _ in ms_theirs.instances()]
 
     def test_bad_records_rejected(self):
-        ms = ShingleMultiset(Counter(shingle_sequence("abc", 2)), base_len=2)
+        table = shingled("abc", 2).table
         with pytest.raises(ProtocolError):
-            apply_merge_records(ms, [MergeRecord(99, 0)], 2)
+            apply_merge_records(table, [99, 0])
         with pytest.raises(ProtocolError):
-            apply_merge_records(ms, [MergeRecord(1, 0), MergeRecord(2, 0)], 2)
+            apply_merge_records(table, [1, 0, 2, 0])
 
     def test_cyclic_records_rejected(self):
-        ms = ShingleMultiset(Counter(shingle_sequence("abcd", 2)), base_len=2)
         with pytest.raises(ProtocolError):
-            apply_merge_records(ms, [MergeRecord(1, 2), MergeRecord(2, 1)], 2)
+            apply_merge_records(shingled("abcd", 2).table, [1, 2, 2, 1])
+
+    def test_records_that_do_not_overlap_rejected(self):
+        # '$01' (instance 1) and '$$0' (instance 0) share no l - 1 characters
+        with pytest.raises(ProtocolError, match="do not overlap"):
+            apply_merge_records(shingled("0110", 3).table, [0, 1])
 
     def test_full_collapse_single_composite(self):
         # every boundary glued: the rebuilt multiset is one composite shingle
-        ordered = shingle_sequence("abc", 2)
-        ms = ShingleMultiset(Counter(ordered), base_len=2)
-        instances = ms.instances()
-        index_of = {inst: i for i, inst in enumerate(instances)}
-        seen = Counter()
-        pos_inst = []
-        for s in ordered:
-            seen[s] += 1
-            pos_inst.append((s, seen[s]))
-        records = [
-            MergeRecord(atom_index=index_of[pos_inst[i + 1]], anchor_index=index_of[pos_inst[i]])
-            for i in range(len(ordered) - 1)
-        ]
-        assert seams_to_records(ordered, [(i, i + 1) for i in range(len(ordered) - 1)], ms.offsets()) == records
-        rebuilt = apply_merge_records(ms, records, 2)
-        assert rebuilt == ShingleMultiset({"$abc$": 1})
+        word = shingled("abc", 2)
+        seams = list(range(len(word.keys) - 1))
+        records = seams_to_records(word, seams)
+        assert records == reference_records("abc", 2, seams)
+        assert apply_merge_records(word.table, records) == ShingleMultiset({"$abc$": 1})
 
 
 # bytes produced by the original, unmasked packer: the wire format must not drift
@@ -226,7 +261,7 @@ class TestWireCodecs:
         assert _unpack_block(GOLDEN_PACKED_13, 13, len(GOLDEN_VALUES), "test") == GOLDEN_VALUES
         assert _pack_block([1, 0, 1, 1, 0, 1, 1], 1) == bytes([0xB6])
         assert _pack_block([2**32 - 1, 0, 12345678, 2**31], 32) == bytes.fromhex("ffffffff0000000000bc614e80000000")
-        records = [MergeRecord(5, 3), MergeRecord(7, 0), MergeRecord(6, 1)]
+        records = [5, 3, 7, 0, 6, 1]  # (atom, anchor) pairs
         assert encode_merges(records, 3) == GOLDEN_MERGES_3
         assert decode_merges(GOLDEN_MERGES_3, 3) == records
 
@@ -258,7 +293,7 @@ class TestWireCodecs:
         )
     )
     def test_merges_frame_round_trip(self, pairs):
-        records = [MergeRecord(a, b) for a, b in pairs]
+        records = [index for pair in pairs for index in pair]
         assert decode_merges(encode_merges(records, 9), 9) == records
 
     @pytest.mark.parametrize(
@@ -397,8 +432,7 @@ class TestSessions:
         config = ReconConfig(l=2, mode=mode, m_hat=m_hat, k=4, seed=11)
         (ra, rep_a), (rb, rep_b) = run_session("katana", "katna", config)
         assert ra == "katna" and rb == "katana"
-        merged, _ = merge_until_ud(shingle_sequence("katana", 2), 2)
-        assert "tana" in merged.entries
+        assert "tana" in merged_multiset("katana", 2).entries
         assert rep_a.merges_local == 2 and rep_b.merges_remote == 2
 
     def test_empty_vs_nonempty(self):
@@ -653,22 +687,37 @@ class TestSessions:
         assert rep_a.step2_rounds == rep_b.step2_rounds >= 1
         assert rep_a.step2_pairs == rep_b.step2_pairs > 2 * (4 // 2 + 1)
 
-    def test_merge_count_mismatch_raises(self, monkeypatch):
-        real = stringrecon.merge_until_ud
+    def test_merge_count_mismatch_raises(self):
+        # a merge that leaves one label too many trips an explicit check, not
+        # an assert, so it holds under `python -O` as well
+        script = textwrap.dedent("""
+            from concurrent.futures import ThreadPoolExecutor
+            from shinglesync import MODE_RATELESS, ReconConfig, channel_pair, run_protocol, stringrecon
 
-        def one_instance_extra(ordered, l, delimiter="$"):
-            merged, seams = real(ordered, l, delimiter)
-            return merged.union(ShingleMultiset({"zz": 1})), seams
+            real = stringrecon.merge_until_ud
 
-        monkeypatch.setattr(stringrecon, "merge_until_ud", one_instance_extra)
-        config = ReconConfig(l=2, mode=MODE_RATELESS, seed=11)
-        a, b = channel_pair()
-        with ThreadPoolExecutor(2) as pool:
-            fut_a = pool.submit(run_protocol, "katana", a, "initiator", config)
-            fut_b = pool.submit(run_protocol, "katna", b, "responder", config)
-            for fut in (fut_a, fut_b):
-                with pytest.raises(InvariantError):
-                    fut.result(timeout=60)
+            def one_label_extra(word):
+                firsts, seams = real(word)
+                return firsts + [len(word.keys)], seams
+
+            stringrecon.merge_until_ud = one_label_extra
+            config = ReconConfig(l=2, mode=MODE_RATELESS, seed=11)
+            a, b = channel_pair()
+            with ThreadPoolExecutor(2) as pool:
+                futures = [pool.submit(run_protocol, "katana", a, "initiator", config),
+                           pool.submit(run_protocol, "katna", b, "responder", config)]
+                print(*(type(fut.exception(timeout=60)).__name__ for fut in futures))
+        """)
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-c", script],
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == ["InvariantError", "InvariantError"], flags
 
     def test_responder_echo_mismatch_detected(self):
         config = ReconConfig(l=2, mode=MODE_RATELESS, seed=4)
@@ -720,8 +769,8 @@ def step2_exchange(ms_a, ms_b, buckets, config, codec):
     reports = (SessionReport("initiator"), SessionReport("responder"))
     with ThreadPoolExecutor(2) as pool:
         futures = [
-            pool.submit(_reconcile_step, _MeteredEndpoint(end, rep), role, config, codec, mine,
-                        theirs.total(), buckets, rep)
+            pool.submit(_reconcile_step, _MeteredEndpoint(end, rep), role, config, codec,
+                        codec.encode_multiset(mine), theirs.total(), buckets, rep)
             for end, rep, role, mine, theirs in (
                 (a, reports[0], "initiator", ms_a, ms_b),
                 (b, reports[1], "responder", ms_b, ms_a),
@@ -802,6 +851,37 @@ class TestStep2Evaluation:
         assert hashlib.sha256(payload).hexdigest() == (
             "b2cc5f7129ca55eb304c619a828347d562d39a422c09b8d6ca3d76d45b988923"
         )
+
+
+# SHA-256 of each party's MERGES and DELTA payloads in one seeded rateless
+# session over 2048 bits with 8 edits at l = 16 (about 1,160 merges a side)
+GOLDEN_SESSION = {
+    ("initiator", "MERGES"): "0bff45c6ba2e49ae8462ed31cd7dd765a61ede780716305a7fb1be2c1ac9e6df",
+    ("initiator", "DELTA"): "14893587d9aaa084bdf6270103df6c00461ee5ee8a83cf1589213dbb3d7d32ad",
+    ("responder", "MERGES"): "5f4d9ddb5615c7ac3458fc54e4f226755e7f5bc2216810de547b5fa5f8f8cd0d",
+    ("responder", "DELTA"): "66c2ee696dd4d505a9ad50da246f1ace37905d2c5632fda8ae29480ddbfd8467",
+}
+
+
+def test_session_wire_is_golden():
+    rng = random.Random(2048)
+    wa = "".join(rng.choice("01") for _ in range(2048))
+    wb = random_edits(wa, 8, rng, "01")
+    config = ReconConfig(l=16, mode=MODE_RATELESS, seed=21)
+    ends = channel_pair()
+    digests = {}
+    for role, end in zip(("initiator", "responder"), ends):
+        def record(frame, send=end.send, role=role):
+            if frame.kind in (FrameKind.MERGES, FrameKind.DELTA):
+                digests[(role, frame.kind.name)] = hashlib.sha256(frame.payload).hexdigest()
+            send(frame)
+
+        end.send = record
+    with ThreadPoolExecutor(2) as pool:
+        fut_a = pool.submit(run_protocol, wa, ends[0], "initiator", config)
+        fut_b = pool.submit(run_protocol, wb, ends[1], "responder", config)
+        assert fut_a.result(timeout=60)[0] == wb and fut_b.result(timeout=60)[0] == wa
+    assert digests == GOLDEN_SESSION
 
 
 class TestPartitionedStep2:
@@ -988,6 +1068,25 @@ class TestHostileStep2:
         assert time.perf_counter() - start < 1
         assert isinstance(exc, ProtocolError)
 
+    def test_merges_that_glue_non_overlapping_instances_are_refused(self):
+        # an honest responder "0110" but for its MERGES, which glues its
+        # instance 0, '$$0', onto its instance 1, '$01'
+        config = ReconConfig(l=3, mode=MODE_RATELESS, k=8, seed=3)
+
+        def script(peer):
+            send = peer.send
+
+            def tampered(frame):
+                if frame.kind == FrameKind.MERGES:
+                    frame = Frame(FrameKind.MERGES, encode_merges([0, 1], 3))
+                send(frame)
+
+            peer.send = tampered
+            run_protocol("0110", peer, "responder", config)
+
+        exc = scripted_session("0111", "initiator", config, script)
+        assert isinstance(exc, ProtocolError) and "do not overlap" in str(exc)
+
     def test_responder_rejects_a_hello_with_k_zero(self):
         config = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=3)
 
@@ -1003,7 +1102,7 @@ class TestHostileStep2:
         def no_shingling(*_args, **_kwargs):
             raise AssertionError("shingled at an unencodable l")
 
-        monkeypatch.setattr(stringrecon, "shingle_sequence", no_shingling)
+        monkeypatch.setattr(stringrecon, "ShingledWord", no_shingling)
         config = ReconConfig(l=64, mode=MODE_RATELESS, k=8, seed=3)
 
         def script(peer):

@@ -103,10 +103,12 @@ def cmd_reconcile(args) -> int:
         config = ReconConfig(l=2)
     else:
         mode, m_hat = args.mode or (MODE_RATELESS, 0)
-        # k and seed keep ReconConfig's defaults unless given
+        # k, seed and a rateless session's m_hat keep ReconConfig's defaults unless given
         given = {name: getattr(args, name) for name in ("k", "seed") if getattr(args, name) is not None}
+        if mode == MODE_FIXED:
+            given["m_hat"] = m_hat
         l = args.l or recommend_shingle_len(max(2, len(word)), 0.6)
-        config = ReconConfig(l=l, mode=mode, m_hat=m_hat or 64, **given)
+        config = ReconConfig(l=l, mode=mode, **given)
     host, _, port = args.addr.rpartition(":")
     if args.action == "serve":
         listener = Listener(host or "127.0.0.1", int(port))

@@ -17,6 +17,9 @@ Three rejection rules apply when consuming character c after prefix u:
 * degree overflow: a third distinct parent or child appears.  This is an
   early exit only; it never changes the final verdict, just when it lands.
 
+Every rule is checked before a step changes any state, so a rejected step
+changes nothing; with undo tracking on, `undo_last` reverts accepted steps only.
+
 `TokenDecider` runs the same transition system over an interned alphabet of
 length l-1 node grams, where each pushed shingle contributes one edge.
 `merge_until_ud` runs the transition system with undo over a word's node
@@ -69,8 +72,9 @@ class Verdict:
 
 STILL_UD = Verdict(True)
 
-# undo record: (cid, old_prev, first_visit, popped, old_last, edge_added)
-_Record = tuple[int, int, bool, list[int], int, bool]
+# undo record of an accepted step: (cid, old_prev, first_visit, popped,
+# old_last, edge_added); `popped` is None unless the step closed a cycle
+_Record = tuple[int, int, bool, list[int] | None, int, bool]
 
 
 class _Core:
@@ -87,7 +91,6 @@ class _Core:
         "prev",
         "pos",
         "verdict",
-        "_track_undo",
         "_undo",
     )
 
@@ -102,8 +105,8 @@ class _Core:
         self.prev = -1
         self.pos = 0
         self.verdict: Verdict = STILL_UD
-        self._track_undo = track_undo
-        self._undo: list[_Record] = []
+        # None in absorbing mode
+        self._undo: list[_Record] | None = [] if track_undo else None
 
     def grow_to(self, slots: int) -> None:
         while len(self.visited) < slots:
@@ -118,93 +121,64 @@ class _Core:
         return len(self.visited)
 
     def step(self, cid: int) -> Verdict:
-        """Consume one symbol id.  Absorbing unless undo tracking is on, in
-        which case a rejected step leaves the state exactly as it found it."""
-        if not self.verdict.ok and not self._track_undo:
+        """Consume one symbol id.  Every rule is checked before any state
+        changes, so a rejected step changes nothing.  The verdict absorbs
+        unless undo tracking is on; `undo_last` reverts accepted steps only."""
+        if not self.verdict.ok:
             return self.verdict
-
-        self.pos += 1
-        pos = self.pos
-        old_prev = self.prev
-        first_visit = False
-        popped: list[int] = []
-
-        if pos == 1:
-            self.visited[cid] = True
-            self.stack.append(cid)
-            self.first_ix[cid] = self.last_ix[cid] = 1
-            self.prev = cid
-            if self._track_undo:
-                self._undo.append((cid, old_prev, True, popped, 0, False))
-            return STILL_UD
-
+        pos = self.pos + 1
         p = self.prev
-        if not self.visited[cid]:
-            first_visit = True
+        first_visit = not self.visited[cid]
+        # the first symbol only visits; every later one walks an edge from p
+        new_edge = p >= 0 and cid not in self.children[p]
+        if new_edge and self.on_cycle[cid]:  # only a visited symbol is on a cycle
+            return self._reject(Reason.CYCLE_INTRUSION, pos)
+        ps = self.parents[cid]
+        if len(ps) == 2:
+            a, b = ps
+            if not (self.last_ix[a] < self.first_ix[b] or self.last_ix[b] < self.first_ix[a]):
+                return self._reject(Reason.COMMUNICATING_PARENTS, pos)
+        if new_edge and (len(self.children[p]) == 2 or len(ps) == 2):
+            return self._reject(Reason.DEGREE_OVERFLOW, pos)
+
+        popped = None
+        if first_visit:
             self.visited[cid] = True
             self.stack.append(cid)
-        elif cid not in self.children[p]:
-            if self.on_cycle[cid]:
-                return self._reject(
-                    Reason.CYCLE_INTRUSION, (cid, old_prev, False, popped, self.last_ix[cid], False)
-                )
+            self.first_ix[cid] = pos
+        elif new_edge:
             # close a new cycle: unwind the visit stack to the previous
             # occurrence of cid, marking everything popped
+            popped = []
             while True:
                 v = self.stack.pop()
                 self.on_cycle[v] = True
                 popped.append(v)
                 if v == cid:
                     break
-        # else: walking an already-drawn edge, nothing to mark
-
-        ps = self.parents[cid]
-        if len(ps) == 2:
-            a, b = ps
-            if not (self.last_ix[a] < self.first_ix[b] or self.last_ix[b] < self.first_ix[a]):
-                return self._reject(
-                    Reason.COMMUNICATING_PARENTS,
-                    (cid, old_prev, first_visit, popped, self.last_ix[cid], False),
-                )
-
         old_last = self.last_ix[cid]
-        if first_visit:
-            self.first_ix[cid] = pos
         self.last_ix[cid] = pos
-
-        edge_added = False
-        if cid not in self.children[p]:
-            if len(self.children[p]) == 2 or len(self.parents[cid]) == 2:
-                return self._reject(
-                    Reason.DEGREE_OVERFLOW, (cid, old_prev, first_visit, popped, old_last, False)
-                )
+        if new_edge:
             self.children[p].append(cid)
-            self.parents[cid].append(p)
-            edge_added = True
-
+            ps.append(p)
         self.prev = cid
-        if self._track_undo:
-            self._undo.append((cid, old_prev, first_visit, popped, old_last, edge_added))
+        self.pos = pos
+        if self._undo is not None:
+            self._undo.append((cid, p, first_visit, popped, old_last, new_edge))
         return STILL_UD
 
-    def _reject(self, reason: Reason, record: _Record) -> Verdict:
-        verdict = Verdict(False, reason, self.pos)
-        if self._track_undo:
-            self._revert(record)
-        else:
+    def _reject(self, reason: Reason, pos: int) -> Verdict:
+        """The one writer of a rejection; absorbing mode keeps the verdict."""
+        verdict = Verdict(False, reason, pos)
+        if self._undo is None:
             self.verdict = verdict
         return verdict
 
-    def _revert(self, record: _Record) -> None:
-        """Restore the state to just before the step that produced `record`."""
-        cid, old_prev, first_visit, popped, old_last, edge_added = record
-        if self.pos == 1:
-            self.visited[cid] = False
-            self.first_ix[cid] = self.last_ix[cid] = 0
-            self.stack.pop()
-            self.prev = old_prev
-            self.pos = 0
-            return
+    def undo_last(self) -> None:
+        """Restore the state to just before the last accepted step."""
+        if not self._undo:
+            raise ProtocolMisuseError("nothing to undo")
+        cid, old_prev, first_visit, popped, old_last, edge_added = self._undo.pop()
         if edge_added:
             self.children[old_prev].pop()
             self.parents[cid].pop()
@@ -214,16 +188,12 @@ class _Core:
             self.first_ix[cid] = 0
             assert self.stack and self.stack[-1] == cid
             self.stack.pop()
-        for v in reversed(popped):
-            self.on_cycle[v] = False
-            self.stack.append(v)
+        elif popped:
+            for v in reversed(popped):
+                self.on_cycle[v] = False
+                self.stack.append(v)
         self.prev = old_prev
         self.pos -= 1
-
-    def undo_last(self) -> None:
-        if not self._undo:
-            raise ProtocolMisuseError("nothing to undo")
-        self._revert(self._undo.pop())
 
 
 class UdDecider:
@@ -329,15 +299,12 @@ class TokenDecider:
             return self._core.verdict
         sid = self._intern(src)
         if self._core.pos == 0:
-            out = self._core.step(sid)
-            if not out.ok:  # pragma: no cover - a lone visit cannot fail
-                return out
+            self._core.step(sid)  # a lone visit cannot fail
         did = self._intern(dst)
         key = (sid, did)
         existing = self._edge_labels.get(key)
         if existing is not None and existing != shingle:
-            self._core.verdict = Verdict(False, Reason.PARALLEL_LABELS, self._core.pos + 1)
-            return self._core.verdict
+            return self._core._reject(Reason.PARALLEL_LABELS, self._core.pos + 1)
         out = self._core.step(did)
         if out.ok:
             self._labels.append(shingle)

@@ -2,7 +2,8 @@ import threading
 
 import pytest
 
-from shinglesync import interior_qgrams
+from shinglesync import ReconConfig, interior_qgrams
+from shinglesync import cli
 from shinglesync.cli import main
 
 
@@ -160,3 +161,27 @@ class TestReconcile:
         code = main(["reconcile", "connect", "127.0.0.1:1", "--input", "katana", *option])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "mode, m_hat", [("fixed:0", 0), ("fixed:32", 32), ("rateless", ReconConfig(l=2).m_hat)]
+    )
+    def test_connect_hands_the_parsed_bound_to_the_session(self, monkeypatch, capsys, mode, m_hat):
+        # an explicit fixed:0 stays 0; rateless keeps ReconConfig's default
+        configs = []
+
+        class Endpoint:
+            def close(self):
+                pass
+
+        class Report:
+            def to_text(self):
+                return ""
+
+        def fake_run_protocol(word, endpoint, role, config):
+            configs.append(config)
+            return "", Report()
+
+        monkeypatch.setattr(cli, "connect", lambda host, port: Endpoint())
+        monkeypatch.setattr(cli, "run_protocol", fake_run_protocol)
+        assert main(["reconcile", "connect", "127.0.0.1:1", "--input", "katana", "--mode", mode]) == 0
+        assert [(config.mode, config.m_hat) for config in configs] == [(mode.split(":")[0], m_hat)]

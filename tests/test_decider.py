@@ -1,9 +1,10 @@
+import copy
 import itertools
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shinglesync import (
@@ -278,3 +279,61 @@ class TestMerging:
             verdict = td.push_shingle(s)
         assert not verdict.ok
         assert verdict.reason is Reason.PARALLEL_LABELS
+
+
+CORE_FIELDS = ("visited", "on_cycle", "children", "parents", "first_ix", "last_ix", "stack", "prev", "pos")
+UNDO = -1
+
+# an id count and a stream of ops over it: an id steps, UNDO calls undo_last
+core_ops = st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(st.integers(min_value=UNDO, max_value=k - 1), max_size=200))
+)
+
+
+def core_state(core):
+    return copy.deepcopy([getattr(core, f) for f in CORE_FIELDS])
+
+
+class TestCoreProperties:
+    # katana and axbxbax as ids: each reaches a rejection rule in undo mode,
+    # so every run checks a cycle intrusion and a communicating-parents step
+    @settings(max_examples=300, deadline=None)
+    @given(core_ops)
+    @example((4, [0, 1, 2, 1, 3, 1, 3]))
+    @example((3, [0, 1, 2, 1, 2, 0, 1, UNDO, 0]))
+    def test_rejected_steps_change_nothing_and_undo_replays(self, case):
+        k, ops = case
+        core = _Core(k, track_undo=True)
+        accepted = []
+        for op in ops:
+            if op != UNDO:
+                before = core_state(core)
+                if core.step(op).ok:
+                    accepted.append(op)
+                else:
+                    assert core_state(core) == before
+            elif accepted:
+                core.undo_last()
+                accepted.pop()
+            else:
+                with pytest.raises(ProtocolMisuseError):
+                    core.undo_last()
+        replay = _Core(k, track_undo=True)
+        for cid in accepted:
+            assert replay.step(cid).ok
+        assert core_state(core) == core_state(replay)
+        assert core._undo == replay._undo
+
+    @settings(max_examples=300, deadline=None)
+    @given(core_ops)
+    @example((4, [0, 1, 2, 1, 3, 1]))
+    @example((3, [0, 1, 2, 1, 2, 0, 1]))
+    def test_undo_mode_verdicts_match_absorbing_mode_to_the_first_rejection(self, case):
+        k, ops = case
+        tracked, absorbing = _Core(k, track_undo=True), _Core(k)
+        for cid in (op for op in ops if op != UNDO):
+            verdict = tracked.step(cid)
+            assert verdict == absorbing.step(cid)  # ok, reason and position
+            if not verdict.ok:
+                assert absorbing.verdict == verdict and tracked.verdict.ok
+                break

@@ -14,7 +14,7 @@ integer keys that sort in canonical order.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain, count, repeat
+from itertools import count
 from typing import Iterable, Iterator
 
 from .alphabet import DEFAULT_DELIMITER, Alphabet, validate_word
@@ -275,16 +275,6 @@ class ShingleTable:
     def shingle(self, key: int) -> str:
         i = self.where[key]
         return self.text[i : i + self.l]
-
-    def instance_keys(self) -> list[int]:
-        """The key of every instance, in canonical instance order."""
-        order = sorted(self.counts)
-        return list(chain.from_iterable(map(repeat, order, map(self.counts.__getitem__, order))))
-
-    def offsets(self) -> dict[int, int]:
-        """The canonical index of each key's first instance."""
-        order = sorted(self.counts)
-        return dict(zip(order, accumulate(map(self.counts.__getitem__, order), initial=0)))
 
     def moved(self, remove: ShingleMultiset, add: ShingleMultiset) -> "ShingleTable":
         """This multiset less `remove`, which it must contain, plus `add`."""

@@ -5,23 +5,26 @@ symbols), reconcile the two initial shingle multisets bucket by bucket (a
 first batch of characteristic values pre-sized from the bound in fixed mode
 and empty in rateless mode, then values on request until every bucket is
 done), merge each side's ordered shingling to unique decodability, exchange
-merge seams as canonical instance-index pairs, rebuild and uniquely decode
-the remote multiset, then confirm with digests.  Steps 1 to 6 run on integer
-positions of the padded word (`ShingledWord`): merged labels are spans of
-positions, merge records flat index lists, and the remote multiset a
-`ShingleTable`; only the rebuilt labels are strings.  Only the
-multiset reconciliation and the merge exchange carry data proportional to the
-difference; everything else is constant-size framing.
+one chain per merged label (its first shingle's index among the sender's
+distinct keys, its glued count and the rank of each glued shingle's last
+character), rebuild and uniquely decode the remote multiset, then confirm
+with digests.  Steps 1 to 6 run on integer positions of the padded word
+(`ShingledWord`): merged labels are spans of positions, chains slices of
+its keys, and the remote multiset a `ShingleTable`; only the rebuilt labels
+are strings.  Only the multiset reconciliation, which grows with the
+difference, and the merge exchange, which grows with the merged labels,
+carry more than constant-size framing.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import random
 import struct
 from dataclasses import dataclass, field as dc_field
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 from .alphabet import DEFAULT_DELIMITER, Alphabet, validate_word
 from .debruijn import DeBruijnGraph
@@ -49,7 +52,7 @@ from .setrecon import (  # noqa: F401
 from .shingles import ShingledWord, ShingleMultiset, ShingleTable, shingle_sequence  # noqa: F401
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 # the one field every session runs over: P61 with points drawn from its top
 # 2**40 residues; neither party announces it, so it never crosses the wire
@@ -107,6 +110,11 @@ class SessionReport:
     step2_pairs: int = 0  # evaluation values that crossed the wire in step 2
     step2_buckets: int = 0  # hash buckets step 2 split the instances into
     step2_rounds: int = 0  # DELTA_REQ frames, one per round of requested values
+    # both words at ceil(log2 |symbols|) bits a symbol (at least 1), over the
+    # union of the symbols the two hellos announce: the cost of sending them
+    # as they are
+    raw_bits: int = 0
+    longest_label: int = 0  # shingle positions in the longest local merged label
     alpha: int | None = None
     bits: dict[str, list[int]] = dc_field(default_factory=dict)
 
@@ -130,6 +138,8 @@ class SessionReport:
         lines.append(f"step2_pairs={self.step2_pairs}")
         lines.append(f"step2_buckets={self.step2_buckets}")
         lines.append(f"step2_rounds={self.step2_rounds}")
+        lines.append(f"longest_label={self.longest_label}")
+        lines.append(f"raw_bits={self.raw_bits}")
         total_sent = total_recv = 0
         for step in sorted(self.bits):
             sent, received = self.bits[step]
@@ -146,77 +156,77 @@ class SessionReport:
 # merge bookkeeping
 
 
-def seams_to_records(word: ShingledWord, seams: list[int]) -> list[int]:
-    """Flat merge records of position seams: per seam, the canonical instance
-    index of the absorbed shingle right of it (the atom), then of the anchor
-    left of it.
+class MergeChains(NamedTuple):
+    """The merged labels of one party's shingling, one chain per label of two
+    or more shingles.
 
-    The occ-th occurrence of a shingle in stream order is its occ-th instance
-    in canonical order, at its first instance's offset plus occ - 1.
+    Chain j starts at the shingle whose key is the `heads[j]`-th of the
+    party's sorted distinct keys and glues `glued[j]` more shingles onto it.
+    `ranks` holds, chain after chain, each glued shingle's `key % base`, the
+    rank of its last character: a peer that holds the multiset rebuilds each
+    next key as `key % base**(l-1) * base + rank`.
     """
-    next_index = word.table.offsets()
-    index = []
-    for key in word.keys:
-        index.append(next_index[key])
-        next_index[key] += 1
-    return [i for left in seams for i in (index[left + 1], index[left])]
+
+    heads: list[int]
+    glued: list[int]
+    ranks: list[int]
 
 
-def apply_merge_records(initial: ShingleTable, records: list[int]) -> ShingleMultiset:
-    """Rebuild a merged multiset from an initial multiset plus flat
-    (atom, anchor) records over its canonical instances.
+def seams_to_records(word: ShingledWord, firsts: list[int]) -> MergeChains:
+    """The chains of a word's merged labels, given the first position of each
+    label in stream order (as `merge_until_ud` returns them)."""
+    keys = word.keys
+    base = word.table.base
+    order = sorted(word.table.counts)
+    heads: list[int] = []
+    glued: list[int] = []
+    ranks: list[int] = []
+    for first, end in zip(firsts, itertools.chain(firsts[1:], [len(keys)])):
+        if end - first > 1:
+            heads.append(bisect.bisect_left(order, keys[first]))
+            glued.append(end - first - 1)
+            ranks += [key % base for key in keys[first + 1 : end]]
+    return MergeChains(heads, glued, ranks)
 
-    Each record glues two instances left to right.  The records must form
-    chains of distinct instances whose neighbours overlap in l - 1
-    characters; each chain is joined once into one label.  Records the peer
-    could not have made raise ProtocolError.
+
+def apply_merge_records(initial: ShingleTable, chains: MergeChains) -> ShingleMultiset:
+    """Rebuild a merged multiset from an initial multiset plus the chains of
+    its merged labels.
+
+    Each chain uses up one instance of every shingle it passes through, and
+    the instances left over stay single labels.  A chain that starts past the
+    distinct keys or passes through a shingle with no instance left is one
+    the peer could not have sent, and raises ProtocolError.
     """
-    keys = initial.instance_keys()
-    n = len(keys)
-    if records and not (min(records) >= 0 and max(records) < n):
-        raise ProtocolError("merge record index out of range")
-    successor = [-1] * n
-    predecessor = [-1] * n
-    flat = iter(records)
-    for atom, anchor in zip(flat, flat):
-        if successor[anchor] >= 0 or predecessor[atom] >= 0:
-            raise ProtocolError("conflicting merge records")
-        successor[anchor] = atom
-        predecessor[atom] = anchor
+    order = sorted(initial.counts)
+    left = dict(initial.counts)
     base = initial.base
-    # key % top and key // base are the keys of a shingle's last and first
-    # l - 1 characters
+    # key % top is the key of a shingle's last l - 1 characters
     top = base ** (initial.l - 1)
     # the character of each rank, for the last character of a key
     chars = sorted(initial.ranks)
     merged: dict[str, int] = {}
-    covered = 0
-    for head in range(n):
-        if predecessor[head] >= 0:
-            continue
-        key = keys[head]
-        label = initial.shingle(key)
-        nxt = successor[head]
-        if nxt >= 0:
-            parts = [label]
-            while nxt >= 0:
-                atom = keys[nxt]
-                if key % top != atom // base:
-                    raise ProtocolError(
-                        f"merge record glues {initial.shingle(atom)!r} onto "
-                        f"{initial.shingle(key)!r}, which do not overlap"
-                    )
-                parts.append(chars[atom % base])
-                key = atom
-                nxt = successor[nxt]
-            covered += len(parts)
-            label = "".join(parts)
-        else:
-            covered += 1
+    ranks = iter(chains.ranks)
+    used_up = "merge chain passes through a shingle with no instance left"
+    for head, glued in zip(chains.heads, chains.glued):
+        if head >= len(order):
+            raise ProtocolError(f"merge chain starts at key {head}, past the {len(order)} distinct keys")
+        key = order[head]
+        if not left[key]:
+            raise ProtocolError(used_up)
+        left[key] -= 1
+        parts = [initial.shingle(key)]
+        for rank in itertools.islice(ranks, glued):
+            key = key % top * base + rank
+            if not left.get(key):
+                raise ProtocolError(used_up)
+            left[key] -= 1
+            parts.append(chars[rank])
+        label = "".join(parts)
         merged[label] = merged.get(label, 0) + 1
-    # a pure record cycle has no chain head, leaving its instances uncovered
-    if covered != n:
-        raise ProtocolError("merge records form a cycle")
+    for key, count in left.items():
+        if count:
+            merged[initial.shingle(key)] = count
     return ShingleMultiset(merged, base_len=initial.l)
 
 
@@ -383,22 +393,59 @@ def decode_roots(payload: bytes, count: int) -> list[int]:
     return _unpack_residues(payload, count, "delta")
 
 
-def encode_merges(records: list[int], index_bits: int) -> bytes:
-    """`count:u32be`, then the flat (atom, anchor) records packed
-    `index_bits` wide; the peer derives the width from the sender's instance
-    count."""
-    return _pack_block([len(records) // 2], 32) + _pack_block(records, index_bits)
+def encode_merges(chains: MergeChains, instances: int, base: int) -> bytes:
+    """`count:u32be`, one block of each chain's head and glued count packed
+    `_index_bits(instances)` wide, then one block of the ranks packed
+    `_rank_bits(base)` wide: a merge costs one rank, 2 bits for a binary
+    word.  The peer derives both widths from the sender's instance count and
+    the session's alphabet."""
+    head_block = [value for chain in zip(chains.heads, chains.glued) for value in chain]
+    return (
+        _pack_block([len(chains.heads)], 32)
+        + _pack_block(head_block, _index_bits(instances))
+        + _pack_block(chains.ranks, _rank_bits(base))
+    )
 
 
-def decode_merges(payload: bytes, index_bits: int) -> list[int]:
-    """The flat (atom, anchor) records of a MERGES payload."""
+def decode_merges(payload: bytes, instances: int, base: int) -> MergeChains:
+    """The chains of a MERGES payload from a sender of `instances` shingle
+    instances over `base` ranks.
+
+    Every chain glues at least one shingle onto its head, and all chains
+    together cover at most the sender's instances, which is checked before
+    the rank block is read: no count the peer chooses makes this unpack more
+    values than its instances allow.
+    """
     (count,) = _unpack_block(payload[:4], 32, 1, "merges")
-    return _unpack_block(payload[4:], index_bits, 2 * count, "merges")
+    if 2 * count > instances:
+        raise ProtocolError(f"merges frame holds {count} chains, more than {instances} instances hold")
+    bits = _index_bits(instances)
+    end = 4 + (2 * count * bits + 7) // 8
+    block = _unpack_block(payload[4:end], bits, 2 * count, "merges")
+    heads, glued = block[0::2], block[1::2]
+    if 0 in glued:
+        raise ProtocolError("merge chain glues no shingle")
+    merges = sum(glued)
+    if merges + count > instances:
+        raise ProtocolError(
+            f"merge chains cover {merges + count} instances, more than the {instances} the peer announced"
+        )
+    ranks = _unpack_block(payload[end:], _rank_bits(base), merges, "merges")
+    if ranks and max(ranks) >= base:
+        raise ProtocolError(f"merge chain holds a rank of {base} or more")
+    return MergeChains(heads, glued, ranks)
 
 
 def _index_bits(n_instances: int) -> int:
-    """The merge index width for a word with `n_instances` shingle instances."""
+    """The width of a chain's head and glued count for a word with
+    `n_instances` shingle instances."""
     return max(1, (max(n_instances - 1, 1)).bit_length())
+
+
+def _rank_bits(base: int) -> int:
+    """The width of a rank among `base` characters, 2 for binary words with
+    the delimiter."""
+    return (base - 1).bit_length()
 
 
 def _digest(word: str) -> bytes:
@@ -494,6 +541,7 @@ def _run(
     report.n_remote = n_remote
 
     alphabet = Alphabet(sorted(set(word) | set(peer_syms)), delimiter=config.delimiter)
+    report.raw_bits = (len(word) + n_remote) * max(1, (len(alphabet) - 1).bit_length())
     codec = ShingleCodec(alphabet, FIELD)
     # before shingling: a peer may announce any l below 2**32, and shingling
     # builds |w| + l - 1 windows of length l
@@ -519,29 +567,30 @@ def _run(
     remote_initial = local.table.moved(only_local, only_remote)
 
     # steps 3-4: merge to unique decodability (local work only)
-    labels, seams = merge_until_ud(local)
-    records = seams_to_records(local, seams)
+    firsts, seams = merge_until_ud(local)
     report.merges_local = len(seams)
     # each seam glues two instances into one; checked before it is shipped
-    if len(labels) != instances - len(seams):
+    if len(firsts) != instances - len(seams):
         raise InvariantError(
-            f"merge left {len(labels)} labels, expected {instances} - {len(seams)} merges"
+            f"merge left {len(firsts)} labels, expected {instances} - {len(seams)} merges"
         )
+    report.longest_label = max(b - a for a, b in zip(firsts, [*firsts[1:], instances]))
+    chains = seams_to_records(local, firsts)
 
-    # step 5: exchange merge seams
+    # step 5: exchange the chains of the merged labels
     wire.step = "step5"
-    merges_payload = encode_merges(records, _index_bits(instances))
-    remote_bits = _index_bits(remote_instances)
+    base = local.table.base
+    merges_payload = encode_merges(chains, instances, base)
     if role == ROLE_INITIATOR:
         wire.send(FrameKind.MERGES, merges_payload)
-        remote_records = decode_merges(wire.expect(FrameKind.MERGES).payload, remote_bits)
+        remote_chains = decode_merges(wire.expect(FrameKind.MERGES).payload, remote_instances, base)
     else:
-        remote_records = decode_merges(wire.expect(FrameKind.MERGES).payload, remote_bits)
+        remote_chains = decode_merges(wire.expect(FrameKind.MERGES).payload, remote_instances, base)
         wire.send(FrameKind.MERGES, merges_payload)
-    report.merges_remote = len(remote_records) // 2
+    report.merges_remote = sum(remote_chains.glued)
 
     # step 6: rebuild and uniquely decode the remote string
-    remote_merged = apply_merge_records(remote_initial, remote_records)
+    remote_merged = apply_merge_records(remote_initial, remote_chains)
     remote_word = DeBruijnGraph.build(remote_merged, config.l, config.delimiter).decode_unique()
 
     wire.step = "done"

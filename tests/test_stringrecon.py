@@ -48,6 +48,7 @@ from shinglesync.stringrecon import (
     _CONFIG,
     FIELD,
     VALUE_BITS,
+    MergeChains,
     SessionReport,
     _MeteredEndpoint,
     _pack_block,
@@ -146,17 +147,20 @@ def shingled(word, l):
     return ShingledWord(word, l, Alphabet(sorted(set(word))))
 
 
-def reference_records(word, l, seams):
-    """Flat records of position seams, from the canonical instance list of
-    the shingle strings."""
+def reference_chains(word, l, firsts):
+    """The chains of the labels that start at `firsts`, from the shingle
+    strings: each label's first shingle's index among the sorted distinct
+    shingles, its glued count and each glued shingle's last character's rank."""
     ordered = shingle_sequence(word, l)
-    index_of = {inst: i for i, inst in enumerate(ShingleMultiset(Counter(ordered)).instances())}
-    seen = Counter()
-    index = []
-    for s in ordered:
-        seen[s] += 1
-        index.append(index_of[(s, seen[s])])
-    return [i for left in seams for i in (index[left + 1], index[left])]
+    distinct = sorted(set(ordered))
+    rank = {ch: i for i, ch in enumerate(sorted(set(word) | {DEFAULT_DELIMITER}))}
+    heads, glued, ranks = [], [], []
+    for first, end in zip(firsts, firsts[1:] + [len(ordered)]):
+        if end - first > 1:
+            heads.append(distinct.index(ordered[first]))
+            glued.append(end - first - 1)
+            ranks += [rank[s[-1]] for s in ordered[first + 1 : end]]
+    return MergeChains(heads, glued, ranks)
 
 
 def merged_multiset(word, l):
@@ -182,57 +186,79 @@ class TestMergeBookkeeping:
     def test_repeated_character_word(self):
         assert decoding_count(merged_multiset("aaaa", 2), l=2).witnesses == ("aaaa",)
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.text(alphabet="abc", max_size=24), st.integers(min_value=2, max_value=3))
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda k: st.text(alphabet="abcd"[:k], max_size=40)), st.integers(2, 6))
     def test_records_rebuild_remote_merge(self, w, l):
+        # sender's chains through the frame to the receiver's rebuild, which
+        # holds the sender's multiset after step 2
         word = shingled(w, l)
         firsts, seams = merge_until_ud(word)
-        records = seams_to_records(word, seams)
-        assert records == reference_records(w, l, seams)
-        assert apply_merge_records(word.table, records) == ShingleMultiset(Counter(span_labels(word, firsts)))
+        chains = seams_to_records(word, firsts)
+        assert chains == reference_chains(w, l, firsts)
+        instances, base = len(word.keys), word.table.base
+        received = decode_merges(encode_merges(chains, instances, base), instances, base)
+        assert received == chains
+        # the count the receiver reports as merges_remote
+        assert sum(received.glued) == len(seams)
+        assert apply_merge_records(word.table, received) == ShingleMultiset(Counter(span_labels(word, firsts)))
 
     @settings(max_examples=150, deadline=None)
     @given(st.text(alphabet="abc", max_size=30), st.text(alphabet="abd", max_size=30), st.integers(2, 5))
     def test_moved_table_is_the_peer_multiset(self, mine, theirs, l):
         # local less the local-only shingles plus the remote-only ones: the
-        # remote multiset, in its canonical instance order
+        # remote multiset, whose sorted keys are its canonical order
         alphabet = Alphabet("abcd")
         ms_mine, ms_theirs = (ShingleMultiset(Counter(shingle_sequence(w, l))) for w in (mine, theirs))
         moved = ShingledWord(mine, l, alphabet).table.moved(
             ShingleMultiset(ms_mine.entries - ms_theirs.entries),
             ShingleMultiset(ms_theirs.entries - ms_mine.entries),
         )
-        assert [moved.shingle(key) for key in moved.instance_keys()] == [s for s, _ in ms_theirs.instances()]
+        assert [moved.shingle(key) for key in sorted(moved.counts)] == sorted(ms_theirs.entries)
+        assert {moved.shingle(key): count for key, count in moved.counts.items()} == ms_theirs.entries
 
     def test_bad_records_rejected(self):
+        # "abc" at l = 2 holds one instance each of '$a', 'ab', 'bc' and 'c$',
+        # in key order; the ranks of '$', 'a', 'b' and 'c' are 0 to 3
         table = shingled("abc", 2).table
-        with pytest.raises(ProtocolError):
-            apply_merge_records(table, [99, 0])
-        with pytest.raises(ProtocolError):
-            apply_merge_records(table, [1, 0, 2, 0])
+        # a head past the four distinct keys
+        with pytest.raises(ProtocolError, match="past the 4 distinct keys"):
+            apply_merge_records(table, MergeChains([4], [1], [2]))
+        # 'ab' then 'bb', which the multiset does not hold
+        with pytest.raises(ProtocolError, match="no instance left"):
+            apply_merge_records(table, MergeChains([1], [1], [2]))
+        # two chains that both start at the one '$a'
+        with pytest.raises(ProtocolError, match="no instance left"):
+            apply_merge_records(table, MergeChains([0, 0], [1, 1], [2, 2]))
 
-    def test_cyclic_records_rejected(self):
-        with pytest.raises(ProtocolError):
-            apply_merge_records(shingled("abcd", 2).table, [1, 2, 2, 1])
-
-    def test_records_that_do_not_overlap_rejected(self):
-        # '$01' (instance 1) and '$$0' (instance 0) share no l - 1 characters
-        with pytest.raises(ProtocolError, match="do not overlap"):
-            apply_merge_records(shingled("0110", 3).table, [0, 1])
+    def test_chain_that_loops_past_its_instances_rejected(self):
+        # 'aa' is a loop on node 'a' with three instances: a chain may go round
+        # it three times, not four
+        table = shingled("aaaa", 2).table
+        head = sorted(table.counts).index(table.key("aa"))
+        assert apply_merge_records(table, MergeChains([head], [2], [1, 1])) == ShingleMultiset(
+            {"$a": 1, "aaaa": 1, "a$": 1}
+        )
+        with pytest.raises(ProtocolError, match="no instance left"):
+            apply_merge_records(table, MergeChains([head], [3], [1, 1, 1]))
 
     def test_full_collapse_single_composite(self):
-        # every boundary glued: the rebuilt multiset is one composite shingle
+        # every boundary glued: one chain, and the rebuilt multiset is one
+        # composite shingle
         word = shingled("abc", 2)
-        seams = list(range(len(word.keys) - 1))
-        records = seams_to_records(word, seams)
-        assert records == reference_records("abc", 2, seams)
-        assert apply_merge_records(word.table, records) == ShingleMultiset({"$abc$": 1})
+        chains = seams_to_records(word, [0])
+        assert chains == reference_chains("abc", 2, [0]) == MergeChains([0], [3], [2, 3, 0])
+        assert apply_merge_records(word.table, chains) == ShingleMultiset({"$abc$": 1})
 
 
 # bytes produced by the original, unmasked packer: the wire format must not drift
 GOLDEN_VALUES = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181, 6765]
 GOLDEN_PACKED_13 = bytes.fromhex("0000004004003002802001a01501100dc0b209007485e44c43db31ea8620aba6d0")
-GOLDEN_MERGES_3 = bytes.fromhex("00000003af8c40")
+# "katana" at l = 2 merges one label, 'tana': the chain from 'ta', the 7th
+# of its 7 distinct shingles, gluing 'an' and 'na', whose last characters
+# 'n' and 'a' rank 3 and 1 among '$', 'a', 'k', 'n' and 't'.  u32 count 1,
+# then (6, 2) at 3 bits for its 7 instances, then (3, 1) at 3 bits for its 5
+# ranks
+GOLDEN_CHAINS = bytes.fromhex("00000001c864")
 
 
 @st.composite
@@ -240,6 +266,17 @@ def width_and_values(draw):
     bits = draw(st.integers(min_value=1, max_value=VALUE_BITS))
     values = draw(st.lists(st.integers(min_value=0, max_value=2**bits - 1), max_size=3000))
     return bits, values
+
+
+@st.composite
+def merge_chains(draw):
+    """Chains an honest sender could frame: (chains, instances, base)."""
+    base = draw(st.integers(1, 9))
+    glued = draw(st.lists(st.integers(1, 40), max_size=20))
+    instances = draw(st.integers(max(1, len(glued) + sum(glued)), 3000))
+    heads = draw(st.lists(st.integers(0, instances - 1), min_size=len(glued), max_size=len(glued)))
+    ranks = draw(st.lists(st.integers(0, base - 1), min_size=sum(glued), max_size=sum(glued)))
+    return MergeChains(heads, glued, ranks), instances, base
 
 
 def value_block_bytes(count):
@@ -261,9 +298,11 @@ class TestWireCodecs:
         assert _unpack_block(GOLDEN_PACKED_13, 13, len(GOLDEN_VALUES), "test") == GOLDEN_VALUES
         assert _pack_block([1, 0, 1, 1, 0, 1, 1], 1) == bytes([0xB6])
         assert _pack_block([2**32 - 1, 0, 12345678, 2**31], 32) == bytes.fromhex("ffffffff0000000000bc614e80000000")
-        records = [5, 3, 7, 0, 6, 1]  # (atom, anchor) pairs
-        assert encode_merges(records, 3) == GOLDEN_MERGES_3
-        assert decode_merges(GOLDEN_MERGES_3, 3) == records
+        word = shingled("katana", 2)
+        chains = seams_to_records(word, merge_until_ud(word)[0])
+        assert chains == MergeChains([6], [2], [3, 1])
+        assert encode_merges(chains, 7, 5) == GOLDEN_CHAINS
+        assert decode_merges(GOLDEN_CHAINS, 7, 5) == chains
 
     def test_value_blocks_are_62_bits_wide(self):
         # one big-endian integer of count * 62 bits, zero-padded to a byte
@@ -286,24 +325,38 @@ class TestWireCodecs:
         with pytest.raises(ProtocolError):
             _unpack_block(bad, 13, len(GOLDEN_VALUES), "test")
 
-    @given(
-        st.lists(
-            st.tuples(st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=500)),
-            max_size=30,
-        )
-    )
-    def test_merges_frame_round_trip(self, pairs):
-        records = [index for pair in pairs for index in pair]
-        assert decode_merges(encode_merges(records, 9), 9) == records
+    @given(merge_chains())
+    def test_merges_frame_round_trip(self, case):
+        chains, instances, base = case
+        payload = encode_merges(chains, instances, base)
+        index_bits, rank_bits = (instances - 1).bit_length() or 1, (base - 1).bit_length()
+        head_bytes = (2 * len(chains.heads) * index_bits + 7) // 8
+        assert len(payload) == 4 + head_bytes + (len(chains.ranks) * rank_bits + 7) // 8
+        assert decode_merges(payload, instances, base) == chains
 
     @pytest.mark.parametrize(
         "payload",
-        [GOLDEN_MERGES_3 + b"\x00", GOLDEN_MERGES_3[:-1], b"\x00\x00\x00"],
+        [GOLDEN_CHAINS + b"\x00", GOLDEN_CHAINS[:-1], b"\x00\x00\x00"],
         ids=["one-byte-long", "one-byte-short", "short-count"],
     )
     def test_merges_frame_length_must_match_count(self, payload):
         with pytest.raises(ProtocolError):
-            decode_merges(payload, 3)
+            decode_merges(payload, 7, 5)
+
+    def test_merges_past_the_instances_refused_before_the_ranks(self, monkeypatch):
+        # one chain gluing 7 onto its head covers 8 of 7 instances; the rank
+        # block that follows is well formed but never unpacked
+        unpacked = []
+
+        def spy(data, bits, count, what):
+            unpacked.append(count)
+            return _unpack_block(data, bits, count, what)
+
+        monkeypatch.setattr(stringrecon, "_unpack_block", spy)
+        payload = _pack_block([1], 32) + _pack_block([6, 7], 3) + _pack_block([1] * 7, 3)
+        with pytest.raises(ProtocolError, match="more than the 7"):
+            decode_merges(payload, 7, 5)
+        assert unpacked == [1, 2]
 
     def test_pair_frame_round_trip_and_exact_length(self):
         # values only, 62 bits each: the peer derives the points and the count
@@ -454,6 +507,26 @@ class TestSessions:
             "merges_local=",
         ):
             assert key in text, key
+
+    def test_report_has_raw_bits_and_longest_label(self):
+        config = ReconConfig(l=2, mode=MODE_RATELESS, seed=8)
+        (_, rep_a), (_, rep_b) = run_session("katana", "katna", config)
+        # 4 symbols, 2 bits each
+        assert rep_a.raw_bits == rep_b.raw_bits == (6 + 5) * 2
+        for word, rep in (("katana", rep_a), ("katna", rep_b)):
+            w = shingled(word, 2)
+            firsts, _ = merge_until_ud(w)
+            assert rep.longest_label == max(len(label) for label in span_labels(w, firsts)) - 1
+            assert f"longest_label={rep.longest_label}\n" in rep.to_text()
+            assert f"raw_bits={rep.raw_bits}\n" in rep.to_text()
+        # 'tana', three positions
+        assert rep_a.longest_label == 3
+        # the symbols of both hellos: 2 bits a symbol, where each word alone needs 1
+        (_, rep_a), (_, rep_b) = run_session("ab", "cd", config)
+        assert rep_a.raw_bits == rep_b.raw_bits == 8
+        # a single symbol still costs 1 bit a symbol
+        (_, rep_a), _ = run_session("aaa", "aa", config)
+        assert rep_a.raw_bits == 5
 
     @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 16), (MODE_RATELESS, 0)])
     def test_both_parties_report_the_step2_pairs(self, mode, m_hat):
@@ -854,11 +927,12 @@ class TestStep2Evaluation:
 
 
 # SHA-256 of each party's MERGES and DELTA payloads in one seeded rateless
-# session over 2048 bits with 8 edits at l = 16 (about 1,160 merges a side)
+# session over 2048 bits with 8 edits at l = 16 (3 chains and about 1,160
+# merges a side)
 GOLDEN_SESSION = {
-    ("initiator", "MERGES"): "0bff45c6ba2e49ae8462ed31cd7dd765a61ede780716305a7fb1be2c1ac9e6df",
+    ("initiator", "MERGES"): "0eb4424999a216f1fb33b58af507024e723c79e9dbf7beeecd555d1516f1c640",
     ("initiator", "DELTA"): "14893587d9aaa084bdf6270103df6c00461ee5ee8a83cf1589213dbb3d7d32ad",
-    ("responder", "MERGES"): "5f4d9ddb5615c7ac3458fc54e4f226755e7f5bc2216810de547b5fa5f8f8cd0d",
+    ("responder", "MERGES"): "0c1fe1109a7d56bebc9b31450cc0326e6e24de6b133900abcfa340071c074a66",
     ("responder", "DELTA"): "66c2ee696dd4d505a9ad50da246f1ace37905d2c5632fda8ae29480ddbfd8467",
 }
 
@@ -1068,25 +1142,6 @@ class TestHostileStep2:
         assert time.perf_counter() - start < 1
         assert isinstance(exc, ProtocolError)
 
-    def test_merges_that_glue_non_overlapping_instances_are_refused(self):
-        # an honest responder "0110" but for its MERGES, which glues its
-        # instance 0, '$$0', onto its instance 1, '$01'
-        config = ReconConfig(l=3, mode=MODE_RATELESS, k=8, seed=3)
-
-        def script(peer):
-            send = peer.send
-
-            def tampered(frame):
-                if frame.kind == FrameKind.MERGES:
-                    frame = Frame(FrameKind.MERGES, encode_merges([0, 1], 3))
-                send(frame)
-
-            peer.send = tampered
-            run_protocol("0110", peer, "responder", config)
-
-        exc = scripted_session("0111", "initiator", config, script)
-        assert isinstance(exc, ProtocolError) and "do not overlap" in str(exc)
-
     def test_responder_rejects_a_hello_with_k_zero(self):
         config = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=3)
 
@@ -1210,6 +1265,67 @@ class TestHostileStep2:
         assert isinstance(exc, BoundExceededError)
         assert time.perf_counter() - start < 10
         assert 0 < len(budgets) <= budgets[0] == 6 + 6 + 8
+
+
+def merges_frame(heads_and_glued, ranks):
+    """A MERGES payload from a sender of 6 instances over 3 ranks: index
+    values 3 bits wide, ranks 2."""
+    return _pack_block([len(heads_and_glued) // 2], 32) + _pack_block(heads_and_glued, 3) + _pack_block(ranks, 2)
+
+
+# an honest responder "0110" at l = 3 holds one instance each of the keys of
+# '$$0', '$01', '0$$', '011', '10$' and '110', in that order; '$', '0' and '1'
+# rank 0, 1 and 2.  The chain from '$$0' gluing '$01' is one it could send.
+GLUE_0_1 = merges_frame([0, 1], [2])
+
+
+class TestHostileMerges:
+    """The responder "0110" is honest but for its MERGES frame; the initiator
+    must stop with `ProtocolError`."""
+
+    CONFIG = ReconConfig(l=3, mode=MODE_RATELESS, k=8, seed=3)
+
+    @pytest.mark.parametrize(
+        "payload,match",
+        [
+            (GLUE_0_1[:-1], "holds 0 bytes"),
+            (GLUE_0_1 + b"\x00", "holds 2 bytes"),
+            (GLUE_0_1[:-1] + bytes([GLUE_0_1[-1] | 1]), "padding"),
+            (merges_frame([6, 1], [2]), "past the 6 distinct keys"),
+            (merges_frame([0, 0], []), "glues no shingle"),
+            (merges_frame([0, 6], [2] * 6), "more than the 6"),
+            (merges_frame([0, 1], [3]), "rank of 3"),
+            # two chains through the one '$$0'
+            (merges_frame([0, 1, 0, 1], [2, 2]), "no instance left"),
+            # four chains need at least eight of the six instances
+            (merges_frame([0, 1] * 4, [2] * 4), "4 chains"),
+        ],
+        ids=[
+            "truncated",
+            "over-long",
+            "padding",
+            "head-past-the-keys",
+            "glued-zero",
+            "past-the-instances",
+            "rank-past-base",
+            "used-up",
+            "too-many-chains",
+        ],
+    )
+    def test_malformed_merges_frame_is_refused(self, payload, match):
+        def script(peer):
+            send = peer.send
+
+            def tampered(frame):
+                if frame.kind == FrameKind.MERGES:
+                    frame = Frame(FrameKind.MERGES, payload)
+                send(frame)
+
+            peer.send = tampered
+            run_protocol("0110", peer, "responder", self.CONFIG)
+
+        exc = scripted_session("0111", "initiator", self.CONFIG, script)
+        assert isinstance(exc, ProtocolError) and match in str(exc), exc
 
 
 class TestRandomEdits:

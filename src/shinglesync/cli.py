@@ -124,7 +124,7 @@ def cmd_reconcile(args) -> int:
         endpoint.close()
         if args.action == "serve":
             listener.close()
-    sys.stdout.write(report.to_text())
+    sys.stdout.write(report.to_json() + "\n" if args.report == "json" else report.to_text())
     if args.output:
         with open(args.output, "wb") as fh:
             fh.write(remote_word.encode("latin-1"))
@@ -186,6 +186,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("addr", help="host:port")
     p.add_argument("--input", required=True, help="local string (or @file)")
     p.add_argument("--output", help="write the recovered remote string here")
+    p.add_argument(
+        "--report",
+        choices=["text", "json"],
+        default="text",
+        help="print the session report as key=value lines (default) or one JSON object",
+    )
     # session parameters, for connect only: serve adopts the peer's
     p.add_argument("--l", type=int, help="shingle length (default: sized from input)")
     p.add_argument(

@@ -13,9 +13,10 @@ integer keys that sort in canonical order.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import count
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .alphabet import DEFAULT_DELIMITER, Alphabet, validate_word
 from .errors import (
@@ -248,10 +249,10 @@ class ShingleTable:
     l - 1 characters, and `key % base` ranks its last character.
 
     `counts` holds the multiplicities.  The shingle of a counted key is
-    `text[where[key] : where[key] + l]`.
+    `text[where[key] : where[key] + l]`.  A table is not changed once built.
     """
 
-    __slots__ = ("l", "ranks", "base", "counts", "text", "where")
+    __slots__ = ("l", "ranks", "base", "counts", "text", "where", "_top", "_order", "_runs", "_next")
 
     def __init__(self, l: int, ranks: dict[str, int], counts: dict[int, int], text: str, where: dict[int, int]):
         self.l = l
@@ -260,6 +261,78 @@ class ShingleTable:
         self.counts = counts
         self.text = text
         self.where = where
+        # key % _top is the key of a shingle's last l - 1 characters
+        self._top = self.base ** (l - 1)
+        self._order: list[int] | None = None
+        self._runs: dict[int, list[int]] | None = None
+        self._next: dict[int, int] | None = None
+
+    @property
+    def order(self) -> list[int]:
+        """The distinct keys, sorted: `ShingleMultiset`'s canonical order."""
+        if self._order is None:
+            self._order = sorted(self.counts)
+        return self._order
+
+    def branch_runs(self) -> dict[int, list[int]]:
+        """The successors of each branch node, by the node's key.
+
+        A node is the key of l - 1 characters, and its successors are the
+        distinct keys whose first l - 1 characters it is: the shingles a
+        walk through the de Bruijn graph may take on from a shingle whose
+        last l - 1 characters it is (`key % base**(l-1)`).  They are a run
+        of the sorted keys, found without trying each of the base
+        characters.  A branch node has two or more.  A walk that uses up
+        instances may need a choice only at a branch node, and needs one
+        there when two or more of its successors still have an instance.
+        """
+        if self._runs is None:
+            self._index_successors(single=False)
+        return self._runs
+
+    def _index_successors(self, single: bool) -> None:
+        """Fill `_runs`, and with `single` also `_next`, the one successor of
+        every node that is not a branch node."""
+        order, base = self.order, self.base
+        # grams[i] is the node order[i] leaves from, so grams is sorted
+        grams = [key // base for key in order]
+        if self._runs is None:
+            self._runs = {
+                gram: order[bisect_left(grams, gram) : bisect_right(grams, gram)]
+                for gram in {gram for gram, after in zip(grams, grams[1:]) if gram == after}
+            }
+        if single:
+            self._next = dict(zip(grams, order))
+            for gram in self._runs:
+                del self._next[gram]
+
+    def walk(
+        self, key: int, steps: int, left: dict[int, int], choose: Callable[[int, list[int]], int]
+    ) -> list[int]:
+        """The keys of the `steps` shingles a walk glues on after shingle
+        `key`, each using up one instance in `left`, a running count of
+        every distinct key.
+
+        A step goes on to a live successor of the current shingle's last
+        l - 1 characters (see `branch_runs`), one that still has an
+        instance in `left`.  Where exactly one is live the walk takes it.
+        Anywhere else, at a branch node with two or more live or at a dead
+        end, it takes `choose(key, live)`.
+        """
+        if self._next is None:
+            self._index_successors(single=True)
+        top, runs, only = self._top, self._runs, self._next.get
+        path = []
+        for _ in range(steps):
+            after = only(key % top)
+            if after is not None and left[after]:
+                key = after
+            else:
+                live = [k for k in runs.get(key % top, ()) if left[k]]
+                key = live[0] if len(live) == 1 else choose(key, live)
+            left[key] -= 1
+            path.append(key)
+        return path
 
     def key(self, shingle: str) -> int:
         if len(shingle) != self.l:

@@ -6,14 +6,15 @@ first batch of characteristic values pre-sized from the bound in fixed mode
 and empty in rateless mode, then values on request until every bucket is
 done), merge each side's ordered shingling to unique decodability, exchange
 one chain per merged label (its first shingle's index among the sender's
-distinct keys, its glued count and the rank of each glued shingle's last
-character), rebuild and uniquely decode the remote multiset, then confirm
-with digests.  Steps 1 to 6 run on integer positions of the padded word
-(`ShingledWord`): merged labels are spans of positions, chains slices of
-its keys, and the remote multiset a `ShingleTable`; only the rebuilt labels
-are strings.  Only the multiset reconciliation, which grows with the
-difference, and the merge exchange, which grows with the merged labels,
-carry more than constant-size framing.
+distinct keys, its glued count, and the rank of a glued shingle's last
+character only at a branch point, where the receiver's walk over the
+sender's multiset has two or more successors left), rebuild and uniquely
+decode the remote multiset, then confirm with digests.  Steps 1 to 6 run on
+integer positions of the padded word (`ShingledWord`): merged labels are
+spans of positions, chains slices of its keys, and the remote multiset a
+`ShingleTable`; only the rebuilt labels are strings.  Only the multiset
+reconciliation, which grows with the difference, and the merge exchange,
+which grows with the merged labels, carry more than constant-size framing.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
+import json
 import random
 import struct
 from dataclasses import dataclass, field as dc_field
@@ -49,10 +51,16 @@ from .setrecon import (  # noqa: F401
 )
 # shingle_sequence is unused here but stays importable from this module:
 # perfbench/tracing.py rebinds it on it
-from .shingles import ShingledWord, ShingleMultiset, ShingleTable, shingle_sequence  # noqa: F401
+from .shingles import (  # noqa: F401
+    ShingledWord,
+    ShingleMultiset,
+    ShingleTable,
+    is_valid_shingle,
+    shingle_sequence,
+)
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 7
+PROTOCOL_VERSION = 8
 
 # the one field every session runs over: P61 with points drawn from its top
 # 2**40 residues; neither party announces it, so it never crosses the wire
@@ -107,6 +115,7 @@ class SessionReport:
     outcome: str = "incomplete"
     merges_local: int = 0
     merges_remote: int = 0
+    ranks_sent: int = 0  # ranks in the local MERGES frame: one per branch point its chains pass
     step2_pairs: int = 0  # evaluation values that crossed the wire in step 2
     step2_buckets: int = 0  # hash buckets step 2 split the instances into
     step2_rounds: int = 0  # DELTA_REQ frames, one per round of requested values
@@ -122,34 +131,53 @@ class SessionReport:
         sent, received = self.bits.get(step, [0, 0])
         return sent, received
 
-    def to_text(self) -> str:
-        lines = [
-            f"role={self.role}",
-            f"outcome={self.outcome}",
-            f"mode={self.mode}",
-            f"l={self.l}",
-            f"n_local={self.n_local}",
-            f"n_remote={self.n_remote}",
-        ]
+    def wire_ratio(self) -> float | None:
+        """Bits sent plus bits received over `raw_bits`; None until the
+        hellos have given `raw_bits`, or when both words are empty."""
+        if not self.raw_bits:
+            return None
+        return sum(sent + received for sent, received in self.bits.values()) / self.raw_bits
+
+    def figures(self) -> dict[str, object]:
+        """Every figure of the report by name, in the order `to_text` prints
+        them; `alpha` and `wire_ratio` only when known."""
+        out: dict[str, object] = {
+            "role": self.role,
+            "outcome": self.outcome,
+            "mode": self.mode,
+            "l": self.l,
+            "n_local": self.n_local,
+            "n_remote": self.n_remote,
+        }
         if self.alpha is not None:
-            lines.append(f"alpha={self.alpha}")
-        lines.append(f"merges_local={self.merges_local}")
-        lines.append(f"merges_remote={self.merges_remote}")
-        lines.append(f"step2_pairs={self.step2_pairs}")
-        lines.append(f"step2_buckets={self.step2_buckets}")
-        lines.append(f"step2_rounds={self.step2_rounds}")
-        lines.append(f"longest_label={self.longest_label}")
-        lines.append(f"raw_bits={self.raw_bits}")
-        total_sent = total_recv = 0
+            out["alpha"] = self.alpha
+        for name in (
+            "merges_local",
+            "merges_remote",
+            "ranks_sent",
+            "step2_pairs",
+            "step2_buckets",
+            "step2_rounds",
+            "longest_label",
+            "raw_bits",
+        ):
+            out[name] = getattr(self, name)
         for step in sorted(self.bits):
-            sent, received = self.bits[step]
-            total_sent += sent
-            total_recv += received
-            lines.append(f"{step}_bits_sent={sent}")
-            lines.append(f"{step}_bits_recv={received}")
-        lines.append(f"total_bits_sent={total_sent}")
-        lines.append(f"total_bits_recv={total_recv}")
-        return "".join(line + "\n" for line in lines)
+            out[f"{step}_bits_sent"], out[f"{step}_bits_recv"] = self.bits[step]
+        out["total_bits_sent"] = sum(sent for sent, _ in self.bits.values())
+        out["total_bits_recv"] = sum(received for _, received in self.bits.values())
+        ratio = self.wire_ratio()
+        if ratio is not None:
+            out["wire_ratio"] = round(ratio, 4)
+        return out
+
+    def to_text(self) -> str:
+        """One `name=value` line per figure."""
+        return "".join(f"{name}={value}\n" for name, value in self.figures().items())
+
+    def to_json(self) -> str:
+        """The figures of `to_text` as one JSON object on one line."""
+        return json.dumps(self.figures())
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +190,12 @@ class MergeChains(NamedTuple):
 
     Chain j starts at the shingle whose key is the `heads[j]`-th of the
     party's sorted distinct keys and glues `glued[j]` more shingles onto it.
-    `ranks` holds, chain after chain, each glued shingle's `key % base`, the
-    rank of its last character: a peer that holds the multiset rebuilds each
-    next key as `key % base**(l-1) * base + rank`.
+    A peer that holds the party's multiset walks the chains over it in order
+    (`ShingleTable.walk`): each step uses up an instance and goes on to the
+    one successor with an instance left where there is one.  `ranks` holds,
+    chain after chain, the rest: at each branch point, where two or more
+    successors are left, the next shingle's `key % base`, the rank of its
+    last character, so the next key is `key % base**(l-1) * base + rank`.
     """
 
     heads: list[int]
@@ -174,10 +205,21 @@ class MergeChains(NamedTuple):
 
 def seams_to_records(word: ShingledWord, firsts: list[int]) -> MergeChains:
     """The chains of a word's merged labels, given the first position of each
-    label in stream order (as `merge_until_ud` returns them)."""
+    label in stream order (as `merge_until_ud` returns them).
+
+    Replays the peer's walk (`ShingleTable.walk`) over the word's own
+    multiset, chain by chain, and keeps a glued shingle's rank only where
+    the walk reaches a branch node with two or more successors left.  The
+    walk uses up the chains' positions in stream order, and only the counts
+    of a branch node's successors decide a step, so the replay counts just
+    those, at the positions that hold them.
+    """
     keys = word.keys
-    base = word.table.base
-    order = sorted(word.table.counts)
+    table = word.table
+    base = table.base
+    order = table.order
+    runs = table.branch_runs()
+    left = {key: table.counts[key] for run in runs.values() for key in run}
     heads: list[int] = []
     glued: list[int] = []
     ranks: list[int] = []
@@ -185,7 +227,12 @@ def seams_to_records(word: ShingledWord, firsts: list[int]) -> MergeChains:
         if end - first > 1:
             heads.append(bisect.bisect_left(order, keys[first]))
             glued.append(end - first - 1)
-            ranks += [key % base for key in keys[first + 1 : end]]
+            for at in itertools.compress(range(first, end), map(left.__contains__, keys[first:end])):
+                key = keys[at]
+                # the step onto a glued shingle that leaves a branch node
+                if at > first and len([k for k in runs[key // base] if left[k]]) > 1:
+                    ranks.append(key % base)
+                left[key] -= 1
     return MergeChains(heads, glued, ranks)
 
 
@@ -194,11 +241,14 @@ def apply_merge_records(initial: ShingleTable, chains: MergeChains) -> ShingleMu
     its merged labels.
 
     Each chain uses up one instance of every shingle it passes through, and
-    the instances left over stay single labels.  A chain that starts past the
-    distinct keys or passes through a shingle with no instance left is one
-    the peer could not have sent, and raises ProtocolError.
+    the instances left over stay single labels.  A chain the peer could not
+    have sent raises ProtocolError: one whose head is past the distinct keys
+    or has no instance left, one that reaches a shingle with no successor
+    left, or a branch point with no rank left or whose rank names no live
+    successor, one whose label holds a delimiter inside it, and ranks left
+    over after the last chain.
     """
-    order = sorted(initial.counts)
+    order = initial.order
     left = dict(initial.counts)
     base = initial.base
     # key % top is the key of a shingle's last l - 1 characters
@@ -207,23 +257,35 @@ def apply_merge_records(initial: ShingleTable, chains: MergeChains) -> ShingleMu
     chars = sorted(initial.ranks)
     merged: dict[str, int] = {}
     ranks = iter(chains.ranks)
-    used_up = "merge chain passes through a shingle with no instance left"
+
+    def read_rank(key: int, live: list[int]) -> int:
+        if not live:
+            raise ProtocolError("merge chain steps on where no successor has an instance left")
+        rank = next(ranks, None)
+        if rank is None:
+            raise ProtocolError("merge chain reaches a branch point with no shipped rank left")
+        key = key % top * base + rank
+        if key not in live:
+            raise ProtocolError("merge chain's shipped rank names a successor with no instance left")
+        return key
+
     for head, glued in zip(chains.heads, chains.glued):
         if head >= len(order):
             raise ProtocolError(f"merge chain starts at key {head}, past the {len(order)} distinct keys")
         key = order[head]
         if not left[key]:
-            raise ProtocolError(used_up)
+            raise ProtocolError("merge chain starts at a shingle with no instance left")
         left[key] -= 1
-        parts = [initial.shingle(key)]
-        for rank in itertools.islice(ranks, glued):
-            key = key % top * base + rank
-            if not left.get(key):
-                raise ProtocolError(used_up)
-            left[key] -= 1
-            parts.append(chars[rank])
-        label = "".join(parts)
+        path = initial.walk(key, glued, left, read_rank)
+        label = initial.shingle(key) + "".join([chars[after % base] for after in path])
+        # a word's delimiters pad only its ends: no label of it walks on
+        # from the last shingle to the first
+        if not is_valid_shingle(label):
+            raise ProtocolError("merge chain runs on through the delimiters that end the word")
         merged[label] = merged.get(label, 0) + 1
+    leftover = sum(1 for _ in ranks)
+    if leftover:
+        raise ProtocolError(f"{leftover} shipped ranks left over after the last merge chain")
     for key, count in left.items():
         if count:
             merged[initial.shingle(key)] = count
@@ -394,12 +456,13 @@ def decode_roots(payload: bytes, count: int) -> list[int]:
 
 
 def encode_merges(chains: MergeChains, instances: int, base: int) -> bytes:
-    """`count:u32be`, one block of each chain's head and glued count packed
-    `_index_bits(instances)` wide, then one block of the ranks packed
-    `_rank_bits(base)` wide: a merge costs one rank, 2 bits for a binary
-    word.  The peer derives both widths from the sender's instance count and
-    the session's alphabet."""
-    head_block = [value for chain in zip(chains.heads, chains.glued) for value in chain]
+    """`count:u32be`, then one block packed `_index_bits(instances)` wide of
+    the shipped-rank count and each chain's head and glued count, then one
+    block of the shipped ranks packed `_rank_bits(base)` wide: a merge costs
+    a rank only at a branch point, 2 bits for a binary word.  The peer
+    derives both widths from the sender's instance count and the session's
+    alphabet."""
+    head_block = [len(chains.ranks)] + [value for chain in zip(chains.heads, chains.glued) for value in chain]
     return (
         _pack_block([len(chains.heads)], 32)
         + _pack_block(head_block, _index_bits(instances))
@@ -411,17 +474,18 @@ def decode_merges(payload: bytes, instances: int, base: int) -> MergeChains:
     """The chains of a MERGES payload from a sender of `instances` shingle
     instances over `base` ranks.
 
-    Every chain glues at least one shingle onto its head, and all chains
-    together cover at most the sender's instances, which is checked before
-    the rank block is read: no count the peer chooses makes this unpack more
-    values than its instances allow.
+    Every chain glues at least one shingle onto its head, all chains
+    together cover at most the sender's instances, and at most every glued
+    shingle ships a rank, which is checked before the rank block is read: no
+    count the peer chooses makes this unpack more values than its instances
+    allow.
     """
     (count,) = _unpack_block(payload[:4], 32, 1, "merges")
     if 2 * count > instances:
         raise ProtocolError(f"merges frame holds {count} chains, more than {instances} instances hold")
     bits = _index_bits(instances)
-    end = 4 + (2 * count * bits + 7) // 8
-    block = _unpack_block(payload[4:end], bits, 2 * count, "merges")
+    end = 4 + ((2 * count + 1) * bits + 7) // 8
+    shipped, *block = _unpack_block(payload[4:end], bits, 2 * count + 1, "merges")
     heads, glued = block[0::2], block[1::2]
     if 0 in glued:
         raise ProtocolError("merge chain glues no shingle")
@@ -430,15 +494,17 @@ def decode_merges(payload: bytes, instances: int, base: int) -> MergeChains:
         raise ProtocolError(
             f"merge chains cover {merges + count} instances, more than the {instances} the peer announced"
         )
-    ranks = _unpack_block(payload[end:], _rank_bits(base), merges, "merges")
+    if shipped > merges:
+        raise ProtocolError(f"merges frame ships {shipped} ranks for {merges} glued shingles")
+    ranks = _unpack_block(payload[end:], _rank_bits(base), shipped, "merges")
     if ranks and max(ranks) >= base:
         raise ProtocolError(f"merge chain holds a rank of {base} or more")
     return MergeChains(heads, glued, ranks)
 
 
 def _index_bits(n_instances: int) -> int:
-    """The width of a chain's head and glued count for a word with
-    `n_instances` shingle instances."""
+    """The width of a chain's head and glued count, and of the shipped-rank
+    count, for a word with `n_instances` shingle instances."""
     return max(1, (max(n_instances - 1, 1)).bit_length())
 
 
@@ -564,7 +630,6 @@ def _run(
     only_local, only_remote = _reconcile_step(
         wire, role, config, codec, elements, remote_instances, buckets, report
     )
-    remote_initial = local.table.moved(only_local, only_remote)
 
     # steps 3-4: merge to unique decodability (local work only)
     firsts, seams = merge_until_ud(local)
@@ -576,6 +641,7 @@ def _run(
         )
     report.longest_label = max(b - a for a, b in zip(firsts, [*firsts[1:], instances]))
     chains = seams_to_records(local, firsts)
+    report.ranks_sent = len(chains.ranks)
 
     # step 5: exchange the chains of the merged labels
     wire.step = "step5"
@@ -589,8 +655,9 @@ def _run(
         wire.send(FrameKind.MERGES, merges_payload)
     report.merges_remote = sum(remote_chains.glued)
 
-    # step 6: rebuild and uniquely decode the remote string
-    remote_merged = apply_merge_records(remote_initial, remote_chains)
+    # step 6: rebuild and uniquely decode the remote string; the peer's
+    # initial multiset and its successor index go before the decode
+    remote_merged = apply_merge_records(local.table.moved(only_local, only_remote), remote_chains)
     remote_word = DeBruijnGraph.build(remote_merged, config.l, config.delimiter).decode_unique()
 
     wire.step = "done"

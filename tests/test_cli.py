@@ -1,4 +1,6 @@
+import json
 import threading
+import time
 
 import pytest
 
@@ -140,6 +142,34 @@ class TestReconcile:
         assert code == 0 and results["serve"] == 0
         assert out_a.read_bytes() == b"katana"
         assert out_b.read_bytes() == b"katna"
+
+    def test_report_json(self, capsys):
+        # both ends print their report as one JSON object on one line
+        from shinglesync.transport import Listener
+
+        listener = Listener("127.0.0.1", 0)
+        addr = f"127.0.0.1:{listener.port}"
+        listener.close()
+        results = {}
+        thread = threading.Thread(
+            target=lambda: results.setdefault(
+                "serve", main(["reconcile", "serve", addr, "--input", "katana", "--report", "json"])
+            )
+        )
+        thread.start()
+        time.sleep(0.3)
+        code = main(["reconcile", "connect", addr, "--input", "katna", "--l", "2", "--report", "json"])
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert code == 0 and results["serve"] == 0
+        reports = {report["role"]: report for report in map(json.loads, capsys.readouterr().out.splitlines())}
+        initiator, responder = reports["initiator"], reports["responder"]
+        assert initiator["outcome"] == responder["outcome"] == "ok"
+        assert initiator["merges_remote"] == responder["merges_local"] == 2
+        # katana's one branch point: out of 'ta'
+        assert responder["ranks_sent"] == 1 and initiator["ranks_sent"] == 0
+        total = initiator["total_bits_sent"] + initiator["total_bits_recv"]
+        assert initiator["wire_ratio"] == round(total / initiator["raw_bits"], 4)
 
     @pytest.mark.parametrize(
         "option", [["--l", "5"], ["--mode", "fixed:16"], ["--k", "4"], ["--seed", "3"]]

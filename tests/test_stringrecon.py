@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import random
@@ -150,16 +151,24 @@ def shingled(word, l):
 def reference_chains(word, l, firsts):
     """The chains of the labels that start at `firsts`, from the shingle
     strings: each label's first shingle's index among the sorted distinct
-    shingles, its glued count and each glued shingle's last character's rank."""
+    shingles, its glued count, and the last character's rank of each glued
+    shingle reached from a shingle that two or more distinct shingles extend
+    with instances left, counted down chain by chain in order."""
     ordered = shingle_sequence(word, l)
     distinct = sorted(set(ordered))
+    left = Counter(ordered)
     rank = {ch: i for i, ch in enumerate(sorted(set(word) | {DEFAULT_DELIMITER}))}
     heads, glued, ranks = [], [], []
     for first, end in zip(firsts, firsts[1:] + [len(ordered)]):
         if end - first > 1:
             heads.append(distinct.index(ordered[first]))
             glued.append(end - first - 1)
-            ranks += [rank[s[-1]] for s in ordered[first + 1 : end]]
+            left[ordered[first]] -= 1
+            for before, after in zip(ordered[first:end], ordered[first + 1 : end]):
+                extensions = [s for s in distinct if s[:-1] == before[1:] and left[s] > 0]
+                if len(extensions) >= 2:
+                    ranks.append(rank[after[-1]])
+                left[after] -= 1
     return MergeChains(heads, glued, ranks)
 
 
@@ -217,28 +226,43 @@ class TestMergeBookkeeping:
         assert {moved.shingle(key): count for key, count in moved.counts.items()} == ms_theirs.entries
 
     def test_bad_records_rejected(self):
-        # "abc" at l = 2 holds one instance each of '$a', 'ab', 'bc' and 'c$',
-        # in key order; the ranks of '$', 'a', 'b' and 'c' are 0 to 3
-        table = shingled("abc", 2).table
-        # a head past the four distinct keys
-        with pytest.raises(ProtocolError, match="past the 4 distinct keys"):
-            apply_merge_records(table, MergeChains([4], [1], [2]))
-        # 'ab' then 'bb', which the multiset does not hold
-        with pytest.raises(ProtocolError, match="no instance left"):
-            apply_merge_records(table, MergeChains([1], [1], [2]))
+        # "abca" at l = 2 holds one instance each of '$a', 'a$', 'ab', 'bc'
+        # and 'ca', in key order; the ranks of '$', 'a', 'b' and 'c' are 0
+        # to 3.  Node 'a' is the one branch point: 'a$' and 'ab' leave it
+        table = shingled("abca", 2).table
+        # a head past the five distinct keys
+        with pytest.raises(ProtocolError, match="past the 5 distinct keys"):
+            apply_merge_records(table, MergeChains([5], [1], [2]))
+        # from 'ca' to 'aa', which the multiset does not hold
+        with pytest.raises(ProtocolError, match="names a successor with no instance left"):
+            apply_merge_records(table, MergeChains([4], [1], [1]))
         # two chains that both start at the one '$a'
-        with pytest.raises(ProtocolError, match="no instance left"):
+        with pytest.raises(ProtocolError, match="starts at a shingle with no instance left"):
             apply_merge_records(table, MergeChains([0, 0], [1, 1], [2, 2]))
+        # from '$a' at the branch point with no rank to choose by
+        with pytest.raises(ProtocolError, match="no shipped rank left"):
+            apply_merge_records(table, MergeChains([0], [1], []))
+        # 'bc' to 'ca' is the one way on: its rank is not shipped
+        with pytest.raises(ProtocolError, match="1 shipped ranks left over"):
+            apply_merge_records(table, MergeChains([3], [1], [1]))
+        # 'bc', 'ca', 'a$', '$a', 'ab', then no successor of 'ab' is left
+        with pytest.raises(ProtocolError, match="no successor has an instance left"):
+            apply_merge_records(table, MergeChains([3], [5], [0]))
 
     def test_chain_that_loops_past_its_instances_rejected(self):
         # 'aa' is a loop on node 'a' with three instances: a chain may go round
-        # it three times, not four
+        # it three times, not four.  Node 'a' branches to 'a$' and 'aa' while
+        # 'aa' has an instance left; once it has none, 'a$' is the one way on
+        # and takes no rank, so a fourth round's rank is left over
         table = shingled("aaaa", 2).table
-        head = sorted(table.counts).index(table.key("aa"))
+        head = table.order.index(table.key("aa"))
         assert apply_merge_records(table, MergeChains([head], [2], [1, 1])) == ShingleMultiset(
             {"$a": 1, "aaaa": 1, "a$": 1}
         )
-        with pytest.raises(ProtocolError, match="no instance left"):
+        assert apply_merge_records(table, MergeChains([head], [3], [1, 1])) == ShingleMultiset(
+            {"$a": 1, "aaaa$": 1}
+        )
+        with pytest.raises(ProtocolError, match="left over"):
             apply_merge_records(table, MergeChains([head], [3], [1, 1, 1]))
 
     def test_full_collapse_single_composite(self):
@@ -246,7 +270,7 @@ class TestMergeBookkeeping:
         # composite shingle
         word = shingled("abc", 2)
         chains = seams_to_records(word, [0])
-        assert chains == reference_chains("abc", 2, [0]) == MergeChains([0], [3], [2, 3, 0])
+        assert chains == reference_chains("abc", 2, [0]) == MergeChains([0], [3], [])
         assert apply_merge_records(word.table, chains) == ShingleMultiset({"$abc$": 1})
 
 
@@ -254,11 +278,12 @@ class TestMergeBookkeeping:
 GOLDEN_VALUES = [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2584, 4181, 6765]
 GOLDEN_PACKED_13 = bytes.fromhex("0000004004003002802001a01501100dc0b209007485e44c43db31ea8620aba6d0")
 # "katana" at l = 2 merges one label, 'tana': the chain from 'ta', the 7th
-# of its 7 distinct shingles, gluing 'an' and 'na', whose last characters
-# 'n' and 'a' rank 3 and 1 among '$', 'a', 'k', 'n' and 't'.  u32 count 1,
-# then (6, 2) at 3 bits for its 7 instances, then (3, 1) at 3 bits for its 5
-# ranks
-GOLDEN_CHAINS = bytes.fromhex("00000001c864")
+# of its 7 distinct shingles, gluing 'an' and 'na'.  Out of 'ta', 'a$', 'an'
+# and 'at' all have an instance left, so the step to 'an' ships the rank of
+# 'n', 3 among '$', 'a', 'k', 'n' and 't'; 'na' is the one way out of 'an'.
+# u32 count 1, then (1, 6, 2) at 3 bits for its 7 instances (one shipped
+# rank, the head, the glued count), then 3 at 3 bits for its 5 ranks
+GOLDEN_CHAINS = bytes.fromhex("00000001390060")
 
 
 @st.composite
@@ -275,7 +300,7 @@ def merge_chains(draw):
     glued = draw(st.lists(st.integers(1, 40), max_size=20))
     instances = draw(st.integers(max(1, len(glued) + sum(glued)), 3000))
     heads = draw(st.lists(st.integers(0, instances - 1), min_size=len(glued), max_size=len(glued)))
-    ranks = draw(st.lists(st.integers(0, base - 1), min_size=sum(glued), max_size=sum(glued)))
+    ranks = draw(st.lists(st.integers(0, base - 1), max_size=sum(glued)))
     return MergeChains(heads, glued, ranks), instances, base
 
 
@@ -300,7 +325,7 @@ class TestWireCodecs:
         assert _pack_block([2**32 - 1, 0, 12345678, 2**31], 32) == bytes.fromhex("ffffffff0000000000bc614e80000000")
         word = shingled("katana", 2)
         chains = seams_to_records(word, merge_until_ud(word)[0])
-        assert chains == MergeChains([6], [2], [3, 1])
+        assert chains == MergeChains([6], [2], [3])
         assert encode_merges(chains, 7, 5) == GOLDEN_CHAINS
         assert decode_merges(GOLDEN_CHAINS, 7, 5) == chains
 
@@ -330,7 +355,7 @@ class TestWireCodecs:
         chains, instances, base = case
         payload = encode_merges(chains, instances, base)
         index_bits, rank_bits = (instances - 1).bit_length() or 1, (base - 1).bit_length()
-        head_bytes = (2 * len(chains.heads) * index_bits + 7) // 8
+        head_bytes = ((2 * len(chains.heads) + 1) * index_bits + 7) // 8
         assert len(payload) == 4 + head_bytes + (len(chains.ranks) * rank_bits + 7) // 8
         assert decode_merges(payload, instances, base) == chains
 
@@ -343,9 +368,11 @@ class TestWireCodecs:
         with pytest.raises(ProtocolError):
             decode_merges(payload, 7, 5)
 
-    def test_merges_past_the_instances_refused_before_the_ranks(self, monkeypatch):
-        # one chain gluing 7 onto its head covers 8 of 7 instances; the rank
-        # block that follows is well formed but never unpacked
+    @staticmethod
+    def refused_before_the_ranks(monkeypatch, head_block, match):
+        """A one-chain frame from a sender of 7 instances over 5 ranks, whose
+        head block is (shipped ranks, head, glued count), is refused, and
+        the well-formed rank block that follows is never unpacked."""
         unpacked = []
 
         def spy(data, bits, count, what):
@@ -353,10 +380,18 @@ class TestWireCodecs:
             return _unpack_block(data, bits, count, what)
 
         monkeypatch.setattr(stringrecon, "_unpack_block", spy)
-        payload = _pack_block([1], 32) + _pack_block([6, 7], 3) + _pack_block([1] * 7, 3)
-        with pytest.raises(ProtocolError, match="more than the 7"):
+        payload = _pack_block([1], 32) + _pack_block(head_block, 3) + _pack_block([1] * head_block[0], 3)
+        with pytest.raises(ProtocolError, match=match):
             decode_merges(payload, 7, 5)
-        assert unpacked == [1, 2]
+        assert unpacked == [1, 3]
+
+    def test_merges_past_the_instances_refused_before_the_ranks(self, monkeypatch):
+        # one chain gluing 7 onto its head covers 8 of 7 instances
+        self.refused_before_the_ranks(monkeypatch, [7, 6, 7], "more than the 7")
+
+    def test_shipped_ranks_past_the_glued_total_refused_before_the_ranks(self, monkeypatch):
+        # one chain gluing 2 ships 3 ranks
+        self.refused_before_the_ranks(monkeypatch, [3, 4, 2], "ships 3 ranks for 2 glued shingles")
 
     def test_pair_frame_round_trip_and_exact_length(self):
         # values only, 62 bits each: the peer derives the points and the count
@@ -527,6 +562,28 @@ class TestSessions:
         # a single symbol still costs 1 bit a symbol
         (_, rep_a), _ = run_session("aaa", "aa", config)
         assert rep_a.raw_bits == 5
+
+    def test_report_has_ranks_sent_and_wire_ratio(self, rng):
+        config = ReconConfig(l=6, mode=MODE_RATELESS, seed=8)
+        wa = "".join(rng.choice("01") for _ in range(300))
+        wb = random_edits(wa, 4, rng, "01")
+        (_, rep_a), (_, rep_b) = run_session(wa, wb, config)
+        for word, rep in ((wa, rep_a), (wb, rep_b)):
+            w = shingled(word, 6)
+            chains = seams_to_records(w, merge_until_ud(w)[0])
+            assert rep.ranks_sent == len(chains.ranks)
+            # a rank only at a branch point, far fewer than the glued shingles
+            assert 0 < rep.ranks_sent < rep.merges_local
+            total = sum(sent + received for sent, received in rep.bits.values())
+            assert rep.wire_ratio() == total / rep.raw_bits == total / (len(wa) + len(wb))
+            text = rep.to_text()
+            assert f"ranks_sent={rep.ranks_sent}\n" in text
+            assert f"wire_ratio={round(rep.wire_ratio(), 4)}\n" in text
+            assert json.loads(rep.to_json()) == rep.figures()
+        assert rep_a.wire_ratio() == rep_b.wire_ratio()
+        # no ratio before the hellos give raw_bits
+        assert SessionReport(role="initiator").wire_ratio() is None
+        assert "wire_ratio" not in SessionReport(role="initiator").to_text()
 
     @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 16), (MODE_RATELESS, 0)])
     def test_both_parties_report_the_step2_pairs(self, mode, m_hat):
@@ -927,12 +984,12 @@ class TestStep2Evaluation:
 
 
 # SHA-256 of each party's MERGES and DELTA payloads in one seeded rateless
-# session over 2048 bits with 8 edits at l = 16 (3 chains and about 1,160
-# merges a side)
+# session over 2048 bits with 8 edits at l = 16 (3 chains, about 1,160
+# merges and 25-27 shipped ranks a side)
 GOLDEN_SESSION = {
-    ("initiator", "MERGES"): "0eb4424999a216f1fb33b58af507024e723c79e9dbf7beeecd555d1516f1c640",
+    ("initiator", "MERGES"): "0f5aa246b51c076009760b21d3e0c694d6b05079348a927a8f279bc74cd4e558",
     ("initiator", "DELTA"): "14893587d9aaa084bdf6270103df6c00461ee5ee8a83cf1589213dbb3d7d32ad",
-    ("responder", "MERGES"): "0c1fe1109a7d56bebc9b31450cc0326e6e24de6b133900abcfa340071c074a66",
+    ("responder", "MERGES"): "451fd56d3e1c91d8766f555227f0443ac2ffd7c3e4c7517172fd990f70cdb3a3",
     ("responder", "DELTA"): "66c2ee696dd4d505a9ad50da246f1ace37905d2c5632fda8ae29480ddbfd8467",
 }
 
@@ -1267,38 +1324,57 @@ class TestHostileStep2:
         assert 0 < len(budgets) <= budgets[0] == 6 + 6 + 8
 
 
-def merges_frame(heads_and_glued, ranks):
-    """A MERGES payload from a sender of 6 instances over 3 ranks: index
-    values 3 bits wide, ranks 2."""
-    return _pack_block([len(heads_and_glued) // 2], 32) + _pack_block(heads_and_glued, 3) + _pack_block(ranks, 2)
+def merges_frame(heads_and_glued, ranks, shipped=None):
+    """A MERGES payload from a sender of 7 instances over 3 ranks: index
+    values 3 bits wide, ranks 2.  `shipped` is the shipped-rank count, the
+    number of ranks unless given."""
+    shipped = len(ranks) if shipped is None else shipped
+    return (
+        _pack_block([len(heads_and_glued) // 2], 32)
+        + _pack_block([shipped, *heads_and_glued], 3)
+        + _pack_block(ranks, 2)
+    )
 
 
-# an honest responder "0110" at l = 3 holds one instance each of the keys of
-# '$$0', '$01', '0$$', '011', '10$' and '110', in that order; '$', '0' and '1'
-# rank 0, 1 and 2.  The chain from '$$0' gluing '$01' is one it could send.
-GLUE_0_1 = merges_frame([0, 1], [2])
+# an honest responder "00100" at l = 3 holds one instance each of the keys of
+# '$$0', '$00', '0$$', '00$', '001', '010' and '100', in that order; '$', '0'
+# and '1' rank 0, 1 and 2.  Node '00' is its one branch point: '00$' and
+# '001' leave it.  The chain from '$00' gluing '001' is one it could send,
+# with the rank of '1' shipped.
+GLUE_1_4 = merges_frame([1, 1], [2])
 
 
 class TestHostileMerges:
-    """The responder "0110" is honest but for its MERGES frame; the initiator
-    must stop with `ProtocolError`."""
+    """The responder "00100" is honest but for its MERGES frame; the
+    initiator must stop with `ProtocolError`."""
 
     CONFIG = ReconConfig(l=3, mode=MODE_RATELESS, k=8, seed=3)
 
     @pytest.mark.parametrize(
         "payload,match",
         [
-            (GLUE_0_1[:-1], "holds 0 bytes"),
-            (GLUE_0_1 + b"\x00", "holds 2 bytes"),
-            (GLUE_0_1[:-1] + bytes([GLUE_0_1[-1] | 1]), "padding"),
-            (merges_frame([6, 1], [2]), "past the 6 distinct keys"),
-            (merges_frame([0, 0], []), "glues no shingle"),
-            (merges_frame([0, 6], [2] * 6), "more than the 6"),
-            (merges_frame([0, 1], [3]), "rank of 3"),
-            # two chains through the one '$$0'
-            (merges_frame([0, 1, 0, 1], [2, 2]), "no instance left"),
-            # four chains need at least eight of the six instances
-            (merges_frame([0, 1] * 4, [2] * 4), "4 chains"),
+            (GLUE_1_4[:-1], "holds 0 bytes"),
+            (GLUE_1_4 + b"\x00", "holds 2 bytes"),
+            (GLUE_1_4[:-1] + bytes([GLUE_1_4[-1] | 1]), "padding"),
+            (merges_frame([7, 1], [2]), "past the 7 distinct keys"),
+            (merges_frame([1, 0], []), "glues no shingle"),
+            (merges_frame([1, 7], [2] * 7), "more than the 7"),
+            (merges_frame([1, 1], [3]), "rank of 3"),
+            # two chains through the one '$00'
+            (merges_frame([1, 1, 1, 1], [2, 2]), "starts at a shingle with no instance left"),
+            # four chains need at least eight of the seven instances
+            (merges_frame([1, 1] * 4, [2] * 4), "4 chains"),
+            (merges_frame([1, 1], [2], shipped=2), "ships 2 ranks for 1 glued shingles"),
+            (merges_frame([1, 1], []), "branch point with no shipped rank left"),
+            # '$$0' to '$00' is the one way on: its rank is not shipped
+            (merges_frame([0, 1], [2]), "1 shipped ranks left over"),
+            # from '$00' to '000', which the multiset does not hold
+            (merges_frame([1, 1], [1]), "names a successor with no instance left"),
+            # '010' then '100'; then the one way out of '001' is the used-up '010'
+            (merges_frame([5, 1, 4, 1], []), "no successor has an instance left"),
+            # from '100' through '00$' and '0$$', the word's last shingle, on
+            # to its first, '$$0'
+            (merges_frame([6, 3], [0]), "delimiters that end the word"),
         ],
         ids=[
             "truncated",
@@ -1310,6 +1386,12 @@ class TestHostileMerges:
             "rank-past-base",
             "used-up",
             "too-many-chains",
+            "shipped-past-the-glued-total",
+            "branch-point-without-a-rank",
+            "ranks-left-over",
+            "rank-names-a-used-up-successor",
+            "only-successor-used-up",
+            "past-the-word-end",
         ],
     )
     def test_malformed_merges_frame_is_refused(self, payload, match):
@@ -1322,10 +1404,19 @@ class TestHostileMerges:
                 send(frame)
 
             peer.send = tampered
-            run_protocol("0110", peer, "responder", self.CONFIG)
+            run_protocol("00100", peer, "responder", self.CONFIG)
 
-        exc = scripted_session("0111", "initiator", self.CONFIG, script)
+        exc = scripted_session("00101", "initiator", self.CONFIG, script)
         assert isinstance(exc, ProtocolError) and match in str(exc), exc
+
+    def test_honest_chain_is_accepted(self):
+        # the frame every refused case above is a variation of
+        table = shingled("00100", 3).table
+        chains = decode_merges(GLUE_1_4, 7, 3)
+        assert chains == MergeChains([1], [1], [2])
+        assert apply_merge_records(table, chains) == ShingleMultiset(
+            {"$$0": 1, "$001": 1, "0$$": 1, "00$": 1, "010": 1, "100": 1}
+        )
 
 
 class TestRandomEdits:

@@ -200,7 +200,9 @@ def main(argv: list[str] | None = None) -> int:
         help="rateless (default), or fixed:<m>: a first batch of values pre-sized "
         "for about m differing instances, topped up on request",
     )
-    p.add_argument("--k", type=int, help="verification points (default 8)")
+    p.add_argument(
+        "--k", type=int, help="values in the session check, and the most checks a session runs (default 8)"
+    )
     p.add_argument("--seed", type=int, help="session seed (default 1)")
     p.set_defaults(func=cmd_reconcile)
     reconcile_parser = p

@@ -159,7 +159,7 @@ def pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     a = ptrim(list(a))
     if len(a) < len(b):
         return [], a
-    inv_lead = pow(b[-1], p - 2, p)
+    inv_lead = pow(b[-1], -1, p)
     q = [0] * (len(a) - len(b) + 1)
     for i in range(len(a) - len(b), -1, -1):
         c = a[len(b) - 1 + i] * inv_lead % p
@@ -175,11 +175,10 @@ def pmod(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def pmonic(a: list[int], p: int) -> list[int]:
-    if not a:
-        return []
-    if a[-1] == 1:
-        return list(a)
-    return pscale(a, pow(a[-1], p - 2, p), p)
+    a = ptrim(list(a))
+    if not a or a[-1] == 1:
+        return a
+    return pscale(a, pow(a[-1], -1, p), p)
 
 
 def pgcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -238,7 +237,7 @@ class NewtonInterpolator:
         if denom == 0:
             raise InvalidParameterError("duplicate interpolation point")
         num = (y - peval(self._poly, x, p)) % p
-        c = num * pow(denom, p - 2, p) % p
+        c = num * pow(denom, -1, p) % p
         self._poly = padd(self._poly, pscale(self._basis, c, p), p)
         self._basis = pmul(self._basis, [(-x) % p, 1], p)
         self.xs.append(x)
@@ -311,7 +310,7 @@ class RationalInterpolator:
             other = 1 - pivot
             pa, pb = self.basis[pivot]
             if residuals[other]:
-                c = residuals[other] * pow(residuals[pivot], p - 2, p) % p
+                c = residuals[other] * pow(residuals[pivot], -1, p) % p
                 oa, ob = self.basis[other]
                 _sub_scaled(oa, pa, c, p)
                 _sub_scaled(ob, pb, c, p)
@@ -347,7 +346,7 @@ class RationalInterpolator:
             self._rejected = (i, self.changed[i])
             return None
         p = self.p
-        inv = pow(num[-1], p - 2, p)
+        inv = pow(num[-1], -1, p)
         return pscale(num, inv, p), pscale(den, inv, p)
 
     def reject(self) -> None:
@@ -415,7 +414,7 @@ def solve_linear(matrix: list[list[int]], rhs: list[int], p: int) -> list[int] |
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
+        inv = pow(rows[r][c], -1, p)
         rows[r] = [v * inv % p for v in rows[r]]
         for i in range(n_rows):
             if i != r and rows[i][c]:
@@ -477,7 +476,7 @@ def rational_from_modulus(
     if len(g) > 1:
         r1 = pdivmod(r1, g, p)[0]
         t1 = pdivmod(t1, g, p)[0]
-    inv = pow(t1[-1], p - 2, p)
+    inv = pow(t1[-1], -1, p)
     return pscale(r1, inv, p), pscale(t1, inv, p)
 
 

@@ -14,6 +14,9 @@ peer, who finds its roots among the peer's elements, and only the library's
 `Delta.only_remote` factors it.  `partition` splits encoded elements into
 seeded hash buckets, and the `from_elements` constructors build a source or
 decoder for one bucket, so a session can reconcile each bucket on its own.
+A session verifies each bucket with one pair (k = 1) and all buckets at
+once with one whole-set check of its own; when that check fails,
+`RatelessDecoder.reopen` takes a bucket's result back for one more pair.
 Sources and decoders evaluate a batch of points at a time (`_char_values`).
 """
 
@@ -388,7 +391,23 @@ class RatelessDecoder:
         self._interp = RationalInterpolator(codec.field.p, abs(self.size_diff))
         self._interp.add_node(0, 1)
         self.pairs_consumed = 0
+        self.rejected = 0  # candidates refused by `_decode` or taken back by `reopen`
         self.result: Delta | None = None
+
+    def reopen(self) -> None:
+        """Take back the result, after a check beyond this decoder failed.
+
+        The decoder then wants more pairs, and accepts a candidate only once
+        it has fitted one pair more than before (`k` grows by one, and the
+        budget with it): a right candidate comes back after one pair, and a
+        wrong one changes at the first pair it does not fit.
+        """
+        if self.result is None:
+            raise InvalidParameterError("no result to reopen")
+        self.result = None
+        self.k += 1
+        self.budget += 1
+        self.rejected += 1
 
     def pairs_wanted(self) -> int:
         """How many more pairs the current rung of the request ladder needs."""
@@ -410,12 +429,14 @@ class RatelessDecoder:
             raise InvalidPointError(f"point {point} lies inside the encoding range")
         p = field.p
         acc = _char_values(self.elements, [point], p)[0] if local is None else local
+        if acc == 0:
+            raise PointCollisionError("local evaluation is zero at a sample point")
         top, bot = (value, acc) if self._flip else (acc, value)
-        shift = self._interp.shift
-        # node w = 1/z carries (top / bot) * w**shift
-        self._interp.add_node(
-            pow(point, p - 2, p), top * pow(bot * pow(point, shift, p), p - 2, p) % p
-        )
+        # node w = 1/z carries (top / bot) * w**shift; one inverse of
+        # z * q, q = bot * z**shift, gives both 1/z and 1/q
+        q = bot * pow(point, self._interp.shift, p) % p
+        inv = pow(point * q % p, -1, p)
+        self._interp.add_node(inv * q % p, top * inv % p * point % p)
         self.pairs_consumed += 1
         if self._attempt():
             return self.result
@@ -456,6 +477,7 @@ class RatelessDecoder:
         if self._decode(*candidate):
             return True
         self._interp.reject()
+        self.rejected += 1
         return False
 
     def _decode(self, num: list[int], den: list[int]) -> bool:

@@ -3,18 +3,21 @@
 Session outline: exchange hello frames (parameters, lengths, observed
 symbols), reconcile the two initial shingle multisets bucket by bucket (a
 first batch of characteristic values pre-sized from the bound in fixed mode
-and empty in rateless mode, then values on request until every bucket is
-done), merge each side's ordered shingling to unique decodability, exchange
-one chain per merged label (its first shingle's index among the sender's
-distinct keys, its glued count, and the rank of a glued shingle's last
-character only at a branch point, where the receiver's walk over the
-sender's multiset has two or more successors left), rebuild and uniquely
-decode the remote multiset, then confirm with digests.  Steps 1 to 6 run on
-integer positions of the padded word (`ShingledWord`): merged labels are
-spans of positions, chains slices of its keys, and the remote multiset a
-`ShingleTable`; only the rebuilt labels are strings.  Only the multiset
-reconciliation, which grows with the difference, and the merge exchange,
-which grows with the merged labels, carry more than constant-size framing.
+and empty in rateless mode, then values on request until every bucket holds
+a candidate verified by one value, then one session check of k whole-set
+values that verifies every bucket at once; a failed check reopens every
+bucket for one more value, and at most k checks run), merge each side's
+ordered shingling to unique decodability, exchange one chain per merged
+label (its first shingle's index among the sender's distinct keys, its
+glued count, and the rank of a glued shingle's last character only at a
+branch point, where the receiver's walk over the sender's multiset has two
+or more successors left), rebuild and uniquely decode the remote multiset,
+then confirm with digests.  Steps 1 to 6 run on integer positions of the
+padded word (`ShingledWord`): merged labels are spans of positions, chains
+slices of its keys, and the remote multiset a `ShingleTable`; only the
+rebuilt labels are strings.  Only the multiset reconciliation, which grows
+with the difference, and the merge exchange, which grows with the merged
+labels, carry more than constant-size framing.
 """
 
 from __future__ import annotations
@@ -37,10 +40,11 @@ from .errors import (
     ProtocolError,
     SessionAbortError,
 )
-from .field import P61, FieldSpec, PointStream
+from .field import P61, FieldSpec, PointStream, peval
 # reconcile_fixed is unused here but stays importable from this module:
 # perfbench/tracing.py rebinds it on it
 from .setrecon import (  # noqa: F401
+    Delta,
     EvalBundle,
     RatelessDecoder,
     RatelessSource,
@@ -60,7 +64,7 @@ from .shingles import (  # noqa: F401
 )
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 8
+PROTOCOL_VERSION = 9
 
 # the one field every session runs over: P61 with points drawn from its top
 # 2**40 residues; neither party announces it, so it never crosses the wire
@@ -69,7 +73,9 @@ FIELD = FieldSpec.default61()
 # the bit length of P61
 VALUE_BITS = P61.bit_length()
 
-MAX_REQUEST = 0xFFFF  # a DELTA_REQ count is a u16: the most pairs one bucket asks for per round
+MAX_REQUEST = 0xFFFF  # the most pairs one bucket asks for per round
+# a DELTA_REQ's counts are packed at most this wide, the bit length of MAX_REQUEST
+MAX_REQUEST_BITS = MAX_REQUEST.bit_length()
 
 MODE_FIXED = "fixed"
 MODE_RATELESS = "rateless"
@@ -118,7 +124,11 @@ class SessionReport:
     ranks_sent: int = 0  # ranks in the local MERGES frame: one per branch point its chains pass
     step2_pairs: int = 0  # evaluation values that crossed the wire in step 2
     step2_buckets: int = 0  # hash buckets step 2 split the instances into
-    step2_rounds: int = 0  # DELTA_REQ frames, one per round of requested values
+    step2_rounds: int = 0  # DELTA_REQ frames, one per round of requested values or session check
+    step2_checks: int = 0  # session checks run: each is k whole-set values
+    # bucket candidates the responder refused, those taken back after a
+    # failed session check included; 0 on the initiator, which sees none
+    step2_rejected: int = 0
     # both words at ceil(log2 |symbols|) bits a symbol (at least 1), over the
     # union of the symbols the two hellos announce: the cost of sending them
     # as they are
@@ -158,6 +168,8 @@ class SessionReport:
             "step2_pairs",
             "step2_buckets",
             "step2_rounds",
+            "step2_checks",
+            "step2_rejected",
             "longest_label",
             "raw_bits",
         ):
@@ -391,29 +403,45 @@ def decode_hello(payload: bytes) -> tuple[ReconConfig, int, str]:
 
 
 def encode_bundle(bundle: EvalBundle, *, bucket_sizes: list[int]) -> bytes:
-    """One `u32be` instance count per bucket, whose sum is the bundle's set
-    size, then the values; the peer derives the points from the seed and
-    their number from the hello.
+    """One instance count per bucket, whose sum is the bundle's set size,
+    packed `_count_bits(set size)` wide, then the values; the peer derives
+    the width from the instance count in the hello, the points from the seed
+    and their number from the hello.
 
     `bucket_sizes` is keyword-only: perfbench/tracing.py counts the bundle's
     pairs from the one positional argument.
     """
-    return _pack_block(bucket_sizes, 32) + _pack_block(list(bundle.values), VALUE_BITS)
+    sizes = _pack_block(bucket_sizes, _count_bits(bundle.set_size))
+    return sizes + _pack_block(list(bundle.values), VALUE_BITS)
 
 
-def decode_bundle(payload: bytes, buckets: int, count: int) -> tuple[list[int], list[int]]:
-    """(bucket sizes, values) of a bundle frame holding `count` values."""
-    head = 4 * buckets
-    return _unpack_block(payload[:head], 32, buckets, "bundle"), _unpack_residues(payload[head:], count, "bundle")
+def decode_bundle(payload: bytes, buckets: int, count: int, instances: int) -> tuple[list[int], list[int]]:
+    """(bucket sizes, values) of a bundle frame holding `count` values from a
+    sender of `instances` shingle instances."""
+    bits = _count_bits(instances)
+    head = (buckets * bits + 7) // 8
+    return (
+        _unpack_block(payload[:head], bits, buckets, "bundle"),
+        _unpack_residues(payload[head:], count, "bundle"),
+    )
 
 
 def encode_request(counts: list[int]) -> bytes:
-    """One `count:u16be` per bucket: the values it asks for this round, 0 once it is done."""
-    return _pack_block(counts, 16)
+    """`width:u8`, then one count per bucket packed `width` bits wide: the
+    values the bucket asks for this round, 0 once it is done.  All counts 0
+    ask for the session check.  The width is the bit length of the largest
+    count, at least 1."""
+    width = _count_bits(max(counts, default=0))
+    return bytes([width]) + _pack_block(counts, width)
 
 
 def decode_request(payload: bytes, buckets: int) -> list[int]:
-    return _unpack_block(payload, 16, buckets, "pair request")
+    if not payload:
+        raise ProtocolError("pair request holds no width")
+    width = payload[0]
+    if not 1 <= width <= MAX_REQUEST_BITS:
+        raise ProtocolError(f"pair request width {width} is outside [1, {MAX_REQUEST_BITS}]")
+    return _unpack_block(payload[1:], width, buckets, "pair request")
 
 
 def encode_pairs(pairs: list[tuple[int, int]]) -> bytes:
@@ -426,22 +454,55 @@ def decode_pairs(payload: bytes, count: int) -> list[int]:
     return _unpack_residues(payload, count, "pair")
 
 
-def encode_handoff(sender_only: list[int], polys: list[list[int]]) -> bytes:
-    """The responder's DELTA: `1 + B` counts as `u32be`, then one block with
-    its own difference instances (the roots its decoders found) and, per
-    bucket, the little-endian coefficients of the monic polynomial whose
-    roots are the initiator's instances in that bucket, the leading 1 left
-    out."""
+def encode_handoff(
+    sender_only: list[int], polys: list[list[int]], instances: int, bucket_sizes: list[int]
+) -> bytes:
+    """The responder's DELTA, from a responder of `instances` shingle
+    instances to an initiator whose bundle gave `bucket_sizes`.
+
+    The count of its own difference instances (the roots its decoders found),
+    packed `_count_bits(instances)` wide; the degree of each bucket's monic
+    hand-off polynomial, whose roots are the initiator's instances in that
+    bucket, packed `_count_bits(max(bucket_sizes))` wide; then one residue
+    block with the instances and, per bucket, the polynomial's little-endian
+    coefficients, the leading 1 left out.
+    """
     blocks = [sender_only] + [poly[:-1] for poly in polys]
     values = [value for block in blocks for value in block]
-    return _pack_block([len(block) for block in blocks], 32) + _pack_block(values, VALUE_BITS)
+    return (
+        _pack_block([len(sender_only)], _count_bits(instances))
+        + _pack_block([len(poly) - 1 for poly in polys], _count_bits(max(bucket_sizes, default=0)))
+        + _pack_block(values, VALUE_BITS)
+    )
 
 
-def decode_handoff(payload: bytes, buckets: int) -> tuple[list[int], list[list[int]]]:
-    head = 4 * (1 + buckets)
-    counts = _unpack_block(payload[:head], 32, 1 + buckets, "delta")
-    values = iter(_unpack_residues(payload[head:], sum(counts), "delta"))
-    sender_only, *coefficients = [list(itertools.islice(values, count)) for count in counts]
+def decode_handoff(
+    payload: bytes, instances: int, bucket_sizes: list[int]
+) -> tuple[list[int], list[list[int]]]:
+    """(the responder's instances, one monic polynomial per bucket) of a
+    DELTA from a responder of `instances` shingle instances, to the initiator
+    whose buckets hold `bucket_sizes` instances.
+
+    The counts are bounded before the residues are read: no more one-sided
+    instances than the responder holds, and no bucket polynomial of higher
+    degree than the initiator's instances in that bucket, since a root search
+    costs the degree times the bucket's instances.
+    """
+    own_bits, degree_bits = _count_bits(instances), _count_bits(max(bucket_sizes, default=0))
+    own_end = (own_bits + 7) // 8
+    head = own_end + (len(bucket_sizes) * degree_bits + 7) // 8
+    (own,) = _unpack_block(payload[:own_end], own_bits, 1, "delta")
+    degrees = _unpack_block(payload[own_end:head], degree_bits, len(bucket_sizes), "delta")
+    if own > instances:
+        raise ProtocolError(f"hand-off holds {own} instances, more than the {instances} the peer announced")
+    for b, (degree, size) in enumerate(zip(degrees, bucket_sizes)):
+        if degree > size:
+            raise ProtocolError(
+                f"hand-off polynomial of bucket {b} has degree {degree}, "
+                f"more than the bucket's {size} instances"
+            )
+    values = iter(_unpack_residues(payload[head:], own + sum(degrees), "delta"))
+    sender_only, *coefficients = [list(itertools.islice(values, count)) for count in [own, *degrees]]
     return sender_only, [block + [1] for block in coefficients]
 
 
@@ -456,16 +517,16 @@ def decode_roots(payload: bytes, count: int) -> list[int]:
 
 
 def encode_merges(chains: MergeChains, instances: int, base: int) -> bytes:
-    """`count:u32be`, then one block packed `_index_bits(instances)` wide of
-    the shipped-rank count and each chain's head and glued count, then one
-    block of the shipped ranks packed `_rank_bits(base)` wide: a merge costs
-    a rank only at a branch point, 2 bits for a binary word.  The peer
-    derives both widths from the sender's instance count and the session's
-    alphabet."""
+    """`count:u32be`, then one block packed `_count_bits(instances - 1)` wide
+    of the shipped-rank count and each chain's head and glued count, each
+    below the sender's instance count, then one block of the shipped ranks
+    packed `_rank_bits(base)` wide: a merge costs a rank only at a branch
+    point, 2 bits for a binary word.  The peer derives both widths from the
+    sender's instance count and the session's alphabet."""
     head_block = [len(chains.ranks)] + [value for chain in zip(chains.heads, chains.glued) for value in chain]
     return (
         _pack_block([len(chains.heads)], 32)
-        + _pack_block(head_block, _index_bits(instances))
+        + _pack_block(head_block, _count_bits(instances - 1))
         + _pack_block(chains.ranks, _rank_bits(base))
     )
 
@@ -483,7 +544,7 @@ def decode_merges(payload: bytes, instances: int, base: int) -> MergeChains:
     (count,) = _unpack_block(payload[:4], 32, 1, "merges")
     if 2 * count > instances:
         raise ProtocolError(f"merges frame holds {count} chains, more than {instances} instances hold")
-    bits = _index_bits(instances)
+    bits = _count_bits(instances - 1)
     end = 4 + ((2 * count + 1) * bits + 7) // 8
     shipped, *block = _unpack_block(payload[4:end], bits, 2 * count + 1, "merges")
     heads, glued = block[0::2], block[1::2]
@@ -502,10 +563,10 @@ def decode_merges(payload: bytes, instances: int, base: int) -> MergeChains:
     return MergeChains(heads, glued, ranks)
 
 
-def _index_bits(n_instances: int) -> int:
-    """The width of a chain's head and glued count, and of the shipped-rank
-    count, for a word with `n_instances` shingle instances."""
-    return max(1, (max(n_instances - 1, 1)).bit_length())
+def _count_bits(most: int) -> int:
+    """The width of a count from 0 to `most`: its bit length, at least 1.
+    Both parties know `most` before the count crosses the wire."""
+    return max(1, most.bit_length())
 
 
 def _rank_bits(base: int) -> int:
@@ -680,15 +741,18 @@ def step2_buckets(local_instances: int, remote_instances: int) -> int:
     Partitioned reconciliation (Minsky & Trachtenberg, "Practical set
     reconciliation", Allerton 2002) runs one decoder per bucket, so a point
     costs about n/B work per side instead of n, and root search scans only
-    the bucket's own elements.  Each bucket pays k verification values and a
-    few framing bits, so B grows only as the square root of the instance
-    count: B is the largest power of two with
-    16 * B**2 <= min(local, remote instances), which is 16 at 4096 instances,
-    32 at 16384 and 1 below 64.  Both parties know both counts from the
+    the bucket's own elements.  A bucket is verified by one value and the
+    session once, by k whole-set values, so a bucket costs little more than
+    its share of the difference and B grows as the square root of the
+    instance count: B is the largest power of two with
+    B**2 <= 2 * min(local, remote instances), which is 64 at 4096-symbol
+    words, 128 at 16384 and 1 below 2 instances.  The factor 2 puts the
+    threshold well clear of a power of two, so words of one length do not
+    land on both sides of it.  Both parties know both counts from the
     hellos, so B never crosses the wire.
     """
     buckets = 1
-    while 16 * (2 * buckets) ** 2 <= min(local_instances, remote_instances):
+    while (2 * buckets) ** 2 <= 2 * min(local_instances, remote_instances):
         buckets *= 2
     return buckets
 
@@ -712,17 +776,24 @@ def _reconcile_step(
     order.  The initiator sends characteristic values: a first batch per
     bucket in its bundle, then whatever the responder requests, one DELTA_REQ
     holding a count for every bucket.  The mode chooses only the first batch:
-    none in rateless mode, and in fixed mode ceil(m_hat / B) + 1, a bucket's
-    share of the bound, so a bucket whose share of the difference is larger
-    tops up through the requests.  The responder feeds each bucket's decoder
-    until it holds a verified difference, whose local roots it finds among its
-    own elements.  It sends those roots and hands the rest over as one
-    polynomial per bucket, whose roots the initiator finds among that bucket's
-    elements.
+    none in rateless mode, and in fixed mode ceil(m_hat / B), a bucket's share
+    of the bound, so a bucket whose share of the difference is larger tops up
+    through the requests.  The responder feeds each bucket's decoder until it
+    holds a candidate that fits one further value and whose local side
+    splits over the bucket's own elements.  Once every bucket holds one, it
+    asks for the session check (a request of all zeros): the initiator's
+    whole-set characteristic values at the next k points, which must equal
+    the responder's own times the product of the buckets' candidate ratios.
+    A failed check reopens every bucket for one more value, and at most k
+    checks run.  The responder then sends its local roots and hands the rest
+    over as one polynomial per bucket, whose roots the initiator finds among
+    that bucket's elements.
     """
-    first = -(-config.m_hat // buckets) + 1 if config.mode == MODE_FIXED else 0
+    first = -(-config.m_hat // buckets) if config.mode == MODE_FIXED else 0
     points = PointStream(codec.field, config.seed)
     parts = partition(elements, buckets, config.seed)
+    # the session check's whole-set values, on the same point stream
+    whole = RatelessSource.from_elements(elements, codec, points)
     report.step2_buckets = buckets
     if role == ROLE_INITIATOR:
         sources = [RatelessSource.from_elements(part, codec, points) for part in parts]
@@ -730,8 +801,9 @@ def _reconcile_step(
         # the budgets bound what the responder requests beyond the bundle,
         # which the initiator sized itself and which may over-serve a bucket
         # done early: no bucket's true difference needs more pairs than its own
-        # instances, every remote instance and k; no session's more than both
-        # totals and B * k
+        # instances, every remote instance and its one verification value, nor
+        # one more for each of the k - 1 failed checks that may reopen it; no
+        # session's more than both totals and B * k
         bucket_budget = [size + remote_instances + config.k for size in sizes]
         budget = sum(sizes) + remote_instances + buckets * config.k
         requested = [0] * buckets
@@ -744,37 +816,30 @@ def _reconcile_step(
                 raise ProtocolError(f"unexpected frame {frame.kind.name} during step 2")
             counts = decode_request(frame.payload, buckets)
             if not any(counts):
-                raise ProtocolError("pair request asks for no values")
-            for b, count in enumerate(counts):
-                if requested[b] + count > bucket_budget[b]:
+                # the session check
+                if report.step2_checks == config.k:
+                    raise ProtocolError(f"the peer asks for more than k = {config.k} session checks")
+                report.step2_checks += 1
+                pairs = whole.next_pairs(config.k)
+            else:
+                for b, count in enumerate(counts):
+                    if requested[b] + count > bucket_budget[b]:
+                        raise ProtocolError(
+                            f"pair request for {count} in bucket {b} after {requested[b]} "
+                            f"exceeds its budget of {bucket_budget[b]}"
+                        )
+                if sum(requested) + sum(counts) > budget:
                     raise ProtocolError(
-                        f"pair request for {count} in bucket {b} after {requested[b]} "
-                        f"exceeds its budget of {bucket_budget[b]}"
+                        f"pair request for {sum(counts)} after {sum(requested)} "
+                        f"exceeds the budget of {budget}"
                     )
-            if sum(requested) + sum(counts) > budget:
-                raise ProtocolError(
-                    f"pair request for {sum(counts)} after {sum(requested)} "
-                    f"exceeds the budget of {budget}"
-                )
-            pairs = [pair for source, count in zip(sources, counts) for pair in source.next_pairs(count)]
+                pairs = [pair for source, count in zip(sources, counts) for pair in source.next_pairs(count)]
+                requested = [r + count for r, count in zip(requested, counts)]
             wire.send(FrameKind.EVAL_PAIR, encode_pairs(pairs))
-            requested = [r + count for r, count in zip(requested, counts)]
             report.step2_pairs += len(pairs)
             report.step2_rounds += 1
-        remote_only, polys = decode_handoff(frame.payload, buckets)
-        # the hand-off is bounded before anything in it is decoded or searched:
-        # a root search costs the polynomial's degree times the bucket's size
-        if len(remote_only) > remote_instances:
-            raise ProtocolError(
-                f"hand-off holds {len(remote_only)} instances, more than the "
-                f"{remote_instances} the peer announced"
-            )
-        for b, (poly, part) in enumerate(zip(polys, parts)):
-            if len(poly) - 1 > len(part):
-                raise ProtocolError(
-                    f"hand-off polynomial of bucket {b} has degree {len(poly) - 1}, "
-                    f"more than the bucket's {len(part)} instances"
-                )
+        # the hand-off's counts are bounded before anything in it is read
+        remote_only, polys = decode_handoff(frame.payload, remote_instances, sizes)
         # the whole hand-off is checked before the reply goes out
         only_remote = _decode_instances(codec, remote_only, config.l)
         my_roots: list[int] = []
@@ -786,17 +851,16 @@ def _reconcile_step(
         wire.send(FrameKind.DELTA, encode_roots(my_roots))
         return codec.decode_multiset(my_roots), only_remote
 
-    sizes, values = decode_bundle(wire.expect(FrameKind.EVAL_BUNDLE).payload, buckets, first * buckets)
+    sizes, values = decode_bundle(
+        wire.expect(FrameKind.EVAL_BUNDLE).payload, buckets, first * buckets, remote_instances
+    )
     if sum(sizes) != remote_instances:
         raise ProtocolError(
             f"bundle bucket sizes sum to {sum(sizes)}, not the {remote_instances} "
             "instances of the announced word"
         )
     report.step2_pairs = len(values)
-    decoders = [
-        RatelessDecoder.from_elements(part, codec, size, k=config.k)
-        for part, size in zip(parts, sizes)
-    ]
+    decoders = [RatelessDecoder.from_elements(part, codec, size, k=1) for part, size in zip(parts, sizes)]
     counts = [first] * buckets
     while True:
         offset = 0
@@ -806,21 +870,56 @@ def _reconcile_step(
             batch = zip(points.take(count), values[offset : offset + count])
             offset += count
             decoder.feed_all(batch)
+        report.step2_rejected = sum(decoder.rejected for decoder in decoders)
         if all(decoder.result is not None for decoder in decoders):
-            break
+            wire.send(FrameKind.DELTA_REQ, encode_request([0] * buckets))
+            report.step2_rounds += 1
+            report.step2_checks += 1
+            theirs = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload, config.k)
+            report.step2_pairs += len(theirs)
+            results = [decoder.result for decoder in decoders]
+            if _session_check(whole.next_pairs(config.k), theirs, results, codec.field.p):
+                break
+            if report.step2_checks == config.k:
+                raise ProtocolError(f"the session check failed {config.k} times")
+            for decoder in decoders:
+                decoder.reopen()
         counts = [0 if d.result is not None else min(d.pairs_wanted(), MAX_REQUEST) for d in decoders]
         wire.send(FrameKind.DELTA_REQ, encode_request(counts))
         report.step2_rounds += 1
         values = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload, sum(counts))
         report.step2_pairs += len(values)
     only_local = ShingleMultiset()
-    for decoder in decoders:
-        only_local = only_local.union(decoder.result.only_local)
-    local_roots = [root for decoder in decoders for root in decoder.result.local_roots]
-    polys = [list(decoder.result.remote_poly) for decoder in decoders]
-    wire.send(FrameKind.DELTA, encode_handoff(local_roots, polys))
+    for result in results:
+        only_local = only_local.union(result.only_local)
+    local_roots = [root for result in results for root in result.local_roots]
+    polys = [list(result.remote_poly) for result in results]
+    wire.send(FrameKind.DELTA, encode_handoff(local_roots, polys, len(elements), sizes))
     remote_elems = decode_roots(wire.expect(FrameKind.DELTA).payload, sum(len(poly) - 1 for poly in polys))
     return only_local, _decode_instances(codec, remote_elems, config.l)
+
+
+def _session_check(
+    own: list[tuple[int, int]], theirs: list[int], results: list[Delta], p: int
+) -> bool:
+    """Whether the initiator's whole-set value at each check point equals the
+    responder's own times the product of the buckets' candidate ratios, the
+    remote side over the local side; checked without a division as
+    theirs * prod local_b == own * prod remote_b.
+
+    A wrong difference passes with probability at most ((D* + D) / 2**40)**k
+    over the k points, for the true difference degree D* and the candidates'
+    total degree D (Minsky, Trachtenberg & Zippel, IEEE Trans. IT 2003).
+    """
+    for (z, mine), value in zip(own, theirs):
+        local, remote = value, mine
+        for result in results:
+            remote = remote * peval(result.remote_poly, z, p) % p
+            for root in result.local_roots:
+                local = local * (z - root) % p
+        if local != remote:
+            return False
+    return True
 
 
 def _decode_instances(codec: ShingleCodec, elements: list[int], l: int) -> ShingleMultiset:

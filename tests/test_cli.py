@@ -170,6 +170,9 @@ class TestReconcile:
         assert responder["ranks_sent"] == 1 and initiator["ranks_sent"] == 0
         total = initiator["total_bits_sent"] + initiator["total_bits_recv"]
         assert initiator["wire_ratio"] == round(total / initiator["raw_bits"], 4)
+        # one session check; only the responder holds candidates to reject
+        assert initiator["step2_checks"] == responder["step2_checks"] == 1
+        assert initiator["step2_rejected"] == 0 and responder["step2_rejected"] >= 0
 
     @pytest.mark.parametrize(
         "option", [["--l", "5"], ["--mode", "fixed:16"], ["--k", "4"], ["--seed", "3"]]

@@ -83,6 +83,12 @@ def test_divmod_round_trip(rng):
         assert len(r) < len(b) or not r
 
 
+def test_monic_trims_before_it_inverts():
+    # an untrimmed list's zero leading coefficient is no leading coefficient
+    assert pmonic([3, 6, 0, 0], SMALL_P) == pmonic([3, 6], SMALL_P) == [(3 * pow(6, -1, SMALL_P)) % SMALL_P, 1]
+    assert pmonic([0, 0], SMALL_P) == pmonic([], SMALL_P) == []
+
+
 def test_gcd_divides_both(rng):
     for _ in range(100):
         g0 = pmonic(rand_poly(rng, SMALL_P, 4) + [1], SMALL_P)

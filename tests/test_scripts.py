@@ -24,12 +24,12 @@ def run_script(name, *args):
 
 
 def test_recon_demo_fixed_session():
-    # 267 instances make four buckets, each bundled 64 / 4 + 1 values, which
-    # cover the difference without a request
+    # 267 instances make sixteen buckets, each bundled 64 / 16 values; one
+    # bucket tops up one value, and one session check takes k = 8
     lines = run_script("recon_demo.py", "--n", "256", "--alphas", "1", "--mode", "fixed", "--m-hat", "64")
     assert lines[0] == "# alpha=1"
-    for line in ("role=initiator", "outcome=ok", "mode=fixed", "n_local=256", "step2_pairs=68",
-                 "step2_buckets=4", "step2_rounds=0"):
+    for line in ("role=initiator", "outcome=ok", "mode=fixed", "n_local=256", "step2_pairs=73",
+                 "step2_buckets=16", "step2_rounds=2", "step2_checks=1"):
         assert line in lines
 
 

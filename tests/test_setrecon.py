@@ -303,6 +303,25 @@ class TestRateless:
             decoder.feed(FIELD.p - 1, 0)
         with pytest.raises(InvalidPointError):
             decoder.feed(123, 1)
+        # a local element at the point, which no encoding is, makes the local value 0
+        decoder = RatelessDecoder.from_elements([FIELD.p - 1], CODEC, 1, k=2)
+        with pytest.raises(PointCollisionError):
+            decoder.feed(FIELD.p - 1, 5)
+
+    def test_reopen_takes_one_more_pair(self, rng):
+        a, b = random_multiset(rng, 40), random_multiset(rng, 37)
+        decoder, result = drive_rateless(a, b, k=1, seed=5)
+        consumed = decoder.pairs_consumed
+        decoder.reopen()
+        assert decoder.result is None and decoder.k == 2 and decoder.rejected == 1
+        assert decoder.pairs_wanted() >= 1
+        # the right candidate fits the next pair of the same stream and comes back
+        source = RatelessSource(b, CODEC, 5)
+        source.next_pairs(consumed)
+        (z, v), = source.next_pairs(1)
+        assert decoder.feed(z, v) == result
+        with pytest.raises(InvalidParameterError):
+            RatelessDecoder(a, CODEC, b.total(), k=1).reopen()
 
     def test_repeated_point_rejected(self, rng):
         ms = random_multiset(rng, 4)

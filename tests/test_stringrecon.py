@@ -4,7 +4,6 @@ import json
 import math
 import os
 import random
-import struct
 import subprocess
 import sys
 import textwrap
@@ -41,6 +40,7 @@ from shinglesync.errors import (
     InvalidParameterError,
     ProtocolError,
     SessionAbortError,
+    ShingleSyncError,
     TransportClosedError,
 )
 from shinglesync.field import P61
@@ -409,53 +409,71 @@ class TestWireCodecs:
             for decode in (
                 lambda: decode_pairs(block, 2),
                 lambda: decode_roots(block, 2),
-                lambda: decode_bundle(struct.pack(">I", 5) + block, 1, 2),
-                lambda: decode_handoff(struct.pack(">II", 1, 1) + block, 1),
+                lambda: decode_bundle(_pack_block([5], 3) + block, 1, 2, 5),
+                lambda: decode_handoff(_pack_block([1], 1) + _pack_block([1], 1) + block, 1, [1]),
             ):
                 with pytest.raises(ProtocolError):
                     decode()
 
     def test_bundle_frame_round_trip_and_exact_length(self):
-        # one u32 size per bucket, then the values, as many as the hello implies
+        # one size per bucket at the bit length of the sender's instance
+        # count (5: 3 bits), then the values, as many as the hello implies
         payload = encode_bundle(EvalBundle((7, 9), (1, P61 - 1), 5), bucket_sizes=[5])
-        assert len(payload) == 4 + value_block_bytes(2)
-        assert decode_bundle(payload, 1, 2) == ([5], [1, P61 - 1])
+        assert payload[:1] == bytes([0b101_00000])
+        assert len(payload) == 1 + value_block_bytes(2)
+        assert decode_bundle(payload, 1, 2, 5) == ([5], [1, P61 - 1])
+        # 4 sizes of 2 bits for 3 instances: one byte
         empty = encode_bundle(EvalBundle((), (), 3), bucket_sizes=[1, 0, 2, 0])
-        assert len(empty) == 4 * 4
-        assert decode_bundle(empty, 4, 0) == ([1, 0, 2, 0], [])
-        for bad in (payload[:3], payload[:7], payload[:-1], payload + b"\x00"):
+        assert empty == bytes([0b01_00_10_00])
+        assert decode_bundle(empty, 4, 0, 3) == ([1, 0, 2, 0], [])
+        # 611 instances: 10 bits a size
+        wide = encode_bundle(EvalBundle((), (), 611), bucket_sizes=[600, 11])
+        assert len(wide) == 3 and decode_bundle(wide, 2, 0, 611) == ([600, 11], [])
+        for bad in (payload[:1], payload[:-1], payload + b"\x00"):
             with pytest.raises(ProtocolError):
-                decode_bundle(bad, 1, 2)
+                decode_bundle(bad, 1, 2, 5)
         for count in (1, 3):
             with pytest.raises(ProtocolError):
-                decode_bundle(payload, 1, count)
-        with pytest.raises(ProtocolError):
-            decode_bundle(empty, 2, 0)
+                decode_bundle(payload, 1, count, 5)
+        for buckets, instances in ((5, 3), (4, 8)):
+            with pytest.raises(ProtocolError):
+                decode_bundle(empty, buckets, 0, instances)
 
     def test_request_frame_round_trip_and_exact_length(self):
+        # a width byte, then the counts at that width: the bit length of the largest
         payload = encode_request([3, 0, 2**16 - 1])
-        assert payload == bytes.fromhex("00030000ffff")
+        assert payload == bytes.fromhex("1000030000ffff")
         assert decode_request(payload, 3) == [3, 0, 2**16 - 1]
-        for bad, buckets in ((payload, 2), (payload, 4), (payload[:-1], 3), (b"", 1)):
+        narrow = encode_request([3, 0, 1])
+        assert narrow == bytes([2, 0b11_00_01_00])
+        assert decode_request(narrow, 3) == [3, 0, 1]
+        # the session check's request: all zeros at width 1
+        assert encode_request([0] * 9) == bytes([1, 0, 0])
+        assert decode_request(bytes([1, 0, 0]), 9) == [0] * 9
+        for bad, buckets in ((payload, 2), (payload, 4), (payload[:-1], 3), (b"", 1), (b"\x01", 1)):
             with pytest.raises(ProtocolError):
                 decode_request(bad, buckets)
 
     def test_handoff_and_roots_frames_round_trip_and_exact_length(self):
-        # 1 + B u32 counts, then the instances and per bucket a monic
+        # the responder's own count at the bit length of its instances (7: 3
+        # bits), the B degrees at the bit length of the initiator's largest
+        # bucket (1: 1 bit), then the instances and per bucket a monic
         # polynomial without its leading 1, in one block
-        payload = encode_handoff([4, 5], [[6, 1]])
-        assert payload[:8] == struct.pack(">II", 2, 1)
-        assert len(payload) == 4 * 2 + value_block_bytes(3)
-        assert decode_handoff(payload, 1) == ([4, 5], [[6, 1]])
-        assert decode_handoff(encode_handoff([], [[1]]), 1) == ([], [[1]])
-        two = encode_handoff([4], [[1], [8, 9, 1]])
-        assert len(two) == 4 * 3 + value_block_bytes(3)
-        assert decode_handoff(two, 2) == ([4], [[1], [8, 9, 1]])
-        for bad in (payload[:3], payload[:7], payload[:15], payload[:-1], payload + b"\x00"):
+        payload = encode_handoff([4, 5], [[6, 1]], 7, [1])
+        assert payload[:2] == bytes([0b010_00000, 0b1_0000000])
+        assert len(payload) == 2 + value_block_bytes(3)
+        assert decode_handoff(payload, 7, [1]) == ([4, 5], [[6, 1]])
+        assert decode_handoff(encode_handoff([], [[1]], 7, [1]), 7, [1]) == ([], [[1]])
+        two = encode_handoff([4], [[1], [8, 9, 1]], 7, [2, 3])
+        assert two[:2] == bytes([0b001_00000, 0b00_10_0000])
+        assert len(two) == 2 + value_block_bytes(3)
+        assert decode_handoff(two, 7, [2, 3]) == ([4], [[1], [8, 9, 1]])
+        for bad in (payload[:1], payload[:2], payload[:-1], payload + b"\x00"):
             with pytest.raises(ProtocolError):
-                decode_handoff(bad, 1)
+                decode_handoff(bad, 7, [1])
+        # nine buckets' degrees need two bytes at 1 bit each
         with pytest.raises(ProtocolError):
-            decode_handoff(payload, 2)
+            decode_handoff(payload, 7, [1] * 9)
         roots = encode_roots([7, P61 - 1])
         assert len(roots) == value_block_bytes(2)
         assert decode_roots(roots, 2) == [7, P61 - 1]
@@ -590,22 +608,29 @@ class TestSessions:
         config = ReconConfig(l=3, mode=mode, m_hat=m_hat, k=4, seed=9)
         (_, rep_a), (_, rep_b) = run_session("katana", "katna", config)
         assert rep_a.step2_pairs == rep_b.step2_pairs > 0
+        assert rep_a.step2_checks == rep_b.step2_checks == 1
         if mode == MODE_FIXED:
-            # one bucket, whose first batch of m_hat + 1 values covers the difference
-            assert rep_a.step2_buckets == 1
-            assert rep_a.step2_pairs == m_hat + 1
+            # two buckets, whose first batches of m_hat / 2 values cover the
+            # difference; then one session check of k values
+            assert rep_a.step2_buckets == 2
+            assert rep_a.step2_pairs == m_hat + 4
+            assert rep_a.step2_rounds == 1
         assert f"step2_pairs={rep_a.step2_pairs}\n" in rep_a.to_text()
 
     def test_zero_difference_rateless_session_sends_k_pairs(self, rng):
+        # one value verifies each bucket, and k values the session: 6
+        # instances make two buckets
         config = ReconConfig(l=2, mode=MODE_RATELESS, k=6, seed=5)
         (_, rep_a), (_, rep_b) = run_session("hello", "hello", config)
-        assert rep_a.step2_pairs == rep_b.step2_pairs == 6
-        # 300 + 12 instances make four buckets, each verified by its own k pairs
+        assert rep_a.step2_buckets == 2
+        assert rep_a.step2_pairs == rep_b.step2_pairs == 2 + 6
+        # 300 + 12 instances make sixteen buckets
         word = "".join(rng.choice("01") for _ in range(300))
         config = ReconConfig(l=13, mode=MODE_RATELESS, k=8, seed=5)
         (_, rep_a), (_, rep_b) = run_session(word, word, config)
-        assert rep_a.step2_buckets == rep_b.step2_buckets == 4
-        assert rep_a.step2_pairs == rep_b.step2_pairs == 4 * 8
+        assert rep_a.step2_buckets == rep_b.step2_buckets == 16
+        assert rep_a.step2_pairs == rep_b.step2_pairs == 16 + 8
+        assert rep_a.step2_rounds == 2 and rep_a.step2_checks == 1
 
     @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 96), (MODE_RATELESS, 0)])
     def test_both_parties_report_buckets_and_rounds(self, monkeypatch, rng, mode, m_hat):
@@ -622,14 +647,15 @@ class TestSessions:
         config = ReconConfig(l=13, mode=mode, m_hat=m_hat, k=8, seed=29)
         (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
-        assert rep_a.step2_buckets == rep_b.step2_buckets == 4
+        assert rep_a.step2_buckets == rep_b.step2_buckets == 16
         assert rep_a.step2_rounds == rep_b.step2_rounds == kinds.count(FrameKind.DELTA_REQ)
+        assert rep_a.step2_checks == rep_b.step2_checks == 1
         # a rateless bundle holds no values; these fixed first batches of
-        # 96 / 4 + 1 cover every bucket
-        assert (rep_a.step2_rounds > 0) == (mode == MODE_RATELESS)
+        # 96 / 16 leave fewer buckets to top up, and the check is a round of its own
+        assert rep_a.step2_rounds >= 1 + (mode == MODE_RATELESS)
         text = rep_b.to_text()
-        assert f"step2_buckets={rep_b.step2_buckets}\n" in text
-        assert f"step2_rounds={rep_b.step2_rounds}\n" in text
+        for name in ("step2_buckets", "step2_rounds", "step2_checks", "step2_rejected"):
+            assert f"{name}={getattr(rep_b, name)}\n" in text
 
     @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 96), (MODE_RATELESS, 0)])
     def test_sessions_never_factor_or_solve(self, monkeypatch, rng, mode, m_hat):
@@ -653,9 +679,9 @@ class TestSessions:
         sent = []
         real_encode = stringrecon.encode_handoff
 
-        def spy(sender_only, polys):
+        def spy(sender_only, *rest):
             sent.append(sender_only)
-            return real_encode(sender_only, polys)
+            return real_encode(sender_only, *rest)
 
         monkeypatch.setattr(stringrecon, "encode_handoff", spy)
         wa, wb = "aab", "aaaab"
@@ -683,21 +709,23 @@ class TestSessions:
         wb = random_edits(wa, 2, rng, "01")
         l, k, m_hat = 13, 8, 96
         config = ReconConfig(l=l, mode=MODE_FIXED, m_hat=m_hat, k=k, seed=17)
-        # 108 instances a side make two buckets, each bundled 96 / 2 + 1 values
-        diffs = bucket_differences(wa, wb, l, 2, config.seed)
-        first = m_hat // 2 + 1
-        assert all(0 < m + k <= first for m in diffs)
+        # 108 instances a side make eight buckets, each bundled 96 / 8 values
+        buckets, first = 8, 12
+        diffs = bucket_differences(wa, wb, l, buckets, config.seed)
+        assert all(m + 1 <= first for m in diffs) and sum(diffs) > 0
         (ra, rep_a), (rb, _) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
-        assert rep_a.step2_pairs == 2 * first and rep_a.step2_rounds == 0
-        # each bucket's decoder feeds the first m_b + k of its own points
-        points = FIELD.sample_points(config.seed, 2 * first)
-        assert fed == points[: diffs[0] + k] + points[first : first + diffs[1] + k]
+        # the bundle, then the session check alone
+        assert rep_a.step2_pairs == buckets * first + k and rep_a.step2_rounds == 1
+        # each bucket's decoder feeds the first m_b + 1 of its own points: a
+        # bucket's k is 1, the session check verifies the rest
+        points = FIELD.sample_points(config.seed, buckets * first)
+        assert fed == [z for b, m in enumerate(diffs) for z in points[b * first : b * first + m + 1]]
 
     def test_fixed_session_recovers_a_difference_of_m_hat_with_top_ups(self):
-        # a bucket's first batch is its share of m_hat plus 1, so a bucket
-        # holding about its share of the difference tops up its k
-        # verification values in a later round
+        # a bucket's first batch is its share of m_hat, so a bucket holding
+        # its share of the difference or more tops up its one verification
+        # value, or more, in a later round
         wa = "".join(random.Random(8).choice("01") for _ in range(96))
         wb = flip(wa, 40)
         l, k = 13, 8
@@ -705,15 +733,18 @@ class TestSessions:
         m = sum(((ca - cb) + (cb - ca)).values())
         assert m > 0
         config = ReconConfig(l=l, mode=MODE_FIXED, m_hat=m, k=k, seed=19)
-        diffs = bucket_differences(wa, wb, l, 2, config.seed)
+        buckets = 8
+        diffs = bucket_differences(wa, wb, l, buckets, config.seed)
         assert sum(diffs) == m
-        first = -(-m // 2) + 1
+        first = -(-m // buckets)
+        assert any(d + 1 > first for d in diffs)
         (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
-        assert rep_a.step2_buckets == 2
-        # a bucket is served its first batch or, past it, m_b + k
-        assert rep_a.step2_pairs == rep_b.step2_pairs == sum(max(first, d + k) for d in diffs)
-        assert rep_a.step2_rounds == rep_b.step2_rounds >= 1
+        assert rep_a.step2_buckets == buckets
+        # a bucket is served its first batch or, past it, m_b + 1; the
+        # session check k more
+        assert rep_a.step2_pairs == rep_b.step2_pairs == sum(max(first, d + 1) for d in diffs) + k
+        assert rep_a.step2_rounds == rep_b.step2_rounds >= 2
 
     def test_hello_bits_are_the_frame_arithmetic(self):
         config = ReconConfig(l=2, mode=MODE_RATELESS, seed=5)
@@ -755,19 +786,26 @@ class TestSessions:
         assert isinstance(raised.get("exc"), TransportClosedError)
 
     def test_rateless_step2_bits_are_the_frame_arithmetic(self, monkeypatch, rng):
-        batches = []
-        real_encode = stringrecon.encode_pairs
+        batches, requests = [], []
+        real_pairs, real_request = stringrecon.encode_pairs, stringrecon.encode_request
 
-        def spy(pairs):
+        def pairs_spy(pairs):
             batches.append(len(pairs))
-            return real_encode(pairs)
+            return real_pairs(pairs)
 
-        monkeypatch.setattr(stringrecon, "encode_pairs", spy)
+        def request_spy(counts):
+            requests.append(counts)
+            return real_request(counts)
+
+        monkeypatch.setattr(stringrecon, "encode_pairs", pairs_spy)
+        monkeypatch.setattr(stringrecon, "encode_request", request_spy)
         header = 40  # length:u32 and kind:u8
         l = 13
-        # 40 + 12 instances keep one bucket; 300 + 12 make four
-        for n, buckets in ((40, 1), (300, 4)):
+        codec = ShingleCodec(Alphabet("01"), FIELD)
+        # 40 + 12 instances make eight buckets; 300 + 12 make sixteen
+        for n, buckets in ((40, 8), (300, 16)):
             batches.clear()
+            requests.clear()
             wa = "".join(rng.choice("01") for _ in range(n))
             wb = random_edits(wa, 3, rng, "01")
             ca, cb = Counter(shingle_sequence(wa, l)), Counter(shingle_sequence(wb, l))
@@ -777,20 +815,31 @@ class TestSessions:
             assert rep_a.step2_buckets == buckets
             pairs, rounds = rep_a.step2_pairs, rep_a.step2_rounds
             assert sum(batches) == pairs == rep_b.step2_pairs
-            assert len(batches) == rounds == rep_b.step2_rounds
-            def block(count):  # 62-bit values, zero-padded to a byte
-                return 8 * ((62 * count + 7) // 8)
+            assert len(batches) == len(requests) == rounds == rep_b.step2_rounds
+            # the last request asks for the session check
+            assert requests[-1] == [0] * buckets and batches[-1] == config.k
+            sizes = [len(part) for part in partition(codec.encode_multiset(ShingleMultiset(ca)), buckets, 23)]
 
-            # initiator: bundle of bucket sizes and no values, one value frame
-            # per request, its roots
+            def block(count, width=62):  # zero-padded to a byte
+                return 8 * ((width * count + 7) // 8)
+
+            # initiator: bundle of bucket sizes at the bit length of its
+            # instance count and no values, one value frame per request, its roots
             sent_a = (
-                (header + 32 * buckets)
+                header + block(buckets, sum(ca.values()).bit_length())
                 + sum(header + block(batch) for batch in batches)
-                + (header + block(only_a))
+                + header + block(only_a)
             )
-            # responder: the u16 count vectors, then 1 + B u32 counts over one
-            # block of its instances and the polynomials, whose degrees sum to only_a
-            sent_b = rounds * (header + 16 * buckets) + header + 32 * (1 + buckets) + block(only_b + only_a)
+            # responder: each request's width byte and counts at that width;
+            # then its own count at the bit length of its instance count, a
+            # degree per bucket at the bit length of the initiator's largest
+            # bucket, and one block of its instances and the polynomials,
+            # whose degrees sum to only_a
+            sent_b = (
+                sum(header + 8 + block(buckets, max(1, max(counts).bit_length())) for counts in requests)
+                + header + block(1, sum(cb.values()).bit_length()) + block(buckets, max(sizes).bit_length())
+                + block(only_b + only_a)
+            )
             assert rep_a.step_bits("step2") == (sent_a, sent_b)
             assert rep_b.step_bits("step2") == (sent_b, sent_a)
 
@@ -814,8 +863,11 @@ class TestSessions:
         config = ReconConfig(l=13, mode=MODE_FIXED, m_hat=4, k=4, seed=77)
         (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
-        assert rep_a.step2_rounds == rep_b.step2_rounds >= 1
-        assert rep_a.step2_pairs == rep_b.step2_pairs > 2 * (4 // 2 + 1)
+        # 140 instances make sixteen buckets, each bundled one value: some top
+        # up, and then the session check
+        assert rep_a.step2_buckets == 16
+        assert rep_a.step2_rounds == rep_b.step2_rounds >= 2
+        assert rep_a.step2_pairs == rep_b.step2_pairs > 16 * 1 + 4
 
     def test_merge_count_mismatch_raises(self):
         # a merge that leaves one label too many trips an explicit check, not
@@ -966,10 +1018,11 @@ class TestStep2Evaluation:
             fut_b = pool.submit(run_protocol, wb, b, "responder", config)
             assert fut_a.result(timeout=60)[0] == wb and fut_b.result(timeout=60)[0] == wa
         (payload,) = [f.payload for f in sent if f.kind == FrameKind.EVAL_BUNDLE]
-        # 611 instances a side make four buckets, each bundled 64 / 4 + 1 values
-        buckets, first = 4, 17
-        assert len(payload) == 4 * buckets + value_block_bytes(buckets * first)
-        sizes, values = decode_bundle(payload, buckets, buckets * first)
+        # 611 instances a side make 32 buckets, each bundled 64 / 32 values
+        # and sized in 10 bits
+        buckets, first = 32, 2
+        assert len(payload) == 10 * buckets // 8 + value_block_bytes(buckets * first)
+        sizes, values = decode_bundle(payload, buckets, buckets * first, 611)
         codec = ShingleCodec(Alphabet("01"), FIELD)
         ms = ShingleMultiset(Counter(shingle_sequence(wa, config.l)))
         parts = partition(codec.encode_multiset(ms), buckets, config.seed)
@@ -979,7 +1032,7 @@ class TestStep2Evaluation:
             window = slice(b * first, (b + 1) * first)
             assert values[window] == char_values_loop(part, points[window], P61)
         assert hashlib.sha256(payload).hexdigest() == (
-            "b2cc5f7129ca55eb304c619a828347d562d39a422c09b8d6ca3d76d45b988923"
+            "322470212f04d24349c31ef5e6a5fd6881bfe659e757cb644f19c970dd02b573"
         )
 
 
@@ -988,9 +1041,9 @@ class TestStep2Evaluation:
 # merges and 25-27 shipped ranks a side)
 GOLDEN_SESSION = {
     ("initiator", "MERGES"): "0f5aa246b51c076009760b21d3e0c694d6b05079348a927a8f279bc74cd4e558",
-    ("initiator", "DELTA"): "14893587d9aaa084bdf6270103df6c00461ee5ee8a83cf1589213dbb3d7d32ad",
+    ("initiator", "DELTA"): "24965cbb72f3c301c482864292dab957a8e0659e5ab85ce77ab0c40cd6121127",
     ("responder", "MERGES"): "451fd56d3e1c91d8766f555227f0443ac2ffd7c3e4c7517172fd990f70cdb3a3",
-    ("responder", "DELTA"): "66c2ee696dd4d505a9ad50da246f1ace37905d2c5632fda8ae29480ddbfd8467",
+    ("responder", "DELTA"): "fe23a738d342eb9f583ff7aed5c17baa58a1af5dd62f5de0d9de0db12b08369f",
 }
 
 
@@ -1017,12 +1070,17 @@ def test_session_wire_is_golden():
 
 class TestPartitionedStep2:
     def test_bucket_rule(self):
-        assert step2_buckets(63, 10**6) == 1
-        assert step2_buckets(64, 64) == 2
-        assert step2_buckets(96 + 12, 96 + 12) == 2  # 96 bits at l = 13
-        assert step2_buckets(4113, 4113) == 16
-        assert step2_buckets(4113, 4095) == 8
-        assert step2_buckets(16403, 16403) == 32
+        # the largest power of two B with B**2 <= 2 * min(instances)
+        assert step2_buckets(1, 10**6) == step2_buckets(0, 0) == 1
+        assert step2_buckets(2, 2) == 2
+        assert step2_buckets(7, 8) == 2 and step2_buckets(8, 8) == 4
+        assert step2_buckets(96 + 12, 96 + 12) == 8  # 96 bits at l = 13
+        # 4096 bits at l = 18 hold 4113 instances, and 16 edits move them by
+        # under 20: never across the threshold at 4096 + 4096
+        for instances in (4097, 4113, 4129, 8191):
+            assert step2_buckets(instances, 4113) == 64
+        assert step2_buckets(2047, 4113) == 32
+        assert step2_buckets(16403, 16403) == 128
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -1047,10 +1105,11 @@ class TestPartitionedStep2:
         assert delta_a == (only_a, only_b)
         assert delta_b == (only_b, only_a)
         # at most 12 instances per side, so no bucket's rung passes the exact
-        # part of the ladder, and each lands on m_b + k
+        # part of the ladder, and each lands on m_b + 1, its one verification
+        # value; the session check adds k
         parts_a = partition(codec.encode_multiset(ms_a), buckets, seed)
         parts_b = partition(codec.encode_multiset(ms_b), buckets, seed)
-        expected = sum(len(set(pa) ^ set(pb)) + config.k for pa, pb in zip(parts_a, parts_b))
+        expected = sum(len(set(pa) ^ set(pb)) + 1 for pa, pb in zip(parts_a, parts_b)) + config.k
         assert rep_a.step2_pairs == rep_b.step2_pairs == expected
         assert rep_a.step2_buckets == rep_b.step2_buckets == buckets
 
@@ -1069,114 +1128,151 @@ class TestHostileStep2:
     bundle exhausts the decoder's budget)."""
 
     CONFIG = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=3)
-    # two 96-bit words: 108 instances each, so two buckets
+    # two 96-bit words: 108 instances each, so eight buckets
     WIDE = ReconConfig(l=13, mode=MODE_RATELESS, k=8, seed=3)
 
-    def initiator_facing(self, *requests, wide=False, fixed=False):
+    def initiator_facing(self, *requests, wide=False, fixed=False, served=None):
         """The initiator against a responder that sends `requests` as DELTA_REQ
-        payloads, checking the values served after each; a request may be a
-        function of the bucket sizes in the initiator's bundle.  The words are
-        "abcab" against "abcba" (one bucket), or WIDE_A against WIDE_B (two
-        buckets) when `wide`.  When `fixed`, the session runs in fixed mode
-        with m_hat = 4, so the bundle holds ceil(4 / B) + 1 values per bucket."""
-        config, mine, theirs, buckets = (
-            (self.WIDE, WIDE_A, WIDE_B, 2) if wide else (self.CONFIG, "abcab", "abcba", 1)
-        )
+        payloads, checking the values served after each (k for a request of
+        all zeros, the session check) and counting them into `served`; a
+        request may be a function of the bucket sizes in the initiator's
+        bundle.  The words are "abcab" against "abcba" (6 instances each, so
+        two buckets), or WIDE_A against WIDE_B (eight buckets) when `wide`.
+        When `fixed`, the session runs in fixed mode with m_hat = 4, so the
+        bundle holds ceil(4 / B) values per bucket."""
+        config, mine, theirs = (self.WIDE, WIDE_A, WIDE_B) if wide else (self.CONFIG, "abcab", "abcba")
+        instances = len(mine) + config.l - 1
+        buckets = step2_buckets(instances, len(theirs) + config.l - 1)
         first = 0
         if fixed:
             config = dataclasses.replace(config, mode=MODE_FIXED, m_hat=4)
-            first = 4 // buckets + 1
+            first = -(-4 // buckets)
+        served = [] if served is None else served
 
         def script(peer):
             peer.recv()
             peer.send(hello_for(config, theirs))
-            sizes, _ = decode_bundle(peer.recv().payload, buckets, first * buckets)
+            sizes, _ = decode_bundle(peer.recv().payload, buckets, first * buckets, instances)
             for request in requests:
                 payload = request(sizes) if callable(request) else request
                 peer.send(Frame(FrameKind.DELTA_REQ, payload))
                 frame = peer.recv()
                 if frame.kind != FrameKind.EVAL_PAIR:
                     return
-                decode_pairs(frame.payload, sum(decode_request(payload, buckets)))
+                served.append(decode_pairs(frame.payload, sum(decode_request(payload, buckets)) or config.k))
 
         return scripted_session(mine, "initiator", config, script)
 
-    @pytest.mark.parametrize("payload", [b"", b"\x00\x00\x08", b"\x00\x00\x00\x08\x00"])
+    # "abcab" puts 4 and 2 of its instances in its two buckets
+    SIZES = [4, 2]
+
+    @pytest.mark.parametrize(
+        "payload", [b"", b"\x00\x00\x08", b"\x00\x00\x00\x08\x00", b"\x01", b"\x01\x80\x00"]
+    )
     def test_pair_request_frame_length_is_checked(self, payload):
-        # one bucket: a request is exactly one u16
+        # two buckets: a request is its width byte, from 1 to 16, and then
+        # two counts that width wide; refused are no width, a width of 0, a
+        # block one byte short and one byte over
         assert isinstance(self.initiator_facing(payload), ProtocolError)
 
+    @pytest.mark.parametrize("width", [0, 17, 255])
+    def test_pair_request_width_is_bounded(self, width):
+        exc = self.initiator_facing(bytes([width]) + bytes(5))
+        assert isinstance(exc, ProtocolError) and f"width {width}" in str(exc)
+
     def test_pair_request_vector_needs_one_count_per_bucket(self):
-        for counts in ([1], [1, 1, 1]):
-            assert isinstance(self.initiator_facing(encode_request(counts), wide=True), ProtocolError)
+        # eight buckets at 8 bits a count: seven or nine counts miss the length
+        for counts in ([128] * 7, [128] * 9):
+            exc = self.initiator_facing(encode_request(counts), wide=True)
+            assert isinstance(exc, ProtocolError) and "pair request block holds" in str(exc)
 
-    def test_pair_request_count_must_be_positive(self):
-        assert isinstance(self.initiator_facing(encode_request([0])), ProtocolError)
+    def test_pair_request_padding_must_be_zero(self):
+        exc = self.initiator_facing(bytes([1, 0b10_000001]))
+        assert isinstance(exc, ProtocolError) and "padding" in str(exc)
 
-    def test_all_zero_pair_request_rejected(self):
-        assert isinstance(self.initiator_facing(encode_request([0, 0]), wide=True), ProtocolError)
+    def test_more_session_checks_than_k_refused(self):
+        # each all-zero request is one session check of k values; the (k+1)-th is refused
+        served = []
+        exc = self.initiator_facing(*[encode_request([0, 0])] * 9, served=served)
+        assert isinstance(exc, ProtocolError) and "more than k = 8 session checks" in str(exc)
+        assert [len(values) for values in served] == [8] * 8
 
     # the budgets bound what the requests add to the bundle, so both modes
     # share every count below
     def test_pair_requests_stay_within_the_budget(self):
-        # 6 + 6 instances at l = 2, plus k = 8
-        budget = 6 + 6 + 8
+        # bucket 0 is served its 4 instances, the responder's 6 and k = 8
+        budget = self.SIZES[0] + 6 + 8
         for fixed in (False, True):
-            exc = self.initiator_facing(encode_request([budget + 1]), fixed=fixed)
+            exc = self.initiator_facing(encode_request([budget + 1, 0]), fixed=fixed)
+            assert isinstance(exc, ProtocolError) and "in bucket 0" in str(exc)
+            exc = self.initiator_facing(encode_request([budget - 3, 0]), encode_request([4, 0]), fixed=fixed)
+            assert isinstance(exc, ProtocolError) and "in bucket 0" in str(exc)
+            exc = self.initiator_facing(encode_request([2**16 - 1, 0]), fixed=fixed)
             assert isinstance(exc, ProtocolError)
-            exc = self.initiator_facing(encode_request([budget - 3]), encode_request([4]), fixed=fixed)
-            assert isinstance(exc, ProtocolError)
-            exc = self.initiator_facing(encode_request([2**16 - 1]), fixed=fixed)
-            assert isinstance(exc, ProtocolError)
-            # two buckets, each asked up to its own budget: together past the
-            # session's 108 + 108 + 2 * 8
+            # eight buckets, each asked up to its own budget: together past the
+            # session's 108 + 108 + 8 * 8
             exc = self.initiator_facing(
                 lambda sizes: encode_request([size + 108 + 8 for size in sizes]), wide=True, fixed=fixed
             )
-            assert isinstance(exc, ProtocolError) and "budget of 232" in str(exc)
+            assert isinstance(exc, ProtocolError) and "budget of 280" in str(exc)
 
     def test_bucket_requests_stay_within_the_bucket_budget(self):
         # a bucket is served its own instances, every remote instance and k:
         # exactly that passes, one more value fails
+        def one_bucket(count):
+            return [0, count] + [0] * 6
+
         for fixed in (False, True):
             exc = self.initiator_facing(
-                lambda sizes: encode_request([0, sizes[1] + 108 + 8]),
-                encode_request([0, 1]),
+                lambda sizes: encode_request(one_bucket(sizes[1] + 108 + 8)),
+                encode_request(one_bucket(1)),
                 wide=True,
                 fixed=fixed,
             )
             assert isinstance(exc, ProtocolError) and "in bucket 1" in str(exc)
 
-    @pytest.mark.parametrize(
-        "handoff",
-        [
-            encode_handoff([5], [[1]]),  # 5 encodes no shingle
-            encode_handoff([], [[7, 1]]),  # Z + 7 has no root among the initiator's elements
-        ],
-        ids=["malformed-instance", "poly-does-not-split"],
-    )
-    def test_initiator_checks_the_hand_off_before_replying(self, handoff):
+    def initiator_handed(self, handoff):
+        """The initiator "abcab" against a responder "abcba" that sends the
+        hand-off `handoff(sizes)` right after the bundle, for the bucket
+        sizes in it; returns what the initiator raised and the frame kinds it
+        sent after the hand-off."""
         after = []
 
         def script(peer):
             peer.recv()
             peer.send(hello_for(self.CONFIG, "abcba"))
-            peer.recv()  # the bundle
-            peer.send(Frame(FrameKind.DELTA, handoff))
+            # two sizes at 3 bits for 6 instances, and no values
+            sizes = _unpack_block(peer.recv().payload, 3, 2, "bundle")
+            peer.send(Frame(FrameKind.DELTA, handoff(sizes)))
             while True:
                 after.append(peer.recv().kind)
 
-        exc = scripted_session("abcab", "initiator", self.CONFIG, script)
+        return scripted_session("abcab", "initiator", self.CONFIG, script), after
+
+    @pytest.mark.parametrize(
+        "handoff",
+        [
+            # 5 encodes no shingle
+            lambda sizes: encode_handoff([5], [[1], [1]], 6, sizes),
+            # Z + 7 has no root among the initiator's elements of bucket 0
+            lambda sizes: encode_handoff([], [[7, 1], [1]], 6, sizes),
+            # the two count blocks with a padding bit set
+            lambda sizes: bytes([0b000_00001, 0]),
+        ],
+        ids=["malformed-instance", "poly-does-not-split", "padding"],
+    )
+    def test_initiator_checks_the_hand_off_before_replying(self, handoff):
+        exc, after = self.initiator_handed(handoff)
         assert isinstance(exc, ProtocolError)
         assert FrameKind.DELTA not in after
 
     @pytest.mark.parametrize(
         "handoff",
         [
-            # more one-sided instances than the responder's 6
-            encode_handoff([5] * 7, [[1]]),
-            # degree 40,000 against the initiator's 6 instances in its one bucket
-            encode_handoff([], [[7] * 40_000 + [1]]),
+            # more one-sided instances than the responder's 6, at 3 bits
+            _pack_block([7], 3) + _pack_block([0, 0], 3) + bytes(100),
+            # degree 7 against the initiator's 4 instances in bucket 0
+            _pack_block([0], 3) + _pack_block([7, 0], 3) + bytes(100),
         ],
         ids=["one-sided", "degree"],
     )
@@ -1184,18 +1280,11 @@ class TestHostileStep2:
         def forbidden(*_args):
             raise AssertionError("an oversized hand-off was decoded or searched")
 
+        monkeypatch.setattr(stringrecon, "_unpack_residues", forbidden)
         monkeypatch.setattr(stringrecon, "_decode_instances", forbidden)
         monkeypatch.setattr(stringrecon, "roots_by_candidates", forbidden)
-
-        def script(peer):
-            peer.recv()
-            peer.send(hello_for(self.CONFIG, "abcba"))
-            peer.recv()  # the bundle
-            peer.send(Frame(FrameKind.DELTA, handoff))
-            peer.recv()
-
         start = time.perf_counter()
-        exc = scripted_session("abcab", "initiator", self.CONFIG, script)
+        exc, _ = self.initiator_handed(lambda sizes: handoff)
         assert time.perf_counter() - start < 1
         assert isinstance(exc, ProtocolError)
 
@@ -1224,17 +1313,19 @@ class TestHostileStep2:
 
         assert isinstance(scripted_session("0101", "responder", config, script), ProtocolError)
 
-    def responder_facing(self, config, bundle, pairs_for=None):
+    def responder_facing(self, config, bundle, pairs_for=None, payload=None):
         """The responder "abcba" against an initiator "abcab" that sends `bundle`
-        as its one bucket and then answers the first pair request with
-        `pairs_for(count)`."""
+        with all its instances in the first of its two buckets, or the bundle
+        frame `payload` when given, and then answers the first pair request
+        with `pairs_for(count)`, for the values requested in all."""
+        payload = payload or encode_bundle(bundle, bucket_sizes=[bundle.set_size, 0])
 
         def script(peer):
             peer.send(hello_for(config, "abcab"))
             peer.recv()
-            peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, bucket_sizes=[bundle.set_size])))
+            peer.send(Frame(FrameKind.EVAL_BUNDLE, payload))
             if pairs_for is not None:
-                (count,) = decode_request(peer.recv().payload, 1)
+                count = sum(decode_request(peer.recv().payload, 2))
                 peer.send(Frame(FrameKind.EVAL_PAIR, encode_pairs(pairs_for(count))))
 
         return scripted_session("abcba", "responder", config, script)
@@ -1258,47 +1349,47 @@ class TestHostileStep2:
     def test_bundle_set_size_must_match_the_hello(self):
         assert isinstance(self.responder_facing(self.CONFIG, EvalBundle((), (), 7)), ProtocolError)
 
+    def test_bundle_padding_must_be_zero(self):
+        # two sizes of 3 bits for 6 instances, 4 and 2, then a padding bit
+        exc = self.responder_facing(self.CONFIG, None, payload=bytes([0b100_010_01]))
+        assert isinstance(exc, ProtocolError) and "padding" in str(exc)
+
     def test_bundle_bucket_sizes_must_sum_to_the_hello(self):
-        # WIDE_A has 108 instances in two buckets; any split with that sum passes
+        # WIDE_A has 108 instances in eight buckets; any split with that sum passes
         def first_reply(sizes):
             replies = []
 
             def script(peer):
                 peer.send(hello_for(self.WIDE, WIDE_A))
                 peer.recv()
-                peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(EvalBundle((), (), 0), bucket_sizes=sizes)))
+                peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(EvalBundle((), (), 108), bucket_sizes=sizes)))
                 replies.append(peer.recv().kind)
 
             return scripted_session(WIDE_B, "responder", self.WIDE, script), replies
 
-        for sizes in ([54, 53], [108, 1], [0, 0]):
+        for sizes in ([14] * 8, [108, 1] + [0] * 6, [0] * 8):
             exc, replies = first_reply(sizes)
             assert isinstance(exc, ProtocolError) and replies == []
-        exc, replies = first_reply([100, 8])
+        exc, replies = first_reply([100, 8] + [0] * 6)
         assert replies == [FrameKind.DELTA_REQ]
 
     def test_responder_checks_the_roots_count(self):
         # equal words: every bucket polynomial has degree 0, so no root may come back
-        config = self.CONFIG
         codec = ShingleCodec(Alphabet("abc"), FIELD)
-        ms = ShingleMultiset(Counter(shingle_sequence("abcba", config.l)))
-        source = setrecon.RatelessSource(ms, codec, config.seed)
+        handoffs = []
 
-        def script(peer):
-            peer.send(hello_for(config, "abcba"))
-            peer.recv()
-            peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(EvalBundle((), (), 6), bucket_sizes=[6])))
-            while (frame := peer.recv()).kind == FrameKind.DELTA_REQ:
-                (count,) = decode_request(frame.payload, 1)
-                peer.send(Frame(FrameKind.EVAL_PAIR, encode_pairs(source.next_pairs(count))))
-            assert decode_handoff(frame.payload, 1) == ([], [[1]])
-            peer.send(Frame(FrameKind.DELTA, encode_roots([codec.encode("ab", 1)])))
-            peer.recv()
+        def tamper(frame, _check):
+            if frame.kind == FrameKind.DELTA:
+                handoffs.append(frame)
+                return Frame(FrameKind.DELTA, encode_roots([codec.encode("ab", 1)]))
+            return frame
 
-        assert isinstance(scripted_session("abcba", "responder", config, script), ProtocolError)
+        exc = scripted_session("abcba", "responder", self.CONFIG, tampered_initiator("abcba", self.CONFIG, tamper))
+        assert isinstance(exc, ProtocolError)
+        assert len(handoffs) == 1
 
     def test_fixed_responder_never_draws_the_peer_m_hat(self):
-        # drawing m_hat + 1 = 2**32 points for the one bucket would take hours
+        # drawing m_hat = 2**32 - 1 points for the two buckets would take hours
         config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=2**32 - 1, k=8, seed=3)
         points = tuple(FIELD.sample_points(3, 4))
         exc = self.responder_facing(config, EvalBundle(points, (1, 1, 1, 1), 6))
@@ -1315,13 +1406,104 @@ class TestHostileStep2:
 
         monkeypatch.setattr(RatelessDecoder, "feed", spy)
         config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=100_000, k=8, seed=3)
-        count = config.m_hat + 1
+        count = config.m_hat
         values = tuple(rng.randrange(1, FIELD.p) for _ in range(count))
         start = time.perf_counter()
         exc = self.responder_facing(config, EvalBundle(tuple(range(count)), values, 6))
         assert isinstance(exc, BoundExceededError)
         assert time.perf_counter() - start < 10
-        assert 0 < len(budgets) <= budgets[0] == 6 + 6 + 8
+        # bucket 0: the responder's 3 instances, the initiator's 6 and one
+        # verification value
+        assert 0 < len(budgets) <= budgets[0] == 3 + 6 + 1
+
+    @pytest.mark.parametrize(
+        "values,match",
+        [
+            (lambda values: values[:-1], "pair block holds"),
+            (lambda values: [P61] + values[1:], "P61 or more"),
+        ],
+        ids=["short", "P61"],
+    )
+    def test_check_values_are_checked(self, values, match):
+        def tamper(frame, check):
+            if check:
+                return Frame(FrameKind.EVAL_PAIR, _pack_block(values(decode_pairs(frame.payload, 8)), VALUE_BITS))
+            return frame
+
+        exc = scripted_session("abcba", "responder", self.CONFIG, tampered_initiator("abcab", self.CONFIG, tamper))
+        assert isinstance(exc, ProtocolError) and match in str(exc), exc
+
+    def test_check_values_that_never_match_end_the_session(self):
+        # every check fails, and every failed check reopens both buckets for
+        # a value: after k checks the responder gives up
+        checks = []
+
+        def tamper(frame, check):
+            if check:
+                checks.append(frame)
+                values = decode_pairs(frame.payload, 8)
+                return Frame(FrameKind.EVAL_PAIR, encode_pairs([(0, (v + 1) % P61) for v in values]))
+            return frame
+
+        start = time.perf_counter()
+        exc = scripted_session(WIDE_B, "responder", self.WIDE, tampered_initiator(WIDE_A, self.WIDE, tamper))
+        assert time.perf_counter() - start < 10
+        assert isinstance(exc, ShingleSyncError) and "failed 8 times" in str(exc), exc
+        assert len(checks) == 8
+
+    def test_a_wrong_bucket_candidate_is_caught_by_the_session_check(self, monkeypatch, rng):
+        # the first bucket to accept a candidate accepts a wrong one: its
+        # remote side gains a root.  The session check fails, every bucket
+        # reopens for one value, and the right candidates come back
+        real_decode = RatelessDecoder._decode
+        wrong = []
+
+        def decode_once_wrong(decoder, num, den):
+            accepted = real_decode(decoder, num, den)
+            if accepted and not wrong:
+                remote = field.pmul(list(decoder.result.remote_poly), [12345, 1], P61)
+                decoder.result = dataclasses.replace(decoder.result, remote_poly=tuple(remote))
+                wrong.append(decoder)
+            return accepted
+
+        monkeypatch.setattr(RatelessDecoder, "_decode", decode_once_wrong)
+        wa = "".join(rng.choice("01") for _ in range(300))
+        wb = random_edits(wa, 3, rng, "01")
+        config = ReconConfig(l=13, mode=MODE_RATELESS, k=8, seed=31)
+        (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
+        assert ra == wb and rb == wa
+        assert len(wrong) == 1
+        assert rep_a.step2_checks == rep_b.step2_checks == 2
+        # the reopened buckets, all 16 of them
+        assert rep_b.step2_rejected >= rep_b.step2_buckets == 16
+        assert rep_a.step2_rejected == 0
+
+
+def tampered_initiator(word, config, tamper):
+    """A script for `scripted_session`: the honest initiator holding `word`,
+    whose every outgoing frame passes through `tamper(frame, check)` first,
+    where `check` tells whether the frame answers a session check (a
+    request of all zeros)."""
+
+    def script(peer):
+        recv, send = peer.recv, peer.send
+        last = []
+
+        def spy(*args):
+            frame = recv(*args)
+            last[:] = [frame.kind == FrameKind.DELTA_REQ and not any(frame.payload[1:])]
+            return frame
+
+        def tampered(frame):
+            send(tamper(frame, frame.kind == FrameKind.EVAL_PAIR and last == [True]))
+
+        peer.recv, peer.send = spy, tampered
+        try:
+            run_protocol(word, peer, "initiator", config)
+        except ShingleSyncError:
+            pass  # the responder stopped first
+
+    return script
 
 
 def merges_frame(heads_and_glued, ranks, shipped=None):

@@ -182,13 +182,13 @@ class Delta:
     """A verified difference, as the decoder leaves it.
 
     `local_roots` are the local elements missing on the remote side, and
-    `only_local` their instances.  `remote_poly` (little-endian, monic) has
+    `only_local` decodes them.  `remote_poly` (little-endian, monic) has
     the remote side's missing elements as its roots; a session hands it to
     the peer, which finds them among its own elements, and `only_remote`
-    factors it here.
+    factors it here.  A session reads neither multiset: it finds its own
+    instances by position in its word and gets the peer's as symbols.
     """
 
-    only_local: ShingleMultiset
     local_roots: tuple[int, ...]
     remote_poly: tuple[int, ...]
     codec: ShingleCodec = dc_field(compare=False)
@@ -197,7 +197,12 @@ class Delta:
 
     @property
     def size(self) -> int:
-        return self.only_local.total() + len(self.remote_poly) - 1
+        return len(self.local_roots) + len(self.remote_poly) - 1
+
+    @cached_property
+    def only_local(self) -> ShingleMultiset:
+        """The local side's instances; its roots are local elements, so they decode."""
+        return self.codec.decode_multiset(list(self.local_roots))
 
     @cached_property
     def only_remote(self) -> ShingleMultiset:
@@ -349,8 +354,8 @@ class RatelessDecoder:
     difference of m instances is pinned down by m pairs; the candidate is
     accepted once it has fitted `k` further pairs unchanged and, after any
     common factor is cancelled, its local side has all its roots among the
-    local elements and they decode.  The result is a `Delta`, whose remote
-    side stays a polynomial.
+    local elements.  The result is a `Delta`, whose remote side stays a
+    polynomial.
     """
 
     def __init__(
@@ -492,9 +497,5 @@ class RatelessDecoder:
         local_roots = roots_by_candidates(local_poly, self.elements, p)
         if local_roots is None:
             return False
-        try:
-            only_local = self.codec.decode_multiset(local_roots)
-        except InvalidParameterError:
-            return False
-        self.result = Delta(only_local, tuple(local_roots), tuple(remote_poly), self.codec, self.elements)
+        self.result = Delta(tuple(local_roots), tuple(remote_poly), self.codec, self.elements)
         return True

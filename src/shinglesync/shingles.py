@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import count
+from itertools import compress, count
 from typing import Callable, Iterable, Iterator
 
 from .alphabet import DEFAULT_DELIMITER, Alphabet, validate_word
@@ -428,3 +428,24 @@ class ShingledWord:
         # the first position of each key: later positions are overwritten
         first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
         self.table = ShingleTable(l, ranks, dict(zip(order, map(counts.__getitem__, order))), text, first)
+
+    def runs(self, wanted: dict[int, int]) -> list[str]:
+        """The maximal runs of consecutive windows that `wanted` picks, each
+        as the r + l - 1 characters of the padded word its r windows cover.
+
+        `wanted` counts instances by `codes` value.  One pass takes, in word
+        order, each position whose code still has a count left, so a
+        repeated shingle's instance is taken where it first occurs, and may
+        split a run that a later occurrence would have continued.
+        """
+        codes, left = self.codes, dict(wanted)
+        spans: list[list[int]] = []
+        for at in compress(count(), map(left.__contains__, codes)):
+            code = codes[at]
+            if left[code]:
+                left[code] -= 1
+                if spans and spans[-1][1] == at:
+                    spans[-1][1] = at + 1
+                else:
+                    spans.append([at, at + 1])
+        return [self.text[start : end + self.l - 1] for start, end in spans]

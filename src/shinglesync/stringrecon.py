@@ -5,19 +5,23 @@ symbols), reconcile the two initial shingle multisets bucket by bucket (a
 first batch of characteristic values pre-sized from the bound in fixed mode
 and empty in rateless mode, then values on request until every bucket holds
 a candidate verified by one value, then one session check of k whole-set
-values that verifies every bucket at once; a failed check reopens every
-bucket for one more value, and at most k checks run), merge each side's
-ordered shingling to unique decodability, exchange one chain per merged
-label (its first shingle's index among the sender's distinct keys, its
-glued count, and the rank of a glued shingle's last character only at a
-branch point, where the receiver's walk over the sender's multiset has two
-or more successors left), rebuild and uniquely decode the remote multiset,
-then confirm with digests.  Steps 1 to 6 run on integer positions of the
-padded word (`ShingledWord`): merged labels are spans of positions, chains
-slices of its keys, and the remote multiset a `ShingleTable`; only the
-rebuilt labels are strings.  Only the multiset reconciliation, which grows
-with the difference, and the merge exchange, which grows with the merged
-labels, carry more than constant-size framing.
+values, which the first batch carries, that verifies every bucket at once;
+a failed check reopens every bucket for one more value, and at most k
+checks run), hand over each side's one-sided instances as runs of
+consecutive windows of its padded word, r windows as r + l - 1 symbols,
+merge each side's ordered shingling to unique decodability, exchange one
+chain per merged label (its first shingle's index among the sender's
+distinct keys, its glued count, and the rank of a glued shingle's last
+character only at a branch point, where the receiver's walk over the
+sender's multiset has two or more successors left), rebuild and uniquely
+decode the remote multiset, then confirm with digests.  Steps 1 to 6 run on
+integer positions of the padded word (`ShingledWord`): one-sided instances
+are found by position and cross as runs, merged labels are spans of
+positions, chains slices of its keys, and the remote multiset a
+`ShingleTable`; no instance is decoded from its field element.  Only the
+multiset reconciliation, which grows with the difference, and the merge
+exchange, which grows with the merged labels, carry more than constant-size
+framing.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import itertools
 import json
 import random
 import struct
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import ClassVar, NamedTuple
 
@@ -35,6 +40,7 @@ from .alphabet import DEFAULT_DELIMITER, Alphabet, validate_word
 from .debruijn import DeBruijnGraph
 from .decider import merge_until_ud
 from .errors import (
+    EncodingCapacityError,
     InvalidParameterError,
     InvariantError,
     ProtocolError,
@@ -64,12 +70,12 @@ from .shingles import (  # noqa: F401
 )
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 9
+PROTOCOL_VERSION = 10
 
 # the one field every session runs over: P61 with points drawn from its top
 # 2**40 residues; neither party announces it, so it never crosses the wire
 FIELD = FieldSpec.default61()
-# every residue on the wire (evaluation value, coefficient, instance) takes
+# every residue on the wire (evaluation value, hand-off coefficient) takes
 # the bit length of P61
 VALUE_BITS = P61.bit_length()
 
@@ -136,6 +142,8 @@ class SessionReport:
     longest_label: int = 0  # shingle positions in the longest local merged label
     alpha: int | None = None
     bits: dict[str, list[int]] = dc_field(default_factory=dict)
+    # the same bits by frame kind (`FrameKind` name), [sent, received]
+    frame_bits: dict[str, list[int]] = dc_field(default_factory=dict)
 
     def step_bits(self, step: str) -> tuple[int, int]:
         sent, received = self.bits.get(step, [0, 0])
@@ -150,7 +158,8 @@ class SessionReport:
 
     def figures(self) -> dict[str, object]:
         """Every figure of the report by name, in the order `to_text` prints
-        them; `alpha` and `wire_ratio` only when known."""
+        them: the bits by step, then by frame kind, then in total; `alpha`
+        and `wire_ratio` only when known."""
         out: dict[str, object] = {
             "role": self.role,
             "outcome": self.outcome,
@@ -176,6 +185,9 @@ class SessionReport:
             out[name] = getattr(self, name)
         for step in sorted(self.bits):
             out[f"{step}_bits_sent"], out[f"{step}_bits_recv"] = self.bits[step]
+        for kind in sorted(self.frame_bits):
+            name = kind.lower()
+            out[f"{name}_frame_bits_sent"], out[f"{name}_frame_bits_recv"] = self.frame_bits[kind]
         out["total_bits_sent"] = sum(sent for sent, _ in self.bits.values())
         out["total_bits_recv"] = sum(received for _, received in self.bits.values())
         ratio = self.wire_ratio()
@@ -454,66 +466,109 @@ def decode_pairs(payload: bytes, count: int) -> list[int]:
     return _unpack_residues(payload, count, "pair")
 
 
-def encode_handoff(
-    sender_only: list[int], polys: list[list[int]], instances: int, bucket_sizes: list[int]
-) -> bytes:
-    """The responder's DELTA, from a responder of `instances` shingle
-    instances to an initiator whose bundle gave `bucket_sizes`.
+def encode_runs(runs: list[str], l: int, chars: str) -> bytes:
+    """One-sided instances as runs of consecutive windows of the sender's
+    padded word (`ShingledWord.runs`): the run count and each run's window
+    count r, packed at the bit length of the windows' total, then each run's
+    r + l - 1 characters as their ranks in `chars`, the symbols and the
+    delimiter in rank order, packed `_rank_bits(len(chars))` wide.  The
+    peer derives the total, so no count of windows crosses the wire."""
+    windows = [len(run) - l + 1 for run in runs]
+    rank = {ch: i for i, ch in enumerate(chars)}
+    return _pack_block([len(runs), *windows], _count_bits(sum(windows))) + _pack_block(
+        [rank[ch] for run in runs for ch in run], _rank_bits(len(chars))
+    )
 
-    The count of its own difference instances (the roots its decoders found),
-    packed `_count_bits(instances)` wide; the degree of each bucket's monic
-    hand-off polynomial, whose roots are the initiator's instances in that
-    bucket, packed `_count_bits(max(bucket_sizes))` wide; then one residue
-    block with the instances and, per bucket, the polynomial's little-endian
-    coefficients, the leading 1 left out.
+
+def decode_runs(payload: bytes, l: int, total: int, chars: str) -> list[str]:
+    """The runs of a runs frame whose windows the receiver knows to total
+    `total`, each as its r + l - 1 characters.
+
+    The run count, the window counts and their total are checked before any
+    character is read: every run holds a window, and the windows sum to
+    `total`, so the characters' length is fixed before they are unpacked.
+    A rank past `chars` or a delimiter between two symbols of a run, which
+    no padded word holds, is refused too.
     """
-    blocks = [sender_only] + [poly[:-1] for poly in polys]
-    values = [value for block in blocks for value in block]
+    bits = _count_bits(total)
+    count_end = (bits + 7) // 8
+    if len(payload) < count_end:
+        raise ProtocolError("runs frame holds no run count")
+    count = int.from_bytes(payload[:count_end], "big") >> (8 * count_end - bits)
+    if count > total:
+        raise ProtocolError(f"runs frame holds {count} runs for {total} windows")
+    head = ((count + 1) * bits + 7) // 8
+    _, *windows = _unpack_block(payload[:head], bits, count + 1, "runs")
+    if 0 in windows:
+        raise ProtocolError("a run holds no window")
+    if sum(windows) != total:
+        raise ProtocolError(f"runs hold {sum(windows)} windows, not the {total} the peer derives")
+    ranks = _unpack_block(payload[head:], _rank_bits(len(chars)), total + count * (l - 1), "runs")
+    if ranks and max(ranks) >= len(chars):
+        raise ProtocolError(f"a run holds a rank of {len(chars)} or more")
+    text = "".join(map(chars.__getitem__, ranks))
+    runs = []
+    at = 0
+    for r in windows:
+        runs.append(text[at : at + r + l - 1])
+        at += r + l - 1
+        if not is_valid_shingle(runs[-1]):
+            raise ProtocolError("a run holds a delimiter between two symbols")
+    return runs
+
+
+def encode_handoff(
+    runs: list[str], polys: list[list[int]], l: int, chars: str, bucket_sizes: list[int]
+) -> bytes:
+    """The responder's DELTA, to an initiator whose bundle gave `bucket_sizes`.
+
+    The degree of each bucket's monic hand-off polynomial, whose roots are
+    the initiator's instances in that bucket, packed
+    `_count_bits(max(bucket_sizes))` wide; one residue block of the
+    polynomials' little-endian coefficients, the leading 1 left out; then
+    the responder's own difference instances as runs (`encode_runs`), whose
+    windows total the degrees' sum plus the responder's instance count less
+    the initiator's.
+    """
     return (
-        _pack_block([len(sender_only)], _count_bits(instances))
-        + _pack_block([len(poly) - 1 for poly in polys], _count_bits(max(bucket_sizes, default=0)))
-        + _pack_block(values, VALUE_BITS)
+        _pack_block([len(poly) - 1 for poly in polys], _count_bits(max(bucket_sizes, default=0)))
+        + _pack_block([c for poly in polys for c in poly[:-1]], VALUE_BITS)
+        + encode_runs(runs, l, chars)
     )
 
 
 def decode_handoff(
-    payload: bytes, instances: int, bucket_sizes: list[int]
-) -> tuple[list[int], list[list[int]]]:
-    """(the responder's instances, one monic polynomial per bucket) of a
-    DELTA from a responder of `instances` shingle instances, to the initiator
+    payload: bytes, instances: int, bucket_sizes: list[int], l: int, chars: str
+) -> tuple[list[str], list[list[int]]]:
+    """(the responder's runs, one monic polynomial per bucket) of a DELTA
+    from a responder of `instances` shingle instances, to the initiator
     whose buckets hold `bucket_sizes` instances.
 
-    The counts are bounded before the residues are read: no more one-sided
-    instances than the responder holds, and no bucket polynomial of higher
-    degree than the initiator's instances in that bucket, since a root search
-    costs the degree times the bucket's instances.
+    The degrees are bounded before the residues are read: no bucket
+    polynomial of higher degree than the initiator's instances in that
+    bucket, since a root search costs the degree times the bucket's
+    instances, and degrees that sum to at least the initiator's surplus of
+    instances over the responder's, which the runs' windows make up.
     """
-    own_bits, degree_bits = _count_bits(instances), _count_bits(max(bucket_sizes, default=0))
-    own_end = (own_bits + 7) // 8
-    head = own_end + (len(bucket_sizes) * degree_bits + 7) // 8
-    (own,) = _unpack_block(payload[:own_end], own_bits, 1, "delta")
-    degrees = _unpack_block(payload[own_end:head], degree_bits, len(bucket_sizes), "delta")
-    if own > instances:
-        raise ProtocolError(f"hand-off holds {own} instances, more than the {instances} the peer announced")
+    bits = _count_bits(max(bucket_sizes, default=0))
+    head = (len(bucket_sizes) * bits + 7) // 8
+    degrees = _unpack_block(payload[:head], bits, len(bucket_sizes), "delta")
     for b, (degree, size) in enumerate(zip(degrees, bucket_sizes)):
         if degree > size:
             raise ProtocolError(
                 f"hand-off polynomial of bucket {b} has degree {degree}, "
                 f"more than the bucket's {size} instances"
             )
-    values = iter(_unpack_residues(payload[head:], own + sum(degrees), "delta"))
-    sender_only, *coefficients = [list(itertools.islice(values, count)) for count in [own, *degrees]]
-    return sender_only, [block + [1] for block in coefficients]
-
-
-def encode_roots(roots: list[int]) -> bytes:
-    """The initiator's DELTA: the hand-off polynomials' roots among its
-    instances, as many as their degrees sum to."""
-    return _pack_block(roots, VALUE_BITS)
-
-
-def decode_roots(payload: bytes, count: int) -> list[int]:
-    return _unpack_residues(payload, count, "delta")
+    total = sum(degrees) + instances - sum(bucket_sizes)
+    if total < 0:
+        raise ProtocolError(
+            f"hand-off degrees sum to {sum(degrees)}, fewer than the initiator's "
+            f"{sum(bucket_sizes) - instances} surplus instances"
+        )
+    end = head + (sum(degrees) * VALUE_BITS + 7) // 8
+    values = iter(_unpack_residues(payload[head:end], sum(degrees), "delta"))
+    polys = [list(itertools.islice(values, degree)) + [1] for degree in degrees]
+    return decode_runs(payload[end:], l, total, chars), polys
 
 
 def encode_merges(chains: MergeChains, instances: int, base: int) -> bytes:
@@ -584,22 +639,27 @@ def _digest(word: str) -> bytes:
 
 
 class _MeteredEndpoint:
-    """Tags every frame's bits with the protocol step that produced it."""
+    """Tags every frame's bits with the protocol step that produced it and
+    with the frame's kind."""
 
     def __init__(self, endpoint: Endpoint, report: SessionReport):
         self.endpoint = endpoint
         self.report = report
         self.step = "hello"
 
+    def _tag(self, kind: FrameKind, side: int, bits: int) -> None:
+        self.report.bits.setdefault(self.step, [0, 0])[side] += bits
+        self.report.frame_bits.setdefault(kind.name, [0, 0])[side] += bits
+
     def send(self, kind: FrameKind, payload: bytes = b"") -> None:
         before = self.endpoint.bits_sent()
         self.endpoint.send(Frame(kind, payload))
-        self.report.bits.setdefault(self.step, [0, 0])[0] += self.endpoint.bits_sent() - before
+        self._tag(kind, 0, self.endpoint.bits_sent() - before)
 
     def recv(self) -> Frame:
         before = self.endpoint.bits_received()
         frame = self.endpoint.recv()
-        self.report.bits.setdefault(self.step, [0, 0])[1] += self.endpoint.bits_received() - before
+        self._tag(frame.kind, 1, self.endpoint.bits_received() - before)
         if frame.kind == FrameKind.ABORT:
             raise SessionAbortError(frame.payload.decode("utf-8", "replace"))
         return frame
@@ -678,18 +738,17 @@ def _run(
             "the encoding range holds"
         )
 
-    # step 1: one pass over the padded word gives every shingle its node ids
-    # and key, and every instance its field element
+    # step 1: one pass over the padded word gives every shingle its node ids,
+    # key and code
     local = ShingledWord(word, config.l, alphabet)
     instances = len(local.keys)
-    elements = codec.encode_word(local)
 
     # step 2: reconcile the multisets
     wire.step = "step2"
     remote_instances = n_remote + config.l - 1
     buckets = step2_buckets(instances, remote_instances)
     only_local, only_remote = _reconcile_step(
-        wire, role, config, codec, elements, remote_instances, buckets, report
+        wire, role, config, codec, local, remote_instances, buckets, report
     )
 
     # steps 3-4: merge to unique decodability (local work only)
@@ -762,7 +821,7 @@ def _reconcile_step(
     role: str,
     config: ReconConfig,
     codec: ShingleCodec,
-    elements: list[int],
+    local: ShingledWord,
     remote_instances: int,
     buckets: int,
     report: SessionReport,
@@ -770,30 +829,38 @@ def _reconcile_step(
     """Step 2, one flow for both modes; returns the (local, remote) instances
     that are on one side only.
 
-    Both parties hash their encoded instances into `buckets` buckets, and
-    each bucket runs its own source (initiator) or decoder (responder) over
-    the session's one point stream, whose points go to the buckets in bucket
-    order.  The initiator sends characteristic values: a first batch per
-    bucket in its bundle, then whatever the responder requests, one DELTA_REQ
-    holding a count for every bucket.  The mode chooses only the first batch:
-    none in rateless mode, and in fixed mode ceil(m_hat / B), a bucket's share
-    of the bound, so a bucket whose share of the difference is larger tops up
-    through the requests.  The responder feeds each bucket's decoder until it
-    holds a candidate that fits one further value and whose local side
+    Both parties encode their instances (`ShingleCodec.encode_word`) and
+    hash them into `buckets` buckets, and each bucket runs its own source
+    (initiator) or decoder (responder) over the session's one point stream,
+    whose points go to the buckets in bucket order.  The initiator sends
+    characteristic values: a first batch per bucket in its bundle, then
+    whatever the responder requests, one DELTA_REQ holding a count for every
+    bucket.  The mode chooses only the first batch: none in rateless mode,
+    and in fixed mode ceil(m_hat / B), a bucket's share of the bound, so a
+    bucket whose share of the difference is larger tops up through the
+    requests.  The bundle also carries the first session check: the
+    initiator's whole-set characteristic values at the k points after the
+    bucket values' points.  The responder feeds each bucket's decoder until
+    it holds a candidate that fits one further value and whose local side
     splits over the bucket's own elements.  Once every bucket holds one, it
-    asks for the session check (a request of all zeros): the initiator's
-    whole-set characteristic values at the next k points, which must equal
-    the responder's own times the product of the buckets' candidate ratios.
-    A failed check reopens every bucket for one more value, and at most k
-    checks run.  The responder then sends its local roots and hands the rest
-    over as one polynomial per bucket, whose roots the initiator finds among
-    that bucket's elements.
+    runs the session check: the initiator's check values must equal the
+    responder's own times the product of the buckets' candidate ratios.  A
+    failed check reopens every bucket for one more value and asks for a
+    fresh check by a request of all zeros, and at most k checks run.  The
+    responder then hands each bucket's remote side over as one polynomial,
+    whose roots the initiator finds among that bucket's elements, with its
+    own instances as runs of its word; the initiator answers with its
+    roots' instances as runs of its own word, which the responder checks
+    against the polynomials.
     """
+    l = config.l
     first = -(-config.m_hat // buckets) if config.mode == MODE_FIXED else 0
     points = PointStream(codec.field, config.seed)
+    elements = codec.encode_word(local)
     parts = partition(elements, buckets, config.seed)
     # the session check's whole-set values, on the same point stream
     whole = RatelessSource.from_elements(elements, codec, points)
+    chars = "".join(sorted(local.table.ranks))
     report.step2_buckets = buckets
     if role == ROLE_INITIATOR:
         sources = [RatelessSource.from_elements(part, codec, points) for part in parts]
@@ -808,6 +875,8 @@ def _reconcile_step(
         budget = sum(sizes) + remote_instances + buckets * config.k
         requested = [0] * buckets
         pairs = [pair for source in sources for pair in source.next_pairs(first)]
+        pairs += whole.next_pairs(config.k)
+        report.step2_checks = 1
         bundle = EvalBundle(tuple(z for z, _ in pairs), tuple(v for _, v in pairs), sum(sizes))
         wire.send(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, bucket_sizes=sizes))
         report.step2_pairs = len(pairs)
@@ -816,7 +885,7 @@ def _reconcile_step(
                 raise ProtocolError(f"unexpected frame {frame.kind.name} during step 2")
             counts = decode_request(frame.payload, buckets)
             if not any(counts):
-                # the session check
+                # a session check after the bundle's failed
                 if report.step2_checks == config.k:
                     raise ProtocolError(f"the peer asks for more than k = {config.k} session checks")
                 report.step2_checks += 1
@@ -838,21 +907,22 @@ def _reconcile_step(
             wire.send(FrameKind.EVAL_PAIR, encode_pairs(pairs))
             report.step2_pairs += len(pairs)
             report.step2_rounds += 1
-        # the hand-off's counts are bounded before anything in it is read
-        remote_only, polys = decode_handoff(frame.payload, remote_instances, sizes)
-        # the whole hand-off is checked before the reply goes out
-        only_remote = _decode_instances(codec, remote_only, config.l)
+        # the hand-off's counts are bounded before anything in it is read,
+        # and the whole hand-off is checked before the reply goes out
+        remote_runs, polys = decode_handoff(frame.payload, remote_instances, sizes, l, chars)
         my_roots: list[int] = []
         for b, (poly, part) in enumerate(zip(polys, parts)):
             roots = roots_by_candidates(poly, part, codec.field.p)
             if roots is None:
                 raise ProtocolError(f"hand-off polynomial of bucket {b} does not split over its local elements")
             my_roots += roots
-        wire.send(FrameKind.DELTA, encode_roots(my_roots))
-        return codec.decode_multiset(my_roots), only_remote
+        my_runs = _own_runs(local, codec, my_roots)
+        wire.send(FrameKind.DELTA, encode_runs(my_runs, l, chars))
+        return _windows(my_runs, l), _windows(remote_runs, l)
 
+    bundled = first * buckets
     sizes, values = decode_bundle(
-        wire.expect(FrameKind.EVAL_BUNDLE).payload, buckets, first * buckets, remote_instances
+        wire.expect(FrameKind.EVAL_BUNDLE).payload, buckets, bundled + config.k, remote_instances
     )
     if sum(sizes) != remote_instances:
         raise ProtocolError(
@@ -861,42 +931,48 @@ def _reconcile_step(
         )
     report.step2_pairs = len(values)
     decoders = [RatelessDecoder.from_elements(part, codec, size, k=1) for part, size in zip(parts, sizes)]
-    counts = [first] * buckets
-    while True:
+
+    def feed(counts: list[int], values: list[int]) -> None:
         offset = 0
         for decoder, count in zip(decoders, counts):
             # every value takes the next point in bucket order, fed or not,
             # so both parties stay on the same points
-            batch = zip(points.take(count), values[offset : offset + count])
+            decoder.feed_all(zip(points.take(count), values[offset : offset + count]))
             offset += count
-            decoder.feed_all(batch)
+
+    feed([first] * buckets, values[:bundled])
+    # the bundle's check values are at the points after its bucket values'
+    own, theirs = whole.next_pairs(config.k), values[bundled:]
+    while True:
         report.step2_rejected = sum(decoder.rejected for decoder in decoders)
         if all(decoder.result is not None for decoder in decoders):
-            wire.send(FrameKind.DELTA_REQ, encode_request([0] * buckets))
-            report.step2_rounds += 1
+            if not theirs:
+                wire.send(FrameKind.DELTA_REQ, encode_request([0] * buckets))
+                report.step2_rounds += 1
+                theirs = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload, config.k)
+                report.step2_pairs += len(theirs)
+                own = whole.next_pairs(config.k)
             report.step2_checks += 1
-            theirs = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload, config.k)
-            report.step2_pairs += len(theirs)
             results = [decoder.result for decoder in decoders]
-            if _session_check(whole.next_pairs(config.k), theirs, results, codec.field.p):
+            if _session_check(own, theirs, results, codec.field.p):
                 break
             if report.step2_checks == config.k:
                 raise ProtocolError(f"the session check failed {config.k} times")
             for decoder in decoders:
                 decoder.reopen()
+            theirs = []
         counts = [0 if d.result is not None else min(d.pairs_wanted(), MAX_REQUEST) for d in decoders]
         wire.send(FrameKind.DELTA_REQ, encode_request(counts))
         report.step2_rounds += 1
         values = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload, sum(counts))
         report.step2_pairs += len(values)
-    only_local = ShingleMultiset()
-    for result in results:
-        only_local = only_local.union(result.only_local)
-    local_roots = [root for result in results for root in result.local_roots]
+        feed(counts, values)
     polys = [list(result.remote_poly) for result in results]
-    wire.send(FrameKind.DELTA, encode_handoff(local_roots, polys, len(elements), sizes))
-    remote_elems = decode_roots(wire.expect(FrameKind.DELTA).payload, sum(len(poly) - 1 for poly in polys))
-    return only_local, _decode_instances(codec, remote_elems, config.l)
+    my_runs = _own_runs(local, codec, [root for result in results for root in result.local_roots])
+    wire.send(FrameKind.DELTA, encode_handoff(my_runs, polys, l, chars, sizes))
+    degrees = sum(len(poly) - 1 for poly in polys)
+    remote_runs = decode_runs(wire.expect(FrameKind.DELTA).payload, l, degrees, chars)
+    return _windows(my_runs, l), _initiator_only(remote_runs, local, codec, polys, config.seed)
 
 
 def _session_check(
@@ -922,16 +998,51 @@ def _session_check(
     return True
 
 
-def _decode_instances(codec: ShingleCodec, elements: list[int], l: int) -> ShingleMultiset:
-    """The length-l shingles of instances the peer sent; a malformed one is
-    the peer's fault."""
+def _own_runs(word: ShingledWord, codec: ShingleCodec, roots: list[int]) -> list[str]:
+    """The runs of the word that hold its instances encoded as `roots`, which
+    are among its own elements: each root names its shingle's code, behind
+    the codec's sentinel and occurrence bits, so no root is decoded."""
+    sentinel = (len(codec.alphabet) + 1) ** word.l
+    runs = word.runs(Counter((root >> codec.occ_bits) - sentinel for root in roots))
+    if sum(len(run) - word.l + 1 for run in runs) != len(roots):
+        raise InvariantError(f"the word's runs do not hold its {len(roots)} one-sided instances")
+    return runs
+
+
+def _windows(runs: list[str], l: int) -> ShingleMultiset:
+    """The length-l windows of runs, as a multiset."""
+    windows = Counter(run[i : i + l] for run in runs for i in range(len(run) - l + 1))
+    return ShingleMultiset(windows, base_len=l)
+
+
+def _initiator_only(
+    runs: list[str], local: ShingledWord, codec: ShingleCodec, polys: list[list[int]], seed: int
+) -> ShingleMultiset:
+    """The initiator's instances from its runs, checked against the hand-off.
+
+    Each window is an instance above the responder's own count of its
+    shingle, which re-encodes into the bucket `partition` puts it in; every
+    bucket must then hold exactly its polynomial's roots: as many instances
+    as its degree, each of them a root.
+    """
+    only_remote = _windows(runs, local.l)
+    table, p = local.table, codec.field.p
+    elements = []
     try:
-        ms = codec.decode_multiset(elements)
-    except InvalidParameterError as exc:
-        raise ProtocolError(f"peer sent a malformed instance: {exc}") from None
-    if any(len(s) != l for s in ms):
-        raise ProtocolError(f"peer sent an instance whose shingle does not have length l={l}")
-    return ms
+        for shingle, mult in only_remote.entries.items():
+            have = table.counts.get(table.key(shingle), 0)
+            elements += [codec.encode(shingle, occ) for occ in range(have + 1, have + mult + 1)]
+    except EncodingCapacityError as exc:
+        raise ProtocolError(f"peer sent an instance past the encoding range: {exc}") from None
+    for b, (part, poly) in enumerate(zip(partition(elements, len(polys), seed), polys)):
+        if len(part) != len(poly) - 1:
+            raise ProtocolError(
+                f"the peer's runs put {len(part)} instances in bucket {b}, "
+                f"whose hand-off polynomial has degree {len(poly) - 1}"
+            )
+        if any(peval(poly, e, p) for e in part):
+            raise ProtocolError(f"a run of the peer's holds an instance that is no root in bucket {b}")
+    return only_remote
 
 
 def random_edits(word: str, alpha: int, rng: random.Random, symbols: str) -> str:

@@ -292,7 +292,7 @@ class TestRateless:
             list(result.remote_poly), CODEC.encode_multiset(b), FIELD.p
         )[1:]
         poly = tuple(poly_from_roots(roots, FIELD.p))
-        forged = Delta(result.only_local, result.local_roots, poly, CODEC, decoder.elements)
+        forged = Delta(result.local_roots, poly, CODEC, decoder.elements)
         with pytest.raises(BoundExceededError):
             forged.only_remote
 

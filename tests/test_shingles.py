@@ -3,6 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shinglesync import (
+    Alphabet,
+    ShingledWord,
     ShingleMultiset,
     bigram_map,
     delimited,
@@ -158,3 +160,15 @@ def test_canonical_order_is_utf8_byte_order_on_multibyte_symbols():
     assert sorted(words) == by_bytes
     assert [s for s, occ in ms.instances() if occ == 1] == by_bytes
     assert [line.split("\t")[1] for line in ms.to_text().splitlines()] == by_bytes
+
+
+def test_runs_take_positions_in_word_order():
+    # "$abcab$" at l = 2: windows '$a', 'ab', 'bc', 'ca', 'ab', 'b$'
+    word = ShingledWord("abcab", 2, Alphabet("abc"))
+    code = {word.text[i : i + 2]: c for i, c in enumerate(word.codes)}
+    # one 'ab' is taken where it first occurs, which splits "cab$" in two
+    assert word.runs({code["ab"]: 1, code["ca"]: 1, code["b$"]: 1}) == ["ab", "ca", "b$"]
+    assert word.runs({code["ab"]: 2, code["ca"]: 1, code["b$"]: 1}) == ["ab", "cab$"]
+    # consecutive windows join into one run; what the word lacks is not taken
+    assert word.runs({code["$a"]: 1, code["ab"]: 1, code["bc"]: 5}) == ["$abc"]
+    assert word.runs({}) == []

@@ -28,6 +28,7 @@ from shinglesync import (
     apply_merge_records,
     channel_pair,
     decoding_count,
+    delimited,
     merge_until_ud,
     random_edits,
     run_protocol,
@@ -53,22 +54,24 @@ from shinglesync.stringrecon import (
     SessionReport,
     _MeteredEndpoint,
     _pack_block,
+    _own_runs,
     _reconcile_step,
     _unpack_block,
+    _windows,
     decode_bundle,
     decode_handoff,
     decode_hello,
     decode_merges,
     decode_pairs,
     decode_request,
-    decode_roots,
+    decode_runs,
     encode_bundle,
     encode_handoff,
     encode_hello,
     encode_merges,
     encode_pairs,
     encode_request,
-    encode_roots,
+    encode_runs,
     step2_buckets,
 )
 from shinglesync.transport import Frame, FrameKind, Listener, connect
@@ -408,9 +411,9 @@ class TestWireCodecs:
             block = _pack_block([7, value], VALUE_BITS)
             for decode in (
                 lambda: decode_pairs(block, 2),
-                lambda: decode_roots(block, 2),
                 lambda: decode_bundle(_pack_block([5], 3) + block, 1, 2, 5),
-                lambda: decode_handoff(_pack_block([1], 1) + _pack_block([1], 1) + block, 1, [1]),
+                # a degree of 2, then its two coefficients
+                lambda: decode_handoff(_pack_block([2], 2) + block, 2, [2], 2, "$01"),
             ):
                 with pytest.raises(ProtocolError):
                     decode()
@@ -455,32 +458,40 @@ class TestWireCodecs:
                 decode_request(bad, buckets)
 
     def test_handoff_and_roots_frames_round_trip_and_exact_length(self):
-        # the responder's own count at the bit length of its instances (7: 3
-        # bits), the B degrees at the bit length of the initiator's largest
-        # bucket (1: 1 bit), then the instances and per bucket a monic
-        # polynomial without its leading 1, in one block
-        payload = encode_handoff([4, 5], [[6, 1]], 7, [1])
-        assert payload[:2] == bytes([0b010_00000, 0b1_0000000])
-        assert len(payload) == 2 + value_block_bytes(3)
-        assert decode_handoff(payload, 7, [1]) == ([4, 5], [[6, 1]])
-        assert decode_handoff(encode_handoff([], [[1]], 7, [1]), 7, [1]) == ([], [[1]])
-        two = encode_handoff([4], [[1], [8, 9, 1]], 7, [2, 3])
-        assert two[:2] == bytes([0b001_00000, 0b00_10_0000])
-        assert len(two) == 2 + value_block_bytes(3)
-        assert decode_handoff(two, 7, [2, 3]) == ([4], [[1], [8, 9, 1]])
-        for bad in (payload[:1], payload[:2], payload[:-1], payload + b"\x00"):
+        # the initiator's DELTA is its runs alone: the run count and each
+        # run's window count at the bit length of the windows' total (3: 2
+        # bits), then each run's r + l - 1 characters as 2-bit ranks
+        roots = encode_runs(["$0", "011"], 2, "$01")
+        assert roots == bytes([0b10_01_10_00, 0b00_01_01_10, 0b10_000000])
+        assert decode_runs(roots, 2, 3, "$01") == ["$0", "011"]
+        assert encode_runs([], 2, "$01") == bytes(1) and decode_runs(bytes(1), 2, 0, "$01") == []
+        for bad, total in ((roots[:-1], 3), (roots + b"\x00", 3), (roots, 2), (roots, 4)):
             with pytest.raises(ProtocolError):
-                decode_handoff(bad, 7, [1])
+                decode_runs(bad, 2, total, "$01")
+        # the responder's: the B degrees at the bit length of the initiator's
+        # largest bucket (1: 1 bit), one residue block of the monic
+        # polynomials without their leading 1, then its runs, whose windows
+        # total the degrees' sum plus its instances less the initiator's
+        payload = encode_handoff(["011"], [[6, 1]], 2, "$01", [1])
+        assert payload[:1] == bytes([0b1_0000000])
+        assert len(payload) == 1 + value_block_bytes(1) + 2
+        assert decode_handoff(payload, 2, [1], 2, "$01") == (["011"], [[6, 1]])
+        assert decode_handoff(encode_handoff([], [[1]], 2, "$01", [1]), 1, [1], 2, "$01") == ([], [[1]])
+        two = encode_handoff(["$0"], [[1], [8, 9, 1]], 2, "$01", [2, 3])
+        assert two[:1] == bytes([0b00_10_0000])
+        assert len(two) == 1 + value_block_bytes(2) + 2
+        # a responder of 4 instances against 5: 2 + 4 - 5 windows
+        assert decode_handoff(two, 4, [2, 3], 2, "$01") == (["$0"], [[1], [8, 9, 1]])
+        for bad in (payload[:1], payload[:-1], payload + b"\x00"):
+            with pytest.raises(ProtocolError):
+                decode_handoff(bad, 2, [1], 2, "$01")
+        # another instance count derives another total for the runs
+        for instances in (1, 3):
+            with pytest.raises(ProtocolError):
+                decode_handoff(payload, instances, [1], 2, "$01")
         # nine buckets' degrees need two bytes at 1 bit each
         with pytest.raises(ProtocolError):
-            decode_handoff(payload, 7, [1] * 9)
-        roots = encode_roots([7, P61 - 1])
-        assert len(roots) == value_block_bytes(2)
-        assert decode_roots(roots, 2) == [7, P61 - 1]
-        assert decode_roots(encode_roots([]), 0) == []
-        for bad, count in ((roots[:-1], 2), (roots + b"\x00", 2), (roots, 1), (roots, 3)):
-            with pytest.raises(ProtocolError):
-                decode_roots(bad, count)
+            decode_handoff(payload, 2, [1] * 9, 2, "$01")
 
     def test_hello_round_trip(self):
         config = ReconConfig(l=7, mode=MODE_FIXED, m_hat=33, k=5, seed=12345)
@@ -611,10 +622,10 @@ class TestSessions:
         assert rep_a.step2_checks == rep_b.step2_checks == 1
         if mode == MODE_FIXED:
             # two buckets, whose first batches of m_hat / 2 values cover the
-            # difference; then one session check of k values
+            # difference, and the session check's k values, all in the bundle
             assert rep_a.step2_buckets == 2
             assert rep_a.step2_pairs == m_hat + 4
-            assert rep_a.step2_rounds == 1
+            assert rep_a.step2_rounds == 0
         assert f"step2_pairs={rep_a.step2_pairs}\n" in rep_a.to_text()
 
     def test_zero_difference_rateless_session_sends_k_pairs(self, rng):
@@ -630,7 +641,8 @@ class TestSessions:
         (_, rep_a), (_, rep_b) = run_session(word, word, config)
         assert rep_a.step2_buckets == rep_b.step2_buckets == 16
         assert rep_a.step2_pairs == rep_b.step2_pairs == 16 + 8
-        assert rep_a.step2_rounds == 2 and rep_a.step2_checks == 1
+        # the check values ride in the bundle: one round asks for the buckets' values
+        assert rep_a.step2_rounds == 1 and rep_a.step2_checks == 1
 
     @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 96), (MODE_RATELESS, 0)])
     def test_both_parties_report_buckets_and_rounds(self, monkeypatch, rng, mode, m_hat):
@@ -650,9 +662,9 @@ class TestSessions:
         assert rep_a.step2_buckets == rep_b.step2_buckets == 16
         assert rep_a.step2_rounds == rep_b.step2_rounds == kinds.count(FrameKind.DELTA_REQ)
         assert rep_a.step2_checks == rep_b.step2_checks == 1
-        # a rateless bundle holds no values; these fixed first batches of
-        # 96 / 16 leave fewer buckets to top up, and the check is a round of its own
-        assert rep_a.step2_rounds >= 1 + (mode == MODE_RATELESS)
+        # a rateless bundle holds no bucket values; these fixed first batches
+        # of 96 / 16 leave fewer buckets to top up, and the bundle holds the check
+        assert rep_a.step2_rounds >= (mode == MODE_RATELESS)
         text = rep_b.to_text()
         for name in ("step2_buckets", "step2_rounds", "step2_checks", "step2_rejected"):
             assert f"{name}={getattr(rep_b, name)}\n" in text
@@ -673,28 +685,64 @@ class TestSessions:
         (ra, _), (rb, _) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
 
+    @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 96), (MODE_RATELESS, 0)])
+    def test_sessions_decode_no_instance(self, monkeypatch, rng, mode, m_hat):
+        # each party knows its own one-sided instances by their positions in
+        # its word, and the peer's arrive as runs of symbols
+        def forbidden(*_args):
+            raise AssertionError("a session decoded an instance")
+
+        monkeypatch.setattr(ShingleCodec, "decode", forbidden)
+        wa = "".join(rng.choice("01") for _ in range(300))
+        wb = random_edits(wa, 4, rng, "01")
+        config = ReconConfig(l=13, mode=mode, m_hat=m_hat, k=8, seed=43)
+        (ra, _), (rb, _) = run_session(wa, wb, config)
+        assert ra == wb and rb == wa
+
+    def test_bits_by_frame_kind_add_up_to_the_steps_and_the_endpoints(self, rng):
+        wa = "".join(rng.choice("01") for _ in range(300))
+        wb = random_edits(wa, 3, rng, "01")
+        config = ReconConfig(l=13, mode=MODE_RATELESS, k=8, seed=47)
+        ends = channel_pair()
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(run_protocol, word, end, role, config)
+                       for word, end, role in ((wa, ends[0], "initiator"), (wb, ends[1], "responder"))]
+            (ra, rep_a), (rb, rep_b) = (fut.result(timeout=60) for fut in futures)
+        assert ra == wb and rb == wa
+        for rep, end in ((rep_a, ends[0]), (rep_b, ends[1])):
+            for side, counter in ((0, end.bits_sent), (1, end.bits_received)):
+                by_kind = sum(bits[side] for bits in rep.frame_bits.values())
+                by_step = sum(bits[side] for bits in rep.bits.values())
+                assert by_kind == by_step == counter()
+            figures = rep.figures()
+            for kind, (sent, received) in rep.frame_bits.items():
+                assert figures[f"{kind.lower()}_frame_bits_sent"] == sent
+                assert f"{kind.lower()}_frame_bits_recv={received}\n" in rep.to_text()
+            assert json.loads(rep.to_json()) == figures
+        kinds = {"HELLO", "EVAL_BUNDLE", "EVAL_PAIR", "DELTA_REQ", "DELTA", "MERGES", "DONE"}
+        assert set(rep_a.frame_bits) == set(rep_b.frame_bits) == kinds
+        # what one party sends of a kind, the other receives
+        assert all(rep_a.frame_bits[kind] == rep_b.frame_bits[kind][::-1] for kind in kinds)
+        # only the initiator sends values, and only the responder requests them
+        assert rep_a.frame_bits["EVAL_PAIR"][1] == rep_a.frame_bits["DELTA_REQ"][0] == 0
+
     def test_responder_hands_over_the_instances_it_found(self, monkeypatch):
         # "aa" three times on the responder's side against once: the hand-off
-        # holds the responder's (aa, 2) and (aa, 3), not the shared (aa, 1)
+        # holds two instances of "aa", as the first run of windows of
+        # "$aaaab$" that holds them, "aaa"
         sent = []
         real_encode = stringrecon.encode_handoff
 
-        def spy(sender_only, *rest):
-            sent.append(sender_only)
-            return real_encode(sender_only, *rest)
+        def spy(runs, *rest):
+            sent.append(runs)
+            return real_encode(runs, *rest)
 
         monkeypatch.setattr(stringrecon, "encode_handoff", spy)
         wa, wb = "aab", "aaaab"
         config = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=7)
         (ra, _), (rb, _) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
-        codec = ShingleCodec(Alphabet("ab"), FIELD)
-        mine, theirs = (
-            set(codec.encode_multiset(ShingleMultiset(Counter(shingle_sequence(w, 2)))))
-            for w in (wb, wa)
-        )
-        assert len(sent) == 1 and sorted(sent[0]) == sorted(mine - theirs)
-        assert sorted(sent[0]) == [codec.encode("aa", 2), codec.encode("aa", 3)]
+        assert sent == [["aaa"]]
 
     def test_fixed_responder_feeds_m_plus_k_bundle_pairs(self, monkeypatch, rng):
         fed = []
@@ -715,8 +763,8 @@ class TestSessions:
         assert all(m + 1 <= first for m in diffs) and sum(diffs) > 0
         (ra, rep_a), (rb, _) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
-        # the bundle, then the session check alone
-        assert rep_a.step2_pairs == buckets * first + k and rep_a.step2_rounds == 1
+        # the bundle alone, which holds the session check
+        assert rep_a.step2_pairs == buckets * first + k and rep_a.step2_rounds == 0
         # each bucket's decoder feeds the first m_b + 1 of its own points: a
         # bucket's k is 1, the session check verifies the rest
         points = FIELD.sample_points(config.seed, buckets * first)
@@ -744,7 +792,7 @@ class TestSessions:
         # a bucket is served its first batch or, past it, m_b + 1; the
         # session check k more
         assert rep_a.step2_pairs == rep_b.step2_pairs == sum(max(first, d + 1) for d in diffs) + k
-        assert rep_a.step2_rounds == rep_b.step2_rounds >= 2
+        assert rep_a.step2_rounds == rep_b.step2_rounds >= 1
 
     def test_hello_bits_are_the_frame_arithmetic(self):
         config = ReconConfig(l=2, mode=MODE_RATELESS, seed=5)
@@ -801,7 +849,8 @@ class TestSessions:
         monkeypatch.setattr(stringrecon, "encode_request", request_spy)
         header = 40  # length:u32 and kind:u8
         l = 13
-        codec = ShingleCodec(Alphabet("01"), FIELD)
+        alphabet = Alphabet("01")
+        codec = ShingleCodec(alphabet, FIELD)
         # 40 + 12 instances make eight buckets; 300 + 12 make sixteen
         for n, buckets in ((40, 8), (300, 16)):
             batches.clear()
@@ -809,36 +858,49 @@ class TestSessions:
             wa = "".join(rng.choice("01") for _ in range(n))
             wb = random_edits(wa, 3, rng, "01")
             ca, cb = Counter(shingle_sequence(wa, l)), Counter(shingle_sequence(wb, l))
-            only_a, only_b = sum((ca - cb).values()), sum((cb - ca).values())
             config = ReconConfig(l=l, mode=MODE_RATELESS, k=8, seed=23)
             (_, rep_a), (_, rep_b) = run_session(wa, wb, config)
             assert rep_a.step2_buckets == buckets
             pairs, rounds = rep_a.step2_pairs, rep_a.step2_rounds
-            assert sum(batches) == pairs == rep_b.step2_pairs
+            # the bundle's k check values, then one value frame per request
+            assert config.k + sum(batches) == pairs == rep_b.step2_pairs
             assert len(batches) == len(requests) == rounds == rep_b.step2_rounds
-            # the last request asks for the session check
-            assert requests[-1] == [0] * buckets and batches[-1] == config.k
+            # the check in the bundle passes: no request asks for another
+            assert [0] * buckets not in requests
             sizes = [len(part) for part in partition(codec.encode_multiset(ShingleMultiset(ca)), buckets, 23)]
 
             def block(count, width=62):  # zero-padded to a byte
                 return 8 * ((width * count + 7) // 8)
 
+            def runs_bits(mine, theirs, word):
+                # each side's one-sided instances as the runs of its word
+                # that take them first come first served; the run count and
+                # window counts at the bit length of their total, then 2 bits
+                # a character
+                w = ShingledWord(word, l, alphabet)
+                wanted = Counter({w.codes[w.table.where[w.table.key(s)]]: m for s, m in (mine - theirs).items()})
+                runs = w.runs(wanted)
+                total = sum((mine - theirs).values())
+                assert sum(len(run) - l + 1 for run in runs) == total
+                return block(1 + len(runs), max(1, total.bit_length())) + block(sum(map(len, runs)), 2)
+
+            only_a = sum((ca - cb).values())
             # initiator: bundle of bucket sizes at the bit length of its
-            # instance count and no values, one value frame per request, its roots
+            # instance count and the k check values, one value frame per
+            # request, its runs
             sent_a = (
-                header + block(buckets, sum(ca.values()).bit_length())
+                header + block(buckets, sum(ca.values()).bit_length()) + block(config.k)
                 + sum(header + block(batch) for batch in batches)
-                + header + block(only_a)
+                + header + runs_bits(ca, cb, wa)
             )
             # responder: each request's width byte and counts at that width;
-            # then its own count at the bit length of its instance count, a
-            # degree per bucket at the bit length of the initiator's largest
-            # bucket, and one block of its instances and the polynomials,
-            # whose degrees sum to only_a
+            # then a degree per bucket at the bit length of the initiator's
+            # largest bucket, one block of the polynomials, whose degrees sum
+            # to only_a, and its runs
             sent_b = (
                 sum(header + 8 + block(buckets, max(1, max(counts).bit_length())) for counts in requests)
-                + header + block(1, sum(cb.values()).bit_length()) + block(buckets, max(sizes).bit_length())
-                + block(only_b + only_a)
+                + header + block(buckets, max(sizes).bit_length()) + block(only_a)
+                + runs_bits(cb, ca, wb)
             )
             assert rep_a.step_bits("step2") == (sent_a, sent_b)
             assert rep_b.step_bits("step2") == (sent_b, sent_a)
@@ -863,10 +925,10 @@ class TestSessions:
         config = ReconConfig(l=13, mode=MODE_FIXED, m_hat=4, k=4, seed=77)
         (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
-        # 140 instances make sixteen buckets, each bundled one value: some top
-        # up, and then the session check
+        # 140 instances make sixteen buckets, each bundled one value beside
+        # the session check: some top up
         assert rep_a.step2_buckets == 16
-        assert rep_a.step2_rounds == rep_b.step2_rounds >= 2
+        assert rep_a.step2_rounds == rep_b.step2_rounds >= 1
         assert rep_a.step2_pairs == rep_b.step2_pairs > 16 * 1 + 4
 
     def test_merge_count_mismatch_raises(self):
@@ -943,19 +1005,19 @@ class TestSessions:
         assert results["a"][0] == wb and results["b"][0] == wa
 
 
-def step2_exchange(ms_a, ms_b, buckets, config, codec):
-    """Step 2 alone between an initiator holding `ms_a` and a responder holding
-    `ms_b`, at a given bucket count; returns both parties' (only local, only
-    remote) multisets and reports."""
+def step2_exchange(word_a, word_b, buckets, config, codec):
+    """Step 2 alone between an initiator holding `word_a` and a responder
+    holding `word_b`, at a given bucket count; returns both parties' (only
+    local, only remote) multisets and reports."""
     a, b = channel_pair()
     reports = (SessionReport("initiator"), SessionReport("responder"))
     with ThreadPoolExecutor(2) as pool:
         futures = [
             pool.submit(_reconcile_step, _MeteredEndpoint(end, rep), role, config, codec,
-                        codec.encode_multiset(mine), theirs.total(), buckets, rep)
+                        ShingledWord(mine, config.l, codec.alphabet), len(theirs) + config.l - 1, buckets, rep)
             for end, rep, role, mine, theirs in (
-                (a, reports[0], "initiator", ms_a, ms_b),
-                (b, reports[1], "responder", ms_b, ms_a),
+                (a, reports[0], "initiator", word_a, word_b),
+                (b, reports[1], "responder", word_b, word_a),
             )
         ]
         deltas = [fut.result(timeout=60) for fut in futures]
@@ -1019,20 +1081,23 @@ class TestStep2Evaluation:
             assert fut_a.result(timeout=60)[0] == wb and fut_b.result(timeout=60)[0] == wa
         (payload,) = [f.payload for f in sent if f.kind == FrameKind.EVAL_BUNDLE]
         # 611 instances a side make 32 buckets, each bundled 64 / 32 values
-        # and sized in 10 bits
+        # and sized in 10 bits, and the k whole-set values of the session
+        # check follow at the next points
         buckets, first = 32, 2
-        assert len(payload) == 10 * buckets // 8 + value_block_bytes(buckets * first)
-        sizes, values = decode_bundle(payload, buckets, buckets * first, 611)
+        assert len(payload) == 10 * buckets // 8 + value_block_bytes(buckets * first + config.k)
+        sizes, values = decode_bundle(payload, buckets, buckets * first + config.k, 611)
         codec = ShingleCodec(Alphabet("01"), FIELD)
         ms = ShingleMultiset(Counter(shingle_sequence(wa, config.l)))
         parts = partition(codec.encode_multiset(ms), buckets, config.seed)
         assert sizes == [len(part) for part in parts]
-        points = FIELD.sample_points(config.seed, buckets * first)
+        points = FIELD.sample_points(config.seed, buckets * first + config.k)
         for b, part in enumerate(parts):
             window = slice(b * first, (b + 1) * first)
             assert values[window] == char_values_loop(part, points[window], P61)
+        check = slice(buckets * first, None)
+        assert values[check] == char_values_loop(codec.encode_multiset(ms), points[check], P61)
         assert hashlib.sha256(payload).hexdigest() == (
-            "322470212f04d24349c31ef5e6a5fd6881bfe659e757cb644f19c970dd02b573"
+            "87e70c75795ddb850ac6b102d58b4da23b51cdd3358eced7562b96ff997fba4b"
         )
 
 
@@ -1041,9 +1106,9 @@ class TestStep2Evaluation:
 # merges and 25-27 shipped ranks a side)
 GOLDEN_SESSION = {
     ("initiator", "MERGES"): "0f5aa246b51c076009760b21d3e0c694d6b05079348a927a8f279bc74cd4e558",
-    ("initiator", "DELTA"): "24965cbb72f3c301c482864292dab957a8e0659e5ab85ce77ab0c40cd6121127",
+    ("initiator", "DELTA"): "04b7114209cb71489c580bd1b3d630f6786b7b205a3db09e65bf8f91da5e8e0b",
     ("responder", "MERGES"): "451fd56d3e1c91d8766f555227f0443ac2ffd7c3e4c7517172fd990f70cdb3a3",
-    ("responder", "DELTA"): "fe23a738d342eb9f583ff7aed5c17baa58a1af5dd62f5de0d9de0db12b08369f",
+    ("responder", "DELTA"): "6392c67e3d63cc729f1b175d16829b820a21bebb78d33768beab6ce8652fdfc6",
 }
 
 
@@ -1086,22 +1151,26 @@ class TestPartitionedStep2:
     @given(
         st.sampled_from([1, 2, 4, 16]),
         st.integers(min_value=0, max_value=2**32),
-        st.integers(min_value=0, max_value=12),
-        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
     )
     def test_difference_recovered_with_m_plus_k_pairs_per_bucket(self, buckets, seed, extra_a, extra_b):
+        # two words over four symbols share a middle, and each adds up to
+        # three symbols at either end: at most 12 one-sided instances a side
         rng = random.Random(seed)
 
-        def shingles(count):
-            return Counter("".join(rng.choice("abcd") for _ in range(4)) for _ in range(count))
+        def symbols(count):
+            return "".join(rng.choice("abcd") for _ in range(count))
 
-        base = shingles(80)
-        count_a, count_b = base + shingles(extra_a), base + shingles(extra_b)
+        middle = symbols(80)
+        word_a = symbols(extra_a) + middle + symbols(rng.randint(0, extra_a))
+        word_b = symbols(extra_b) + middle + symbols(rng.randint(0, extra_b))
+        config = ReconConfig(l=4, mode=MODE_RATELESS, k=8, seed=seed)
+        count_a, count_b = Counter(shingle_sequence(word_a, 4)), Counter(shingle_sequence(word_b, 4))
         ms_a, ms_b = ShingleMultiset(count_a), ShingleMultiset(count_b)
         only_a, only_b = ShingleMultiset(count_a - count_b), ShingleMultiset(count_b - count_a)
-        config = ReconConfig(l=4, mode=MODE_RATELESS, k=8, seed=seed)
         codec = ShingleCodec(Alphabet("abcd"), FIELD)
-        (delta_a, delta_b), (rep_a, rep_b) = step2_exchange(ms_a, ms_b, buckets, config, codec)
+        (delta_a, delta_b), (rep_a, rep_b) = step2_exchange(word_a, word_b, buckets, config, codec)
         assert delta_a == (only_a, only_b)
         assert delta_b == (only_b, only_a)
         # at most 12 instances per side, so no bucket's rung passes the exact
@@ -1152,7 +1221,7 @@ class TestHostileStep2:
         def script(peer):
             peer.recv()
             peer.send(hello_for(config, theirs))
-            sizes, _ = decode_bundle(peer.recv().payload, buckets, first * buckets, instances)
+            sizes, _ = decode_bundle(peer.recv().payload, buckets, first * buckets + config.k, instances)
             for request in requests:
                 payload = request(sizes) if callable(request) else request
                 peer.send(Frame(FrameKind.DELTA_REQ, payload))
@@ -1191,11 +1260,12 @@ class TestHostileStep2:
         assert isinstance(exc, ProtocolError) and "padding" in str(exc)
 
     def test_more_session_checks_than_k_refused(self):
-        # each all-zero request is one session check of k values; the (k+1)-th is refused
+        # the bundle holds the first session check, and each all-zero request
+        # asks for one more of k values; the k-th request is refused
         served = []
-        exc = self.initiator_facing(*[encode_request([0, 0])] * 9, served=served)
+        exc = self.initiator_facing(*[encode_request([0, 0])] * 8, served=served)
         assert isinstance(exc, ProtocolError) and "more than k = 8 session checks" in str(exc)
-        assert [len(values) for values in served] == [8] * 8
+        assert [len(values) for values in served] == [8] * 7
 
     # the budgets bound what the requests add to the bundle, so both modes
     # share every count below
@@ -1241,23 +1311,25 @@ class TestHostileStep2:
         def script(peer):
             peer.recv()
             peer.send(hello_for(self.CONFIG, "abcba"))
-            # two sizes at 3 bits for 6 instances, and no values
-            sizes = _unpack_block(peer.recv().payload, 3, 2, "bundle")
+            # two sizes at 3 bits for 6 instances, then the k check values
+            sizes = _unpack_block(peer.recv().payload[:1], 3, 2, "bundle")
             peer.send(Frame(FrameKind.DELTA, handoff(sizes)))
             while True:
                 after.append(peer.recv().kind)
 
         return scripted_session("abcab", "initiator", self.CONFIG, script), after
 
+    # both words hold 6 instances, so the responder's runs hold as many
+    # windows as the degrees sum to
     @pytest.mark.parametrize(
         "handoff",
         [
-            # 5 encodes no shingle
-            lambda sizes: encode_handoff([5], [[1], [1]], 6, sizes),
+            # a run of two windows, "a$" and "$b", that no padded word holds
+            lambda sizes: encode_handoff(["a$b"], [[7, 8, 1], [1]], 2, "$abc", sizes),
             # Z + 7 has no root among the initiator's elements of bucket 0
-            lambda sizes: encode_handoff([], [[7, 1], [1]], 6, sizes),
-            # the two count blocks with a padding bit set
-            lambda sizes: bytes([0b000_00001, 0]),
+            lambda sizes: encode_handoff(["ab"], [[7, 1], [1]], 2, "$abc", sizes),
+            # the two 3-bit degrees with a padding bit set
+            lambda sizes: bytes([0b000_000_01]),
         ],
         ids=["malformed-instance", "poly-does-not-split", "padding"],
     )
@@ -1269,10 +1341,11 @@ class TestHostileStep2:
     @pytest.mark.parametrize(
         "handoff",
         [
-            # more one-sided instances than the responder's 6, at 3 bits
-            _pack_block([7], 3) + _pack_block([0, 0], 3) + bytes(100),
+            # degrees of 0 leave the responder no one-sided instance, yet its
+            # runs frame counts one run, at 1 bit
+            _pack_block([0, 0], 3) + _pack_block([1], 1) + bytes(100),
             # degree 7 against the initiator's 4 instances in bucket 0
-            _pack_block([0], 3) + _pack_block([7, 0], 3) + bytes(100),
+            _pack_block([7, 0], 3) + bytes(100),
         ],
         ids=["one-sided", "degree"],
     )
@@ -1280,8 +1353,13 @@ class TestHostileStep2:
         def forbidden(*_args):
             raise AssertionError("an oversized hand-off was decoded or searched")
 
-        monkeypatch.setattr(stringrecon, "_unpack_residues", forbidden)
-        monkeypatch.setattr(stringrecon, "_decode_instances", forbidden)
+        def no_residues(_data, count, _what):
+            if count:
+                forbidden()
+            return []
+
+        monkeypatch.setattr(stringrecon, "_unpack_residues", no_residues)
+        monkeypatch.setattr(stringrecon, "is_valid_shingle", forbidden)
         monkeypatch.setattr(stringrecon, "roots_by_candidates", forbidden)
         start = time.perf_counter()
         exc, _ = self.initiator_handed(lambda sizes: handoff)
@@ -1313,12 +1391,19 @@ class TestHostileStep2:
 
         assert isinstance(scripted_session("0101", "responder", config, script), ProtocolError)
 
+    @staticmethod
+    def with_check(bundle, k=8):
+        """`bundle` with k session check values after its own."""
+        count = len(bundle.values) + k
+        return EvalBundle(tuple(range(count)), bundle.values + (1,) * k, bundle.set_size)
+
     def responder_facing(self, config, bundle, pairs_for=None, payload=None):
         """The responder "abcba" against an initiator "abcab" that sends `bundle`
-        with all its instances in the first of its two buckets, or the bundle
-        frame `payload` when given, and then answers the first pair request
-        with `pairs_for(count)`, for the values requested in all."""
-        payload = payload or encode_bundle(bundle, bucket_sizes=[bundle.set_size, 0])
+        and k check values, with all its instances in the first of its two
+        buckets, or the bundle frame `payload` when given, and then answers
+        the first pair request with `pairs_for(count)`, for the values
+        requested in all."""
+        payload = payload or encode_bundle(self.with_check(bundle), bucket_sizes=[bundle.set_size, 0])
 
         def script(peer):
             peer.send(hello_for(config, "abcab"))
@@ -1362,7 +1447,8 @@ class TestHostileStep2:
             def script(peer):
                 peer.send(hello_for(self.WIDE, WIDE_A))
                 peer.recv()
-                peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(EvalBundle((), (), 108), bucket_sizes=sizes)))
+                bundle = self.with_check(EvalBundle((), (), 108))
+                peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, bucket_sizes=sizes)))
                 replies.append(peer.recv().kind)
 
             return scripted_session(WIDE_B, "responder", self.WIDE, script), replies
@@ -1374,14 +1460,13 @@ class TestHostileStep2:
         assert replies == [FrameKind.DELTA_REQ]
 
     def test_responder_checks_the_roots_count(self):
-        # equal words: every bucket polynomial has degree 0, so no root may come back
-        codec = ShingleCodec(Alphabet("abc"), FIELD)
+        # equal words: every bucket polynomial has degree 0, so no run may come back
         handoffs = []
 
         def tamper(frame, _check):
             if frame.kind == FrameKind.DELTA:
                 handoffs.append(frame)
-                return Frame(FrameKind.DELTA, encode_roots([codec.encode("ab", 1)]))
+                return Frame(FrameKind.DELTA, encode_runs(["ab"], 2, "$abc"))
             return frame
 
         exc = scripted_session("abcba", "responder", self.CONFIG, tampered_initiator("abcba", self.CONFIG, tamper))
@@ -1419,16 +1504,14 @@ class TestHostileStep2:
     @pytest.mark.parametrize(
         "values,match",
         [
-            (lambda values: values[:-1], "pair block holds"),
+            (lambda values: values[:-1], "bundle block holds"),
             (lambda values: [P61] + values[1:], "P61 or more"),
         ],
         ids=["short", "P61"],
     )
     def test_check_values_are_checked(self, values, match):
         def tamper(frame, check):
-            if check:
-                return Frame(FrameKind.EVAL_PAIR, _pack_block(values(decode_pairs(frame.payload, 8)), VALUE_BITS))
-            return frame
+            return with_check_values(frame, values) if check else frame
 
         exc = scripted_session("abcba", "responder", self.CONFIG, tampered_initiator("abcab", self.CONFIG, tamper))
         assert isinstance(exc, ProtocolError) and match in str(exc), exc
@@ -1441,8 +1524,7 @@ class TestHostileStep2:
         def tamper(frame, check):
             if check:
                 checks.append(frame)
-                values = decode_pairs(frame.payload, 8)
-                return Frame(FrameKind.EVAL_PAIR, encode_pairs([(0, (v + 1) % P61) for v in values]))
+                return with_check_values(frame, lambda values: [(v + 1) % P61 for v in values])
             return frame
 
         start = time.perf_counter()
@@ -1479,11 +1561,131 @@ class TestHostileStep2:
         assert rep_a.step2_rejected == 0
 
 
+@st.composite
+def word_pairs(draw):
+    """Symbols (2 to 4), a shingle length, a word and a peer word that differs
+    from it in its first and last l symbols, where windows hold delimiters,
+    and maybe once between."""
+    symbols = "abcd"[: draw(st.integers(2, 4))]
+    l = draw(st.integers(2, 5))
+    word = draw(st.text(alphabet=symbols, max_size=40))
+    head = draw(st.integers(0, min(l, len(word))))
+    tail = draw(st.integers(max(head, len(word) - l), len(word)))
+    middle = word[head:tail]
+    if middle and draw(st.booleans()):
+        at = draw(st.integers(0, len(middle) - 1))
+        middle = middle[:at] + draw(st.sampled_from(symbols)) + middle[at + 1 :]
+    ends = st.text(alphabet=symbols, max_size=l)
+    return symbols, l, word, draw(ends) + middle + draw(ends)
+
+
+# "00101" against "00110" at l = 3: the initiator's one-sided windows are
+# '010', '101', '01$' and '1$$', the run "0101$$" of its padded word; the
+# responder derives their total, 4, so counts take 3 bits, and a rank among
+# '$', '0' and '1' takes 2.  Each word's 7 instances make two buckets.
+RUNS_A, RUNS_B = "00101", "00110"
+RUNS_CONFIG = ReconConfig(l=3, mode=MODE_RATELESS, k=8, seed=3)
+HONEST_RUNS = bytes([0b001_100_00, 0b01_10_01_10, 0b00_00_0000])
+
+
+class TestRuns:
+    """One-sided instances cross as runs of windows of the sender's word."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(word_pairs())
+    def test_runs_round_trip(self, case):
+        symbols, l, word, other = case
+        alphabet = Alphabet(symbols)
+        codec = ShingleCodec(alphabet, FIELD)
+        mine, theirs = Counter(shingle_sequence(word, l)), Counter(shingle_sequence(other, l))
+        only = mine - theirs
+        # the one-sided instances as a decoder finds them: elements of the
+        # sender's own, above the peer's count of each shingle
+        roots = [codec.encode(s, occ) for s, m in only.items() for occ in range(theirs[s] + 1, theirs[s] + m + 1)]
+        shingled_word = ShingledWord(word, l, alphabet)
+        runs = _own_runs(shingled_word, codec, roots)
+        assert all(run in delimited(word, l) for run in runs)
+        chars = "".join(sorted(shingled_word.table.ranks))
+        payload = encode_runs(runs, l, chars)
+        assert decode_runs(payload, l, sum(only.values()), chars) == runs
+        assert _windows(runs, l) == ShingleMultiset(only)
+
+    def test_honest_runs_frame(self):
+        # the frame every refused case below is a variation of
+        assert encode_runs(["0101$$"], 3, "$01") == HONEST_RUNS
+        assert decode_runs(HONEST_RUNS, 3, 4, "$01") == ["0101$$"]
+
+    @pytest.mark.parametrize(
+        "payload,match",
+        [
+            (_pack_block([2, 4, 0], 3) + bytes(2), "a run holds no window"),
+            (_pack_block([2, 4, 1], 3) + bytes(2), "hold 5 windows, not the 4"),
+            (_pack_block([1, 3], 3) + bytes(2), "hold 3 windows, not the 4"),
+            (_pack_block([5], 3), "5 runs for 4 windows"),
+            # '1$0' holds a delimiter between two symbols
+            (encode_runs(["01$0$$"], 3, "$01"), "delimiter between two symbols"),
+            (_pack_block([1, 4], 3) + _pack_block([1, 2, 1, 3, 0, 0], 2), "rank of 3"),
+            (HONEST_RUNS[:-1] + bytes([1]), "padding"),
+            (HONEST_RUNS[:-1], "runs block holds 1 bytes"),
+            # '0111$$': '011', '111' and '11$' land where '010', '101' and
+            # '01$' do, two a bucket, but are no roots there
+            (encode_runs(["0111$$"], 3, "$01"), "no root in bucket"),
+            # '1101$$': four instances, as the degrees sum to, but three in
+            # bucket 0, whose polynomial has degree 2
+            (encode_runs(["1101$$"], 3, "$01"), "3 instances in bucket 0, whose hand-off polynomial has degree 2"),
+        ],
+        ids=[
+            "zero-window-run",
+            "windows-past-the-total",
+            "windows-short-of-the-total",
+            "runs-past-the-total",
+            "delimiter-inside-a-window",
+            "rank-past-base",
+            "padding",
+            "truncated",
+            "not-a-root",
+            "wrong-buckets",
+        ],
+    )
+    def test_initiator_runs_are_checked(self, payload, match):
+        def tamper(frame, _check):
+            if frame.kind == FrameKind.DELTA:
+                assert frame.payload == HONEST_RUNS
+                return Frame(FrameKind.DELTA, payload)
+            return frame
+
+        exc = scripted_session(RUNS_B, "responder", RUNS_CONFIG, tampered_initiator(RUNS_A, RUNS_CONFIG, tamper))
+        assert isinstance(exc, ProtocolError) and match in str(exc), exc
+
+    def test_instances_past_the_occurrence_range_are_refused(self):
+        # the responder holds '00' 2**16 - 1 times, so the two '00' of the
+        # run "000" would be its occurrences 2**16 and 2**16 + 1, one past
+        # the 16 occurrence bits
+        local = ShingledWord("0" * 2**16, 2, Alphabet("0"))
+        codec = ShingleCodec(Alphabet("0"), FIELD)
+        with pytest.raises(ProtocolError, match="encoding range"):
+            stringrecon._initiator_only(["000"], local, codec, [[1, 1]], seed=3)
+
+    def test_honest_initiator_runs_are_accepted(self):
+        (ra, _), (rb, _) = run_session(RUNS_A, RUNS_B, RUNS_CONFIG)
+        assert ra == RUNS_B and rb == RUNS_A
+
+
+def with_check_values(frame, values, k=8):
+    """A frame that ends in k session check values, with `values(them)` in
+    their place: a rateless bundle, whose values are the check's alone, or
+    the answer to a request of all zeros."""
+    tail = value_block_bytes(k)
+    replaced = values(decode_pairs(frame.payload[-tail:], k))
+    return Frame(frame.kind, frame.payload[:-tail] + _pack_block(replaced, VALUE_BITS))
+
+
 def tampered_initiator(word, config, tamper):
     """A script for `scripted_session`: the honest initiator holding `word`,
     whose every outgoing frame passes through `tamper(frame, check)` first,
-    where `check` tells whether the frame answers a session check (a
-    request of all zeros)."""
+    where `check` tells whether the frame carries session check values: the
+    bundle, which holds the first check's, and the answer to a request of
+    all zeros."""
 
     def script(peer):
         recv, send = peer.recv, peer.send
@@ -1495,7 +1697,8 @@ def tampered_initiator(word, config, tamper):
             return frame
 
         def tampered(frame):
-            send(tamper(frame, frame.kind == FrameKind.EVAL_PAIR and last == [True]))
+            check = frame.kind == FrameKind.EVAL_BUNDLE or (frame.kind == FrameKind.EVAL_PAIR and last == [True])
+            send(tamper(frame, check))
 
         peer.recv, peer.send = spy, tampered
         try:

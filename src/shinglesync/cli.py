@@ -16,9 +16,10 @@ from .alphabet import Alphabet
 from .decider import TokenDecider, UdDecider
 from .errors import ShingleSyncError
 from .oracle import decoding_count, find_obstruction, rotation_pair, transposition_pair
+from .setrecon import ShingleCodec
 from .shinglelen import recommend_shingle_len
 from .shingles import ShingleMultiset, shingle_sequence, shingling
-from .stringrecon import MODE_FIXED, MODE_RATELESS, ReconConfig, run_protocol
+from .stringrecon import FIELD, MODE_FIXED, MODE_RATELESS, ReconConfig, run_protocol
 from .transport import Listener, connect
 
 
@@ -107,7 +108,12 @@ def cmd_reconcile(args) -> int:
         given = {name: getattr(args, name) for name in ("k", "seed") if getattr(args, name) is not None}
         if mode == MODE_FIXED:
             given["m_hat"] = m_hat
-        l = args.l or recommend_shingle_len(max(2, len(word)), 0.6)
+        # the paper's length, capped at the longest shingle the codec holds
+        # for the local word's symbols
+        l = args.l or min(
+            recommend_shingle_len(max(2, len(word)), 0.6),
+            ShingleCodec(Alphabet.from_text(word), FIELD).max_shingle_len,
+        )
         config = ReconConfig(l=l, mode=mode, **given)
     host, _, port = args.addr.rpartition(":")
     if args.action == "serve":
@@ -193,7 +199,9 @@ def main(argv: list[str] | None = None) -> int:
         help="print the session report as key=value lines (default) or one JSON object",
     )
     # session parameters, for connect only: serve adopts the peer's
-    p.add_argument("--l", type=int, help="shingle length (default: sized from input)")
+    p.add_argument(
+        "--l", type=int, help="shingle length (default: sized from input, at most what the encoding holds)"
+    )
     p.add_argument(
         "--mode",
         type=_parse_mode,

@@ -1,11 +1,11 @@
 """Streaming unique-decodability decider.
 
-The decider consumes one symbol at a time and maintains, per symbol: a
-visited flag, an on-cycle flag, adjacency lists capped at two entries, the
-first/last positions seen so far, and a stack of visited symbols.  A stream is
-rejected the moment its consumed prefix stops being uniquely decodable from
-its length-2 windows; rejection is absorbing.  State size depends only on the
-alphabet, never on the stream length.
+The decider consumes one symbol at a time and maintains, per symbol: the
+first/last positions seen so far (a first position of 0 marks it unvisited),
+an on-cycle flag, two child and two parent entries, and a stack of visited
+symbols.  A stream is rejected the moment its consumed prefix stops being
+uniquely decodable from its length-2 windows; rejection is absorbing.  State
+size depends only on the alphabet, never on the stream length.
 
 Three rejection rules apply when consuming character c after prefix u:
 
@@ -16,16 +16,20 @@ Three rejection rules apply when consuming character c after prefix u:
   strong-connectivity query and is validated against the enumeration oracle);
 * degree overflow: a third distinct parent or child appears.  This is an
   early exit only; it never changes the final verdict, just when it lands.
+  It also keeps every symbol within its two child and two parent entries.
 
 Every rule is checked before a step changes any state, so a rejected step
-changes nothing; with undo tracking on, `undo_last` reverts accepted steps only.
+changes only the verdict.
 
 `TokenDecider` runs the same transition system over an interned alphabet of
 length l-1 node grams, where each pushed shingle contributes one edge.
 `merge_until_ud` runs the transition system with undo over a word's node
 ids: a rejected shingle is fused with its predecessor into their transitive
 closure and retried, which always terminates because a single label spanning
-the whole stream is accepted.
+the whole stream is accepted.  Its loop holds its own copy of the three rules
+and of their undo, in flat arrays, because a session's merge takes about two
+steps and one undo a shingle; `tests/test_decider.py::TestMerging::
+test_span_merge_matches_the_string_loop` pins the copy to `_Core.step`.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .errors import (
     InvalidParameterError,
     InvalidShingleError,
     InvalidTokenError,
-    ProtocolMisuseError,
 )
 from .shingles import ShingledWord, shingle_sequence
 
@@ -72,128 +75,109 @@ class Verdict:
 
 STILL_UD = Verdict(True)
 
-# undo record of an accepted step: (cid, old_prev, first_visit, popped,
-# old_last, edge_added); `popped` is None unless the step closed a cycle
-_Record = tuple[int, int, bool, list[int] | None, int, bool]
-
 
 class _Core:
-    """Shared transition system over dense integer symbol ids."""
+    """Shared transition system over dense integer symbol ids.
+
+    The state is flat, one entry a slot in each list: `first_ix` and
+    `last_ix` hold the 1-based positions of a symbol's first and last visits
+    (`first_ix` is 0 while the symbol is unvisited), and each slot has two
+    child and two parent entries, -1 while empty, since degree overflow
+    rejects a third.
+    """
 
     __slots__ = (
-        "visited",
-        "on_cycle",
-        "children",
-        "parents",
         "first_ix",
         "last_ix",
+        "on_cycle",
+        "child0",
+        "child1",
+        "parent0",
+        "parent1",
         "stack",
         "prev",
         "pos",
         "verdict",
-        "_undo",
     )
 
-    def __init__(self, slots: int, track_undo: bool = False):
-        self.visited = [False] * slots
-        self.on_cycle = [False] * slots
-        self.children: list[list[int]] = [[] for _ in range(slots)]
-        self.parents: list[list[int]] = [[] for _ in range(slots)]
+    def __init__(self, slots: int):
         self.first_ix = [0] * slots
         self.last_ix = [0] * slots
+        self.on_cycle = [False] * slots
+        self.child0 = [-1] * slots
+        self.child1 = [-1] * slots
+        self.parent0 = [-1] * slots
+        self.parent1 = [-1] * slots
         self.stack: list[int] = []
         self.prev = -1
         self.pos = 0
         self.verdict: Verdict = STILL_UD
-        # None in absorbing mode
-        self._undo: list[_Record] | None = [] if track_undo else None
 
     def grow_to(self, slots: int) -> None:
-        while len(self.visited) < slots:
-            self.visited.append(False)
-            self.on_cycle.append(False)
-            self.children.append([])
-            self.parents.append([])
-            self.first_ix.append(0)
-            self.last_ix.append(0)
+        more = slots - len(self.first_ix)
+        if more > 0:
+            self.first_ix += [0] * more
+            self.last_ix += [0] * more
+            self.on_cycle += [False] * more
+            self.child0 += [-1] * more
+            self.child1 += [-1] * more
+            self.parent0 += [-1] * more
+            self.parent1 += [-1] * more
 
     def slot_count(self) -> int:
-        return len(self.visited)
+        return len(self.first_ix)
 
     def step(self, cid: int) -> Verdict:
         """Consume one symbol id.  Every rule is checked before any state
-        changes, so a rejected step changes nothing.  The verdict absorbs
-        unless undo tracking is on; `undo_last` reverts accepted steps only."""
+        changes, so a rejected step changes only the verdict, which absorbs."""
         if not self.verdict.ok:
             return self.verdict
         pos = self.pos + 1
         p = self.prev
-        first_visit = not self.visited[cid]
+        child0, child1 = self.child0, self.child1
         # the first symbol only visits; every later one walks an edge from p
-        new_edge = p >= 0 and cid not in self.children[p]
+        new_edge = p >= 0 and child0[p] != cid and child1[p] != cid
         if new_edge and self.on_cycle[cid]:  # only a visited symbol is on a cycle
             return self._reject(Reason.CYCLE_INTRUSION, pos)
-        ps = self.parents[cid]
-        if len(ps) == 2:
-            a, b = ps
-            if not (self.last_ix[a] < self.first_ix[b] or self.last_ix[b] < self.first_ix[a]):
+        b = self.parent1[cid]
+        if b >= 0:
+            a = self.parent0[cid]
+            first_ix, last_ix = self.first_ix, self.last_ix
+            if not (last_ix[a] < first_ix[b] or last_ix[b] < first_ix[a]):
                 return self._reject(Reason.COMMUNICATING_PARENTS, pos)
-        if new_edge and (len(self.children[p]) == 2 or len(ps) == 2):
+        if new_edge and (child1[p] >= 0 or b >= 0):
             return self._reject(Reason.DEGREE_OVERFLOW, pos)
 
-        popped = None
-        if first_visit:
-            self.visited[cid] = True
-            self.stack.append(cid)
+        if not self.first_ix[cid]:
             self.first_ix[cid] = pos
+            self.stack.append(cid)
         elif new_edge:
             # close a new cycle: unwind the visit stack to the previous
             # occurrence of cid, marking everything popped
-            popped = []
+            stack, on_cycle = self.stack, self.on_cycle
             while True:
-                v = self.stack.pop()
-                self.on_cycle[v] = True
-                popped.append(v)
+                v = stack.pop()
+                on_cycle[v] = True
                 if v == cid:
                     break
-        old_last = self.last_ix[cid]
         self.last_ix[cid] = pos
         if new_edge:
-            self.children[p].append(cid)
-            ps.append(p)
+            if child0[p] < 0:
+                child0[p] = cid
+            else:
+                child1[p] = cid
+            if self.parent0[cid] < 0:
+                self.parent0[cid] = p
+            else:
+                self.parent1[cid] = p
         self.prev = cid
         self.pos = pos
-        if self._undo is not None:
-            self._undo.append((cid, p, first_visit, popped, old_last, new_edge))
         return STILL_UD
 
     def _reject(self, reason: Reason, pos: int) -> Verdict:
-        """The one writer of a rejection; absorbing mode keeps the verdict."""
-        verdict = Verdict(False, reason, pos)
-        if self._undo is None:
-            self.verdict = verdict
-        return verdict
-
-    def undo_last(self) -> None:
-        """Restore the state to just before the last accepted step."""
-        if not self._undo:
-            raise ProtocolMisuseError("nothing to undo")
-        cid, old_prev, first_visit, popped, old_last, edge_added = self._undo.pop()
-        if edge_added:
-            self.children[old_prev].pop()
-            self.parents[cid].pop()
-        self.last_ix[cid] = old_last
-        if first_visit:
-            self.visited[cid] = False
-            self.first_ix[cid] = 0
-            assert self.stack and self.stack[-1] == cid
-            self.stack.pop()
-        elif popped:
-            for v in reversed(popped):
-                self.on_cycle[v] = False
-                self.stack.append(v)
-        self.prev = old_prev
-        self.pos -= 1
+        """The one writer of a rejection."""
+        self.verdict = Verdict(False, reason, pos)
+        return self.verdict
 
 
 class UdDecider:
@@ -322,13 +306,24 @@ class TokenDecider:
 def merge_until_ud(word: ShingledWord) -> tuple[list[int], list[int]]:
     """Merge a word's shingles, in stream order, until they decode uniquely.
 
-    Each shingle walks its edge between the word's node ids through a `_Core`
-    with undo.  A rejected label is fused with the live label before it,
-    undoing that label's step, and retried.  A label is a span of shingle
-    positions, so a fuse costs O(1).  Two labels on one node pair are equal
-    only if their spans have equal lengths, and two single shingles on one
-    node pair are always equal, so text is compared only for longer labels of
-    equal length.
+    Each shingle walks its edge between the word's node ids through the
+    decider's transition system.  A rejected label is fused with the live
+    label before it, undoing that label's step, and retried.  A label is a
+    span of shingle positions, so a fuse costs O(1).  Two labels on one node
+    pair are equal only if their spans have equal lengths, and two single
+    shingles on one node pair are always equal, so text is compared only for
+    longer labels of equal length.
+
+    The loop holds its own copy of `_Core`'s three rules, and an undo of
+    them, over flat per-node arrays in locals, so a step or an undo makes
+    no call into `_Core` and builds no `Verdict`, record tuple or per-node
+    list; a closed cycle's popped nodes go on a side stack.  A node pair
+    carries an edge exactly when it carries a label, so a new edge is a pair
+    without one, and a child count stands in for `_Core`'s child entries.
+    A merge needs only whether a step is accepted, so the rules are tested
+    in `_Core.step`'s order without naming the one that rejects.
+    `tests/test_decider.py::TestMerging::test_span_merge_matches_the_string_loop`
+    pins this copy to `_Core.step`.
 
     Returns the first position of each live label in stream order (label j
     spans positions firsts[j] to firsts[j + 1] - 1), and the seams: the left
@@ -337,38 +332,95 @@ def merge_until_ud(word: ShingledWord) -> tuple[list[int], list[int]]:
     """
     nodes, text, l = word.nodes, word.text, word.l
     slots = max(nodes) + 1
-    core = _Core(slots, track_undo=True)
-    step, undo = core.step, core.undo_last
-    step(nodes[0])
+    # `_Core`'s state; the first node only visits, and no undo reaches that
+    # visit, since a label from position 0 is always accepted
+    first_ix = [0] * slots
+    last_ix = [0] * slots
+    on_cycle = [False] * slots
+    children = [0] * slots
+    parent0 = [-1] * slots
+    parent1 = [-1] * slots
+    stack = [nodes[0]]
+    first_ix[nodes[0]] = last_ix[nodes[0]] = pos = 1
+    # per closed cycle: the nodes it popped off the stack, then their count
+    cycled: list[int] = []
+    # per live label: its target's last_ix before its step, then the node
+    # pair whose label it became, or -1 if the pair had one
+    log: list[int] = []
+    # node pair -> first position of the one label on it, which ends at ends[first]
+    spans: dict[int, int] = {}
+    ends = [0] * len(nodes)
     firsts: list[int] = []
-    # per live label: the node pair whose label it became, or -1 if the pair had one
-    introduced: list[int] = []
-    # node pair -> (first, last) position of the one label on it
-    spans: dict[int, tuple[int, int]] = {}
     seams: list[int] = []
     for last in range(len(nodes) - 1):
         dst = nodes[last + 1]
         first = last
         glued = len(seams)
         while True:
-            pair = nodes[first] * slots + dst
+            src = nodes[first]
+            pair = src * slots + dst
             span = spans.get(pair)
             if span is None:
-                if step(dst).ok:
-                    spans[pair] = (first, last)
-                    introduced.append(pair)
+                # a new edge: cycle intrusion, then a third parent, which
+                # communicating parents or degree overflow rejects, then a
+                # third child (degree overflow)
+                if not on_cycle[dst] and parent1[dst] < 0 and children[src] < 2:
+                    pos += 1
+                    if not first_ix[dst]:
+                        first_ix[dst] = pos
+                        stack.append(dst)
+                    else:
+                        # close a new cycle: unwind the visit stack to the
+                        # previous occurrence of dst, marking everything popped
+                        popped = len(cycled)
+                        while True:
+                            v = stack.pop()
+                            on_cycle[v] = True
+                            cycled.append(v)
+                            if v == dst:
+                                break
+                        cycled.append(len(cycled) - popped)
+                    log.append(last_ix[dst])
+                    log.append(pair)
+                    last_ix[dst] = pos
+                    children[src] += 1
+                    if parent0[dst] < 0:
+                        parent0[dst] = src
+                    else:
+                        parent1[dst] = src
+                    spans[pair] = first
+                    ends[first] = last
                     break
-            elif (
-                span[1] - span[0] == last - first
-                and (first == last or text[span[0] : span[1] + l] == text[first : last + l])
-                and step(dst).ok
+            elif ends[span] - span == last - first and (
+                first == last or text[span : ends[span] + l] == text[first : last + l]
             ):
-                introduced.append(-1)
-                break
-            undo()
-            pair = introduced.pop()
+                # the edge is walked again: only communicating parents can reject
+                a, b = parent0[dst], parent1[dst]
+                if b < 0 or last_ix[a] < first_ix[b] or last_ix[b] < first_ix[a]:
+                    pos += 1
+                    log.append(last_ix[dst])
+                    log.append(-1)
+                    last_ix[dst] = pos
+                    break
+            # undo the live label before, whose step walked into src
+            pair = log.pop()
+            last_ix[src] = log.pop()
             if pair >= 0:
                 del spans[pair]
+                children[pair // slots] -= 1
+                if parent1[src] >= 0:
+                    parent1[src] = -1
+                else:
+                    parent0[src] = -1
+                if first_ix[src] == pos:
+                    first_ix[src] = 0
+                    stack.pop()
+                else:
+                    for _ in range(cycled.pop()):
+                        v = cycled.pop()
+                        on_cycle[v] = False
+                        stack.append(v)
+            pos -= 1
             seams.append(first - 1)
             first = firsts.pop()
         firsts.append(first)

@@ -25,10 +25,6 @@ class OverlapMismatchError(ShingleSyncError, ValueError):
     """Two shingles do not overlap as required by non-overlapping concatenation."""
 
 
-class ProtocolMisuseError(ShingleSyncError):
-    """A stateful API was driven outside its legal call sequence."""
-
-
 class InconsistentMultisetError(ShingleSyncError):
     """A shingle multiset does not assemble into any delimited word."""
 

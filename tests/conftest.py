@@ -31,15 +31,19 @@ def char_values_loop(elements, points, p):
 def reference_merge(word, l, delimiter="$"):
     """The string merge loop sessions ran before labels became spans.
 
-    A node-gram decider with undo takes the ordered shingles; a rejected
-    label is fused with the live label before it by `noconcat` and pushed
-    again.  Returns the live labels in stream order and the seams: the left
-    position of every glued boundary, in the order they were glued, each
-    merge's seams left to right.
+    A node-gram decider takes the ordered shingles; a rejected label is fused
+    with the live label before it by `noconcat` and pushed again.  The
+    decider's verdict absorbs, so an undo replays the accepted node ids on a
+    fresh one: the reference needs no undo of the product's.  Returns the
+    live labels in stream order and the seams: the left position of every
+    glued boundary, in the order they were glued, each merge's seams left to
+    right.
     """
     k = l - 1
-    core = _Core(0, track_undo=True)
     ids = {}
+    # the node ids the decider has accepted: the first source, then one a label
+    accepted = []
+    core = _Core(0)
     labels = []
     # per live label: the node pair it introduced, or None if the pair had one
     introduced = []
@@ -53,13 +57,15 @@ def reference_merge(word, l, delimiter="$"):
 
     def push(label):
         src, dst = intern(label[:k]), intern(label[-k:])
-        if core.pos == 0:
+        if not accepted:
             core.step(src)
+            accepted.append(src)
         existing = edge_labels.get((src, dst))
         if existing is not None and existing != label:
             return False
         if not core.step(dst).ok:
             return False
+        accepted.append(dst)
         labels.append(label)
         if existing is None:
             edge_labels[(src, dst)] = label
@@ -69,9 +75,13 @@ def reference_merge(word, l, delimiter="$"):
         return True
 
     def undo():
-        core.undo_last()
-        if core.pos == 1:  # the first label goes, and with it the visit of its source
-            core.undo_last()
+        nonlocal core
+        accepted.pop()
+        if len(accepted) == 1:  # the first label goes, and with it the visit of its source
+            accepted.pop()
+        core = _Core(len(ids))
+        for cid in accepted:
+            assert core.step(cid).ok
         pair = introduced.pop()
         if pair is not None:
             del edge_labels[pair]

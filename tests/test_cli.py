@@ -1,4 +1,6 @@
 import json
+import random
+import string
 import threading
 import time
 
@@ -173,6 +175,36 @@ class TestReconcile:
         # one session check; only the responder holds candidates to reject
         assert initiator["step2_checks"] == responder["step2_checks"] == 1
         assert initiator["step2_rejected"] == 0 and responder["step2_rejected"] >= 0
+
+    def test_default_l_fits_the_encoding(self, capsys, tmp_path):
+        # the paper's length for 100 symbols is 10, past the 9 that 26 letters
+        # leave; without the cap the session ended with ProtocolError
+        rng = random.Random(7)
+        letters = list(string.ascii_lowercase * 4)[:100]
+        rng.shuffle(letters)
+        text_a = "".join(letters)
+        text_b = text_a[:40] + "zq" + text_a[42:]
+        out = tmp_path / "got.txt"
+        from shinglesync.transport import Listener
+
+        listener = Listener("127.0.0.1", 0)
+        addr = f"127.0.0.1:{listener.port}"
+        listener.close()
+        results = {}
+        thread = threading.Thread(
+            target=lambda: results.setdefault(
+                "serve", main(["reconcile", "serve", addr, "--input", text_b, "--report", "json"])
+            )
+        )
+        thread.start()
+        time.sleep(0.3)
+        code = main(["reconcile", "connect", addr, "--input", text_a, "--report", "json", "--output", str(out)])
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert code == 0 and results["serve"] == 0
+        assert out.read_text() == text_b
+        reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(report["l"], report["outcome"]) for report in reports] == [(9, "ok"), (9, "ok")]
 
     @pytest.mark.parametrize(
         "option", [["--l", "5"], ["--mode", "fixed:16"], ["--k", "4"], ["--seed", "3"]]

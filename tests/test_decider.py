@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -25,7 +27,6 @@ from shinglesync.decider import _Core
 from shinglesync.errors import (
     InvalidSymbolError,
     InvalidTokenError,
-    ProtocolMisuseError,
 )
 
 from conftest import reference_merge, span_labels, words_ab, words_abc
@@ -192,6 +193,18 @@ class TestTokenDecider:
         assert td.slot_count() == 2
 
 
+# SHA-256 of `json.dumps([firsts, seams])` from `merge_until_ud` over the binary
+# word of `random.Random(f"merge-golden:{n}")`, taken before the merge loop
+# held its own copy of the rules.  At l = 10 the loop rejects 19 steps by
+# communicating parents, the rest by cycle intrusion; at (16384, 20) one
+# label glues 8,549 shingles.
+MERGE_GOLDEN = {
+    (4096, 18): "227c2fbf935f4bdb4a5227cc278dd76f1da80fd8c16dfdb6d62b59a8daea8223",
+    (16384, 20): "26b2daebb0d793301897e0df5a47373e1a4bd4f5be608f9adcd0cb82e73d20c4",
+    (4096, 10): "cde04fa9992fcc72536f8d2f43f8d73218b73e4c73148a80e5ae14986643f2e6",
+}
+
+
 def merged(word, l):
     """The merge loop's live labels and seams over `word`."""
     shingled = ShingledWord(word, l, Alphabet.from_text(word))
@@ -221,11 +234,6 @@ class TestMerging:
         result = decoding_count(ms)
         assert result.count == 1 and result.witnesses == ("aaaa",)
 
-    def test_merge_without_prior_edge_raises(self):
-        core = _Core(2, track_undo=True)
-        with pytest.raises(ProtocolMisuseError):
-            core.undo_last()
-
     @settings(max_examples=200, deadline=None)
     @given(words_abc, st.integers(min_value=2, max_value=3))
     def test_merged_multiset_decodes_to_original(self, w, l):
@@ -239,23 +247,19 @@ class TestMerging:
         _, seams = merged(w, 2)
         assert len(seams) <= len(w) + 1
 
-    def test_undo_restores_state_exactly(self):
-        # the merge loop's undo: an undone step and a rejected step both leave
-        # the core as it was, so the stream goes on as if they never happened
+    def test_rejected_step_leaves_the_core_as_it_was(self):
+        # what the merge reference's undo relies on: a rejected step changes
+        # only the verdict, so the stream's accepted ids rebuild the core
         katan = [0, 1, 2, 1, 3]  # symbol ids; 4 is a fresh symbol
-        reference = _Core(5, track_undo=True)
-        probe = _Core(5, track_undo=True)
+        reference, probe = _Core(5), _Core(5)
         for cid in katan:
             reference.step(cid)
             probe.step(cid)
-        assert probe.step(4).ok
-        probe.undo_last()
         verdict = probe.step(1)  # katana's last "a"
-        assert not verdict.ok and verdict.reason is Reason.CYCLE_INTRUSION
-        fields = ("visited", "on_cycle", "children", "parents", "first_ix", "last_ix", "stack", "prev", "pos")
-        assert [getattr(probe, f) for f in fields] == [getattr(reference, f) for f in fields]
-        assert reference.step(4).ok and probe.step(4).ok
-        assert [getattr(probe, f) for f in fields] == [getattr(reference, f) for f in fields]
+        assert not verdict.ok and verdict.reason is Reason.CYCLE_INTRUSION and verdict.position == 6
+        assert core_state(probe) == core_state(reference)
+        assert probe.step(4) == verdict and core_state(probe) == core_state(reference)
+        assert reference.step(4).ok
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -271,6 +275,13 @@ class TestMerging:
         assert span_labels(shingled, firsts) == ref_labels
         assert len(seams) == len(shingled.keys) - len(firsts)
 
+    @pytest.mark.parametrize("n, l", list(MERGE_GOLDEN))
+    def test_session_scale_merges_are_golden(self, n, l):
+        rng = random.Random(f"merge-golden:{n}")
+        word = ShingledWord("".join(rng.choice("01") for _ in range(n)), l, Alphabet("01"))
+        digest = hashlib.sha256(json.dumps(merge_until_ud(word)).encode()).hexdigest()
+        assert digest == MERGE_GOLDEN[(n, l)]
+
     def test_parallel_labels_rejected_on_replay(self):
         # two differently-labeled edges between the same node pair are always
         # ambiguous; a plain decider must reject such a stream
@@ -281,12 +292,11 @@ class TestMerging:
         assert verdict.reason is Reason.PARALLEL_LABELS
 
 
-CORE_FIELDS = ("visited", "on_cycle", "children", "parents", "first_ix", "last_ix", "stack", "prev", "pos")
-UNDO = -1
+CORE_FIELDS = ("first_ix", "last_ix", "on_cycle", "child0", "child1", "parent0", "parent1", "stack", "prev", "pos")
 
-# an id count and a stream of ops over it: an id steps, UNDO calls undo_last
+# an id count and a stream of ids below it
 core_ops = st.integers(min_value=1, max_value=4).flatmap(
-    lambda k: st.tuples(st.just(k), st.lists(st.integers(min_value=UNDO, max_value=k - 1), max_size=200))
+    lambda k: st.tuples(st.just(k), st.lists(st.integers(min_value=0, max_value=k - 1), max_size=200))
 )
 
 
@@ -294,46 +304,37 @@ def core_state(core):
     return copy.deepcopy([getattr(core, f) for f in CORE_FIELDS])
 
 
+def entries(first, second):
+    """Each slot's filled entries of a two-entry adjacency, in fill order."""
+    return [[v for v in pair if v >= 0] for pair in zip(first, second)]
+
+
 class TestCoreProperties:
-    # katana and axbxbax as ids: each reaches a rejection rule in undo mode,
-    # so every run checks a cycle intrusion and a communicating-parents step
+    # katana and axbxbax as ids: each reaches a rejection rule, so every run
+    # checks a cycle intrusion and a communicating-parents step
     @settings(max_examples=300, deadline=None)
     @given(core_ops)
     @example((4, [0, 1, 2, 1, 3, 1, 3]))
-    @example((3, [0, 1, 2, 1, 2, 0, 1, UNDO, 0]))
-    def test_rejected_steps_change_nothing_and_undo_replays(self, case):
+    @example((3, [0, 1, 2, 1, 2, 0, 1, 0]))
+    def test_rejected_steps_change_only_the_verdict(self, case):
         k, ops = case
-        core = _Core(k, track_undo=True)
+        core = _Core(k)
         accepted = []
-        for op in ops:
-            if op != UNDO:
-                before = core_state(core)
-                if core.step(op).ok:
-                    accepted.append(op)
-                else:
-                    assert core_state(core) == before
-            elif accepted:
-                core.undo_last()
-                accepted.pop()
-            else:
-                with pytest.raises(ProtocolMisuseError):
-                    core.undo_last()
-        replay = _Core(k, track_undo=True)
+        for cid in ops:
+            before = core_state(core)
+            verdict = core.step(cid)
+            if not verdict.ok:
+                assert core_state(core) == before and core.verdict == verdict
+                continue
+            accepted.append(cid)
+            # the entries list each distinct edge of the accepted stream once,
+            # children and parents alike, and never more than two at a node
+            edges = set(zip(accepted, accepted[1:]))
+            children, parents = entries(core.child0, core.child1), entries(core.parent0, core.parent1)
+            assert sorted((v, c) for v in range(k) for c in children[v]) == sorted(edges)
+            assert sorted((p, v) for v in range(k) for p in parents[v]) == sorted(edges)
+            assert all(len(set(adj)) == len(adj) <= 2 for adj in children + parents)
+        replay = _Core(k)
         for cid in accepted:
             assert replay.step(cid).ok
         assert core_state(core) == core_state(replay)
-        assert core._undo == replay._undo
-
-    @settings(max_examples=300, deadline=None)
-    @given(core_ops)
-    @example((4, [0, 1, 2, 1, 3, 1]))
-    @example((3, [0, 1, 2, 1, 2, 0, 1]))
-    def test_undo_mode_verdicts_match_absorbing_mode_to_the_first_rejection(self, case):
-        k, ops = case
-        tracked, absorbing = _Core(k, track_undo=True), _Core(k)
-        for cid in (op for op in ops if op != UNDO):
-            verdict = tracked.step(cid)
-            assert verdict == absorbing.step(cid)  # ok, reason and position
-            if not verdict.ok:
-                assert absorbing.verdict == verdict and tracked.verdict.ok
-                break

@@ -34,20 +34,9 @@ def cmd_check(args) -> int:
     word = _read_input(args.string)
     alphabet = Alphabet(_read_input(args.alphabet)) if args.alphabet else Alphabet.from_text(word)
     if args.q == 2:
-        decider = UdDecider(alphabet)
-        verdict = None
-        for ch in word:
-            verdict = decider.push(ch)
-            if not verdict.ok:
-                break
-        verdict = verdict if verdict is not None else decider.verdict
+        verdict = UdDecider(alphabet).feed(word)
     else:
-        decider = TokenDecider(args.q)
-        verdict = decider.verdict
-        for s in shingle_sequence(word, args.q):
-            verdict = decider.push_shingle(s)
-            if not verdict.ok:
-                break
+        verdict = TokenDecider(args.q).push_shingles(shingle_sequence(word, args.q))
     if verdict.ok:
         print("UD")
         return 0

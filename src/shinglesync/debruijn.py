@@ -118,10 +118,8 @@ class DeBruijnGraph:
         streaming decider; a rejected walk means a second decoding exists.
         """
         trail = self.eulerian_labels()
-        check = TokenDecider(self.l, self.delimiter)
-        for label in trail:
-            if not check.push_shingle(label).ok:
-                raise NotUniqueError("multiset admits more than one decoding")
+        if not TokenDecider(self.l, self.delimiter).push_shingles(trail).ok:
+            raise NotUniqueError("multiset admits more than one decoding")
         k = self.l - 1
         folded = self.delimiter * k + "".join(label[k:] for label in trail)
         word = folded[k:-k] if len(folded) > 2 * k else ""

@@ -1,6 +1,6 @@
 """Streaming unique-decodability decider.
 
-The decider consumes one symbol at a time and maintains, per symbol: the
+The decider consumes symbols in batches and maintains, per symbol: the
 first/last positions seen so far (a first position of 0 marks it unvisited),
 an on-cycle flag, two child and two parent entries, and a stack of visited
 symbols.  A stream is rejected the moment its consumed prefix stops being
@@ -19,7 +19,9 @@ Three rejection rules apply when consuming character c after prefix u:
   It also keeps every symbol within its two child and two parent entries.
 
 Every rule is checked before a step changes any state, so a rejected step
-changes only the verdict.
+changes only the verdict.  `_Core.feed` runs the rules over a batch in one
+loop and stops at the batch's rejection; a push of one symbol is a one-id
+batch.
 
 `TokenDecider` runs the same transition system over an interned alphabet of
 length l-1 node grams, where each pushed shingle contributes one edge.
@@ -29,7 +31,7 @@ closure and retried, which always terminates because a single label spanning
 the whole stream is accepted.  Its loop holds its own copy of the three rules
 and of their undo, in flat arrays, because a session's merge takes about two
 steps and one undo a shingle; `tests/test_decider.py::TestMerging::
-test_span_merge_matches_the_string_loop` pins the copy to `_Core.step`.
+test_span_merge_matches_the_string_loop` pins the copy to `_Core.feed`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .alphabet import DEFAULT_DELIMITER, Alphabet
 from .errors import (
     InvalidParameterError,
     InvalidShingleError,
+    InvalidSymbolError,
     InvalidTokenError,
 )
 from .shingles import ShingledWord, shingle_sequence
@@ -127,52 +130,79 @@ class _Core:
     def slot_count(self) -> int:
         return len(self.first_ix)
 
+    def truncate(self, slots: int) -> None:
+        """Drop the slots from `slots` on, which no accepted step visited."""
+        for entries in (
+            self.first_ix, self.last_ix, self.on_cycle, self.child0, self.child1, self.parent0, self.parent1
+        ):
+            del entries[slots:]
+
     def step(self, cid: int) -> Verdict:
-        """Consume one symbol id.  Every rule is checked before any state
-        changes, so a rejected step changes only the verdict, which absorbs."""
+        """Consume one symbol id: a one-id `feed`."""
+        return self.feed((cid,))
+
+    def feed(self, ids) -> Verdict:
+        """Consume a batch of symbol ids, stopping at the first rejection.
+
+        The three rules run in one loop over the state held in locals.  Every
+        rule is checked before a step changes any state, so a rejected step
+        changes only the verdict, which absorbs: the batch leaves exactly the
+        state of its accepted prefix, fed one id at a time.
+        """
         if not self.verdict.ok:
             return self.verdict
-        pos = self.pos + 1
-        p = self.prev
-        child0, child1 = self.child0, self.child1
-        # the first symbol only visits; every later one walks an edge from p
-        new_edge = p >= 0 and child0[p] != cid and child1[p] != cid
-        if new_edge and self.on_cycle[cid]:  # only a visited symbol is on a cycle
-            return self._reject(Reason.CYCLE_INTRUSION, pos)
-        b = self.parent1[cid]
-        if b >= 0:
-            a = self.parent0[cid]
-            first_ix, last_ix = self.first_ix, self.last_ix
-            if not (last_ix[a] < first_ix[b] or last_ix[b] < first_ix[a]):
-                return self._reject(Reason.COMMUNICATING_PARENTS, pos)
-        if new_edge and (child1[p] >= 0 or b >= 0):
-            return self._reject(Reason.DEGREE_OVERFLOW, pos)
-
-        if not self.first_ix[cid]:
-            self.first_ix[cid] = pos
-            self.stack.append(cid)
-        elif new_edge:
-            # close a new cycle: unwind the visit stack to the previous
-            # occurrence of cid, marking everything popped
-            stack, on_cycle = self.stack, self.on_cycle
-            while True:
-                v = stack.pop()
-                on_cycle[v] = True
-                if v == cid:
+        first_ix, last_ix, on_cycle = self.first_ix, self.last_ix, self.on_cycle
+        child0, child1, parent0, parent1 = self.child0, self.child1, self.parent0, self.parent1
+        stack = self.stack
+        p, pos = self.prev, self.pos
+        ids = iter(ids)
+        if p < 0:
+            # the first symbol only visits, and a lone visit cannot fail
+            for p in ids:
+                pos = first_ix[p] = last_ix[p] = 1
+                stack.append(p)
+                break
+        for pos, cid in enumerate(ids, pos + 1):
+            new_edge = child0[p] != cid and child1[p] != cid
+            if new_edge and on_cycle[cid]:  # only a visited symbol is on a cycle
+                reason = Reason.CYCLE_INTRUSION
+                break
+            b = parent1[cid]
+            if b >= 0:
+                a = parent0[cid]
+                if not (last_ix[a] < first_ix[b] or last_ix[b] < first_ix[a]):
+                    reason = Reason.COMMUNICATING_PARENTS
                     break
-        self.last_ix[cid] = pos
-        if new_edge:
-            if child0[p] < 0:
-                child0[p] = cid
-            else:
-                child1[p] = cid
-            if self.parent0[cid] < 0:
-                self.parent0[cid] = p
-            else:
-                self.parent1[cid] = p
-        self.prev = cid
-        self.pos = pos
-        return STILL_UD
+            if new_edge:
+                if child1[p] >= 0 or b >= 0:
+                    reason = Reason.DEGREE_OVERFLOW
+                    break
+                if not first_ix[cid]:
+                    first_ix[cid] = pos
+                    stack.append(cid)
+                else:
+                    # close a new cycle: unwind the visit stack to the
+                    # previous occurrence of cid, marking everything popped
+                    while True:
+                        v = stack.pop()
+                        on_cycle[v] = True
+                        if v == cid:
+                            break
+                if child0[p] < 0:
+                    child0[p] = cid
+                else:
+                    child1[p] = cid
+                if parent0[cid] < 0:
+                    parent0[cid] = p
+                else:
+                    parent1[cid] = p
+            last_ix[cid] = pos
+            p = cid
+        else:
+            self.prev, self.pos = p, pos
+            return STILL_UD
+        self.prev, self.pos = p, pos - 1
+        return self._reject(reason, pos)
 
     def _reject(self, reason: Reason, pos: int) -> Verdict:
         """The one writer of a rejection."""
@@ -199,31 +229,28 @@ class UdDecider:
 
     def push(self, char: str) -> Verdict:
         """Consume one character; invalid symbols raise and leave state intact."""
-        cid = self.alphabet.index(char)
-        return self._core.step(cid)
+        return self._core.step(self.alphabet.index(char))
 
     def feed(self, word: str) -> Verdict:
-        """Push a whole word without early exit (absorbed pushes are cheap)."""
-        return self.feed_ids(self.alphabet.encode(word))
+        """Push a whole word as one batch, which stops at its rejection."""
+        return self._core.feed(self.alphabet.encode(word))
 
     def feed_ids(self, ids: list[int]) -> Verdict:
-        out = self.verdict
-        step = self._core.step
-        for cid in ids:
-            out = step(cid)
-        return out
+        """Push a batch of symbol ids; a batch holding an id outside the
+        alphabet raises before any state changes."""
+        if ids:
+            low, high = min(ids), max(ids)
+            if low < 0 or high >= len(self.alphabet):
+                bad = low if low < 0 else high
+                raise InvalidSymbolError(f"symbol id {bad} not in an alphabet of {len(self.alphabet)}")
+        return self._core.feed(ids)
 
 
 def is_ud(word: str, alphabet: Alphabet | None = None) -> bool:
     """True iff `word` is uniquely decodable from its length-2 windows."""
     if alphabet is None:
         alphabet = Alphabet.from_text(word)
-    core = _Core(len(alphabet))
-    step = core.step
-    for cid in alphabet.encode(word):
-        if not step(cid).ok:
-            return False
-    return True
+    return _Core(len(alphabet)).feed(alphabet.encode(word)).ok
 
 
 class TokenDecider:
@@ -270,37 +297,71 @@ class TokenDecider:
             raise InvalidTokenError(f"token {token!r} is not a length-{self.l - 1} gram")
         return self._core.step(self._intern(token))
 
-    def _split(self, shingle: str) -> tuple[str, str]:
-        if len(shingle) < self.l:
-            raise InvalidShingleError(f"shingle {shingle!r} shorter than l={self.l}")
-        k = self.l - 1
-        return shingle[:k], shingle[len(shingle) - k :]
-
     def push_shingle(self, shingle: str) -> Verdict:
         """Walk the edge of one shingle; the first push also visits its source."""
-        src, dst = self._split(shingle)
-        if not self._core.verdict.ok:
-            return self._core.verdict
-        sid = self._intern(src)
-        if self._core.pos == 0:
-            self._core.step(sid)  # a lone visit cannot fail
-        did = self._intern(dst)
-        key = (sid, did)
-        existing = self._edge_labels.get(key)
-        if existing is not None and existing != shingle:
-            return self._core._reject(Reason.PARALLEL_LABELS, self._core.pos + 1)
-        out = self._core.step(did)
-        if out.ok:
-            self._labels.append(shingle)
+        return self.push_shingles((shingle,))
+
+    def push_shingles(self, labels: list[str]) -> Verdict:
+        """Walk the edges of a batch of shingles in one `_Core.feed`.
+
+        The verdict and the state are those of pushing the labels one at a
+        time: the batch stops at its first rejection, and the grams and edge
+        labels that the labels after it brought in are taken back.  A label
+        shorter than l raises before anything is pushed.
+        """
+        l = self.l
+        for label in labels:
+            if len(label) < l:
+                raise InvalidShingleError(f"shingle {label!r} shorter than l={l}")
+        core = self._core
+        if not core.verdict.ok or not labels:
+            return core.verdict
+        tokens, edge_labels = self._ids, self._edge_labels
+        start, known, labelled = core.pos, len(tokens), len(edge_labels)
+        path = self._walk(labels, start == 0)
+        core.grow_to(len(tokens))
+        verdict = core.feed(path)
+        accepted = core.pos - max(start, 1)
+        self._labels += labels[:accepted]
+        if verdict.ok and accepted < len(labels):
+            verdict = core._reject(Reason.PARALLEL_LABELS, core.pos + 1)
+        if not verdict.ok:
+            # take back all the batch interned and labelled (dicts pop in
+            # reverse insertion order), walk the accepted labels again and
+            # intern the rejected one's grams, as a push of it would
+            while len(edge_labels) > labelled:
+                edge_labels.popitem()
+            while len(tokens) > known:
+                tokens.popitem()
+            self._walk(labels[:accepted], start == 0)
+            rejected, k = labels[accepted], l - 1
+            for gram in (rejected[:k], rejected[len(rejected) - k :]):
+                tokens.setdefault(gram, len(tokens))
+            core.truncate(len(tokens))
+        return verdict
+
+    def _walk(self, labels: list[str], visit: bool) -> list[int]:
+        """Intern the grams of `labels` and label their edges, stopping at
+        the first label whose node pair carries another label, once its
+        grams are interned.  Returns the node id each label before it walks
+        into, after the first label's source if `visit`."""
+        k = self.l - 1
+        tokens, edge_labels = self._ids, self._edge_labels
+        path = [tokens.setdefault(labels[0][:k], len(tokens))] if visit and labels else []
+        for label in labels:
+            sid = tokens.setdefault(label[:k], len(tokens))
+            did = tokens.setdefault(label[len(label) - k :], len(tokens))
+            key = (sid, did)
+            existing = edge_labels.get(key)
             if existing is None:
-                self._edge_labels[key] = shingle
-        return out
+                edge_labels[key] = label
+            elif existing != label:
+                break
+            path.append(did)
+        return path
 
     def push_word(self, word: str) -> Verdict:
-        out = self.verdict
-        for s in shingle_sequence(word, self.l, self.delimiter):
-            out = self.push_shingle(s)
-        return out
+        return self.push_shingles(shingle_sequence(word, self.l, self.delimiter))
 
 
 def merge_until_ud(word: ShingledWord) -> tuple[list[int], list[int]]:
@@ -321,9 +382,9 @@ def merge_until_ud(word: ShingledWord) -> tuple[list[int], list[int]]:
     carries an edge exactly when it carries a label, so a new edge is a pair
     without one, and a child count stands in for `_Core`'s child entries.
     A merge needs only whether a step is accepted, so the rules are tested
-    in `_Core.step`'s order without naming the one that rejects.
+    in `_Core.feed`'s order without naming the one that rejects.
     `tests/test_decider.py::TestMerging::test_span_merge_matches_the_string_loop`
-    pins this copy to `_Core.step`.
+    pins this copy to `_Core.feed`.
 
     Returns the first position of each live label in stream order (label j
     spans positions firsts[j] to firsts[j + 1] - 1), and the seams: the left

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from shinglesync.decider import _Core
+from shinglesync.decider import STILL_UD, Reason, Verdict, _Core
 from shinglesync.shingles import noconcat, shingle_sequence
 
 words_ab = st.text(alphabet="ab", max_size=16)
@@ -28,16 +28,128 @@ def char_values_loop(elements, points, p):
     return out
 
 
+class StepCore:
+    """The reference for `_Core.feed`: the decider core as it stood when it
+    consumed one symbol id a method call, with the same flat state."""
+
+    def __init__(self, slots):
+        self.first_ix = [0] * slots
+        self.last_ix = [0] * slots
+        self.on_cycle = [False] * slots
+        self.child0 = [-1] * slots
+        self.child1 = [-1] * slots
+        self.parent0 = [-1] * slots
+        self.parent1 = [-1] * slots
+        self.stack = []
+        self.prev = -1
+        self.pos = 0
+        self.verdict = STILL_UD
+
+    def grow_to(self, slots):
+        more = slots - len(self.first_ix)
+        if more > 0:
+            self.first_ix += [0] * more
+            self.last_ix += [0] * more
+            self.on_cycle += [False] * more
+            self.child0 += [-1] * more
+            self.child1 += [-1] * more
+            self.parent0 += [-1] * more
+            self.parent1 += [-1] * more
+
+    def step(self, cid):
+        if not self.verdict.ok:
+            return self.verdict
+        pos = self.pos + 1
+        p = self.prev
+        child0, child1 = self.child0, self.child1
+        new_edge = p >= 0 and child0[p] != cid and child1[p] != cid
+        if new_edge and self.on_cycle[cid]:
+            return self._reject(Reason.CYCLE_INTRUSION, pos)
+        b = self.parent1[cid]
+        if b >= 0:
+            a = self.parent0[cid]
+            first_ix, last_ix = self.first_ix, self.last_ix
+            if not (last_ix[a] < first_ix[b] or last_ix[b] < first_ix[a]):
+                return self._reject(Reason.COMMUNICATING_PARENTS, pos)
+        if new_edge and (child1[p] >= 0 or b >= 0):
+            return self._reject(Reason.DEGREE_OVERFLOW, pos)
+
+        if not self.first_ix[cid]:
+            self.first_ix[cid] = pos
+            self.stack.append(cid)
+        elif new_edge:
+            stack, on_cycle = self.stack, self.on_cycle
+            while True:
+                v = stack.pop()
+                on_cycle[v] = True
+                if v == cid:
+                    break
+        self.last_ix[cid] = pos
+        if new_edge:
+            if child0[p] < 0:
+                child0[p] = cid
+            else:
+                child1[p] = cid
+            if self.parent0[cid] < 0:
+                self.parent0[cid] = p
+            else:
+                self.parent1[cid] = p
+        self.prev = cid
+        self.pos = pos
+        return STILL_UD
+
+    def _reject(self, reason, pos):
+        self.verdict = Verdict(False, reason, pos)
+        return self.verdict
+
+
+class StepTokens:
+    """The reference for `TokenDecider.push_shingles`: shingles pushed one a
+    call over a `StepCore`, as the token decider did before it took batches."""
+
+    def __init__(self, l):
+        self.l = l
+        self.ids = {}
+        self.core = StepCore(0)
+        self.labels = []
+        self.edge_labels = {}
+
+    def intern(self, token):
+        tid = self.ids.get(token)
+        if tid is None:
+            tid = self.ids[token] = len(self.ids)
+            self.core.grow_to(tid + 1)
+        return tid
+
+    def push_shingle(self, shingle):
+        k = self.l - 1
+        if not self.core.verdict.ok:
+            return self.core.verdict
+        sid = self.intern(shingle[:k])
+        if self.core.pos == 0:
+            self.core.step(sid)
+        did = self.intern(shingle[len(shingle) - k :])
+        existing = self.edge_labels.get((sid, did))
+        if existing is not None and existing != shingle:
+            return self.core._reject(Reason.PARALLEL_LABELS, self.core.pos + 1)
+        out = self.core.step(did)
+        if out.ok:
+            self.labels.append(shingle)
+            if existing is None:
+                self.edge_labels[(sid, did)] = shingle
+        return out
+
+
 def reference_merge(word, l, delimiter="$"):
     """The string merge loop sessions ran before labels became spans.
 
     A node-gram decider takes the ordered shingles; a rejected label is fused
     with the live label before it by `noconcat` and pushed again.  The
-    decider's verdict absorbs, so an undo replays the accepted node ids on a
-    fresh one: the reference needs no undo of the product's.  Returns the
-    live labels in stream order and the seams: the left position of every
-    glued boundary, in the order they were glued, each merge's seams left to
-    right.
+    decider's verdict absorbs, so an undo replays the accepted node ids, as
+    one batch, on a fresh one: the reference needs no undo of the product's.
+    Returns the live labels in stream order and the seams: the left position
+    of every glued boundary, in the order they were glued, each merge's seams
+    left to right.
     """
     k = l - 1
     ids = {}
@@ -80,8 +192,7 @@ def reference_merge(word, l, delimiter="$"):
         if len(accepted) == 1:  # the first label goes, and with it the visit of its source
             accepted.pop()
         core = _Core(len(ids))
-        for cid in accepted:
-            assert core.step(cid).ok
+        assert core.feed(accepted).ok
         pair = introduced.pop()
         if pair is not None:
             del edge_labels[pair]

@@ -42,6 +42,12 @@ class TestCheck:
         capsys.readouterr()
         assert code == 2
 
+    def test_foreign_symbol_after_the_rejection_is_refused(self, capsys):
+        # the whole word is checked against the alphabet, not only the
+        # prefix that decides the verdict
+        code, out = run_cli(capsys, "check", "katanaz", "--alphabet", "aknt")
+        assert code == 2 and out == ""
+
     def test_at_file_input(self, capsys, tmp_path):
         path = tmp_path / "word.bin"
         path.write_bytes(b"katana")

@@ -4,7 +4,9 @@ from hypothesis import strategies as st
 
 from shinglesync import (
     DeBruijnGraph,
+    Reason,
     ShingleMultiset,
+    TokenDecider,
     decoding_count,
     shingling,
 )
@@ -41,6 +43,21 @@ def test_build_rejects_short_shingles():
 def test_decode_unique_rejects_ambiguous_graph():
     with pytest.raises(NotUniqueError):
         katana_graph().decode_unique()
+
+
+@pytest.mark.parametrize(
+    "entries, reason",
+    [
+        # "ab" and "acb" both run from a to b: abacb and acbab
+        ({"$a": 1, "ab": 1, "ba": 1, "acb": 1, "b$": 1}, Reason.PARALLEL_LABELS),
+        (shingling("katana", 2).entries, Reason.CYCLE_INTRUSION),
+    ],
+)
+def test_decode_unique_rejects_a_walk_the_decider_rejects(entries, reason):
+    g = DeBruijnGraph.build(ShingleMultiset(entries), 2)
+    assert TokenDecider(2).push_shingles(g.eulerian_labels()).reason is reason
+    with pytest.raises(NotUniqueError):
+        g.decode_unique()
 
 
 def test_decode_unique_rejects_unanchored_multiset():

@@ -16,10 +16,12 @@ from shinglesync import (
     ShingleMultiset,
     TokenDecider,
     UdDecider,
+    Verdict,
     bigram_map,
     decoding_count,
     is_ud,
     merge_until_ud,
+    noconcat,
     qgram_map,
     shingle_sequence,
 )
@@ -29,7 +31,7 @@ from shinglesync.errors import (
     InvalidTokenError,
 )
 
-from conftest import reference_merge, span_labels, words_ab, words_abc
+from conftest import StepCore, StepTokens, reference_merge, span_labels, words_ab, words_abc
 
 
 def push_all(word, alphabet=None):
@@ -87,6 +89,15 @@ class TestCharDecider:
             decider.push("z")
         assert decider.push("b").ok
 
+    @pytest.mark.parametrize("ids", [[0, -1, 0], [0, 2]])
+    def test_feed_ids_refuses_ids_outside_the_alphabet(self, ids):
+        # -1 would alias "b" and 2 would index past the state: the batch is
+        # refused before any of it is consumed
+        decider = UdDecider(Alphabet("ab"))
+        with pytest.raises(InvalidSymbolError):
+            decider.feed_ids(ids)
+        assert core_state(decider._core) == core_state(_Core(2)) and decider.verdict.ok
+
     def test_rejection_is_absorbing(self):
         decider, verdict = push_all("katana")
         assert not verdict.ok
@@ -141,6 +152,31 @@ class TestOracleEquivalence:
             assert is_ud(w, alphabet) == (decoding_count(bigram_map(w)).count == 1), w
 
 
+def fused_labels(word, l, fuses):
+    """The shingles of `word`, each fused onto the label before it where its
+    flag in `fuses` is set: a chained stream of mixed-length labels."""
+    labels = []
+    for s, fuse in zip(shingle_sequence(word, l), itertools.chain(fuses, itertools.repeat(False))):
+        if fuse and labels:
+            labels[-1] = noconcat(labels[-1], s, l)
+        else:
+            labels.append(s)
+    return labels
+
+
+# (l, labels): a word's shingles with some fused, or random labels of length
+# l to l + 3, which often put two labels on one node pair
+label_streams = st.integers(min_value=2, max_value=3).flatmap(
+    lambda l: st.tuples(
+        st.just(l),
+        st.one_of(
+            st.builds(fused_labels, words_abc, st.just(l), st.lists(st.booleans(), max_size=20)),
+            st.lists(st.text(alphabet="ab$", min_size=l, max_size=l + 3), max_size=16),
+        ),
+    )
+)
+
+
 class TestTokenDecider:
     def test_q2_tokens_match_char_decider(self, rng):
         for _ in range(300):
@@ -185,6 +221,38 @@ class TestTokenDecider:
         assert not verdict.ok
         assert verdict.reason is Reason.CYCLE_INTRUSION
         assert verdict.position == 7
+
+    def test_parallel_label_ends_a_batch(self):
+        # the grams after the parallel label are never interned
+        td = TokenDecider(2)
+        verdict = td.push_shingles(["$a", "ac", "ca", "abc", "cd", "de"])
+        assert verdict == Verdict(False, Reason.PARALLEL_LABELS, 5)
+        assert td.labels() == ["$a", "ac", "ca"]
+        assert td.slot_count() == 3
+
+    @settings(max_examples=400, deadline=None)
+    @given(label_streams, st.lists(st.integers(min_value=0, max_value=5), max_size=12))
+    @example((2, ["$a", "ac", "ca", "abc", "cd"]), [2, 0, 3])
+    @example((3, ["$$a", "$ab", "abba", "bab", "abaa", "baa", "aa$"]), [1, 4])
+    def test_batches_match_one_label_at_a_time(self, case, sizes):
+        # every batch's verdict, labels, slots, edge labels and core state,
+        # against single pushes and the one-push-a-call reference
+        l, labels = case
+        batched, single, reference = TokenDecider(l), TokenDecider(l), StepTokens(l)
+        rest = labels
+        for size in sizes + [len(labels)]:
+            batch, rest = rest[:size], rest[size:]
+            verdict = batched.push_shingles(batch)
+            for label in batch:
+                single.push_shingle(label)
+                reference.push_shingle(label)
+            assert verdict == single.verdict == reference.core.verdict
+            assert batched.labels() == single.labels() == reference.labels
+            assert batched.slot_count() == single.slot_count() == len(reference.core.first_ix)
+            assert list(batched._edge_labels.items()) == list(reference.edge_labels.items())
+            assert list(single._edge_labels.items()) == list(reference.edge_labels.items())
+            assert list(batched._ids.items()) == list(reference.ids.items())
+            assert core_state(batched._core) == core_state(single._core) == core_state(reference.core)
 
     def test_token_slots_track_alphabet_not_stream(self, rng):
         td = TokenDecider(2)
@@ -309,6 +377,14 @@ def entries(first, second):
     return [[v for v in pair if v >= 0] for pair in zip(first, second)]
 
 
+# an id count and a stream of ids below it, cut into batches
+core_batches = st.integers(min_value=1, max_value=6).flatmap(
+    lambda k: st.tuples(
+        st.just(k), st.lists(st.lists(st.integers(min_value=0, max_value=k - 1), max_size=12), max_size=30)
+    )
+)
+
+
 class TestCoreProperties:
     # katana and axbxbax as ids: each reaches a rejection rule, so every run
     # checks a cycle intrusion and a communicating-parents step
@@ -338,3 +414,30 @@ class TestCoreProperties:
         for cid in accepted:
             assert replay.step(cid).ok
         assert core_state(core) == core_state(replay)
+
+    # katana and axbxbax as ids again, cut into batches
+    @settings(max_examples=500, deadline=None)
+    @given(core_batches)
+    @example((4, [[0, 1], [], [2], [1, 3, 1, 3], [0]]))
+    @example((3, [[0, 1, 2, 1, 2, 0], [1], [0, 1]]))
+    def test_batches_match_the_step_reference(self, case):
+        k, batches = case
+        core, reference = _Core(k), StepCore(k)
+        for batch in batches:
+            verdict = core.feed(batch)
+            for cid in batch:
+                reference.step(cid)
+            assert verdict == core.verdict == reference.verdict
+            assert core_state(core) == core_state(reference)
+
+    @pytest.mark.parametrize(
+        "k, ids, reason, position",
+        [(4, [0, 1, 2, 1, 3, 1], Reason.CYCLE_INTRUSION, 6), (3, [0, 1, 2, 1, 2, 0, 1], Reason.COMMUNICATING_PARENTS, 7)],
+    )
+    def test_a_batch_after_a_rejection_changes_nothing(self, k, ids, reason, position):
+        core = _Core(k)
+        verdict = core.feed(ids + [0, 1])
+        assert verdict == Verdict(False, reason, position) and core.pos == position - 1
+        before = core_state(core)
+        assert core.feed(list(range(k)) * 3) == verdict
+        assert core_state(core) == before

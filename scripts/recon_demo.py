@@ -2,11 +2,19 @@
 """Run in-process reconciliation sessions over a sweep of edit counts.
 
 Prints each session's report so the per-step bit accounting is easy to eyeball
-against the edit count and shingle length.
+against the edit count and shingle length, then the session's wall time and
+the process's peak resident set so far: in MiB, and in bytes a symbol a party,
+its rise over the peak before the first session (the interpreter and the
+package) over both words' symbols.
+
+    PYTHONPATH=src python3 scripts/recon_demo.py --n 65536 --alphas 16
 """
 
 import argparse
 import random
+import resource
+import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from shinglesync import (
@@ -31,6 +39,22 @@ def run_session(word_a: str, word_b: str, config: ReconConfig, alpha: int):
     return report_a, report_b
 
 
+def peak_rss_bytes() -> int:
+    """The process's peak resident set: Linux's VmHWM, which starts afresh
+    at exec, where /proc has it; elsewhere `ru_maxrss`, which on Linux would
+    keep the peak of a large parent that forked this process, and counts
+    bytes on macOS."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=1024)
@@ -40,15 +64,23 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    before = peak_rss_bytes()
     rng = random.Random(args.seed)
     l = recommend_shingle_len(args.n, 0.6)
     for alpha in args.alphas:
         word_a = "".join(rng.choice("01") for _ in range(args.n))
         word_b = random_edits(word_a, alpha, rng, "01")
         config = ReconConfig(l=l, mode=args.mode, m_hat=args.m_hat, seed=rng.randrange(2**32))
+        start = time.perf_counter()
         report_a, _report_b = run_session(word_a, word_b, config, alpha)
+        wall = time.perf_counter() - start
+        peak = peak_rss_bytes()
         print(f"# alpha={alpha}")
-        print(report_a.to_text())
+        print(report_a.to_text(), end="")
+        print(f"session_wall_s={wall:.3f}")
+        print(f"peak_rss_mib={peak / 2**20:.1f}")
+        print(f"peak_rss_bytes_per_symbol_party={(peak - before) / (len(word_a) + len(word_b)):.0f}")
+        print()
     return 0
 
 

@@ -36,6 +36,9 @@ def cmd_check(args) -> int:
     if args.q == 2:
         verdict = UdDecider(alphabet).feed(word)
     else:
+        # the token decider takes shingles over any symbols: the word is held
+        # to the alphabet here, as the symbol decider holds it at q = 2
+        alphabet.encode(word)
         verdict = TokenDecider(args.q).push_shingles(shingle_sequence(word, args.q))
     if verdict.ok:
         print("UD")
@@ -98,7 +101,8 @@ def cmd_reconcile(args) -> int:
         if mode == MODE_FIXED:
             given["m_hat"] = m_hat
         # the paper's length, capped at the longest shingle the codec holds
-        # for the local word's symbols
+        # for the local word's symbols; a peer with other symbols may allow
+        # only a shorter one, which --l must then give
         l = args.l or min(
             recommend_shingle_len(max(2, len(word)), 0.6),
             ShingleCodec(Alphabet.from_text(word), FIELD).max_shingle_len,

@@ -13,10 +13,11 @@ integer keys that sort in canonical order.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import compress, count
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .alphabet import DEFAULT_DELIMITER, Alphabet, validate_word
 from .errors import (
@@ -249,12 +250,23 @@ class ShingleTable:
     l - 1 characters, and `key % base` ranks its last character.
 
     `counts` holds the multiplicities.  The shingle of a counted key is
-    `text[where[key] : where[key] + l]`.  A table is not changed once built.
+    `text[where[key] : where[key] + l]`.  `move` is the one change a table
+    takes: it turns the multiset into another in place, and patches the
+    sorted keys and successor index already built for the keys it adds or
+    empties.  `order`, if given, is the sorted keys of `counts`.
     """
 
     __slots__ = ("l", "ranks", "base", "counts", "text", "where", "_top", "_order", "_runs", "_next")
 
-    def __init__(self, l: int, ranks: dict[str, int], counts: dict[int, int], text: str, where: dict[int, int]):
+    def __init__(
+        self,
+        l: int,
+        ranks: dict[str, int],
+        counts: dict[int, int],
+        text: str,
+        where: dict[int, int],
+        order: list[int] | None = None,
+    ):
         self.l = l
         self.ranks = ranks
         self.base = len(ranks)
@@ -263,7 +275,7 @@ class ShingleTable:
         self.where = where
         # key % _top is the key of a shingle's last l - 1 characters
         self._top = self.base ** (l - 1)
-        self._order: list[int] | None = None
+        self._order = order
         self._runs: dict[int, list[int]] | None = None
         self._next: dict[int, int] | None = None
 
@@ -287,24 +299,22 @@ class ShingleTable:
         there when two or more of its successors still have an instance.
         """
         if self._runs is None:
-            self._index_successors(single=False)
+            self._index_successors()
         return self._runs
 
-    def _index_successors(self, single: bool) -> None:
-        """Fill `_runs`, and with `single` also `_next`, the one successor of
-        every node that is not a branch node."""
+    def _index_successors(self) -> None:
+        """Fill `_runs` and `_next`, the one successor of every node that is
+        not a branch node: both at once, for `move` to patch together."""
         order, base = self.order, self.base
         # grams[i] is the node order[i] leaves from, so grams is sorted
         grams = [key // base for key in order]
-        if self._runs is None:
-            self._runs = {
-                gram: order[bisect_left(grams, gram) : bisect_right(grams, gram)]
-                for gram in {gram for gram, after in zip(grams, grams[1:]) if gram == after}
-            }
-        if single:
-            self._next = dict(zip(grams, order))
-            for gram in self._runs:
-                del self._next[gram]
+        self._runs = {
+            gram: order[bisect_left(grams, gram) : bisect_right(grams, gram)]
+            for gram in {gram for gram, after in zip(grams, grams[1:]) if gram == after}
+        }
+        self._next = dict(zip(grams, order))
+        for gram in self._runs:
+            del self._next[gram]
 
     def walk(
         self, key: int, steps: int, left: dict[int, int], choose: Callable[[int, list[int]], int]
@@ -319,8 +329,8 @@ class ShingleTable:
         Anywhere else, at a branch node with two or more live or at a dead
         end, it takes `choose(key, live)`.
         """
-        if self._next is None:
-            self._index_successors(single=True)
+        if self._runs is None:
+            self._index_successors()
         top, runs, only = self._top, self._runs, self._next.get
         path = []
         for _ in range(steps):
@@ -349,27 +359,91 @@ class ShingleTable:
         i = self.where[key]
         return self.text[i : i + self.l]
 
-    def moved(self, remove: ShingleMultiset, add: ShingleMultiset) -> "ShingleTable":
-        """This multiset less `remove`, which it must contain, plus `add`."""
-        counts = dict(self.counts)
-        for s, mult in remove.entries.items():
-            key = self.key(s)
-            left = counts.get(key, 0) - mult
-            if left < 0:
+    def move(self, remove: ShingleMultiset, add: ShingleMultiset) -> None:
+        """Turn this multiset into itself less `remove`, which it must
+        contain, plus `add`, in place.  A move that raises changes nothing.
+
+        A key that `add` brings in gets its shingle's place at the end of
+        `text`.  The sorted keys and the successor index, where built, are
+        patched for the keys the move brings in or empties, not rebuilt.
+        """
+        counts, where = self.counts, self.where
+        dropped = [(self.key(s), s, mult) for s, mult in remove.entries.items()]
+        added = [(self.key(s), s, mult) for s, mult in add.entries.items()]
+        for key, s, mult in dropped:
+            if counts.get(key, 0) < mult:
                 raise InvalidParameterError(f"cannot remove {mult} x {s!r}, only {counts.get(key, 0)} present")
+        # whether each key the move touches was counted before it
+        held = {key: key in counts for key, _, _ in dropped + added}
+        for key, _, mult in dropped:
+            left = counts[key] - mult
             if left:
                 counts[key] = left
             else:
                 del counts[key]
-        where = dict(self.where)
         new = []
-        for s, mult in add.entries.items():
-            key = self.key(s)
+        for key, s, mult in added:
             counts[key] = counts.get(key, 0) + mult
             if key not in where:
                 where[key] = len(self.text) + self.l * len(new)
                 new.append(s)
-        return ShingleTable(self.l, self.ranks, counts, self.text + "".join(new), where)
+        self.text += "".join(new)
+        changed = [key for key, was in held.items() if was != (key in counts)]
+        if changed and self._order is not None:
+            self._order = _patched(self._order, sorted(changed), counts)
+            if self._runs is not None:
+                self._reindex({key // self.base for key in changed})
+
+    def _reindex(self, grams: set[int]) -> None:
+        """Set the `_runs` and `_next` entries of `grams` from the sorted keys."""
+        order, base, runs, only = self._order, self.base, self._runs, self._next
+        for gram in grams:
+            start = bisect_left(order, gram * base)
+            after = order[start : bisect_left(order, (gram + 1) * base, start)]
+            runs.pop(gram, None)
+            only.pop(gram, None)
+            if len(after) > 1:
+                runs[gram] = after
+            elif after:
+                only[gram] = after[0]
+
+
+def _patched(order: list[int], changed: list[int], counts: dict[int, int]) -> list[int]:
+    """Sorted `order` with the sorted keys of `changed` toggled: one that
+    `counts` holds goes in, any other comes out.  Each change is a bisect,
+    and the rest of `order` is copied a slice at a time."""
+    out: list[int] = []
+    at = 0
+    for key in changed:
+        cut = bisect_left(order, key, at)
+        out += order[at:cut]
+        if key in counts:
+            out.append(key)
+            at = cut
+        else:
+            at = cut + 1
+    out += order[at:]
+    return out
+
+
+def _node_ids(keys: Sequence[int], base: int, top: int) -> array:
+    """Dense ids of the nodes of shingles `keys`, equal ids for equal grams:
+    node j is the first l - 1 characters of shingle j, and the last node
+    the last l - 1 of the last shingle."""
+    grams = [key // base for key in keys]
+    grams.append(keys[-1] % top)
+    ids = dict(zip(dict.fromkeys(grams), count()))
+    return array("q", map(ids.__getitem__, grams))
+
+
+def _tabled(keys: Sequence[int]) -> tuple[dict[int, int], dict[int, int], list[int]]:
+    """The first position of each distinct key, its multiplicity in key
+    order, and the sorted distinct keys, which share one int a key."""
+    # later positions are overwritten
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    order = sorted(first)
+    tally = Counter(keys)
+    return first, dict(zip(order, map(tally.__getitem__, order))), order
 
 
 class ShingledWord:
@@ -383,7 +457,12 @@ class ShingledWord:
     * `codes[i]` reads shingle i in `encoding_digits`, the number
       `ShingleCodec` encodes behind its sentinel digit;
     * `table` holds the distinct shingles in canonical order, each at its
-      first position.
+      first position, and their keys sorted once, here.
+
+    `nodes` is an `array('q')`, and so are `keys` and `codes` where every
+    shingle's number fits 63 bits, (|alphabet| + 1)**l <= 2**63: binary
+    words up to l = 39.  Wider ones are lists.  A session drops each
+    sequence once the last step that reads it is done.
     """
 
     __slots__ = ("alphabet", "text", "l", "keys", "nodes", "codes", "table")
@@ -406,28 +485,26 @@ class ShingledWord:
         for r, d in zip(rank_of[: l - 1], digit_of[: l - 1]):
             key = key * base + r
             code = code * base + d
-        keys = []
-        codes = []
+        # 8 bytes a position where every key fits a machine word
+        keys, codes = (array("q"), array("q")) if base**l <= 1 << 63 else ([], [])
         for r, d in zip(rank_of[l - 1 :], digit_of[l - 1 :]):
             key = key % top * base + r
             code = code % top * base + d
             keys.append(key)
             codes.append(code)
-        grams = [key // base for key in keys]
-        grams.append(keys[-1] % top)
-        ids = dict(zip(dict.fromkeys(grams), count()))
-        counts = Counter(keys)
-        order = sorted(counts)
+        # the digit lists, and each helper's scratch, go before the next
+        # is built, so the pass peaks near what it keeps
+        del rank_of, digit_of
+        nodes = _node_ids(keys, base, top)
+        first, counts, order = _tabled(keys)
 
         self.alphabet = alphabet
         self.text = text
         self.l = l
         self.keys = keys
-        self.nodes = list(map(ids.__getitem__, grams))
+        self.nodes = nodes
         self.codes = codes
-        # the first position of each key: later positions are overwritten
-        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-        self.table = ShingleTable(l, ranks, dict(zip(order, map(counts.__getitem__, order))), text, first)
+        self.table = ShingleTable(l, ranks, counts, text, first, order)
 
     def runs(self, wanted: dict[int, int]) -> list[str]:
         """The maximal runs of consecutive windows that `wanted` picks, each

@@ -735,7 +735,7 @@ def _run(
     if config.l > codec.max_shingle_len:
         raise ProtocolError(
             f"l = {config.l} exceeds {codec.max_shingle_len}, the longest shingle "
-            "the encoding range holds"
+            f"the encoding range holds for the {len(alphabet)} symbols of both words together"
         )
 
     # step 1: one pass over the padded word gives every shingle its node ids,
@@ -750,9 +750,14 @@ def _run(
     only_local, only_remote = _reconcile_step(
         wire, role, config, codec, local, remote_instances, buckets, report
     )
+    # each of the word's per-position sequences goes once the last step that
+    # reads it is done: the codes after step 2, the node ids after the merge
+    # and the keys after step 4, before step 6 allocates
+    del local.codes
 
     # steps 3-4: merge to unique decodability (local work only)
     firsts, seams = merge_until_ud(local)
+    del local.nodes
     report.merges_local = len(seams)
     # each seam glues two instances into one; checked before it is shipped
     if len(firsts) != instances - len(seams):
@@ -762,10 +767,12 @@ def _run(
     report.longest_label = max(b - a for a, b in zip(firsts, [*firsts[1:], instances]))
     chains = seams_to_records(local, firsts)
     report.ranks_sent = len(chains.ranks)
+    table = local.table
+    del local, firsts, seams
 
     # step 5: exchange the chains of the merged labels
     wire.step = "step5"
-    base = local.table.base
+    base = table.base
     merges_payload = encode_merges(chains, instances, base)
     if role == ROLE_INITIATOR:
         wire.send(FrameKind.MERGES, merges_payload)
@@ -775,9 +782,12 @@ def _run(
         wire.send(FrameKind.MERGES, merges_payload)
     report.merges_remote = sum(remote_chains.glued)
 
-    # step 6: rebuild and uniquely decode the remote string; the peer's
-    # initial multiset and its successor index go before the decode
-    remote_merged = apply_merge_records(local.table.moved(only_local, only_remote), remote_chains)
+    # step 6: rebuild and uniquely decode the remote string.  The local
+    # table, moved in place by the step-2 difference, is the peer's initial
+    # multiset; it goes before the decode
+    table.move(only_local, only_remote)
+    remote_merged = apply_merge_records(table, remote_chains)
+    del table
     remote_word = DeBruijnGraph.build(remote_merged, config.l, config.delimiter).decode_unique()
 
     wire.step = "done"

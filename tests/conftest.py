@@ -4,7 +4,8 @@ import pytest
 from hypothesis import strategies as st
 
 from shinglesync.decider import STILL_UD, Reason, Verdict, _Core
-from shinglesync.shingles import noconcat, shingle_sequence
+from shinglesync.errors import InvalidParameterError
+from shinglesync.shingles import ShingleTable, noconcat, shingle_sequence
 
 words_ab = st.text(alphabet="ab", max_size=16)
 words_abc = st.text(alphabet="abc", max_size=14)
@@ -217,3 +218,29 @@ def span_labels(word, firsts):
     """The labels of `merge_until_ud`'s spans over a `ShingledWord`."""
     lasts = [first - 1 for first in firsts[1:]] + [len(word.keys) - 1]
     return [word.text[first : last + word.l] for first, last in zip(firsts, lasts)]
+
+
+def reference_moved(table, remove, add):
+    """The reference for `ShingleTable.move`: the peer's table built beside
+    `table` from copies of its counts and places, as sessions built it
+    before the move was made in place.  Its sorted keys and successor index
+    are built afresh when first read."""
+    counts = dict(table.counts)
+    for s, mult in remove.entries.items():
+        key = table.key(s)
+        left = counts.get(key, 0) - mult
+        if left < 0:
+            raise InvalidParameterError(f"cannot remove {mult} x {s!r}, only {counts.get(key, 0)} present")
+        if left:
+            counts[key] = left
+        else:
+            del counts[key]
+    where = dict(table.where)
+    new = []
+    for s, mult in add.entries.items():
+        key = table.key(s)
+        counts[key] = counts.get(key, 0) + mult
+        if key not in where:
+            where[key] = len(table.text) + table.l * len(new)
+            new.append(s)
+    return ShingleTable(table.l, table.ranks, counts, table.text + "".join(new), where)

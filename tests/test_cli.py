@@ -42,6 +42,23 @@ class TestCheck:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("q", ["3", "5"])
+    def test_explicit_alphabet_rejects_foreign_symbols_at_every_q(self, capsys, q):
+        # longer windows go to the token decider, which checks no symbol
+        # itself: the word is refused as it is at q = 2
+        code = main(["check", "xyz", "--alphabet", "ab", "--q", q])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: symbol 'x' not in alphabet\n"
+
+    @pytest.mark.parametrize(
+        "word, expected",
+        [("katana", (0, "UD\n")), ("acadddbadcadadcada", (1, "NOT-UD communicating-parents at index 13\n"))],
+    )
+    def test_explicit_alphabet_keeps_the_verdict_at_q3(self, capsys, word, expected):
+        assert run_cli(capsys, "check", word, "--q", "3") == expected
+        assert run_cli(capsys, "check", word, "--q", "3", "--alphabet", "abcdknt") == expected
+
     def test_foreign_symbol_after_the_rejection_is_refused(self, capsys):
         # the whole word is checked against the alphabet, not only the
         # prefix that decides the verdict
@@ -211,6 +228,35 @@ class TestReconcile:
         assert out.read_text() == text_b
         reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [(report["l"], report["outcome"]) for report in reports] == [(9, "ok"), (9, "ok")]
+
+    def test_default_l_past_the_peers_symbols_names_the_cap(self, capsys):
+        # the default l is sized from the local word's symbols alone: 15 for
+        # 1,000 binary symbols, past the 9 that the 28 symbols of both words
+        # together leave, so both ends stop straight after the hellos and
+        # say which l the session could take
+        rng = random.Random(3)
+        bits = "".join(rng.choice("01") for _ in range(1000))
+        letters = "".join(rng.choice(string.ascii_lowercase) for _ in range(1000))
+        from shinglesync.transport import Listener
+
+        listener = Listener("127.0.0.1", 0)
+        addr = f"127.0.0.1:{listener.port}"
+        listener.close()
+        results = {}
+        thread = threading.Thread(
+            target=lambda: results.setdefault("serve", main(["reconcile", "serve", addr, "--input", letters]))
+        )
+        thread.start()
+        time.sleep(0.3)
+        code = main(["reconcile", "connect", addr, "--input", bits])
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert code == 2 and results["serve"] == 2
+        message = (
+            "l = 15 exceeds 9, the longest shingle the encoding range holds "
+            "for the 28 symbols of both words together"
+        )
+        assert capsys.readouterr().err.splitlines().count(f"error: {message}") == 2
 
     @pytest.mark.parametrize(
         "option", [["--l", "5"], ["--mode", "fixed:16"], ["--k", "4"], ["--seed", "3"]]

@@ -35,6 +35,15 @@ def test_recon_demo_fixed_session():
     assert any(line.startswith("eval_bundle_frame_bits_sent=") and line != "eval_bundle_frame_bits_sent=0"
                for line in lines)
     assert "eval_bundle_frame_bits_recv=0" in lines and "delta_frame_bits_recv=0" not in lines
+    # the session's wall time and the process's peak resident set: in MiB,
+    # and its rise over the peak before the session in bytes over both
+    # words' symbols, which is no more than the whole peak
+    fields = dict(line.split("=", 1) for line in lines if "=" in line)
+    assert float(fields["session_wall_s"]) > 0
+    peak_mib, per_symbol = float(fields["peak_rss_mib"]), int(fields["peak_rss_bytes_per_symbol_party"])
+    symbols = int(fields["n_local"]) + int(fields["n_remote"])
+    assert peak_mib > 0 and per_symbol >= 0
+    assert per_symbol * symbols <= peak_mib * 2**20
 
 
 def test_merge_stats_sweep():

@@ -21,7 +21,7 @@ from shinglesync.errors import (
     InvalidSymbolError,
     OverlapMismatchError,
 )
-from shinglesync.shingles import is_valid_shingle
+from shinglesync.shingles import encoding_digits, is_valid_shingle
 
 from conftest import words_abc
 
@@ -172,3 +172,24 @@ def test_runs_take_positions_in_word_order():
     # consecutive windows join into one run; what the word lacks is not taken
     assert word.runs({code["$a"]: 1, code["ab"]: 1, code["bc"]: 5}) == ["$abc"]
     assert word.runs({}) == []
+
+
+@given(words_abc, st.integers(2, 6))
+def test_shingled_word_hands_its_table_the_sorted_keys(word, l):
+    table = ShingledWord(word, l, Alphabet("abc")).table
+    assert table.order == sorted(table.counts)
+    assert [table.shingle(key) for key in table.order] == sorted(set(shingle_sequence(word, l)))
+
+
+@pytest.mark.parametrize("l", [39, 40])
+def test_keys_and_codes_past_63_bits_stay_exact(l):
+    # 3**39 fits 63 bits and 3**40 does not: the keys and codes are held in
+    # an array up to l = 39 and in a list past it, with the same values
+    word = "0110100"
+    alphabet = Alphabet("01")
+    shingled = ShingledWord(word, l, alphabet)
+    windows = shingle_sequence(word, l)
+    digits = encoding_digits(alphabet)
+    assert list(shingled.keys) == [shingled.table.key(s) for s in windows]
+    assert list(shingled.codes) == [int("".join(str(digits[ch]) for ch in s), 3) for s in windows]
+    assert [shingled.table.shingle(key) for key in shingled.keys] == windows

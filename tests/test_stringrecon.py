@@ -25,6 +25,7 @@ from shinglesync import (
     ReconConfig,
     ShingledWord,
     ShingleMultiset,
+    ShingleTable,
     apply_merge_records,
     channel_pair,
     decoding_count,
@@ -35,10 +36,11 @@ from shinglesync import (
     seams_to_records,
     shingle_sequence,
 )
-from shinglesync import field, setrecon, stringrecon, transport
+from shinglesync import field, setrecon, shingles, stringrecon, transport
 from shinglesync.errors import (
     BoundExceededError,
     InvalidParameterError,
+    InvalidSymbolError,
     ProtocolError,
     SessionAbortError,
     ShingleSyncError,
@@ -76,7 +78,7 @@ from shinglesync.stringrecon import (
 )
 from shinglesync.transport import Frame, FrameKind, Listener, connect
 
-from conftest import char_values_loop, span_labels
+from conftest import char_values_loop, reference_moved, span_labels
 
 SRC = Path(stringrecon.__file__).resolve().parents[1]
 
@@ -151,6 +153,27 @@ def shingled(word, l):
     return ShingledWord(word, l, Alphabet(sorted(set(word))))
 
 
+def walk_log(table, key):
+    """A walk from shingle `key` over every instance the table has left,
+    taking the last live successor at each choice: its path, or None at a
+    dead end, and the choices it was put to."""
+    left = dict(table.counts)
+    left[key] -= 1
+    choices = []
+
+    def choose(at, live):
+        choices.append((at, live))
+        if not live:
+            raise LookupError
+        return live[-1]
+
+    try:
+        path = table.walk(key, sum(left.values()), left, choose)
+    except LookupError:
+        path = None
+    return path, choices
+
+
 def reference_chains(word, l, firsts):
     """The chains of the labels that start at `firsts`, from the shingle
     strings: each label's first shingle's index among the sorted distinct
@@ -221,12 +244,62 @@ class TestMergeBookkeeping:
         # remote multiset, whose sorted keys are its canonical order
         alphabet = Alphabet("abcd")
         ms_mine, ms_theirs = (ShingleMultiset(Counter(shingle_sequence(w, l))) for w in (mine, theirs))
-        moved = ShingledWord(mine, l, alphabet).table.moved(
+        moved = ShingledWord(mine, l, alphabet).table
+        moved.move(
             ShingleMultiset(ms_mine.entries - ms_theirs.entries),
             ShingleMultiset(ms_theirs.entries - ms_mine.entries),
         )
         assert [moved.shingle(key) for key in sorted(moved.counts)] == sorted(ms_theirs.entries)
         assert {moved.shingle(key): count for key, count in moved.counts.items()} == ms_theirs.entries
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(lambda k: st.tuples(st.just("abcd"[:k]), st.text(alphabet="abcd"[:k], max_size=40))),
+        st.integers(0, 8),
+        st.integers(0, 2**32),
+        st.integers(2, 6),
+        st.booleans(),
+    )
+    def test_move_in_place_matches_the_copying_reference(self, symbols_word, edits, seed, l, indexed):
+        # the local table moved by the step-2 difference against a copy moved
+        # beside it and indexed afresh, with the local index built first as
+        # `seams_to_records` builds it, or left to be built after the move
+        symbols, mine = symbols_word
+        theirs = random_edits(mine, edits, random.Random(seed), symbols)
+        alphabet = Alphabet(symbols)
+        ours, peer = Counter(shingle_sequence(mine, l)), Counter(shingle_sequence(theirs, l))
+        remove, add = ShingleMultiset(ours - peer), ShingleMultiset(peer - ours)
+        table = ShingledWord(mine, l, alphabet).table
+        if indexed:
+            table.branch_runs()
+        reference = reference_moved(table, remove, add)
+        table.move(remove, add)
+        assert table.counts == reference.counts
+        assert {key: table.shingle(key) for key in table.counts} == {
+            key: reference.shingle(key) for key in reference.counts
+        }
+        assert {table.shingle(key): count for key, count in table.counts.items()} == peer
+        assert table.order == reference.order == sorted(table.counts)
+        assert table.branch_runs() == reference.branch_runs()
+        assert table._next == reference._next
+        for key in table.order:
+            assert walk_log(table, key) == walk_log(reference, key)
+        sender = ShingledWord(theirs, l, alphabet)
+        firsts, _ = merge_until_ud(sender)
+        chains = seams_to_records(sender, firsts)
+        assert apply_merge_records(table, chains) == apply_merge_records(reference, chains) == ShingleMultiset(
+            Counter(span_labels(sender, firsts))
+        )
+
+    def test_move_that_raises_changes_nothing(self):
+        table = shingled("abca", 2).table
+        table.branch_runs()
+        before = (dict(table.counts), dict(table.where), table.text, list(table.order), dict(table.branch_runs()))
+        with pytest.raises(InvalidParameterError, match="cannot remove 2 x 'ab', only 1 present"):
+            table.move(ShingleMultiset({"bc": 1, "ab": 2}), ShingleMultiset({"cc": 1}))
+        with pytest.raises(InvalidSymbolError):
+            table.move(ShingleMultiset({"bc": 1}), ShingleMultiset({"cc": 1, "cx": 1}))
+        assert (table.counts, table.where, table.text, table.order, table.branch_runs()) == before
 
     def test_bad_records_rejected(self):
         # "abca" at l = 2 holds one instance each of '$a', 'a$', 'ab', 'bc'
@@ -684,6 +757,32 @@ class TestSessions:
         config = ReconConfig(l=13, mode=mode, m_hat=m_hat, k=8, seed=41)
         (ra, _), (rb, _) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
+
+    def test_each_party_sorts_and_indexes_its_keys_once(self, monkeypatch, rng):
+        # a party sorts its distinct keys in `ShingledWord` and builds their
+        # successor index in step 4; step 6 moves that table into the peer's
+        # and patches both, sorting only the keys the move changes
+        sorts, indexes = [], []
+        real_index = ShingleTable._index_successors
+
+        def sorted_spy(items, *args, **kwargs):
+            out = sorted(items, *args, **kwargs)
+            sorts.append((threading.current_thread().name, len(out)))
+            return out
+
+        def index_spy(table):
+            indexes.append(threading.current_thread().name)
+            real_index(table)
+
+        monkeypatch.setattr(shingles, "sorted", sorted_spy, raising=False)
+        monkeypatch.setattr(ShingleTable, "_index_successors", index_spy)
+        wa = "".join(rng.choice("01") for _ in range(2000))
+        wb = random_edits(wa, 4, rng, "01")
+        (ra, _), (rb, _) = run_session(wa, wb, ReconConfig(l=13, seed=47))
+        assert ra == wb and rb == wa
+        full = [thread for thread, size in sorts if size > 1000]
+        assert len(full) == len(set(full)) == 2
+        assert len(indexes) == len(set(indexes)) == 2
 
     @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 96), (MODE_RATELESS, 0)])
     def test_sessions_decode_no_instance(self, monkeypatch, rng, mode, m_hat):

@@ -1,9 +1,10 @@
 """Multiset reconciliation via characteristic-polynomial evaluation.
 
-Each (shingle, occurrence) instance is encoded injectively into the low range
-of a prime field; both hosts evaluate the product of (Z - element) over their
-multisets at shared points drawn from the reserved top range.  The pointwise
-ratio of the two evaluations equals the ratio of the difference polynomials,
+Each (shingle, occurrence) instance maps injectively into the low range of a
+prime field (by `ShingleCodec`, or from table keys in a session); both hosts
+evaluate the product of (Z - element) over their multisets at shared points
+drawn from the reserved top range.  The pointwise ratio of the two
+evaluations equals the ratio of the difference polynomials,
 whose roots decode back to the differing instances.  One decoder,
 `RatelessDecoder`, absorbs the pairs one at a time and stops at the first
 verified difference, whether they stream in on request (rateless mode) or
@@ -27,7 +28,6 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from operator import add
 from typing import Iterable
 
 from .alphabet import Alphabet
@@ -55,7 +55,7 @@ from .field import (  # noqa: F401
     pgcd,
     rational_from_modulus,
 )
-from .shingles import ShingledWord, ShingleMultiset, encoding_digits
+from .shingles import ShingleMultiset
 
 DEFAULT_OCC_BITS = 16
 _MASK64 = (1 << 64) - 1
@@ -68,7 +68,8 @@ class ShingleCodec:
     A shingle is read as digits base |alphabet|+1 (delimiter gets the top
     digit) behind a leading sentinel digit, then paired with the occurrence
     counter in the low `occ_bits` bits.  Everything must land below the
-    field's reserved point range.
+    field's reserved point range.  It serves shingles of any length; a
+    session, which decodes no element, reads only `max_shingle_len` here.
     """
 
     alphabet: Alphabet
@@ -77,7 +78,11 @@ class ShingleCodec:
 
     @cached_property
     def _digits(self) -> dict[str, int]:
-        return encoding_digits(self.alphabet)
+        """Each character's digit: a symbol's alphabet index, and the top
+        digit, |alphabet|, for the delimiter."""
+        digits = {ch: i for i, ch in enumerate(self.alphabet)}
+        digits[self.alphabet.delimiter] = len(self.alphabet)
+        return digits
 
     @cached_property
     def max_shingle_len(self) -> int:
@@ -130,29 +135,6 @@ class ShingleCodec:
 
     def encode_multiset(self, ms: ShingleMultiset) -> list[int]:
         return [self.encode(s, occ) for s, occ in ms.instances()]
-
-    def encode_word(self, word: ShingledWord) -> list[int]:
-        """`encode_multiset` of the word's shingling, from the codes of its
-        one pass: each shingle's instances are consecutive elements, the
-        sentinel and code shifted past the occurrence bits, plus occ - 1."""
-        alphabet = word.alphabet
-        if (alphabet.symbols, alphabet.delimiter) != (self.alphabet.symbols, self.alphabet.delimiter):
-            raise InvalidParameterError("the word was shingled over another alphabet")
-        table = word.table
-        bits = self.occ_bits
-        sentinel = (len(self.alphabet) + 1) ** word.l
-        mults = list(table.counts.values())
-        codes, where = word.codes, table.where
-        starts = [(sentinel + codes[where[key]]) << bits for key in table.counts]
-        most = max(mults)
-        if most > 1 << bits or max(starts) + most > self.field.encoding_limit:
-            # some instance may not fit: encode raises at the first that does not
-            return [
-                self.encode(table.shingle(key), occ)
-                for key, mult in table.counts.items()
-                for occ in range(1, mult + 1)
-            ]
-        return list(itertools.chain.from_iterable(map(range, starts, map(add, starts, mults))))
 
     def decode_multiset(self, elements: list[int]) -> ShingleMultiset:
         counts: dict[str, int] = {}

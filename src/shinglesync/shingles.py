@@ -227,14 +227,6 @@ def fold(shingles: Iterable[str], l: int) -> str:
     return acc
 
 
-def encoding_digits(alphabet: Alphabet) -> dict[str, int]:
-    """The digit `ShingleCodec` reads for each character: a symbol's alphabet
-    index, and the top digit, |alphabet|, for the delimiter."""
-    table = {ch: i for i, ch in enumerate(alphabet)}
-    table[alphabet.delimiter] = len(alphabet)
-    return table
-
-
 def rank_digits(alphabet: Alphabet) -> dict[str, int]:
     """Each character's rank by code point among the symbols and the delimiter."""
     return {ch: i for i, ch in enumerate(sorted((*alphabet.symbols, alphabet.delimiter)))}
@@ -454,18 +446,16 @@ class ShingledWord:
 
     * `keys[i]` is the `ShingleTable` key of shingle i;
     * `nodes[j]` is a dense id of node j, equal ids for equal grams;
-    * `codes[i]` reads shingle i in `encoding_digits`, the number
-      `ShingleCodec` encodes behind its sentinel digit;
     * `table` holds the distinct shingles in canonical order, each at its
       first position, and their keys sorted once, here.
 
-    `nodes` is an `array('q')`, and so are `keys` and `codes` where every
-    shingle's number fits 63 bits, (|alphabet| + 1)**l <= 2**63: binary
-    words up to l = 39.  Wider ones are lists.  A session drops each
-    sequence once the last step that reads it is done.
+    `nodes` is an `array('q')`, and so is `keys` where every key fits 63
+    bits, (|alphabet| + 1)**l <= 2**63: binary words up to l = 39.  Wider
+    keys are a list.  A session drops each sequence once the last step that
+    reads it is done.
     """
 
-    __slots__ = ("alphabet", "text", "l", "keys", "nodes", "codes", "table")
+    __slots__ = ("text", "l", "keys", "nodes", "table")
 
     def __init__(self, word: str, l: int, alphabet: Alphabet):
         if l < 2:
@@ -477,52 +467,54 @@ class ShingledWord:
         top = base ** (l - 1)
         try:
             rank_of = list(map(ranks.__getitem__, text))
-            digit_of = list(map(encoding_digits(alphabet).__getitem__, text))
         except KeyError as exc:
             raise InvalidSymbolError(f"symbol {exc.args[0]!r} not in alphabet") from None
-        # the window before shingle 0 is the l - 1 leading delimiters
-        key = code = 0
-        for r, d in zip(rank_of[: l - 1], digit_of[: l - 1]):
-            key = key * base + r
-            code = code * base + d
         # 8 bytes a position where every key fits a machine word
-        keys, codes = (array("q"), array("q")) if base**l <= 1 << 63 else ([], [])
-        for r, d in zip(rank_of[l - 1 :], digit_of[l - 1 :]):
+        keys = array("q") if base**l <= 1 << 63 else []
+        key = 0
+        for r in rank_of:
             key = key % top * base + r
-            code = code % top * base + d
             keys.append(key)
-            codes.append(code)
-        # the digit lists, and each helper's scratch, go before the next
-        # is built, so the pass peaks near what it keeps
-        del rank_of, digit_of
+        # the first l - 1 keys read only part of a window of leading delimiters
+        del keys[: l - 1]
+        # the ranks, and each helper's scratch, go before the next is
+        # built, so the pass peaks near what it keeps
+        del rank_of
         nodes = _node_ids(keys, base, top)
         first, counts, order = _tabled(keys)
 
-        self.alphabet = alphabet
         self.text = text
         self.l = l
         self.keys = keys
         self.nodes = nodes
-        self.codes = codes
         self.table = ShingleTable(l, ranks, counts, text, first, order)
 
     def runs(self, wanted: dict[int, int]) -> list[str]:
-        """The maximal runs of consecutive windows that `wanted` picks, each
-        as the r + l - 1 characters of the padded word its r windows cover.
-
-        `wanted` counts instances by `codes` value.  One pass takes, in word
-        order, each position whose code still has a count left, so a
-        repeated shingle's instance is taken where it first occurs, and may
-        split a run that a later occurrence would have continued.
-        """
-        codes, left = self.codes, dict(wanted)
-        spans: list[list[int]] = []
-        for at in compress(count(), map(left.__contains__, codes)):
-            code = codes[at]
-            if left[code]:
-                left[code] -= 1
-                if spans and spans[-1][1] == at:
-                    spans[-1][1] = at + 1
-                else:
-                    spans.append([at, at + 1])
-        return [self.text[start : end + self.l - 1] for start, end in spans]
+        """The maximal runs of consecutive windows that `wanted`, a count of
+        instances by key, picks, each as the r + l - 1 characters of the
+        padded word its r windows cover.  A key wanted less often than it
+        occurs gives first its positions next to a taken one, which extend a
+        run, and only then the rest in word order."""
+        keys, counts = self.keys, self.table.counts
+        # the instances left to take of each key wanted in part
+        left = {key: n for key, n in wanted.items() if n < counts.get(key, 0)}
+        whole = wanted.keys() - left.keys()
+        stack = list(compress(count(), map(whole.__contains__, keys)))
+        taken = set(stack)
+        rest = compress(count(), map(left.__contains__, keys))
+        while stack or any(left.values()):
+            if stack:
+                at = stack.pop()
+            else:
+                at = next(at for at in rest if left[keys[at]] and at not in taken)
+                left[keys[at]] -= 1
+                taken.add(at)
+            for near in (at - 1, at + 1):
+                if near not in taken and 0 <= near < len(keys) and left.get(keys[near]):
+                    left[keys[near]] -= 1
+                    taken.add(near)
+                    stack.append(near)
+        ordered = sorted(taken)
+        starts = [at for at in ordered if at - 1 not in taken]
+        ends = [at for at in ordered if at + 1 not in taken]
+        return [self.text[start : end + self.l] for start, end in zip(starts, ends)]

@@ -30,6 +30,7 @@ import bisect
 import hashlib
 import itertools
 import json
+import operator
 import random
 import struct
 from collections import Counter
@@ -50,6 +51,7 @@ from .field import P61, FieldSpec, PointStream, peval
 # reconcile_fixed is unused here but stays importable from this module:
 # perfbench/tracing.py rebinds it on it
 from .setrecon import (  # noqa: F401
+    DEFAULT_OCC_BITS,
     Delta,
     EvalBundle,
     RatelessDecoder,
@@ -70,7 +72,7 @@ from .shingles import (  # noqa: F401
 )
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 10
+PROTOCOL_VERSION = 11
 
 # the one field every session runs over: P61 with points drawn from its top
 # 2**40 residues; neither party announces it, so it never crosses the wire
@@ -85,6 +87,33 @@ MAX_REQUEST_BITS = MAX_REQUEST.bit_length()
 
 MODE_FIXED = "fixed"
 MODE_RATELESS = "rateless"
+
+
+# a session's elements: occurrence occ = 1..2**16 of the shingle with
+# `ShingleTable` key `key` is key * 2**16 + occ, injective, never 0, and at
+# most base**l * 2**16, inside the encoding range at every l up to
+# `ShingleCodec.max_shingle_len`
+_OCCURRENCES = 1 << DEFAULT_OCC_BITS
+
+
+def _element(key: int, occ: int) -> int:
+    """The element of occurrence `occ` of the shingle `key`."""
+    return key * _OCCURRENCES + occ
+
+
+def _elements(table: ShingleTable) -> list[int]:
+    """The elements of a table's instances, key after key in canonical order."""
+    order = table.order
+    mults = list(map(table.counts.__getitem__, order))
+    if mults and max(mults) > _OCCURRENCES:
+        raise EncodingCapacityError(f"occurrence {_OCCURRENCES + 1} exceeds {DEFAULT_OCC_BITS} bits")
+    starts = [key * _OCCURRENCES + 1 for key in order]  # _element(key, 1)
+    return list(itertools.chain.from_iterable(map(range, starts, map(operator.add, starts, mults))))
+
+
+def _root_key(root: int) -> int:
+    """The key of the shingle whose instance has the element `root`."""
+    return (root - 1) // _OCCURRENCES
 
 
 @dataclass(frozen=True)
@@ -738,8 +767,7 @@ def _run(
             f"the encoding range holds for the {len(alphabet)} symbols of both words together"
         )
 
-    # step 1: one pass over the padded word gives every shingle its node ids,
-    # key and code
+    # step 1: one rolling pass gives every shingle its node ids and key
     local = ShingledWord(word, config.l, alphabet)
     instances = len(local.keys)
 
@@ -750,10 +778,8 @@ def _run(
     only_local, only_remote = _reconcile_step(
         wire, role, config, codec, local, remote_instances, buckets, report
     )
-    # each of the word's per-position sequences goes once the last step that
-    # reads it is done: the codes after step 2, the node ids after the merge
-    # and the keys after step 4, before step 6 allocates
-    del local.codes
+    # the word's node ids go after the merge and its keys after step 4,
+    # before step 6 allocates
 
     # steps 3-4: merge to unique decodability (local work only)
     firsts, seams = merge_until_ud(local)
@@ -839,8 +865,8 @@ def _reconcile_step(
     """Step 2, one flow for both modes; returns the (local, remote) instances
     that are on one side only.
 
-    Both parties encode their instances (`ShingleCodec.encode_word`) and
-    hash them into `buckets` buckets, and each bucket runs its own source
+    Both parties build their elements from their table keys (`_elements`)
+    and hash them into `buckets` buckets, and each bucket runs its own source
     (initiator) or decoder (responder) over the session's one point stream,
     whose points go to the buckets in bucket order.  The initiator sends
     characteristic values: a first batch per bucket in its bundle, then
@@ -866,7 +892,7 @@ def _reconcile_step(
     l = config.l
     first = -(-config.m_hat // buckets) if config.mode == MODE_FIXED else 0
     points = PointStream(codec.field, config.seed)
-    elements = codec.encode_word(local)
+    elements = _elements(local.table)
     parts = partition(elements, buckets, config.seed)
     # the session check's whole-set values, on the same point stream
     whole = RatelessSource.from_elements(elements, codec, points)
@@ -926,7 +952,7 @@ def _reconcile_step(
             if roots is None:
                 raise ProtocolError(f"hand-off polynomial of bucket {b} does not split over its local elements")
             my_roots += roots
-        my_runs = _own_runs(local, codec, my_roots)
+        my_runs = _own_runs(local, my_roots)
         wire.send(FrameKind.DELTA, encode_runs(my_runs, l, chars))
         return _windows(my_runs, l), _windows(remote_runs, l)
 
@@ -978,11 +1004,11 @@ def _reconcile_step(
         report.step2_pairs += len(values)
         feed(counts, values)
     polys = [list(result.remote_poly) for result in results]
-    my_runs = _own_runs(local, codec, [root for result in results for root in result.local_roots])
+    my_runs = _own_runs(local, [root for result in results for root in result.local_roots])
     wire.send(FrameKind.DELTA, encode_handoff(my_runs, polys, l, chars, sizes))
     degrees = sum(len(poly) - 1 for poly in polys)
     remote_runs = decode_runs(wire.expect(FrameKind.DELTA).payload, l, degrees, chars)
-    return _windows(my_runs, l), _initiator_only(remote_runs, local, codec, polys, config.seed)
+    return _windows(my_runs, l), _initiator_only(remote_runs, local, polys, config.seed)
 
 
 def _session_check(
@@ -1008,12 +1034,10 @@ def _session_check(
     return True
 
 
-def _own_runs(word: ShingledWord, codec: ShingleCodec, roots: list[int]) -> list[str]:
-    """The runs of the word that hold its instances encoded as `roots`, which
-    are among its own elements: each root names its shingle's code, behind
-    the codec's sentinel and occurrence bits, so no root is decoded."""
-    sentinel = (len(codec.alphabet) + 1) ** word.l
-    runs = word.runs(Counter((root >> codec.occ_bits) - sentinel for root in roots))
+def _own_runs(word: ShingledWord, roots: list[int]) -> list[str]:
+    """The runs of the word that hold its instances with the elements
+    `roots`, found by their keys (`_root_key`), not decoded."""
+    runs = word.runs(Counter(map(_root_key, roots)))
     if sum(len(run) - word.l + 1 for run in runs) != len(roots):
         raise InvariantError(f"the word's runs do not hold its {len(roots)} one-sided instances")
     return runs
@@ -1026,31 +1050,31 @@ def _windows(runs: list[str], l: int) -> ShingleMultiset:
 
 
 def _initiator_only(
-    runs: list[str], local: ShingledWord, codec: ShingleCodec, polys: list[list[int]], seed: int
+    runs: list[str], local: ShingledWord, polys: list[list[int]], seed: int
 ) -> ShingleMultiset:
     """The initiator's instances from its runs, checked against the hand-off.
 
     Each window is an instance above the responder's own count of its
-    shingle, which re-encodes into the bucket `partition` puts it in; every
-    bucket must then hold exactly its polynomial's roots: as many instances
-    as its degree, each of them a root.
+    shingle, whose element (`_element`) lands in the bucket `partition`
+    puts it in; every bucket must then hold exactly its polynomial's roots:
+    as many instances as its degree, each of them a root.
     """
     only_remote = _windows(runs, local.l)
-    table, p = local.table, codec.field.p
+    table = local.table
     elements = []
-    try:
-        for shingle, mult in only_remote.entries.items():
-            have = table.counts.get(table.key(shingle), 0)
-            elements += [codec.encode(shingle, occ) for occ in range(have + 1, have + mult + 1)]
-    except EncodingCapacityError as exc:
-        raise ProtocolError(f"peer sent an instance past the encoding range: {exc}") from None
+    for shingle, mult in only_remote.entries.items():
+        key = table.key(shingle)
+        have = table.counts.get(key, 0)
+        if have + mult > _OCCURRENCES:
+            raise ProtocolError(f"peer sent occurrence {have + mult} of a shingle, past the encoding range")
+        elements += [_element(key, occ) for occ in range(have + 1, have + mult + 1)]
     for b, (part, poly) in enumerate(zip(partition(elements, len(polys), seed), polys)):
         if len(part) != len(poly) - 1:
             raise ProtocolError(
                 f"the peer's runs put {len(part)} instances in bucket {b}, "
                 f"whose hand-off polynomial has degree {len(poly) - 1}"
             )
-        if any(peval(poly, e, p) for e in part):
+        if any(peval(poly, e, FIELD.p) for e in part):
             raise ProtocolError(f"a run of the peer's holds an instance that is no root in bucket {b}")
     return only_remote
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from shinglesync.decider import STILL_UD, Reason, Verdict, _Core
 from shinglesync.errors import InvalidParameterError
-from shinglesync.shingles import ShingleTable, noconcat, shingle_sequence
+from shinglesync.shingles import ShingleMultiset, ShingleTable, noconcat, rank_digits, shingle_sequence
 
 words_ab = st.text(alphabet="ab", max_size=16)
 words_abc = st.text(alphabet="abc", max_size=14)
@@ -26,6 +26,21 @@ def char_values_loop(elements, points, p):
         for e in elements:
             acc = acc * (z - e) % p
         out.append(acc)
+    return out
+
+
+def session_elements(word, l, alphabet):
+    """The reference for a session's elements: every (shingle, occurrence)
+    instance of the word's shingling in canonical order, as key * 2**16 +
+    occ, with the key read from the shingle's string digit by digit in
+    `rank_digits`."""
+    ranks = rank_digits(alphabet)
+    out = []
+    for shingle, occ in ShingleMultiset(shingle_sequence(word, l, alphabet.delimiter)).instances():
+        key = 0
+        for ch in shingle:
+            key = key * len(ranks) + ranks[ch]
+        out.append(key * 2**16 + occ)
     return out
 
 

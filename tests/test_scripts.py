@@ -25,11 +25,12 @@ def run_script(name, *args):
 
 def test_recon_demo_fixed_session():
     # 267 instances make sixteen buckets, each bundled 64 / 16 values beside
-    # the session check's k = 8; one bucket tops up one value in one round
+    # the session check's k = 8; one bucket holds 6 one-sided instances and
+    # tops up its 4 values to 7 in two rounds of its request ladder, 1 and 2
     lines = run_script("recon_demo.py", "--n", "256", "--alphas", "1", "--mode", "fixed", "--m-hat", "64")
     assert lines[0] == "# alpha=1"
-    for line in ("role=initiator", "outcome=ok", "mode=fixed", "n_local=256", "step2_pairs=73",
-                 "step2_buckets=16", "step2_rounds=1", "step2_checks=1"):
+    for line in ("role=initiator", "outcome=ok", "mode=fixed", "n_local=256", "step2_pairs=75",
+                 "step2_buckets=16", "step2_rounds=2", "step2_checks=1"):
         assert line in lines
     # the bits by frame kind: the bundle is the initiator's, the hand-off the responder's
     assert any(line.startswith("eval_bundle_frame_bits_sent=") and line != "eval_bundle_frame_bits_sent=0"

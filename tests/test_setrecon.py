@@ -1,10 +1,10 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from shinglesync import Alphabet, FieldSpec, ShingledWord, ShingleMultiset, shingling
+from shinglesync import Alphabet, FieldSpec, ShingleMultiset
 from shinglesync.errors import (
     BoundExceededError,
     EncodingCapacityError,
@@ -79,63 +79,6 @@ class TestCodec:
         elems = CODEC.encode_multiset(ms)
         assert elems == sorted(set(elems)) or len(set(elems)) == 3
         assert CODEC.decode_multiset(elems) == ms
-
-
-def encode_both(codec, word, l):
-    """`encode_word` and `encode_multiset` of one shingling: each the element
-    list, or the type and message of what it raised."""
-    out = []
-    for encode in (
-        lambda: codec.encode_word(ShingledWord(word, l, codec.alphabet)),
-        lambda: codec.encode_multiset(shingling(word, l)),
-    ):
-        try:
-            out.append(encode())
-        except EncodingCapacityError as exc:
-            out.append((type(exc), str(exc)))
-    return out
-
-
-class TestEncodeWord:
-    """The rolling pass's elements against `encode_multiset`, element by element."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.sampled_from(["0", "01", "abc", "ba", "!~"]).flatmap(
-            lambda symbols: st.tuples(st.just(symbols), st.text(alphabet=symbols, max_size=120))
-        ),
-        st.integers(min_value=2, max_value=9),
-    )
-    def test_elements_match_encode_multiset(self, case, l):
-        # "ba" is an alphabet out of code-point order; the delimiter "$" sorts
-        # between "!" and "~"
-        symbols, word = case
-        rolled, reference = encode_both(ShingleCodec(Alphabet(symbols), FIELD), word, l)
-        assert rolled == reference and isinstance(rolled, list)
-
-    @pytest.mark.parametrize("symbols", ["01", "abc"])
-    def test_capacity_edge_at_max_shingle_len(self, symbols):
-        codec = ShingleCodec(Alphabet(symbols), FIELD)
-        top = codec.max_shingle_len
-        outcomes = set()
-        for l in (top - 2, top - 1, top):
-            for word in ("", symbols[0], symbols[-1] * 3, symbols * 5):
-                rolled, reference = encode_both(codec, word, l)
-                assert rolled == reference
-                outcomes.add(isinstance(rolled, list))
-        # both sides of the edge are reached: words that fit and words that do not
-        assert outcomes == {True, False}
-
-    def test_occurrence_bound(self):
-        codec = ShingleCodec(Alphabet("ab"), FIELD, occ_bits=2)
-        rolled, reference = encode_both(codec, "a" * 6, 2)
-        assert rolled == reference
-        assert reference[0] is EncodingCapacityError and "occurrence 5" in reference[1]
-        assert encode_both(codec, "a" * 3, 2)[0] == codec.encode_multiset(shingling("a" * 3, 2))
-
-    def test_word_over_another_alphabet_is_refused(self):
-        with pytest.raises(InvalidParameterError):
-            CODEC.encode_word(ShingledWord("ab", 3, Alphabet("ab")))
 
 
 class TestCharPoly:

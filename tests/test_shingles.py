@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from shinglesync.errors import (
     InvalidSymbolError,
     OverlapMismatchError,
 )
-from shinglesync.shingles import encoding_digits, is_valid_shingle
+from shinglesync.shingles import is_valid_shingle
 
 from conftest import words_abc
 
@@ -165,13 +167,30 @@ def test_canonical_order_is_utf8_byte_order_on_multibyte_symbols():
 def test_runs_take_positions_in_word_order():
     # "$abcab$" at l = 2: windows '$a', 'ab', 'bc', 'ca', 'ab', 'b$'
     word = ShingledWord("abcab", 2, Alphabet("abc"))
-    code = {word.text[i : i + 2]: c for i, c in enumerate(word.codes)}
-    # one 'ab' is taken where it first occurs, which splits "cab$" in two
-    assert word.runs({code["ab"]: 1, code["ca"]: 1, code["b$"]: 1}) == ["ab", "ca", "b$"]
-    assert word.runs({code["ab"]: 2, code["ca"]: 1, code["b$"]: 1}) == ["ab", "cab$"]
+    key = {word.text[i : i + 2]: k for i, k in enumerate(word.keys)}
+    # one 'ab' of two is taken next to the taken 'ca' and 'b$', not where
+    # it first occurs, so "cab$" stays one run
+    assert word.runs({key["ab"]: 1, key["ca"]: 1, key["b$"]: 1}) == ["cab$"]
+    assert word.runs({key["ab"]: 2, key["ca"]: 1, key["b$"]: 1}) == ["ab", "cab$"]
     # consecutive windows join into one run; what the word lacks is not taken
-    assert word.runs({code["$a"]: 1, code["ab"]: 1, code["bc"]: 5}) == ["$abc"]
+    assert word.runs({key["$a"]: 1, key["ab"]: 1, key["bc"]: 5}) == ["$abc"]
+    # with no taken position next to one, the first in word order
+    assert word.runs({key["ab"]: 1}) == ["ab"]
+    assert word.runs({key["ab"]: 1, key["$a"]: 1}) == ["$ab"]
     assert word.runs({}) == []
+
+
+def test_runs_keep_a_repeated_shingle_in_the_edited_run():
+    # "$aabaab$" at l = 3 with the second "aab" one-sided: its windows
+    # 'baa', 'aab' and 'ab$' are one run, though 'aab' first occurs earlier
+    word = ShingledWord("aabaab", 3, Alphabet("ab"))
+    key = {word.text[i : i + 3]: k for i, k in enumerate(word.keys)}
+    assert word.runs({key["baa"]: 1, key["aab"]: 1, key["ab$"]: 1}) == ["baab$"]
+    # "$abcabc$" at l = 2: the run grows from 'c$' one window at a time,
+    # through the second 'bc' and the second 'ab'
+    word = ShingledWord("abcabc", 2, Alphabet("abc"))
+    key = {word.text[i : i + 2]: k for i, k in enumerate(word.keys)}
+    assert word.runs({key["ab"]: 1, key["bc"]: 1, key["c$"]: 1}) == ["abc$"]
 
 
 @given(words_abc, st.integers(2, 6))
@@ -183,13 +202,11 @@ def test_shingled_word_hands_its_table_the_sorted_keys(word, l):
 
 @pytest.mark.parametrize("l", [39, 40])
 def test_keys_and_codes_past_63_bits_stay_exact(l):
-    # 3**39 fits 63 bits and 3**40 does not: the keys and codes are held in
-    # an array up to l = 39 and in a list past it, with the same values
+    # 3**39 fits 63 bits and 3**40 does not: the keys are held in an array
+    # up to l = 39 and in a list past it, with the same values
     word = "0110100"
-    alphabet = Alphabet("01")
-    shingled = ShingledWord(word, l, alphabet)
+    shingled = ShingledWord(word, l, Alphabet("01"))
     windows = shingle_sequence(word, l)
-    digits = encoding_digits(alphabet)
+    assert isinstance(shingled.keys, array) == (l == 39)
     assert list(shingled.keys) == [shingled.table.key(s) for s in windows]
-    assert list(shingled.codes) == [int("".join(str(digits[ch]) for ch in s), 3) for s in windows]
     assert [shingled.table.shingle(key) for key in shingled.keys] == windows

@@ -39,6 +39,7 @@ from shinglesync import (
 from shinglesync import field, setrecon, shingles, stringrecon, transport
 from shinglesync.errors import (
     BoundExceededError,
+    EncodingCapacityError,
     InvalidParameterError,
     InvalidSymbolError,
     ProtocolError,
@@ -78,7 +79,7 @@ from shinglesync.stringrecon import (
 )
 from shinglesync.transport import Frame, FrameKind, Listener, connect
 
-from conftest import char_values_loop, reference_moved, span_labels
+from conftest import char_values_loop, reference_moved, session_elements, span_labels
 
 SRC = Path(stringrecon.__file__).resolve().parents[1]
 
@@ -96,11 +97,7 @@ def run_session(word_a, word_b, config_a, config_b=None, alpha=None, timeout=120
 def bucket_differences(word_a, word_b, l, buckets, seed):
     """Shingle instances on one side only in each step-2 bucket, for two words
     over {0, 1}."""
-    codec = ShingleCodec(Alphabet("01"), FIELD)
-    parts_a, parts_b = (
-        partition(codec.encode_multiset(ShingleMultiset(Counter(shingle_sequence(w, l)))), buckets, seed)
-        for w in (word_a, word_b)
-    )
+    parts_a, parts_b = (partition(session_elements(w, l, Alphabet("01")), buckets, seed) for w in (word_a, word_b))
     return [len(set(pa) ^ set(pb)) for pa, pb in zip(parts_a, parts_b)]
 
 
@@ -593,6 +590,21 @@ class TestWireCodecs:
         with pytest.raises(InvalidParameterError):
             ReconConfig(**{"l": 7, name: value})
 
+    def test_hello_of_protocol_version_10_is_refused(self):
+        # version 10 built its elements in the library codec's scheme
+        hello = bytearray(hello_for(ReconConfig(l=7, seed=1), "ab").payload)
+        assert hello[0] == 11
+        hello[0] = 10
+        with pytest.raises(ProtocolError, match="unsupported protocol version 10"):
+            decode_hello(bytes(hello))
+
+        def script(peer):
+            peer.send(Frame(FrameKind.HELLO, bytes(hello)))
+            peer.recv()
+
+        exc = scripted_session("ab", "responder", ReconConfig(l=7, seed=1), script)
+        assert isinstance(exc, ProtocolError) and "version 10" in str(exc)
+
     def test_hello_symbols_must_be_utf8(self):
         payload = encode_hello(ReconConfig(l=7, seed=1), 2, "ab")
         bad = payload[:-2] + b"\xff\xfe"
@@ -787,11 +799,13 @@ class TestSessions:
     @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 96), (MODE_RATELESS, 0)])
     def test_sessions_decode_no_instance(self, monkeypatch, rng, mode, m_hat):
         # each party knows its own one-sided instances by their positions in
-        # its word, and the peer's arrive as runs of symbols
+        # its word, and the peer's arrive as runs of symbols; the elements
+        # come from the table keys, not from the library codec
         def forbidden(*_args):
-            raise AssertionError("a session decoded an instance")
+            raise AssertionError("a session used the library codec")
 
-        monkeypatch.setattr(ShingleCodec, "decode", forbidden)
+        for name in ("decode", "encode", "encode_multiset"):
+            monkeypatch.setattr(ShingleCodec, name, forbidden)
         wa = "".join(rng.choice("01") for _ in range(300))
         wb = random_edits(wa, 4, rng, "01")
         config = ReconConfig(l=13, mode=mode, m_hat=m_hat, k=8, seed=43)
@@ -949,7 +963,6 @@ class TestSessions:
         header = 40  # length:u32 and kind:u8
         l = 13
         alphabet = Alphabet("01")
-        codec = ShingleCodec(alphabet, FIELD)
         # 40 + 12 instances make eight buckets; 300 + 12 make sixteen
         for n, buckets in ((40, 8), (300, 16)):
             batches.clear()
@@ -966,18 +979,17 @@ class TestSessions:
             assert len(batches) == len(requests) == rounds == rep_b.step2_rounds
             # the check in the bundle passes: no request asks for another
             assert [0] * buckets not in requests
-            sizes = [len(part) for part in partition(codec.encode_multiset(ShingleMultiset(ca)), buckets, 23)]
+            sizes = [len(part) for part in partition(session_elements(wa, l, alphabet), buckets, 23)]
 
             def block(count, width=62):  # zero-padded to a byte
                 return 8 * ((width * count + 7) // 8)
 
             def runs_bits(mine, theirs, word):
                 # each side's one-sided instances as the runs of its word
-                # that take them first come first served; the run count and
-                # window counts at the bit length of their total, then 2 bits
-                # a character
+                # that take them; the run count and window counts at the bit
+                # length of their total, then 2 bits a character
                 w = ShingledWord(word, l, alphabet)
-                wanted = Counter({w.codes[w.table.where[w.table.key(s)]]: m for s, m in (mine - theirs).items()})
+                wanted = Counter({w.table.key(s): m for s, m in (mine - theirs).items()})
                 runs = w.runs(wanted)
                 total = sum((mine - theirs).values())
                 assert sum(len(run) - l + 1 for run in runs) == total
@@ -1185,18 +1197,17 @@ class TestStep2Evaluation:
         buckets, first = 32, 2
         assert len(payload) == 10 * buckets // 8 + value_block_bytes(buckets * first + config.k)
         sizes, values = decode_bundle(payload, buckets, buckets * first + config.k, 611)
-        codec = ShingleCodec(Alphabet("01"), FIELD)
-        ms = ShingleMultiset(Counter(shingle_sequence(wa, config.l)))
-        parts = partition(codec.encode_multiset(ms), buckets, config.seed)
+        elements = session_elements(wa, config.l, Alphabet("01"))
+        parts = partition(elements, buckets, config.seed)
         assert sizes == [len(part) for part in parts]
         points = FIELD.sample_points(config.seed, buckets * first + config.k)
         for b, part in enumerate(parts):
             window = slice(b * first, (b + 1) * first)
             assert values[window] == char_values_loop(part, points[window], P61)
         check = slice(buckets * first, None)
-        assert values[check] == char_values_loop(codec.encode_multiset(ms), points[check], P61)
+        assert values[check] == char_values_loop(elements, points[check], P61)
         assert hashlib.sha256(payload).hexdigest() == (
-            "87e70c75795ddb850ac6b102d58b4da23b51cdd3358eced7562b96ff997fba4b"
+            "38c8e13486c0048670cae57dd6c9b1bec36993afa054d0a3493ecee3d6c269ff"
         )
 
 
@@ -1205,9 +1216,9 @@ class TestStep2Evaluation:
 # merges and 25-27 shipped ranks a side)
 GOLDEN_SESSION = {
     ("initiator", "MERGES"): "0f5aa246b51c076009760b21d3e0c694d6b05079348a927a8f279bc74cd4e558",
-    ("initiator", "DELTA"): "04b7114209cb71489c580bd1b3d630f6786b7b205a3db09e65bf8f91da5e8e0b",
+    ("initiator", "DELTA"): "8d4e9c4ffa748d96301b00a9e8f753f98e2596c9f51d8c40557babd2375ee0e8",
     ("responder", "MERGES"): "451fd56d3e1c91d8766f555227f0443ac2ffd7c3e4c7517172fd990f70cdb3a3",
-    ("responder", "DELTA"): "6392c67e3d63cc729f1b175d16829b820a21bebb78d33768beab6ce8652fdfc6",
+    ("responder", "DELTA"): "bb14c18e02a59730ac3b1b95e09e38d82001516128834ab6a74276245b4d395c",
 }
 
 
@@ -1266,7 +1277,6 @@ class TestPartitionedStep2:
         word_b = symbols(extra_b) + middle + symbols(rng.randint(0, extra_b))
         config = ReconConfig(l=4, mode=MODE_RATELESS, k=8, seed=seed)
         count_a, count_b = Counter(shingle_sequence(word_a, 4)), Counter(shingle_sequence(word_b, 4))
-        ms_a, ms_b = ShingleMultiset(count_a), ShingleMultiset(count_b)
         only_a, only_b = ShingleMultiset(count_a - count_b), ShingleMultiset(count_b - count_a)
         codec = ShingleCodec(Alphabet("abcd"), FIELD)
         (delta_a, delta_b), (rep_a, rep_b) = step2_exchange(word_a, word_b, buckets, config, codec)
@@ -1275,11 +1285,65 @@ class TestPartitionedStep2:
         # at most 12 instances per side, so no bucket's rung passes the exact
         # part of the ladder, and each lands on m_b + 1, its one verification
         # value; the session check adds k
-        parts_a = partition(codec.encode_multiset(ms_a), buckets, seed)
-        parts_b = partition(codec.encode_multiset(ms_b), buckets, seed)
+        parts_a = partition(session_elements(word_a, 4, codec.alphabet), buckets, seed)
+        parts_b = partition(session_elements(word_b, 4, codec.alphabet), buckets, seed)
         expected = sum(len(set(pa) ^ set(pb)) + 1 for pa, pb in zip(parts_a, parts_b)) + config.k
         assert rep_a.step2_pairs == rep_b.step2_pairs == expected
         assert rep_a.step2_buckets == rep_b.step2_buckets == buckets
+
+
+class TestSessionElements:
+    """A session's elements, `key * 2**16 + occ`, against the reference
+    built from the shingles' strings."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["01", "abc"]).flatmap(
+            lambda symbols: st.tuples(st.just(symbols), st.text(alphabet=symbols, max_size=60))
+        ),
+        st.data(),
+    )
+    def test_elements_match_the_reference(self, case, data):
+        symbols, word = case
+        alphabet = Alphabet(symbols)
+        l = data.draw(st.integers(2, ShingleCodec(alphabet, FIELD).max_shingle_len))
+        elements = stringrecon._elements(ShingledWord(word, l, alphabet).table)
+        assert elements == session_elements(word, l, alphabet)
+        assert 0 not in elements and len(set(elements)) == len(elements)
+        assert max(elements) < FIELD.encoding_limit
+
+    @pytest.mark.parametrize("symbols", ["01", "abc"])
+    def test_every_length_up_to_the_cap_stays_in_range(self, symbols):
+        alphabet = Alphabet(symbols)
+        top = ShingleCodec(alphabet, FIELD).max_shingle_len
+        for l in range(2, top + 1):
+            # the largest element any word of this length can hold
+            assert (len(symbols) + 1) ** l * 2**16 < FIELD.encoding_limit
+            # the empty word's l - 1 windows are all delimiters, key 0
+            for word in ("", symbols[-1] * l, symbols * 3 + symbols[0] * l):
+                elements = stringrecon._elements(ShingledWord(word, l, alphabet).table)
+                assert elements == session_elements(word, l, alphabet)
+                assert 0 not in elements and len(set(elements)) == len(elements)
+                assert max(elements) < FIELD.encoding_limit
+        assert stringrecon._elements(ShingledWord("", 3, alphabet).table) == [1, 2]
+        # one past the cap, the largest shingle no longer fits
+        assert (len(symbols) + 1) ** (top + 1) * 2**16 >= FIELD.encoding_limit
+
+    def test_a_multiplicity_past_the_occurrence_bits_is_refused(self):
+        # '00' occurs n - 1 times in a word of n zeros
+        alphabet = Alphabet("0")
+        full = ShingledWord("0" * (2**16 + 1), 2, alphabet).table
+        assert max(stringrecon._elements(full)) == full.key("00") * 2**16 + 2**16
+        with pytest.raises(EncodingCapacityError, match="occurrence 65537 exceeds 16 bits"):
+            stringrecon._elements(ShingledWord("0" * (2**16 + 2), 2, alphabet).table)
+
+    def test_root_keys_and_peer_instances_share_the_format(self):
+        word = ShingledWord("abcab", 3, Alphabet("abc"))
+        table = word.table
+        elements = stringrecon._elements(table)
+        for (shingle, occ), element in zip(ShingleMultiset(shingle_sequence("abcab", 3)).instances(), elements):
+            assert stringrecon._element(table.key(shingle), occ) == element
+            assert stringrecon._root_key(element) == table.key(shingle)
 
 
 def flip(word, i):
@@ -1695,14 +1759,14 @@ class TestRuns:
     def test_runs_round_trip(self, case):
         symbols, l, word, other = case
         alphabet = Alphabet(symbols)
-        codec = ShingleCodec(alphabet, FIELD)
         mine, theirs = Counter(shingle_sequence(word, l)), Counter(shingle_sequence(other, l))
         only = mine - theirs
         # the one-sided instances as a decoder finds them: elements of the
         # sender's own, above the peer's count of each shingle
-        roots = [codec.encode(s, occ) for s, m in only.items() for occ in range(theirs[s] + 1, theirs[s] + m + 1)]
+        element = dict(zip(ShingleMultiset(mine).instances(), session_elements(word, l, alphabet)))
+        roots = [element[s, occ] for s, m in only.items() for occ in range(theirs[s] + 1, theirs[s] + m + 1)]
         shingled_word = ShingledWord(word, l, alphabet)
-        runs = _own_runs(shingled_word, codec, roots)
+        runs = _own_runs(shingled_word, roots)
         assert all(run in delimited(word, l) for run in runs)
         chars = "".join(sorted(shingled_word.table.ranks))
         payload = encode_runs(runs, l, chars)
@@ -1726,12 +1790,12 @@ class TestRuns:
             (_pack_block([1, 4], 3) + _pack_block([1, 2, 1, 3, 0, 0], 2), "rank of 3"),
             (HONEST_RUNS[:-1] + bytes([1]), "padding"),
             (HONEST_RUNS[:-1], "runs block holds 1 bytes"),
-            # '0111$$': '011', '111' and '11$' land where '010', '101' and
-            # '01$' do, two a bucket, but are no roots there
-            (encode_runs(["0111$$"], 3, "$01"), "no root in bucket"),
-            # '1101$$': four instances, as the degrees sum to, but three in
+            # '1101$$': '110', '101', '01$' and '1$$' land two a bucket, as
+            # the degrees ask, but '110' is no root
+            (encode_runs(["1101$$"], 3, "$01"), "no root in bucket"),
+            # '1001$$': four instances, as the degrees sum to, but three in
             # bucket 0, whose polynomial has degree 2
-            (encode_runs(["1101$$"], 3, "$01"), "3 instances in bucket 0, whose hand-off polynomial has degree 2"),
+            (encode_runs(["1001$$"], 3, "$01"), "3 instances in bucket 0, whose hand-off polynomial has degree 2"),
         ],
         ids=[
             "zero-window-run",
@@ -1761,9 +1825,8 @@ class TestRuns:
         # run "000" would be its occurrences 2**16 and 2**16 + 1, one past
         # the 16 occurrence bits
         local = ShingledWord("0" * 2**16, 2, Alphabet("0"))
-        codec = ShingleCodec(Alphabet("0"), FIELD)
         with pytest.raises(ProtocolError, match="encoding range"):
-            stringrecon._initiator_only(["000"], local, codec, [[1, 1]], seed=3)
+            stringrecon._initiator_only(["000"], local, [[1, 1]], seed=3)
 
     def test_honest_initiator_runs_are_accepted(self):
         (ra, _), (rb, _) = run_session(RUNS_A, RUNS_B, RUNS_CONFIG)

@@ -19,7 +19,7 @@ from .oracle import decoding_count, find_obstruction, rotation_pair, transpositi
 from .setrecon import ShingleCodec
 from .shinglelen import recommend_shingle_len
 from .shingles import ShingleMultiset, shingle_sequence, shingling
-from .stringrecon import FIELD, MODE_FIXED, MODE_RATELESS, ReconConfig, run_protocol
+from .stringrecon import FIELD, MAX_K, MODE_FIXED, MODE_RATELESS, ReconConfig, run_protocol
 from .transport import Listener, connect
 
 
@@ -202,7 +202,9 @@ def main(argv: list[str] | None = None) -> int:
         "for about m differing instances, topped up on request",
     )
     p.add_argument(
-        "--k", type=int, help="values in the session check, and the most checks a session runs (default 8)"
+        "--k",
+        type=int,
+        help=f"values in the session check, and the most checks a session runs: 1 to {MAX_K} (default {MAX_K})",
     )
     p.add_argument("--seed", type=int, help="session seed (default 1)")
     p.set_defaults(func=cmd_reconcile)

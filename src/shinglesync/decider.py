@@ -2,21 +2,35 @@
 
 The decider consumes symbols in batches and maintains, per symbol: the
 first/last positions seen so far (a first position of 0 marks it unvisited),
-an on-cycle flag, two child and two parent entries, and a stack of visited
+an on-cycle flag, one child and two parent entries, and a stack of visited
 symbols.  A stream is rejected the moment its consumed prefix stops being
 uniquely decodable from its length-2 windows; rejection is absorbing.  State
 size depends only on the alphabet, never on the stream length.
 
-Three rejection rules apply when consuming character c after prefix u:
+Two rejection rules apply when consuming character c after prefix u:
 
 * cycle intrusion: a new edge arrives at a symbol already marked as lying on
   a cycle;
 * communicating parents: c already has two distinct in-neighbors whose
   occurrence intervals in u overlap (the interval test stands in for a
-  strong-connectivity query and is validated against the enumeration oracle);
-* degree overflow: a third distinct parent or child appears.  This is an
-  early exit only; it never changes the final verdict, just when it lands.
-  It also keeps every symbol within its two child and two parent entries.
+  strong-connectivity query and is validated against the enumeration oracle).
+
+Pevzner's loop-swap argument ("l-tuple DNA sequencing: computer analysis",
+J. Biomol. Struct. Dyn. 1989) shows that they bound the degrees themselves:
+
+* A symbol gains its second parent only by a new edge into a visited
+  symbol, which closes a cycle through it and marks it on-cycle (the first
+  symbol is marked by its first parent edge).  Cycle intrusion then rejects
+  any new edge into it, so a third parent never reaches a rule.
+* A step leaves the current symbol p while p has at most one child.  Had
+  it children c0 != c1, the accepted prefix u would hold p at positions
+  i < j < k = |u| with u[i+1] = c0 and u[j+1] = c1.  Swapping the closed
+  walks u[i+1..j] and u[j+1..k], both from p back to p, gives a different
+  word with the same bigrams, delimiters included: u would not be uniquely
+  decodable, against the decider's soundness (checked exhaustively against
+  the enumeration oracle).  So one child entry, p's first, tells a new edge.
+* Both hold in `merge_until_ud`: its live labels form a node-id stream its
+  rules accepted, and its undo restores state exactly.
 
 Every rule is checked before a step changes any state, so a rejected step
 changes only the verdict.  `_Core.feed` runs the rules over a batch in one
@@ -28,7 +42,7 @@ length l-1 node grams, where each pushed shingle contributes one edge.
 `merge_until_ud` runs the transition system with undo over a word's node
 ids: a rejected shingle is fused with its predecessor into their transitive
 closure and retried, which always terminates because a single label spanning
-the whole stream is accepted.  Its loop holds its own copy of the three rules
+the whole stream is accepted.  Its loop holds its own copy of the two rules
 and of their undo, in flat arrays, because a session's merge takes about two
 steps and one undo a shingle; `tests/test_decider.py::TestMerging::
 test_span_merge_matches_the_string_loop` pins the copy to `_Core.feed`.
@@ -52,7 +66,6 @@ from .shingles import ShingledWord, shingle_sequence
 class Reason(Enum):
     CYCLE_INTRUSION = "cycle-intrusion"
     COMMUNICATING_PARENTS = "communicating-parents"
-    DEGREE_OVERFLOW = "degree-overflow"
     # mixed-length streams only: a second, differently-labeled edge between
     # the same node pair makes the two labels swappable in any walk, so the
     # multiset cannot decode uniquely.  Fixed-length streams never trip this
@@ -84,17 +97,16 @@ class _Core:
 
     The state is flat, one entry a slot in each list: `first_ix` and
     `last_ix` hold the 1-based positions of a symbol's first and last visits
-    (`first_ix` is 0 while the symbol is unvisited), and each slot has two
-    child and two parent entries, -1 while empty, since degree overflow
-    rejects a third.
+    (`first_ix` is 0 while the symbol is unvisited), and each slot has one
+    child and two parent entries, -1 while empty (the module docstring shows
+    why they suffice).
     """
 
     __slots__ = (
         "first_ix",
         "last_ix",
         "on_cycle",
-        "child0",
-        "child1",
+        "child",
         "parent0",
         "parent1",
         "stack",
@@ -107,8 +119,7 @@ class _Core:
         self.first_ix = [0] * slots
         self.last_ix = [0] * slots
         self.on_cycle = [False] * slots
-        self.child0 = [-1] * slots
-        self.child1 = [-1] * slots
+        self.child = [-1] * slots
         self.parent0 = [-1] * slots
         self.parent1 = [-1] * slots
         self.stack: list[int] = []
@@ -122,8 +133,7 @@ class _Core:
             self.first_ix += [0] * more
             self.last_ix += [0] * more
             self.on_cycle += [False] * more
-            self.child0 += [-1] * more
-            self.child1 += [-1] * more
+            self.child += [-1] * more
             self.parent0 += [-1] * more
             self.parent1 += [-1] * more
 
@@ -132,9 +142,7 @@ class _Core:
 
     def truncate(self, slots: int) -> None:
         """Drop the slots from `slots` on, which no accepted step visited."""
-        for entries in (
-            self.first_ix, self.last_ix, self.on_cycle, self.child0, self.child1, self.parent0, self.parent1
-        ):
+        for entries in (self.first_ix, self.last_ix, self.on_cycle, self.child, self.parent0, self.parent1):
             del entries[slots:]
 
     def step(self, cid: int) -> Verdict:
@@ -144,7 +152,7 @@ class _Core:
     def feed(self, ids) -> Verdict:
         """Consume a batch of symbol ids, stopping at the first rejection.
 
-        The three rules run in one loop over the state held in locals.  Every
+        The two rules run in one loop over the state held in locals.  Every
         rule is checked before a step changes any state, so a rejected step
         changes only the verdict, which absorbs: the batch leaves exactly the
         state of its accepted prefix, fed one id at a time.
@@ -152,7 +160,7 @@ class _Core:
         if not self.verdict.ok:
             return self.verdict
         first_ix, last_ix, on_cycle = self.first_ix, self.last_ix, self.on_cycle
-        child0, child1, parent0, parent1 = self.child0, self.child1, self.parent0, self.parent1
+        child, parent0, parent1 = self.child, self.parent0, self.parent1
         stack = self.stack
         p, pos = self.prev, self.pos
         ids = iter(ids)
@@ -163,7 +171,7 @@ class _Core:
                 stack.append(p)
                 break
         for pos, cid in enumerate(ids, pos + 1):
-            new_edge = child0[p] != cid and child1[p] != cid
+            new_edge = child[p] != cid
             if new_edge and on_cycle[cid]:  # only a visited symbol is on a cycle
                 reason = Reason.CYCLE_INTRUSION
                 break
@@ -174,9 +182,6 @@ class _Core:
                     reason = Reason.COMMUNICATING_PARENTS
                     break
             if new_edge:
-                if child1[p] >= 0 or b >= 0:
-                    reason = Reason.DEGREE_OVERFLOW
-                    break
                 if not first_ix[cid]:
                     first_ix[cid] = pos
                     stack.append(cid)
@@ -188,10 +193,8 @@ class _Core:
                         on_cycle[v] = True
                         if v == cid:
                             break
-                if child0[p] < 0:
-                    child0[p] = cid
-                else:
-                    child1[p] = cid
+                if child[p] < 0:
+                    child[p] = cid
                 if parent0[cid] < 0:
                     parent0[cid] = p
                 else:
@@ -375,14 +378,14 @@ def merge_until_ud(word: ShingledWord) -> tuple[list[int], list[int]]:
     shingles on one node pair are always equal, so text is compared only for
     longer labels of equal length.
 
-    The loop holds its own copy of `_Core`'s three rules, and an undo of
+    The loop holds its own copy of `_Core`'s two rules, and an undo of
     them, over flat per-node arrays in locals, so a step or an undo makes
     no call into `_Core` and builds no `Verdict`, record tuple or per-node
     list; a closed cycle's popped nodes go on a side stack.  A node pair
     carries an edge exactly when it carries a label, so a new edge is a pair
-    without one, and a child count stands in for `_Core`'s child entries.
-    A merge needs only whether a step is accepted, so the rules are tested
-    in `_Core.feed`'s order without naming the one that rejects.
+    without one.  A merge needs only whether a step is accepted, so a new
+    edge meets cycle intrusion alone, as a node with two parents is on a
+    cycle, and an edge walked again communicating parents alone.
     `tests/test_decider.py::TestMerging::test_span_merge_matches_the_string_loop`
     pins this copy to `_Core.feed`.
 
@@ -398,7 +401,6 @@ def merge_until_ud(word: ShingledWord) -> tuple[list[int], list[int]]:
     first_ix = [0] * slots
     last_ix = [0] * slots
     on_cycle = [False] * slots
-    children = [0] * slots
     parent0 = [-1] * slots
     parent1 = [-1] * slots
     stack = [nodes[0]]
@@ -422,10 +424,8 @@ def merge_until_ud(word: ShingledWord) -> tuple[list[int], list[int]]:
             pair = src * slots + dst
             span = spans.get(pair)
             if span is None:
-                # a new edge: cycle intrusion, then a third parent, which
-                # communicating parents or degree overflow rejects, then a
-                # third child (degree overflow)
-                if not on_cycle[dst] and parent1[dst] < 0 and children[src] < 2:
+                # a new edge: only cycle intrusion can reject
+                if not on_cycle[dst]:
                     pos += 1
                     if not first_ix[dst]:
                         first_ix[dst] = pos
@@ -444,7 +444,6 @@ def merge_until_ud(word: ShingledWord) -> tuple[list[int], list[int]]:
                     log.append(last_ix[dst])
                     log.append(pair)
                     last_ix[dst] = pos
-                    children[src] += 1
                     if parent0[dst] < 0:
                         parent0[dst] = src
                     else:
@@ -468,7 +467,6 @@ def merge_until_ud(word: ShingledWord) -> tuple[list[int], list[int]]:
             last_ix[src] = log.pop()
             if pair >= 0:
                 del spans[pair]
-                children[pair // slots] -= 1
                 if parent1[src] >= 0:
                     parent1[src] = -1
                 else:

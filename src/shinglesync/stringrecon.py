@@ -88,6 +88,11 @@ MAX_REQUEST_BITS = MAX_REQUEST.bit_length()
 MODE_FIXED = "fixed"
 MODE_RATELESS = "rateless"
 
+# the largest session check, and the default: the responder evaluates its
+# whole set at k points for each of at most k checks, so a hello's k sets up
+# to k**2 whole-set passes of the responder's work
+MAX_K = 8
+
 
 # a session's elements: occurrence occ = 1..2**16 of the shingle with
 # `ShingleTable` key `key` is key * 2**16 + occ, injective, never 0, and at
@@ -128,18 +133,19 @@ class ReconConfig:
     l: int
     mode: str = MODE_RATELESS
     m_hat: int = 64
-    k: int = 8
+    k: int = MAX_K
     seed: int = 1
     delimiter: ClassVar[str] = DEFAULT_DELIMITER
 
     def __post_init__(self):
-        # the bounds are the hello's field widths (`_CONFIG`)
+        # the bounds are the hello's field widths (`_CONFIG`), but for k's:
+        # MAX_K, far inside its u16, bounds the responder's work
         if not 2 <= self.l < 2**32:
             raise InvalidParameterError("l must be in [2, 2**32)")
         if not 0 <= self.m_hat < 2**32:
             raise InvalidParameterError("m_hat must be in [0, 2**32)")
-        if not 1 <= self.k < 2**16:
-            raise InvalidParameterError("k must be in [1, 2**16)")
+        if not 1 <= self.k <= MAX_K:
+            raise InvalidParameterError(f"k must be in [1, {MAX_K}]")
         if not 0 <= self.seed < 2**64:
             raise InvalidParameterError("seed must be in [0, 2**64)")
         if self.mode not in (MODE_FIXED, MODE_RATELESS):

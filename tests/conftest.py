@@ -46,7 +46,11 @@ def session_elements(word, l, alphabet):
 
 class StepCore:
     """The reference for `_Core.feed`: the decider core as it stood when it
-    consumed one symbol id a method call, with the same flat state."""
+    consumed one symbol id a method call, with the same flat state, and the
+    three rules it had then.  The third, degree overflow, is proved never to
+    fire (see the `decider` docstring), so it and a live step whose current
+    node already has a second child raise `AssertionError`, naming the
+    stream, as no `Reason` is left for them."""
 
     def __init__(self, slots):
         self.first_ix = [0] * slots
@@ -60,6 +64,12 @@ class StepCore:
         self.prev = -1
         self.pos = 0
         self.verdict = STILL_UD
+        self.stream = []  # the ids of its live steps
+
+    @property
+    def child(self):
+        """`_Core`'s one child entry: each node's first child."""
+        return self.child0
 
     def grow_to(self, slots):
         more = slots - len(self.first_ix)
@@ -75,9 +85,12 @@ class StepCore:
     def step(self, cid):
         if not self.verdict.ok:
             return self.verdict
+        self.stream.append(cid)
         pos = self.pos + 1
         p = self.prev
         child0, child1 = self.child0, self.child1
+        if p >= 0 and child1[p] >= 0:
+            raise AssertionError(f"current node {p} has a second child in stream {self.stream}")
         new_edge = p >= 0 and child0[p] != cid and child1[p] != cid
         if new_edge and self.on_cycle[cid]:
             return self._reject(Reason.CYCLE_INTRUSION, pos)
@@ -88,7 +101,7 @@ class StepCore:
             if not (last_ix[a] < first_ix[b] or last_ix[b] < first_ix[a]):
                 return self._reject(Reason.COMMUNICATING_PARENTS, pos)
         if new_edge and (child1[p] >= 0 or b >= 0):
-            return self._reject(Reason.DEGREE_OVERFLOW, pos)
+            raise AssertionError(f"degree overflow at position {pos} of stream {self.stream}")
 
         if not self.first_ix[cid]:
             self.first_ix[cid] = pos

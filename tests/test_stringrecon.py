@@ -48,10 +48,11 @@ from shinglesync.errors import (
     TransportClosedError,
 )
 from shinglesync.field import P61
-from shinglesync.setrecon import EvalBundle, RatelessDecoder, ShingleCodec, partition
+from shinglesync.setrecon import EvalBundle, RatelessDecoder, RatelessSource, ShingleCodec, partition
 from shinglesync.stringrecon import (
     _CONFIG,
     FIELD,
+    MAX_K,
     VALUE_BITS,
     MergeChains,
     SessionReport,
@@ -575,7 +576,7 @@ class TestWireCodecs:
     @pytest.mark.parametrize(
         "name,value",
         [("l", 2), ("l", 2**32 - 1), ("m_hat", 0), ("m_hat", 2**32 - 1),
-         ("k", 1), ("k", 2**16 - 1), ("seed", 0), ("seed", 2**64 - 1)],
+         ("k", 1), ("k", 8), ("seed", 0), ("seed", 2**64 - 1)],
     )
     def test_config_bounds_fit_the_hello(self, name, value):
         config = ReconConfig(**{"l": 7, name: value})
@@ -584,7 +585,7 @@ class TestWireCodecs:
     @pytest.mark.parametrize(
         "name,value",
         [("l", 1), ("l", 2**32), ("m_hat", -1), ("m_hat", 2**32),
-         ("k", 0), ("k", 2**16), ("seed", -1), ("seed", 2**64)],
+         ("k", 0), ("k", 9), ("k", 2**16), ("seed", -1), ("seed", 2**64)],
     )
     def test_config_rejects_what_the_hello_cannot_carry(self, name, value):
         with pytest.raises(InvalidParameterError):
@@ -1554,6 +1555,21 @@ class TestHostileStep2:
 
         assert isinstance(scripted_session("0101", "responder", config, script), ProtocolError)
 
+    def test_hello_k_past_the_cap_is_refused_before_shingling(self, monkeypatch):
+        # k sets up to k**2 whole-set points of the responder's work, so a
+        # hello may ask for no more than MAX_K
+        def no_shingling(*_args, **_kwargs):
+            raise AssertionError("shingled under k = 9")
+
+        monkeypatch.setattr(stringrecon, "ShingledWord", no_shingling)
+
+        def script(peer):
+            peer.send(Frame(FrameKind.HELLO, hello_with(self.CONFIG, "abcab", 3, MAX_K + 1)))
+            peer.recv()
+
+        exc = scripted_session("abcba", "responder", self.CONFIG, script)
+        assert isinstance(exc, ProtocolError) and "k must be in [1, 8]" in str(exc), exc
+
     @staticmethod
     def with_check(bundle, k=8):
         """`bundle` with k session check values after its own."""
@@ -1695,6 +1711,29 @@ class TestHostileStep2:
         assert time.perf_counter() - start < 10
         assert isinstance(exc, ShingleSyncError) and "failed 8 times" in str(exc), exc
         assert len(checks) == 8
+
+    def test_failing_checks_cost_the_responder_at_most_k_squared_points(self, monkeypatch):
+        # check values of all ones fail every check: at k = MAX_K the
+        # responder evaluates its whole set at k points for each of k checks
+        # and gives up, having evaluated no more than k**2 points
+        assert MAX_K == self.WIDE.k == 8
+        script_thread = threading.current_thread()
+        evaluated = []
+        real_next_pairs = RatelessSource.next_pairs
+
+        def spy(source, count):
+            if threading.current_thread() is not script_thread:  # the responder's whole set
+                evaluated.append(count)
+            return real_next_pairs(source, count)
+
+        monkeypatch.setattr(RatelessSource, "next_pairs", spy)
+
+        def tamper(frame, check):
+            return with_check_values(frame, lambda values: [1] * len(values)) if check else frame
+
+        exc = scripted_session(WIDE_B, "responder", self.WIDE, tampered_initiator(WIDE_A, self.WIDE, tamper))
+        assert isinstance(exc, ProtocolError) and str(exc) == "the session check failed 8 times", exc
+        assert 0 < sum(evaluated) <= MAX_K**2
 
     def test_a_wrong_bucket_candidate_is_caught_by_the_session_check(self, monkeypatch, rng):
         # the first bucket to accept a candidate accepts a wrong one: its

@@ -8,6 +8,12 @@ its rise over the peak before the first session (the interpreter and the
 package) over both words' symbols.
 
     PYTHONPATH=src python3 scripts/recon_demo.py --n 65536 --alphas 16
+
+The shingle length is the paper's Lambert-W length for n unless `--l`
+gives one; at n = 2**20 that is 29, past the cap of 28 for binary words,
+so that row runs with `--l 27`:
+
+    PYTHONPATH=src python3 scripts/recon_demo.py --n 1048576 --alphas 16 --l 27
 """
 
 import argparse
@@ -62,11 +68,12 @@ def main() -> int:
     parser.add_argument("--mode", choices=[MODE_RATELESS, MODE_FIXED], default=MODE_RATELESS)
     parser.add_argument("--m-hat", type=int, default=256)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--l", type=int, help="shingle length (default: the paper's length for n)")
     args = parser.parse_args()
 
     before = peak_rss_bytes()
     rng = random.Random(args.seed)
-    l = recommend_shingle_len(args.n, 0.6)
+    l = args.l or recommend_shingle_len(args.n, 0.6)
     for alpha in args.alphas:
         word_a = "".join(rng.choice("01") for _ in range(args.n))
         word_b = random_edits(word_a, alpha, rng, "01")

@@ -47,7 +47,7 @@ from .errors import (
     ProtocolError,
     SessionAbortError,
 )
-from .field import P61, FieldSpec, PointStream, peval
+from .field import FieldSpec, PointStream, is_probable_prime, peval
 # reconcile_fixed is unused here but stays importable from this module:
 # perfbench/tracing.py rebinds it on it
 from .setrecon import (  # noqa: F401
@@ -72,14 +72,13 @@ from .shingles import (  # noqa: F401
 )
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 11
+PROTOCOL_VERSION = 12
 
-# the one field every session runs over: P61 with points drawn from its top
-# 2**40 residues; neither party announces it, so it never crosses the wire
+# the field that caps a hello's l: P61 with points drawn from its top 2**40
+# residues.  No session runs over it: each derives its own, no wider, from
+# the hellos (`session_field`), and draws its points from the same 2**40 top
+# residues of that field
 FIELD = FieldSpec.default61()
-# every residue on the wire (evaluation value, hand-off coefficient) takes
-# the bit length of P61
-VALUE_BITS = P61.bit_length()
 
 MAX_REQUEST = 0xFFFF  # the most pairs one bucket asks for per round
 # a DELTA_REQ's counts are packed at most this wide, the bit length of MAX_REQUEST
@@ -94,40 +93,66 @@ MODE_RATELESS = "rateless"
 MAX_K = 8
 
 
-# a session's elements: occurrence occ = 1..2**16 of the shingle with
-# `ShingleTable` key `key` is key * 2**16 + occ, injective, never 0, and at
-# most base**l * 2**16, inside the encoding range at every l up to
-# `ShingleCodec.max_shingle_len`
-_OCCURRENCES = 1 << DEFAULT_OCC_BITS
+# a session's elements: occurrence occ = 1..2**w of the shingle with
+# `ShingleTable` key `key` is key * 2**w + occ for the session's occurrence
+# width w (`session_occ_bits`), injective, never 0, and at most
+# base**l * 2**w, below the encoding limit of the session's field
+# (`session_field`)
 
 
-def _element(key: int, occ: int) -> int:
+def session_occ_bits(n_local: int, n_remote: int, l: int) -> int:
+    """w, the occurrence width of a session between words of `n_local` and
+    `n_remote` symbols at shingle length `l`: the bit length of the larger
+    word's n + l - 2, so that 2**w reaches its n + l - 1 instances, the most
+    any shingle of either word can have, capped at the `DEFAULT_OCC_BITS`
+    with which P61 caps l (`ShingleCodec.max_shingle_len`)."""
+    return min(DEFAULT_OCC_BITS, (max(n_local, n_remote) + l - 2).bit_length())
+
+
+def session_field(base: int, l: int, occ_bits: int) -> FieldSpec:
+    """The field of a session at shingle length `l` over `base` ranks (the
+    symbols of both hellos and the delimiter) and occurrence width
+    `occ_bits`: the smallest prime above base**l * 2**occ_bits + 2**40,
+    with its top 2**40 residues the point range, so every element lies
+    below the encoding limit.  Both parties derive it from the hellos.  At
+    every l the cap allows (`ShingleCodec.max_shingle_len` over `FIELD`)
+    it is at most P61, whatever word lengths the hellos announce."""
+    p = (base**l << occ_bits) + FIELD.point_span + 1
+    while not is_probable_prime(p):
+        p += 1
+    return FieldSpec(p, FIELD.point_span)
+
+
+def _element(key: int, occ: int, occ_bits: int) -> int:
     """The element of occurrence `occ` of the shingle `key`."""
-    return key * _OCCURRENCES + occ
+    return (key << occ_bits) + occ
 
 
-def _elements(table: ShingleTable) -> list[int]:
+def _elements(table: ShingleTable, occ_bits: int) -> list[int]:
     """The elements of a table's instances, key after key in canonical order."""
     order = table.order
     mults = list(map(table.counts.__getitem__, order))
-    if mults and max(mults) > _OCCURRENCES:
-        raise EncodingCapacityError(f"occurrence {_OCCURRENCES + 1} exceeds {DEFAULT_OCC_BITS} bits")
-    starts = [key * _OCCURRENCES + 1 for key in order]  # _element(key, 1)
+    if mults and max(mults) > 1 << occ_bits:
+        raise EncodingCapacityError(f"occurrence {(1 << occ_bits) + 1} exceeds {occ_bits} bits")
+    starts = [(key << occ_bits) + 1 for key in order]  # _element(key, 1, occ_bits)
     return list(itertools.chain.from_iterable(map(range, starts, map(operator.add, starts, mults))))
 
 
-def _root_key(root: int) -> int:
+def _root_key(root: int, occ_bits: int) -> int:
     """The key of the shingle whose instance has the element `root`."""
-    return (root - 1) // _OCCURRENCES
+    return (root - 1) >> occ_bits
 
 
 @dataclass(frozen=True)
 class ReconConfig:
     """Parameters one session runs under; the initiator's copy wins.
 
-    Only what sessions vary is a field.  Every session runs over the module
-    constant `FIELD` (`FieldSpec.default61()`), `ShingleCodec`'s default
-    `DEFAULT_OCC_BITS` occurrence bits and the delimiter `DEFAULT_DELIMITER`.
+    Only what sessions vary is a field.  Every session runs under the
+    delimiter `DEFAULT_DELIMITER`, with l capped by the module constant
+    `FIELD` (`FieldSpec.default61()`) at `DEFAULT_OCC_BITS` occurrence bits,
+    and over a field both parties derive from the hellos: the occurrence
+    width from both word lengths and l (`session_occ_bits`), the prime from
+    l, the symbols of both words and that width (`session_field`).
     """
 
     l: int
@@ -170,6 +195,8 @@ class SessionReport:
     # bucket candidates the responder refused, those taken back after a
     # failed session check included; 0 on the initiator, which sees none
     step2_rejected: int = 0
+    # the bit length of the session's prime, the width every residue crosses at
+    value_bits: int = 0
     # both words at ceil(log2 |symbols|) bits a symbol (at least 1), over the
     # union of the symbols the two hellos announce: the cost of sending them
     # as they are
@@ -214,6 +241,7 @@ class SessionReport:
             "step2_rounds",
             "step2_checks",
             "step2_rejected",
+            "value_bits",
             "longest_label",
             "raw_bits",
         ):
@@ -306,9 +334,14 @@ def apply_merge_records(initial: ShingleTable, chains: MergeChains) -> ShingleMu
     left, or a branch point with no rank left or whose rank names no live
     successor, one whose label holds a delimiter inside it, and ranks left
     over after the last chain.
+
+    The rebuild uses up `initial.counts` as its running count of the
+    instances left, so the table holds no multiset afterwards, whether the
+    rebuild returns or raises: a caller that reads the table again passes a
+    copy.
     """
     order = initial.order
-    left = dict(initial.counts)
+    left = initial.counts
     base = initial.base
     # key % top is the key of a shingle's last l - 1 characters
     top = base ** (initial.l - 1)
@@ -400,12 +433,12 @@ def _unpack_block(data: bytes, bits: int, count: int, what: str) -> list[int]:
     return out
 
 
-def _unpack_residues(data: bytes, count: int, what: str) -> list[int]:
-    """`count` residues mod P61, packed `VALUE_BITS` wide; any entry of P61 or
-    more is no residue."""
-    values = _unpack_block(data, VALUE_BITS, count, what)
-    if values and max(values) >= P61:
-        raise ProtocolError(f"{what} block holds a value of P61 or more")
+def _unpack_residues(data: bytes, count: int, what: str, p: int) -> list[int]:
+    """`count` residues mod the session's prime `p`, packed at its bit length;
+    any entry of `p` or more is no residue."""
+    values = _unpack_block(data, p.bit_length(), count, what)
+    if values and max(values) >= p:
+        raise ProtocolError(f"{what} block holds a value of the prime {p} or more")
     return values
 
 
@@ -449,27 +482,29 @@ def decode_hello(payload: bytes) -> tuple[ReconConfig, int, str]:
     return config, word_len, sym
 
 
-def encode_bundle(bundle: EvalBundle, *, bucket_sizes: list[int]) -> bytes:
+def encode_bundle(bundle: EvalBundle, *, bucket_sizes: list[int], p: int) -> bytes:
     """One instance count per bucket, whose sum is the bundle's set size,
-    packed `_count_bits(set size)` wide, then the values; the peer derives
-    the width from the instance count in the hello, the points from the seed
-    and their number from the hello.
+    packed `_count_bits(set size)` wide, then the values at the bit length
+    of the session's prime `p`; the peer derives the widths from the hellos,
+    the points from the seed and their number from the hello.
 
-    `bucket_sizes` is keyword-only: perfbench/tracing.py counts the bundle's
-    pairs from the one positional argument.
+    `bucket_sizes` and `p` are keyword-only: perfbench/tracing.py counts the
+    bundle's pairs from the one positional argument.
     """
     sizes = _pack_block(bucket_sizes, _count_bits(bundle.set_size))
-    return sizes + _pack_block(list(bundle.values), VALUE_BITS)
+    return sizes + _pack_block(list(bundle.values), p.bit_length())
 
 
-def decode_bundle(payload: bytes, buckets: int, count: int, instances: int) -> tuple[list[int], list[int]]:
-    """(bucket sizes, values) of a bundle frame holding `count` values from a
-    sender of `instances` shingle instances."""
+def decode_bundle(
+    payload: bytes, buckets: int, count: int, instances: int, p: int
+) -> tuple[list[int], list[int]]:
+    """(bucket sizes, values) of a bundle frame holding `count` residues mod
+    `p` from a sender of `instances` shingle instances."""
     bits = _count_bits(instances)
     head = (buckets * bits + 7) // 8
     return (
         _unpack_block(payload[:head], bits, buckets, "bundle"),
-        _unpack_residues(payload[head:], count, "bundle"),
+        _unpack_residues(payload[head:], count, "bundle", p),
     )
 
 
@@ -491,14 +526,19 @@ def decode_request(payload: bytes, buckets: int) -> list[int]:
     return _unpack_block(payload[1:], width, buckets, "pair request")
 
 
-def encode_pairs(pairs: list[tuple[int, int]]) -> bytes:
-    """The values of (point, value) pairs; the peer derives the points from
-    the seed and their number from its own request."""
-    return _pack_block([value for _point, value in pairs], VALUE_BITS)
+def encode_pairs(pairs: list[tuple[int, int]], *, p: int) -> bytes:
+    """The values of (point, value) pairs at the bit length of the session's
+    prime `p`; the peer derives the points from the seed and their number
+    from its own request.
+
+    `p` is keyword-only: perfbench/tracing.py counts the pairs from the one
+    positional argument.
+    """
+    return _pack_block([value for _point, value in pairs], p.bit_length())
 
 
-def decode_pairs(payload: bytes, count: int) -> list[int]:
-    return _unpack_residues(payload, count, "pair")
+def decode_pairs(payload: bytes, count: int, p: int) -> list[int]:
+    return _unpack_residues(payload, count, "pair", p)
 
 
 def encode_runs(runs: list[str], l: int, chars: str) -> bytes:
@@ -553,31 +593,31 @@ def decode_runs(payload: bytes, l: int, total: int, chars: str) -> list[str]:
 
 
 def encode_handoff(
-    runs: list[str], polys: list[list[int]], l: int, chars: str, bucket_sizes: list[int]
+    runs: list[str], polys: list[list[int]], l: int, chars: str, bucket_sizes: list[int], p: int
 ) -> bytes:
     """The responder's DELTA, to an initiator whose bundle gave `bucket_sizes`.
 
     The degree of each bucket's monic hand-off polynomial, whose roots are
     the initiator's instances in that bucket, packed
     `_count_bits(max(bucket_sizes))` wide; one residue block of the
-    polynomials' little-endian coefficients, the leading 1 left out; then
+    polynomials' little-endian coefficients mod `p`, the leading 1 left out; then
     the responder's own difference instances as runs (`encode_runs`), whose
     windows total the degrees' sum plus the responder's instance count less
     the initiator's.
     """
     return (
         _pack_block([len(poly) - 1 for poly in polys], _count_bits(max(bucket_sizes, default=0)))
-        + _pack_block([c for poly in polys for c in poly[:-1]], VALUE_BITS)
+        + _pack_block([c for poly in polys for c in poly[:-1]], p.bit_length())
         + encode_runs(runs, l, chars)
     )
 
 
 def decode_handoff(
-    payload: bytes, instances: int, bucket_sizes: list[int], l: int, chars: str
+    payload: bytes, instances: int, bucket_sizes: list[int], l: int, chars: str, p: int
 ) -> tuple[list[str], list[list[int]]]:
-    """(the responder's runs, one monic polynomial per bucket) of a DELTA
-    from a responder of `instances` shingle instances, to the initiator
-    whose buckets hold `bucket_sizes` instances.
+    """(the responder's runs, one monic polynomial per bucket mod `p`) of a
+    DELTA from a responder of `instances` shingle instances, to the
+    initiator whose buckets hold `bucket_sizes` instances.
 
     The degrees are bounded before the residues are read: no bucket
     polynomial of higher degree than the initiator's instances in that
@@ -600,8 +640,8 @@ def decode_handoff(
             f"hand-off degrees sum to {sum(degrees)}, fewer than the initiator's "
             f"{sum(bucket_sizes) - instances} surplus instances"
         )
-    end = head + (sum(degrees) * VALUE_BITS + 7) // 8
-    values = iter(_unpack_residues(payload[head:end], sum(degrees), "delta"))
+    end = head + (sum(degrees) * p.bit_length() + 7) // 8
+    values = iter(_unpack_residues(payload[head:end], sum(degrees), "delta", p))
     polys = [list(itertools.islice(values, degree)) + [1] for degree in degrees]
     return decode_runs(payload[end:], l, total, chars), polys
 
@@ -764,14 +804,18 @@ def _run(
 
     alphabet = Alphabet(sorted(set(word) | set(peer_syms)), delimiter=config.delimiter)
     report.raw_bits = (len(word) + n_remote) * max(1, (len(alphabet) - 1).bit_length())
-    codec = ShingleCodec(alphabet, FIELD)
     # before shingling: a peer may announce any l below 2**32, and shingling
     # builds |w| + l - 1 windows of length l
-    if config.l > codec.max_shingle_len:
+    longest = ShingleCodec(alphabet, FIELD).max_shingle_len
+    if config.l > longest:
         raise ProtocolError(
-            f"l = {config.l} exceeds {codec.max_shingle_len}, the longest shingle "
+            f"l = {config.l} exceeds {longest}, the longest shingle "
             f"the encoding range holds for the {len(alphabet)} symbols of both words together"
         )
+    # the session's field, from the hellos alone: at the capped l it is at
+    # most P61, whatever word length the peer announces
+    occ_bits = session_occ_bits(len(word), n_remote, config.l)
+    codec = ShingleCodec(alphabet, session_field(len(alphabet) + 1, config.l, occ_bits), occ_bits)
 
     # step 1: one rolling pass gives every shingle its node ids and key
     local = ShingledWord(word, config.l, alphabet)
@@ -871,8 +915,10 @@ def _reconcile_step(
     """Step 2, one flow for both modes; returns the (local, remote) instances
     that are on one side only.
 
-    Both parties build their elements from their table keys (`_elements`)
-    and hash them into `buckets` buckets, and each bucket runs its own source
+    Every residue is mod the codec's prime and crosses at its bit length.
+    Both parties build their elements from their table keys at the codec's
+    occurrence width (`_elements`) and hash them into `buckets` buckets,
+    and each bucket runs its own source
     (initiator) or decoder (responder) over the session's one point stream,
     whose points go to the buckets in bucket order.  The initiator sends
     characteristic values: a first batch per bucket in its bundle, then
@@ -896,14 +942,16 @@ def _reconcile_step(
     against the polynomials.
     """
     l = config.l
+    occ_bits, p = codec.occ_bits, codec.field.p
     first = -(-config.m_hat // buckets) if config.mode == MODE_FIXED else 0
     points = PointStream(codec.field, config.seed)
-    elements = _elements(local.table)
+    elements = _elements(local.table, occ_bits)
     parts = partition(elements, buckets, config.seed)
     # the session check's whole-set values, on the same point stream
     whole = RatelessSource.from_elements(elements, codec, points)
     chars = "".join(sorted(local.table.ranks))
     report.step2_buckets = buckets
+    report.value_bits = p.bit_length()
     if role == ROLE_INITIATOR:
         sources = [RatelessSource.from_elements(part, codec, points) for part in parts]
         sizes = [len(part) for part in parts]
@@ -920,7 +968,7 @@ def _reconcile_step(
         pairs += whole.next_pairs(config.k)
         report.step2_checks = 1
         bundle = EvalBundle(tuple(z for z, _ in pairs), tuple(v for _, v in pairs), sum(sizes))
-        wire.send(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, bucket_sizes=sizes))
+        wire.send(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, bucket_sizes=sizes, p=p))
         report.step2_pairs = len(pairs)
         while (frame := wire.recv()).kind != FrameKind.DELTA:
             if frame.kind != FrameKind.DELTA_REQ:
@@ -946,25 +994,25 @@ def _reconcile_step(
                     )
                 pairs = [pair for source, count in zip(sources, counts) for pair in source.next_pairs(count)]
                 requested = [r + count for r, count in zip(requested, counts)]
-            wire.send(FrameKind.EVAL_PAIR, encode_pairs(pairs))
+            wire.send(FrameKind.EVAL_PAIR, encode_pairs(pairs, p=p))
             report.step2_pairs += len(pairs)
             report.step2_rounds += 1
         # the hand-off's counts are bounded before anything in it is read,
         # and the whole hand-off is checked before the reply goes out
-        remote_runs, polys = decode_handoff(frame.payload, remote_instances, sizes, l, chars)
+        remote_runs, polys = decode_handoff(frame.payload, remote_instances, sizes, l, chars, p)
         my_roots: list[int] = []
         for b, (poly, part) in enumerate(zip(polys, parts)):
-            roots = roots_by_candidates(poly, part, codec.field.p)
+            roots = roots_by_candidates(poly, part, p)
             if roots is None:
                 raise ProtocolError(f"hand-off polynomial of bucket {b} does not split over its local elements")
             my_roots += roots
-        my_runs = _own_runs(local, my_roots)
+        my_runs = _own_runs(local, my_roots, occ_bits)
         wire.send(FrameKind.DELTA, encode_runs(my_runs, l, chars))
         return _windows(my_runs, l), _windows(remote_runs, l)
 
     bundled = first * buckets
     sizes, values = decode_bundle(
-        wire.expect(FrameKind.EVAL_BUNDLE).payload, buckets, bundled + config.k, remote_instances
+        wire.expect(FrameKind.EVAL_BUNDLE).payload, buckets, bundled + config.k, remote_instances, p
     )
     if sum(sizes) != remote_instances:
         raise ProtocolError(
@@ -991,12 +1039,12 @@ def _reconcile_step(
             if not theirs:
                 wire.send(FrameKind.DELTA_REQ, encode_request([0] * buckets))
                 report.step2_rounds += 1
-                theirs = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload, config.k)
+                theirs = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload, config.k, p)
                 report.step2_pairs += len(theirs)
                 own = whole.next_pairs(config.k)
             report.step2_checks += 1
             results = [decoder.result for decoder in decoders]
-            if _session_check(own, theirs, results, codec.field.p):
+            if _session_check(own, theirs, results, p):
                 break
             if report.step2_checks == config.k:
                 raise ProtocolError(f"the session check failed {config.k} times")
@@ -1006,15 +1054,15 @@ def _reconcile_step(
         counts = [0 if d.result is not None else min(d.pairs_wanted(), MAX_REQUEST) for d in decoders]
         wire.send(FrameKind.DELTA_REQ, encode_request(counts))
         report.step2_rounds += 1
-        values = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload, sum(counts))
+        values = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload, sum(counts), p)
         report.step2_pairs += len(values)
         feed(counts, values)
     polys = [list(result.remote_poly) for result in results]
-    my_runs = _own_runs(local, [root for result in results for root in result.local_roots])
-    wire.send(FrameKind.DELTA, encode_handoff(my_runs, polys, l, chars, sizes))
+    my_runs = _own_runs(local, [root for result in results for root in result.local_roots], occ_bits)
+    wire.send(FrameKind.DELTA, encode_handoff(my_runs, polys, l, chars, sizes, p))
     degrees = sum(len(poly) - 1 for poly in polys)
     remote_runs = decode_runs(wire.expect(FrameKind.DELTA).payload, l, degrees, chars)
-    return _windows(my_runs, l), _initiator_only(remote_runs, local, polys, config.seed)
+    return _windows(my_runs, l), _initiator_only(remote_runs, local, polys, config.seed, occ_bits, p)
 
 
 def _session_check(
@@ -1040,10 +1088,11 @@ def _session_check(
     return True
 
 
-def _own_runs(word: ShingledWord, roots: list[int]) -> list[str]:
+def _own_runs(word: ShingledWord, roots: list[int], occ_bits: int) -> list[str]:
     """The runs of the word that hold its instances with the elements
-    `roots`, found by their keys (`_root_key`), not decoded."""
-    runs = word.runs(Counter(map(_root_key, roots)))
+    `roots` at occurrence width `occ_bits`, found by their keys
+    (`_root_key`), not decoded."""
+    runs = word.runs(Counter(_root_key(root, occ_bits) for root in roots))
     if sum(len(run) - word.l + 1 for run in runs) != len(roots):
         raise InvariantError(f"the word's runs do not hold its {len(roots)} one-sided instances")
     return runs
@@ -1056,14 +1105,15 @@ def _windows(runs: list[str], l: int) -> ShingleMultiset:
 
 
 def _initiator_only(
-    runs: list[str], local: ShingledWord, polys: list[list[int]], seed: int
+    runs: list[str], local: ShingledWord, polys: list[list[int]], seed: int, occ_bits: int, p: int
 ) -> ShingleMultiset:
     """The initiator's instances from its runs, checked against the hand-off.
 
     Each window is an instance above the responder's own count of its
-    shingle, whose element (`_element`) lands in the bucket `partition`
-    puts it in; every bucket must then hold exactly its polynomial's roots:
-    as many instances as its degree, each of them a root.
+    shingle, whose element at occurrence width `occ_bits` (`_element`)
+    lands in the bucket `partition` puts it in; every bucket must then hold
+    exactly its polynomial's roots mod `p`: as many instances as its
+    degree, each of them a root.
     """
     only_remote = _windows(runs, local.l)
     table = local.table
@@ -1071,16 +1121,16 @@ def _initiator_only(
     for shingle, mult in only_remote.entries.items():
         key = table.key(shingle)
         have = table.counts.get(key, 0)
-        if have + mult > _OCCURRENCES:
+        if have + mult > 1 << occ_bits:
             raise ProtocolError(f"peer sent occurrence {have + mult} of a shingle, past the encoding range")
-        elements += [_element(key, occ) for occ in range(have + 1, have + mult + 1)]
+        elements += [_element(key, occ, occ_bits) for occ in range(have + 1, have + mult + 1)]
     for b, (part, poly) in enumerate(zip(partition(elements, len(polys), seed), polys)):
         if len(part) != len(poly) - 1:
             raise ProtocolError(
                 f"the peer's runs put {len(part)} instances in bucket {b}, "
                 f"whose hand-off polynomial has degree {len(poly) - 1}"
             )
-        if any(peval(poly, e, FIELD.p) for e in part):
+        if any(peval(poly, e, p) for e in part):
             raise ProtocolError(f"a run of the peer's holds an instance that is no root in bucket {b}")
     return only_remote
 

@@ -3,9 +3,12 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from shinglesync.alphabet import Alphabet
 from shinglesync.decider import STILL_UD, Reason, Verdict, _Core
 from shinglesync.errors import InvalidParameterError
+from shinglesync.setrecon import ShingleCodec
 from shinglesync.shingles import ShingleMultiset, ShingleTable, noconcat, rank_digits, shingle_sequence
+from shinglesync.stringrecon import session_field, session_occ_bits
 
 words_ab = st.text(alphabet="ab", max_size=16)
 words_abc = st.text(alphabet="abc", max_size=14)
@@ -29,19 +32,28 @@ def char_values_loop(elements, points, p):
     return out
 
 
-def session_elements(word, l, alphabet):
+def session_elements(word, l, alphabet, occ_bits):
     """The reference for a session's elements: every (shingle, occurrence)
-    instance of the word's shingling in canonical order, as key * 2**16 +
-    occ, with the key read from the shingle's string digit by digit in
-    `rank_digits`."""
+    instance of the word's shingling in canonical order, as
+    key * 2**occ_bits + occ, with the key read from the shingle's string
+    digit by digit in `rank_digits`."""
     ranks = rank_digits(alphabet)
     out = []
     for shingle, occ in ShingleMultiset(shingle_sequence(word, l, alphabet.delimiter)).instances():
         key = 0
         for ch in shingle:
             key = key * len(ranks) + ranks[ch]
-        out.append(key * 2**16 + occ)
+        out.append(key * 2**occ_bits + occ)
     return out
+
+
+def session_codec(word_a, word_b, l):
+    """The codec a session between `word_a` and `word_b` at shingle length
+    `l` runs step 2 under, as each party derives it from the two hellos:
+    its field and its occurrence width, over the symbols of both words."""
+    alphabet = Alphabet(sorted(set(word_a) | set(word_b)))
+    occ_bits = session_occ_bits(len(word_a), len(word_b), l)
+    return ShingleCodec(alphabet, session_field(len(alphabet) + 1, l, occ_bits), occ_bits)
 
 
 class StepCore:
@@ -246,6 +258,12 @@ def span_labels(word, firsts):
     """The labels of `merge_until_ud`'s spans over a `ShingledWord`."""
     lasts = [first - 1 for first in firsts[1:]] + [len(word.keys) - 1]
     return [word.text[first : last + word.l] for first, last in zip(firsts, lasts)]
+
+
+def copied_table(table):
+    """A table with its own copy of `table`'s counts, for a rebuild
+    (`apply_merge_records`) to use up while `table` stays whole."""
+    return ShingleTable(table.l, table.ranks, dict(table.counts), table.text, table.where, list(table.order))
 
 
 def reference_moved(table, remove, add):

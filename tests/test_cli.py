@@ -198,6 +198,9 @@ class TestReconcile:
         # one session check; only the responder holds candidates to reject
         assert initiator["step2_checks"] == responder["step2_checks"] == 1
         assert initiator["step2_rejected"] == 0 and responder["step2_rejected"] >= 0
+        # both derive one prime: 5 ranks at l = 2 and 3 occurrence bits put
+        # it just above 2**40, so residues cross at 41 bits
+        assert initiator["value_bits"] == responder["value_bits"] == 41
 
     def test_default_l_fits_the_encoding(self, capsys, tmp_path):
         # the paper's length for 100 symbols is 10, past the 9 that 26 letters

@@ -25,12 +25,13 @@ def run_script(name, *args):
 
 def test_recon_demo_fixed_session():
     # 267 instances make sixteen buckets, each bundled 64 / 16 values beside
-    # the session check's k = 8; one bucket holds 6 one-sided instances and
-    # tops up its 4 values to 7 in two rounds of its request ladder, 1 and 2
+    # the session check's k = 8; at the session's 9 occurrence bits no
+    # bucket holds more than 3 one-sided instances, so the bundle covers
+    # them all and no round tops one up
     lines = run_script("recon_demo.py", "--n", "256", "--alphas", "1", "--mode", "fixed", "--m-hat", "64")
     assert lines[0] == "# alpha=1"
-    for line in ("role=initiator", "outcome=ok", "mode=fixed", "n_local=256", "step2_pairs=75",
-                 "step2_buckets=16", "step2_rounds=2", "step2_checks=1"):
+    for line in ("role=initiator", "outcome=ok", "mode=fixed", "n_local=256", "step2_pairs=72",
+                 "step2_buckets=16", "step2_rounds=0", "step2_checks=1", "value_bits=41"):
         assert line in lines
     # the bits by frame kind: the bundle is the initiator's, the hand-off the responder's
     assert any(line.startswith("eval_bundle_frame_bits_sent=") and line != "eval_bundle_frame_bits_sent=0"
@@ -45,6 +46,16 @@ def test_recon_demo_fixed_session():
     symbols = int(fields["n_local"]) + int(fields["n_remote"])
     assert peak_mib > 0 and per_symbol >= 0
     assert per_symbol * symbols <= peak_mib * 2**20
+
+
+def test_recon_demo_takes_the_shingle_length():
+    # the paper's length for n = 256 is 12; --l sets another
+    lines = run_script("recon_demo.py", "--n", "256", "--alphas", "1", "--l", "9")
+    fields = dict(line.split("=", 1) for line in lines if "=" in line)
+    assert fields["l"] == "9" and fields["outcome"] == "ok"
+    # binary words of 256 symbols at l = 9: 3**9 * 2**9 + 2**40 takes 41 bits
+    assert fields["value_bits"] == "41"
+    assert "l=12" in run_script("recon_demo.py", "--n", "256", "--alphas", "1")
 
 
 def test_merge_stats_sweep():

@@ -47,13 +47,13 @@ from shinglesync.errors import (
     ShingleSyncError,
     TransportClosedError,
 )
-from shinglesync.field import P61
+from shinglesync.field import P61, is_probable_prime
 from shinglesync.setrecon import EvalBundle, RatelessDecoder, RatelessSource, ShingleCodec, partition
 from shinglesync.stringrecon import (
     _CONFIG,
     FIELD,
     MAX_K,
-    VALUE_BITS,
+    PROTOCOL_VERSION,
     MergeChains,
     SessionReport,
     _MeteredEndpoint,
@@ -76,11 +76,20 @@ from shinglesync.stringrecon import (
     encode_pairs,
     encode_request,
     encode_runs,
+    session_field,
+    session_occ_bits,
     step2_buckets,
 )
 from shinglesync.transport import Frame, FrameKind, Listener, connect
 
-from conftest import char_values_loop, reference_moved, session_elements, span_labels
+from conftest import (
+    char_values_loop,
+    copied_table,
+    reference_moved,
+    session_codec,
+    session_elements,
+    span_labels,
+)
 
 SRC = Path(stringrecon.__file__).resolve().parents[1]
 
@@ -98,7 +107,10 @@ def run_session(word_a, word_b, config_a, config_b=None, alpha=None, timeout=120
 def bucket_differences(word_a, word_b, l, buckets, seed):
     """Shingle instances on one side only in each step-2 bucket, for two words
     over {0, 1}."""
-    parts_a, parts_b = (partition(session_elements(w, l, Alphabet("01")), buckets, seed) for w in (word_a, word_b))
+    occ_bits = session_occ_bits(len(word_a), len(word_b), l)
+    parts_a, parts_b = (
+        partition(session_elements(w, l, Alphabet("01"), occ_bits), buckets, seed) for w in (word_a, word_b)
+    )
     return [len(set(pa) ^ set(pb)) for pa, pb in zip(parts_a, parts_b)]
 
 
@@ -303,25 +315,26 @@ class TestMergeBookkeeping:
         # "abca" at l = 2 holds one instance each of '$a', 'a$', 'ab', 'bc'
         # and 'ca', in key order; the ranks of '$', 'a', 'b' and 'c' are 0
         # to 3.  Node 'a' is the one branch point: 'a$' and 'ab' leave it
+        # the rebuild uses up the table's counts, so each gets a copy
         table = shingled("abca", 2).table
         # a head past the five distinct keys
         with pytest.raises(ProtocolError, match="past the 5 distinct keys"):
-            apply_merge_records(table, MergeChains([5], [1], [2]))
+            apply_merge_records(copied_table(table), MergeChains([5], [1], [2]))
         # from 'ca' to 'aa', which the multiset does not hold
         with pytest.raises(ProtocolError, match="names a successor with no instance left"):
-            apply_merge_records(table, MergeChains([4], [1], [1]))
+            apply_merge_records(copied_table(table), MergeChains([4], [1], [1]))
         # two chains that both start at the one '$a'
         with pytest.raises(ProtocolError, match="starts at a shingle with no instance left"):
-            apply_merge_records(table, MergeChains([0, 0], [1, 1], [2, 2]))
+            apply_merge_records(copied_table(table), MergeChains([0, 0], [1, 1], [2, 2]))
         # from '$a' at the branch point with no rank to choose by
         with pytest.raises(ProtocolError, match="no shipped rank left"):
-            apply_merge_records(table, MergeChains([0], [1], []))
+            apply_merge_records(copied_table(table), MergeChains([0], [1], []))
         # 'bc' to 'ca' is the one way on: its rank is not shipped
         with pytest.raises(ProtocolError, match="1 shipped ranks left over"):
-            apply_merge_records(table, MergeChains([3], [1], [1]))
+            apply_merge_records(copied_table(table), MergeChains([3], [1], [1]))
         # 'bc', 'ca', 'a$', '$a', 'ab', then no successor of 'ab' is left
         with pytest.raises(ProtocolError, match="no successor has an instance left"):
-            apply_merge_records(table, MergeChains([3], [5], [0]))
+            apply_merge_records(copied_table(table), MergeChains([3], [5], [0]))
 
     def test_chain_that_loops_past_its_instances_rejected(self):
         # 'aa' is a loop on node 'a' with three instances: a chain may go round
@@ -330,14 +343,14 @@ class TestMergeBookkeeping:
         # and takes no rank, so a fourth round's rank is left over
         table = shingled("aaaa", 2).table
         head = table.order.index(table.key("aa"))
-        assert apply_merge_records(table, MergeChains([head], [2], [1, 1])) == ShingleMultiset(
+        assert apply_merge_records(copied_table(table), MergeChains([head], [2], [1, 1])) == ShingleMultiset(
             {"$a": 1, "aaaa": 1, "a$": 1}
         )
-        assert apply_merge_records(table, MergeChains([head], [3], [1, 1])) == ShingleMultiset(
+        assert apply_merge_records(copied_table(table), MergeChains([head], [3], [1, 1])) == ShingleMultiset(
             {"$a": 1, "aaaa$": 1}
         )
         with pytest.raises(ProtocolError, match="left over"):
-            apply_merge_records(table, MergeChains([head], [3], [1, 1, 1]))
+            apply_merge_records(copied_table(table), MergeChains([head], [3], [1, 1, 1]))
 
     def test_full_collapse_single_composite(self):
         # every boundary glued: one chain, and the rebuilt multiset is one
@@ -362,7 +375,7 @@ GOLDEN_CHAINS = bytes.fromhex("00000001390060")
 
 @st.composite
 def width_and_values(draw):
-    bits = draw(st.integers(min_value=1, max_value=VALUE_BITS))
+    bits = draw(st.integers(min_value=1, max_value=P61.bit_length()))
     values = draw(st.lists(st.integers(min_value=0, max_value=2**bits - 1), max_size=3000))
     return bits, values
 
@@ -378,9 +391,14 @@ def merge_chains(draw):
     return MergeChains(heads, glued, ranks), instances, base
 
 
-def value_block_bytes(count):
-    """Bytes of a block of `count` values at the value width."""
-    return (VALUE_BITS * count + 7) // 8
+def value_block_bytes(count, p):
+    """Bytes of a block of `count` residues mod `p`, at its bit length."""
+    return (p.bit_length() * count + 7) // 8
+
+
+# the prime of a binary session at l = 18 between 4096-symbol words, whose
+# residues cross at 42 bits
+P42 = session_field(3, 18, 13).p
 
 
 class TestWireCodecs:
@@ -404,14 +422,24 @@ class TestWireCodecs:
         assert decode_merges(GOLDEN_CHAINS, 7, 5) == chains
 
     def test_value_blocks_are_62_bits_wide(self):
-        # one big-endian integer of count * 62 bits, zero-padded to a byte
-        assert VALUE_BITS == 62
+        # mod P61, the widest prime a session derives, a residue block is one
+        # big-endian integer of count * 62 bits, zero-padded to a byte
         values = [1, P61 - 1, 0, 2**61 + 3]
         as_int = 0
         for v in values:
             as_int = (as_int << 62) | v
-        nbytes = value_block_bytes(len(values))
-        assert _pack_block(values, VALUE_BITS) == (as_int << (8 * nbytes - 62 * len(values))).to_bytes(nbytes, "big")
+        nbytes = value_block_bytes(len(values), P61)
+        assert encode_pairs([(0, v) for v in values], p=P61) == (
+            as_int << (8 * nbytes - 62 * len(values))
+        ).to_bytes(nbytes, "big")
+
+    def test_value_blocks_take_the_bit_length_of_the_prime(self):
+        assert P42.bit_length() == 42
+        values = [1, P42 - 1, 0, 2**41 + 3]
+        payload = encode_pairs([(0, v) for v in values], p=P42)
+        assert len(payload) == value_block_bytes(4, P42) == 21
+        assert decode_pairs(payload, 4, P42) == values
+        assert int.from_bytes(payload, "big") == sum(v << (42 * (3 - i)) for i, v in enumerate(values))
 
     def test_truncated_index_block_rejected(self):
         for bad in (GOLDEN_PACKED_13[:-1], GOLDEN_PACKED_13 + b"\x00"):
@@ -468,50 +496,60 @@ class TestWireCodecs:
         self.refused_before_the_ranks(monkeypatch, [3, 4, 2], "ships 3 ranks for 2 glued shingles")
 
     def test_pair_frame_round_trip_and_exact_length(self):
-        # values only, 62 bits each: the peer derives the points and the count
-        payload = encode_pairs([(1, 2), (3, P61 - 1)])
-        assert len(payload) == value_block_bytes(2) == 16
-        assert decode_pairs(payload, 2) == [2, P61 - 1]
-        assert encode_pairs([]) == b"" and decode_pairs(b"", 0) == []
+        # values only, at the bit length of the prime, 62 bits mod P61: the
+        # peer derives the points and the count
+        payload = encode_pairs([(1, 2), (3, P61 - 1)], p=P61)
+        assert len(payload) == value_block_bytes(2, P61) == 16
+        assert decode_pairs(payload, 2, P61) == [2, P61 - 1]
+        assert encode_pairs([], p=P61) == b"" and decode_pairs(b"", 0, P61) == []
         for bad, count in ((payload[:-1], 2), (payload + b"\x00", 2), (payload, 1), (payload, 3)):
             with pytest.raises(ProtocolError):
-                decode_pairs(bad, count)
+                decode_pairs(bad, count, P61)
 
     def test_value_blocks_hold_residues_only(self):
-        for value in (P61, 2**VALUE_BITS - 1):
-            block = _pack_block([7, value], VALUE_BITS)
-            for decode in (
-                lambda: decode_pairs(block, 2),
-                lambda: decode_bundle(_pack_block([5], 3) + block, 1, 2, 5),
-                # a degree of 2, then its two coefficients
-                lambda: decode_handoff(_pack_block([2], 2) + block, 2, [2], 2, "$01"),
-            ):
-                with pytest.raises(ProtocolError):
-                    decode()
+        # every value from p to the top of its width is refused, in each
+        # frame that carries residues, mod P61 and mod derived primes
+        for p in (P61, P42, session_field(5, 2, 3).p):
+            width = p.bit_length()
+            for value in (p, p + 1, 2**width - 1):
+                block = _pack_block([7, value], width)
+                for decode in (
+                    lambda: decode_pairs(block, 2, p),
+                    lambda: decode_bundle(_pack_block([5], 3) + block, 1, 2, 5, p),
+                    # a degree of 2, then its two coefficients
+                    lambda: decode_handoff(_pack_block([2], 2) + block, 2, [2], 2, "$01", p),
+                ):
+                    with pytest.raises(ProtocolError, match=f"the prime {p} or more"):
+                        decode()
+            assert decode_pairs(_pack_block([7, p - 1], width), 2, p) == [7, p - 1]
 
     def test_bundle_frame_round_trip_and_exact_length(self):
         # one size per bucket at the bit length of the sender's instance
         # count (5: 3 bits), then the values, as many as the hello implies
-        payload = encode_bundle(EvalBundle((7, 9), (1, P61 - 1), 5), bucket_sizes=[5])
+        payload = encode_bundle(EvalBundle((7, 9), (1, P61 - 1), 5), bucket_sizes=[5], p=P61)
         assert payload[:1] == bytes([0b101_00000])
-        assert len(payload) == 1 + value_block_bytes(2)
-        assert decode_bundle(payload, 1, 2, 5) == ([5], [1, P61 - 1])
+        assert len(payload) == 1 + value_block_bytes(2, P61)
+        assert decode_bundle(payload, 1, 2, 5, P61) == ([5], [1, P61 - 1])
+        # the same values mod a 42-bit prime take 42 bits each
+        narrow = encode_bundle(EvalBundle((7, 9), (1, P42 - 1), 5), bucket_sizes=[5], p=P42)
+        assert len(narrow) == 1 + value_block_bytes(2, P42) == 12
+        assert decode_bundle(narrow, 1, 2, 5, P42) == ([5], [1, P42 - 1])
         # 4 sizes of 2 bits for 3 instances: one byte
-        empty = encode_bundle(EvalBundle((), (), 3), bucket_sizes=[1, 0, 2, 0])
+        empty = encode_bundle(EvalBundle((), (), 3), bucket_sizes=[1, 0, 2, 0], p=P61)
         assert empty == bytes([0b01_00_10_00])
-        assert decode_bundle(empty, 4, 0, 3) == ([1, 0, 2, 0], [])
+        assert decode_bundle(empty, 4, 0, 3, P61) == ([1, 0, 2, 0], [])
         # 611 instances: 10 bits a size
-        wide = encode_bundle(EvalBundle((), (), 611), bucket_sizes=[600, 11])
-        assert len(wide) == 3 and decode_bundle(wide, 2, 0, 611) == ([600, 11], [])
+        wide = encode_bundle(EvalBundle((), (), 611), bucket_sizes=[600, 11], p=P61)
+        assert len(wide) == 3 and decode_bundle(wide, 2, 0, 611, P61) == ([600, 11], [])
         for bad in (payload[:1], payload[:-1], payload + b"\x00"):
             with pytest.raises(ProtocolError):
-                decode_bundle(bad, 1, 2, 5)
+                decode_bundle(bad, 1, 2, 5, P61)
         for count in (1, 3):
             with pytest.raises(ProtocolError):
-                decode_bundle(payload, 1, count, 5)
+                decode_bundle(payload, 1, count, 5, P61)
         for buckets, instances in ((5, 3), (4, 8)):
             with pytest.raises(ProtocolError):
-                decode_bundle(empty, buckets, 0, instances)
+                decode_bundle(empty, buckets, 0, instances, P61)
 
     def test_request_frame_round_trip_and_exact_length(self):
         # a width byte, then the counts at that width: the bit length of the largest
@@ -543,26 +581,26 @@ class TestWireCodecs:
         # largest bucket (1: 1 bit), one residue block of the monic
         # polynomials without their leading 1, then its runs, whose windows
         # total the degrees' sum plus its instances less the initiator's
-        payload = encode_handoff(["011"], [[6, 1]], 2, "$01", [1])
+        payload = encode_handoff(["011"], [[6, 1]], 2, "$01", [1], P61)
         assert payload[:1] == bytes([0b1_0000000])
-        assert len(payload) == 1 + value_block_bytes(1) + 2
-        assert decode_handoff(payload, 2, [1], 2, "$01") == (["011"], [[6, 1]])
-        assert decode_handoff(encode_handoff([], [[1]], 2, "$01", [1]), 1, [1], 2, "$01") == ([], [[1]])
-        two = encode_handoff(["$0"], [[1], [8, 9, 1]], 2, "$01", [2, 3])
+        assert len(payload) == 1 + value_block_bytes(1, P61) + 2
+        assert decode_handoff(payload, 2, [1], 2, "$01", P61) == (["011"], [[6, 1]])
+        assert decode_handoff(encode_handoff([], [[1]], 2, "$01", [1], P61), 1, [1], 2, "$01", P61) == ([], [[1]])
+        two = encode_handoff(["$0"], [[1], [8, 9, 1]], 2, "$01", [2, 3], P42)
         assert two[:1] == bytes([0b00_10_0000])
-        assert len(two) == 1 + value_block_bytes(2) + 2
+        assert len(two) == 1 + value_block_bytes(2, P42) + 2
         # a responder of 4 instances against 5: 2 + 4 - 5 windows
-        assert decode_handoff(two, 4, [2, 3], 2, "$01") == (["$0"], [[1], [8, 9, 1]])
+        assert decode_handoff(two, 4, [2, 3], 2, "$01", P42) == (["$0"], [[1], [8, 9, 1]])
         for bad in (payload[:1], payload[:-1], payload + b"\x00"):
             with pytest.raises(ProtocolError):
-                decode_handoff(bad, 2, [1], 2, "$01")
+                decode_handoff(bad, 2, [1], 2, "$01", P61)
         # another instance count derives another total for the runs
         for instances in (1, 3):
             with pytest.raises(ProtocolError):
-                decode_handoff(payload, instances, [1], 2, "$01")
+                decode_handoff(payload, instances, [1], 2, "$01", P61)
         # nine buckets' degrees need two bytes at 1 bit each
         with pytest.raises(ProtocolError):
-            decode_handoff(payload, 2, [1] * 9, 2, "$01")
+            decode_handoff(payload, 2, [1] * 9, 2, "$01", P61)
 
     def test_hello_round_trip(self):
         config = ReconConfig(l=7, mode=MODE_FIXED, m_hat=33, k=5, seed=12345)
@@ -591,12 +629,12 @@ class TestWireCodecs:
         with pytest.raises(InvalidParameterError):
             ReconConfig(**{"l": 7, name: value})
 
-    def test_hello_of_protocol_version_10_is_refused(self):
-        # version 10 built its elements in the library codec's scheme
+    @staticmethod
+    def refuses_version(version):
         hello = bytearray(hello_for(ReconConfig(l=7, seed=1), "ab").payload)
-        assert hello[0] == 11
-        hello[0] = 10
-        with pytest.raises(ProtocolError, match="unsupported protocol version 10"):
+        assert hello[0] == PROTOCOL_VERSION == 12
+        hello[0] = version
+        with pytest.raises(ProtocolError, match=f"unsupported protocol version {version}"):
             decode_hello(bytes(hello))
 
         def script(peer):
@@ -604,7 +642,15 @@ class TestWireCodecs:
             peer.recv()
 
         exc = scripted_session("ab", "responder", ReconConfig(l=7, seed=1), script)
-        assert isinstance(exc, ProtocolError) and "version 10" in str(exc)
+        assert isinstance(exc, ProtocolError) and f"version {version}" in str(exc)
+
+    def test_hello_of_protocol_version_10_is_refused(self):
+        # version 10 built its elements in the library codec's scheme
+        self.refuses_version(10)
+
+    def test_hello_of_protocol_version_11_is_refused(self):
+        # version 11 sent every residue mod P61, at 62 bits
+        self.refuses_version(11)
 
     def test_hello_symbols_must_be_utf8(self):
         payload = encode_hello(ReconConfig(l=7, seed=1), 2, "ab")
@@ -881,7 +927,7 @@ class TestSessions:
         assert rep_a.step2_pairs == buckets * first + k and rep_a.step2_rounds == 0
         # each bucket's decoder feeds the first m_b + 1 of its own points: a
         # bucket's k is 1, the session check verifies the rest
-        points = FIELD.sample_points(config.seed, buckets * first)
+        points = session_codec(wa, wb, l).field.sample_points(config.seed, buckets * first)
         assert fed == [z for b, m in enumerate(diffs) for z in points[b * first : b * first + m + 1]]
 
     def test_fixed_session_recovers_a_difference_of_m_hat_with_top_ups(self):
@@ -951,9 +997,9 @@ class TestSessions:
         batches, requests = [], []
         real_pairs, real_request = stringrecon.encode_pairs, stringrecon.encode_request
 
-        def pairs_spy(pairs):
+        def pairs_spy(pairs, **kwargs):
             batches.append(len(pairs))
-            return real_pairs(pairs)
+            return real_pairs(pairs, **kwargs)
 
         def request_spy(counts):
             requests.append(counts)
@@ -974,15 +1020,21 @@ class TestSessions:
             config = ReconConfig(l=l, mode=MODE_RATELESS, k=8, seed=23)
             (_, rep_a), (_, rep_b) = run_session(wa, wb, config)
             assert rep_a.step2_buckets == buckets
+            # every residue crosses at the bit length of the prime both
+            # parties derive from the hellos
+            codec = session_codec(wa, wb, l)
+            value_bits = codec.field.p.bit_length()
+            assert rep_a.value_bits == rep_b.value_bits == value_bits < 62
+            assert f"value_bits={value_bits}\n" in rep_a.to_text()
             pairs, rounds = rep_a.step2_pairs, rep_a.step2_rounds
             # the bundle's k check values, then one value frame per request
             assert config.k + sum(batches) == pairs == rep_b.step2_pairs
             assert len(batches) == len(requests) == rounds == rep_b.step2_rounds
             # the check in the bundle passes: no request asks for another
             assert [0] * buckets not in requests
-            sizes = [len(part) for part in partition(session_elements(wa, l, alphabet), buckets, 23)]
+            sizes = [len(part) for part in partition(session_elements(wa, l, alphabet, codec.occ_bits), buckets, 23)]
 
-            def block(count, width=62):  # zero-padded to a byte
+            def block(count, width=rep_a.value_bits):  # zero-padded to a byte
                 return 8 * ((width * count + 7) // 8)
 
             def runs_bits(mine, theirs, word):
@@ -1196,30 +1248,35 @@ class TestStep2Evaluation:
         # and sized in 10 bits, and the k whole-set values of the session
         # check follow at the next points
         buckets, first = 32, 2
-        assert len(payload) == 10 * buckets // 8 + value_block_bytes(buckets * first + config.k)
-        sizes, values = decode_bundle(payload, buckets, buckets * first + config.k, 611)
-        elements = session_elements(wa, config.l, Alphabet("01"))
+        codec = session_codec(wa, wb, config.l)
+        p = codec.field.p
+        assert len(payload) == 10 * buckets // 8 + value_block_bytes(buckets * first + config.k, p)
+        sizes, values = decode_bundle(payload, buckets, buckets * first + config.k, 611, p)
+        elements = session_elements(wa, config.l, Alphabet("01"), codec.occ_bits)
         parts = partition(elements, buckets, config.seed)
         assert sizes == [len(part) for part in parts]
-        points = FIELD.sample_points(config.seed, buckets * first + config.k)
+        points = codec.field.sample_points(config.seed, buckets * first + config.k)
         for b, part in enumerate(parts):
             window = slice(b * first, (b + 1) * first)
-            assert values[window] == char_values_loop(part, points[window], P61)
+            assert values[window] == char_values_loop(part, points[window], p)
         check = slice(buckets * first, None)
-        assert values[check] == char_values_loop(elements, points[check], P61)
+        assert values[check] == char_values_loop(elements, points[check], p)
+        # elements at 10 occurrence bits, residues at 41 bits
+        assert (codec.occ_bits, p.bit_length()) == (10, 41)
         assert hashlib.sha256(payload).hexdigest() == (
-            "38c8e13486c0048670cae57dd6c9b1bec36993afa054d0a3493ecee3d6c269ff"
+            "dda395aca8d1007c77914b2fc6d0594876aae75dd8524ad3abeaf35712d5e37d"
         )
 
 
 # SHA-256 of each party's MERGES and DELTA payloads in one seeded rateless
 # session over 2048 bits with 8 edits at l = 16 (3 chains, about 1,160
-# merges and 25-27 shipped ranks a side)
+# merges and 25-27 shipped ranks a side); the responder's DELTA carries its
+# hand-off coefficients at 41 bits, the bit length of the session's prime
 GOLDEN_SESSION = {
     ("initiator", "MERGES"): "0f5aa246b51c076009760b21d3e0c694d6b05079348a927a8f279bc74cd4e558",
     ("initiator", "DELTA"): "8d4e9c4ffa748d96301b00a9e8f753f98e2596c9f51d8c40557babd2375ee0e8",
     ("responder", "MERGES"): "451fd56d3e1c91d8766f555227f0443ac2ffd7c3e4c7517172fd990f70cdb3a3",
-    ("responder", "DELTA"): "bb14c18e02a59730ac3b1b95e09e38d82001516128834ab6a74276245b4d395c",
+    ("responder", "DELTA"): "0f9955e7be60dae06310774957aa783e6f35fbdf179af5d65bda2402fadbf0b2",
 }
 
 
@@ -1279,23 +1336,24 @@ class TestPartitionedStep2:
         config = ReconConfig(l=4, mode=MODE_RATELESS, k=8, seed=seed)
         count_a, count_b = Counter(shingle_sequence(word_a, 4)), Counter(shingle_sequence(word_b, 4))
         only_a, only_b = ShingleMultiset(count_a - count_b), ShingleMultiset(count_b - count_a)
-        codec = ShingleCodec(Alphabet("abcd"), FIELD)
+        codec = session_codec(word_a, word_b, 4)
         (delta_a, delta_b), (rep_a, rep_b) = step2_exchange(word_a, word_b, buckets, config, codec)
         assert delta_a == (only_a, only_b)
         assert delta_b == (only_b, only_a)
         # at most 12 instances per side, so no bucket's rung passes the exact
         # part of the ladder, and each lands on m_b + 1, its one verification
         # value; the session check adds k
-        parts_a = partition(session_elements(word_a, 4, codec.alphabet), buckets, seed)
-        parts_b = partition(session_elements(word_b, 4, codec.alphabet), buckets, seed)
+        parts_a = partition(session_elements(word_a, 4, codec.alphabet, codec.occ_bits), buckets, seed)
+        parts_b = partition(session_elements(word_b, 4, codec.alphabet, codec.occ_bits), buckets, seed)
         expected = sum(len(set(pa) ^ set(pb)) + 1 for pa, pb in zip(parts_a, parts_b)) + config.k
         assert rep_a.step2_pairs == rep_b.step2_pairs == expected
         assert rep_a.step2_buckets == rep_b.step2_buckets == buckets
 
 
 class TestSessionElements:
-    """A session's elements, `key * 2**16 + occ`, against the reference
-    built from the shingles' strings."""
+    """A session's elements, `key * 2**w + occ`, against the reference
+    built from the shingles' strings, and the field both parties derive
+    for them."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1308,25 +1366,31 @@ class TestSessionElements:
         symbols, word = case
         alphabet = Alphabet(symbols)
         l = data.draw(st.integers(2, ShingleCodec(alphabet, FIELD).max_shingle_len))
-        elements = stringrecon._elements(ShingledWord(word, l, alphabet).table)
-        assert elements == session_elements(word, l, alphabet)
+        # the word's own width, or any wider one a longer peer word sets
+        occ_bits = data.draw(st.integers(session_occ_bits(len(word), 0, l), 16))
+        elements = stringrecon._elements(ShingledWord(word, l, alphabet).table, occ_bits)
+        assert elements == session_elements(word, l, alphabet, occ_bits)
         assert 0 not in elements and len(set(elements)) == len(elements)
-        assert max(elements) < FIELD.encoding_limit
+        assert max(elements) < session_field(len(symbols) + 1, l, occ_bits).encoding_limit
 
     @pytest.mark.parametrize("symbols", ["01", "abc"])
     def test_every_length_up_to_the_cap_stays_in_range(self, symbols):
         alphabet = Alphabet(symbols)
         top = ShingleCodec(alphabet, FIELD).max_shingle_len
         for l in range(2, top + 1):
-            # the largest element any word of this length can hold
+            # the largest element any word of this length can hold, at the
+            # widest occurrence width, fits P61
             assert (len(symbols) + 1) ** l * 2**16 < FIELD.encoding_limit
             # the empty word's l - 1 windows are all delimiters, key 0
             for word in ("", symbols[-1] * l, symbols * 3 + symbols[0] * l):
-                elements = stringrecon._elements(ShingledWord(word, l, alphabet).table)
-                assert elements == session_elements(word, l, alphabet)
+                occ_bits = session_occ_bits(len(word), len(word), l)
+                field = session_field(len(symbols) + 1, l, occ_bits)
+                assert field.p <= FIELD.p
+                elements = stringrecon._elements(ShingledWord(word, l, alphabet).table, occ_bits)
+                assert elements == session_elements(word, l, alphabet, occ_bits)
                 assert 0 not in elements and len(set(elements)) == len(elements)
-                assert max(elements) < FIELD.encoding_limit
-        assert stringrecon._elements(ShingledWord("", 3, alphabet).table) == [1, 2]
+                assert max(elements) < field.encoding_limit
+        assert stringrecon._elements(ShingledWord("", 3, alphabet).table, 16) == [1, 2]
         # one past the cap, the largest shingle no longer fits
         assert (len(symbols) + 1) ** (top + 1) * 2**16 >= FIELD.encoding_limit
 
@@ -1334,17 +1398,84 @@ class TestSessionElements:
         # '00' occurs n - 1 times in a word of n zeros
         alphabet = Alphabet("0")
         full = ShingledWord("0" * (2**16 + 1), 2, alphabet).table
-        assert max(stringrecon._elements(full)) == full.key("00") * 2**16 + 2**16
+        assert max(stringrecon._elements(full, 16)) == full.key("00") * 2**16 + 2**16
         with pytest.raises(EncodingCapacityError, match="occurrence 65537 exceeds 16 bits"):
-            stringrecon._elements(ShingledWord("0" * (2**16 + 2), 2, alphabet).table)
+            stringrecon._elements(ShingledWord("0" * (2**16 + 2), 2, alphabet).table, 16)
+        # a word's own width holds every multiplicity it has, and no more
+        short = ShingledWord("0" * 10, 2, alphabet).table
+        assert session_occ_bits(10, 0, 2) == 4
+        assert max(stringrecon._elements(short, 4)) == short.key("00") * 2**4 + 9
+        with pytest.raises(EncodingCapacityError, match="occurrence 9 exceeds 3 bits"):
+            stringrecon._elements(short, 3)
 
     def test_root_keys_and_peer_instances_share_the_format(self):
         word = ShingledWord("abcab", 3, Alphabet("abc"))
         table = word.table
-        elements = stringrecon._elements(table)
-        for (shingle, occ), element in zip(ShingleMultiset(shingle_sequence("abcab", 3)).instances(), elements):
-            assert stringrecon._element(table.key(shingle), occ) == element
-            assert stringrecon._root_key(element) == table.key(shingle)
+        for occ_bits in (3, 16):
+            elements = stringrecon._elements(table, occ_bits)
+            for (shingle, occ), element in zip(ShingleMultiset(shingle_sequence("abcab", 3)).instances(), elements):
+                assert stringrecon._element(table.key(shingle), occ, occ_bits) == element
+                assert stringrecon._root_key(element, occ_bits) == table.key(shingle)
+
+    @pytest.mark.parametrize(
+        "n_local,n_remote,l,occ_bits",
+        [(0, 0, 2, 0), (1, 0, 2, 1), (0, 5, 2, 3), (4096, 4092, 18, 13), (16384, 16380, 20, 15),
+         (2**16, 2**16, 23, 16), (2**20, 2**20 - 3, 27, 16), (2**64 - 1, 5, 28, 16)],
+    )
+    def test_occurrence_width_holds_the_larger_word(self, n_local, n_remote, l, occ_bits):
+        # the most instances of one shingle either word holds is its
+        # n + l - 1, which the width must reach, capped at 16 bits
+        assert session_occ_bits(n_local, n_remote, l) == session_occ_bits(n_remote, n_local, l) == occ_bits
+        most = max(n_local, n_remote) + l - 1
+        assert 2**occ_bits >= most or occ_bits == 16
+        assert occ_bits == 0 or 2 ** (occ_bits - 1) < most
+
+    def test_prime_is_the_smallest_above_the_elements_and_the_points(self):
+        for base in (2, 3, 4, 5, 27):
+            for l in (2, 3, 5, 8, 13):
+                for occ_bits in (0, 1, 7, 13, 16):
+                    spec = session_field(base, l, occ_bits)
+                    floor = base**l * 2**occ_bits + 2**40
+                    assert spec.p > floor and spec.point_span == 2**40
+                    assert is_probable_prime(spec.p)
+                    assert not any(map(is_probable_prime, range(floor + 1, spec.p)))
+                    # the largest element, base**l * 2**w, lies below the points
+                    assert base**l * 2**occ_bits < spec.encoding_limit
+
+    @pytest.mark.parametrize(
+        "l,occ_bits,bits", [(18, 13, 42), (20, 15, 47), (23, 16, 53), (27, 16, 59)]
+    )
+    def test_widths_of_the_benchmark_cells(self, l, occ_bits, bits):
+        # binary words: two symbols and the delimiter
+        assert session_field(3, l, occ_bits).p.bit_length() == bits
+
+    @pytest.mark.parametrize("symbols", ["0", "01", "abc", "abcdefghij"])
+    def test_a_hostile_word_length_cannot_widen_the_field_past_p61(self, symbols):
+        # the hello's u64 word length sets the width at most 16 bits, and at
+        # the capped l the prime is then at most P61, 62 bits
+        occ_bits = session_occ_bits(2**64 - 1, 0, 2)
+        assert occ_bits == 16
+        base = len(symbols) + 1
+        top = ShingleCodec(Alphabet(symbols), FIELD).max_shingle_len
+        field = session_field(base, top, occ_bits)
+        assert field.p <= P61 and field.p.bit_length() <= 62
+
+    def test_both_parties_derive_one_field_from_the_hellos(self, monkeypatch):
+        fields = []
+        real = stringrecon.session_field
+
+        def spy(base, l, occ_bits):
+            field = real(base, l, occ_bits)
+            fields.append(field)
+            return field
+
+        monkeypatch.setattr(stringrecon, "session_field", spy)
+        (ra, rep_a), (rb, rep_b) = run_session("0110100", "abc", ReconConfig(l=3, seed=4))
+        assert ra == "abc" and rb == "0110100"
+        # five symbols and the delimiter, the longer word's 7 + 3 - 2 = 8
+        # takes 4 bits
+        assert fields == [session_field(6, 3, 4)] * 2
+        assert rep_a.value_bits == rep_b.value_bits == fields[0].p.bit_length() == 41
 
 
 def flip(word, i):
@@ -1353,6 +1484,11 @@ def flip(word, i):
 
 WIDE_A = "".join(random.Random(6).choice("01") for _ in range(96))
 WIDE_B = flip(WIDE_A, 40)
+# the primes of the scripted sessions below, "abcab" against "abcba" at
+# l = 2 and WIDE_A against WIDE_B at l = 13, as both parties derive them
+# from the hellos
+ABC_P = session_codec("abcab", "abcba", 2).field.p
+WIDE_P = session_codec(WIDE_A, WIDE_B, 13).field.p
 
 
 class TestHostileStep2:
@@ -1360,7 +1496,9 @@ class TestHostileStep2:
     with `ProtocolError` at once (`BoundExceededError` once a fixed-mode
     bundle exhausts the decoder's budget)."""
 
-    CONFIG = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=3)
+    # a seed under which "abcab" splits unevenly over its two buckets
+    # (`SIZES`), so a hand-off degree can exceed a bucket's instances
+    CONFIG = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=10)
     # two 96-bit words: 108 instances each, so eight buckets
     WIDE = ReconConfig(l=13, mode=MODE_RATELESS, k=8, seed=3)
 
@@ -1374,6 +1512,7 @@ class TestHostileStep2:
         When `fixed`, the session runs in fixed mode with m_hat = 4, so the
         bundle holds ceil(4 / B) values per bucket."""
         config, mine, theirs = (self.WIDE, WIDE_A, WIDE_B) if wide else (self.CONFIG, "abcab", "abcba")
+        p = WIDE_P if wide else ABC_P
         instances = len(mine) + config.l - 1
         buckets = step2_buckets(instances, len(theirs) + config.l - 1)
         first = 0
@@ -1385,19 +1524,29 @@ class TestHostileStep2:
         def script(peer):
             peer.recv()
             peer.send(hello_for(config, theirs))
-            sizes, _ = decode_bundle(peer.recv().payload, buckets, first * buckets + config.k, instances)
+            sizes, _ = decode_bundle(peer.recv().payload, buckets, first * buckets + config.k, instances, p)
             for request in requests:
                 payload = request(sizes) if callable(request) else request
                 peer.send(Frame(FrameKind.DELTA_REQ, payload))
                 frame = peer.recv()
                 if frame.kind != FrameKind.EVAL_PAIR:
                     return
-                served.append(decode_pairs(frame.payload, sum(decode_request(payload, buckets)) or config.k))
+                served.append(decode_pairs(frame.payload, sum(decode_request(payload, buckets)) or config.k, p))
 
         return scripted_session(mine, "initiator", config, script)
 
     # "abcab" puts 4 and 2 of its instances in its two buckets
     SIZES = [4, 2]
+
+    def test_the_scripted_words_split_as_the_cases_assume(self):
+        codec = session_codec("abcab", "abcba", self.CONFIG.l)
+        assert codec.field.p == ABC_P
+        split = [
+            [len(part) for part in partition(session_elements(word, 2, codec.alphabet, codec.occ_bits), 2, seed)]
+            for word, seed in (("abcab", self.CONFIG.seed), ("abcba", 3))
+        ]
+        # the responder "abcba" holds 3 instances in bucket 0 at seed 3
+        assert split == [self.SIZES, [3, 3]]
 
     @pytest.mark.parametrize(
         "payload", [b"", b"\x00\x00\x08", b"\x00\x00\x00\x08\x00", b"\x01", b"\x01\x80\x00"]
@@ -1489,9 +1638,9 @@ class TestHostileStep2:
         "handoff",
         [
             # a run of two windows, "a$" and "$b", that no padded word holds
-            lambda sizes: encode_handoff(["a$b"], [[7, 8, 1], [1]], 2, "$abc", sizes),
+            lambda sizes: encode_handoff(["a$b"], [[7, 8, 1], [1]], 2, "$abc", sizes, ABC_P),
             # Z + 7 has no root among the initiator's elements of bucket 0
-            lambda sizes: encode_handoff(["ab"], [[7, 1], [1]], 2, "$abc", sizes),
+            lambda sizes: encode_handoff(["ab"], [[7, 1], [1]], 2, "$abc", sizes, ABC_P),
             # the two 3-bit degrees with a padding bit set
             lambda sizes: bytes([0b000_000_01]),
         ],
@@ -1517,7 +1666,7 @@ class TestHostileStep2:
         def forbidden(*_args):
             raise AssertionError("an oversized hand-off was decoded or searched")
 
-        def no_residues(_data, count, _what):
+        def no_residues(_data, count, _what, _p):
             if count:
                 forbidden()
             return []
@@ -1582,7 +1731,7 @@ class TestHostileStep2:
         buckets, or the bundle frame `payload` when given, and then answers
         the first pair request with `pairs_for(count)`, for the values
         requested in all."""
-        payload = payload or encode_bundle(self.with_check(bundle), bucket_sizes=[bundle.set_size, 0])
+        payload = payload or encode_bundle(self.with_check(bundle), bucket_sizes=[bundle.set_size, 0], p=ABC_P)
 
         def script(peer):
             peer.send(hello_for(config, "abcab"))
@@ -1590,12 +1739,12 @@ class TestHostileStep2:
             peer.send(Frame(FrameKind.EVAL_BUNDLE, payload))
             if pairs_for is not None:
                 count = sum(decode_request(peer.recv().payload, 2))
-                peer.send(Frame(FrameKind.EVAL_PAIR, encode_pairs(pairs_for(count))))
+                peer.send(Frame(FrameKind.EVAL_PAIR, encode_pairs(pairs_for(count), p=ABC_P)))
 
         return scripted_session("abcba", "responder", config, script)
 
     def test_pair_frame_must_hold_the_requested_count(self):
-        points = FIELD.sample_points(1, 40)
+        points = session_codec("abcab", "abcba", 2).field.sample_points(1, 40)
         for extra in (-1, 1):
             exc = self.responder_facing(
                 self.CONFIG,
@@ -1604,11 +1753,12 @@ class TestHostileStep2:
             )
             assert isinstance(exc, ProtocolError)
 
-    @pytest.mark.parametrize("value", [P61, 2**62 - 1], ids=["P61", "2**62-1"])
+    @pytest.mark.parametrize("value", [ABC_P, 2**ABC_P.bit_length() - 1], ids=["p", "all-ones"])
     def test_pair_values_must_be_residues(self, value):
-        # P61 is 0 mod P61 but is no residue: the frame is rejected, not fed
+        # the session's prime p is 0 mod p but is no residue: the frame is
+        # rejected, not fed
         exc = self.responder_facing(self.CONFIG, EvalBundle((), (), 6), lambda count: [(0, value)] * count)
-        assert isinstance(exc, ProtocolError)
+        assert isinstance(exc, ProtocolError) and f"the prime {ABC_P} or more" in str(exc), exc
 
     def test_bundle_set_size_must_match_the_hello(self):
         assert isinstance(self.responder_facing(self.CONFIG, EvalBundle((), (), 7)), ProtocolError)
@@ -1627,7 +1777,7 @@ class TestHostileStep2:
                 peer.send(hello_for(self.WIDE, WIDE_A))
                 peer.recv()
                 bundle = self.with_check(EvalBundle((), (), 108))
-                peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, bucket_sizes=sizes)))
+                peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, bucket_sizes=sizes, p=WIDE_P)))
                 replies.append(peer.recv().kind)
 
             return scripted_session(WIDE_B, "responder", self.WIDE, script), replies
@@ -1671,7 +1821,7 @@ class TestHostileStep2:
         monkeypatch.setattr(RatelessDecoder, "feed", spy)
         config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=100_000, k=8, seed=3)
         count = config.m_hat
-        values = tuple(rng.randrange(1, FIELD.p) for _ in range(count))
+        values = tuple(rng.randrange(1, ABC_P) for _ in range(count))
         start = time.perf_counter()
         exc = self.responder_facing(config, EvalBundle(tuple(range(count)), values, 6))
         assert isinstance(exc, BoundExceededError)
@@ -1684,13 +1834,13 @@ class TestHostileStep2:
         "values,match",
         [
             (lambda values: values[:-1], "bundle block holds"),
-            (lambda values: [P61] + values[1:], "P61 or more"),
+            (lambda values: [ABC_P] + values[1:], f"the prime {ABC_P} or more"),
         ],
-        ids=["short", "P61"],
+        ids=["short", "p"],
     )
     def test_check_values_are_checked(self, values, match):
         def tamper(frame, check):
-            return with_check_values(frame, values) if check else frame
+            return with_check_values(frame, values, ABC_P) if check else frame
 
         exc = scripted_session("abcba", "responder", self.CONFIG, tampered_initiator("abcab", self.CONFIG, tamper))
         assert isinstance(exc, ProtocolError) and match in str(exc), exc
@@ -1703,7 +1853,7 @@ class TestHostileStep2:
         def tamper(frame, check):
             if check:
                 checks.append(frame)
-                return with_check_values(frame, lambda values: [(v + 1) % P61 for v in values])
+                return with_check_values(frame, lambda values: [(v + 1) % WIDE_P for v in values], WIDE_P)
             return frame
 
         start = time.perf_counter()
@@ -1729,7 +1879,7 @@ class TestHostileStep2:
         monkeypatch.setattr(RatelessSource, "next_pairs", spy)
 
         def tamper(frame, check):
-            return with_check_values(frame, lambda values: [1] * len(values)) if check else frame
+            return with_check_values(frame, lambda values: [1] * len(values), WIDE_P) if check else frame
 
         exc = scripted_session(WIDE_B, "responder", self.WIDE, tampered_initiator(WIDE_A, self.WIDE, tamper))
         assert isinstance(exc, ProtocolError) and str(exc) == "the session check failed 8 times", exc
@@ -1745,7 +1895,7 @@ class TestHostileStep2:
         def decode_once_wrong(decoder, num, den):
             accepted = real_decode(decoder, num, den)
             if accepted and not wrong:
-                remote = field.pmul(list(decoder.result.remote_poly), [12345, 1], P61)
+                remote = field.pmul(list(decoder.result.remote_poly), [12345, 1], decoder.codec.field.p)
                 decoder.result = dataclasses.replace(decoder.result, remote_poly=tuple(remote))
                 wrong.append(decoder)
             return accepted
@@ -1802,10 +1952,11 @@ class TestRuns:
         only = mine - theirs
         # the one-sided instances as a decoder finds them: elements of the
         # sender's own, above the peer's count of each shingle
-        element = dict(zip(ShingleMultiset(mine).instances(), session_elements(word, l, alphabet)))
+        occ_bits = session_occ_bits(len(word), len(other), l)
+        element = dict(zip(ShingleMultiset(mine).instances(), session_elements(word, l, alphabet, occ_bits)))
         roots = [element[s, occ] for s, m in only.items() for occ in range(theirs[s] + 1, theirs[s] + m + 1)]
         shingled_word = ShingledWord(word, l, alphabet)
-        runs = _own_runs(shingled_word, roots)
+        runs = _own_runs(shingled_word, roots, occ_bits)
         assert all(run in delimited(word, l) for run in runs)
         chars = "".join(sorted(shingled_word.table.ranks))
         payload = encode_runs(runs, l, chars)
@@ -1829,9 +1980,9 @@ class TestRuns:
             (_pack_block([1, 4], 3) + _pack_block([1, 2, 1, 3, 0, 0], 2), "rank of 3"),
             (HONEST_RUNS[:-1] + bytes([1]), "padding"),
             (HONEST_RUNS[:-1], "runs block holds 1 bytes"),
-            # '1101$$': '110', '101', '01$' and '1$$' land two a bucket, as
-            # the degrees ask, but '110' is no root
-            (encode_runs(["1101$$"], 3, "$01"), "no root in bucket"),
+            # '1011$$': '101', '011', '11$' and '1$$' land two a bucket, as
+            # the degrees ask, but '011' and '11$' are no roots
+            (encode_runs(["1011$$"], 3, "$01"), "no root in bucket"),
             # '1001$$': four instances, as the degrees sum to, but three in
             # bucket 0, whose polynomial has degree 2
             (encode_runs(["1001$$"], 3, "$01"), "3 instances in bucket 0, whose hand-off polynomial has degree 2"),
@@ -1865,20 +2016,24 @@ class TestRuns:
         # the 16 occurrence bits
         local = ShingledWord("0" * 2**16, 2, Alphabet("0"))
         with pytest.raises(ProtocolError, match="encoding range"):
-            stringrecon._initiator_only(["000"], local, [[1, 1]], seed=3)
+            stringrecon._initiator_only(["000"], local, [[1, 1]], seed=3, occ_bits=16, p=P61)
+        # at a session's own width: '00' 7 times of 3 bits' 8 occurrences
+        local = ShingledWord("0" * 8, 2, Alphabet("0"))
+        with pytest.raises(ProtocolError, match="occurrence 9 of a shingle, past the encoding range"):
+            stringrecon._initiator_only(["000"], local, [[1, 1]], seed=3, occ_bits=3, p=P42)
 
     def test_honest_initiator_runs_are_accepted(self):
         (ra, _), (rb, _) = run_session(RUNS_A, RUNS_B, RUNS_CONFIG)
         assert ra == RUNS_B and rb == RUNS_A
 
 
-def with_check_values(frame, values, k=8):
-    """A frame that ends in k session check values, with `values(them)` in
-    their place: a rateless bundle, whose values are the check's alone, or
-    the answer to a request of all zeros."""
-    tail = value_block_bytes(k)
-    replaced = values(decode_pairs(frame.payload[-tail:], k))
-    return Frame(frame.kind, frame.payload[:-tail] + _pack_block(replaced, VALUE_BITS))
+def with_check_values(frame, values, p, k=8):
+    """A frame that ends in k session check values mod `p`, with
+    `values(them)` in their place: a rateless bundle, whose values are the
+    check's alone, or the answer to a request of all zeros."""
+    tail = value_block_bytes(k, p)
+    replaced = values(decode_pairs(frame.payload[-tail:], k, p))
+    return Frame(frame.kind, frame.payload[:-tail] + encode_pairs([(0, v) for v in replaced], p=p))
 
 
 def tampered_initiator(word, config, tamper):

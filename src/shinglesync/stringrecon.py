@@ -1,7 +1,8 @@
 """End-to-end string reconciliation over a framed transport.
 
 Session outline: exchange hello frames (parameters, lengths, observed
-symbols), reconcile the two initial shingle multisets bucket by bucket (a
+symbols), take the wider of the two words' occurrence widths, which sets
+the field, reconcile the two initial shingle multisets bucket by bucket (a
 first batch of characteristic values pre-sized from the bound in fixed mode
 and empty in rateless mode, then values on request until every bucket holds
 a candidate verified by one value, then one session check of k whole-set
@@ -72,7 +73,7 @@ from .shingles import (  # noqa: F401
 )
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 12
+PROTOCOL_VERSION = 13
 
 # the field that caps a hello's l: P61 with points drawn from its top 2**40
 # residues.  No session runs over it: each derives its own, no wider, from
@@ -95,18 +96,30 @@ MAX_K = 8
 
 # a session's elements: occurrence occ = 1..2**w of the shingle with
 # `ShingleTable` key `key` is key * 2**w + occ for the session's occurrence
-# width w (`session_occ_bits`), injective, never 0, and at most
-# base**l * 2**w, below the encoding limit of the session's field
-# (`session_field`)
+# width w, the wider of the two words' own (`word_occ_bits`), injective,
+# never 0, and at most base**l * 2**w, below the encoding limit of the
+# session's field (`session_field`)
 
 
-def session_occ_bits(n_local: int, n_remote: int, l: int) -> int:
-    """w, the occurrence width of a session between words of `n_local` and
-    `n_remote` symbols at shingle length `l`: the bit length of the larger
-    word's n + l - 2, so that 2**w reaches its n + l - 1 instances, the most
-    any shingle of either word can have, capped at the `DEFAULT_OCC_BITS`
-    with which P61 caps l (`ShingleCodec.max_shingle_len`)."""
-    return min(DEFAULT_OCC_BITS, (max(n_local, n_remote) + l - 2).bit_length())
+def word_occ_bits(table: ShingleTable) -> int:
+    """A word's own occurrence width: the bit length of its largest
+    multiplicity less 1, so that occurrences 1..2**w number every instance
+    of its most frequent shingle.  A multiplicity past the 2**16 occurrences
+    of the `DEFAULT_OCC_BITS` with which P61 caps l raises
+    EncodingCapacityError."""
+    largest = max(table.counts.values(), default=1)
+    if largest > 1 << DEFAULT_OCC_BITS:
+        raise EncodingCapacityError(f"occurrence {(1 << DEFAULT_OCC_BITS) + 1} exceeds {DEFAULT_OCC_BITS} bits")
+    return (largest - 1).bit_length()
+
+
+def occ_bits_cap(instances: int) -> int:
+    """The widest occurrence width a word of `instances` shingle instances
+    can need: the bit length of `instances - 1`, so that 2**w reaches every
+    instance, capped at the `DEFAULT_OCC_BITS` with which P61 caps l
+    (`ShingleCodec.max_shingle_len`).  Both parties know it for both words
+    from the hellos, and refuse a stated width past it."""
+    return min(DEFAULT_OCC_BITS, (instances - 1).bit_length())
 
 
 def session_field(base: int, l: int, occ_bits: int) -> FieldSpec:
@@ -114,9 +127,10 @@ def session_field(base: int, l: int, occ_bits: int) -> FieldSpec:
     symbols of both hellos and the delimiter) and occurrence width
     `occ_bits`: the smallest prime above base**l * 2**occ_bits + 2**40,
     with its top 2**40 residues the point range, so every element lies
-    below the encoding limit.  Both parties derive it from the hellos.  At
-    every l the cap allows (`ShingleCodec.max_shingle_len` over `FIELD`)
-    it is at most P61, whatever word lengths the hellos announce."""
+    below the encoding limit.  Both parties derive it from the hellos and
+    the session's occurrence width.  At every l the cap allows
+    (`ShingleCodec.max_shingle_len` over `FIELD`) and every width up to
+    `DEFAULT_OCC_BITS`, the most a peer may state, it is at most P61."""
     p = (base**l << occ_bits) + FIELD.point_span + 1
     while not is_probable_prime(p):
         p += 1
@@ -150,9 +164,11 @@ class ReconConfig:
     Only what sessions vary is a field.  Every session runs under the
     delimiter `DEFAULT_DELIMITER`, with l capped by the module constant
     `FIELD` (`FieldSpec.default61()`) at `DEFAULT_OCC_BITS` occurrence bits,
-    and over a field both parties derive from the hellos: the occurrence
-    width from both word lengths and l (`session_occ_bits`), the prime from
-    l, the symbols of both words and that width (`session_field`).
+    and over a field both parties derive in step 2: the occurrence width,
+    the wider of the two words' own (`word_occ_bits`), crosses in the
+    responder's OCC_WIDTH frame and the initiator's bundle, and the prime
+    follows from l, the symbols of both hellos and that width
+    (`session_field`).
     """
 
     l: int
@@ -195,6 +211,8 @@ class SessionReport:
     # bucket candidates the responder refused, those taken back after a
     # failed session check included; 0 on the initiator, which sees none
     step2_rejected: int = 0
+    # the session's occurrence width w: an element is key * 2**w + occ
+    occ_bits: int = 0
     # the bit length of the session's prime, the width every residue crosses at
     value_bits: int = 0
     # both words at ceil(log2 |symbols|) bits a symbol (at least 1), over the
@@ -241,6 +259,7 @@ class SessionReport:
             "step2_rounds",
             "step2_checks",
             "step2_rejected",
+            "occ_bits",
             "value_bits",
             "longest_label",
             "raw_bits",
@@ -482,30 +501,72 @@ def decode_hello(payload: bytes) -> tuple[ReconConfig, int, str]:
     return config, word_len, sym
 
 
-def encode_bundle(bundle: EvalBundle, *, bucket_sizes: list[int], p: int) -> bytes:
-    """One instance count per bucket, whose sum is the bundle's set size,
-    packed `_count_bits(set size)` wide, then the values at the bit length
-    of the session's prime `p`; the peer derives the widths from the hellos,
-    the points from the seed and their number from the hello.
+def encode_occ_bits(occ_bits: int) -> bytes:
+    """The responder's OCC_WIDTH frame: its word's own occurrence width,
+    one byte."""
+    return bytes([occ_bits])
 
-    `bucket_sizes` and `p` are keyword-only: perfbench/tracing.py counts the
-    bundle's pairs from the one positional argument.
+
+def decode_occ_bits(payload: bytes, least: int, most: int, what: str) -> int:
+    """The occurrence width in the one-byte `payload`, refused outside
+    [`least`, `most`]: `most` is at most `DEFAULT_OCC_BITS`, the widest any
+    element may take (`occ_bits_cap`)."""
+    if len(payload) != 1:
+        raise ProtocolError(f"{what} occurrence width takes 1 byte, not {len(payload)}")
+    (occ_bits,) = payload
+    if not least <= occ_bits <= most:
+        raise ProtocolError(f"{what} occurrence width {occ_bits} is outside [{least}, {most}]")
+    return occ_bits
+
+
+def encode_bundle(bundle: EvalBundle, *, occ_bits: int, bucket_sizes: list[int], p: int) -> bytes:
+    """The session's occurrence width `occ_bits`, one byte; the smallest
+    bucket size, packed `_count_bits(set size)` wide for the bundle's set
+    size, the sum of the sizes; `width:u8`, the bit length of the largest
+    size's offset from the smallest (at least 1); each size's offset, packed
+    `width` wide; then the values at the bit length of the session's prime
+    `p`.  The peer derives the first width from the hellos, the points from
+    the seed and their number from the hello.
+
+    `occ_bits`, `bucket_sizes` and `p` are keyword-only: perfbench/tracing.py
+    counts the bundle's pairs from the one positional argument.
     """
-    sizes = _pack_block(bucket_sizes, _count_bits(bundle.set_size))
-    return sizes + _pack_block(list(bundle.values), p.bit_length())
+    least = min(bucket_sizes)
+    offsets = [size - least for size in bucket_sizes]
+    width = _count_bits(max(offsets))
+    return (
+        encode_occ_bits(occ_bits)
+        + _pack_block([least], _count_bits(bundle.set_size))
+        + bytes([width])
+        + _pack_block(offsets, width)
+        + _pack_block(list(bundle.values), p.bit_length())
+    )
 
 
 def decode_bundle(
     payload: bytes, buckets: int, count: int, instances: int, p: int
 ) -> tuple[list[int], list[int]]:
     """(bucket sizes, values) of a bundle frame holding `count` residues mod
-    `p` from a sender of `instances` shingle instances."""
+    `p` from a sender of `instances` shingle instances.
+
+    The occurrence width that opens the frame is read first, on its own
+    (`decode_occ_bits`), as it sets `p`; this reads past it.  The offsets'
+    width, at most `_count_bits(instances)`, and the largest size, at most
+    `instances`, are checked before any value is read.
+    """
     bits = _count_bits(instances)
-    head = (buckets * bits + 7) // 8
-    return (
-        _unpack_block(payload[:head], bits, buckets, "bundle"),
-        _unpack_residues(payload[head:], count, "bundle", p),
-    )
+    at = 1 + (bits + 7) // 8
+    if len(payload) <= at:
+        raise ProtocolError("bundle holds no offset width")
+    (least,) = _unpack_block(payload[1:at], bits, 1, "bundle")
+    width = payload[at]
+    if not 1 <= width <= bits:
+        raise ProtocolError(f"bundle size offset width {width} is outside [1, {bits}]")
+    head = at + 1 + (buckets * width + 7) // 8
+    sizes = [least + offset for offset in _unpack_block(payload[at + 1 : head], width, buckets, "bundle")]
+    if max(sizes) > instances:
+        raise ProtocolError(f"bundle bucket size {max(sizes)} is past the {instances} instances of the peer")
+    return sizes, _unpack_residues(payload[head:], count, "bundle", p)
 
 
 def encode_request(counts: list[int]) -> bytes:
@@ -592,21 +653,20 @@ def decode_runs(payload: bytes, l: int, total: int, chars: str) -> list[str]:
     return runs
 
 
-def encode_handoff(
-    runs: list[str], polys: list[list[int]], l: int, chars: str, bucket_sizes: list[int], p: int
-) -> bytes:
-    """The responder's DELTA, to an initiator whose bundle gave `bucket_sizes`.
-
-    The degree of each bucket's monic hand-off polynomial, whose roots are
-    the initiator's instances in that bucket, packed
-    `_count_bits(max(bucket_sizes))` wide; one residue block of the
-    polynomials' little-endian coefficients mod `p`, the leading 1 left out; then
-    the responder's own difference instances as runs (`encode_runs`), whose
-    windows total the degrees' sum plus the responder's instance count less
-    the initiator's.
+def encode_handoff(runs: list[str], polys: list[list[int]], l: int, chars: str, p: int) -> bytes:
+    """The responder's DELTA: `width:u8`, the bit length of the largest
+    degree (at least 1); the degree of each bucket's monic hand-off
+    polynomial, whose roots are the initiator's instances in that bucket,
+    packed `width` wide; one residue block of the polynomials' little-endian
+    coefficients mod `p`, the leading 1 left out; then the responder's own
+    difference instances as runs (`encode_runs`), whose windows total the
+    degrees' sum plus the responder's instance count less the initiator's.
     """
+    degrees = [len(poly) - 1 for poly in polys]
+    width = _count_bits(max(degrees, default=0))
     return (
-        _pack_block([len(poly) - 1 for poly in polys], _count_bits(max(bucket_sizes, default=0)))
+        bytes([width])
+        + _pack_block(degrees, width)
         + _pack_block([c for poly in polys for c in poly[:-1]], p.bit_length())
         + encode_runs(runs, l, chars)
     )
@@ -619,15 +679,21 @@ def decode_handoff(
     DELTA from a responder of `instances` shingle instances, to the
     initiator whose buckets hold `bucket_sizes` instances.
 
-    The degrees are bounded before the residues are read: no bucket
-    polynomial of higher degree than the initiator's instances in that
-    bucket, since a root search costs the degree times the bucket's
-    instances, and degrees that sum to at least the initiator's surplus of
-    instances over the responder's, which the runs' windows make up.
+    The degrees are bounded before the residues are read: a width no wider
+    than the largest bucket's size needs, no bucket polynomial of higher
+    degree than the initiator's instances in that bucket, since a root
+    search costs the degree times the bucket's instances, and degrees that
+    sum to at least the initiator's surplus of instances over the
+    responder's, which the runs' windows make up.
     """
-    bits = _count_bits(max(bucket_sizes, default=0))
-    head = (len(bucket_sizes) * bits + 7) // 8
-    degrees = _unpack_block(payload[:head], bits, len(bucket_sizes), "delta")
+    if not payload:
+        raise ProtocolError("hand-off holds no degree width")
+    bits = payload[0]
+    most = _count_bits(max(bucket_sizes, default=0))
+    if not 1 <= bits <= most:
+        raise ProtocolError(f"hand-off degree width {bits} is outside [1, {most}]")
+    head = 1 + (len(bucket_sizes) * bits + 7) // 8
+    degrees = _unpack_block(payload[1:head], bits, len(bucket_sizes), "delta")
     for b, (degree, size) in enumerate(zip(degrees, bucket_sizes)):
         if degree > size:
             raise ProtocolError(
@@ -647,15 +713,17 @@ def decode_handoff(
 
 
 def encode_merges(chains: MergeChains, instances: int, base: int) -> bytes:
-    """`count:u32be`, then one block packed `_count_bits(instances - 1)` wide
-    of the shipped-rank count and each chain's head and glued count, each
-    below the sender's instance count, then one block of the shipped ranks
-    packed `_rank_bits(base)` wide: a merge costs a rank only at a branch
-    point, 2 bits for a binary word.  The peer derives both widths from the
-    sender's instance count and the session's alphabet."""
+    """The chain count, packed `_count_bits(instances // 2)` wide, as every
+    chain covers two instances or more; one block packed
+    `_count_bits(instances - 1)` wide of the shipped-rank count and each
+    chain's head and glued count, each below the sender's instance count;
+    then one block of the shipped ranks packed `_rank_bits(base)` wide: a
+    merge costs a rank only at a branch point, 2 bits for a binary word.
+    The peer derives the widths from the sender's instance count and the
+    session's alphabet."""
     head_block = [len(chains.ranks)] + [value for chain in zip(chains.heads, chains.glued) for value in chain]
     return (
-        _pack_block([len(chains.heads)], 32)
+        _pack_block([len(chains.heads)], _count_bits(instances // 2))
         + _pack_block(head_block, _count_bits(instances - 1))
         + _pack_block(chains.ranks, _rank_bits(base))
     )
@@ -671,12 +739,14 @@ def decode_merges(payload: bytes, instances: int, base: int) -> MergeChains:
     count the peer chooses makes this unpack more values than its instances
     allow.
     """
-    (count,) = _unpack_block(payload[:4], 32, 1, "merges")
+    count_bits = _count_bits(instances // 2)
+    start = (count_bits + 7) // 8
+    (count,) = _unpack_block(payload[:start], count_bits, 1, "merges")
     if 2 * count > instances:
         raise ProtocolError(f"merges frame holds {count} chains, more than {instances} instances hold")
     bits = _count_bits(instances - 1)
-    end = 4 + ((2 * count + 1) * bits + 7) // 8
-    shipped, *block = _unpack_block(payload[4:end], bits, 2 * count + 1, "merges")
+    end = start + ((2 * count + 1) * bits + 7) // 8
+    shipped, *block = _unpack_block(payload[start:end], bits, 2 * count + 1, "merges")
     heads, glued = block[0::2], block[1::2]
     if 0 in glued:
         raise ProtocolError("merge chain glues no shingle")
@@ -812,10 +882,6 @@ def _run(
             f"l = {config.l} exceeds {longest}, the longest shingle "
             f"the encoding range holds for the {len(alphabet)} symbols of both words together"
         )
-    # the session's field, from the hellos alone: at the capped l it is at
-    # most P61, whatever word length the peer announces
-    occ_bits = session_occ_bits(len(word), n_remote, config.l)
-    codec = ShingleCodec(alphabet, session_field(len(alphabet) + 1, config.l, occ_bits), occ_bits)
 
     # step 1: one rolling pass gives every shingle its node ids and key
     local = ShingledWord(word, config.l, alphabet)
@@ -826,7 +892,7 @@ def _run(
     remote_instances = n_remote + config.l - 1
     buckets = step2_buckets(instances, remote_instances)
     only_local, only_remote = _reconcile_step(
-        wire, role, config, codec, local, remote_instances, buckets, report
+        wire, role, config, alphabet, local, remote_instances, buckets, report
     )
     # the word's node ids go after the merge and its keys after step 4,
     # before step 6 allocates
@@ -906,7 +972,7 @@ def _reconcile_step(
     wire: _MeteredEndpoint,
     role: str,
     config: ReconConfig,
-    codec: ShingleCodec,
+    alphabet: Alphabet,
     local: ShingledWord,
     remote_instances: int,
     buckets: int,
@@ -915,10 +981,13 @@ def _reconcile_step(
     """Step 2, one flow for both modes; returns the (local, remote) instances
     that are on one side only.
 
-    Every residue is mod the codec's prime and crosses at its bit length.
-    Both parties build their elements from their table keys at the codec's
-    occurrence width (`_elements`) and hash them into `buckets` buckets,
-    and each bucket runs its own source
+    The responder opens with its word's own occurrence width
+    (`word_occ_bits`), and the initiator's bundle opens with the session's,
+    the wider of the two; the session's field follows from it
+    (`session_field`).  Every residue is mod that field's prime and crosses
+    at its bit length.  Both parties build their elements from their table
+    keys at the session's occurrence width (`_elements`) and hash them into
+    `buckets` buckets, and each bucket runs its own source
     (initiator) or decoder (responder) over the session's one point stream,
     whose points go to the buckets in bucket order.  The initiator sends
     characteristic values: a first batch per bucket in its bundle, then
@@ -942,7 +1011,23 @@ def _reconcile_step(
     against the polynomials.
     """
     l = config.l
-    occ_bits, p = codec.occ_bits, codec.field.p
+    # a stated width may reach what the stating word's instances need, so no
+    # peer widens the field past what the hellos allow
+    own_bits = word_occ_bits(local.table)
+    if role == ROLE_INITIATOR:
+        peer_bits = decode_occ_bits(
+            wire.expect(FrameKind.OCC_WIDTH).payload, 0, occ_bits_cap(remote_instances), "peer"
+        )
+        occ_bits = max(own_bits, peer_bits)
+    else:
+        wire.send(FrameKind.OCC_WIDTH, encode_occ_bits(own_bits))
+        bundle_payload = wire.expect(FrameKind.EVAL_BUNDLE).payload
+        most = occ_bits_cap(max(len(local.keys), remote_instances))
+        occ_bits = decode_occ_bits(bundle_payload[:1], own_bits, most, "bundle")
+    codec = ShingleCodec(alphabet, session_field(len(alphabet) + 1, l, occ_bits), occ_bits)
+    p = codec.field.p
+    report.occ_bits = occ_bits
+    report.value_bits = p.bit_length()
     first = -(-config.m_hat // buckets) if config.mode == MODE_FIXED else 0
     points = PointStream(codec.field, config.seed)
     elements = _elements(local.table, occ_bits)
@@ -951,7 +1036,6 @@ def _reconcile_step(
     whole = RatelessSource.from_elements(elements, codec, points)
     chars = "".join(sorted(local.table.ranks))
     report.step2_buckets = buckets
-    report.value_bits = p.bit_length()
     if role == ROLE_INITIATOR:
         sources = [RatelessSource.from_elements(part, codec, points) for part in parts]
         sizes = [len(part) for part in parts]
@@ -968,7 +1052,7 @@ def _reconcile_step(
         pairs += whole.next_pairs(config.k)
         report.step2_checks = 1
         bundle = EvalBundle(tuple(z for z, _ in pairs), tuple(v for _, v in pairs), sum(sizes))
-        wire.send(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, bucket_sizes=sizes, p=p))
+        wire.send(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, occ_bits=occ_bits, bucket_sizes=sizes, p=p))
         report.step2_pairs = len(pairs)
         while (frame := wire.recv()).kind != FrameKind.DELTA:
             if frame.kind != FrameKind.DELTA_REQ:
@@ -1011,9 +1095,7 @@ def _reconcile_step(
         return _windows(my_runs, l), _windows(remote_runs, l)
 
     bundled = first * buckets
-    sizes, values = decode_bundle(
-        wire.expect(FrameKind.EVAL_BUNDLE).payload, buckets, bundled + config.k, remote_instances, p
-    )
+    sizes, values = decode_bundle(bundle_payload, buckets, bundled + config.k, remote_instances, p)
     if sum(sizes) != remote_instances:
         raise ProtocolError(
             f"bundle bucket sizes sum to {sum(sizes)}, not the {remote_instances} "
@@ -1059,7 +1141,7 @@ def _reconcile_step(
         feed(counts, values)
     polys = [list(result.remote_poly) for result in results]
     my_runs = _own_runs(local, [root for result in results for root in result.local_roots], occ_bits)
-    wire.send(FrameKind.DELTA, encode_handoff(my_runs, polys, l, chars, sizes, p))
+    wire.send(FrameKind.DELTA, encode_handoff(my_runs, polys, l, chars, p))
     degrees = sum(len(poly) - 1 for poly in polys)
     remote_runs = decode_runs(wire.expect(FrameKind.DELTA).payload, l, degrees, chars)
     return _windows(my_runs, l), _initiator_only(remote_runs, local, polys, config.seed, occ_bits, p)

@@ -31,6 +31,7 @@ class FrameKind(IntEnum):
     MERGES = 6
     DONE = 7
     ABORT = 8
+    OCC_WIDTH = 9
 
 
 @dataclass(frozen=True)

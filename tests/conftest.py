@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from shinglesync.decider import STILL_UD, Reason, Verdict, _Core
 from shinglesync.errors import InvalidParameterError
 from shinglesync.setrecon import ShingleCodec
 from shinglesync.shingles import ShingleMultiset, ShingleTable, noconcat, rank_digits, shingle_sequence
-from shinglesync.stringrecon import session_field, session_occ_bits
+from shinglesync.stringrecon import session_field
 
 words_ab = st.text(alphabet="ab", max_size=16)
 words_abc = st.text(alphabet="abc", max_size=14)
@@ -49,10 +50,12 @@ def session_elements(word, l, alphabet, occ_bits):
 
 def session_codec(word_a, word_b, l):
     """The codec a session between `word_a` and `word_b` at shingle length
-    `l` runs step 2 under, as each party derives it from the two hellos:
-    its field and its occurrence width, over the symbols of both words."""
+    `l` runs step 2 under, as both parties derive it: its occurrence width,
+    the wider of the two words' own, and its field, over the symbols of both
+    words."""
     alphabet = Alphabet(sorted(set(word_a) | set(word_b)))
-    occ_bits = session_occ_bits(len(word_a), len(word_b), l)
+    largest = max(max(Counter(shingle_sequence(word, l)).values()) for word in (word_a, word_b))
+    occ_bits = (largest - 1).bit_length()
     return ShingleCodec(alphabet, session_field(len(alphabet) + 1, l, occ_bits), occ_bits)
 
 

@@ -168,8 +168,11 @@ class TestReconcile:
         assert out_a.read_bytes() == b"katana"
         assert out_b.read_bytes() == b"katna"
 
-    def test_report_json(self, capsys):
-        # both ends print their report as one JSON object on one line
+    @staticmethod
+    def json_reports(capsys, served, connecting, l):
+        """The JSON reports of a session between a `serve` end holding
+        `served` and a `connect` end holding `connecting` at shingle length
+        `l`, by role."""
         from shinglesync.transport import Listener
 
         listener = Listener("127.0.0.1", 0)
@@ -178,16 +181,20 @@ class TestReconcile:
         results = {}
         thread = threading.Thread(
             target=lambda: results.setdefault(
-                "serve", main(["reconcile", "serve", addr, "--input", "katana", "--report", "json"])
+                "serve", main(["reconcile", "serve", addr, "--input", served, "--report", "json"])
             )
         )
         thread.start()
         time.sleep(0.3)
-        code = main(["reconcile", "connect", addr, "--input", "katna", "--l", "2", "--report", "json"])
+        code = main(["reconcile", "connect", addr, "--input", connecting, "--l", str(l), "--report", "json"])
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert code == 0 and results["serve"] == 0
-        reports = {report["role"]: report for report in map(json.loads, capsys.readouterr().out.splitlines())}
+        return {report["role"]: report for report in map(json.loads, capsys.readouterr().out.splitlines())}
+
+    def test_report_json(self, capsys):
+        # both ends print their report as one JSON object on one line
+        reports = self.json_reports(capsys, "katana", "katna", 2)
         initiator, responder = reports["initiator"], reports["responder"]
         assert initiator["outcome"] == responder["outcome"] == "ok"
         assert initiator["merges_remote"] == responder["merges_local"] == 2
@@ -198,9 +205,21 @@ class TestReconcile:
         # one session check; only the responder holds candidates to reject
         assert initiator["step2_checks"] == responder["step2_checks"] == 1
         assert initiator["step2_rejected"] == 0 and responder["step2_rejected"] >= 0
-        # both derive one prime: 5 ranks at l = 2 and 3 occurrence bits put
-        # it just above 2**40, so residues cross at 41 bits
+        # no shingle of either word repeats, so the occurrence width is 0;
+        # both derive one prime: 5 ranks at l = 2 put it just above 2**40,
+        # so residues cross at 41 bits
+        assert initiator["occ_bits"] == responder["occ_bits"] == 0
         assert initiator["value_bits"] == responder["value_bits"] == 41
+
+    def test_report_json_states_the_occurrence_width(self, capsys):
+        # 'ab' occurs four times in the served word: the session's width is
+        # its 2 bits, stated beside the width of the residues
+        reports = self.json_reports(capsys, "abababab", "ababab", 2)
+        for report in reports.values():
+            assert report["outcome"] == "ok"
+            assert (report["occ_bits"], report["value_bits"]) == (2, 41)
+            names = list(report)
+            assert names.index("occ_bits") + 1 == names.index("value_bits")
 
     def test_default_l_fits_the_encoding(self, capsys, tmp_path):
         # the paper's length for 100 symbols is 10, past the 9 that 26 letters

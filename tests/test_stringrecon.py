@@ -76,9 +76,10 @@ from shinglesync.stringrecon import (
     encode_pairs,
     encode_request,
     encode_runs,
+    occ_bits_cap,
     session_field,
-    session_occ_bits,
     step2_buckets,
+    word_occ_bits,
 )
 from shinglesync.transport import Frame, FrameKind, Listener, connect
 
@@ -107,7 +108,7 @@ def run_session(word_a, word_b, config_a, config_b=None, alpha=None, timeout=120
 def bucket_differences(word_a, word_b, l, buckets, seed):
     """Shingle instances on one side only in each step-2 bucket, for two words
     over {0, 1}."""
-    occ_bits = session_occ_bits(len(word_a), len(word_b), l)
+    occ_bits = session_codec(word_a, word_b, l).occ_bits
     parts_a, parts_b = (
         partition(session_elements(w, l, Alphabet("01"), occ_bits), buckets, seed) for w in (word_a, word_b)
     )
@@ -368,9 +369,10 @@ GOLDEN_PACKED_13 = bytes.fromhex("0000004004003002802001a01501100dc0b209007485e4
 # of its 7 distinct shingles, gluing 'an' and 'na'.  Out of 'ta', 'a$', 'an'
 # and 'at' all have an instance left, so the step to 'an' ships the rank of
 # 'n', 3 among '$', 'a', 'k', 'n' and 't'; 'na' is the one way out of 'an'.
-# u32 count 1, then (1, 6, 2) at 3 bits for its 7 instances (one shipped
-# rank, the head, the glued count), then 3 at 3 bits for its 5 ranks
-GOLDEN_CHAINS = bytes.fromhex("00000001390060")
+# the count 1 at 2 bits, as 7 instances hold at most 3 chains, then
+# (1, 6, 2) at 3 bits for its 7 instances (one shipped rank, the head, the
+# glued count), then 3 at 3 bits for its 5 ranks
+GOLDEN_CHAINS = bytes.fromhex("40390060")
 
 
 @st.composite
@@ -457,13 +459,14 @@ class TestWireCodecs:
         chains, instances, base = case
         payload = encode_merges(chains, instances, base)
         index_bits, rank_bits = (instances - 1).bit_length() or 1, (base - 1).bit_length()
+        count_bytes = (((instances // 2).bit_length() or 1) + 7) // 8
         head_bytes = ((2 * len(chains.heads) + 1) * index_bits + 7) // 8
-        assert len(payload) == 4 + head_bytes + (len(chains.ranks) * rank_bits + 7) // 8
+        assert len(payload) == count_bytes + head_bytes + (len(chains.ranks) * rank_bits + 7) // 8
         assert decode_merges(payload, instances, base) == chains
 
     @pytest.mark.parametrize(
         "payload",
-        [GOLDEN_CHAINS + b"\x00", GOLDEN_CHAINS[:-1], b"\x00\x00\x00"],
+        [GOLDEN_CHAINS + b"\x00", GOLDEN_CHAINS[:-1], b""],
         ids=["one-byte-long", "one-byte-short", "short-count"],
     )
     def test_merges_frame_length_must_match_count(self, payload):
@@ -482,7 +485,7 @@ class TestWireCodecs:
             return _unpack_block(data, bits, count, what)
 
         monkeypatch.setattr(stringrecon, "_unpack_block", spy)
-        payload = _pack_block([1], 32) + _pack_block(head_block, 3) + _pack_block([1] * head_block[0], 3)
+        payload = _pack_block([1], 2) + _pack_block(head_block, 3) + _pack_block([1] * head_block[0], 3)
         with pytest.raises(ProtocolError, match=match):
             decode_merges(payload, 7, 5)
         assert unpacked == [1, 3]
@@ -494,6 +497,18 @@ class TestWireCodecs:
     def test_shipped_ranks_past_the_glued_total_refused_before_the_ranks(self, monkeypatch):
         # one chain gluing 2 ships 3 ranks
         self.refused_before_the_ranks(monkeypatch, [3, 4, 2], "ships 3 ranks for 2 glued shingles")
+
+    def test_merges_count_is_as_wide_as_half_the_instances(self):
+        # every chain covers two instances or more: 8 instances hold at most
+        # 4 chains, so the count takes 3 bits, and 5 of them are refused
+        # before the head block is read
+        chains = MergeChains([0, 2, 4, 6], [1] * 4, [])
+        payload = encode_merges(chains, 8, 3)
+        assert payload[:1] == bytes([0b100_00000]) and decode_merges(payload, 8, 3) == chains
+        with pytest.raises(ProtocolError, match="5 chains, more than 8 instances hold"):
+            decode_merges(_pack_block([5], 3) + bytes(100), 8, 3)
+        # a sender of one instance holds no chain, yet its count takes a bit
+        assert encode_merges(MergeChains([], [], []), 1, 3) == bytes(2)
 
     def test_pair_frame_round_trip_and_exact_length(self):
         # values only, at the bit length of the prime, 62 bits mod P61: the
@@ -515,39 +530,46 @@ class TestWireCodecs:
                 block = _pack_block([7, value], width)
                 for decode in (
                     lambda: decode_pairs(block, 2, p),
-                    lambda: decode_bundle(_pack_block([5], 3) + block, 1, 2, 5, p),
-                    # a degree of 2, then its two coefficients
-                    lambda: decode_handoff(_pack_block([2], 2) + block, 2, [2], 2, "$01", p),
+                    # the width byte, one size of 5 at 3 bits, its 1-bit offset
+                    lambda: decode_bundle(bytes([0, 0b101_00000, 1, 0]) + block, 1, 2, 5, p),
+                    # a 2-bit degree of 2, then its two coefficients
+                    lambda: decode_handoff(bytes([2, 0b10_000000]) + block, 2, [2], 2, "$01", p),
                 ):
                     with pytest.raises(ProtocolError, match=f"the prime {p} or more"):
                         decode()
             assert decode_pairs(_pack_block([7, p - 1], width), 2, p) == [7, p - 1]
 
     def test_bundle_frame_round_trip_and_exact_length(self):
-        # one size per bucket at the bit length of the sender's instance
-        # count (5: 3 bits), then the values, as many as the hello implies
-        payload = encode_bundle(EvalBundle((7, 9), (1, P61 - 1), 5), bucket_sizes=[5], p=P61)
-        assert payload[:1] == bytes([0b101_00000])
-        assert len(payload) == 1 + value_block_bytes(2, P61)
+        # the session's occurrence width; the smallest bucket size at the bit
+        # length of the sender's instance count (5: 3 bits); the offsets'
+        # width and each size's offset from the smallest; then the values,
+        # as many as the hello implies
+        payload = encode_bundle(EvalBundle((7, 9), (1, P61 - 1), 5), occ_bits=3, bucket_sizes=[5], p=P61)
+        assert payload[:4] == bytes([3, 0b101_00000, 1, 0])
+        assert len(payload) == 4 + value_block_bytes(2, P61)
         assert decode_bundle(payload, 1, 2, 5, P61) == ([5], [1, P61 - 1])
         # the same values mod a 42-bit prime take 42 bits each
-        narrow = encode_bundle(EvalBundle((7, 9), (1, P42 - 1), 5), bucket_sizes=[5], p=P42)
-        assert len(narrow) == 1 + value_block_bytes(2, P42) == 12
+        narrow = encode_bundle(EvalBundle((7, 9), (1, P42 - 1), 5), occ_bits=0, bucket_sizes=[5], p=P42)
+        assert len(narrow) == 4 + value_block_bytes(2, P42) == 15
         assert decode_bundle(narrow, 1, 2, 5, P42) == ([5], [1, P42 - 1])
-        # 4 sizes of 2 bits for 3 instances: one byte
-        empty = encode_bundle(EvalBundle((), (), 3), bucket_sizes=[1, 0, 2, 0], p=P61)
-        assert empty == bytes([0b01_00_10_00])
+        # the smallest of 4 sizes for 3 instances at 2 bits, then offsets
+        # of 2 bits
+        empty = encode_bundle(EvalBundle((), (), 3), occ_bits=1, bucket_sizes=[1, 0, 2, 0], p=P61)
+        assert empty == bytes([1, 0b00_000000, 2, 0b01_00_10_00])
         assert decode_bundle(empty, 4, 0, 3, P61) == ([1, 0, 2, 0], [])
-        # 611 instances: 10 bits a size
-        wide = encode_bundle(EvalBundle((), (), 611), bucket_sizes=[600, 11], p=P61)
-        assert len(wide) == 3 and decode_bundle(wide, 2, 0, 611, P61) == ([600, 11], [])
-        for bad in (payload[:1], payload[:-1], payload + b"\x00"):
+        # 607 instances: the smallest size at 10 bits, and offsets as wide as
+        # the spread needs, 3 bits for sizes 300 and 307
+        wide = encode_bundle(EvalBundle((), (), 607), occ_bits=2, bucket_sizes=[300, 307], p=P61)
+        assert wide == bytes([2]) + _pack_block([300], 10) + bytes([3, 0b000_111_00])
+        assert decode_bundle(wide, 2, 0, 607, P61) == ([300, 307], [])
+        for bad in (payload[:1], payload[:3], payload[:-1], payload + b"\x00"):
             with pytest.raises(ProtocolError):
                 decode_bundle(bad, 1, 2, 5, P61)
         for count in (1, 3):
             with pytest.raises(ProtocolError):
                 decode_bundle(payload, 1, count, 5, P61)
-        for buckets, instances in ((5, 3), (4, 8)):
+        # five offsets need two bytes; one instance leaves the offsets 1 bit
+        for buckets, instances in ((5, 3), (4, 1)):
             with pytest.raises(ProtocolError):
                 decode_bundle(empty, buckets, 0, instances, P61)
 
@@ -577,21 +599,28 @@ class TestWireCodecs:
         for bad, total in ((roots[:-1], 3), (roots + b"\x00", 3), (roots, 2), (roots, 4)):
             with pytest.raises(ProtocolError):
                 decode_runs(bad, 2, total, "$01")
-        # the responder's: the B degrees at the bit length of the initiator's
-        # largest bucket (1: 1 bit), one residue block of the monic
-        # polynomials without their leading 1, then its runs, whose windows
-        # total the degrees' sum plus its instances less the initiator's
-        payload = encode_handoff(["011"], [[6, 1]], 2, "$01", [1], P61)
-        assert payload[:1] == bytes([0b1_0000000])
-        assert len(payload) == 1 + value_block_bytes(1, P61) + 2
+        # the responder's: the width of the degrees, the bit length of the
+        # largest (1: 1 bit), and the B degrees at that width; one residue
+        # block of the monic polynomials without their leading 1, then its
+        # runs, whose windows total the degrees' sum plus its instances less
+        # the initiator's
+        payload = encode_handoff(["011"], [[6, 1]], 2, "$01", P61)
+        assert payload[:2] == bytes([1, 0b1_0000000])
+        assert len(payload) == 2 + value_block_bytes(1, P61) + 2
         assert decode_handoff(payload, 2, [1], 2, "$01", P61) == (["011"], [[6, 1]])
-        assert decode_handoff(encode_handoff([], [[1]], 2, "$01", [1], P61), 1, [1], 2, "$01", P61) == ([], [[1]])
-        two = encode_handoff(["$0"], [[1], [8, 9, 1]], 2, "$01", [2, 3], P42)
-        assert two[:1] == bytes([0b00_10_0000])
-        assert len(two) == 1 + value_block_bytes(2, P42) + 2
+        assert decode_handoff(encode_handoff([], [[1]], 2, "$01", P61), 1, [1], 2, "$01", P61) == ([], [[1]])
+        two = encode_handoff(["$0"], [[1], [8, 9, 1]], 2, "$01", P42)
+        assert two[:2] == bytes([2, 0b00_10_0000])
+        assert len(two) == 2 + value_block_bytes(2, P42) + 2
         # a responder of 4 instances against 5: 2 + 4 - 5 windows
         assert decode_handoff(two, 4, [2, 3], 2, "$01", P42) == (["$0"], [[1], [8, 9, 1]])
-        for bad in (payload[:1], payload[:-1], payload + b"\x00"):
+        # the degrees' width is refused past the bit length of the largest
+        # bucket, and the degree past the bucket's own size
+        with pytest.raises(ProtocolError, match="degree width 2 is outside"):
+            decode_handoff(two, 4, [1, 1], 2, "$01", P42)
+        with pytest.raises(ProtocolError, match="degree 2, more than the bucket's 1 instances"):
+            decode_handoff(two, 4, [3, 1], 2, "$01", P42)
+        for bad in (b"", bytes([0]) + payload[1:], payload[:1], payload[:-1], payload + b"\x00"):
             with pytest.raises(ProtocolError):
                 decode_handoff(bad, 2, [1], 2, "$01", P61)
         # another instance count derives another total for the runs
@@ -632,7 +661,7 @@ class TestWireCodecs:
     @staticmethod
     def refuses_version(version):
         hello = bytearray(hello_for(ReconConfig(l=7, seed=1), "ab").payload)
-        assert hello[0] == PROTOCOL_VERSION == 12
+        assert hello[0] == PROTOCOL_VERSION == 13
         hello[0] = version
         with pytest.raises(ProtocolError, match=f"unsupported protocol version {version}"):
             decode_hello(bytes(hello))
@@ -651,6 +680,11 @@ class TestWireCodecs:
     def test_hello_of_protocol_version_11_is_refused(self):
         # version 11 sent every residue mod P61, at 62 bits
         self.refuses_version(11)
+
+    def test_hello_of_protocol_version_12_is_refused(self):
+        # version 12 took the occurrence width from the word lengths, and
+        # sent no OCC_WIDTH frame
+        self.refuses_version(12)
 
     def test_hello_symbols_must_be_utf8(self):
         payload = encode_hello(ReconConfig(l=7, seed=1), 2, "ab")
@@ -879,12 +913,14 @@ class TestSessions:
                 assert figures[f"{kind.lower()}_frame_bits_sent"] == sent
                 assert f"{kind.lower()}_frame_bits_recv={received}\n" in rep.to_text()
             assert json.loads(rep.to_json()) == figures
-        kinds = {"HELLO", "EVAL_BUNDLE", "EVAL_PAIR", "DELTA_REQ", "DELTA", "MERGES", "DONE"}
+        kinds = {"HELLO", "OCC_WIDTH", "EVAL_BUNDLE", "EVAL_PAIR", "DELTA_REQ", "DELTA", "MERGES", "DONE"}
         assert set(rep_a.frame_bits) == set(rep_b.frame_bits) == kinds
         # what one party sends of a kind, the other receives
         assert all(rep_a.frame_bits[kind] == rep_b.frame_bits[kind][::-1] for kind in kinds)
         # only the initiator sends values, and only the responder requests them
         assert rep_a.frame_bits["EVAL_PAIR"][1] == rep_a.frame_bits["DELTA_REQ"][0] == 0
+        # only the responder states its occurrence width, in one byte
+        assert rep_a.frame_bits["OCC_WIDTH"] == [0, 40 + 8]
 
     def test_responder_hands_over_the_instances_it_found(self, monkeypatch):
         # "aa" three times on the responder's side against once: the hand-off
@@ -1032,7 +1068,14 @@ class TestSessions:
             assert len(batches) == len(requests) == rounds == rep_b.step2_rounds
             # the check in the bundle passes: no request asks for another
             assert [0] * buckets not in requests
-            sizes = [len(part) for part in partition(session_elements(wa, l, alphabet, codec.occ_bits), buckets, 23)]
+            parts_a, parts_b = (
+                partition(session_elements(word, l, alphabet, codec.occ_bits), buckets, 23) for word in (wa, wb)
+            )
+            sizes = [len(part) for part in parts_a]
+            # a bucket's hand-off degree is its count of the initiator's
+            # one-sided instances
+            degrees = [len(set(pa) - set(pb)) for pa, pb in zip(parts_a, parts_b)]
+            assert sum(degrees) == sum((ca - cb).values())
 
             def block(count, width=rep_a.value_bits):  # zero-padded to a byte
                 return 8 * ((width * count + 7) // 8)
@@ -1048,22 +1091,25 @@ class TestSessions:
                 assert sum(len(run) - l + 1 for run in runs) == total
                 return block(1 + len(runs), max(1, total.bit_length())) + block(sum(map(len, runs)), 2)
 
-            only_a = sum((ca - cb).values())
-            # initiator: bundle of bucket sizes at the bit length of its
-            # instance count and the k check values, one value frame per
-            # request, its runs
+            # initiator: a bundle of the session's width byte, the smallest
+            # bucket size at the bit length of its instance count, the
+            # offsets' width byte and each size's offset at that width, and
+            # the k check values; one value frame per request; its runs
+            offset_bits = max(1, (max(sizes) - min(sizes)).bit_length())
             sent_a = (
-                header + block(buckets, sum(ca.values()).bit_length()) + block(config.k)
+                header + 8 + block(1, sum(ca.values()).bit_length()) + 8 + block(buckets, offset_bits)
+                + block(config.k)
                 + sum(header + block(batch) for batch in batches)
                 + header + runs_bits(ca, cb, wa)
             )
-            # responder: each request's width byte and counts at that width;
-            # then a degree per bucket at the bit length of the initiator's
-            # largest bucket, one block of the polynomials, whose degrees sum
-            # to only_a, and its runs
+            # responder: its width byte; each request's width byte and counts
+            # at that width; then the degrees' width byte, a degree per bucket
+            # at the bit length of the largest, one block of the polynomials'
+            # coefficients, one a degree, and its runs
             sent_b = (
-                sum(header + 8 + block(buckets, max(1, max(counts).bit_length())) for counts in requests)
-                + header + block(buckets, max(sizes).bit_length()) + block(only_a)
+                header + 8
+                + sum(header + 8 + block(buckets, max(1, max(counts).bit_length())) for counts in requests)
+                + header + 8 + block(buckets, max(1, max(degrees).bit_length())) + block(sum(degrees))
                 + runs_bits(cb, ca, wb)
             )
             assert rep_a.step_bits("step2") == (sent_a, sent_b)
@@ -1177,7 +1223,7 @@ def step2_exchange(word_a, word_b, buckets, config, codec):
     reports = (SessionReport("initiator"), SessionReport("responder"))
     with ThreadPoolExecutor(2) as pool:
         futures = [
-            pool.submit(_reconcile_step, _MeteredEndpoint(end, rep), role, config, codec,
+            pool.submit(_reconcile_step, _MeteredEndpoint(end, rep), role, config, codec.alphabet,
                         ShingledWord(mine, config.l, codec.alphabet), len(theirs) + config.l - 1, buckets, rep)
             for end, rep, role, mine, theirs in (
                 (a, reports[0], "initiator", word_a, word_b),
@@ -1244,16 +1290,20 @@ class TestStep2Evaluation:
             fut_b = pool.submit(run_protocol, wb, b, "responder", config)
             assert fut_a.result(timeout=60)[0] == wb and fut_b.result(timeout=60)[0] == wa
         (payload,) = [f.payload for f in sent if f.kind == FrameKind.EVAL_BUNDLE]
-        # 611 instances a side make 32 buckets, each bundled 64 / 32 values
-        # and sized in 10 bits, and the k whole-set values of the session
+        # 611 instances a side make 32 buckets, each bundled 64 / 32 values;
+        # the session's width, the smallest size at 10 bits, the offsets'
+        # width and the offsets, and the k whole-set values of the session
         # check follow at the next points
         buckets, first = 32, 2
         codec = session_codec(wa, wb, config.l)
         p = codec.field.p
-        assert len(payload) == 10 * buckets // 8 + value_block_bytes(buckets * first + config.k, p)
-        sizes, values = decode_bundle(payload, buckets, buckets * first + config.k, 611, p)
         elements = session_elements(wa, config.l, Alphabet("01"), codec.occ_bits)
         parts = partition(elements, buckets, config.seed)
+        least = min(map(len, parts))
+        width = max(len(part) - least for part in parts).bit_length()
+        assert payload[:4] == bytes([codec.occ_bits]) + _pack_block([least], 10) + bytes([width])
+        assert len(payload) == 4 + (width * buckets + 7) // 8 + value_block_bytes(buckets * first + config.k, p)
+        sizes, values = decode_bundle(payload, buckets, buckets * first + config.k, 611, p)
         assert sizes == [len(part) for part in parts]
         points = codec.field.sample_points(config.seed, buckets * first + config.k)
         for b, part in enumerate(parts):
@@ -1261,22 +1311,25 @@ class TestStep2Evaluation:
             assert values[window] == char_values_loop(part, points[window], p)
         check = slice(buckets * first, None)
         assert values[check] == char_values_loop(elements, points[check], p)
-        # elements at 10 occurrence bits, residues at 41 bits
-        assert (codec.occ_bits, p.bit_length()) == (10, 41)
+        # no shingle of either word occurs more than twice: elements at 1
+        # occurrence bit, residues at 41 bits
+        assert (codec.occ_bits, p.bit_length()) == (1, 41)
         assert hashlib.sha256(payload).hexdigest() == (
-            "dda395aca8d1007c77914b2fc6d0594876aae75dd8524ad3abeaf35712d5e37d"
+            "e2b4813a4423cb79b6083f1f4f4c0e0f3a6c534dcd1f55ba133bac6698e1ed72"
         )
 
 
 # SHA-256 of each party's MERGES and DELTA payloads in one seeded rateless
 # session over 2048 bits with 8 edits at l = 16 (3 chains, about 1,160
-# merges and 25-27 shipped ranks a side); the responder's DELTA carries its
-# hand-off coefficients at 41 bits, the bit length of the session's prime
+# merges and 25-27 shipped ranks a side); each MERGES frame's chain count
+# takes 11 bits, for half of its 2,063 instances; the responder's DELTA
+# carries its degrees at their own width and its hand-off coefficients at 41
+# bits, the bit length of the session's prime
 GOLDEN_SESSION = {
-    ("initiator", "MERGES"): "0f5aa246b51c076009760b21d3e0c694d6b05079348a927a8f279bc74cd4e558",
+    ("initiator", "MERGES"): "8017f0f0106e268ed224a7e3eabe344a06b2bc7b0b1b812322583b71f5a50cc8",
     ("initiator", "DELTA"): "8d4e9c4ffa748d96301b00a9e8f753f98e2596c9f51d8c40557babd2375ee0e8",
-    ("responder", "MERGES"): "451fd56d3e1c91d8766f555227f0443ac2ffd7c3e4c7517172fd990f70cdb3a3",
-    ("responder", "DELTA"): "0f9955e7be60dae06310774957aa783e6f35fbdf179af5d65bda2402fadbf0b2",
+    ("responder", "MERGES"): "b21f73574304560fe4a3b3639e64e34974c754759410660854f8fd663cc0199f",
+    ("responder", "DELTA"): "33e2c49a7139eea1c8469990fe29f86fd33ce805d661e57517cca003bebc859b",
 }
 
 
@@ -1366,9 +1419,10 @@ class TestSessionElements:
         symbols, word = case
         alphabet = Alphabet(symbols)
         l = data.draw(st.integers(2, ShingleCodec(alphabet, FIELD).max_shingle_len))
-        # the word's own width, or any wider one a longer peer word sets
-        occ_bits = data.draw(st.integers(session_occ_bits(len(word), 0, l), 16))
-        elements = stringrecon._elements(ShingledWord(word, l, alphabet).table, occ_bits)
+        # the word's own width, or any wider one a peer's word sets
+        table = ShingledWord(word, l, alphabet).table
+        occ_bits = data.draw(st.integers(word_occ_bits(table), 16))
+        elements = stringrecon._elements(table, occ_bits)
         assert elements == session_elements(word, l, alphabet, occ_bits)
         assert 0 not in elements and len(set(elements)) == len(elements)
         assert max(elements) < session_field(len(symbols) + 1, l, occ_bits).encoding_limit
@@ -1383,10 +1437,11 @@ class TestSessionElements:
             assert (len(symbols) + 1) ** l * 2**16 < FIELD.encoding_limit
             # the empty word's l - 1 windows are all delimiters, key 0
             for word in ("", symbols[-1] * l, symbols * 3 + symbols[0] * l):
-                occ_bits = session_occ_bits(len(word), len(word), l)
+                table = ShingledWord(word, l, alphabet).table
+                occ_bits = word_occ_bits(table)
                 field = session_field(len(symbols) + 1, l, occ_bits)
                 assert field.p <= FIELD.p
-                elements = stringrecon._elements(ShingledWord(word, l, alphabet).table, occ_bits)
+                elements = stringrecon._elements(table, occ_bits)
                 assert elements == session_elements(word, l, alphabet, occ_bits)
                 assert 0 not in elements and len(set(elements)) == len(elements)
                 assert max(elements) < field.encoding_limit
@@ -1398,12 +1453,15 @@ class TestSessionElements:
         # '00' occurs n - 1 times in a word of n zeros
         alphabet = Alphabet("0")
         full = ShingledWord("0" * (2**16 + 1), 2, alphabet).table
+        assert word_occ_bits(full) == 16
         assert max(stringrecon._elements(full, 16)) == full.key("00") * 2**16 + 2**16
-        with pytest.raises(EncodingCapacityError, match="occurrence 65537 exceeds 16 bits"):
-            stringrecon._elements(ShingledWord("0" * (2**16 + 2), 2, alphabet).table, 16)
+        past = ShingledWord("0" * (2**16 + 2), 2, alphabet).table
+        for refuse in (word_occ_bits, lambda table: stringrecon._elements(table, 16)):
+            with pytest.raises(EncodingCapacityError, match="occurrence 65537 exceeds 16 bits"):
+                refuse(past)
         # a word's own width holds every multiplicity it has, and no more
         short = ShingledWord("0" * 10, 2, alphabet).table
-        assert session_occ_bits(10, 0, 2) == 4
+        assert word_occ_bits(short) == 4
         assert max(stringrecon._elements(short, 4)) == short.key("00") * 2**4 + 9
         with pytest.raises(EncodingCapacityError, match="occurrence 9 exceeds 3 bits"):
             stringrecon._elements(short, 3)
@@ -1424,11 +1482,17 @@ class TestSessionElements:
     )
     def test_occurrence_width_holds_the_larger_word(self, n_local, n_remote, l, occ_bits):
         # the most instances of one shingle either word holds is its
-        # n + l - 1, which the width must reach, capped at 16 bits
-        assert session_occ_bits(n_local, n_remote, l) == session_occ_bits(n_remote, n_local, l) == occ_bits
+        # n + l - 1, which the widest width a peer may state must reach,
+        # capped at 16 bits
         most = max(n_local, n_remote) + l - 1
+        assert occ_bits_cap(most) == occ_bits
         assert 2**occ_bits >= most or occ_bits == 16
         assert occ_bits == 0 or 2 ** (occ_bits - 1) < most
+        # a word of one symbol repeated holds the heaviest shingle its
+        # length allows, and its own width stays within the cap
+        if most < 2**15:
+            word = "0" * max(n_local, n_remote)
+            assert word_occ_bits(ShingledWord(word, l, Alphabet("0")).table) <= occ_bits
 
     def test_prime_is_the_smallest_above_the_elements_and_the_points(self):
         for base in (2, 3, 4, 5, 27):
@@ -1443,17 +1507,23 @@ class TestSessionElements:
                     assert base**l * 2**occ_bits < spec.encoding_limit
 
     @pytest.mark.parametrize(
-        "l,occ_bits,bits", [(18, 13, 42), (20, 15, 47), (23, 16, 53), (27, 16, 59)]
+        "l,occ_bits,bits",
+        [(18, 13, 42), (20, 15, 47), (23, 16, 53), (27, 16, 59),
+         (18, 1, 41), (20, 2, 41), (23, 2, 41), (27, 2, 45)],
     )
     def test_widths_of_the_benchmark_cells(self, l, occ_bits, bits):
-        # binary words: two symbols and the delimiter
+        # binary words: two symbols and the delimiter.  At 4096, 16384, 2**16
+        # and 2**20 symbols, the first four are the widest widths their word
+        # lengths allow (`occ_bits_cap`), the last four the widths of words
+        # whose shingles occur at most 2 to 4 times, as random words' do
         assert session_field(3, l, occ_bits).p.bit_length() == bits
 
     @pytest.mark.parametrize("symbols", ["0", "01", "abc", "abcdefghij"])
     def test_a_hostile_word_length_cannot_widen_the_field_past_p61(self, symbols):
-        # the hello's u64 word length sets the width at most 16 bits, and at
-        # the capped l the prime is then at most P61, 62 bits
-        occ_bits = session_occ_bits(2**64 - 1, 0, 2)
+        # whatever u64 word length a hello announces, the widest width a
+        # peer may state is 16 bits, and at the capped l the prime is then
+        # at most P61, 62 bits
+        occ_bits = occ_bits_cap(2**64 - 1 + 2 - 1)
         assert occ_bits == 16
         base = len(symbols) + 1
         top = ShingleCodec(Alphabet(symbols), FIELD).max_shingle_len
@@ -1470,11 +1540,13 @@ class TestSessionElements:
             return field
 
         monkeypatch.setattr(stringrecon, "session_field", spy)
-        (ra, rep_a), (rb, rep_b) = run_session("0110100", "abc", ReconConfig(l=3, seed=4))
-        assert ra == "abc" and rb == "0110100"
-        # five symbols and the delimiter, the longer word's 7 + 3 - 2 = 8
-        # takes 4 bits
-        assert fields == [session_field(6, 3, 4)] * 2
+        (ra, rep_a), (rb, rep_b) = run_session("0110100", "abaaaab", ReconConfig(l=3, seed=4))
+        assert ra == "abaaaab" and rb == "0110100"
+        # four symbols and the delimiter; no shingle of the initiator's word
+        # repeats, but 'aaa' of the responder's occurs twice, so the
+        # session's width is the responder's 1 bit
+        assert fields == [session_field(5, 3, 1)] * 2
+        assert rep_a.occ_bits == rep_b.occ_bits == 1
         assert rep_a.value_bits == rep_b.value_bits == fields[0].p.bit_length() == 41
 
 
@@ -1484,11 +1556,18 @@ def flip(word, i):
 
 WIDE_A = "".join(random.Random(6).choice("01") for _ in range(96))
 WIDE_B = flip(WIDE_A, 40)
-# the primes of the scripted sessions below, "abcab" against "abcba" at
-# l = 2 and WIDE_A against WIDE_B at l = 13, as both parties derive them
-# from the hellos
-ABC_P = session_codec("abcab", "abcba", 2).field.p
-WIDE_P = session_codec(WIDE_A, WIDE_B, 13).field.p
+# the occurrence widths and primes of the scripted sessions below, "abcab"
+# against "abcba" at l = 2 and WIDE_A against WIDE_B at l = 13, as both
+# parties derive them
+ABC_W, ABC_P = session_codec("abcab", "abcba", 2).occ_bits, session_codec("abcab", "abcba", 2).field.p
+WIDE_W, WIDE_P = session_codec(WIDE_A, WIDE_B, 13).occ_bits, session_codec(WIDE_A, WIDE_B, 13).field.p
+
+
+def width_frame(word, l):
+    """The OCC_WIDTH frame of an honest responder holding `word`: the bit
+    length of its largest multiplicity less 1."""
+    largest = max(Counter(shingle_sequence(word, l)).values())
+    return Frame(FrameKind.OCC_WIDTH, bytes([(largest - 1).bit_length()]))
 
 
 class TestHostileStep2:
@@ -1524,6 +1603,7 @@ class TestHostileStep2:
         def script(peer):
             peer.recv()
             peer.send(hello_for(config, theirs))
+            peer.send(width_frame(theirs, config.l))
             sizes, _ = decode_bundle(peer.recv().payload, buckets, first * buckets + config.k, instances, p)
             for request in requests:
                 payload = request(sizes) if callable(request) else request
@@ -1545,8 +1625,8 @@ class TestHostileStep2:
             [len(part) for part in partition(session_elements(word, 2, codec.alphabet, codec.occ_bits), 2, seed)]
             for word, seed in (("abcab", self.CONFIG.seed), ("abcba", 3))
         ]
-        # the responder "abcba" holds 3 instances in bucket 0 at seed 3
-        assert split == [self.SIZES, [3, 3]]
+        # the responder "abcba" holds 1 instance in bucket 0 at seed 3
+        assert split == [self.SIZES, [1, 5]]
 
     @pytest.mark.parametrize(
         "payload", [b"", b"\x00\x00\x08", b"\x00\x00\x00\x08\x00", b"\x01", b"\x01\x80\x00"]
@@ -1617,16 +1697,16 @@ class TestHostileStep2:
     def initiator_handed(self, handoff):
         """The initiator "abcab" against a responder "abcba" that sends the
         hand-off `handoff(sizes)` right after the bundle, for the bucket
-        sizes in it; returns what the initiator raised and the frame kinds it
-        sent after the hand-off."""
+        sizes in it (`SIZES`); returns what the initiator raised and the
+        frame kinds it sent after the hand-off."""
         after = []
 
         def script(peer):
             peer.recv()
             peer.send(hello_for(self.CONFIG, "abcba"))
-            # two sizes at 3 bits for 6 instances, then the k check values
-            sizes = _unpack_block(peer.recv().payload[:1], 3, 2, "bundle")
-            peer.send(Frame(FrameKind.DELTA, handoff(sizes)))
+            peer.send(width_frame("abcba", 2))
+            assert peer.recv().kind == FrameKind.EVAL_BUNDLE
+            peer.send(Frame(FrameKind.DELTA, handoff(self.SIZES)))
             while True:
                 after.append(peer.recv().kind)
 
@@ -1638,11 +1718,11 @@ class TestHostileStep2:
         "handoff",
         [
             # a run of two windows, "a$" and "$b", that no padded word holds
-            lambda sizes: encode_handoff(["a$b"], [[7, 8, 1], [1]], 2, "$abc", sizes, ABC_P),
+            lambda sizes: encode_handoff(["a$b"], [[7, 8, 1], [1]], 2, "$abc", ABC_P),
             # Z + 7 has no root among the initiator's elements of bucket 0
-            lambda sizes: encode_handoff(["ab"], [[7, 1], [1]], 2, "$abc", sizes, ABC_P),
+            lambda sizes: encode_handoff(["ab"], [[7, 1], [1]], 2, "$abc", ABC_P),
             # the two 3-bit degrees with a padding bit set
-            lambda sizes: bytes([0b000_000_01]),
+            lambda sizes: bytes([3, 0b000_000_01]),
         ],
         ids=["malformed-instance", "poly-does-not-split", "padding"],
     )
@@ -1656,11 +1736,14 @@ class TestHostileStep2:
         [
             # degrees of 0 leave the responder no one-sided instance, yet its
             # runs frame counts one run, at 1 bit
-            _pack_block([0, 0], 3) + _pack_block([1], 1) + bytes(100),
+            bytes([1]) + _pack_block([0, 0], 1) + _pack_block([1], 1) + bytes(100),
             # degree 7 against the initiator's 4 instances in bucket 0
-            _pack_block([7, 0], 3) + bytes(100),
+            bytes([3]) + _pack_block([7, 0], 3) + bytes(100),
+            # degrees 4 bits wide, past the 3 of the largest bucket's 4
+            bytes([4]) + _pack_block([1, 1], 4) + bytes(100),
+            bytes([0]) + bytes(100),
         ],
-        ids=["one-sided", "degree"],
+        ids=["one-sided", "degree", "degree-width-past-the-buckets", "degree-width-zero"],
     )
     def test_hand_off_is_bounded_before_any_search(self, monkeypatch, handoff):
         def forbidden(*_args):
@@ -1678,6 +1761,85 @@ class TestHostileStep2:
         exc, _ = self.initiator_handed(lambda sizes: handoff)
         assert time.perf_counter() - start < 1
         assert isinstance(exc, ProtocolError)
+
+    def initiator_told(self, frame):
+        """The initiator "abcab" against a responder "abcba" that opens step
+        2 with `frame`; returns what the initiator raised and the kinds of
+        the frames it sent after its hello."""
+        sent = []
+
+        def script(peer):
+            peer.recv()
+            peer.send(hello_for(self.CONFIG, "abcba"))
+            peer.send(frame)
+            while True:
+                sent.append(peer.recv().kind)
+
+        return scripted_session("abcab", "initiator", self.CONFIG, script), sent
+
+    @pytest.mark.parametrize(
+        "frame,match",
+        [
+            (Frame(FrameKind.OCC_WIDTH, b""), "takes 1 byte, not 0"),
+            (Frame(FrameKind.OCC_WIDTH, bytes([0, 0])), "takes 1 byte, not 2"),
+            (Frame(FrameKind.EVAL_BUNDLE, bytes([0])), "expected OCC_WIDTH, got EVAL_BUNDLE"),
+            (Frame(FrameKind.OCC_WIDTH, bytes([17])), "width 17 is outside [0, 3]"),
+            # no shingle of a word of 6 instances occurs 2**3 + 1 times
+            (Frame(FrameKind.OCC_WIDTH, bytes([4])), "width 4 is outside [0, 3]"),
+        ],
+        ids=["empty", "too-long", "wrong-kind", "past-16", "past-the-word"],
+    )
+    def test_width_frame_is_checked_before_any_value(self, frame, match):
+        exc, sent = self.initiator_told(frame)
+        assert isinstance(exc, ProtocolError) and match in str(exc), exc
+        assert sent == []
+
+    def responder_opened(self, monkeypatch, payload):
+        """The responder "abcab", whose own width is 1 as 'ab' occurs twice,
+        against an initiator "abcba" whose bundle is `payload`; returns what
+        the responder raised, which must come before any residue is read."""
+
+        def no_residues(*_args):
+            raise AssertionError("a residue was read")
+
+        monkeypatch.setattr(stringrecon, "_unpack_residues", no_residues)
+
+        def script(peer):
+            peer.send(hello_for(self.CONFIG, "abcba"))
+            peer.recv()
+            assert peer.recv() == width_frame("abcab", 2) == Frame(FrameKind.OCC_WIDTH, bytes([1]))
+            peer.send(Frame(FrameKind.EVAL_BUNDLE, payload))
+            peer.recv()
+
+        return scripted_session("abcab", "responder", self.CONFIG, script)
+
+    @pytest.mark.parametrize(
+        "payload,match",
+        [
+            (b"", "takes 1 byte, not 0"),
+            (bytes([0, 0b010_00000, 2, 0b10_00_0000]) + bytes(100), "width 0 is outside [1, 3]"),
+            (bytes([17, 0b010_00000, 2, 0b10_00_0000]) + bytes(100), "width 17 is outside [1, 3]"),
+            # both words hold 6 instances, so no width past 3 bits
+            (bytes([4, 0b010_00000, 2, 0b10_00_0000]) + bytes(100), "width 4 is outside [1, 3]"),
+            (bytes([1, 0b010_00000, 0]) + bytes(100), "offset width 0 is outside [1, 3]"),
+            # size offsets 4 bits wide, past the 3 of the 6 instances
+            (bytes([1, 0b010_00000, 4, 0b0100_0000]) + bytes(100), "offset width 4 is outside [1, 3]"),
+            # the smallest size 3, and an offset of 4: 7 of 6 instances
+            (bytes([1, 0b011_00000, 3, 0b100_000_00]) + bytes(100), "size 7 is past the 6 instances"),
+        ],
+        ids=[
+            "empty",
+            "below-the-own-width",
+            "past-16",
+            "past-the-words",
+            "offset-width-zero",
+            "offset-width",
+            "size-past-the-instances",
+        ],
+    )
+    def test_bundle_head_is_checked_before_any_value(self, monkeypatch, payload, match):
+        exc = self.responder_opened(monkeypatch, payload)
+        assert isinstance(exc, ProtocolError) and match in str(exc), exc
 
     def test_responder_rejects_a_hello_with_k_zero(self):
         config = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=3)
@@ -1731,11 +1893,14 @@ class TestHostileStep2:
         buckets, or the bundle frame `payload` when given, and then answers
         the first pair request with `pairs_for(count)`, for the values
         requested in all."""
-        payload = payload or encode_bundle(self.with_check(bundle), bucket_sizes=[bundle.set_size, 0], p=ABC_P)
+        payload = payload or encode_bundle(
+            self.with_check(bundle), occ_bits=ABC_W, bucket_sizes=[bundle.set_size, 0], p=ABC_P
+        )
 
         def script(peer):
             peer.send(hello_for(config, "abcab"))
             peer.recv()
+            assert peer.recv() == width_frame("abcba", 2)
             peer.send(Frame(FrameKind.EVAL_BUNDLE, payload))
             if pairs_for is not None:
                 count = sum(decode_request(peer.recv().payload, 2))
@@ -1764,8 +1929,9 @@ class TestHostileStep2:
         assert isinstance(self.responder_facing(self.CONFIG, EvalBundle((), (), 7)), ProtocolError)
 
     def test_bundle_padding_must_be_zero(self):
-        # two sizes of 3 bits for 6 instances, 4 and 2, then a padding bit
-        exc = self.responder_facing(self.CONFIG, None, payload=bytes([0b100_010_01]))
+        # sizes 4 and 2 for 6 instances: the smallest, 2, at 3 bits, then
+        # the offsets 2 and 0 at 2 bits, then a padding bit
+        exc = self.responder_facing(self.CONFIG, None, payload=bytes([ABC_W, 0b010_00000, 2, 0b10_00_0001]))
         assert isinstance(exc, ProtocolError) and "padding" in str(exc)
 
     def test_bundle_bucket_sizes_must_sum_to_the_hello(self):
@@ -1776,8 +1942,10 @@ class TestHostileStep2:
             def script(peer):
                 peer.send(hello_for(self.WIDE, WIDE_A))
                 peer.recv()
+                peer.recv()
                 bundle = self.with_check(EvalBundle((), (), 108))
-                peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, bucket_sizes=sizes, p=WIDE_P)))
+                payload = encode_bundle(bundle, occ_bits=WIDE_W, bucket_sizes=sizes, p=WIDE_P)
+                peer.send(Frame(FrameKind.EVAL_BUNDLE, payload))
                 replies.append(peer.recv().kind)
 
             return scripted_session(WIDE_B, "responder", self.WIDE, script), replies
@@ -1826,9 +1994,9 @@ class TestHostileStep2:
         exc = self.responder_facing(config, EvalBundle(tuple(range(count)), values, 6))
         assert isinstance(exc, BoundExceededError)
         assert time.perf_counter() - start < 10
-        # bucket 0: the responder's 3 instances, the initiator's 6 and one
+        # bucket 0: the responder's 1 instance, the initiator's 6 and one
         # verification value
-        assert 0 < len(budgets) <= budgets[0] == 3 + 6 + 1
+        assert 0 < len(budgets) <= budgets[0] == 1 + 6 + 1
 
     @pytest.mark.parametrize(
         "values,match",
@@ -1913,6 +2081,53 @@ class TestHostileStep2:
         assert rep_a.step2_rejected == 0
 
 
+class TestHeavyShingles:
+    """A shingle that occurs many times widens the session's occurrence
+    width, and with it the field; one past 2**16 occurrences is refused."""
+
+    def test_a_long_run_widens_the_session_and_both_words_are_recovered(self):
+        rng = random.Random(17)
+
+        def bits(count):
+            return "".join(rng.choice("01") for _ in range(count))
+
+        l = 20
+        light = bits(600)
+        heavy = light[:300] + "1" * 1500 + light[300:]
+        config = ReconConfig(l=l, seed=9)
+        widths = {}
+        for wa in (light, heavy):
+            wb = random_edits(wa, 2, rng, "01")
+            (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
+            assert ra == wb and rb == wa
+            codec = session_codec(wa, wb, l)
+            assert rep_a.occ_bits == rep_b.occ_bits == codec.occ_bits
+            assert rep_a.value_bits == rep_b.value_bits == codec.field.p.bit_length()
+            widths[wa is heavy] = (rep_a.occ_bits, rep_a.value_bits)
+        # the run of 1500 ones holds about 1481 instances of the all-ones
+        # shingle: 11 occurrence bits, and the elements pass the point span
+        assert widths[False] == (0, 41)
+        assert widths[True][0] == 11 and widths[True][1] == session_field(3, l, 11).p.bit_length() == 43
+
+    @pytest.mark.parametrize("heavy_role", ["initiator", "responder"])
+    def test_a_multiplicity_past_2_16_is_refused(self, heavy_role):
+        # '00' occurs 2**16 + 1 times in 2**16 + 2 zeros: the party holding
+        # them stops before it states a width, and its peer sees the abort
+        heavy, light = "0" * (2**16 + 2), "0" * 10
+        words = {"initiator": light, "responder": light, heavy_role: heavy}
+        ends = channel_pair()
+        with ThreadPoolExecutor(2) as pool:
+            futures = {
+                role: pool.submit(run_protocol, words[role], end, role, ReconConfig(l=2))
+                for role, end in zip(("initiator", "responder"), ends)
+            }
+            errors = {role: fut.exception(timeout=60) for role, fut in futures.items()}
+        light_role = "responder" if heavy_role == "initiator" else "initiator"
+        assert isinstance(errors[heavy_role], EncodingCapacityError)
+        assert "occurrence 65537 exceeds 16 bits" in str(errors[heavy_role])
+        assert isinstance(errors[light_role], SessionAbortError)
+
+
 @st.composite
 def word_pairs(draw):
     """Symbols (2 to 4), a shingle length, a word and a peer word that differs
@@ -1934,7 +2149,8 @@ def word_pairs(draw):
 # "00101" against "00110" at l = 3: the initiator's one-sided windows are
 # '010', '101', '01$' and '1$$', the run "0101$$" of its padded word; the
 # responder derives their total, 4, so counts take 3 bits, and a rank among
-# '$', '0' and '1' takes 2.  Each word's 7 instances make two buckets.
+# '$', '0' and '1' takes 2.  Each word's 7 instances make two buckets.  No
+# shingle repeats in either word, so the session's occurrence width is 0.
 RUNS_A, RUNS_B = "00101", "00110"
 RUNS_CONFIG = ReconConfig(l=3, mode=MODE_RATELESS, k=8, seed=3)
 HONEST_RUNS = bytes([0b001_100_00, 0b01_10_01_10, 0b00_00_0000])
@@ -1952,7 +2168,7 @@ class TestRuns:
         only = mine - theirs
         # the one-sided instances as a decoder finds them: elements of the
         # sender's own, above the peer's count of each shingle
-        occ_bits = session_occ_bits(len(word), len(other), l)
+        occ_bits = session_codec(word, other, l).occ_bits
         element = dict(zip(ShingleMultiset(mine).instances(), session_elements(word, l, alphabet, occ_bits)))
         roots = [element[s, occ] for s, m in only.items() for occ in range(theirs[s] + 1, theirs[s] + m + 1)]
         shingled_word = ShingledWord(word, l, alphabet)
@@ -1980,12 +2196,16 @@ class TestRuns:
             (_pack_block([1, 4], 3) + _pack_block([1, 2, 1, 3, 0, 0], 2), "rank of 3"),
             (HONEST_RUNS[:-1] + bytes([1]), "padding"),
             (HONEST_RUNS[:-1], "runs block holds 1 bytes"),
-            # '1011$$': '101', '011', '11$' and '1$$' land two a bucket, as
-            # the degrees ask, but '011' and '11$' are no roots
-            (encode_runs(["1011$$"], 3, "$01"), "no root in bucket"),
-            # '1001$$': four instances, as the degrees sum to, but three in
-            # bucket 0, whose polynomial has degree 2
-            (encode_runs(["1001$$"], 3, "$01"), "3 instances in bucket 0, whose hand-off polynomial has degree 2"),
+            # '10100$': '101', '010', '100' and '00$' land three in bucket 0
+            # and one in bucket 1, as the degrees ask, but '100' and '00$'
+            # are no roots
+            (encode_runs(["10100$"], 3, "$01"), "no root in bucket"),
+            # '101000': four instances, as the degrees sum to, but all four
+            # in bucket 0, whose polynomial has degree 3
+            (encode_runs(["101000"], 3, "$01"), "4 instances in bucket 0, whose hand-off polynomial has degree 3"),
+            # '011' of '1011$$' would be the responder's second, past the
+            # one occurrence a width of 0 numbers
+            (encode_runs(["1011$$"], 3, "$01"), "occurrence 2 of a shingle, past the encoding range"),
         ],
         ids=[
             "zero-window-run",
@@ -1998,6 +2218,7 @@ class TestRuns:
             "truncated",
             "not-a-root",
             "wrong-buckets",
+            "occurrence-past-the-width",
         ],
     )
     def test_initiator_runs_are_checked(self, payload, match):
@@ -2066,12 +2287,12 @@ def tampered_initiator(word, config, tamper):
 
 
 def merges_frame(heads_and_glued, ranks, shipped=None):
-    """A MERGES payload from a sender of 7 instances over 3 ranks: index
-    values 3 bits wide, ranks 2.  `shipped` is the shipped-rank count, the
-    number of ranks unless given."""
+    """A MERGES payload from a sender of 7 instances over 3 ranks: the chain
+    count 2 bits wide, index values 3, ranks 2.  `shipped` is the
+    shipped-rank count, the number of ranks unless given."""
     shipped = len(ranks) if shipped is None else shipped
     return (
-        _pack_block([len(heads_and_glued) // 2], 32)
+        _pack_block([len(heads_and_glued) // 2], 2)
         + _pack_block([shipped, *heads_and_glued], 3)
         + _pack_block(ranks, 2)
     )
@@ -2103,8 +2324,9 @@ class TestHostileMerges:
             (merges_frame([1, 1], [3]), "rank of 3"),
             # two chains through the one '$00'
             (merges_frame([1, 1, 1, 1], [2, 2]), "starts at a shingle with no instance left"),
-            # four chains need at least eight of the seven instances
-            (merges_frame([1, 1] * 4, [2] * 4), "4 chains"),
+            # three chains, the most a 2-bit count states, gluing two each
+            # need nine of the seven instances
+            (merges_frame([1, 2] * 3, [2] * 3), "cover 9 instances, more than the 7"),
             (merges_frame([1, 1], [2], shipped=2), "ships 2 ranks for 1 glued shingles"),
             (merges_frame([1, 1], []), "branch point with no shipped rank left"),
             # '$$0' to '$00' is the one way on: its rank is not shipped

@@ -34,9 +34,9 @@ def zero_merge_stats(n: int, l: int, trials: int, seed: int, bias: float) -> tup
     for _ in range(trials):
         word = ShingledWord("".join("0" if rng.random() < bias else "1" for _ in range(n)), l, BITS)
         start = time.perf_counter()
-        _labels, seams = merge_until_ud(word)
+        firsts = merge_until_ud(word)
         merge_s += time.perf_counter() - start
-        counts.append(len(seams))
+        counts.append(len(word.keys) - len(firsts))
     zero = sum(1 for c in counts if c == 0)
     return zero / trials, counts, merge_s * 1e6 / (trials * n)
 

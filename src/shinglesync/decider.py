@@ -140,11 +140,6 @@ class _Core:
     def slot_count(self) -> int:
         return len(self.first_ix)
 
-    def truncate(self, slots: int) -> None:
-        """Drop the slots from `slots` on, which no accepted step visited."""
-        for entries in (self.first_ix, self.last_ix, self.on_cycle, self.child, self.parent0, self.parent1):
-            del entries[slots:]
-
     def step(self, cid: int) -> Verdict:
         """Consume one symbol id: a one-id `feed`."""
         return self.feed((cid,))
@@ -260,8 +255,9 @@ class TokenDecider:
     """Decider over the node grams of length-l shingles.
 
     Each pushed shingle walks one edge from its length l-1 prefix to its
-    length l-1 suffix.  Node tokens are interned on first sight, so state
-    grows with the token alphabet, not the stream length.
+    length l-1 suffix.  The state is the interned node grams and the one
+    label on each node pair, so it grows with the token alphabet, not the
+    stream length.
     """
 
     def __init__(self, l: int, delimiter: str = DEFAULT_DELIMITER):
@@ -271,7 +267,6 @@ class TokenDecider:
         self.delimiter = delimiter
         self._ids: dict[str, int] = {}
         self._core = _Core(0)
-        self._labels: list[str] = []
         # (source id, target id) -> the one label allowed on that node pair
         self._edge_labels: dict[tuple[int, int], str] = {}
 
@@ -281,10 +276,6 @@ class TokenDecider:
 
     def slot_count(self) -> int:
         return self._core.slot_count()
-
-    def labels(self) -> list[str]:
-        """Live shingle labels in stream order (post-merge view)."""
-        return list(self._labels)
 
     def _intern(self, token: str) -> int:
         tid = self._ids.get(token)
@@ -307,10 +298,10 @@ class TokenDecider:
     def push_shingles(self, labels: list[str]) -> Verdict:
         """Walk the edges of a batch of shingles in one `_Core.feed`.
 
-        The verdict and the state are those of pushing the labels one at a
-        time: the batch stops at its first rejection, and the grams and edge
-        labels that the labels after it brought in are taken back.  A label
-        shorter than l raises before anything is pushed.
+        The verdict is that of pushing the labels one at a time: the batch
+        stops at its first rejection, which absorbs, so what the labels
+        after it interned is never read.  A label shorter than l raises
+        before anything is pushed.
         """
         l = self.l
         for label in labels:
@@ -319,55 +310,30 @@ class TokenDecider:
         core = self._core
         if not core.verdict.ok or not labels:
             return core.verdict
+        k = l - 1
         tokens, edge_labels = self._ids, self._edge_labels
-        start, known, labelled = core.pos, len(tokens), len(edge_labels)
-        path = self._walk(labels, start == 0)
-        core.grow_to(len(tokens))
-        verdict = core.feed(path)
-        accepted = core.pos - max(start, 1)
-        self._labels += labels[:accepted]
-        if verdict.ok and accepted < len(labels):
-            verdict = core._reject(Reason.PARALLEL_LABELS, core.pos + 1)
-        if not verdict.ok:
-            # take back all the batch interned and labelled (dicts pop in
-            # reverse insertion order), walk the accepted labels again and
-            # intern the rejected one's grams, as a push of it would
-            while len(edge_labels) > labelled:
-                edge_labels.popitem()
-            while len(tokens) > known:
-                tokens.popitem()
-            self._walk(labels[:accepted], start == 0)
-            rejected, k = labels[accepted], l - 1
-            for gram in (rejected[:k], rejected[len(rejected) - k :]):
-                tokens.setdefault(gram, len(tokens))
-            core.truncate(len(tokens))
-        return verdict
-
-    def _walk(self, labels: list[str], visit: bool) -> list[int]:
-        """Intern the grams of `labels` and label their edges, stopping at
-        the first label whose node pair carries another label, once its
-        grams are interned.  Returns the node id each label before it walks
-        into, after the first label's source if `visit`."""
-        k = self.l - 1
-        tokens, edge_labels = self._ids, self._edge_labels
-        path = [tokens.setdefault(labels[0][:k], len(tokens))] if visit and labels else []
+        # the node id each label walks into, after the first label's source
+        # on the stream's first push; the walk stops at the first label whose
+        # node pair carries another label
+        visit = core.pos == 0
+        path = [tokens.setdefault(labels[0][:k], len(tokens))] if visit else []
         for label in labels:
             sid = tokens.setdefault(label[:k], len(tokens))
             did = tokens.setdefault(label[len(label) - k :], len(tokens))
-            key = (sid, did)
-            existing = edge_labels.get(key)
-            if existing is None:
-                edge_labels[key] = label
-            elif existing != label:
+            if edge_labels.setdefault((sid, did), label) != label:
                 break
             path.append(did)
-        return path
+        core.grow_to(len(tokens))
+        verdict = core.feed(path)
+        if verdict.ok and len(path) - visit < len(labels):
+            verdict = core._reject(Reason.PARALLEL_LABELS, core.pos + 1)
+        return verdict
 
     def push_word(self, word: str) -> Verdict:
         return self.push_shingles(shingle_sequence(word, self.l, self.delimiter))
 
 
-def merge_until_ud(word: ShingledWord) -> tuple[list[int], list[int]]:
+def merge_until_ud(word: ShingledWord) -> list[int]:
     """Merge a word's shingles, in stream order, until they decode uniquely.
 
     Each shingle walks its edge between the word's node ids through the
@@ -389,10 +355,9 @@ def merge_until_ud(word: ShingledWord) -> tuple[list[int], list[int]]:
     `tests/test_decider.py::TestMerging::test_span_merge_matches_the_string_loop`
     pins this copy to `_Core.feed`.
 
-    Returns the first position of each live label in stream order (label j
-    spans positions firsts[j] to firsts[j + 1] - 1), and the seams: the left
-    position of every glued boundary, in the order they were glued, each
-    merge's seams left to right.
+    Returns the first position of each live label in stream order: label j
+    spans positions firsts[j] to firsts[j + 1] - 1.  Each merge glues two
+    labels into one, so the word took len(word.keys) - len(firsts) merges.
     """
     nodes, text, l = word.nodes, word.text, word.l
     slots = max(nodes) + 1
@@ -414,11 +379,9 @@ def merge_until_ud(word: ShingledWord) -> tuple[list[int], list[int]]:
     spans: dict[int, int] = {}
     ends = [0] * len(nodes)
     firsts: list[int] = []
-    seams: list[int] = []
     for last in range(len(nodes) - 1):
         dst = nodes[last + 1]
         first = last
-        glued = len(seams)
         while True:
             src = nodes[first]
             pair = src * slots + dst
@@ -480,9 +443,6 @@ def merge_until_ud(word: ShingledWord) -> tuple[list[int], list[int]]:
                         on_cycle[v] = False
                         stack.append(v)
             pos -= 1
-            seams.append(first - 1)
             first = firsts.pop()
         firsts.append(first)
-        if len(seams) - glued > 1:
-            seams[glued:] = seams[glued:][::-1]
-    return firsts, seams
+    return firsts

@@ -843,7 +843,7 @@ def run_protocol(
             report.outcome = f"error:{type(exc).__name__}"
         try:
             if not isinstance(exc, (SessionAbortError, ProtocolError)):
-                endpoint.send(Frame(FrameKind.ABORT, str(exc).encode("utf-8")))
+                wire.send(FrameKind.ABORT, str(exc).encode("utf-8"))
         except Exception:
             pass
         raise
@@ -898,19 +898,14 @@ def _run(
     # before step 6 allocates
 
     # steps 3-4: merge to unique decodability (local work only)
-    firsts, seams = merge_until_ud(local)
+    firsts = merge_until_ud(local)
     del local.nodes
-    report.merges_local = len(seams)
-    # each seam glues two instances into one; checked before it is shipped
-    if len(firsts) != instances - len(seams):
-        raise InvariantError(
-            f"merge left {len(firsts)} labels, expected {instances} - {len(seams)} merges"
-        )
+    report.merges_local = instances - len(firsts)
     report.longest_label = max(b - a for a, b in zip(firsts, [*firsts[1:], instances]))
     chains = seams_to_records(local, firsts)
     report.ranks_sent = len(chains.ranks)
     table = local.table
-    del local, firsts, seams
+    del local, firsts
 
     # step 5: exchange the chains of the merged labels
     wire.step = "step5"

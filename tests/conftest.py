@@ -155,7 +155,6 @@ class StepTokens:
         self.l = l
         self.ids = {}
         self.core = StepCore(0)
-        self.labels = []
         self.edge_labels = {}
 
     def intern(self, token):
@@ -177,10 +176,8 @@ class StepTokens:
         if existing is not None and existing != shingle:
             return self.core._reject(Reason.PARALLEL_LABELS, self.core.pos + 1)
         out = self.core.step(did)
-        if out.ok:
-            self.labels.append(shingle)
-            if existing is None:
-                self.edge_labels[(sid, did)] = shingle
+        if out.ok and existing is None:
+            self.edge_labels[(sid, did)] = shingle
         return out
 
 
@@ -191,9 +188,7 @@ def reference_merge(word, l, delimiter="$"):
     with the live label before it by `noconcat` and pushed again.  The
     decider's verdict absorbs, so an undo replays the accepted node ids, as
     one batch, on a fresh one: the reference needs no undo of the product's.
-    Returns the live labels in stream order and the seams: the left position
-    of every glued boundary, in the order they were glued, each merge's seams
-    left to right.
+    Returns the live labels in stream order.
     """
     k = l - 1
     ids = {}
@@ -242,19 +237,11 @@ def reference_merge(word, l, delimiter="$"):
             del edge_labels[pair]
         return labels.pop()
 
-    ranges = []
-    seams = []
-    for pos, shingle in enumerate(shingle_sequence(word, l, delimiter)):
+    for shingle in shingle_sequence(word, l, delimiter):
         pending = shingle
-        merges = 0
         while not push(pending):
             pending = noconcat(undo(), pending, l)
-            merges += 1
-        pieces = ranges[len(ranges) - merges :] + [(pos, pos)]
-        del ranges[len(ranges) - merges :]
-        seams += [hi for (_lo, hi) in pieces[:-1]]
-        ranges.append((pieces[0][0], pos))
-    return labels, seams
+    return labels
 
 
 def span_labels(word, firsts):

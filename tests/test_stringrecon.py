@@ -2,16 +2,11 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import random
-import subprocess
-import sys
-import textwrap
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -92,8 +87,6 @@ from conftest import (
     span_labels,
 )
 
-SRC = Path(stringrecon.__file__).resolve().parents[1]
-
 
 def run_session(word_a, word_b, config_a, config_b=None, alpha=None, timeout=120):
     a, b = channel_pair()
@@ -118,10 +111,13 @@ def bucket_differences(word_a, word_b, l, buckets, seed):
 def scripted_session(word, role, config, script, timeout=30):
     """Run one party while `script` plays its peer on the other endpoint.
 
-    Returns what the party raised, or None when it returned.  The party
-    closes its endpoint when it stops, so a script waiting for a frame that
-    never comes ends; the party runs in a daemon thread, so a session that
-    never ends fails the test instead of hanging it.
+    Returns what the party raised, or None when it returned; what the script
+    raises, past the channel closing, is raised here.  Each side closes its
+    endpoint when it stops, so the other's wait for a frame ends.  Both run
+    in daemon threads: if either still runs after `timeout` seconds, both
+    endpoints are closed, which wakes either wait, and the test fails naming
+    the sides that were still waiting.  The threads are named "party" and
+    "script".
     """
     mine, peer = channel_pair()
     raised = {}
@@ -130,20 +126,37 @@ def scripted_session(word, role, config, script, timeout=30):
         try:
             run_protocol(word, mine, role, config)
         except Exception as exc:  # noqa: BLE001 - handed to the test
-            raised["exc"] = exc
+            raised["party"] = exc
         finally:
             mine.close()
 
-    thread = threading.Thread(target=party, daemon=True)
-    thread.start()
-    try:
-        script(peer)
-    except TransportClosedError:
-        pass
-    peer.close()
-    thread.join(timeout)
-    assert not thread.is_alive(), "session still running"
-    return raised.get("exc")
+    def peer_script():
+        try:
+            script(peer)
+        except TransportClosedError:
+            pass
+        except BaseException as exc:  # noqa: BLE001 - raised in the test
+            raised["script"] = exc
+        finally:
+            peer.close()
+
+    threads = {
+        "party": threading.Thread(target=party, name="party", daemon=True),
+        "script": threading.Thread(target=peer_script, name="script", daemon=True),
+    }
+    for thread in threads.values():
+        thread.start()
+    deadline = time.monotonic() + timeout
+    for thread in threads.values():
+        thread.join(max(0.0, deadline - time.monotonic()))
+    waiting = [name for name, thread in threads.items() if thread.is_alive()]
+    if waiting:
+        mine.close()
+        peer.close()
+        pytest.fail(f"{' and '.join(waiting)} still waiting after {timeout} s")
+    if "script" in raised:
+        raise raised["script"]
+    return raised.get("party")
 
 
 def hello_for(config, word):
@@ -211,23 +224,22 @@ def reference_chains(word, l, firsts):
 
 def merged_multiset(word, l):
     w = shingled(word, l)
-    firsts, _ = merge_until_ud(w)
-    return ShingleMultiset(Counter(span_labels(w, firsts)), base_len=l)
+    return ShingleMultiset(Counter(span_labels(w, merge_until_ud(w))), base_len=l)
 
 
 class TestMergeBookkeeping:
     def test_katana_merge_set(self):
         w = shingled("katana", 2)
-        firsts, seams = merge_until_ud(w)
+        firsts = merge_until_ud(w)
         merged = ShingleMultiset(Counter(span_labels(w, firsts)))
         assert merged == ShingleMultiset({"$k": 1, "ka": 1, "at": 1, "tana": 1, "a$": 1})
-        assert seams == [3, 4]
+        assert len(w.keys) - len(firsts) == 2
         result = decoding_count(merged, l=2)
         assert result.count == 1 and result.witnesses == ("katana",)
 
     def test_ud_word_has_empty_merge_log(self):
-        _, seams = merge_until_ud(shingled("axbxa", 2))
-        assert seams == []
+        w = shingled("axbxa", 2)
+        assert merge_until_ud(w) == list(range(len(w.keys)))
 
     def test_repeated_character_word(self):
         assert decoding_count(merged_multiset("aaaa", 2), l=2).witnesses == ("aaaa",)
@@ -238,14 +250,14 @@ class TestMergeBookkeeping:
         # sender's chains through the frame to the receiver's rebuild, which
         # holds the sender's multiset after step 2
         word = shingled(w, l)
-        firsts, seams = merge_until_ud(word)
+        firsts = merge_until_ud(word)
         chains = seams_to_records(word, firsts)
         assert chains == reference_chains(w, l, firsts)
         instances, base = len(word.keys), word.table.base
         received = decode_merges(encode_merges(chains, instances, base), instances, base)
         assert received == chains
         # the count the receiver reports as merges_remote
-        assert sum(received.glued) == len(seams)
+        assert sum(received.glued) == instances - len(firsts)
         assert apply_merge_records(word.table, received) == ShingleMultiset(Counter(span_labels(word, firsts)))
 
     @settings(max_examples=150, deadline=None)
@@ -296,7 +308,7 @@ class TestMergeBookkeeping:
         for key in table.order:
             assert walk_log(table, key) == walk_log(reference, key)
         sender = ShingledWord(theirs, l, alphabet)
-        firsts, _ = merge_until_ud(sender)
+        firsts = merge_until_ud(sender)
         chains = seams_to_records(sender, firsts)
         assert apply_merge_records(table, chains) == apply_merge_records(reference, chains) == ShingleMultiset(
             Counter(span_labels(sender, firsts))
@@ -418,7 +430,7 @@ class TestWireCodecs:
         assert _pack_block([1, 0, 1, 1, 0, 1, 1], 1) == bytes([0xB6])
         assert _pack_block([2**32 - 1, 0, 12345678, 2**31], 32) == bytes.fromhex("ffffffff0000000000bc614e80000000")
         word = shingled("katana", 2)
-        chains = seams_to_records(word, merge_until_ud(word)[0])
+        chains = seams_to_records(word, merge_until_ud(word))
         assert chains == MergeChains([6], [2], [3])
         assert encode_merges(chains, 7, 5) == GOLDEN_CHAINS
         assert decode_merges(GOLDEN_CHAINS, 7, 5) == chains
@@ -745,7 +757,7 @@ class TestSessions:
         assert rep_a.raw_bits == rep_b.raw_bits == (6 + 5) * 2
         for word, rep in (("katana", rep_a), ("katna", rep_b)):
             w = shingled(word, 2)
-            firsts, _ = merge_until_ud(w)
+            firsts = merge_until_ud(w)
             assert rep.longest_label == max(len(label) for label in span_labels(w, firsts)) - 1
             assert f"longest_label={rep.longest_label}\n" in rep.to_text()
             assert f"raw_bits={rep.raw_bits}\n" in rep.to_text()
@@ -765,7 +777,7 @@ class TestSessions:
         (_, rep_a), (_, rep_b) = run_session(wa, wb, config)
         for word, rep in ((wa, rep_a), (wb, rep_b)):
             w = shingled(word, 6)
-            chains = seams_to_records(w, merge_until_ud(w)[0])
+            chains = seams_to_records(w, merge_until_ud(w))
             assert rep.ranks_sent == len(chains.ranks)
             # a rank only at a branch point, far fewer than the glued shingles
             assert 0 < rep.ranks_sent < rep.merges_local
@@ -1029,6 +1041,14 @@ class TestSessions:
         assert not thread.is_alive() and elapsed < 5
         assert isinstance(raised.get("exc"), TransportClosedError)
 
+    def test_scripted_session_fails_at_its_timeout_when_both_sides_wait(self):
+        # the responder waits for a hello and the script for the responder's
+        # first frame, so neither side ever closes its end
+        start = time.perf_counter()
+        with pytest.raises(pytest.fail.Exception, match="party and script still waiting after 2 s"):
+            scripted_session("abcba", "responder", ReconConfig(l=2), lambda peer: peer.recv(), timeout=2)
+        assert time.perf_counter() - start < 5
+
     def test_rateless_step2_bits_are_the_frame_arithmetic(self, monkeypatch, rng):
         batches, requests = [], []
         real_pairs, real_request = stringrecon.encode_pairs, stringrecon.encode_request
@@ -1140,38 +1160,6 @@ class TestSessions:
         assert rep_a.step2_buckets == 16
         assert rep_a.step2_rounds == rep_b.step2_rounds >= 1
         assert rep_a.step2_pairs == rep_b.step2_pairs > 16 * 1 + 4
-
-    def test_merge_count_mismatch_raises(self):
-        # a merge that leaves one label too many trips an explicit check, not
-        # an assert, so it holds under `python -O` as well
-        script = textwrap.dedent("""
-            from concurrent.futures import ThreadPoolExecutor
-            from shinglesync import MODE_RATELESS, ReconConfig, channel_pair, run_protocol, stringrecon
-
-            real = stringrecon.merge_until_ud
-
-            def one_label_extra(word):
-                firsts, seams = real(word)
-                return firsts + [len(word.keys)], seams
-
-            stringrecon.merge_until_ud = one_label_extra
-            config = ReconConfig(l=2, mode=MODE_RATELESS, seed=11)
-            a, b = channel_pair()
-            with ThreadPoolExecutor(2) as pool:
-                futures = [pool.submit(run_protocol, "katana", a, "initiator", config),
-                           pool.submit(run_protocol, "katna", b, "responder", config)]
-                print(*(type(fut.exception(timeout=60)).__name__ for fut in futures))
-        """)
-        for flags in ([], ["-O"]):
-            proc = subprocess.run(
-                [sys.executable, *flags, "-c", script],
-                env={**os.environ, "PYTHONPATH": str(SRC)},
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.split() == ["InvariantError", "InvariantError"], flags
 
     def test_responder_echo_mismatch_detected(self):
         config = ReconConfig(l=2, mode=MODE_RATELESS, seed=4)
@@ -2035,12 +2023,11 @@ class TestHostileStep2:
         # responder evaluates its whole set at k points for each of k checks
         # and gives up, having evaluated no more than k**2 points
         assert MAX_K == self.WIDE.k == 8
-        script_thread = threading.current_thread()
         evaluated = []
         real_next_pairs = RatelessSource.next_pairs
 
         def spy(source, count):
-            if threading.current_thread() is not script_thread:  # the responder's whole set
+            if threading.current_thread().name == "party":  # the responder's whole set
                 evaluated.append(count)
             return real_next_pairs(source, count)
 
@@ -2126,6 +2113,35 @@ class TestHeavyShingles:
         assert isinstance(errors[heavy_role], EncodingCapacityError)
         assert "occurrence 65537 exceeds 16 bits" in str(errors[heavy_role])
         assert isinstance(errors[light_role], SessionAbortError)
+
+    def test_an_aborting_partys_report_counts_its_abort(self, monkeypatch):
+        # each party's report sums to its endpoint's counters, the ABORT the
+        # heavy initiator sends and its peer receives included
+        reports = {}
+        real_report = stringrecon.SessionReport
+
+        def recorded(role, **kwargs):
+            reports[role] = real_report(role, **kwargs)
+            return reports[role]
+
+        monkeypatch.setattr(stringrecon, "SessionReport", recorded)
+        words = {"initiator": "0" * (2**16 + 2), "responder": "0" * 10}
+        ends = dict(zip(words, channel_pair()))
+        with ThreadPoolExecutor(2) as pool:
+            futures = {
+                role: pool.submit(run_protocol, word, ends[role], role, ReconConfig(l=2))
+                for role, word in words.items()
+            }
+            errors = {role: fut.exception(timeout=60) for role, fut in futures.items()}
+        assert isinstance(errors["initiator"], EncodingCapacityError)
+        assert isinstance(errors["responder"], SessionAbortError)
+        abort_bits = 8 * (5 + len(str(errors["initiator"]).encode()))
+        assert reports["initiator"].frame_bits["ABORT"] == [abort_bits, 0]
+        assert reports["responder"].frame_bits["ABORT"] == [0, abort_bits]
+        for role, rep in reports.items():
+            assert sum(sent for sent, _ in rep.bits.values()) == ends[role].bits_sent()
+            assert sum(received for _, received in rep.bits.values()) == ends[role].bits_received()
+            assert sum(sent for sent, _ in rep.frame_bits.values()) == ends[role].bits_sent()
 
 
 @st.composite

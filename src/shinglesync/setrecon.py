@@ -10,10 +10,11 @@ whose roots decode back to the differing instances.  One decoder,
 verified difference, whether they stream in on request (rateless mode) or
 arrive as one bundle sized for a bound (fixed mode, `reconcile_fixed`).
 The decoder finds its own side's roots among its own elements and keeps the
-other side as a polynomial (`Delta.remote_poly`): a session hands that to the
-peer, who finds its roots among the peer's elements, and only the library's
-`Delta.only_remote` factors it.  `partition` splits encoded elements into
-seeded hash buckets, and the `from_elements` constructors build a source or
+other side as a polynomial (`Delta.remote_poly`): a session tests the
+candidates its own de Bruijn graph suggests against that, and only the
+library's `Delta.only_remote` factors it.  `partition` splits encoded
+elements into seeded hash buckets (`bucket_of` hashes one), and the
+`from_elements` constructors build a source or
 decoder for one bucket, so a session can reconcile each bucket on its own.
 A session verifies each bucket with one pair (k = 1) and all buckets at
 once with one whole-set check of its own; when that check fails,
@@ -28,7 +29,7 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .alphabet import Alphabet
 from .errors import (
@@ -165,10 +166,11 @@ class Delta:
 
     `local_roots` are the local elements missing on the remote side, and
     `only_local` decodes them.  `remote_poly` (little-endian, monic) has
-    the remote side's missing elements as its roots; a session hands it to
-    the peer, which finds them among its own elements, and `only_remote`
+    the remote side's missing elements as its roots, and `only_remote`
     factors it here.  A session reads neither multiset: it finds its own
-    instances by position in its word and gets the peer's as symbols.
+    instances by position in its word, and the peer's by testing the
+    candidates its own graph suggests against `remote_poly`; only the roots
+    that escape that test cross to the peer, as the residual polynomial.
     """
 
     local_roots: tuple[int, ...]
@@ -279,23 +281,27 @@ def reconcile_fixed(
     return delta
 
 
-def partition(elements: list[int], buckets: int, seed: int) -> list[list[int]]:
-    """Split encoded elements into `buckets` lists by a seeded multiply-shift
-    hash, the top log2(buckets) bits of a * e mod 2**64 (Dietzfelbinger et
-    al., J. Algorithms 1997), so two parties sharing the seed put every element
-    in the same bucket.  `buckets` is a power of two; order within a bucket
-    follows `elements`.
-    """
+def bucket_of(buckets: int, seed: int) -> Callable[[int], int]:
+    """The bucket of one encoded element among `buckets`, a power of two: a
+    seeded multiply-shift hash, the top log2(buckets) bits of a * e mod
+    2**64 (Dietzfelbinger et al., J. Algorithms 1997), so two parties
+    sharing the seed put every element in the same bucket.  `partition`
+    splits a list by it, and a session tests single elements with it."""
     if buckets < 1 or buckets & (buckets - 1):
         raise InvalidParameterError(f"bucket count {buckets} is not a power of two")
-    if buckets == 1:
-        return [list(elements)]
     # the multiplier: odd, 64 bits, fixed by the seed
     a = int.from_bytes(hashlib.sha256(b"shinglesync-buckets:%d" % seed).digest()[:8], "big") | 1
     shift = 64 - (buckets.bit_length() - 1)
+    return lambda e: (a * e & _MASK64) >> shift
+
+
+def partition(elements: list[int], buckets: int, seed: int) -> list[list[int]]:
+    """Split encoded elements into `buckets` lists by `bucket_of`; order
+    within a bucket follows `elements`."""
+    bucket = bucket_of(buckets, seed)
     out: list[list[int]] = [[] for _ in range(buckets)]
-    for e in elements:
-        out[(a * e & _MASK64) >> shift].append(e)
+    for e, b in zip(elements, map(bucket, elements)):
+        out[b].append(e)
     return out
 
 

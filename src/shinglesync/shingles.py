@@ -490,11 +490,16 @@ class ShingledWord:
         self.table = ShingleTable(l, ranks, counts, text, first, order)
 
     def runs(self, wanted: dict[int, int]) -> list[str]:
-        """The maximal runs of consecutive windows that `wanted`, a count of
-        instances by key, picks, each as the r + l - 1 characters of the
-        padded word its r windows cover.  A key wanted less often than it
-        occurs gives first its positions next to a taken one, which extend a
-        run, and only then the rest in word order."""
+        """The runs of `spans`, each as the r + l - 1 characters of the
+        padded word its r windows cover."""
+        return [self.text[start : end + self.l] for start, end in self.spans(wanted)]
+
+    def spans(self, wanted: dict[int, int]) -> list[tuple[int, int]]:
+        """The first and last position of each maximal run of consecutive
+        windows that `wanted`, a count of instances by key, picks, in word
+        order.  A key wanted less often than it occurs gives first its
+        positions next to a taken one, which extend a run, and only then the
+        rest in word order."""
         keys, counts = self.keys, self.table.counts
         # the instances left to take of each key wanted in part
         left = {key: n for key, n in wanted.items() if n < counts.get(key, 0)}
@@ -517,4 +522,4 @@ class ShingledWord:
         ordered = sorted(taken)
         starts = [at for at in ordered if at - 1 not in taken]
         ends = [at for at in ordered if at + 1 not in taken]
-        return [self.text[start : end + self.l] for start, end in zip(starts, ends)]
+        return list(zip(starts, ends))

@@ -8,8 +8,12 @@ and empty in rateless mode, then values on request until every bucket holds
 a candidate verified by one value, then one session check of k whole-set
 values, which the first batch carries, that verifies every bucket at once;
 a failed check reopens every bucket for one more value, and at most k
-checks run), hand over each side's one-sided instances as runs of
-consecutive windows of its padded word, r windows as r + l - 1 symbols,
+checks run), hand over the one-sided instances as runs of consecutive
+windows, r windows as r + l - 1 symbols (the responder sends its own and
+those of the initiator's that it finds by walking its own de Bruijn graph
+from its runs, testing each step against the buckets' remote polynomials;
+only what the walk misses crosses as polynomial coefficients, whose roots
+the initiator answers with runs of its word),
 merge each side's ordered shingling to unique decodability, exchange one
 chain per merged label (its first shingle's index among the sender's
 distinct keys, its glued count, and the rank of a glued shingle's last
@@ -17,7 +21,7 @@ character only at a branch point, where the receiver's walk over the
 sender's multiset has two or more successors left), rebuild and uniquely
 decode the remote multiset, then confirm with digests.  Steps 1 to 6 run on
 integer positions of the padded word (`ShingledWord`): one-sided instances
-are found by position and cross as runs, merged labels are spans of
+are found by position or by key and cross as runs, merged labels are spans of
 positions, chains slices of its keys, and the remote multiset a
 `ShingleTable`; no instance is decoded from its field element.  Only the
 multiset reconciliation, which grows with the difference, and the merge
@@ -36,7 +40,7 @@ import random
 import struct
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from typing import ClassVar, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 from .alphabet import DEFAULT_DELIMITER, Alphabet, validate_word
 from .debruijn import DeBruijnGraph
@@ -48,7 +52,7 @@ from .errors import (
     ProtocolError,
     SessionAbortError,
 )
-from .field import FieldSpec, PointStream, is_probable_prime, peval
+from .field import FieldSpec, PointStream, is_probable_prime, pdivmod, peval, poly_from_roots
 # reconcile_fixed is unused here but stays importable from this module:
 # perfbench/tracing.py rebinds it on it
 from .setrecon import (  # noqa: F401
@@ -58,6 +62,7 @@ from .setrecon import (  # noqa: F401
     RatelessDecoder,
     RatelessSource,
     ShingleCodec,
+    bucket_of,
     partition,
     reconcile_fixed,
     roots_by_candidates,
@@ -73,7 +78,7 @@ from .shingles import (  # noqa: F401
 )
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 13
+PROTOCOL_VERSION = 14
 
 # the field that caps a hello's l: P61 with points drawn from its top 2**40
 # residues.  No session runs over it: each derives its own, no wider, from
@@ -211,6 +216,12 @@ class SessionReport:
     # bucket candidates the responder refused, those taken back after a
     # failed session check included; 0 on the initiator, which sees none
     step2_rejected: int = 0
+    # the initiator's one-sided instances the responder's walk found; 0 on
+    # the initiator, which walks nothing
+    step2_walked: int = 0
+    # the degree sum of the residual the walk left, which crosses as
+    # coefficients and the initiator answers with runs; 0 on the walk route
+    step2_residual: int = 0
     # the session's occurrence width w: an element is key * 2**w + occ
     occ_bits: int = 0
     # the bit length of the session's prime, the width every residue crosses at
@@ -259,6 +270,8 @@ class SessionReport:
             "step2_rounds",
             "step2_checks",
             "step2_rejected",
+            "step2_walked",
+            "step2_residual",
             "occ_bits",
             "value_bits",
             "longest_label",
@@ -618,7 +631,17 @@ def encode_runs(runs: list[str], l: int, chars: str) -> bytes:
 
 def decode_runs(payload: bytes, l: int, total: int, chars: str) -> list[str]:
     """The runs of a runs frame whose windows the receiver knows to total
-    `total`, each as its r + l - 1 characters.
+    `total`, each as its r + l - 1 characters (`_read_runs`), filling the
+    frame exactly."""
+    runs, end = _read_runs(payload, l, total, chars)
+    if end != len(payload):
+        raise ProtocolError(f"runs frame holds {len(payload) - end} bytes past its runs")
+    return runs
+
+
+def _read_runs(payload: bytes, l: int, total: int, chars: str) -> tuple[list[str], int]:
+    """The runs at the start of `payload` whose windows total `total`, and
+    the offset where they end.
 
     The run count, the window counts and their total are checked before any
     character is read: every run holds a window, and the windows sum to
@@ -639,7 +662,10 @@ def decode_runs(payload: bytes, l: int, total: int, chars: str) -> list[str]:
         raise ProtocolError("a run holds no window")
     if sum(windows) != total:
         raise ProtocolError(f"runs hold {sum(windows)} windows, not the {total} the peer derives")
-    ranks = _unpack_block(payload[head:], _rank_bits(len(chars)), total + count * (l - 1), "runs")
+    rank_bits = _rank_bits(len(chars))
+    length = total + count * (l - 1)
+    end = head + (length * rank_bits + 7) // 8
+    ranks = _unpack_block(payload[head:end], rank_bits, length, "runs")
     if ranks and max(ranks) >= len(chars):
         raise ProtocolError(f"a run holds a rank of {len(chars)} or more")
     text = "".join(map(chars.__getitem__, ranks))
@@ -650,66 +676,111 @@ def decode_runs(payload: bytes, l: int, total: int, chars: str) -> list[str]:
         at += r + l - 1
         if not is_valid_shingle(runs[-1]):
             raise ProtocolError("a run holds a delimiter between two symbols")
-    return runs
+    return runs, end
 
 
-def encode_handoff(runs: list[str], polys: list[list[int]], l: int, chars: str, p: int) -> bytes:
-    """The responder's DELTA: `width:u8`, the bit length of the largest
-    degree (at least 1); the degree of each bucket's monic hand-off
-    polynomial, whose roots are the initiator's instances in that bucket,
-    packed `width` wide; one residue block of the polynomials' little-endian
-    coefficients mod `p`, the leading 1 left out; then the responder's own
-    difference instances as runs (`encode_runs`), whose windows total the
-    degrees' sum plus the responder's instance count less the initiator's.
+def encode_handoff(
+    runs: list[str], walked: list[str], residuals: list[list[int]], remote_instances: int, l: int, chars: str, p: int
+) -> bytes:
+    """The responder's DELTA:
+
+    - the windows of `walked`, the initiator's one-sided instances its walk
+      found (`_walk`), as one count packed `_count_bits(remote_instances)`
+      wide for the initiator's instance count;
+    - `width:u8`, the bit length of the largest residual degree, 0 when no
+      bucket has a residual, and only when it is not 0 the degree of each
+      bucket's monic residual polynomial at that width;
+    - `walked` as runs (`encode_runs`);
+    - the responder's own one-sided instances `runs` as runs, whose windows
+      total the walk's, plus the residual degrees, plus the responder's
+      instance count less the initiator's;
+    - one residue block of the residuals' little-endian coefficients mod
+      `p`, the leading 1 left out.
     """
-    degrees = [len(poly) - 1 for poly in polys]
-    width = _count_bits(max(degrees, default=0))
+    found = sum(len(run) - l + 1 for run in walked)
+    degrees = [len(poly) - 1 for poly in residuals]
+    width = max(degrees, default=0).bit_length()
     return (
-        bytes([width])
-        + _pack_block(degrees, width)
-        + _pack_block([c for poly in polys for c in poly[:-1]], p.bit_length())
+        _pack_block([found], _count_bits(remote_instances))
+        + bytes([width])
+        + (_pack_block(degrees, width) if width else b"")
+        + encode_runs(walked, l, chars)
         + encode_runs(runs, l, chars)
+        + _pack_block([c for poly in residuals for c in poly[:-1]], p.bit_length())
     )
 
 
 def decode_handoff(
-    payload: bytes, instances: int, bucket_sizes: list[int], l: int, chars: str, p: int
-) -> tuple[list[str], list[list[int]]]:
-    """(the responder's runs, one monic polynomial per bucket mod `p`) of a
-    DELTA from a responder of `instances` shingle instances, to the
-    initiator whose buckets hold `bucket_sizes` instances.
+    payload: bytes, instances: int, bucket_sizes: list[int], table: ShingleTable, p: int
+) -> tuple[list[str], list[str], list[list[int]]]:
+    """(the responder's runs, the runs of its walk, one monic residual
+    polynomial per bucket mod `p`) of a DELTA from a responder of
+    `instances` shingle instances, to the initiator whose buckets hold
+    `bucket_sizes` instances and whose word's multiset is `table`.
 
-    The degrees are bounded before the residues are read: a width no wider
-    than the largest bucket's size needs, no bucket polynomial of higher
-    degree than the initiator's instances in that bucket, since a root
-    search costs the degree times the bucket's instances, and degrees that
-    sum to at least the initiator's surplus of instances over the
-    responder's, which the runs' windows make up.
+    Everything is checked before a residue is read: the walk's total is at
+    most the initiator's instances; a residual width is no wider than the
+    largest bucket's size needs, and states a residual; no residual has
+    higher degree than the initiator's instances in its bucket, since a
+    root search costs the degree times the bucket's instances; the walk and
+    the residuals together hold at most the initiator's instances, and so
+    many that the derived total of the responder's runs is not negative;
+    and the walk's runs hold no shingle more often than the initiator's word.
     """
-    if not payload:
-        raise ProtocolError("hand-off holds no degree width")
-    bits = payload[0]
-    most = _count_bits(max(bucket_sizes, default=0))
-    if not 1 <= bits <= most:
-        raise ProtocolError(f"hand-off degree width {bits} is outside [1, {most}]")
-    head = 1 + (len(bucket_sizes) * bits + 7) // 8
-    degrees = _unpack_block(payload[1:head], bits, len(bucket_sizes), "delta")
-    for b, (degree, size) in enumerate(zip(degrees, bucket_sizes)):
-        if degree > size:
-            raise ProtocolError(
-                f"hand-off polynomial of bucket {b} has degree {degree}, "
-                f"more than the bucket's {size} instances"
-            )
-    total = sum(degrees) + instances - sum(bucket_sizes)
+    mine = sum(bucket_sizes)
+    bits = _count_bits(mine)
+    at = (bits + 7) // 8
+    if len(payload) <= at:
+        raise ProtocolError("hand-off holds no residual width")
+    (found,) = _unpack_block(payload[:at], bits, 1, "delta")
+    if found > mine:
+        raise ProtocolError(f"the walk found {found} instances, more than the initiator's {mine}")
+    width = payload[at]
+    at += 1
+    degrees = [0] * len(bucket_sizes)
+    if width:
+        most = _count_bits(max(bucket_sizes, default=0))
+        if width > most:
+            raise ProtocolError(f"residual degree width {width} is outside [0, {most}]")
+        head = at + (len(bucket_sizes) * width + 7) // 8
+        degrees = _unpack_block(payload[at:head], width, len(bucket_sizes), "delta")
+        at = head
+        for b, (degree, size) in enumerate(zip(degrees, bucket_sizes)):
+            if degree > size:
+                raise ProtocolError(
+                    f"residual polynomial of bucket {b} has degree {degree}, "
+                    f"more than the bucket's {size} instances"
+                )
+        if not any(degrees):
+            raise ProtocolError(f"residual degree width {width} holds no residual")
+    residual = sum(degrees)
+    if found + residual > mine:
+        raise ProtocolError(
+            f"the walk's {found} instances and the residual's {residual} are more than the initiator's {mine}"
+        )
+    total = found + residual + instances - mine
     if total < 0:
         raise ProtocolError(
-            f"hand-off degrees sum to {sum(degrees)}, fewer than the initiator's "
-            f"{sum(bucket_sizes) - instances} surplus instances"
+            f"the walk and the residual hold {found + residual} instances, fewer than the initiator's "
+            f"{mine - instances} surplus instances"
         )
-    end = head + (sum(degrees) * p.bit_length() + 7) // 8
-    values = iter(_unpack_residues(payload[head:end], sum(degrees), "delta", p))
+    chars = "".join(sorted(table.ranks))
+    walked, used = _read_runs(payload[at:], table.l, found, chars)
+    _check_held(table, _windows(walked, table.l))
+    runs, end = _read_runs(payload[at + used :], table.l, total, chars)
+    at += used + end
+    values = iter(_unpack_residues(payload[at:], residual, "delta", p))
     polys = [list(itertools.islice(values, degree)) + [1] for degree in degrees]
-    return decode_runs(payload[end:], l, total, chars), polys
+    return runs, walked, polys
+
+
+def _check_held(table: ShingleTable, windows: ShingleMultiset) -> None:
+    """Refuse one-sided instances of the table's word that it does not hold:
+    a shingle more often than the word has it."""
+    for shingle, mult in windows.entries.items():
+        have = table.counts.get(table.key(shingle), 0)
+        if mult > have:
+            raise ProtocolError(f"the peer names {mult} instances of {shingle!r}, of which the word holds {have}")
 
 
 def encode_merges(chains: MergeChains, instances: int, base: int) -> bytes:
@@ -999,11 +1070,14 @@ def _reconcile_step(
     responder's own times the product of the buckets' candidate ratios.  A
     failed check reopens every bucket for one more value and asks for a
     fresh check by a request of all zeros, and at most k checks run.  The
-    responder then hands each bucket's remote side over as one polynomial,
-    whose roots the initiator finds among that bucket's elements, with its
-    own instances as runs of its word; the initiator answers with its
-    roots' instances as runs of its own word, which the responder checks
-    against the polynomials.
+    responder then finds the initiator's one-sided instances itself, by a
+    walk over its own table from its runs that tests each step against the
+    buckets' remote polynomials (`_walk`), and sends its own instances and
+    those it found as runs, then the residual of each polynomial, what the
+    walk left, as coefficients.  On this, the walk route, that is all.
+    Only when a residual is left does the initiator find its roots among
+    its bucket's elements and answer with their instances as runs of its
+    own word, which the responder checks against the residuals.
     """
     l = config.l
     # a stated width may reach what the stating word's instances need, so no
@@ -1077,17 +1151,22 @@ def _reconcile_step(
             report.step2_pairs += len(pairs)
             report.step2_rounds += 1
         # the hand-off's counts are bounded before anything in it is read,
-        # and the whole hand-off is checked before the reply goes out
-        remote_runs, polys = decode_handoff(frame.payload, remote_instances, sizes, l, chars, p)
-        my_roots: list[int] = []
-        for b, (poly, part) in enumerate(zip(polys, parts)):
-            roots = roots_by_candidates(poly, part, p)
-            if roots is None:
-                raise ProtocolError(f"hand-off polynomial of bucket {b} does not split over its local elements")
-            my_roots += roots
-        my_runs = _own_runs(local, my_roots, occ_bits)
-        wire.send(FrameKind.DELTA, encode_runs(my_runs, l, chars))
-        return _windows(my_runs, l), _windows(remote_runs, l)
+        # and the whole hand-off is checked before any reply goes out
+        remote_runs, walked, residuals = decode_handoff(frame.payload, remote_instances, sizes, local.table, p)
+        only_local = _windows(walked, l)
+        report.step2_residual = sum(len(poly) - 1 for poly in residuals)
+        if report.step2_residual:
+            my_roots: list[int] = []
+            for b, (poly, part) in enumerate(zip(residuals, parts)):
+                roots = roots_by_candidates(poly, part, p)
+                if roots is None:
+                    raise ProtocolError(f"residual polynomial of bucket {b} does not split over its local elements")
+                my_roots += roots
+            my_runs = _own_runs(local, my_roots, occ_bits)
+            only_local = only_local.union(_windows(my_runs, l))
+            _check_held(local.table, only_local)
+            wire.send(FrameKind.DELTA, encode_runs(my_runs, l, chars))
+        return only_local, _windows(remote_runs, l)
 
     bundled = first * buckets
     sizes, values = decode_bundle(bundle_payload, buckets, bundled + config.k, remote_instances, p)
@@ -1134,12 +1213,139 @@ def _reconcile_step(
         values = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload, sum(counts), p)
         report.step2_pairs += len(values)
         feed(counts, values)
+    spans = _own_spans(local, [root for result in results for root in result.local_roots], occ_bits)
+    my_runs = [local.text[start : end + l] for start, end in spans]
     polys = [list(result.remote_poly) for result in results]
-    my_runs = _own_runs(local, [root for result in results for root in result.local_roots], occ_bits)
-    wire.send(FrameKind.DELTA, encode_handoff(my_runs, polys, l, chars, p))
-    degrees = sum(len(poly) - 1 for poly in polys)
-    remote_runs = decode_runs(wire.expect(FrameKind.DELTA).payload, l, degrees, chars)
-    return _windows(my_runs, l), _initiator_only(remote_runs, local, polys, config.seed, occ_bits, p)
+    walked, found, residuals = _walk(local, spans, polys, bucket_of(buckets, config.seed), occ_bits, p)
+    report.step2_walked = sum(found.values())
+    report.step2_residual = sum(len(poly) - 1 for poly in residuals)
+    wire.send(FrameKind.DELTA, encode_handoff(my_runs, walked, residuals, remote_instances, l, chars, p))
+    only_remote = _windows(walked, l)
+    if report.step2_residual:
+        remote_runs = decode_runs(wire.expect(FrameKind.DELTA).payload, l, report.step2_residual, chars)
+        only_remote = only_remote.union(
+            _initiator_only(remote_runs, local, residuals, found, config.seed, occ_bits, p)
+        )
+    return _windows(my_runs, l), only_remote
+
+
+def _walk(
+    word: ShingledWord,
+    spans: list[tuple[int, int]],
+    polys: list[list[int]],
+    bucket: Callable[[int], int],
+    occ_bits: int,
+    p: int,
+) -> tuple[list[str], Counter, list[list[int]]]:
+    """The initiator's one-sided instances that the responder finds in its
+    own de Bruijn graph, as (their runs, their count by key, each bucket's
+    residual polynomial, `polys[b]` with the found roots divided out).
+
+    `word` is the responder's, `spans` the first and last position of each
+    of its runs (`_own_spans`), and `polys[b]` bucket b's hand-off
+    polynomial, whose roots are the initiator's elements in that bucket
+    that the responder lacks: of the shingle with key `key`, the
+    occurrences above the responder's count c(key).  The windows an edit
+    adds to the initiator's word form a path that leaves the shared part of
+    the graph at the node where the responder's own run for that edit
+    starts.  So the walk starts from the first node of each run, and from
+    a node tries every successor key, `node * base + rank`, at its next
+    occurrence c(key) + found(key) + 1 (`_element`).  It skips a candidate
+    past the 2**occ_bits occurrences or whose bucket (`bucket`) has found
+    its degree's count, keeps one that is a root, and then goes on to the
+    root's successor node, coming back to the node while it keeps yielding
+    roots.  A test is exact, as a polynomial has only its own roots, and
+    the walk stops once every bucket has found its degree's count.
+
+    What a walk from the runs misses is a closed walk of the initiator's
+    windows, balanced at every node, that touches no run: an edit in a
+    periodic stretch can add a period.  Such a cycle passes near the edit,
+    so while roots are left the walk starts again from every node of the
+    word within 2l positions of a run.
+
+    A node is visited once from each start and at most twice for each root
+    found, so the first pass makes at most base * (runs + 2 * sum of the
+    degrees) evaluations, and the second, which runs only when the first
+    leaves a root, at most base * (r + 4l + 1) more for each run of r
+    windows.  No run it returns goes on through the l - 1 delimiters from a
+    word's end to its start: a nonempty word has one window that leaves
+    that node, so the initiator's is one-sided only when the responder's is
+    too, and then the responder's first run starts at the node, where the
+    walk tries first.  A root both passes miss stays in the residual.
+    """
+    table, keys = word.table, word.keys
+    l, base, counts = table.l, table.base, table.counts
+    top = base ** (l - 1)
+    most = 1 << occ_bits
+    left = [len(poly) - 1 for poly in polys]
+    remaining = sum(left)
+    roots: list[list[int]] = [[] for _ in polys]
+    found: Counter = Counter()
+    # each walked run as its first node, then the keys of its windows
+    paths: list[list[int]] = []
+
+    def node_at(at: int) -> int:
+        """The node window `at` leaves from, or past the last window the
+        node it enters."""
+        return keys[at] // base if at < len(keys) else keys[-1] % top
+
+    def walk_from(starts: list[int]) -> None:
+        nonlocal remaining
+        # (node, the path whose last window ends at the node, or None)
+        stack: list[tuple[int, int | None]] = [(node, None) for node in reversed(dict.fromkeys(starts))]
+        while remaining and stack:
+            node, path = stack.pop()
+            hits = []
+            for key in range(node * base, node * base + base):
+                occ = counts.get(key, 0) + found.get(key, 0) + 1
+                if occ > most:
+                    continue
+                element = _element(key, occ, occ_bits)
+                b = bucket(element)
+                if left[b] and not peval(polys[b], element, p):
+                    left[b] -= 1
+                    roots[b].append(element)
+                    found[key] += 1
+                    hits.append(key)
+            if not hits:
+                continue
+            remaining -= len(hits)
+            # back to this node once the paths from it are walked
+            stack.append((node, None))
+            steps = []
+            for key in hits:
+                # the first root carries on the path that reached the node
+                if path is None or steps:
+                    paths.append([node])
+                    path = len(paths) - 1
+                paths[path].append(key)
+                steps.append((key % top, path))
+            stack += reversed(steps)
+
+    walk_from([node_at(start) for start, _ in spans])
+    if remaining:
+        walk_from(
+            [
+                node_at(at)
+                for start, end in spans
+                for at in range(max(0, start - 2 * l), min(len(keys), end + 2 * l + 1) + 1)
+            ]
+        )
+    chars = "".join(sorted(table.ranks))
+
+    def spell(node: int) -> str:
+        digits = []
+        for _ in range(l - 1):
+            node, rank = divmod(node, base)
+            digits.append(chars[rank])
+        return "".join(reversed(digits))
+
+    walked = [spell(first) + "".join(chars[key % base] for key in path) for first, *path in paths]
+    residuals = [
+        pdivmod(poly, poly_from_roots(found_b, p), p)[0] if rest else [1]
+        for poly, found_b, rest in zip(polys, roots, left)
+    ]
+    return walked, found, residuals
 
 
 def _session_check(
@@ -1166,13 +1372,19 @@ def _session_check(
 
 
 def _own_runs(word: ShingledWord, roots: list[int], occ_bits: int) -> list[str]:
-    """The runs of the word that hold its instances with the elements
-    `roots` at occurrence width `occ_bits`, found by their keys
-    (`_root_key`), not decoded."""
-    runs = word.runs(Counter(_root_key(root, occ_bits) for root in roots))
-    if sum(len(run) - word.l + 1 for run in runs) != len(roots):
+    """The runs of `_own_spans`, each as the r + l - 1 characters of the
+    padded word its r windows cover."""
+    return [word.text[start : end + word.l] for start, end in _own_spans(word, roots, occ_bits)]
+
+
+def _own_spans(word: ShingledWord, roots: list[int], occ_bits: int) -> list[tuple[int, int]]:
+    """The first and last position of each run of the word that holds its
+    instances with the elements `roots` at occurrence width `occ_bits`,
+    found by their keys (`_root_key`), not decoded."""
+    spans = word.spans(Counter(_root_key(root, occ_bits) for root in roots))
+    if sum(end - start + 1 for start, end in spans) != len(roots):
         raise InvariantError(f"the word's runs do not hold its {len(roots)} one-sided instances")
-    return runs
+    return spans
 
 
 def _windows(runs: list[str], l: int) -> ShingleMultiset:
@@ -1182,22 +1394,30 @@ def _windows(runs: list[str], l: int) -> ShingleMultiset:
 
 
 def _initiator_only(
-    runs: list[str], local: ShingledWord, polys: list[list[int]], seed: int, occ_bits: int, p: int
+    runs: list[str],
+    local: ShingledWord,
+    polys: list[list[int]],
+    walked: Counter,
+    seed: int,
+    occ_bits: int,
+    p: int,
 ) -> ShingleMultiset:
-    """The initiator's instances from its runs, checked against the hand-off.
+    """The initiator's instances from its runs, checked against the
+    residual polynomials the walk left.
 
     Each window is an instance above the responder's own count of its
-    shingle, whose element at occurrence width `occ_bits` (`_element`)
-    lands in the bucket `partition` puts it in; every bucket must then hold
-    exactly its polynomial's roots mod `p`: as many instances as its
-    degree, each of them a root.
+    shingle and the instances of it the walk found (`walked`, by key),
+    whose element at occurrence width `occ_bits` (`_element`) lands in the
+    bucket `partition` puts it in; every bucket must then hold exactly its
+    polynomial's roots mod `p`: as many instances as its degree, each of
+    them a root.
     """
     only_remote = _windows(runs, local.l)
     table = local.table
     elements = []
     for shingle, mult in only_remote.entries.items():
         key = table.key(shingle)
-        have = table.counts.get(key, 0)
+        have = table.counts.get(key, 0) + walked[key]
         if have + mult > 1 << occ_bits:
             raise ProtocolError(f"peer sent occurrence {have + mult} of a shingle, past the encoding range")
         elements += [_element(key, occ, occ_bits) for occ in range(have + 1, have + mult + 1)]

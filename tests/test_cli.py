@@ -211,6 +211,19 @@ class TestReconcile:
         assert initiator["occ_bits"] == responder["occ_bits"] == 0
         assert initiator["value_bits"] == responder["value_bits"] == 41
 
+    def test_report_json_states_the_route(self, capsys):
+        # katana's run 'tan' leads the responder's walk to the initiator's
+        # one one-sided window, 'tn': the walk route leaves no residual
+        reports = self.json_reports(capsys, "katana", "katna", 2)
+        assert (reports["responder"]["step2_walked"], reports["responder"]["step2_residual"]) == (1, 0)
+        assert (reports["initiator"]["step2_walked"], reports["initiator"]["step2_residual"]) == (0, 0)
+        # the responder's windows are all the initiator's: it has no run to
+        # walk from, and the one '000' more crosses as the residual
+        reports = self.json_reports(capsys, "0000000", "00000000", 3)
+        for report in reports.values():
+            assert report["outcome"] == "ok"
+            assert (report["step2_walked"], report["step2_residual"]) == (0, 1)
+
     def test_report_json_states_the_occurrence_width(self, capsys):
         # 'ab' occurs four times in the served word: the session's width is
         # its 2 bits, stated beside the width of the residues

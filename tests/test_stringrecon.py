@@ -7,6 +7,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -413,6 +414,9 @@ def value_block_bytes(count, p):
 # the prime of a binary session at l = 18 between 4096-symbol words, whose
 # residues cross at 42 bits
 P42 = session_field(3, 18, 13).p
+# the multiset of "0110" at l = 2 over '$', '0' and '1': '$0', '01', '11',
+# '10' and '0$' once each, the initiator's table in the hand-off codec tests
+TABLE_01 = ShingledWord("0110", 2, Alphabet("01")).table
 
 
 class TestWireCodecs:
@@ -544,8 +548,12 @@ class TestWireCodecs:
                     lambda: decode_pairs(block, 2, p),
                     # the width byte, one size of 5 at 3 bits, its 1-bit offset
                     lambda: decode_bundle(bytes([0, 0b101_00000, 1, 0]) + block, 1, 2, 5, p),
-                    # a 2-bit degree of 2, then its two coefficients
-                    lambda: decode_handoff(bytes([2, 0b10_000000]) + block, 2, [2], 2, "$01", p),
+                    # no walked instance, a 2-bit residual degree of 2, no
+                    # walk runs, the responder's run of two windows, then
+                    # the residual's two coefficients
+                    lambda: decode_handoff(
+                        bytes([0, 2, 0b10_000000, 0]) + encode_runs(["011"], 2, "$01") + block, 2, [2], TABLE_01, p
+                    ),
                 ):
                     with pytest.raises(ProtocolError, match=f"the prime {p} or more"):
                         decode()
@@ -611,37 +619,50 @@ class TestWireCodecs:
         for bad, total in ((roots[:-1], 3), (roots + b"\x00", 3), (roots, 2), (roots, 4)):
             with pytest.raises(ProtocolError):
                 decode_runs(bad, 2, total, "$01")
-        # the responder's: the width of the degrees, the bit length of the
-        # largest (1: 1 bit), and the B degrees at that width; one residue
-        # block of the monic polynomials without their leading 1, then its
-        # runs, whose windows total the degrees' sum plus its instances less
-        # the initiator's
-        payload = encode_handoff(["011"], [[6, 1]], 2, "$01", P61)
-        assert payload[:2] == bytes([1, 0b1_0000000])
-        assert len(payload) == 2 + value_block_bytes(1, P61) + 2
-        assert decode_handoff(payload, 2, [1], 2, "$01", P61) == (["011"], [[6, 1]])
-        assert decode_handoff(encode_handoff([], [[1]], 2, "$01", P61), 1, [1], 2, "$01", P61) == ([], [[1]])
-        two = encode_handoff(["$0"], [[1], [8, 9, 1]], 2, "$01", P42)
-        assert two[:2] == bytes([2, 0b00_10_0000])
-        assert len(two) == 2 + value_block_bytes(2, P42) + 2
-        # a responder of 4 instances against 5: 2 + 4 - 5 windows
-        assert decode_handoff(two, 4, [2, 3], 2, "$01", P42) == (["$0"], [[1], [8, 9, 1]])
+        # the responder's, on the walk route: the walk's total at the bit
+        # length of the initiator's instance count (2: 2 bits), a residual
+        # width of 0 and so no degrees, the walk's runs, then its own runs,
+        # whose windows total the walk's plus the responder's instances less
+        # the initiator's, and no residue
+        walked = encode_handoff(["011"], ["$0"], [[1]], 2, 2, "$01", P61)
+        assert walked == bytes([0b01_000000, 0]) + encode_runs(["$0"], 2, "$01") + encode_runs(["011"], 2, "$01")
+        assert decode_handoff(walked, 3, [2], TABLE_01, P61) == (["011"], ["$0"], [[1]])
+        assert decode_handoff(encode_handoff([], [], [[1]], 1, 2, "$01", P61), 1, [1], TABLE_01, P61) == (
+            [],
+            [],
+            [[1]],
+        )
+        # a residual: its width, the bit length of the largest degree, the B
+        # degrees at that width, and after the runs one residue block of the
+        # monic residuals without their leading 1
+        two = encode_handoff(["$0"], [], [[1], [8, 9, 1]], 5, 2, "$01", P42)
+        assert two[:3] == bytes([0, 2, 0b00_10_0000])
+        assert two[3:] == bytes(1) + encode_runs(["$0"], 2, "$01") + _pack_block([8, 9], P42.bit_length())
+        # a responder of 4 instances against 5: 0 + 2 + 4 - 5 windows
+        assert decode_handoff(two, 4, [2, 3], TABLE_01, P42) == (["$0"], [], [[1], [8, 9, 1]])
         # the degrees' width is refused past the bit length of the largest
         # bucket, and the degree past the bucket's own size
         with pytest.raises(ProtocolError, match="degree width 2 is outside"):
-            decode_handoff(two, 4, [1, 1], 2, "$01", P42)
+            decode_handoff(two, 4, [1, 1], TABLE_01, P42)
         with pytest.raises(ProtocolError, match="degree 2, more than the bucket's 1 instances"):
-            decode_handoff(two, 4, [3, 1], 2, "$01", P42)
-        for bad in (b"", bytes([0]) + payload[1:], payload[:1], payload[:-1], payload + b"\x00"):
+            decode_handoff(two, 4, [3, 1], TABLE_01, P42)
+        # a residual width states a residual, and the walk and the residual
+        # together hold at most the initiator's instances
+        with pytest.raises(ProtocolError, match="width 1 holds no residual"):
+            decode_handoff(bytes([0, 1, 0]) + bytes(10), 1, [1], TABLE_01, P61)
+        past = encode_handoff([], ["$01"], [[1], [5, 1]], 2, 2, "$01", P61)
+        with pytest.raises(ProtocolError, match="the residual's 1 are more than the initiator's 2"):
+            decode_handoff(past, 0, [1, 1], TABLE_01, P61)
+        for bad in (b"", walked[:1], walked[:-1], walked + b"\x00"):
             with pytest.raises(ProtocolError):
-                decode_handoff(bad, 2, [1], 2, "$01", P61)
+                decode_handoff(bad, 3, [2], TABLE_01, P61)
         # another instance count derives another total for the runs
-        for instances in (1, 3):
+        for instances in (1, 4):
             with pytest.raises(ProtocolError):
-                decode_handoff(payload, instances, [1], 2, "$01", P61)
+                decode_handoff(walked, instances, [2], TABLE_01, P61)
         # nine buckets' degrees need two bytes at 1 bit each
         with pytest.raises(ProtocolError):
-            decode_handoff(payload, 2, [1] * 9, 2, "$01", P61)
+            decode_handoff(encode_handoff([], [], [[1]] * 8 + [[3, 1]], 9, 2, "$01", P61), 0, [1] * 8, TABLE_01, P61)
 
     def test_hello_round_trip(self):
         config = ReconConfig(l=7, mode=MODE_FIXED, m_hat=33, k=5, seed=12345)
@@ -673,7 +694,7 @@ class TestWireCodecs:
     @staticmethod
     def refuses_version(version):
         hello = bytearray(hello_for(ReconConfig(l=7, seed=1), "ab").payload)
-        assert hello[0] == PROTOCOL_VERSION == 13
+        assert hello[0] == PROTOCOL_VERSION == 14
         hello[0] = version
         with pytest.raises(ProtocolError, match=f"unsupported protocol version {version}"):
             decode_hello(bytes(hello))
@@ -697,6 +718,11 @@ class TestWireCodecs:
         # version 12 took the occurrence width from the word lengths, and
         # sent no OCC_WIDTH frame
         self.refuses_version(12)
+
+    def test_hello_of_protocol_version_13_is_refused(self):
+        # version 13 handed every bucket's remote polynomial over as
+        # coefficients, and the initiator answered with its roots as runs
+        self.refuses_version(13)
 
     def test_hello_symbols_must_be_utf8(self):
         payload = encode_hello(ReconConfig(l=7, seed=1), 2, "ab")
@@ -844,7 +870,8 @@ class TestSessions:
         # of 96 / 16 leave fewer buckets to top up, and the bundle holds the check
         assert rep_a.step2_rounds >= (mode == MODE_RATELESS)
         text = rep_b.to_text()
-        for name in ("step2_buckets", "step2_rounds", "step2_checks", "step2_rejected"):
+        for name in ("step2_buckets", "step2_rounds", "step2_checks", "step2_rejected", "step2_walked",
+                     "step2_residual"):
             assert f"{name}={getattr(rep_b, name)}\n" in text
 
     @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 96), (MODE_RATELESS, 0)])
@@ -1050,8 +1077,13 @@ class TestSessions:
         assert time.perf_counter() - start < 5
 
     def test_rateless_step2_bits_are_the_frame_arithmetic(self, monkeypatch, rng):
-        batches, requests = [], []
+        batches, requests, walks = [], [], []
         real_pairs, real_request = stringrecon.encode_pairs, stringrecon.encode_request
+        real_handoff = stringrecon.encode_handoff
+
+        def handoff_spy(runs, walked, *rest):
+            walks.append(walked)
+            return real_handoff(runs, walked, *rest)
 
         def pairs_spy(pairs, **kwargs):
             batches.append(len(pairs))
@@ -1063,6 +1095,7 @@ class TestSessions:
 
         monkeypatch.setattr(stringrecon, "encode_pairs", pairs_spy)
         monkeypatch.setattr(stringrecon, "encode_request", request_spy)
+        monkeypatch.setattr(stringrecon, "encode_handoff", handoff_spy)
         header = 40  # length:u32 and kind:u8
         l = 13
         alphabet = Alphabet("01")
@@ -1070,6 +1103,7 @@ class TestSessions:
         for n, buckets in ((40, 8), (300, 16)):
             batches.clear()
             requests.clear()
+            walks.clear()
             wa = "".join(rng.choice("01") for _ in range(n))
             wb = random_edits(wa, 3, rng, "01")
             ca, cb = Counter(shingle_sequence(wa, l)), Counter(shingle_sequence(wb, l))
@@ -1088,14 +1122,12 @@ class TestSessions:
             assert len(batches) == len(requests) == rounds == rep_b.step2_rounds
             # the check in the bundle passes: no request asks for another
             assert [0] * buckets not in requests
-            parts_a, parts_b = (
-                partition(session_elements(word, l, alphabet, codec.occ_bits), buckets, 23) for word in (wa, wb)
-            )
-            sizes = [len(part) for part in parts_a]
-            # a bucket's hand-off degree is its count of the initiator's
-            # one-sided instances
-            degrees = [len(set(pa) - set(pb)) for pa, pb in zip(parts_a, parts_b)]
-            assert sum(degrees) == sum((ca - cb).values())
+            sizes = [len(part) for part in partition(session_elements(wa, l, alphabet, codec.occ_bits), buckets, 23)]
+            # the walk finds every one-sided instance of the initiator's
+            (walked,) = walks
+            assert _windows(walked, l) == ShingleMultiset(ca - cb)
+            assert rep_b.step2_walked == sum((ca - cb).values()) > 0
+            assert rep_a.step2_walked == rep_a.step2_residual == rep_b.step2_residual == 0
 
             def block(count, width=rep_a.value_bits):  # zero-padded to a byte
                 return 8 * ((width * count + 7) // 8)
@@ -1114,22 +1146,24 @@ class TestSessions:
             # initiator: a bundle of the session's width byte, the smallest
             # bucket size at the bit length of its instance count, the
             # offsets' width byte and each size's offset at that width, and
-            # the k check values; one value frame per request; its runs
+            # the k check values; one value frame per request; no DELTA
+            instances_a = sum(ca.values())
             offset_bits = max(1, (max(sizes) - min(sizes)).bit_length())
             sent_a = (
-                header + 8 + block(1, sum(ca.values()).bit_length()) + 8 + block(buckets, offset_bits)
+                header + 8 + block(1, instances_a.bit_length()) + 8 + block(buckets, offset_bits)
                 + block(config.k)
                 + sum(header + block(batch) for batch in batches)
-                + header + runs_bits(ca, cb, wa)
             )
             # responder: its width byte; each request's width byte and counts
-            # at that width; then the degrees' width byte, a degree per bucket
-            # at the bit length of the largest, one block of the polynomials'
-            # coefficients, one a degree, and its runs
+            # at that width; then the walk's total at the bit length of the
+            # initiator's instance count, a residual width byte of 0, the
+            # walk's runs, and its own runs
+            found = sum((ca - cb).values())
+            walk_bits = block(1 + len(walked), found.bit_length()) + block(sum(map(len, walked)), 2)
             sent_b = (
                 header + 8
                 + sum(header + 8 + block(buckets, max(1, max(counts).bit_length())) for counts in requests)
-                + header + 8 + block(buckets, max(1, max(degrees).bit_length())) + block(sum(degrees))
+                + header + block(1, instances_a.bit_length()) + 8 + walk_bits
                 + runs_bits(cb, ca, wb)
             )
             assert rep_a.step_bits("step2") == (sent_a, sent_b)
@@ -1310,14 +1344,14 @@ class TestStep2Evaluation:
 # SHA-256 of each party's MERGES and DELTA payloads in one seeded rateless
 # session over 2048 bits with 8 edits at l = 16 (3 chains, about 1,160
 # merges and 25-27 shipped ranks a side); each MERGES frame's chain count
-# takes 11 bits, for half of its 2,063 instances; the responder's DELTA
-# carries its degrees at their own width and its hand-off coefficients at 41
-# bits, the bit length of the session's prime
+# takes 11 bits, for half of its 2,063 instances.  Only the responder sends
+# a DELTA: its walk finds all 112 of the initiator's one-sided instances,
+# so it carries their runs beside its own and no residual, and the
+# initiator answers with none
 GOLDEN_SESSION = {
     ("initiator", "MERGES"): "8017f0f0106e268ed224a7e3eabe344a06b2bc7b0b1b812322583b71f5a50cc8",
-    ("initiator", "DELTA"): "8d4e9c4ffa748d96301b00a9e8f753f98e2596c9f51d8c40557babd2375ee0e8",
     ("responder", "MERGES"): "b21f73574304560fe4a3b3639e64e34974c754759410660854f8fd663cc0199f",
-    ("responder", "DELTA"): "33e2c49a7139eea1c8469990fe29f86fd33ce805d661e57517cca003bebc859b",
+    ("responder", "DELTA"): "8c5d8dce9b0a8d2931545943adc75edb5a1c0d96808517138dea42a30449ff5a",
 }
 
 
@@ -1327,11 +1361,13 @@ def test_session_wire_is_golden():
     wb = random_edits(wa, 8, rng, "01")
     config = ReconConfig(l=16, mode=MODE_RATELESS, seed=21)
     ends = channel_pair()
-    digests = {}
+    digests, handoffs = {}, []
     for role, end in zip(("initiator", "responder"), ends):
         def record(frame, send=end.send, role=role):
             if frame.kind in (FrameKind.MERGES, FrameKind.DELTA):
                 digests[(role, frame.kind.name)] = hashlib.sha256(frame.payload).hexdigest()
+                if frame.kind == FrameKind.DELTA:
+                    handoffs.append(frame.payload)
             send(frame)
 
         end.send = record
@@ -1339,6 +1375,18 @@ def test_session_wire_is_golden():
         fut_a = pool.submit(run_protocol, wa, ends[0], "initiator", config)
         fut_b = pool.submit(run_protocol, wb, ends[1], "responder", config)
         assert fut_a.result(timeout=60)[0] == wb and fut_b.result(timeout=60)[0] == wa
+    # the hand-off read as the initiator reads it: each side's one-sided
+    # instances, as the words' shinglings give them, and no residual
+    count_a, count_b = Counter(shingle_sequence(wa, 16)), Counter(shingle_sequence(wb, 16))
+    codec = session_codec(wa, wb, 16)
+    table = ShingledWord(wa, 16, codec.alphabet).table
+    buckets = step2_buckets(len(wa) + 15, len(wb) + 15)
+    sizes = [len(part) for part in partition(session_elements(wa, 16, codec.alphabet, codec.occ_bits), buckets, 21)]
+    (payload,) = handoffs
+    runs, walked, residuals = decode_handoff(payload, len(wb) + 15, sizes, table, codec.field.p)
+    assert _windows(walked, 16) == ShingleMultiset(count_a - count_b) and sum((count_a - count_b).values()) == 112
+    assert _windows(runs, 16) == ShingleMultiset(count_b - count_a)
+    assert residuals == [[1]] * buckets == [[1]] * 64
     assert digests == GOLDEN_SESSION
 
 
@@ -1682,17 +1730,17 @@ class TestHostileStep2:
             )
             assert isinstance(exc, ProtocolError) and "in bucket 1" in str(exc)
 
-    def initiator_handed(self, handoff):
-        """The initiator "abcab" against a responder "abcba" that sends the
-        hand-off `handoff(sizes)` right after the bundle, for the bucket
-        sizes in it (`SIZES`); returns what the initiator raised and the
-        frame kinds it sent after the hand-off."""
+    def initiator_handed(self, handoff, responder="abcba"):
+        """The initiator "abcab" against a responder (`responder`, "abcba"
+        unless given) that sends the hand-off `handoff(sizes)` right after
+        the bundle, for the bucket sizes in it (`SIZES`); returns what the
+        initiator raised and the frame kinds it sent after the hand-off."""
         after = []
 
         def script(peer):
             peer.recv()
-            peer.send(hello_for(self.CONFIG, "abcba"))
-            peer.send(width_frame("abcba", 2))
+            peer.send(hello_for(self.CONFIG, responder))
+            peer.send(width_frame(responder, 2))
             assert peer.recv().kind == FrameKind.EVAL_BUNDLE
             peer.send(Frame(FrameKind.DELTA, handoff(self.SIZES)))
             while True:
@@ -1701,16 +1749,19 @@ class TestHostileStep2:
         return scripted_session("abcab", "initiator", self.CONFIG, script), after
 
     # both words hold 6 instances, so the responder's runs hold as many
-    # windows as the degrees sum to
+    # windows as the walk's and the residual degrees together
     @pytest.mark.parametrize(
         "handoff",
         [
-            # a run of two windows, "a$" and "$b", that no padded word holds
-            lambda sizes: encode_handoff(["a$b"], [[7, 8, 1], [1]], 2, "$abc", ABC_P),
-            # Z + 7 has no root among the initiator's elements of bucket 0
-            lambda sizes: encode_handoff(["ab"], [[7, 1], [1]], 2, "$abc", ABC_P),
-            # the two 3-bit degrees with a padding bit set
-            lambda sizes: bytes([3, 0b000_000_01]),
+            # the walk's run "cab", then the responder's run of two windows,
+            # "a$" and "$b", that no padded word holds
+            lambda sizes: encode_handoff(["a$b"], ["cab"], [[1], [1]], 6, 2, "$abc", ABC_P),
+            # a residual Z + 7 has no root among the initiator's elements of
+            # bucket 0
+            lambda sizes: encode_handoff(["ab"], [], [[7, 1], [1]], 6, 2, "$abc", ABC_P),
+            # no walked instance, then the two 3-bit degrees with a padding
+            # bit set
+            lambda sizes: bytes([0, 3, 0b000_000_01]),
         ],
         ids=["malformed-instance", "poly-does-not-split", "padding"],
     )
@@ -1719,36 +1770,91 @@ class TestHostileStep2:
         assert isinstance(exc, ProtocolError)
         assert FrameKind.DELTA not in after
 
-    @pytest.mark.parametrize(
-        "handoff",
-        [
-            # degrees of 0 leave the responder no one-sided instance, yet its
-            # runs frame counts one run, at 1 bit
-            bytes([1]) + _pack_block([0, 0], 1) + _pack_block([1], 1) + bytes(100),
-            # degree 7 against the initiator's 4 instances in bucket 0
-            bytes([3]) + _pack_block([7, 0], 3) + bytes(100),
-            # degrees 4 bits wide, past the 3 of the largest bucket's 4
-            bytes([4]) + _pack_block([1, 1], 4) + bytes(100),
-            bytes([0]) + bytes(100),
-        ],
-        ids=["one-sided", "degree", "degree-width-past-the-buckets", "degree-width-zero"],
-    )
-    def test_hand_off_is_bounded_before_any_search(self, monkeypatch, handoff):
+    @staticmethod
+    def read_no_residue(monkeypatch):
+        """Make reading any residue, and any root search, fail the test."""
+
         def forbidden(*_args):
             raise AssertionError("an oversized hand-off was decoded or searched")
 
-        def no_residues(_data, count, _what, _p):
+        real = stringrecon._unpack_residues
+
+        def no_residues(data, count, what, p):
             if count:
                 forbidden()
-            return []
+            return real(data, count, what, p)
 
         monkeypatch.setattr(stringrecon, "_unpack_residues", no_residues)
-        monkeypatch.setattr(stringrecon, "is_valid_shingle", forbidden)
         monkeypatch.setattr(stringrecon, "roots_by_candidates", forbidden)
+        return forbidden
+
+    # the walk's total takes 3 bits, for the initiator's 6 instances
+    @pytest.mark.parametrize(
+        "handoff,match",
+        [
+            # no walked instance and no residual leave the responder no
+            # one-sided instance, yet the walk's runs count one run, at 1 bit
+            (bytes([0, 0]) + _pack_block([1], 1) + bytes(100), "1 runs for 0 windows"),
+            # residual degree 7 against the initiator's 4 instances in bucket 0
+            (bytes([0, 3]) + _pack_block([7, 0], 3) + bytes(100), "degree 7, more than the bucket's 4"),
+            # degrees 4 bits wide, past the 3 of the largest bucket's 4
+            (bytes([0, 4]) + _pack_block([1, 1], 4) + bytes(100), "width 4 is outside [0, 3]"),
+            # a width of 0 states no residual, so no residue may follow the
+            # two empty runs blocks
+            (bytes([0, 0, 0, 0]) + bytes(100), "delta block holds 100 bytes, not 0 values"),
+        ],
+        ids=["one-sided", "degree", "degree-width-past-the-buckets", "degree-width-zero"],
+    )
+    def test_hand_off_is_bounded_before_any_search(self, monkeypatch, handoff, match):
+        forbidden = self.read_no_residue(monkeypatch)
+        monkeypatch.setattr(stringrecon, "is_valid_shingle", forbidden)
         start = time.perf_counter()
         exc, _ = self.initiator_handed(lambda sizes: handoff)
         assert time.perf_counter() - start < 1
-        assert isinstance(exc, ProtocolError)
+        assert isinstance(exc, ProtocolError) and match in str(exc), exc
+
+    @pytest.mark.parametrize(
+        "responder,handoff,match",
+        [
+            # 7 walked instances, past the initiator's 6
+            ("abcba", _pack_block([7], 3) + bytes([0]) + bytes(100), "found 7 instances, more than the initiator's 6"),
+            # the walk's three runs "ab" name 'ab' three times, of which
+            # "abcab" holds two, before the residual's one coefficient
+            (
+                "abcba",
+                _pack_block([3], 3) + bytes([1]) + _pack_block([1, 0], 1) + encode_runs(["ab"] * 3, 2, "$abc")
+                + bytes(100),
+                "names 3 instances of 'ab', of which the word holds 2",
+            ),
+            # a residual width of 3 is the most the largest bucket's 4 need
+            ("abcba", bytes([0, 9]) + bytes(100), "width 9 is outside [0, 3]"),
+            # the responder "abc" holds 4 instances against the initiator's
+            # 6: with no walked instance and no residual its runs would
+            # hold -2 windows
+            ("abc", bytes([0, 0]) + bytes(100), "fewer than the initiator's 2 surplus instances"),
+        ],
+        ids=["walk-total-past-the-instances", "walk-runs-past-the-word", "residual-width", "negative-total"],
+    )
+    def test_hand_off_walk_is_checked_before_any_coefficient(self, monkeypatch, responder, handoff, match):
+        self.read_no_residue(monkeypatch)
+        exc, after = self.initiator_handed(lambda sizes: handoff, responder)
+        assert isinstance(exc, ProtocolError) and match in str(exc), exc
+        assert FrameKind.DELTA not in after
+
+    def test_walk_and_residual_together_stay_within_the_word(self):
+        # the walk names both of the initiator's 'ab', and the residual has
+        # the element of its first 'ab' as its root: the initiator finds it,
+        # but three instances of 'ab' are one more than "abcab" holds
+        codec = session_codec("abcab", "abcba", 2)
+        elements = session_elements("abcab", 2, codec.alphabet, codec.occ_bits)
+        first_ab = elements[ShingleMultiset(shingle_sequence("abcab", 2)).instances().index(("ab", 1))]
+        residuals = [[1], [1]]
+        residuals[setrecon.bucket_of(2, self.CONFIG.seed)(first_ab)] = [ABC_P - first_ab, 1]
+        exc, after = self.initiator_handed(
+            lambda sizes: encode_handoff(["cba$"], ["ab", "ab"], residuals, 6, 2, "$abc", ABC_P)
+        )
+        assert isinstance(exc, ProtocolError) and "names 3 instances of 'ab', of which the word holds 2" in str(exc)
+        assert FrameKind.DELTA not in after
 
     def initiator_told(self, frame):
         """The initiator "abcab" against a responder "abcba" that opens step
@@ -1945,18 +2051,20 @@ class TestHostileStep2:
         assert replies == [FrameKind.DELTA_REQ]
 
     def test_responder_checks_the_roots_count(self):
-        # equal words: every bucket polynomial has degree 0, so no run may come back
-        handoffs = []
+        # equal words: every bucket polynomial has degree 0, so the walk
+        # leaves no residual and no run may come back; runs where the
+        # initiator's MERGES belongs are refused
+        replaced = []
 
         def tamper(frame, _check):
-            if frame.kind == FrameKind.DELTA:
-                handoffs.append(frame)
+            if frame.kind == FrameKind.MERGES:
+                replaced.append(frame)
                 return Frame(FrameKind.DELTA, encode_runs(["ab"], 2, "$abc"))
             return frame
 
         exc = scripted_session("abcba", "responder", self.CONFIG, tampered_initiator("abcba", self.CONFIG, tamper))
-        assert isinstance(exc, ProtocolError)
-        assert len(handoffs) == 1
+        assert isinstance(exc, ProtocolError) and "expected MERGES, got DELTA" in str(exc), exc
+        assert len(replaced) == 1
 
     def test_fixed_responder_never_draws_the_peer_m_hat(self):
         # drawing m_hat = 2**32 - 1 points for the two buckets would take hours
@@ -2163,13 +2271,26 @@ def word_pairs(draw):
 
 
 # "00101" against "00110" at l = 3: the initiator's one-sided windows are
-# '010', '101', '01$' and '1$$', the run "0101$$" of its padded word; the
-# responder derives their total, 4, so counts take 3 bits, and a rank among
-# '$', '0' and '1' takes 2.  Each word's 7 instances make two buckets.  No
-# shingle repeats in either word, so the session's occurrence width is 0.
+# '010', '101', '01$' and '1$$', the run "0101$$" of its padded word.  The
+# responder's walk finds them all from its own run "0110$$", so the cases
+# below take the walk away (`walk_finds_nothing`): the whole hand-off is
+# then the residual, and the initiator answers with that run.  The responder
+# derives its total, 4, so counts take 3 bits, and a rank among '$', '0'
+# and '1' takes 2.  Each word's 7 instances make two buckets.  No shingle
+# repeats in either word, so the session's occurrence width is 0.
 RUNS_A, RUNS_B = "00101", "00110"
 RUNS_CONFIG = ReconConfig(l=3, mode=MODE_RATELESS, k=8, seed=3)
 HONEST_RUNS = bytes([0b001_100_00, 0b01_10_01_10, 0b00_00_0000])
+
+
+def walk_finds_nothing(monkeypatch):
+    """Make the responder's walk find no root, so every bucket's whole
+    hand-off polynomial is its residual: the fallback route."""
+
+    def no_walk(_table, _runs, polys, *_rest):
+        return [], Counter(), polys
+
+    monkeypatch.setattr(stringrecon, "_walk", no_walk)
 
 
 class TestRuns:
@@ -2237,7 +2358,9 @@ class TestRuns:
             "occurrence-past-the-width",
         ],
     )
-    def test_initiator_runs_are_checked(self, payload, match):
+    def test_initiator_runs_are_checked(self, monkeypatch, payload, match):
+        walk_finds_nothing(monkeypatch)
+
         def tamper(frame, _check):
             if frame.kind == FrameKind.DELTA:
                 assert frame.payload == HONEST_RUNS
@@ -2253,15 +2376,147 @@ class TestRuns:
         # the 16 occurrence bits
         local = ShingledWord("0" * 2**16, 2, Alphabet("0"))
         with pytest.raises(ProtocolError, match="encoding range"):
-            stringrecon._initiator_only(["000"], local, [[1, 1]], seed=3, occ_bits=16, p=P61)
+            stringrecon._initiator_only(["000"], local, [[1, 1]], Counter(), seed=3, occ_bits=16, p=P61)
         # at a session's own width: '00' 7 times of 3 bits' 8 occurrences
         local = ShingledWord("0" * 8, 2, Alphabet("0"))
         with pytest.raises(ProtocolError, match="occurrence 9 of a shingle, past the encoding range"):
-            stringrecon._initiator_only(["000"], local, [[1, 1]], seed=3, occ_bits=3, p=P42)
+            stringrecon._initiator_only(["000"], local, [[1, 1]], Counter(), seed=3, occ_bits=3, p=P42)
+        # an instance of '00' the walk found counts too: the one '00' of
+        # the run "00" is then occurrence 9
+        walked = Counter({local.table.key("00"): 1})
+        with pytest.raises(ProtocolError, match="occurrence 9 of a shingle, past the encoding range"):
+            stringrecon._initiator_only(["00"], local, [[1, 1]], walked, seed=3, occ_bits=3, p=P42)
 
-    def test_honest_initiator_runs_are_accepted(self):
-        (ra, _), (rb, _) = run_session(RUNS_A, RUNS_B, RUNS_CONFIG)
+    def test_honest_initiator_runs_are_accepted(self, monkeypatch):
+        # on the walk route the initiator sends no runs; on the fallback all four
+        (_, rep_a), (_, rep_b) = run_session(RUNS_A, RUNS_B, RUNS_CONFIG)
+        assert (rep_b.step2_walked, rep_b.step2_residual, rep_a.frame_bits["DELTA"][0]) == (4, 0, 0)
+        walk_finds_nothing(monkeypatch)
+        (ra, rep_a), (rb, rep_b) = run_session(RUNS_A, RUNS_B, RUNS_CONFIG)
         assert ra == RUNS_B and rb == RUNS_A
+        assert (rep_b.step2_walked, rep_a.step2_residual, rep_b.step2_residual) == (0, 4, 4)
+        assert rep_a.frame_bits["DELTA"][0] == 40 + 8 * len(HONEST_RUNS)
+
+
+class TestWalk:
+    """The responder's walk over its own table (`_walk`), which finds the
+    initiator's one-sided instances by testing its own graph's steps
+    against the hand-off polynomials, and the fallback for what it misses."""
+
+    @staticmethod
+    def walk_counted(word, spans, polys, buckets, seed, occ_bits, p):
+        """`_walk`'s result, and the points it evaluated a polynomial at."""
+        points = []
+        real = stringrecon.peval
+
+        def spy(poly, x, p):
+            points.append(x)
+            return real(poly, x, p)
+
+        with mock.patch.object(stringrecon, "peval", spy):
+            out = stringrecon._walk(word, spans, polys, setrecon.bucket_of(buckets, seed), occ_bits, p)
+        return out, points
+
+    @staticmethod
+    def bound(word, spans, degrees):
+        """The most evaluations a walk may make: base for each run and two
+        for each root in the first pass, and base for each node within 2l
+        positions of a run in the second."""
+        base, l = word.table.base, word.l
+        second = sum(end - start + 1 + 4 * l + 1 for start, end in spans)
+        return base * (len(spans) + 2 * degrees) + base * second
+
+    def test_a_polynomial_without_a_candidate_root_leaves_the_whole_residual(self):
+        # the roots p - 1, p - 2 and p - 3 lie in the point range, where no
+        # element does.  The runs "$a" and "cba$" of "$abcba$" start the
+        # first pass at the nodes '$' and 'c'; the second starts at every
+        # node within 2l = 4 positions of them, all four of the word's.
+        # Each start node tries its base successors once, and the walk
+        # finds nothing
+        word = ShingledWord("abcba", 2, Alphabet("abc"))
+        spans = [(0, 0), (3, 5)]
+        assert [word.text[start : end + 2] for start, end in spans] == ["$a", "cba$"]
+        polys = [field.poly_from_roots([ABC_P - 1, ABC_P - 2], ABC_P), field.poly_from_roots([ABC_P - 3], ABC_P)]
+        (walked, found, residuals), points = self.walk_counted(word, spans, polys, 2, 3, ABC_W, ABC_P)
+        assert walked == [] and not found and residuals == polys
+        assert len(points) == word.table.base * (2 + 4) <= word.table.base * (len(spans) + 2 * 3)
+        assert len(points) <= self.bound(word, spans, 3)
+
+    @settings(max_examples=120, deadline=None)
+    @given(word_pairs(), st.sampled_from([1, 2, 4]), st.integers(0, 2**16))
+    def test_the_walk_finds_only_one_sided_instances_within_its_bound(self, case, buckets, seed):
+        # the initiator `word`, the responder `other`; each bucket's
+        # polynomial has the initiator's one-sided elements in it as roots
+        symbols, l, word, other = case
+        alphabet = Alphabet(symbols)
+        codec = session_codec(word, other, l)
+        occ_bits, p = codec.occ_bits, codec.field.p
+        mine, theirs = Counter(shingle_sequence(word, l)), Counter(shingle_sequence(other, l))
+        element = dict(zip(ShingleMultiset(mine).instances(), session_elements(word, l, alphabet, occ_bits)))
+        one_sided = [element[s, occ] for s, m in (mine - theirs).items() for occ in range(theirs[s] + 1, mine[s] + 1)]
+        roots = partition(one_sided, buckets, seed)
+        polys = [field.poly_from_roots(part, p) for part in roots]
+        responder = ShingledWord(other, l, alphabet)
+        spans = responder.spans(Counter({responder.table.key(s): m for s, m in (theirs - mine).items()}))
+        (walked, found, residuals), points = self.walk_counted(responder, spans, polys, buckets, seed, occ_bits, p)
+        # every walked window is a one-sided instance, every run one a
+        # padded word may hold, and the walk's count by key matches its runs
+        windows = _windows(walked, l)
+        assert not windows.entries - (mine - theirs)
+        assert all(map(shingles.is_valid_shingle, walked))
+        assert Counter({responder.table.key(s): m for s, m in windows.entries.items()}) == found
+        # the residuals hold exactly the roots the walk missed
+        missed = set(one_sided) - {
+            element[s, occ] for s, m in windows.entries.items() for occ in range(theirs[s] + 1, theirs[s] + m + 1)
+        }
+        assert residuals == [field.poly_from_roots([e for e in part if e in missed], p) for part in roots]
+        assert len(points) <= self.bound(responder, spans, len(one_sided))
+
+    def test_a_whole_residual_crosses_and_both_words_are_recovered(self):
+        # the responder's windows are all the initiator's: it has no run,
+        # so the walk has no start, and the one '000' more of the
+        # initiator's crosses as the residual
+        (ra, rep_a), (rb, rep_b) = run_session("00000000", "0000000", ReconConfig(l=3, seed=3))
+        assert ra == "0000000" and rb == "00000000"
+        assert rep_b.step2_walked == 0 and rep_a.step2_residual == rep_b.step2_residual == 1
+        assert rep_a.frame_bits["DELTA"][0] > 0
+
+    def test_a_cycle_that_touches_no_run_is_found_near_the_runs(self):
+        # "1111110011000" twice in the initiator's word, and once with an
+        # edit in the responder's, at l = 18: of the initiator's 14
+        # one-sided windows, 13 close a cycle through no node of the
+        # responder's run, which the walk's second pass, from the nodes
+        # near the run, finds
+        wa = "1110111111001100011111100110001110110001"
+        wb = "11101111110011000111011100110001110110001"
+        mine, theirs = Counter(shingle_sequence(wa, 18)), Counter(shingle_sequence(wb, 18))
+        responder = shingled(wb, 18)
+        (run,) = responder.runs(Counter({responder.table.key(s): m for s, m in (theirs - mine).items()}))
+        run_nodes = {run[i : i + 17] for i in range(len(run) - 16)}
+        cycle = Counter({s: m for s, m in (mine - theirs).items() if s[:17] not in run_nodes})
+        assert sum(cycle.values()) == 13 and sum((mine - theirs).values()) == 14
+        balance = Counter()
+        for s, m in cycle.items():
+            balance[s[:17]] += m
+            balance[s[1:]] -= m
+        assert not any(balance.values()) and not run_nodes & set(balance)
+        (ra, rep_a), (rb, rep_b) = run_session(wa, wb, ReconConfig(l=18, seed=1))
+        assert ra == wb and rb == wa
+        assert (rep_b.step2_walked, rep_a.step2_residual, rep_b.step2_residual) == (14, 0, 0)
+
+    def test_a_partial_residual_crosses_and_both_words_are_recovered(self):
+        # a short shingle length: the walk finds 4 of the initiator's 6
+        # one-sided instances, and the other 2 cross as the residual
+        rng = random.Random("partial:72")
+        wa = "".join(rng.choice("01") for _ in range(64))
+        wb = random_edits(wa, 4, rng, "01")
+        (ra, rep_a), (rb, rep_b) = run_session(wa, wb, ReconConfig(l=4, seed=72))
+        assert ra == wb and rb == wa
+        count_a, count_b = Counter(shingle_sequence(wa, 4)), Counter(shingle_sequence(wb, 4))
+        assert sum((count_a - count_b).values()) == 6
+        assert (rep_b.step2_walked, rep_a.step2_residual, rep_b.step2_residual) == (4, 2, 2)
+        assert rep_a.step2_walked == 0
+        assert rep_a.frame_bits["DELTA"][0] > 0
 
 
 def with_check_values(frame, values, p, k=8):

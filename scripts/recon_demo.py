@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Run in-process reconciliation sessions over a sweep of edit counts.
 
-Prints each session's report so the per-step bit accounting is easy to eyeball
-against the edit count and shingle length, then the session's wall time and
-the process's peak resident set so far: in MiB, and in bytes a symbol a party,
-its rise over the peak before the first session (the interpreter and the
-package) over both words' symbols.
+Prints each session's report, the initiator's, so the per-step bit accounting
+is easy to eyeball against the edit count and shingle length, then the
+responder's walk and rejected candidates, which only its report holds, then
+the session's wall time and the process's peak resident set so far: in MiB,
+and in bytes a symbol a party, its rise over the peak before the first
+session (the interpreter and the package) over both words' symbols.
 
     PYTHONPATH=src python3 scripts/recon_demo.py --n 65536 --alphas 16
 
@@ -79,11 +80,14 @@ def main() -> int:
         word_b = random_edits(word_a, alpha, rng, "01")
         config = ReconConfig(l=l, mode=args.mode, m_hat=args.m_hat, seed=rng.randrange(2**32))
         start = time.perf_counter()
-        report_a, _report_b = run_session(word_a, word_b, config, alpha)
+        report_a, report_b = run_session(word_a, word_b, config, alpha)
         wall = time.perf_counter() - start
         peak = peak_rss_bytes()
         print(f"# alpha={alpha}")
         print(report_a.to_text(), end="")
+        # the route only the responder takes: its walk and its rejected candidates
+        print(f"responder_step2_walked={report_b.step2_walked}")
+        print(f"responder_step2_rejected={report_b.step2_rejected}")
         print(f"session_wall_s={wall:.3f}")
         print(f"peak_rss_mib={peak / 2**20:.1f}")
         print(f"peak_rss_bytes_per_symbol_party={(peak - before) / (len(word_a) + len(word_b)):.0f}")

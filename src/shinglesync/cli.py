@@ -199,12 +199,13 @@ def main(argv: list[str] | None = None) -> int:
         "--mode",
         type=_parse_mode,
         help="rateless (default), or fixed:<m>: a first batch of values pre-sized "
-        "for about m differing instances, topped up on request",
+        "for about m differing instances, at most both words' instances, topped up on request",
     )
     p.add_argument(
         "--k",
         type=int,
-        help=f"values in the session check, and the most checks a session runs: 1 to {MAX_K} (default {MAX_K})",
+        help=f"values in the session check, and the most checks a session runs: 1 to {MAX_K} "
+        f"(default {MAX_K}); a larger k lowers the floor of the point span, so residues may be narrower",
     )
     p.add_argument("--seed", type=int, help="session seed (default 1)")
     p.set_defaults(func=cmd_reconcile)

@@ -1,14 +1,14 @@
 """End-to-end string reconciliation over a framed transport.
 
 Session outline: exchange hello frames (parameters, lengths, observed
-symbols), take the wider of the two words' occurrence widths, which sets
-the field, reconcile the two initial shingle multisets bucket by bucket (a
-first batch of characteristic values pre-sized from the bound in fixed mode
-and empty in rateless mode, then values on request until every bucket holds
-a candidate verified by one value, then one session check of k whole-set
-values, which the first batch carries, that verifies every bucket at once;
-a failed check reopens every bucket for one more value, and at most k
-checks run), hand over the one-sided instances as runs of consecutive
+symbols), take the wider of the two words' occurrence widths, which with
+both words' instance counts and k sets the field, reconcile the two initial
+shingle multisets bucket by bucket (a first batch of characteristic values
+pre-sized from the bound in fixed mode and empty in rateless mode, then
+values on request until every bucket holds a candidate verified by one
+value, then one session check of k whole-set values, which the first batch
+carries, that verifies every bucket at once; a failed check reopens every
+bucket for one more value, and at most k checks run), hand over the one-sided instances as runs of consecutive
 windows, r windows as r + l - 1 symbols (the responder sends its own and
 those of the initiator's that it finds by walking its own de Bruijn graph
 from its runs, testing each step against the buckets' remote polynomials;
@@ -78,13 +78,17 @@ from .shingles import (  # noqa: F401
 )
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 14
+PROTOCOL_VERSION = 15
 
 # the field that caps a hello's l: P61 with points drawn from its top 2**40
 # residues.  No session runs over it: each derives its own, no wider, from
-# the hellos (`session_field`), and draws its points from the same 2**40 top
-# residues of that field
+# the hellos (`session_field`), and draws its points from the top residues of
+# that field, a span no wider than 2**40 that the session check's bound sets
 FIELD = FieldSpec.default61()
+
+# the session check's target below `FIELD`'s span: a wrong difference passes
+# k checks with probability at most 2**-CHECK_BITS (`session_field`)
+CHECK_BITS = 64
 
 MAX_REQUEST = 0xFFFF  # the most pairs one bucket asks for per round
 # a DELTA_REQ's counts are packed at most this wide, the bit length of MAX_REQUEST
@@ -127,19 +131,32 @@ def occ_bits_cap(instances: int) -> int:
     return min(DEFAULT_OCC_BITS, (instances - 1).bit_length())
 
 
-def session_field(base: int, l: int, occ_bits: int) -> FieldSpec:
+def session_field(base: int, l: int, occ_bits: int, instances: int, k: int) -> FieldSpec:
     """The field of a session at shingle length `l` over `base` ranks (the
     symbols of both hellos and the delimiter) and occurrence width
-    `occ_bits`: the smallest prime above base**l * 2**occ_bits + 2**40,
-    with its top 2**40 residues the point range, so every element lies
-    below the encoding limit.  Both parties derive it from the hellos and
-    the session's occurrence width.  At every l the cap allows
+    `occ_bits`, between words of `instances` shingle instances in all, with
+    a session check of `k` values: the smallest prime above E + 2**s, for
+    the largest element E = base**l * 2**occ_bits, with its top 2**s
+    residues the point range, so every element lies below the points.
+
+    The span 2**s is the larger of two, capped at `FIELD`'s 2**40.  The
+    first is the widest span that keeps E + 2**s below the next power of
+    two, so it costs the field no width.  The second is the floor that the
+    session check's bound needs: at (2 * instances).bit_length() +
+    ceil(CHECK_BITS / k) bits, ((D* + D) / 2**s)**k <= 2**-CHECK_BITS
+    (`_session_check`).  Both parties derive it from the hellos, k and the
+    session's occurrence width.  The span is never above the cap, so the prime is never above
+    the one a 2**40 span gives, and at every l the cap allows
     (`ShingleCodec.max_shingle_len` over `FIELD`) and every width up to
     `DEFAULT_OCC_BITS`, the most a peer may state, it is at most P61."""
-    p = (base**l << occ_bits) + FIELD.point_span + 1
+    top = base**l << occ_bits
+    free = ((1 << top.bit_length()) - top - 1).bit_length() - 1
+    floor = (2 * instances).bit_length() + -(-CHECK_BITS // k)
+    span = min(FIELD.point_span, 1 << max(free, floor))
+    p = top + span + 1
     while not is_probable_prime(p):
         p += 1
-    return FieldSpec(p, FIELD.point_span)
+    return FieldSpec(p, span)
 
 
 def _element(key: int, occ: int, occ_bits: int) -> int:
@@ -172,8 +189,8 @@ class ReconConfig:
     and over a field both parties derive in step 2: the occurrence width,
     the wider of the two words' own (`word_occ_bits`), crosses in the
     responder's OCC_WIDTH frame and the initiator's bundle, and the prime
-    follows from l, the symbols of both hellos and that width
-    (`session_field`).
+    and its point span follow from l, the symbols and word lengths of both
+    hellos, k and that width (`session_field`).
     """
 
     l: int
@@ -1049,21 +1066,22 @@ def _reconcile_step(
 
     The responder opens with its word's own occurrence width
     (`word_occ_bits`), and the initiator's bundle opens with the session's,
-    the wider of the two; the session's field follows from it
-    (`session_field`).  Every residue is mod that field's prime and crosses
-    at its bit length.  Both parties build their elements from their table
-    keys at the session's occurrence width (`_elements`) and hash them into
-    `buckets` buckets, and each bucket runs its own source
+    the wider of the two; the session's field follows from it, from both
+    words' instance counts and from k (`session_field`).  Every residue is
+    mod that field's prime and crosses at its bit length.  Both parties
+    build their elements from their table keys at the session's occurrence
+    width (`_elements`) and hash them into `buckets` buckets, and each
+    bucket runs its own source
     (initiator) or decoder (responder) over the session's one point stream,
     whose points go to the buckets in bucket order.  The initiator sends
     characteristic values: a first batch per bucket in its bundle, then
     whatever the responder requests, one DELTA_REQ holding a count for every
     bucket.  The mode chooses only the first batch: none in rateless mode,
-    and in fixed mode ceil(m_hat / B), a bucket's share of the bound, so a
-    bucket whose share of the difference is larger tops up through the
-    requests.  The bundle also carries the first session check: the
-    initiator's whole-set characteristic values at the k points after the
-    bucket values' points.  The responder feeds each bucket's decoder until
+    and in fixed mode ceil(min(m_hat, N_A + N_B) / B), a bucket's share of
+    the bound, which no difference can pass, so a bucket whose share of the
+    difference is larger tops up through the requests.  The bundle also
+    carries the first session check: the initiator's whole-set
+    characteristic values at the k points after the bucket values' points.  The responder feeds each bucket's decoder until
     it holds a candidate that fits one further value and whose local side
     splits over the bucket's own elements.  Once every bucket holds one, it
     runs the session check: the initiator's check values must equal the
@@ -1093,11 +1111,14 @@ def _reconcile_step(
         bundle_payload = wire.expect(FrameKind.EVAL_BUNDLE).payload
         most = occ_bits_cap(max(len(local.keys), remote_instances))
         occ_bits = decode_occ_bits(bundle_payload[:1], own_bits, most, "bundle")
-    codec = ShingleCodec(alphabet, session_field(len(alphabet) + 1, l, occ_bits), occ_bits)
+    # no difference holds more than both words' instances, which both
+    # parties know from the hellos
+    instances = len(local.keys) + remote_instances
+    codec = ShingleCodec(alphabet, session_field(len(alphabet) + 1, l, occ_bits, instances, config.k), occ_bits)
     p = codec.field.p
     report.occ_bits = occ_bits
     report.value_bits = p.bit_length()
-    first = -(-config.m_hat // buckets) if config.mode == MODE_FIXED else 0
+    first = -(-min(config.m_hat, instances) // buckets) if config.mode == MODE_FIXED else 0
     points = PointStream(codec.field, config.seed)
     elements = _elements(local.table, occ_bits)
     parts = partition(elements, buckets, config.seed)
@@ -1356,9 +1377,13 @@ def _session_check(
     remote side over the local side; checked without a division as
     theirs * prod local_b == own * prod remote_b.
 
-    A wrong difference passes with probability at most ((D* + D) / 2**40)**k
-    over the k points, for the true difference degree D* and the candidates'
-    total degree D (Minsky, Trachtenberg & Zippel, IEEE Trans. IT 2003).
+    A wrong difference passes with probability at most ((D* + D) / 2**s)**k
+    over the k points, for the true difference degree D*, the candidates'
+    total degree D and the session's point span 2**s (Minsky, Trachtenberg &
+    Zippel, IEEE Trans. IT 2003).  Both degrees are at most N_A + N_B, both
+    words' instances, so below the span's cap of 2**40 the span's floor
+    (`session_field`) holds the bound at 2**-CHECK_BITS; at the cap it is
+    the 2**40 span's bound.
     """
     for (z, mine), value in zip(own, theirs):
         local, remote = value, mine

@@ -25,13 +25,20 @@ def run_script(name, *args):
 
 def test_recon_demo_fixed_session():
     # 267 instances make sixteen buckets, each bundled 64 / 16 values beside
-    # the session check's k = 8; at the session's 9 occurrence bits no
-    # bucket holds more than 3 one-sided instances, so the bundle covers
-    # them all and no round tops one up
+    # the session check's k = 8; no bucket holds more than 3 one-sided
+    # instances, so the bundle covers them all and no round tops one up.
+    # No shingle occurs more than twice: 1 occurrence bit, and elements up
+    # to 3**12 * 2, whose 21 bits leave a span of 2**19, as wide as the
+    # check's floor for 267 + 268 instances at k = 8, 11 + 8 bits
     lines = run_script("recon_demo.py", "--n", "256", "--alphas", "1", "--mode", "fixed", "--m-hat", "64")
     assert lines[0] == "# alpha=1"
     for line in ("role=initiator", "outcome=ok", "mode=fixed", "n_local=256", "step2_pairs=72",
-                 "step2_buckets=16", "step2_rounds=0", "step2_checks=1", "value_bits=41"):
+                 "step2_buckets=16", "step2_rounds=0", "step2_checks=1", "occ_bits=1", "value_bits=21"):
+        assert line in lines
+    # the route only the responder takes, beside the initiator's report,
+    # which reads 0 for both: the walk found the initiator's 9 one-sided
+    # instances, and no candidate was rejected
+    for line in ("step2_walked=0", "step2_rejected=0", "responder_step2_walked=9", "responder_step2_rejected=0"):
         assert line in lines
     # the bits by frame kind: the bundle is the initiator's, the hand-off the responder's
     assert any(line.startswith("eval_bundle_frame_bits_sent=") and line != "eval_bundle_frame_bits_sent=0"
@@ -53,8 +60,11 @@ def test_recon_demo_takes_the_shingle_length():
     lines = run_script("recon_demo.py", "--n", "256", "--alphas", "1", "--l", "9")
     fields = dict(line.split("=", 1) for line in lines if "=" in line)
     assert fields["l"] == "9" and fields["outcome"] == "ok"
-    # binary words of 256 symbols at l = 9: 3**9 * 2**9 + 2**40 takes 41 bits
-    assert fields["value_bits"] == "41"
+    # binary words of 256 symbols at l = 9, where no shingle occurs more
+    # than twice: the elements, up to 3**9 * 2, take 16 bits, and the
+    # check's floor for 264 + 265 instances at k = 8, a span of 2**(11 + 8),
+    # puts the prime in 20
+    assert fields["occ_bits"] == "1" and fields["value_bits"] == "20"
     assert "l=12" in run_script("recon_demo.py", "--n", "256", "--alphas", "1")
 
 

@@ -43,7 +43,7 @@ from shinglesync.errors import (
     ShingleSyncError,
     TransportClosedError,
 )
-from shinglesync.field import P61, is_probable_prime
+from shinglesync.field import P61, FieldSpec, is_probable_prime
 from shinglesync.setrecon import EvalBundle, RatelessDecoder, RatelessSource, ShingleCodec, partition
 from shinglesync.stringrecon import (
     _CONFIG,
@@ -411,9 +411,9 @@ def value_block_bytes(count, p):
     return (p.bit_length() * count + 7) // 8
 
 
-# the prime of a binary session at l = 18 between 4096-symbol words, whose
-# residues cross at 42 bits
-P42 = session_field(3, 18, 13).p
+# the prime of a binary session at l = 18 between 4096-symbol words at the
+# widest occurrence width they allow, whose residues cross at 42 bits
+P42 = session_field(3, 18, 13, 2 * (4096 + 17), MAX_K).p
 # the multiset of "0110" at l = 2 over '$', '0' and '1': '$0', '01', '11',
 # '10' and '0$' once each, the initiator's table in the hand-off codec tests
 TABLE_01 = ShingledWord("0110", 2, Alphabet("01")).table
@@ -540,7 +540,7 @@ class TestWireCodecs:
     def test_value_blocks_hold_residues_only(self):
         # every value from p to the top of its width is refused, in each
         # frame that carries residues, mod P61 and mod derived primes
-        for p in (P61, P42, session_field(5, 2, 3).p):
+        for p in (P61, P42, session_field(5, 2, 3, 12, MAX_K).p):
             width = p.bit_length()
             for value in (p, p + 1, 2**width - 1):
                 block = _pack_block([7, value], width)
@@ -694,7 +694,7 @@ class TestWireCodecs:
     @staticmethod
     def refuses_version(version):
         hello = bytearray(hello_for(ReconConfig(l=7, seed=1), "ab").payload)
-        assert hello[0] == PROTOCOL_VERSION == 14
+        assert hello[0] == PROTOCOL_VERSION == 15
         hello[0] = version
         with pytest.raises(ProtocolError, match=f"unsupported protocol version {version}"):
             decode_hello(bytes(hello))
@@ -723,6 +723,11 @@ class TestWireCodecs:
         # version 13 handed every bucket's remote polynomial over as
         # coefficients, and the initiator answered with its roots as runs
         self.refuses_version(13)
+
+    def test_hello_of_protocol_version_14_is_refused(self):
+        # version 14 drew its points from a 2**40 span at every size, so its
+        # residues were wider and its points other than these
+        self.refuses_version(14)
 
     def test_hello_symbols_must_be_utf8(self):
         payload = encode_hello(ReconConfig(l=7, seed=1), 2, "ab")
@@ -1029,6 +1034,24 @@ class TestSessions:
         assert rep_a.step2_pairs == rep_b.step2_pairs == sum(max(first, d + 1) for d in diffs) + k
         assert rep_a.step2_rounds == rep_b.step2_rounds >= 1
 
+    def test_fixed_bundle_is_bounded_by_both_words_instances(self):
+        # no difference holds more than both words' instances, so the largest
+        # m_hat a hello may state bundles no more than those, a bucket's share
+        # rounded up, beside the check's k values, and the session recovers
+        rng = random.Random(64)
+        wa = "".join(rng.choice("01") for _ in range(64))
+        wb = random_edits(wa, 2, rng, "01")
+        l, k = 8, 8
+        config = ReconConfig(l=l, mode=MODE_FIXED, m_hat=2**32 - 1, k=k, seed=5)
+        instances = len(wa) + len(wb) + 2 * (l - 1)
+        buckets = step2_buckets(len(wa) + l - 1, len(wb) + l - 1)
+        start = time.perf_counter()
+        (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
+        assert ra == wb and rb == wa
+        assert time.perf_counter() - start < 10
+        assert rep_a.step2_pairs == rep_b.step2_pairs == buckets * -(-instances // buckets) + k
+        assert rep_a.step2_pairs <= instances + buckets + k and rep_a.step2_rounds == 0
+
     def test_hello_bits_are_the_frame_arithmetic(self):
         config = ReconConfig(l=2, mode=MODE_RATELESS, seed=5)
         (_, rep_a), (_, rep_b) = run_session("katana", "kana", config)
@@ -1334,10 +1357,12 @@ class TestStep2Evaluation:
         check = slice(buckets * first, None)
         assert values[check] == char_values_loop(elements, points[check], p)
         # no shingle of either word occurs more than twice: elements at 1
-        # occurrence bit, residues at 41 bits
-        assert (codec.occ_bits, p.bit_length()) == (1, 41)
+        # occurrence bit, 3**12 * 2 of them, in 21 bits; at k = 8 the check's
+        # floor, 12 + 8 bits, sets a span of 2**20, and residues cross at 22
+        # bits
+        assert (codec.occ_bits, codec.field.point_span, p.bit_length()) == (1, 2**20, 22)
         assert hashlib.sha256(payload).hexdigest() == (
-            "e2b4813a4423cb79b6083f1f4f4c0e0f3a6c534dcd1f55ba133bac6698e1ed72"
+            "bc74d5b03647b63b51e0b243403a377a500bcf23deb803289ac62a1dc155bc2f"
         )
 
 
@@ -1461,7 +1486,9 @@ class TestSessionElements:
         elements = stringrecon._elements(table, occ_bits)
         assert elements == session_elements(word, l, alphabet, occ_bits)
         assert 0 not in elements and len(set(elements)) == len(elements)
-        assert max(elements) < session_field(len(symbols) + 1, l, occ_bits).encoding_limit
+        k = data.draw(st.integers(1, MAX_K))
+        instances = 2 * (len(word) + l - 1)
+        assert max(elements) < session_field(len(symbols) + 1, l, occ_bits, instances, k).encoding_limit
 
     @pytest.mark.parametrize("symbols", ["01", "abc"])
     def test_every_length_up_to_the_cap_stays_in_range(self, symbols):
@@ -1475,12 +1502,13 @@ class TestSessionElements:
             for word in ("", symbols[-1] * l, symbols * 3 + symbols[0] * l):
                 table = ShingledWord(word, l, alphabet).table
                 occ_bits = word_occ_bits(table)
-                field = session_field(len(symbols) + 1, l, occ_bits)
-                assert field.p <= FIELD.p
                 elements = stringrecon._elements(table, occ_bits)
                 assert elements == session_elements(word, l, alphabet, occ_bits)
                 assert 0 not in elements and len(set(elements)) == len(elements)
-                assert max(elements) < field.encoding_limit
+                for k in (1, MAX_K):
+                    field = session_field(len(symbols) + 1, l, occ_bits, 2 * (len(word) + l - 1), k)
+                    assert field.p <= FIELD.p
+                    assert max(elements) < field.encoding_limit
         assert stringrecon._elements(ShingledWord("", 3, alphabet).table, 16) == [1, 2]
         # one past the cap, the largest shingle no longer fits
         assert (len(symbols) + 1) ** (top + 1) * 2**16 >= FIELD.encoding_limit
@@ -1534,13 +1562,16 @@ class TestSessionElements:
         for base in (2, 3, 4, 5, 27):
             for l in (2, 3, 5, 8, 13):
                 for occ_bits in (0, 1, 7, 13, 16):
-                    spec = session_field(base, l, occ_bits)
-                    floor = base**l * 2**occ_bits + 2**40
-                    assert spec.p > floor and spec.point_span == 2**40
-                    assert is_probable_prime(spec.p)
-                    assert not any(map(is_probable_prime, range(floor + 1, spec.p)))
-                    # the largest element, base**l * 2**w, lies below the points
-                    assert base**l * 2**occ_bits < spec.encoding_limit
+                    for instances in (0, 8226, 2**21):
+                        for k in (1, 3, MAX_K):
+                            spec = session_field(base, l, occ_bits, instances, k)
+                            top = base**l * 2**occ_bits
+                            floor = top + 2 ** span_bits(base, l, occ_bits, instances, k)
+                            assert spec.point_span == floor - top and spec.p > floor
+                            assert is_probable_prime(spec.p)
+                            assert not any(map(is_probable_prime, range(floor + 1, spec.p)))
+                            # the largest element, base**l * 2**w, lies below the points
+                            assert top < spec.encoding_limit
 
     @pytest.mark.parametrize(
         "l,occ_bits,bits",
@@ -1551,27 +1582,106 @@ class TestSessionElements:
         # binary words: two symbols and the delimiter.  At 4096, 16384, 2**16
         # and 2**20 symbols, the first four are the widest widths their word
         # lengths allow (`occ_bits_cap`), the last four the widths of words
-        # whose shingles occur at most 2 to 4 times, as random words' do
-        assert session_field(3, l, occ_bits).p.bit_length() == bits
+        # whose shingles occur at most 2 to 4 times, as random words' do.  At
+        # k <= 2 the session check's floor passes the 2**40 cap, so these are
+        # protocol 14's widths, whose span was 2**40 at every k
+        n = {18: 4096, 20: 16384, 23: 2**16, 27: 2**20}[l]
+        for k in (1, 2):
+            assert session_field(3, l, occ_bits, 2 * (n + l - 1), k).p.bit_length() == bits
+        assert protocol14_prime(3, l, occ_bits).bit_length() == bits
+
+    @pytest.mark.parametrize(
+        "l,occ_bits,instances,k,bits",
+        [(18, 13, 8226, 8, 42), (20, 15, 32806, 8, 47), (23, 16, 131116, 8, 53), (27, 16, 2097204, 8, 59),
+         (18, 1, 8226, 8, 30), (18, 2, 8226, 8, 31), (20, 1, 32806, 8, 33), (20, 2, 32806, 8, 34),
+         (23, 1, 131116, 8, 38), (23, 2, 131116, 8, 39), (27, 2, 2097204, 8, 45), (18, 2, 8226, 4, 32)],
+    )
+    def test_widths_of_the_benchmark_cells_at_k(self, l, occ_bits, instances, k, bits):
+        # the same cells, between two words of n + l - 1 instances each, at
+        # the benchmark's k = 8 and at k = 4.  At the widest widths the
+        # elements fill the 2**40 span's width already; below them the span
+        # is as wide as the elements leave free, until at 2**20 symbols it
+        # reaches the cap
+        assert session_field(3, l, occ_bits, instances, k).p.bit_length() == bits
 
     @pytest.mark.parametrize("symbols", ["0", "01", "abc", "abcdefghij"])
     def test_a_hostile_word_length_cannot_widen_the_field_past_p61(self, symbols):
         # whatever u64 word length a hello announces, the widest width a
         # peer may state is 16 bits, and at the capped l the prime is then
-        # at most P61, 62 bits
+        # at most P61, 62 bits, at every k
         occ_bits = occ_bits_cap(2**64 - 1 + 2 - 1)
         assert occ_bits == 16
         base = len(symbols) + 1
         top = ShingleCodec(Alphabet(symbols), FIELD).max_shingle_len
-        field = session_field(base, top, occ_bits)
-        assert field.p <= P61 and field.p.bit_length() <= 62
+        for k in range(1, MAX_K + 1):
+            field = session_field(base, top, occ_bits, 2 * (2**64 - 1 + top - 1), k)
+            assert field.p <= P61 and field.p.bit_length() <= 62
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["0", "01", "abc", "abcdefghij", "abcdefghijklmnopqrstuvwxyz"]),
+        st.data(),
+        st.integers(0, 2**65),
+        st.integers(1, MAX_K),
+    )
+    def test_no_field_is_wider_than_protocol_14s(self, symbols, data, instances, k):
+        # for any hello, k and occurrence width a peer may state, the 2**40
+        # cap keeps the prime at or below the one of protocol 14's fixed span
+        base = len(symbols) + 1
+        l = data.draw(st.integers(2, ShingleCodec(Alphabet(symbols), FIELD).max_shingle_len))
+        occ_bits = data.draw(st.integers(0, occ_bits_cap(2**64 - 1 + l - 1)))
+        field = session_field(base, l, occ_bits, instances, k)
+        assert field.p <= protocol14_prime(base, l, occ_bits) <= P61
+        assert field.point_span <= FIELD.point_span
+
+    def test_a_small_k_at_4096_symbols_keeps_protocol_14s_field(self):
+        # at k <= 2 the check's floor passes the 2**40 cap, so the field is
+        # protocol 14's at every width two 4096-symbol words may state
+        for occ_bits in range(occ_bits_cap(4096 + 17) + 1):
+            for k in (1, 2):
+                assert session_field(3, 18, occ_bits, 8226, k) == FieldSpec(protocol14_prime(3, 18, occ_bits), 2**40)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 27), st.integers(2, 30), st.integers(0, 16), st.integers(0, 2**65), st.integers(1, MAX_K))
+    def test_the_span_never_falls_below_the_checks_floor(self, base, l, occ_bits, instances, k):
+        span = session_field(base, l, occ_bits, instances, k).point_span
+        assert span == 2 ** span_bits(base, l, occ_bits, instances, k)
+        if span < 2**40:
+            # below the cap, ((D* + D) / span)**k <= 2**-64 for any D* + D up
+            # to both words' instances twice
+            assert (2 * instances) ** k * 2**64 <= span**k
+        else:
+            assert span == FIELD.point_span
+
+    @pytest.mark.parametrize("k", [1, 2, MAX_K])
+    def test_small_sessions_recover_at_every_k(self, k):
+        # the narrowest spans: short words, and at k = 8 a floor of 8 bits
+        # over the instances' own width
+        rng = random.Random(f"small:{k}")
+        for symbols in ("01", "abcd"):
+            for n in (16, 64, 256):
+                for trial in range(3):
+                    wa = "".join(rng.choice(symbols) for _ in range(n))
+                    wb = random_edits(wa, rng.randint(1, 4), rng, symbols)
+                    l = rng.randint(3, 8)
+                    config = ReconConfig(l=l, k=k, seed=rng.randrange(2**32))
+                    (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
+                    assert ra == wb and rb == wa
+                    # none of these seeded sessions rejects a candidate or
+                    # runs a second check
+                    assert rep_b.step2_rejected == 0 and rep_a.step2_checks == 1
+                    codec = session_codec(wa, wb, l, k)
+                    assert rep_a.value_bits == rep_b.value_bits == codec.field.p.bit_length()
+                    assert codec.field.point_span == 2 ** span_bits(
+                        len(codec.alphabet) + 1, l, codec.occ_bits, len(wa) + len(wb) + 2 * (l - 1), k
+                    )
 
     def test_both_parties_derive_one_field_from_the_hellos(self, monkeypatch):
         fields = []
         real = stringrecon.session_field
 
-        def spy(base, l, occ_bits):
-            field = real(base, l, occ_bits)
+        def spy(base, l, occ_bits, instances, k):
+            field = real(base, l, occ_bits, instances, k)
             fields.append(field)
             return field
 
@@ -1580,10 +1690,31 @@ class TestSessionElements:
         assert ra == "abaaaab" and rb == "0110100"
         # four symbols and the delimiter; no shingle of the initiator's word
         # repeats, but 'aaa' of the responder's occurs twice, so the
-        # session's width is the responder's 1 bit
-        assert fields == [session_field(5, 3, 1)] * 2
+        # session's width is the responder's 1 bit.  Both words hold 7 + 2
+        # instances, and at k = 8 the check's floor, 6 + 8 bits, sets the
+        # span above the elements' 250
+        assert fields == [session_field(5, 3, 1, 18, MAX_K)] * 2 == [FieldSpec(16649, 2**14)] * 2
         assert rep_a.occ_bits == rep_b.occ_bits == 1
-        assert rep_a.value_bits == rep_b.value_bits == fields[0].p.bit_length() == 41
+        assert rep_a.value_bits == rep_b.value_bits == fields[0].p.bit_length() == 15
+
+
+def protocol14_prime(base, l, occ_bits):
+    """The prime of protocol 14, whose points spanned 2**40 at every size:
+    the smallest above base**l * 2**occ_bits + 2**40."""
+    p = base**l * 2**occ_bits + 2**40 + 1
+    while not is_probable_prime(p):
+        p += 1
+    return p
+
+
+def span_bits(base, l, occ_bits, instances, k):
+    """The point span's exponent by the field rule, spelled out: the largest
+    s that keeps base**l * 2**occ_bits + 2**s within the elements' bit
+    length, or the session check's floor, whichever is larger, at most 40."""
+    top = base**l * 2**occ_bits
+    free = max((s for s in range(top.bit_length()) if top + 2**s < 2 ** top.bit_length()), default=-1)
+    floor = (2 * instances).bit_length() + math.ceil(64 / k)
+    return min(40, max(free, floor))
 
 
 def flip(word, i):
@@ -2067,32 +2198,39 @@ class TestHostileStep2:
         assert len(replaced) == 1
 
     def test_fixed_responder_never_draws_the_peer_m_hat(self):
-        # drawing m_hat = 2**32 - 1 points for the two buckets would take hours
+        # drawing m_hat = 2**32 - 1 points for the two buckets would take
+        # hours; the responder expects a bundle of min(m_hat, 6 + 6) values
+        # and the check's, and refuses one of 4
         config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=2**32 - 1, k=8, seed=3)
         points = tuple(FIELD.sample_points(3, 4))
         exc = self.responder_facing(config, EvalBundle(points, (1, 1, 1, 1), 6))
-        assert isinstance(exc, ProtocolError)
+        assert isinstance(exc, ProtocolError) and "not 20 values" in str(exc), exc
 
     def test_fixed_responder_stops_at_its_budget(self, monkeypatch, rng):
-        # a bundle matching a huge m_hat is fed only up to the decoder's budget
-        budgets = []
+        # a bundle of garbage for a huge m_hat, sized by both words' 12
+        # instances, is fed to each decoder only up to its budget
+        fed = Counter()
+        budgets = {}
         real_feed = RatelessDecoder.feed
 
         def spy(decoder, point, value, local=None):
-            budgets.append(decoder.budget)
+            fed[id(decoder)] += 1
+            budgets[id(decoder)] = decoder.budget
             return real_feed(decoder, point, value, local)
 
         monkeypatch.setattr(RatelessDecoder, "feed", spy)
         config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=100_000, k=8, seed=3)
-        count = config.m_hat
-        values = tuple(rng.randrange(1, ABC_P) for _ in range(count))
+        count = 2 * 6
+
         start = time.perf_counter()
-        exc = self.responder_facing(config, EvalBundle(tuple(range(count)), values, 6))
+        exc = self.responder_facing(config, EvalBundle(tuple(range(count)), tuple(rng.randrange(1, ABC_P) for _ in range(count)), 6))
         assert isinstance(exc, BoundExceededError)
         assert time.perf_counter() - start < 10
         # bucket 0: the responder's 1 instance, the initiator's 6 and one
-        # verification value
-        assert 0 < len(budgets) <= budgets[0] == 1 + 6 + 1
+        # verification value; bucket 1: the responder's other 5, none of the
+        # initiator's and one, which its first batch of 6 exhausts
+        assert list(budgets.values()) == [1 + 6 + 1, 5 + 0 + 1]
+        assert list(fed.values()) == [6, 6]
 
     @pytest.mark.parametrize(
         "values,match",
@@ -2200,9 +2338,12 @@ class TestHeavyShingles:
             assert rep_a.value_bits == rep_b.value_bits == codec.field.p.bit_length()
             widths[wa is heavy] = (rep_a.occ_bits, rep_a.value_bits)
         # the run of 1500 ones holds about 1481 instances of the all-ones
-        # shingle: 11 occurrence bits, and the elements pass the point span
-        assert widths[False] == (0, 41)
-        assert widths[True][0] == 11 and widths[True][1] == session_field(3, l, 11).p.bit_length() == 43
+        # shingle: 11 occurrence bits.  Its elements, up to 3**20 * 2**11,
+        # leave room for the 2**40 cap within their 43 bits, while the light
+        # words' elements, up to 3**20, leave a span of 2**29 within 32
+        assert widths[False] == (0, 32)
+        assert widths[True][0] == 11
+        assert widths[True][1] == session_field(3, l, 11, 2 * (2100 + l - 1), MAX_K).p.bit_length() == 43
 
     @pytest.mark.parametrize("heavy_role", ["initiator", "responder"])
     def test_a_multiplicity_past_2_16_is_refused(self, heavy_role):

@@ -195,16 +195,97 @@ def peval(a: list[int], x: int, p: int) -> int:
     return acc
 
 
+def _pack(a: list[int], width: int) -> int:
+    """Kronecker substitution: the residues of `a` as one integer, a
+    `width`-byte slot each, little-endian."""
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in a]), "little")
+
+
+def _unpack(x: int, width: int, count: int, p: int) -> list[int]:
+    """The low `count` slots of `width` bytes of `x`, each reduced mod p."""
+    raw = (x & ((1 << 8 * width * count) - 1)).to_bytes(width * count, "little")
+    return [int.from_bytes(raw[i : i + width], "little") % p for i in range(0, width * count, width)]
+
+
 def ppowmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    """base**e reduced modulo the polynomial `mod`."""
-    result = [1]
-    base = pmod(base, mod, p)
-    while e:
-        if e & 1:
-            result = pmod(pmul(result, base, p), mod, p)
-        base = pmod(pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
+    """base**e reduced modulo the polynomial `mod`.
+
+    The powers stay packed by Kronecker substitution (Harvey, J. Symbolic
+    Comput. 2009), a coefficient to each slot of W bits, so a product is one
+    big-integer product.  For the monic f = `mod` of degree n, coefficients
+    are kept below 3p rather than p, and every slot below 2**t, t the bit
+    length of 12 n p**2, with W > t, so no product carries from one slot
+    into the next.  A product's remainder mod f takes a few big-integer
+    operations and no loop over its coefficients:
+
+    - `reduce_slots` brings every slot below 3p by Barrett's quotient
+      floor(v mu / 2**t), mu = floor(2**t / p), on the even slots and then
+      the odd ones, so that each v mu has the empty slot above it for room;
+    - the quotient by f of a product of degree at most 2n - 2 is its top
+      coefficients times mu_f = Z**(2n-2) div f, divided by Z**(n-2); mu_f
+      is the reversed inverse of f's reversal mod Z**(n-1), found once a
+      call by Newton iteration (von zur Gathen & Gerhard, "Modern Computer
+      Algebra", ch. 9).  A quotient of one coefficient is the top one;
+    - the remainder is the low n slots less the quotient times f, with
+      3 n p**2, a multiple of p, added to each slot to keep it positive.
+    """
+    f = pmonic(mod, p)
+    if not f:
+        raise ZeroDivisionError("polynomial division by zero")
+    n = len(f) - 1
+    if n < 2:
+        # everything is 0 mod a constant, and base(r) mod Z - r; base**0
+        # stays 1, as in the schoolbook route
+        if not n:
+            return [] if e else [1]
+        return ptrim([pow(peval(base, -f[0] % p, p), e, p)])
+    t = (12 * n * p * p).bit_length()
+    width = t // 8 + 1
+    slot = 8 * width
+    mu = (1 << t) // p
+    # each even slot, whole, and the low bits of each even slot that hold
+    # a Barrett quotient, below 2**(t - p.bit_length() + 1)
+    even = int.from_bytes((b"\xff" * width + bytes(width)) * n, "little")
+    quotient = ((1 << t - p.bit_length() + 1) - 1).to_bytes(width, "little")
+    quotients = int.from_bytes((quotient + bytes(width)) * n, "little")
+    low, low_q = (1 << slot * n) - 1, (1 << slot * (n - 1)) - 1
+    pad = _pack([3 * n * p * p] * n, width)
+
+    def reduce_slots(x: int) -> int:
+        ev = x & even
+        od = x >> slot & even
+        ev -= (ev * mu >> t & quotients) * p
+        od -= (od * mu >> t & quotients) * p
+        return ev | od << slot
+
+    rev = f[::-1]
+    # the inverse of rev mod Z**(n-1), doubling its precision a step
+    inv, prec = [1], 1
+    while prec < n - 1:
+        prec = min(2 * prec, n - 1)
+        fix = [(-c) % p for c in _unpack(_pack(rev[:prec], width) * _pack(inv, width), width, prec, p)]
+        fix[0] = (fix[0] + 2) % p
+        inv = _unpack(_pack(inv, width) * _pack(fix, width), width, prec, p)
+    packed_mu, packed_f = _pack(inv[::-1], width), _pack(f, width)
+
+    def reduce(x: int) -> int:
+        """The product packed in `x`, of degree at most 2n - 2, mod f."""
+        m = -(-x.bit_length() // slot) - n  # the quotient's length
+        if m > 1:
+            x = reduce_slots(x)
+            q = reduce_slots((x >> slot * n) * packed_mu >> slot * (n - 2) & low_q)
+            x = (x & low) + pad - (q * packed_f & low)
+        elif m == 1:
+            x = (x & low) + pad - ((x >> slot * n) % p * packed_f & low)
+        return reduce_slots(x)
+
+    x = 1
+    packed_base = _pack(pmod(base, f, p), width)
+    for bit in bin(e)[2:] if e else "":
+        x = reduce(x * x)
+        if bit == "1":
+            x = reduce(x * packed_base)
+    return ptrim(_unpack(x, width, n, p))
 
 
 def poly_from_roots(roots: list[int], p: int) -> list[int]:
@@ -356,12 +437,40 @@ class RationalInterpolator:
             self._rejected = (i, self.changed[i])
 
 
+def _sqrt_mod(x: int, p: int) -> int:
+    """A square root of the quadratic residue x mod the odd prime p
+    (Tonelli-Shanks)."""
+    if not x:
+        return 0
+    q, s = p - 1, 0
+    while not q & 1:
+        q, s = q >> 1, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(x, (q + 1) // 2, p), pow(x, q, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        r, t = r * b % p, t * c % p
+    return r
+
+
 def find_roots(f: list[int], p: int, rng: random.Random | None = None) -> list[int] | None:
     """All roots of a squarefree `f` that splits into distinct linear factors.
 
-    Returns None when `f` does not split completely over GF(p).  Uses gcd
-    with Z^p - Z followed by random equal-degree splitting; small fields fall
-    back to direct scanning so tests have an independent route.
+    Returns None when `f` does not split completely over GF(p).  Uses random
+    equal-degree splitting (Rabin, SIAM J. Comput. 1980): a factor g splits
+    by gcd(h - 1, g) for h = (Z + a)**((p-1)/2) mod g.  The first h, mod f,
+    also settles whether f splits at all: since (Z + a)**p = Z**p + a, f
+    divides Z**p - Z, the product of every (Z - c), exactly when
+    h**2 (Z + a) = Z + a mod f.  A quadratic factor is solved by the square
+    root of its discriminant, which for f itself must be a nonzero square.
+    Small fields fall back to direct scanning so tests have an independent
+    route.
     """
     f = pmonic(f, p)
     if not f:
@@ -371,31 +480,30 @@ def find_roots(f: list[int], p: int, rng: random.Random | None = None) -> list[i
     if p < (1 << 20):
         roots = [x for x in range(p) if peval(f, x, p) == 0]
         return roots if len(roots) == len(f) - 1 else None
-    # keep only rational roots: gcd(f, Z^p - Z)
-    zp = ppowmod([0, 1], p, f, p)
-    linear_part = pgcd(psub(zp, [0, 1], p), f, p)
-    if len(linear_part) != len(f):
-        return None
     rng = rng or random.Random(0xC0FFEE)
-    roots: list[int] = []
     half = (p - 1) // 2
-
+    roots: list[int] = []
     stack = [f]
     while stack:
         g = stack.pop()
-        if len(g) == 1:
-            continue
         if len(g) == 2:
             roots.append((-g[0]) % p)
             continue
-        while True:
-            a = rng.randrange(p)
-            probe = ppowmod([a, 1], half, g, p)
-            d = pgcd(psub(probe, [1], p), g, p)
-            if 0 < len(d) - 1 < len(g) - 1:
-                stack.append(d)
-                stack.append(pdivmod(g, d, p)[0])
-                break
+        if len(g) == 3:
+            c, b, _ = g
+            disc = (b * b - 4 * c) % p
+            if g is f and pow(disc, half, p) != 1:
+                return None
+            root = _sqrt_mod(disc, p)
+            # (-b +- root) / 2, with 1/2 = (p + 1) / 2 mod p
+            roots += [(r - b) * (half + 1) % p for r in (root, -root)]
+            continue
+        a = rng.randrange(p)
+        h = ppowmod([a, 1], half, g, p)
+        if g is f and pmod(pmul(ppowmod(h, 2, g, p), [a, 1], p), g, p) != [a, 1]:
+            return None
+        d = pgcd(psub(h, [1], p), g, p)
+        stack += [d, pdivmod(g, d, p)[0]] if 0 < len(d) - 1 < len(g) - 1 else [g]
     return sorted(roots)
 
 

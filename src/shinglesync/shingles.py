@@ -8,7 +8,8 @@ delimiter runs.
 
 `ShingledWord` holds the same windows as integers, from one rolling pass over
 the padded word, and `ShingleTable` a multiset of length-l shingles under
-integer keys that sort in canonical order.
+integer keys that sort in canonical order.  `CodeSpace` numbers the same
+shingles without a digit for the delimiter.
 """
 
 from __future__ import annotations
@@ -232,6 +233,71 @@ def rank_digits(alphabet: Alphabet) -> dict[str, int]:
     return {ch: i for i, ch in enumerate(sorted((*alphabet.symbols, alphabet.delimiter)))}
 
 
+def code_count(symbols: int, l: int) -> int:
+    """The number of `CodeSpace` codes of length-l shingles over `symbols`
+    symbols: 1 + sum over m = 1..l of (l - m + 1) * symbols**m, which is
+    never more than (symbols + 1)**l, the number of keys."""
+    return 1 + sum((l - m + 1) * symbols**m for m in range(1, l + 1))
+
+
+class CodeSpace:
+    """Exact codes of the length-l shingles over an alphabet, with no digit
+    spent on the delimiter.
+
+    A shingle is `$**lead + x + $**trail` for a run x of m symbols.  Its code
+    is the first code of its class (lead, trail) plus x's value in base
+    |symbols|, each symbol's digit its rank by code point among the symbols.
+    The classes with m >= 1 take consecutive blocks of |symbols|**m codes, by
+    m from l down and then by lead, so a shingle without a delimiter is
+    coded by its value alone; the all-delimiter shingle, m = 0, takes the
+    last code.  The codes are injective and number `code_count`.
+    """
+
+    __slots__ = ("l", "delimiter", "digits", "symbols", "first", "size")
+
+    def __init__(self, alphabet: Alphabet, l: int):
+        self.l = l
+        self.delimiter = alphabet.delimiter
+        self.digits = {ch: i for i, ch in enumerate(sorted(alphabet.symbols))}
+        self.symbols = len(self.digits)
+        # the first code of each class (lead, trail) with a symbol
+        self.first: dict[tuple[int, int], int] = {}
+        at = 0
+        for m in range(l, 0, -1):
+            for lead in range(l - m + 1):
+                self.first[lead, l - m - lead] = at
+                at += self.symbols**m
+        self.size = at + 1
+
+    def window(self, lead: int, m: int, value: int) -> int:
+        """The code of the shingle of `lead` leading delimiters, then `m`
+        symbols of base-|symbols| value `value`, then delimiters."""
+        if not m:
+            return self.size - 1
+        return self.first[lead, self.l - lead - m] + value
+
+    def parse(self, s: str) -> tuple[int, int, int]:
+        """(leading delimiters, value of the symbols, trailing delimiters) of
+        `s`, a shingle or any shorter string of that form; a string of
+        delimiters only counts them as leading."""
+        core = s.lstrip(self.delimiter)
+        symbols = core.rstrip(self.delimiter)
+        value = 0
+        try:
+            for ch in symbols:
+                value = value * self.symbols + self.digits[ch]
+        except KeyError as exc:
+            raise InvalidSymbolError(f"symbol {exc.args[0]!r} not in alphabet") from None
+        return len(s) - len(core), value, len(core) - len(symbols)
+
+    def code(self, shingle: str) -> int:
+        """The code of a length-l shingle, read from its characters."""
+        if len(shingle) != self.l:
+            raise InvalidParameterError(f"shingle {shingle!r} does not have length l={self.l}")
+        lead, value, trail = self.parse(shingle)
+        return self.window(lead, self.l - lead - trail, value)
+
+
 class ShingleTable:
     """A multiset of length-l shingles, each held under its key.
 
@@ -438,6 +504,37 @@ def _tabled(keys: Sequence[int]) -> tuple[dict[int, int], dict[int, int], list[i
     return first, dict(zip(order, map(tally.__getitem__, order))), order
 
 
+def _window_codes(word: str, space: CodeSpace, codes: array | list) -> array | list:
+    """The codes of the windows of `word` padded for `space`'s l, in
+    `codes`, an empty sequence.
+
+    One rolling pass reads the word's symbols in base |symbols|: after
+    symbol u it holds the value of the up to l symbols that end there, the
+    code of window u when that window is the word's own.  The l - 1 windows
+    at each end are delimiter-padded, and each takes its class's code from
+    the value of the symbols it holds, the last m of those the pass held
+    after its last one."""
+    l, s = space.l, space.symbols
+    n = len(word)
+    top = s ** (l - 1)
+    code = 0
+    for d in map(space.digits.__getitem__, word):
+        code = code % top * s + d
+        codes.append(code)
+
+    def end(t: int) -> int:
+        # window t holds word[a:b] behind max(0, l - 1 - t) delimiters
+        a, b = max(0, t - l + 1), min(n, t + 1)
+        return space.window(max(0, l - 1 - t), b - a, codes[b - 1] % s ** (b - a) if b > a else 0)
+
+    head = codes[:0]
+    head.extend(map(end, range(l - 1)))
+    tail = list(map(end, range(max(n, l - 1), n + l - 1)))
+    codes[: l - 1] = head
+    codes.extend(tail)
+    return codes
+
+
 class ShingledWord:
     """The shingles of one word as integers, from one rolling pass.
 
@@ -445,17 +542,18 @@ class ShingledWord:
     from node i to node i + 1, where node j is the gram `text[j : j + l - 1]`.
 
     * `keys[i]` is the `ShingleTable` key of shingle i;
+    * `codes[i]` is its code in `space`, the word's `CodeSpace`;
     * `nodes[j]` is a dense id of node j, equal ids for equal grams;
     * `table` holds the distinct shingles in canonical order, each at its
       first position, and their keys sorted once, here.
 
-    `nodes` is an `array('q')`, and so is `keys` where every key fits 63
-    bits, (|alphabet| + 1)**l <= 2**63: binary words up to l = 39.  Wider
-    keys are a list.  A session drops each sequence once the last step that
-    reads it is done.
+    `nodes` is an `array('q')`, and so are `keys` and `codes` where every
+    key fits 63 bits, (|alphabet| + 1)**l <= 2**63: binary words up to
+    l = 39.  Wider keys and codes are lists.  A session drops each sequence
+    once the last step that reads it is done.
     """
 
-    __slots__ = ("text", "l", "keys", "nodes", "table")
+    __slots__ = ("text", "l", "keys", "codes", "space", "nodes", "table")
 
     def __init__(self, word: str, l: int, alphabet: Alphabet):
         if l < 2:
@@ -470,7 +568,8 @@ class ShingledWord:
         except KeyError as exc:
             raise InvalidSymbolError(f"symbol {exc.args[0]!r} not in alphabet") from None
         # 8 bytes a position where every key fits a machine word
-        keys = array("q") if base**l <= 1 << 63 else []
+        narrow = base**l <= 1 << 63
+        keys = array("q") if narrow else []
         key = 0
         for r in rank_of:
             key = key % top * base + r
@@ -480,12 +579,16 @@ class ShingledWord:
         # the ranks, and each helper's scratch, go before the next is
         # built, so the pass peaks near what it keeps
         del rank_of
+        space = CodeSpace(alphabet, l)
+        codes = _window_codes(word, space, array("q") if narrow else [])
         nodes = _node_ids(keys, base, top)
         first, counts, order = _tabled(keys)
 
         self.text = text
         self.l = l
         self.keys = keys
+        self.codes = codes
+        self.space = space
         self.nodes = nodes
         self.table = ShingleTable(l, ranks, counts, text, first, order)
 

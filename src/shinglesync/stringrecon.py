@@ -73,12 +73,13 @@ from .shingles import (  # noqa: F401
     ShingledWord,
     ShingleMultiset,
     ShingleTable,
+    code_count,
     is_valid_shingle,
     shingle_sequence,
 )
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 15
+PROTOCOL_VERSION = 16
 
 # the field that caps a hello's l: P61 with points drawn from its top 2**40
 # residues.  No session runs over it: each derives its own, no wider, from
@@ -104,10 +105,11 @@ MAX_K = 8
 
 
 # a session's elements: occurrence occ = 1..2**w of the shingle with
-# `ShingleTable` key `key` is key * 2**w + occ for the session's occurrence
+# `CodeSpace` code `code` is code * 2**w + occ for the session's occurrence
 # width w, the wider of the two words' own (`word_occ_bits`), injective,
-# never 0, and at most base**l * 2**w, below the encoding limit of the
-# session's field (`session_field`)
+# never 0, and at most C * 2**w for the C = `code_count` codes of the
+# session's symbols and l, below the encoding limit of the session's field
+# (`session_field`)
 
 
 def word_occ_bits(table: ShingleTable) -> int:
@@ -131,12 +133,12 @@ def occ_bits_cap(instances: int) -> int:
     return min(DEFAULT_OCC_BITS, (instances - 1).bit_length())
 
 
-def session_field(base: int, l: int, occ_bits: int, instances: int, k: int) -> FieldSpec:
-    """The field of a session at shingle length `l` over `base` ranks (the
-    symbols of both hellos and the delimiter) and occurrence width
-    `occ_bits`, between words of `instances` shingle instances in all, with
-    a session check of `k` values: the smallest prime above E + 2**s, for
-    the largest element E = base**l * 2**occ_bits, with its top 2**s
+def session_field(symbols: int, l: int, occ_bits: int, instances: int, k: int) -> FieldSpec:
+    """The field of a session at shingle length `l` over `symbols` symbols
+    (those of both hellos) and occurrence width `occ_bits`, between words of
+    `instances` shingle instances in all, with a session check of `k`
+    values: the smallest prime above E + 2**s, for the largest element
+    E = C * 2**occ_bits, C = `code_count(symbols, l)`, with its top 2**s
     residues the point range, so every element lies below the points.
 
     The span 2**s is the larger of two, capped at `FIELD`'s 2**40.  The
@@ -145,11 +147,12 @@ def session_field(base: int, l: int, occ_bits: int, instances: int, k: int) -> F
     session check's bound needs: at (2 * instances).bit_length() +
     ceil(CHECK_BITS / k) bits, ((D* + D) / 2**s)**k <= 2**-CHECK_BITS
     (`_session_check`).  Both parties derive it from the hellos, k and the
-    session's occurrence width.  The span is never above the cap, so the prime is never above
-    the one a 2**40 span gives, and at every l the cap allows
+    session's occurrence width.  The span is never above the cap and C never
+    above (symbols + 1)**l, so the prime is never above the one protocol 14
+    took for the keys at a 2**40 span, and at every l the cap allows
     (`ShingleCodec.max_shingle_len` over `FIELD`) and every width up to
     `DEFAULT_OCC_BITS`, the most a peer may state, it is at most P61."""
-    top = base**l << occ_bits
+    top = code_count(symbols, l) << occ_bits
     free = ((1 << top.bit_length()) - top - 1).bit_length() - 1
     floor = (2 * instances).bit_length() + -(-CHECK_BITS // k)
     span = min(FIELD.point_span, 1 << max(free, floor))
@@ -159,24 +162,33 @@ def session_field(base: int, l: int, occ_bits: int, instances: int, k: int) -> F
     return FieldSpec(p, span)
 
 
-def _element(key: int, occ: int, occ_bits: int) -> int:
-    """The element of occurrence `occ` of the shingle `key`."""
-    return (key << occ_bits) + occ
+def _element(code: int, occ: int, occ_bits: int) -> int:
+    """The element of occurrence `occ` of the shingle with code `code`."""
+    return (code << occ_bits) + occ
 
 
-def _elements(table: ShingleTable, occ_bits: int) -> list[int]:
-    """The elements of a table's instances, key after key in canonical order."""
+def _elements(word: ShingledWord, occ_bits: int) -> list[int]:
+    """The elements of a word's instances, shingle after shingle in
+    canonical order, each shingle's code read at its first position."""
+    table = word.table
     order = table.order
     mults = list(map(table.counts.__getitem__, order))
     if mults and max(mults) > 1 << occ_bits:
         raise EncodingCapacityError(f"occurrence {(1 << occ_bits) + 1} exceeds {occ_bits} bits")
-    starts = [(key << occ_bits) + 1 for key in order]  # _element(key, 1, occ_bits)
+    codes = map(word.codes.__getitem__, map(table.where.__getitem__, order))
+    starts = [(code << occ_bits) + 1 for code in codes]  # _element(code, 1, occ_bits)
     return list(itertools.chain.from_iterable(map(range, starts, map(operator.add, starts, mults))))
 
 
-def _root_key(root: int, occ_bits: int) -> int:
-    """The key of the shingle whose instance has the element `root`."""
-    return (root - 1) >> occ_bits
+def _root_keys(word: ShingledWord, roots: list[int], occ_bits: int) -> Counter:
+    """The instances of the word's own elements `roots`, counted by key: each
+    root's code is looked up among the word's codes, not decoded."""
+    wanted = Counter((root - 1) >> occ_bits for root in roots)
+    codes, keys = word.codes, word.keys
+    key_of = {codes[at]: keys[at] for at in itertools.compress(itertools.count(), map(wanted.__contains__, codes))}
+    if len(key_of) != len(wanted):
+        raise InvariantError(f"{len(wanted) - len(key_of)} of the roots are no element of the word")
+    return Counter({key_of[code]: count for code, count in wanted.items()})
 
 
 @dataclass(frozen=True)
@@ -239,8 +251,12 @@ class SessionReport:
     # the degree sum of the residual the walk left, which crosses as
     # coefficients and the initiator answers with runs; 0 on the walk route
     step2_residual: int = 0
-    # the session's occurrence width w: an element is key * 2**w + occ
+    # the session's occurrence width w: an element is code * 2**w + occ
     occ_bits: int = 0
+    # the bit length of the session's largest element, C * 2**w: beside
+    # value_bits it shows whether the elements or the session check's
+    # floor set the prime
+    elem_bits: int = 0
     # the bit length of the session's prime, the width every residue crosses at
     value_bits: int = 0
     # both words at ceil(log2 |symbols|) bits a symbol (at least 1), over the
@@ -290,6 +306,7 @@ class SessionReport:
             "step2_walked",
             "step2_residual",
             "occ_bits",
+            "elem_bits",
             "value_bits",
             "longest_label",
             "raw_bits",
@@ -982,8 +999,9 @@ def _run(
     only_local, only_remote = _reconcile_step(
         wire, role, config, alphabet, local, remote_instances, buckets, report
     )
-    # the word's node ids go after the merge and its keys after step 4,
-    # before step 6 allocates
+    # the word's codes go after step 2, its node ids after the merge and its
+    # keys after step 4, before step 6 allocates
+    del local.codes
 
     # steps 3-4: merge to unique decodability (local work only)
     firsts = merge_until_ud(local)
@@ -1069,8 +1087,8 @@ def _reconcile_step(
     the wider of the two; the session's field follows from it, from both
     words' instance counts and from k (`session_field`).  Every residue is
     mod that field's prime and crosses at its bit length.  Both parties
-    build their elements from their table keys at the session's occurrence
-    width (`_elements`) and hash them into `buckets` buckets, and each
+    build their elements from their shingles' codes at the session's
+    occurrence width (`_elements`) and hash them into `buckets` buckets, and each
     bucket runs its own source
     (initiator) or decoder (responder) over the session's one point stream,
     whose points go to the buckets in bucket order.  The initiator sends
@@ -1114,13 +1132,14 @@ def _reconcile_step(
     # no difference holds more than both words' instances, which both
     # parties know from the hellos
     instances = len(local.keys) + remote_instances
-    codec = ShingleCodec(alphabet, session_field(len(alphabet) + 1, l, occ_bits, instances, config.k), occ_bits)
+    codec = ShingleCodec(alphabet, session_field(len(alphabet), l, occ_bits, instances, config.k), occ_bits)
     p = codec.field.p
     report.occ_bits = occ_bits
+    report.elem_bits = (local.space.size << occ_bits).bit_length()
     report.value_bits = p.bit_length()
     first = -(-min(config.m_hat, instances) // buckets) if config.mode == MODE_FIXED else 0
     points = PointStream(codec.field, config.seed)
-    elements = _elements(local.table, occ_bits)
+    elements = _elements(local, occ_bits)
     parts = partition(elements, buckets, config.seed)
     # the session check's whole-set values, on the same point stream
     whole = RatelessSource.from_elements(elements, codec, points)
@@ -1271,9 +1290,14 @@ def _walk(
     the graph at the node where the responder's own run for that edit
     starts.  So the walk starts from the first node of each run, and from
     a node tries every successor key, `node * base + rank`, at its next
-    occurrence c(key) + found(key) + 1 (`_element`).  It skips a candidate
-    past the 2**occ_bits occurrences or whose bucket (`bucket`) has found
-    its degree's count, keeps one that is a root, and then goes on to the
+    occurrence c(key) + found(key) + 1 (`_element`).  Each node carries
+    beside its key its delimiters and the value of its symbols
+    (`CodeSpace.parse`), so a candidate's code follows from its node's, as
+    value * |symbols| + digit where no delimiter takes part, with no
+    candidate read digit by digit; a symbol after a trailing delimiter is
+    no shingle and is not tried.  It skips a candidate past the
+    2**occ_bits occurrences or whose bucket (`bucket`) has found its
+    degree's count, keeps one that is a root, and then goes on to the
     root's successor node, coming back to the node while it keeps yielding
     roots.  A test is exact, as a polynomial has only its own roots, and
     the walk stops once every bucket has found its degree's count.
@@ -1294,9 +1318,16 @@ def _walk(
     too, and then the responder's first run starts at the node, where the
     walk tries first.  A root both passes miss stays in the residual.
     """
-    table, keys = word.table, word.keys
+    table, keys, space = word.table, word.keys, word.space
     l, base, counts = table.l, table.base, table.counts
     top = base ** (l - 1)
+    s, first, last = space.symbols, space.first, space.size - 1
+    # the delimiter's rank, and each symbol's digit by its rank
+    gap = table.ranks[space.delimiter]
+    digit = [rank - (rank > gap) for rank in range(base)]
+    # the value of l - 1 symbols is below stop, and the delimiter after
+    # them takes the code closing + their value
+    stop, closing = s ** (l - 1), first[0, 1]
     most = 1 << occ_bits
     left = [len(poly) - 1 for poly in polys]
     remaining = sum(left)
@@ -1305,42 +1336,83 @@ def _walk(
     # each walked run as its first node, then the keys of its windows
     paths: list[list[int]] = []
 
-    def node_at(at: int) -> int:
-        """The node window `at` leaves from, or past the last window the
-        node it enters."""
-        return keys[at] // base if at < len(keys) else keys[-1] % top
+    def state_of(lead: int, value: int, trail: int) -> tuple[int, int, int, int, int]:
+        """A node's state: its leading delimiters, the value of its symbols
+        and its trailing delimiters, then the codes of its successors
+        (`CodeSpace.window`): `sym`, to which a symbol's digit d adds, for
+        one more symbol in its class, and `after`, by the delimiter, its
+        class with one more trailing delimiter."""
+        m = l - 1 - lead - trail
+        if not m:
+            # a node of delimiters only counts them as leading
+            return l - 1, 0, 0, first[l - 1, 0], last
+        return lead, value, trail, first[lead, 0] + value * s, first[lead, trail + 1] + value
 
-    def walk_from(starts: list[int]) -> None:
+    def node_at(at: int) -> tuple[int, tuple[int, int, int, int, int]]:
+        """The node window `at` leaves from, or past the last window the
+        node it enters: its key and its state (`state_of`)."""
+        key = keys[at] // base if at < len(keys) else keys[-1] % top
+        return key, state_of(*space.parse(word.text[at : at + l - 1]))
+
+    def entered(state: tuple[int, int, int, int, int], rank: int) -> tuple[int, int, int, int, int]:
+        """The state of the node that the window of rank `rank` from a node
+        in `state` enters: the window's last l - 1 characters."""
+        lead, value, trail = state[:3]
+        m = l - 1 - lead - trail  # the node's symbols
+        if rank == gap:
+            trail += 1
+        else:
+            value, m = value * s + digit[rank], m + 1
+        if lead:
+            return state_of(lead - 1, value, trail)
+        return state_of(0, value % s ** (m - 1), trail)
+
+    def walk_from(starts: list[tuple[int, tuple[int, int, int, int, int]]]) -> None:
         nonlocal remaining
-        # (node, the path whose last window ends at the node, or None)
-        stack: list[tuple[int, int | None]] = [(node, None) for node in reversed(dict.fromkeys(starts))]
+        # (node, its state, the path whose last window ends at the node, or None)
+        stack = [(node, state, None) for node, state in reversed(dict(starts).items())]
         while remaining and stack:
-            node, path = stack.pop()
+            node, state, path = stack.pop()
+            lead, _, trail, sym, after = state
             hits = []
-            for key in range(node * base, node * base + base):
+            for rank in range(base):
+                if rank == gap:
+                    code = after
+                elif trail:
+                    # a symbol after a trailing delimiter: no shingle
+                    continue
+                else:
+                    code = sym + digit[rank]
+                key = node * base + rank
                 occ = counts.get(key, 0) + found.get(key, 0) + 1
                 if occ > most:
                     continue
-                element = _element(key, occ, occ_bits)
+                element = (code << occ_bits) + occ  # _element(code, occ, occ_bits)
                 b = bucket(element)
                 if left[b] and not peval(polys[b], element, p):
                     left[b] -= 1
                     roots[b].append(element)
                     found[key] += 1
-                    hits.append(key)
+                    hits.append((key, code))
             if not hits:
                 continue
             remaining -= len(hits)
             # back to this node once the paths from it are walked
-            stack.append((node, None))
+            stack.append((node, state, None))
             steps = []
-            for key in hits:
+            for key, code in hits:
                 # the first root carries on the path that reached the node
                 if path is None or steps:
                     paths.append([node])
                     path = len(paths) - 1
                 paths[path].append(key)
-                steps.append((key % top, path))
+                if lead or trail or key % base == gap:
+                    steps.append((key % top, entered(state, key % base), path))
+                else:
+                    # a window of symbols only enters the node of its last
+                    # l - 1, and from it the windows of symbols go on
+                    value = code % stop
+                    steps.append((key % top, (0, value, 0, value * s, closing + value), path))
             stack += reversed(steps)
 
     walk_from([node_at(start) for start, _ in spans])
@@ -1405,8 +1477,8 @@ def _own_runs(word: ShingledWord, roots: list[int], occ_bits: int) -> list[str]:
 def _own_spans(word: ShingledWord, roots: list[int], occ_bits: int) -> list[tuple[int, int]]:
     """The first and last position of each run of the word that holds its
     instances with the elements `roots` at occurrence width `occ_bits`,
-    found by their keys (`_root_key`), not decoded."""
-    spans = word.spans(Counter(_root_key(root, occ_bits) for root in roots))
+    found by their keys (`_root_keys`), not decoded."""
+    spans = word.spans(_root_keys(word, roots, occ_bits))
     if sum(end - start + 1 for start, end in spans) != len(roots):
         raise InvariantError(f"the word's runs do not hold its {len(roots)} one-sided instances")
     return spans
@@ -1432,10 +1504,10 @@ def _initiator_only(
 
     Each window is an instance above the responder's own count of its
     shingle and the instances of it the walk found (`walked`, by key),
-    whose element at occurrence width `occ_bits` (`_element`) lands in the
-    bucket `partition` puts it in; every bucket must then hold exactly its
-    polynomial's roots mod `p`: as many instances as its degree, each of
-    them a root.
+    whose element at occurrence width `occ_bits` (`_element`, from the
+    code the window's characters read) lands in the bucket `partition`
+    puts it in; every bucket must then hold exactly its polynomial's roots
+    mod `p`: as many instances as its degree, each of them a root.
     """
     only_remote = _windows(runs, local.l)
     table = local.table
@@ -1445,7 +1517,8 @@ def _initiator_only(
         have = table.counts.get(key, 0) + walked[key]
         if have + mult > 1 << occ_bits:
             raise ProtocolError(f"peer sent occurrence {have + mult} of a shingle, past the encoding range")
-        elements += [_element(key, occ, occ_bits) for occ in range(have + 1, have + mult + 1)]
+        code = local.space.code(shingle)
+        elements += [_element(code, occ, occ_bits) for occ in range(have + 1, have + mult + 1)]
     for b, (part, poly) in enumerate(zip(partition(elements, len(polys), seed), polys)):
         if len(part) != len(poly) - 1:
             raise ProtocolError(

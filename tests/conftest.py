@@ -8,7 +8,7 @@ from shinglesync.alphabet import Alphabet
 from shinglesync.decider import STILL_UD, Reason, Verdict, _Core
 from shinglesync.errors import InvalidParameterError
 from shinglesync.setrecon import ShingleCodec
-from shinglesync.shingles import ShingleMultiset, ShingleTable, noconcat, rank_digits, shingle_sequence
+from shinglesync.shingles import ShingleTable, noconcat, shingle_sequence
 from shinglesync.stringrecon import MAX_K, session_field
 
 words_ab = st.text(alphabet="ab", max_size=16)
@@ -33,19 +33,39 @@ def char_values_loop(elements, points, p):
     return out
 
 
+def shingle_code(shingle, l, symbols, delimiter="$"):
+    """The reference for a shingle's code, read from its string: a shingle
+    is `delimiter * lead + x + delimiter * trail` for a run x of m >= 1
+    symbols, and its classes (lead, m) are listed by m from l down and then
+    by lead, each holding len(symbols)**m codes, so the shingle's code is
+    the sizes of the classes listed before its own, plus x read in base
+    len(symbols) with each symbol's digit its place in sorted order.  The
+    all-delimiter shingle takes the one code after every class."""
+    classes = [(lead, m) for m in range(l, 0, -1) for lead in range(l - m + 1)]
+    core = shingle.lstrip(delimiter)
+    x = core.rstrip(delimiter)
+    if not x:
+        return sum(len(symbols) ** m for _, m in classes)
+    before = classes[: classes.index((len(shingle) - len(core), len(x)))]
+    value = 0
+    for ch in x:
+        value = value * len(symbols) + sorted(symbols).index(ch)
+    return sum(len(symbols) ** m for _, m in before) + value
+
+
 def session_elements(word, l, alphabet, occ_bits):
     """The reference for a session's elements: every (shingle, occurrence)
-    instance of the word's shingling in canonical order, as
-    key * 2**occ_bits + occ, with the key read from the shingle's string
-    digit by digit in `rank_digits`."""
-    ranks = rank_digits(alphabet)
-    out = []
-    for shingle, occ in ShingleMultiset(shingle_sequence(word, l, alphabet.delimiter)).instances():
-        key = 0
-        for ch in shingle:
-            key = key * len(ranks) + ranks[ch]
-        out.append(key * 2**occ_bits + occ)
-    return out
+    instance of the word's padded windows, shingle after shingle by code
+    point and occurrence after occurrence, as code * 2**occ_bits + occ, the
+    code read from the shingle's string (`shingle_code`)."""
+    delimiter = alphabet.delimiter
+    padded = delimiter * (l - 1) + word + delimiter * (l - 1)
+    windows = Counter(padded[i : i + l] for i in range(len(padded) - l + 1))
+    return [
+        shingle_code(shingle, l, alphabet.symbols, delimiter) * 2**occ_bits + occ
+        for shingle in sorted(windows)
+        for occ in range(1, windows[shingle] + 1)
+    ]
 
 
 def session_codec(word_a, word_b, l, k=MAX_K):
@@ -58,7 +78,7 @@ def session_codec(word_a, word_b, l, k=MAX_K):
     largest = max(max(Counter(shingle_sequence(word, l)).values()) for word in (word_a, word_b))
     occ_bits = (largest - 1).bit_length()
     instances = len(word_a) + len(word_b) + 2 * (l - 1)
-    return ShingleCodec(alphabet, session_field(len(alphabet) + 1, l, occ_bits, instances, k), occ_bits)
+    return ShingleCodec(alphabet, session_field(len(alphabet), l, occ_bits, instances, k), occ_bits)
 
 
 class StepCore:

@@ -206,10 +206,12 @@ class TestReconcile:
         assert initiator["step2_checks"] == responder["step2_checks"] == 1
         assert initiator["step2_rejected"] == 0 and responder["step2_rejected"] >= 0
         # no shingle of either word repeats, so the occurrence width is 0;
-        # both derive one prime: the elements, up to 5**2, are far below the
-        # span the check's floor sets for 7 + 6 instances at k = 8, 2**(5 +
-        # 8), so the prime is just above 2**13 and residues cross at 14 bits
+        # both derive one prime: the elements, up to code_count(4, 2) = 25,
+        # in 5 bits, are far below the span the check's floor sets for 7 + 6
+        # instances at k = 8, 2**(5 + 8), so the prime is just above 2**13
+        # and residues cross at 14 bits
         assert initiator["occ_bits"] == responder["occ_bits"] == 0
+        assert initiator["elem_bits"] == responder["elem_bits"] == 5
         assert initiator["value_bits"] == responder["value_bits"] == 14
 
     def test_report_json_states_the_route(self, capsys):
@@ -227,14 +229,15 @@ class TestReconcile:
 
     def test_report_json_states_the_occurrence_width(self, capsys):
         # 'ab' occurs four times in the served word: the session's width is
-        # its 2 bits, stated beside the width of the residues, which the
-        # check's floor for 9 + 7 instances, a span of 2**(6 + 8), sets
+        # its 2 bits, stated beside the width of the largest element,
+        # code_count(2, 2) * 2**2 = 36, and the width of the residues, which
+        # the check's floor for 9 + 7 instances, a span of 2**(6 + 8), sets
         reports = self.json_reports(capsys, "abababab", "ababab", 2)
         for report in reports.values():
             assert report["outcome"] == "ok"
-            assert (report["occ_bits"], report["value_bits"]) == (2, 15)
+            assert (report["occ_bits"], report["elem_bits"], report["value_bits"]) == (2, 6, 15)
             names = list(report)
-            assert names.index("occ_bits") + 1 == names.index("value_bits")
+            assert names.index("occ_bits") + 2 == names.index("elem_bits") + 1 == names.index("value_bits")
 
     def test_default_l_fits_the_encoding(self, capsys, tmp_path):
         # the paper's length for 100 symbols is 10, past the 9 that 26 letters

@@ -110,6 +110,41 @@ def test_powmod_against_pow(rng):
         assert ppowmod(base, e, mod, SMALL_P) == direct
 
 
+def schoolbook_powmod(base, e, mod, p):
+    """The reference for `ppowmod`: square and multiply with schoolbook
+    products and remainders."""
+    result = [1]
+    base = pdivmod(base, mod, p)[1]
+    while e:
+        if e & 1:
+            result = pdivmod(pmul(result, base, p), mod, p)[1]
+        base = pdivmod(pmul(base, base, p), mod, p)[1]
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p", [3, SMALL_P, 2**31 - 1, P61, 2**89 - 1])
+def test_powmod_matches_the_schoolbook_route(p):
+    # moduli of degree 1 to 24, monic or not, and bases of degree at or
+    # above the modulus's as well as below it; exponents from 0 to p
+    rng = random.Random(p)
+    for trial in range(24):
+        n = 1 + trial
+        mod = [rng.randrange(p) for _ in range(n)] + [rng.randrange(1, p)]
+        base = [rng.randrange(p) for _ in range(rng.choice([0, 1, 2, n, n + 1, 2 * n + 3]))]
+        for e in (0, 1, 2, rng.randrange(3, 10**4), (p - 1) // 2, p):
+            assert ppowmod(base, e, mod, p) == schoolbook_powmod(base, e, mod, p), (trial, e)
+
+
+def test_powmod_by_a_constant_modulus():
+    # everything is 0 mod a constant, but the empty power is 1, as in the
+    # schoolbook route
+    for e in (0, 1, 5):
+        assert ppowmod([3, 1], e, [7], SMALL_P) == schoolbook_powmod([3, 1], e, [7], SMALL_P)
+    with pytest.raises(ZeroDivisionError):
+        ppowmod([3, 1], 2, [], SMALL_P)
+
+
 def test_newton_interpolation_reproduces_values(rng):
     interp = NewtonInterpolator(SMALL_P)
     pts = rng.sample(range(SMALL_P), 12)
@@ -154,6 +189,22 @@ class TestRoots:
 
     def test_constant_poly_has_no_roots(self, rng):
         assert find_roots([4], SMALL_P, rng) == []
+
+    @pytest.mark.parametrize("p", [P61, 2**31 - 1, 998244353])
+    def test_low_degrees_and_repeated_roots(self, p, rng):
+        # p % 4 == 3 for the first two and 1 for the third, which takes the
+        # square root's longer route: linear and quadratic factors are
+        # solved directly, and a repeated root or an irreducible quadratic
+        # factor means the polynomial does not split into distinct roots
+        for degree in range(1, 7):
+            roots = sorted(rng.sample(range(p), degree))
+            assert find_roots(poly_from_roots(roots, p), p, rng) == roots
+            assert find_roots(poly_from_roots(roots + roots[:1], p), p, rng) is None
+        nonresidue = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        irreducible = [(-nonresidue) % p, 0, 1]  # Z**2 - c
+        assert find_roots(irreducible, p, rng) is None
+        assert find_roots(pmul(poly_from_roots([5, 9], p), irreducible, p), p, rng) is None
+        assert find_roots(pscale(poly_from_roots([5, 9], p), 3, p), p, rng) == [5, 9]
 
 
 class TestLinearSolve:

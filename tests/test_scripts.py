@@ -28,12 +28,13 @@ def test_recon_demo_fixed_session():
     # the session check's k = 8; no bucket holds more than 3 one-sided
     # instances, so the bundle covers them all and no round tops one up.
     # No shingle occurs more than twice: 1 occurrence bit, and elements up
-    # to 3**12 * 2, whose 21 bits leave a span of 2**19, as wide as the
-    # check's floor for 267 + 268 instances at k = 8, 11 + 8 bits
+    # to code_count(2, 12) * 2, in 15 bits, so the check's floor for 267 +
+    # 268 instances at k = 8, 11 + 8 bits, sets a span of 2**19 and puts the
+    # prime in 20
     lines = run_script("recon_demo.py", "--n", "256", "--alphas", "1", "--mode", "fixed", "--m-hat", "64")
     assert lines[0] == "# alpha=1"
     for line in ("role=initiator", "outcome=ok", "mode=fixed", "n_local=256", "step2_pairs=72",
-                 "step2_buckets=16", "step2_rounds=0", "step2_checks=1", "occ_bits=1", "value_bits=21"):
+                 "step2_buckets=16", "step2_rounds=0", "step2_checks=1", "occ_bits=1", "elem_bits=15", "value_bits=20"):
         assert line in lines
     # the route only the responder takes, beside the initiator's report,
     # which reads 0 for both: the walk found the initiator's 9 one-sided
@@ -61,10 +62,10 @@ def test_recon_demo_takes_the_shingle_length():
     fields = dict(line.split("=", 1) for line in lines if "=" in line)
     assert fields["l"] == "9" and fields["outcome"] == "ok"
     # binary words of 256 symbols at l = 9, where no shingle occurs more
-    # than twice: the elements, up to 3**9 * 2, take 16 bits, and the
-    # check's floor for 264 + 265 instances at k = 8, a span of 2**(11 + 8),
-    # puts the prime in 20
-    assert fields["occ_bits"] == "1" and fields["value_bits"] == "20"
+    # than twice: the elements, up to code_count(2, 9) * 2, take 12 bits,
+    # and the check's floor for 264 + 265 instances at k = 8, a span of
+    # 2**(11 + 8), puts the prime in 20
+    assert fields["occ_bits"] == "1" and fields["elem_bits"] == "12" and fields["value_bits"] == "20"
     assert "l=12" in run_script("recon_demo.py", "--n", "256", "--alphas", "1")
 
 

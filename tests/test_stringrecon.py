@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -38,6 +39,7 @@ from shinglesync.errors import (
     EncodingCapacityError,
     InvalidParameterError,
     InvalidSymbolError,
+    InvariantError,
     ProtocolError,
     SessionAbortError,
     ShingleSyncError,
@@ -45,6 +47,7 @@ from shinglesync.errors import (
 )
 from shinglesync.field import P61, FieldSpec, is_probable_prime
 from shinglesync.setrecon import EvalBundle, RatelessDecoder, RatelessSource, ShingleCodec, partition
+from shinglesync.shingles import CodeSpace, code_count
 from shinglesync.stringrecon import (
     _CONFIG,
     FIELD,
@@ -85,6 +88,7 @@ from conftest import (
     reference_moved,
     session_codec,
     session_elements,
+    shingle_code,
     span_labels,
 )
 
@@ -411,9 +415,9 @@ def value_block_bytes(count, p):
     return (p.bit_length() * count + 7) // 8
 
 
-# the prime of a binary session at l = 18 between 4096-symbol words at the
-# widest occurrence width they allow, whose residues cross at 42 bits
-P42 = session_field(3, 18, 13, 2 * (4096 + 17), MAX_K).p
+# the prime of a binary session at l = 26 between 4096-symbol words at
+# occurrence width 13, the widest they allow, whose residues cross at 42 bits
+P42 = session_field(2, 26, 13, 2 * (4096 + 25), MAX_K).p
 # the multiset of "0110" at l = 2 over '$', '0' and '1': '$0', '01', '11',
 # '10' and '0$' once each, the initiator's table in the hand-off codec tests
 TABLE_01 = ShingledWord("0110", 2, Alphabet("01")).table
@@ -540,7 +544,7 @@ class TestWireCodecs:
     def test_value_blocks_hold_residues_only(self):
         # every value from p to the top of its width is refused, in each
         # frame that carries residues, mod P61 and mod derived primes
-        for p in (P61, P42, session_field(5, 2, 3, 12, MAX_K).p):
+        for p in (P61, P42, session_field(4, 2, 3, 12, MAX_K).p):
             width = p.bit_length()
             for value in (p, p + 1, 2**width - 1):
                 block = _pack_block([7, value], width)
@@ -694,7 +698,7 @@ class TestWireCodecs:
     @staticmethod
     def refuses_version(version):
         hello = bytearray(hello_for(ReconConfig(l=7, seed=1), "ab").payload)
-        assert hello[0] == PROTOCOL_VERSION == 15
+        assert hello[0] == PROTOCOL_VERSION == 16
         hello[0] = version
         with pytest.raises(ProtocolError, match=f"unsupported protocol version {version}"):
             decode_hello(bytes(hello))
@@ -728,6 +732,12 @@ class TestWireCodecs:
         # version 14 drew its points from a 2**40 span at every size, so its
         # residues were wider and its points other than these
         self.refuses_version(14)
+
+    def test_hello_of_protocol_version_15_is_refused(self):
+        # version 15 read every element's shingle in base |symbols| + 1, a
+        # digit for the delimiter in every character, so its fields were
+        # wider and its elements other than these
+        self.refuses_version(15)
 
     def test_hello_symbols_must_be_utf8(self):
         payload = encode_hello(ReconConfig(l=7, seed=1), 2, "ab")
@@ -1357,12 +1367,12 @@ class TestStep2Evaluation:
         check = slice(buckets * first, None)
         assert values[check] == char_values_loop(elements, points[check], p)
         # no shingle of either word occurs more than twice: elements at 1
-        # occurrence bit, 3**12 * 2 of them, in 21 bits; at k = 8 the check's
-        # floor, 12 + 8 bits, sets a span of 2**20, and residues cross at 22
-        # bits
-        assert (codec.occ_bits, codec.field.point_span, p.bit_length()) == (1, 2**20, 22)
+        # occurrence bit, code_count(2, 12) * 2 = 32,714 of them, in 15 bits;
+        # at k = 8 the check's floor, 12 + 8 bits, sets a span of 2**20, and
+        # residues cross at 21 bits
+        assert (codec.occ_bits, codec.field.point_span, p.bit_length()) == (1, 2**20, 21)
         assert hashlib.sha256(payload).hexdigest() == (
-            "bc74d5b03647b63b51e0b243403a377a500bcf23deb803289ac62a1dc155bc2f"
+            "0e117af5dcc1e760641d27b00761d8bf60b157bfc884f7996aa3fbde0b3a1a27"
         )
 
 
@@ -1465,13 +1475,58 @@ class TestPartitionedStep2:
 
 
 class TestSessionElements:
-    """A session's elements, `key * 2**w + occ`, against the reference
+    """A session's elements, `code * 2**w + occ`, against the reference
     built from the shingles' strings, and the field both parties derive
     for them."""
 
+    # symbol sets whose ranks put the delimiter '$' first ('a' and up),
+    # between symbols ('!' and '#' below it, '~' above) and last
+    SYMBOL_SETS = ["a", "01", "abc", "!~", "!#~", "!#"]
+
+    @staticmethod
+    def every_shingle(symbols, l):
+        """Every length-l shingle over `symbols`: `$**lead + x + $**trail`
+        for each run x of m >= 1 symbols, and the all-delimiter shingle."""
+        yield "$" * l
+        for m in range(1, l + 1):
+            for lead in range(l - m + 1):
+                for x in itertools.product(symbols, repeat=m):
+                    yield "$" * lead + "".join(x) + "$" * (l - m - lead)
+
+    @pytest.mark.parametrize("symbols", SYMBOL_SETS)
+    def test_codes_are_exact_injective_and_in_range(self, symbols):
+        # every shingle of l = 2..6, the empty word's all-delimiter one
+        # included, takes the reference's code, no two the same, and the
+        # codes fill [0, code_count) exactly
+        alphabet = Alphabet(symbols)
+        for l in range(2, 7):
+            space = CodeSpace(alphabet, l)
+            codes = {}
+            for shingle in self.every_shingle(symbols, l):
+                code = space.code(shingle)
+                assert code == shingle_code(shingle, l, symbols)
+                assert codes.setdefault(code, shingle) == shingle
+            assert sorted(codes) == list(range(space.size))
+            assert space.size == code_count(len(symbols), l) <= (len(symbols) + 1) ** l
+            # a shingle without a delimiter is coded by its value alone
+            assert space.code(symbols[-1] * l) == len(symbols) ** l - 1
+            assert space.code("$" * l) == space.size - 1
+            assert ShingledWord("", l, alphabet).codes.tolist() == [space.size - 1] * (l - 1)
+
+    @pytest.mark.parametrize("symbols", SYMBOL_SETS)
+    def test_rolling_codes_match_the_windows(self, symbols):
+        # every word of up to 6 symbols, so every mix of the word's ends and
+        # interior, shorter and longer than l
+        alphabet = Alphabet(symbols)
+        for l in range(2, 7):
+            for n in range(7):
+                for word in map("".join, itertools.islice(itertools.product(symbols, repeat=n), 100)):
+                    codes = ShingledWord(word, l, alphabet).codes
+                    assert list(codes) == [shingle_code(s, l, symbols) for s in shingle_sequence(word, l)]
+
     @settings(max_examples=150, deadline=None)
     @given(
-        st.sampled_from(["01", "abc"]).flatmap(
+        st.sampled_from(["01", "abc", "!#~"]).flatmap(
             lambda symbols: st.tuples(st.just(symbols), st.text(alphabet=symbols, max_size=60))
         ),
         st.data(),
@@ -1481,14 +1536,14 @@ class TestSessionElements:
         alphabet = Alphabet(symbols)
         l = data.draw(st.integers(2, ShingleCodec(alphabet, FIELD).max_shingle_len))
         # the word's own width, or any wider one a peer's word sets
-        table = ShingledWord(word, l, alphabet).table
-        occ_bits = data.draw(st.integers(word_occ_bits(table), 16))
-        elements = stringrecon._elements(table, occ_bits)
+        shingled = ShingledWord(word, l, alphabet)
+        occ_bits = data.draw(st.integers(word_occ_bits(shingled.table), 16))
+        elements = stringrecon._elements(shingled, occ_bits)
         assert elements == session_elements(word, l, alphabet, occ_bits)
         assert 0 not in elements and len(set(elements)) == len(elements)
         k = data.draw(st.integers(1, MAX_K))
         instances = 2 * (len(word) + l - 1)
-        assert max(elements) < session_field(len(symbols) + 1, l, occ_bits, instances, k).encoding_limit
+        assert max(elements) < session_field(len(symbols), l, occ_bits, instances, k).encoding_limit
 
     @pytest.mark.parametrize("symbols", ["01", "abc"])
     def test_every_length_up_to_the_cap_stays_in_range(self, symbols):
@@ -1497,47 +1552,56 @@ class TestSessionElements:
         for l in range(2, top + 1):
             # the largest element any word of this length can hold, at the
             # widest occurrence width, fits P61
-            assert (len(symbols) + 1) ** l * 2**16 < FIELD.encoding_limit
-            # the empty word's l - 1 windows are all delimiters, key 0
+            assert code_count(len(symbols), l) * 2**16 < FIELD.encoding_limit
             for word in ("", symbols[-1] * l, symbols * 3 + symbols[0] * l):
-                table = ShingledWord(word, l, alphabet).table
-                occ_bits = word_occ_bits(table)
-                elements = stringrecon._elements(table, occ_bits)
+                shingled = ShingledWord(word, l, alphabet)
+                occ_bits = word_occ_bits(shingled.table)
+                elements = stringrecon._elements(shingled, occ_bits)
                 assert elements == session_elements(word, l, alphabet, occ_bits)
                 assert 0 not in elements and len(set(elements)) == len(elements)
                 for k in (1, MAX_K):
-                    field = session_field(len(symbols) + 1, l, occ_bits, 2 * (len(word) + l - 1), k)
+                    field = session_field(len(symbols), l, occ_bits, 2 * (len(word) + l - 1), k)
                     assert field.p <= FIELD.p
                     assert max(elements) < field.encoding_limit
-        assert stringrecon._elements(ShingledWord("", 3, alphabet).table, 16) == [1, 2]
-        # one past the cap, the largest shingle no longer fits
+        # the empty word's l - 1 windows are all delimiters, the last code
+        last = code_count(len(symbols), 3) - 1
+        assert stringrecon._elements(ShingledWord("", 3, alphabet), 16) == [last * 2**16 + 1, last * 2**16 + 2]
+        # one past the cap, the largest key no longer fits
         assert (len(symbols) + 1) ** (top + 1) * 2**16 >= FIELD.encoding_limit
 
     def test_a_multiplicity_past_the_occurrence_bits_is_refused(self):
         # '00' occurs n - 1 times in a word of n zeros
         alphabet = Alphabet("0")
-        full = ShingledWord("0" * (2**16 + 1), 2, alphabet).table
-        assert word_occ_bits(full) == 16
-        assert max(stringrecon._elements(full, 16)) == full.key("00") * 2**16 + 2**16
-        past = ShingledWord("0" * (2**16 + 2), 2, alphabet).table
-        for refuse in (word_occ_bits, lambda table: stringrecon._elements(table, 16)):
+        full = ShingledWord("0" * (2**16 + 1), 2, alphabet)
+        assert word_occ_bits(full.table) == 16
+        # '$0' and '0$' sort first, then the 2**16 instances of '00', whose
+        # code is 0
+        assert full.space.code("00") == 0
+        assert stringrecon._elements(full, 16)[2:] == list(range(1, 2**16 + 1))
+        past = ShingledWord("0" * (2**16 + 2), 2, alphabet)
+        for refuse in (lambda word: word_occ_bits(word.table), lambda word: stringrecon._elements(word, 16)):
             with pytest.raises(EncodingCapacityError, match="occurrence 65537 exceeds 16 bits"):
                 refuse(past)
         # a word's own width holds every multiplicity it has, and no more
-        short = ShingledWord("0" * 10, 2, alphabet).table
-        assert word_occ_bits(short) == 4
-        assert max(stringrecon._elements(short, 4)) == short.key("00") * 2**4 + 9
+        short = ShingledWord("0" * 10, 2, alphabet)
+        assert word_occ_bits(short.table) == 4
+        assert stringrecon._elements(short, 4)[2:] == list(range(1, 10))
         with pytest.raises(EncodingCapacityError, match="occurrence 9 exceeds 3 bits"):
             stringrecon._elements(short, 3)
 
     def test_root_keys_and_peer_instances_share_the_format(self):
         word = ShingledWord("abcab", 3, Alphabet("abc"))
         table = word.table
+        instances = ShingleMultiset(shingle_sequence("abcab", 3)).instances()
         for occ_bits in (3, 16):
-            elements = stringrecon._elements(table, occ_bits)
-            for (shingle, occ), element in zip(ShingleMultiset(shingle_sequence("abcab", 3)).instances(), elements):
-                assert stringrecon._element(table.key(shingle), occ, occ_bits) == element
-                assert stringrecon._root_key(element, occ_bits) == table.key(shingle)
+            elements = stringrecon._elements(word, occ_bits)
+            for (shingle, occ), element in zip(instances, elements):
+                assert stringrecon._element(word.space.code(shingle), occ, occ_bits) == element
+                assert stringrecon._root_keys(word, [element], occ_bits) == Counter({table.key(shingle): 1})
+            # the roots' keys, counted: every instance of the word
+            assert stringrecon._root_keys(word, elements, occ_bits) == Counter(table.counts)
+        with pytest.raises(InvariantError, match="1 of the roots are no element of the word"):
+            stringrecon._root_keys(word, [word.space.code("ccc") * 8 + 1], 3)
 
     @pytest.mark.parametrize(
         "n_local,n_remote,l,occ_bits",
@@ -1559,50 +1623,63 @@ class TestSessionElements:
             assert word_occ_bits(ShingledWord(word, l, Alphabet("0")).table) <= occ_bits
 
     def test_prime_is_the_smallest_above_the_elements_and_the_points(self):
-        for base in (2, 3, 4, 5, 27):
+        for symbols in (1, 2, 3, 4, 26):
             for l in (2, 3, 5, 8, 13):
                 for occ_bits in (0, 1, 7, 13, 16):
                     for instances in (0, 8226, 2**21):
                         for k in (1, 3, MAX_K):
-                            spec = session_field(base, l, occ_bits, instances, k)
-                            top = base**l * 2**occ_bits
-                            floor = top + 2 ** span_bits(base, l, occ_bits, instances, k)
+                            spec = session_field(symbols, l, occ_bits, instances, k)
+                            top = reference_codes(symbols, l) * 2**occ_bits
+                            floor = top + 2 ** span_bits(symbols, l, occ_bits, instances, k)
                             assert spec.point_span == floor - top and spec.p > floor
                             assert is_probable_prime(spec.p)
                             assert not any(map(is_probable_prime, range(floor + 1, spec.p)))
-                            # the largest element, base**l * 2**w, lies below the points
+                            # the largest element, C * 2**w, lies below the points
                             assert top < spec.encoding_limit
 
-    @pytest.mark.parametrize(
-        "l,occ_bits,bits",
-        [(18, 13, 42), (20, 15, 47), (23, 16, 53), (27, 16, 59),
-         (18, 1, 41), (20, 2, 41), (23, 2, 41), (27, 2, 45)],
-    )
-    def test_widths_of_the_benchmark_cells(self, l, occ_bits, bits):
-        # binary words: two symbols and the delimiter.  At 4096, 16384, 2**16
-        # and 2**20 symbols, the first four are the widest widths their word
-        # lengths allow (`occ_bits_cap`), the last four the widths of words
-        # whose shingles occur at most 2 to 4 times, as random words' do.  At
-        # k <= 2 the session check's floor passes the 2**40 cap, so these are
-        # protocol 14's widths, whose span was 2**40 at every k
+    # each cell's id names its l, its width and protocol 14's prime's width
+    CELLS = [(18, 13, 42, 41), (20, 15, 47, 41), (23, 16, 53, 42), (27, 16, 59, 46),
+             (18, 1, 41, 41), (20, 2, 41, 41), (23, 2, 41, 41), (27, 2, 45, 41)]
+
+    @pytest.mark.parametrize("l,occ_bits,v14_bits,bits", CELLS, ids=["-".join(map(str, cell[:3])) for cell in CELLS])
+    def test_widths_of_the_benchmark_cells(self, l, occ_bits, v14_bits, bits):
+        # binary words: two symbols.  At 4096, 16384, 2**16 and 2**20
+        # symbols, the first four are the widest widths their word lengths
+        # allow (`occ_bits_cap`), the last four the widths of words whose
+        # shingles occur at most 2 to 4 times, as random words' do.  At
+        # k <= 2 the session check's floor passes the 2**40 cap, so the span
+        # is protocol 14's 2**40, and the prime the smallest above it and the
+        # elements: at most protocol 14's, whose keys took a digit for the
+        # delimiter
         n = {18: 4096, 20: 16384, 23: 2**16, 27: 2**20}[l]
         for k in (1, 2):
-            assert session_field(3, l, occ_bits, 2 * (n + l - 1), k).p.bit_length() == bits
-        assert protocol14_prime(3, l, occ_bits).bit_length() == bits
+            field = session_field(2, l, occ_bits, 2 * (n + l - 1), k)
+            assert field.point_span == 2**40 and field.p.bit_length() == bits
+        assert protocol14_prime(3, l, occ_bits).bit_length() == v14_bits >= bits
+
+    # each cell's id names its l, width, instances and k and protocol 15's
+    # residue width
+    CELLS_AT_K = [
+        (18, 13, 8226, 8, 42, 34), (20, 15, 32806, 8, 47, 38), (23, 16, 131116, 8, 53, 42),
+        (27, 16, 2097204, 8, 59, 46), (18, 1, 8226, 8, 30, 24), (18, 2, 8226, 8, 31, 24),
+        (20, 1, 32806, 8, 33, 26), (20, 2, 32806, 8, 34, 26), (23, 1, 131116, 8, 38, 28),
+        (23, 2, 131116, 8, 39, 28), (27, 2, 2097204, 8, 45, 32), (18, 2, 8226, 4, 32, 32),
+    ]
 
     @pytest.mark.parametrize(
-        "l,occ_bits,instances,k,bits",
-        [(18, 13, 8226, 8, 42), (20, 15, 32806, 8, 47), (23, 16, 131116, 8, 53), (27, 16, 2097204, 8, 59),
-         (18, 1, 8226, 8, 30), (18, 2, 8226, 8, 31), (20, 1, 32806, 8, 33), (20, 2, 32806, 8, 34),
-         (23, 1, 131116, 8, 38), (23, 2, 131116, 8, 39), (27, 2, 2097204, 8, 45), (18, 2, 8226, 4, 32)],
+        "l,occ_bits,instances,k,v15_bits,bits", CELLS_AT_K, ids=["-".join(map(str, cell[:5])) for cell in CELLS_AT_K]
     )
-    def test_widths_of_the_benchmark_cells_at_k(self, l, occ_bits, instances, k, bits):
+    def test_widths_of_the_benchmark_cells_at_k(self, l, occ_bits, instances, k, v15_bits, bits):
         # the same cells, between two words of n + l - 1 instances each, at
-        # the benchmark's k = 8 and at k = 4.  At the widest widths the
-        # elements fill the 2**40 span's width already; below them the span
-        # is as wide as the elements leave free, until at 2**20 symbols it
-        # reaches the cap
-        assert session_field(3, l, occ_bits, instances, k).p.bit_length() == bits
+        # the benchmark's k = 8 and at k = 4, beside protocol 15's widths,
+        # whose elements took base 3.  At k = 8 the elements of the random
+        # words (1 or 2 occurrence bits) take 21 to 31 bits, below the
+        # check's floor of (2 (N_A + N_B)).bit_length() + 8 bits, so the floor
+        # sets the span and the prime is one bit wider: 24 bits at 4096
+        # symbols, 26 at 16384, 28 at 2**16 and 32 at 2**20
+        v15 = protocol15_prime(l, occ_bits, instances, k)
+        assert v15.bit_length() == v15_bits
+        assert session_field(2, l, occ_bits, instances, k).p.bit_length() == bits <= v15_bits
 
     @pytest.mark.parametrize("symbols", ["0", "01", "abc", "abcdefghij"])
     def test_a_hostile_word_length_cannot_widen_the_field_past_p61(self, symbols):
@@ -1611,10 +1688,9 @@ class TestSessionElements:
         # at most P61, 62 bits, at every k
         occ_bits = occ_bits_cap(2**64 - 1 + 2 - 1)
         assert occ_bits == 16
-        base = len(symbols) + 1
         top = ShingleCodec(Alphabet(symbols), FIELD).max_shingle_len
         for k in range(1, MAX_K + 1):
-            field = session_field(base, top, occ_bits, 2 * (2**64 - 1 + top - 1), k)
+            field = session_field(len(symbols), top, occ_bits, 2 * (2**64 - 1 + top - 1), k)
             assert field.p <= P61 and field.p.bit_length() <= 62
 
     @settings(max_examples=200, deadline=None)
@@ -1626,26 +1702,31 @@ class TestSessionElements:
     )
     def test_no_field_is_wider_than_protocol_14s(self, symbols, data, instances, k):
         # for any hello, k and occurrence width a peer may state, the 2**40
-        # cap keeps the prime at or below the one of protocol 14's fixed span
-        base = len(symbols) + 1
+        # cap, and codes no more than the keys, keep the prime at or below
+        # the one of protocol 14's fixed span over its keys
         l = data.draw(st.integers(2, ShingleCodec(Alphabet(symbols), FIELD).max_shingle_len))
         occ_bits = data.draw(st.integers(0, occ_bits_cap(2**64 - 1 + l - 1)))
-        field = session_field(base, l, occ_bits, instances, k)
-        assert field.p <= protocol14_prime(base, l, occ_bits) <= P61
+        field = session_field(len(symbols), l, occ_bits, instances, k)
+        assert field.p <= protocol14_prime(len(symbols) + 1, l, occ_bits) <= P61
         assert field.point_span <= FIELD.point_span
 
-    def test_a_small_k_at_4096_symbols_keeps_protocol_14s_field(self):
-        # at k <= 2 the check's floor passes the 2**40 cap, so the field is
-        # protocol 14's at every width two 4096-symbol words may state
+    def test_a_small_k_at_4096_symbols_keeps_protocol_14s_span(self):
+        # at k <= 2 the check's floor passes the 2**40 cap, so the span is
+        # protocol 14's at every width two 4096-symbol words may state, and
+        # the prime the smallest above it and the elements
         for occ_bits in range(occ_bits_cap(4096 + 17) + 1):
+            top = reference_codes(2, 18) * 2**occ_bits
             for k in (1, 2):
-                assert session_field(3, 18, occ_bits, 8226, k) == FieldSpec(protocol14_prime(3, 18, occ_bits), 2**40)
+                field = session_field(2, 18, occ_bits, 8226, k)
+                assert field.point_span == 2**40
+                assert field.p > top + 2**40
+                assert not any(map(is_probable_prime, range(top + 2**40 + 1, field.p)))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(2, 27), st.integers(2, 30), st.integers(0, 16), st.integers(0, 2**65), st.integers(1, MAX_K))
-    def test_the_span_never_falls_below_the_checks_floor(self, base, l, occ_bits, instances, k):
-        span = session_field(base, l, occ_bits, instances, k).point_span
-        assert span == 2 ** span_bits(base, l, occ_bits, instances, k)
+    @given(st.integers(1, 26), st.integers(2, 30), st.integers(0, 16), st.integers(0, 2**65), st.integers(1, MAX_K))
+    def test_the_span_never_falls_below_the_checks_floor(self, symbols, l, occ_bits, instances, k):
+        span = session_field(symbols, l, occ_bits, instances, k).point_span
+        assert span == 2 ** span_bits(symbols, l, occ_bits, instances, k)
         if span < 2**40:
             # below the cap, ((D* + D) / span)**k <= 2**-64 for any D* + D up
             # to both words' instances twice
@@ -1673,28 +1754,44 @@ class TestSessionElements:
                     codec = session_codec(wa, wb, l, k)
                     assert rep_a.value_bits == rep_b.value_bits == codec.field.p.bit_length()
                     assert codec.field.point_span == 2 ** span_bits(
-                        len(codec.alphabet) + 1, l, codec.occ_bits, len(wa) + len(wb) + 2 * (l - 1), k
+                        len(codec.alphabet), l, codec.occ_bits, len(wa) + len(wb) + 2 * (l - 1), k
                     )
+
+    @pytest.mark.parametrize(
+        "word_a,word_b,l",
+        [("a" * 5, "a" * 8, 3), ("a" * 8, "a" * 5, 4), ("!#!!#", "!##!#!", 3), ("#!#!!#!", "", 3)],
+        ids=["unary", "unary-shorter-peer", "below-the-delimiter", "below-the-delimiter-empty-peer"],
+    )
+    def test_sessions_over_one_symbol_and_symbols_below_the_delimiter(self, word_a, word_b, l):
+        # a unary pair codes every interior shingle as 0 and differs only in
+        # multiplicities; '!' and '#' both rank below '$', so the delimiter's
+        # rank is last and every symbol's digit its own rank
+        (ra, rep_a), (rb, rep_b) = run_session(word_a, word_b, ReconConfig(l=l, seed=5))
+        assert ra == word_b and rb == word_a
+        codec = session_codec(word_a, word_b, l)
+        assert rep_a.value_bits == rep_b.value_bits == codec.field.p.bit_length()
+        assert rep_a.elem_bits == rep_b.elem_bits == (reference_codes(len(codec.alphabet), l) << codec.occ_bits).bit_length()
 
     def test_both_parties_derive_one_field_from_the_hellos(self, monkeypatch):
         fields = []
         real = stringrecon.session_field
 
-        def spy(base, l, occ_bits, instances, k):
-            field = real(base, l, occ_bits, instances, k)
+        def spy(symbols, l, occ_bits, instances, k):
+            field = real(symbols, l, occ_bits, instances, k)
             fields.append(field)
             return field
 
         monkeypatch.setattr(stringrecon, "session_field", spy)
         (ra, rep_a), (rb, rep_b) = run_session("0110100", "abaaaab", ReconConfig(l=3, seed=4))
         assert ra == "abaaaab" and rb == "0110100"
-        # four symbols and the delimiter; no shingle of the initiator's word
-        # repeats, but 'aaa' of the responder's occurs twice, so the
-        # session's width is the responder's 1 bit.  Both words hold 7 + 2
-        # instances, and at k = 8 the check's floor, 6 + 8 bits, sets the
-        # span above the elements' 250
-        assert fields == [session_field(5, 3, 1, 18, MAX_K)] * 2 == [FieldSpec(16649, 2**14)] * 2
+        # four symbols; no shingle of the initiator's word repeats, but
+        # 'aaa' of the responder's occurs twice, so the session's width is
+        # the responder's 1 bit.  Both words hold 7 + 2 instances, and at
+        # k = 8 the check's floor, 6 + 8 bits, sets the span above the
+        # elements' 109 * 2 = 218
+        assert fields == [session_field(4, 3, 1, 18, MAX_K)] * 2 == [FieldSpec(16603, 2**14)] * 2
         assert rep_a.occ_bits == rep_b.occ_bits == 1
+        assert rep_a.elem_bits == rep_b.elem_bits == 8
         assert rep_a.value_bits == rep_b.value_bits == fields[0].p.bit_length() == 15
 
 
@@ -1707,14 +1804,38 @@ def protocol14_prime(base, l, occ_bits):
     return p
 
 
-def span_bits(base, l, occ_bits, instances, k):
-    """The point span's exponent by the field rule, spelled out: the largest
-    s that keeps base**l * 2**occ_bits + 2**s within the elements' bit
-    length, or the session check's floor, whichever is larger, at most 40."""
-    top = base**l * 2**occ_bits
+def protocol15_prime(l, occ_bits, instances, k):
+    """The prime of protocol 15 for binary words, whose elements read each
+    key in base 3: the smallest above 3**l * 2**occ_bits + 2**s, for the
+    span rule of `span_bits` over those elements."""
+    top = 3**l * 2**occ_bits
+    p = top + 2 ** span_rule(top, instances, k) + 1
+    while not is_probable_prime(p):
+        p += 1
+    return p
+
+
+def reference_codes(symbols, l):
+    """The number of codes of length-l shingles over `symbols` symbols by
+    the reference (`shingle_code`): one past the all-delimiter shingle's,
+    the last."""
+    return shingle_code("$" * l, l, "".join(chr(ord("a") + i) for i in range(symbols))) + 1
+
+
+def span_rule(top, instances, k):
+    """The point span's exponent by the field rule, spelled out, for the
+    largest element `top`: the largest s that keeps top + 2**s within its
+    bit length, or the session check's floor, whichever is larger, at most
+    40."""
     free = max((s for s in range(top.bit_length()) if top + 2**s < 2 ** top.bit_length()), default=-1)
     floor = (2 * instances).bit_length() + math.ceil(64 / k)
     return min(40, max(free, floor))
+
+
+def span_bits(symbols, l, occ_bits, instances, k):
+    """The span's exponent of a session over `symbols` symbols, whose
+    largest element is the reference's code count times 2**occ_bits."""
+    return span_rule(reference_codes(symbols, l) * 2**occ_bits, instances, k)
 
 
 def flip(word, i):
@@ -1744,7 +1865,7 @@ class TestHostileStep2:
 
     # a seed under which "abcab" splits unevenly over its two buckets
     # (`SIZES`), so a hand-off degree can exceed a bucket's instances
-    CONFIG = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=10)
+    CONFIG = ReconConfig(l=2, mode=MODE_RATELESS, k=8, seed=17)
     # two 96-bit words: 108 instances each, so eight buckets
     WIDE = ReconConfig(l=13, mode=MODE_RATELESS, k=8, seed=3)
 
@@ -1790,9 +1911,9 @@ class TestHostileStep2:
         assert codec.field.p == ABC_P
         split = [
             [len(part) for part in partition(session_elements(word, 2, codec.alphabet, codec.occ_bits), 2, seed)]
-            for word, seed in (("abcab", self.CONFIG.seed), ("abcba", 3))
+            for word, seed in (("abcab", self.CONFIG.seed), ("abcba", 40))
         ]
-        # the responder "abcba" holds 1 instance in bucket 0 at seed 3
+        # the responder "abcba" holds 1 instance in bucket 0 at seed 40
         assert split == [self.SIZES, [1, 5]]
 
     @pytest.mark.parametrize(
@@ -2219,7 +2340,7 @@ class TestHostileStep2:
             return real_feed(decoder, point, value, local)
 
         monkeypatch.setattr(RatelessDecoder, "feed", spy)
-        config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=100_000, k=8, seed=3)
+        config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=100_000, k=8, seed=40)
         count = 2 * 6
 
         start = time.perf_counter()
@@ -2338,12 +2459,14 @@ class TestHeavyShingles:
             assert rep_a.value_bits == rep_b.value_bits == codec.field.p.bit_length()
             widths[wa is heavy] = (rep_a.occ_bits, rep_a.value_bits)
         # the run of 1500 ones holds about 1481 instances of the all-ones
-        # shingle: 11 occurrence bits.  Its elements, up to 3**20 * 2**11,
-        # leave room for the 2**40 cap within their 43 bits, while the light
-        # words' elements, up to 3**20, leave a span of 2**29 within 32
-        assert widths[False] == (0, 32)
+        # shingle: 11 occurrence bits.  Its elements, up to
+        # code_count(2, 20) * 2**11, take 33 bits, and the check's floor,
+        # 14 + 8 bits, puts the prime at 34; the light words' elements, up
+        # to code_count(2, 20), take 22 bits, and a floor of 12 + 8 bits
+        # puts it at 23
+        assert widths[False] == (0, 23)
         assert widths[True][0] == 11
-        assert widths[True][1] == session_field(3, l, 11, 2 * (2100 + l - 1), MAX_K).p.bit_length() == 43
+        assert widths[True][1] == session_field(2, l, 11, 2 * (2100 + l - 1), MAX_K).p.bit_length() == 34
 
     @pytest.mark.parametrize("heavy_role", ["initiator", "responder"])
     def test_a_multiplicity_past_2_16_is_refused(self, heavy_role):
@@ -2420,7 +2543,7 @@ def word_pairs(draw):
 # and '1' takes 2.  Each word's 7 instances make two buckets.  No shingle
 # repeats in either word, so the session's occurrence width is 0.
 RUNS_A, RUNS_B = "00101", "00110"
-RUNS_CONFIG = ReconConfig(l=3, mode=MODE_RATELESS, k=8, seed=3)
+RUNS_CONFIG = ReconConfig(l=3, mode=MODE_RATELESS, k=8, seed=8)
 HONEST_RUNS = bytes([0b001_100_00, 0b01_10_01_10, 0b00_00_0000])
 
 
@@ -2566,6 +2689,27 @@ class TestWalk:
         base, l = word.table.base, word.l
         second = sum(end - start + 1 + 4 * l + 1 for start, end in spans)
         return base * (len(spans) + 2 * degrees) + base * second
+
+    @pytest.mark.parametrize("symbols", ["01", "!~", "!#", "!#~x"])
+    def test_edits_at_both_ends_are_walked_at_any_rank_of_the_delimiter(self, symbols):
+        # a substitution at each end makes one-sided windows that hold
+        # delimiters on both sides, and the responder a run at each end to
+        # walk from.  The walk derives their codes from its nodes' classes
+        # and finds them all, with the delimiter ranked first, between the
+        # symbols and last, and leaves no residual
+        rng = random.Random(f"ends:{symbols}")
+
+        def other(ch):
+            return rng.choice(symbols.replace(ch, ""))
+
+        for trial in range(8):
+            wa = "".join(rng.choice(symbols) for _ in range(rng.choice([2, 5, 30, 80])))
+            wb = other(wa[0]) + wa[1:-1] + other(wa[-1])
+            config = ReconConfig(l=rng.randint(3, 6), seed=rng.randrange(2**32))
+            (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
+            assert ra == wb and rb == wa
+            only_a = Counter(shingle_sequence(wa, config.l)) - Counter(shingle_sequence(wb, config.l))
+            assert (rep_b.step2_walked, rep_b.step2_residual) == (sum(only_a.values()), 0)
 
     def test_a_polynomial_without_a_candidate_root_leaves_the_whole_residual(self):
         # the roots p - 1, p - 2 and p - 3 lie in the point range, where no

@@ -37,6 +37,26 @@ changes only the verdict.  `_Core.feed` runs the rules over a batch in one
 loop and stops at the batch's rejection; a push of one symbol is a one-id
 batch.
 
+So an accepted stream has at most 2|Σ| distinct edges, one a parent entry,
+and all but that many of its steps walk an edge already walked: the step
+from p to child[p].  Such a step changes only last_ix, and meets only the
+communicating-parents rule.  `_Core.feed_bytes` takes ids as bytes (an
+alphabet of at most 255 symbols, so 255 marks an empty child entry) and
+splits the batch at its new edges.  A stretch of walked steps is found in C:
+the batch translated through the child table is each step's expected
+symbol, and the first difference from the batch, by XOR as little-endian
+ints, ends the stretch.  The stretch is applied in bulk, each symbol's last
+position from `rfind`.  Along walked edges first_ix, child, the parents,
+on_cycle and the stack stay as they are, and intervals only grow; so if the
+two parents of each symbol the stretch walks into are apart at its end,
+they were apart at every step of it, and one test a symbol at the end
+stands for all of them.  Where the test fails, the stretch replays through
+`feed`, which places the rejection exactly (or accepts, when the intervals
+met only after the symbol's last step).  Each new edge is a one-id `feed`.
+A stretch is 64 symbols after a new edge and doubles up to 64 KiB, so the
+C work a new edge wastes is bounded, and a stream rejected early costs
+little past its intake.
+
 `TokenDecider` runs the same transition system over an interned alphabet of
 length l-1 node grams, where each pushed shingle contributes one edge.
 `merge_until_ud` runs the transition system with undo over a word's node
@@ -90,6 +110,12 @@ class Verdict:
 
 
 STILL_UD = Verdict(True)
+
+# The most symbols whose ids travel as bytes: 255 is the child table's blank.
+BYTE_SLOTS = 255
+# A walked stretch's length after a new edge, and its cap as it doubles.
+FIRST_STRETCH = 64
+LAST_STRETCH = 1 << 16
 
 
 class _Core:
@@ -202,6 +228,80 @@ class _Core:
         self.prev, self.pos = p, pos - 1
         return self._reject(reason, pos)
 
+    def feed_bytes(self, data: bytes) -> Verdict:
+        """`feed` for ids as bytes, in a core of at most `BYTE_SLOTS` slots:
+        walked stretches go in bulk and every other step through `feed` (see
+        the module docstring).  The verdict and the state are `feed`'s."""
+        if not self.verdict.ok or not data:
+            return self.verdict
+        start = 0
+        if self.prev < 0:
+            self.feed(data[:1])  # a lone first visit cannot fail
+            start = 1
+        child = self.child
+        table = bytearray(b"\xff") * 256
+        for p, c in enumerate(child):
+            if c >= 0:
+                table[p] = c
+        n, span = len(data), FIRST_STRETCH
+        while start < n:
+            end = min(start + span, n)
+            # the symbol each step of the stretch takes if it walks its edge
+            if start:
+                expected = data[start - 1 : end - 1].translate(table)
+            else:
+                expected = (bytes((self.prev,)) + data[: end - 1]).translate(table)
+            got = data[start:end]
+            if expected == got:
+                walked = end - start
+            else:
+                diff = int.from_bytes(expected, "little") ^ int.from_bytes(got, "little")
+                walked = ((diff & -diff).bit_length() - 1) >> 3
+            if walked and not self._walk(data, start, start + walked):
+                verdict = self.feed(data[start : start + walked])
+                if not verdict.ok:
+                    return verdict
+            start += walked
+            if start < end:
+                p = self.prev
+                verdict = self.feed(data[start : start + 1])
+                if not verdict.ok:
+                    return verdict
+                table[p] = child[p]
+                start += 1
+                span = FIRST_STRETCH
+            else:
+                span = min(2 * span, LAST_STRETCH)
+        return STILL_UD
+
+    def _walk(self, data: bytes, lo: int, hi: int) -> bool:
+        """Apply `data[lo:hi]`, a stretch of walked edges from `prev`, in
+        bulk, or change nothing and return False if its end test finds two
+        parents' intervals that meet."""
+        first_ix, last_ix, child = self.first_ix, self.last_ix, self.child
+        parent0, parent1 = self.parent0, self.parent1
+        base = self.pos + 1 - lo  # the 1-based position of data[i] is base + i
+        # the stretch follows child entries from prev, so the symbols it
+        # holds are the first ones of that walk, at most one a slot
+        saved = {}
+        c = self.prev
+        for _ in range(min(hi - lo, len(child))):
+            c = child[c]
+            if c in saved:
+                break
+            saved[c] = last_ix[c]
+            last_ix[c] = base + data.rfind(c, lo, hi)
+        for c in saved:
+            b = parent1[c]
+            if b >= 0:
+                a = parent0[c]
+                if not (last_ix[a] < first_ix[b] or last_ix[b] < first_ix[a]):
+                    for c, last in saved.items():
+                        last_ix[c] = last
+                    return False
+        self.prev, self.pos = data[hi - 1], base + hi - 1
+        return True
+
     def _reject(self, reason: Reason, pos: int) -> Verdict:
         """The one writer of a rejection."""
         self.verdict = Verdict(False, reason, pos)
@@ -209,11 +309,25 @@ class _Core:
 
 
 class UdDecider:
-    """Character-level decider over a fixed alphabet."""
+    """Character-level decider over a fixed alphabet.
+
+    An alphabet of at most `BYTE_SLOTS` symbols takes the bulk route: every
+    batch is checked and turned into id bytes in C, then fed to
+    `_Core.feed_bytes`.  A larger one feeds `_Core.feed` with id lists.
+    """
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
         self._core = _Core(len(alphabet))
+        if len(alphabet) <= BYTE_SLOTS:
+            # each latin-1 character's id, 255 for one outside the alphabet
+            self._char_ids = bytearray(b"\xff") * 256
+            for i, s in enumerate(alphabet):
+                if ord(s) < 256:
+                    self._char_ids[ord(s)] = i
+            self._valid = bytes(range(len(alphabet)))
+        else:
+            self._char_ids = None
 
     @property
     def verdict(self) -> Verdict:
@@ -230,25 +344,51 @@ class UdDecider:
         return self._core.step(self.alphabet.index(char))
 
     def feed(self, word: str) -> Verdict:
-        """Push a whole word as one batch, which stops at its rejection."""
-        return self._core.feed(self.alphabet.encode(word))
+        """Push a whole word as one batch, which stops at its rejection; a
+        word holding a foreign symbol raises, naming it, before any state
+        changes."""
+        if self._char_ids is None:
+            return self._core.feed(self.alphabet.encode(word))
+        try:
+            data = word.encode("latin-1").translate(self._char_ids)
+        except UnicodeEncodeError:
+            # a character past U+00FF: the alphabet's own lookup names a
+            # foreign one, or maps one of its own
+            data = bytes(self.alphabet.encode(word))
+        bad = data.find(255)
+        if bad >= 0:
+            raise InvalidSymbolError(f"symbol {word[bad]!r} not in alphabet")
+        return self._core.feed_bytes(data)
 
     def feed_ids(self, ids: list[int]) -> Verdict:
         """Push a batch of symbol ids; a batch holding an id outside the
         alphabet raises before any state changes."""
-        if ids:
-            low, high = min(ids), max(ids)
-            if low < 0 or high >= len(self.alphabet):
-                bad = low if low < 0 else high
-                raise InvalidSymbolError(f"symbol id {bad} not in an alphabet of {len(self.alphabet)}")
-        return self._core.feed(ids)
+        size = len(self.alphabet)
+        if self._char_ids is None:
+            if ids:
+                low, high = min(ids), max(ids)
+                if low < 0 or high >= size:
+                    bad = low if low < 0 else high
+                    raise InvalidSymbolError(f"symbol id {bad} not in an alphabet of {size}")
+            return self._core.feed(ids)
+        # bytes() refuses anything but ints in 0..255 (a lone int it would
+        # read as a length), and deleting the alphabet's ids leaves those of
+        # |alphabet| or more
+        try:
+            data = None if isinstance(ids, int) else bytes(ids)
+        except (TypeError, ValueError):
+            data = None
+        if data is None or data.translate(None, self._valid):
+            bad = next(i for i in ids if i not in range(size))
+            raise InvalidSymbolError(f"symbol id {bad!r} not in an alphabet of {size}")
+        return self._core.feed_bytes(data)
 
 
 def is_ud(word: str, alphabet: Alphabet | None = None) -> bool:
     """True iff `word` is uniquely decodable from its length-2 windows."""
     if alphabet is None:
         alphabet = Alphabet.from_text(word)
-    return _Core(len(alphabet)).feed(alphabet.encode(word)).ok
+    return UdDecider(alphabet).feed(word).ok
 
 
 class TokenDecider:

@@ -6,9 +6,10 @@ import time
 
 import pytest
 
-from shinglesync import ReconConfig, interior_qgrams
+from shinglesync import Alphabet, ReconConfig, interior_qgrams
 from shinglesync import cli
 from shinglesync.cli import main
+from shinglesync.decider import _Core
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +59,23 @@ class TestCheck:
     def test_explicit_alphabet_keeps_the_verdict_at_q3(self, capsys, word, expected):
         assert run_cli(capsys, "check", word, "--q", "3") == expected
         assert run_cli(capsys, "check", word, "--q", "3", "--alphabet", "abcdknt") == expected
+
+    # "\x01" is a code point below the alphabet's size, "é" a latin-1 byte
+    # and "λ" past U+00FF
+    @pytest.mark.parametrize("foreign", ["\x01", "é", "λ"])
+    def test_a_foreign_symbol_is_named(self, capsys, foreign):
+        code = main(["check", "ab" + foreign + "a", "--alphabet", "ab"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: symbol {foreign!r} not in alphabet\n"
+
+    def test_verdicts_and_exit_codes_match_the_rule_loop(self, capsys):
+        rng = random.Random(0xC11)
+        for _ in range(200):
+            word = "".join(rng.choice("abcd") for _ in range(rng.randrange(1, 40)))
+            verdict = _Core(4).feed(Alphabet("abcd").encode(word))
+            expected = "UD\n" if verdict.ok else f"NOT-UD {verdict.reason.value} at index {verdict.position}\n"
+            assert run_cli(capsys, "check", word, "--alphabet", "abcd") == (0 if verdict.ok else 1, expected)
 
     def test_foreign_symbol_after_the_rejection_is_refused(self, capsys):
         # the whole word is checked against the alphabet, not only the

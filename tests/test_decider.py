@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -32,7 +33,7 @@ from shinglesync.errors import (
     InvalidTokenError,
 )
 
-from conftest import StepCore, StepTokens, reference_merge, span_labels, words_ab, words_abc
+from conftest import StepCore, StepTokens, reference_merge, span_labels, words_ab, words_abc, words_abcd
 
 
 def push_all(word, alphabet=None):
@@ -90,14 +91,22 @@ class TestCharDecider:
             decider.push("z")
         assert decider.push("b").ok
 
-    @pytest.mark.parametrize("ids", [[0, -1, 0], [0, 2]])
+    @pytest.mark.parametrize("ids", [[0, -1, 0], [0, 2], [0, 256], [0, 1.5]])
     def test_feed_ids_refuses_ids_outside_the_alphabet(self, ids):
-        # -1 would alias "b" and 2 would index past the state: the batch is
-        # refused before any of it is consumed
+        # -1 would alias "b" and 2 would index past the state; -1, 256 and
+        # 1.5 are no byte, and 2 is a byte past the alphabet: the batch is
+        # refused, naming the id, before any of it is consumed
         decider = UdDecider(Alphabet("ab"))
-        with pytest.raises(InvalidSymbolError):
+        with pytest.raises(InvalidSymbolError, match=f"symbol id {ids[1]} not in an alphabet of 2"):
             decider.feed_ids(ids)
         assert core_state(decider._core) == core_state(_Core(2)) and decider.verdict.ok
+
+    def test_feed_ids_takes_no_lone_int(self):
+        # bytes(3) is three zero bytes, not a batch of ids
+        decider = UdDecider(Alphabet("ab"))
+        with pytest.raises(TypeError):
+            decider.feed_ids(3)
+        assert decider._core.pos == 0
 
     def test_rejection_is_absorbing(self):
         decider, verdict = push_all("katana")
@@ -130,6 +139,38 @@ class TestCharDecider:
             b = UdDecider(alphabet)
             b.feed(w)
             assert a.verdict == b.verdict
+
+
+class TestWordIntake:
+    # "\x01" is a code point below the alphabet's size, "é" a latin-1 byte
+    # and "λ" past U+00FF: each is named, and nothing is consumed
+    @pytest.mark.parametrize("foreign", ["\x01", "é", "λ"])
+    def test_feed_and_is_ud_name_a_foreign_symbol(self, foreign):
+        alphabet = Alphabet("ab")
+        decider = UdDecider(alphabet)
+        decider.feed("ab")
+        before = core_state(decider._core)
+        with pytest.raises(InvalidSymbolError, match=re.escape(f"symbol {foreign!r} not in alphabet")):
+            decider.feed("ba" + foreign + "a")
+        assert core_state(decider._core) == before and decider.verdict.ok
+        with pytest.raises(InvalidSymbolError, match=re.escape(f"symbol {foreign!r} not in alphabet")):
+            is_ud("a" + foreign, alphabet)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet="aλbμ", max_size=30))
+    def test_an_alphabet_past_u00ff_still_decides(self, word):
+        alphabet = Alphabet("aλbμ")
+        verdict = UdDecider(alphabet).feed(word)
+        assert verdict == _Core(4).feed(alphabet.encode(word))
+        assert is_ud(word, alphabet) == verdict.ok
+
+    @settings(max_examples=300, deadline=None)
+    @given(words_abcd, st.sampled_from(["abcd", "dcba", "abcdé"]))
+    def test_word_verdicts_match_the_rule_loop(self, word, symbols):
+        alphabet = Alphabet(symbols)
+        verdict = UdDecider(alphabet).feed(word)
+        assert verdict == _Core(len(alphabet)).feed(alphabet.encode(word))
+        assert is_ud(word, alphabet) == verdict.ok
 
 
 class TestOracleEquivalence:
@@ -477,3 +518,102 @@ class TestCoreProperties:
         before = core_state(core)
         assert core.feed(list(range(k)) * 3) == verdict
         assert core_state(core) == before
+
+
+@st.composite
+def byte_batches(draw):
+    """An id count of 1 to 6, and a stream of ids below it cut into batches:
+    a random stream, or a period repeated past the first stretches with a
+    few ids changed."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    symbol = st.integers(min_value=0, max_value=k - 1)
+    if draw(st.booleans()):
+        ids = draw(st.lists(symbol, max_size=200))
+    else:
+        period = draw(st.lists(symbol, min_size=1, max_size=6))
+        ids = (period * 600)[: draw(st.integers(min_value=0, max_value=600))]
+        for at, cid in draw(st.lists(st.tuples(st.integers(min_value=0, max_value=599), symbol), max_size=3)):
+            if at < len(ids):
+                ids[at] = cid
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=len(ids)), max_size=6)))
+    return k, [ids[i:j] for i, j in zip([0, *cuts], [*cuts, len(ids)])]
+
+
+class TestBulkRoute:
+    @settings(max_examples=500, deadline=None)
+    @given(byte_batches())
+    @example((4, [[0, 1], [], [2], [1, 3, 1, 3], [0]]))
+    @example((3, [[0, 1, 2, 1, 2, 0], [1], [0, 1]]))
+    def test_byte_batches_match_the_step_reference(self, case):
+        k, batches = case
+        core, reference = _Core(k), StepCore(k)
+        for batch in batches:
+            verdict = core.feed_bytes(bytes(batch))
+            for cid in batch:
+                reference.step(cid)
+            assert verdict == core.verdict == reference.verdict
+            assert core_state(core) == core_state(reference)
+
+    def test_a_stretch_whose_end_test_fails_rejects_at_the_loops_position(self, monkeypatch):
+        # 0 walks a chain of 50 symbols into 1, whose parents, the chain's
+        # last symbol and 1 itself, overlap once 1 -> 0 closes the loop; the
+        # stretch after that new edge walks the chain and then 1 eleven
+        # times, and its 51st step, at position 105, is the one that fails
+        chain = list(range(2, 52))
+        ids = [0, *chain, 1, 1, 0, *chain] + [1] * 11
+        stretches = []
+        walk = _Core._walk
+
+        def spy(core, data, lo, hi):
+            stretches.append((lo, hi, walk(core, data, lo, hi)))
+            return stretches[-1][-1]
+
+        monkeypatch.setattr(_Core, "_walk", spy)
+        core, reference = _Core(52), _Core(52)
+        verdict = core.feed_bytes(bytes(ids))
+        assert verdict == reference.feed(ids) == Verdict(False, Reason.COMMUNICATING_PARENTS, 105)
+        assert core_state(core) == core_state(reference)
+        assert stretches[-1] == (54, 115, False)
+
+    @pytest.mark.parametrize("size, bulk", [(255, True), (256, False)])
+    def test_the_largest_byte_alphabet_and_the_next(self, monkeypatch, size, bulk):
+        alphabet = Alphabet([chr(i) for i in range(256, 256 + size)])
+        rng = random.Random(size)
+        # the cycle through every symbol stays decodable; a random tail rejects
+        ids = list(range(size)) * 3 + [rng.randrange(size) for _ in range(size)]
+        routes = []
+        feed_bytes = _Core.feed_bytes
+        monkeypatch.setattr(_Core, "feed_bytes", lambda core, data: routes.append(data) or feed_bytes(core, data))
+        decider = UdDecider(alphabet)
+        verdict = decider.feed_ids(ids)
+        reference = _Core(size)
+        assert verdict == reference.feed(ids) and not verdict.ok
+        assert core_state(decider._core) == core_state(reference)
+        word = "".join(alphabet.symbols[i] for i in ids)
+        assert UdDecider(alphabet).feed(word) == verdict
+        assert bool(routes) == bulk
+
+    @pytest.mark.parametrize("sigma", [2, 16, 255])
+    @pytest.mark.parametrize("runs", [True, False])
+    def test_an_accepted_stream_takes_at_most_two_steps_a_symbol_through_the_loop(self, monkeypatch, sigma, runs):
+        # a run of each symbol in turn (2 sigma - 1 distinct edges, as the
+        # benchmark's live stream), or the cycle through all symbols (sigma
+        # edges): each new edge is a single step, and so is the first visit
+        n = 10**5
+        if runs:
+            ids = [s for s in range(sigma) for _ in range(n // sigma)]
+        else:
+            ids = list(range(sigma)) * (n // sigma)
+        # each batch the rule loop takes, by its length
+        steps = []
+        feed = _Core.feed
+
+        def spy(core, batch):
+            batch = list(batch)
+            steps.append(len(batch))
+            return feed(core, batch)
+
+        monkeypatch.setattr(_Core, "feed", spy)
+        decider = UdDecider(Alphabet([chr(256 + i) for i in range(sigma)]))
+        assert decider.feed_ids(ids).ok
+        assert sum(steps) == len(steps) <= 2 * sigma + 1

@@ -94,12 +94,30 @@ from conftest import (
 
 
 def run_session(word_a, word_b, config_a, config_b=None, alpha=None, timeout=120):
+    """Run the initiator on `word_a` and the responder on `word_b`, and
+    return both results; what either raises is raised here.
+
+    Each party closes its endpoint when it returns or raises, as in
+    `scripted_session`, so a party that stops with an error wakes its peer's
+    wait for a frame at once.  Past `timeout` both endpoints are closed.
+    """
     a, b = channel_pair()
+
+    def party(word, endpoint, role, config):
+        try:
+            return run_protocol(word, endpoint, role, config, alpha)
+        finally:
+            endpoint.close()
+
     with ThreadPoolExecutor(2) as pool:
-        fut_a = pool.submit(run_protocol, word_a, a, "initiator", config_a, alpha)
-        fut_b = pool.submit(run_protocol, word_b, b, "responder", config_b or config_a, alpha)
-        res_a = fut_a.result(timeout=timeout)
-        res_b = fut_b.result(timeout=timeout)
+        fut_a = pool.submit(party, word_a, a, "initiator", config_a)
+        fut_b = pool.submit(party, word_b, b, "responder", config_b or config_a)
+        try:
+            res_a = fut_a.result(timeout=timeout)
+            res_b = fut_b.result(timeout=timeout)
+        finally:
+            a.close()
+            b.close()
     return res_a, res_b
 
 
@@ -770,6 +788,24 @@ class TestSessions:
         assert ra == "katna" and rb == "katana"
         assert "tana" in merged_multiset("katana", 2).entries
         assert rep_a.merges_local == 2 and rep_b.merges_remote == 2
+
+    def test_a_party_that_raises_ends_the_session_at_once(self, monkeypatch):
+        # a broken walk names each of its first run's instances twice: the
+        # initiator refuses the hand-off, and its peer, which waits for the
+        # next frame, is woken by the closed channel and not by the
+        # receive timeout
+        walk = stringrecon._walk
+
+        def broken_walk(*args):
+            walked, found, residuals = walk(*args)
+            return walked + walked[:1], found, residuals
+
+        monkeypatch.setattr(stringrecon, "_walk", broken_walk)
+        config = ReconConfig(l=2, mode=MODE_RATELESS, seed=11)
+        start = time.monotonic()
+        with pytest.raises(ProtocolError, match="the peer names 2 instances of"):
+            run_session("katana", "katna", config)
+        assert time.monotonic() - start < 10
 
     def test_empty_vs_nonempty(self):
         config = ReconConfig(l=2, mode=MODE_RATELESS, seed=2)

@@ -364,6 +364,11 @@ class UdDecider:
         """Push a batch of symbol ids; a batch holding an id outside the
         alphabet raises before any state changes."""
         size = len(self.alphabet)
+        if not isinstance(ids, (list, tuple, bytes, bytearray)):
+            # a one-shot iterator would be used up by the first pass over it,
+            # and the refusal below searches it again; a lone int is no batch
+            # and raises TypeError here
+            ids = list(ids)
         if self._char_ids is None:
             if ids:
                 low, high = min(ids), max(ids)
@@ -371,11 +376,10 @@ class UdDecider:
                     bad = low if low < 0 else high
                     raise InvalidSymbolError(f"symbol id {bad} not in an alphabet of {size}")
             return self._core.feed(ids)
-        # bytes() refuses anything but ints in 0..255 (a lone int it would
-        # read as a length), and deleting the alphabet's ids leaves those of
-        # |alphabet| or more
+        # bytes() refuses anything but ints in 0..255, and deleting the
+        # alphabet's ids leaves those of |alphabet| or more
         try:
-            data = None if isinstance(ids, int) else bytes(ids)
+            data = bytes(ids)
         except (TypeError, ValueError):
             data = None
         if data is None or data.translate(None, self._valid):

@@ -211,13 +211,17 @@ def roots_by_candidates(poly: list[int], candidates: list[int], p: int) -> list[
     """Roots of a squarefree polynomial known to lie in `candidates`.
 
     Evaluates at every candidate; returns None unless exactly degree-many
-    distinct roots are found.
+    distinct roots are found.  A monic linear polynomial's one root is read
+    off its constant term and looked up, with no evaluation.
     """
     deg = len(poly) - 1
     if deg < 0:
         return None
     if deg == 0:
         return []
+    if deg == 1 and poly[1] == 1:
+        root = -poly[0] % p
+        return [root] if root in set(candidates) else None
     roots = [e for e in set(candidates) if peval(poly, e, p) == 0]
     if len(roots) != deg:
         return None
@@ -362,15 +366,25 @@ class RatelessDecoder:
         codec: ShingleCodec,
         remote_set_size: int,
         k: int = 8,
+        least: int = 0,
     ) -> "RatelessDecoder":
-        """A decoder whose local side is a list of encoded elements."""
+        """A decoder whose local side is a list of encoded elements.
+
+        `least` is a lower bound on the difference, the instances on one
+        side only: the request ladder starts at the first rung that reaches
+        it, so the first request asks for `least` + k pairs, one more when
+        `least` and the size difference differ in parity (`pairs_wanted`)."""
         decoder = cls.__new__(cls)
-        decoder._start(list(elements), codec, remote_set_size, k)
+        decoder._start(list(elements), codec, remote_set_size, k, least)
         return decoder
 
-    def _start(self, elements: list[int], codec: ShingleCodec, remote_set_size: int, k: int) -> None:
+    def _start(
+        self, elements: list[int], codec: ShingleCodec, remote_set_size: int, k: int, least: int = 0
+    ) -> None:
         if k < 1:
             raise InvalidParameterError("k must be >= 1")
+        if not 0 <= least <= len(elements) + remote_set_size:
+            raise InvalidParameterError(f"a difference of {least} is outside [0, both sides' instances]")
         self.codec = codec
         self.k = k
         self.elements = elements
@@ -380,7 +394,10 @@ class RatelessDecoder:
         self._flip = self.size_diff < 0
         # no true difference exceeds both multisets, so it is found by then
         self.budget = len(self.elements) + remote_set_size + k
-        self._t = 0  # request ladder: instances beyond the forced size difference, per side
+        # request ladder: instances beyond the forced size difference, per
+        # side; a difference has the parity of the size difference, so one
+        # of at least `least` holds at least half of the rest on each side
+        self._t = -(-max(0, least - abs(self.size_diff)) // 2)
         self._interp = RationalInterpolator(codec.field.p, abs(self.size_diff))
         self._interp.add_node(0, 1)
         self.pairs_consumed = 0

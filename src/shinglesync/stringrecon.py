@@ -3,7 +3,9 @@
 Session outline: exchange hello frames (parameters, lengths, observed
 symbols), take the wider of the two words' occurrence widths, which with
 both words' instance counts and k sets the field, reconcile the two initial
-shingle multisets bucket by bucket (a first batch of characteristic values
+shingle multisets bucket by bucket (in rateless mode as few buckets as the
+responder's estimate of the difference, read off the bundle's bucket sizes,
+allows; a first batch of characteristic values
 pre-sized from the bound in fixed mode and empty in rateless mode, then
 values on request until every bucket holds a candidate verified by one
 value, then one session check of k whole-set values, which the first batch
@@ -46,6 +48,7 @@ from .alphabet import DEFAULT_DELIMITER, Alphabet, validate_word
 from .debruijn import DeBruijnGraph
 from .decider import merge_until_ud
 from .errors import (
+    BoundExceededError,
     EncodingCapacityError,
     InvalidParameterError,
     InvariantError,
@@ -79,7 +82,7 @@ from .shingles import (  # noqa: F401
 )
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 16
+PROTOCOL_VERSION = 17
 
 # the field that caps a hello's l: P61 with points drawn from its top 2**40
 # residues.  No session runs over it: each derives its own, no wider, from
@@ -239,7 +242,15 @@ class SessionReport:
     merges_remote: int = 0
     ranks_sent: int = 0  # ranks in the local MERGES frame: one per branch point its chains pass
     step2_pairs: int = 0  # evaluation values that crossed the wire in step 2
-    step2_buckets: int = 0  # hash buckets step 2 split the instances into
+    # the buckets step 2 reconciled, B', and the fine buckets whose sizes
+    # the bundle carries, B: B' = B in fixed mode, and in rateless mode the
+    # responder's choice from its estimate (`coarse_shift`)
+    step2_buckets: int = 0
+    step2_fine_buckets: int = 0
+    # the responder's lower bound on the difference, sum over the fine
+    # buckets of |own size - the initiator's|; the initiator reads it off a
+    # rateless session's first request, and reports 0 in fixed mode
+    step2_estimate: int = 0
     step2_rounds: int = 0  # DELTA_REQ frames, one per round of requested values or session check
     step2_checks: int = 0  # session checks run: each is k whole-set values
     # bucket candidates the responder refused, those taken back after a
@@ -300,6 +311,8 @@ class SessionReport:
             "ranks_sent",
             "step2_pairs",
             "step2_buckets",
+            "step2_fine_buckets",
+            "step2_estimate",
             "step2_rounds",
             "step2_checks",
             "step2_rejected",
@@ -632,6 +645,19 @@ def decode_request(payload: bytes, buckets: int) -> list[int]:
     if not 1 <= width <= MAX_REQUEST_BITS:
         raise ProtocolError(f"pair request width {width} is outside [1, {MAX_REQUEST_BITS}]")
     return _unpack_block(payload[1:], width, buckets, "pair request")
+
+
+def decode_shift(payload: bytes, buckets: int) -> tuple[int, bytes]:
+    """The bucket shift, `shift:u8`, that opens a rateless session's first
+    pair request, and the request after it.  The responder reconciles
+    buckets // 2**shift buckets (`coarse_shift`), so a shift past log2 of
+    the `buckets` fine buckets is refused."""
+    if not payload:
+        raise ProtocolError("first pair request holds no bucket shift")
+    most = buckets.bit_length() - 1
+    if payload[0] > most:
+        raise ProtocolError(f"bucket shift {payload[0]} is past {most}, log2 of the {buckets} fine buckets")
+    return payload[0], payload[1:]
 
 
 def encode_pairs(pairs: list[tuple[int, int]], *, p: int) -> bytes:
@@ -1048,25 +1074,118 @@ def _run(
 
 
 def step2_buckets(local_instances: int, remote_instances: int) -> int:
-    """How many hash buckets step 2 splits the instances into, in either mode.
+    """B, the fine buckets of step 2: how many hash buckets the initiator's
+    bundle states sizes for, in either mode.
 
     Partitioned reconciliation (Minsky & Trachtenberg, "Practical set
     reconciliation", Allerton 2002) runs one decoder per bucket, so a point
     costs about n/B work per side instead of n, and root search scans only
-    the bucket's own elements.  A bucket is verified by one value and the
-    session once, by k whole-set values, so a bucket costs little more than
-    its share of the difference and B grows as the square root of the
-    instance count: B is the largest power of two with
+    the bucket's own elements.  B is the largest power of two with
     B**2 <= 2 * min(local, remote instances), which is 64 at 4096-symbol
     words, 128 at 16384 and 1 below 2 instances.  The factor 2 puts the
     threshold well clear of a power of two, so words of one length do not
     land on both sides of it.  Both parties know both counts from the
     hellos, so B never crosses the wire.
+
+    B sizes the bundle and, with it, the most step-2 work either party does
+    (`_work_cap`).  The buckets step 2 reconciles are B' <= B, which the
+    responder sizes by the difference, from the bundle's sizes and its own
+    (`coarse_shift`).
     """
     buckets = 1
     while (2 * buckets) ** 2 <= 2 * min(local_instances, remote_instances):
         buckets *= 2
     return buckets
+
+
+# the estimated one-sided instances a coarse bucket is sized for
+COARSE_LOAD = 4
+# how many times its part of the estimate plus one a coarse bucket must have
+# room for within the work cap (`coarse_shift`)
+COARSE_MARGIN = 8
+
+
+def coarse_shift(own: list[int], theirs: list[int], k: int) -> int:
+    """log2(B / B') for the B fine buckets that hold `own` of the
+    responder's instances and `theirs` of the initiator's.
+
+    Every bucket costs a verification value and a count in every request,
+    so a bucket that holds no difference is waste.  The estimate, sum over
+    the fine buckets of |own - theirs|, is a lower bound on the difference,
+    close to it when the difference is small against B.  B' is the smallest
+    power of two with B' * `COARSE_LOAD` >= the estimate, capped at B.
+
+    A coarse bucket's value costs each party its whole run of fine buckets,
+    and both parties hold step 2 to the work that protocol v16 allowed at
+    the fine buckets (`_work_cap`).  So B' is doubled until every coarse
+    bucket has room, within its run's share of either party's cap, for
+    `COARSE_MARGIN` times its own part of the estimate plus one, and its k
+    verification values: a run's share is each fine bucket's
+    instances times the values it may take, both words' instances in it
+    and k.  Where the fine buckets are small that room is small, and the
+    estimate, only a lower bound, is least sure where it is large against
+    B: without the margin a few differences more than it shows would pass
+    the cap of an honest session.
+
+    Coarse bucket c joins the fine buckets c * 2**shift up to
+    (c + 1) * 2**shift, as `bucket_of` takes the hash's top bits."""
+    gaps = list(map(abs, map(operator.sub, own, theirs)))
+    coarse = 1
+    while coarse * COARSE_LOAD < sum(gaps) and coarse < len(own):
+        coarse *= 2
+    shift = (len(own) // coarse).bit_length() - 1
+    budgets = [mine + other + k for mine, other in zip(own, theirs)]
+    while shift:
+        wanted = [COARSE_MARGIN * (sum(gap) + 1) + k for gap in _runs(gaps, shift)]
+        if all(
+            need * sum(size) <= sum(map(operator.mul, size, budget))
+            for fine in (own, theirs)
+            for need, size, budget in zip(wanted, _runs(fine, shift), _runs(budgets, shift))
+        ):
+            break
+        shift -= 1
+    return shift
+
+
+def _runs(values: list, shift: int) -> list[list]:
+    """The runs of 2**shift consecutive entries of a fine-bucket list, one
+    per coarse bucket."""
+    width = 1 << shift
+    return [values[at : at + width] for at in range(0, len(values), width)]
+
+
+def _work_cap(sizes: list[int], budgets: list[int], total: int, whole: int, k: int) -> int:
+    """The most step-2 evaluation work, values times the instances they are
+    evaluated over, that protocol v16's budgets allow one party at the fine
+    buckets: bucket values within each bucket's budget (`budgets`, over
+    buckets of `sizes` instances) and `total` in all, the largest buckets
+    served first, plus at most k session checks of k values over the
+    `whole` set.  At the coarse buckets no budget keeps a bucket's values
+    from costing its whole run of fine buckets, so both parties hold step 2
+    to this."""
+    work = k * k * whole
+    for size, budget in sorted(zip(sizes, budgets), reverse=True):
+        take = min(budget, total)
+        work += take * size
+        total -= take
+    return work
+
+
+class _WorkMeter:
+    """Step 2's evaluation work so far, values times the instances each is
+    evaluated over, held to `cap` (`_work_cap`) of `fine` fine buckets: a
+    charge past it raises `error`."""
+
+    def __init__(self, cap: int, fine: int, error: type[Exception], work: int):
+        self.cap, self.fine, self.error, self.work = cap, fine, error, work
+
+    def charge(self, amount: int) -> None:
+        self.work += amount
+        if self.work > self.cap:
+            raise self.error(
+                f"step 2 would take {self.work} element evaluations, "
+                f"past the {self.cap} its {self.fine} fine buckets allow"
+            )
 
 
 def _reconcile_step(
@@ -1088,13 +1207,19 @@ def _reconcile_step(
     words' instance counts and from k (`session_field`).  Every residue is
     mod that field's prime and crosses at its bit length.  Both parties
     build their elements from their shingles' codes at the session's
-    occurrence width (`_elements`) and hash them into `buckets` buckets, and each
-    bucket runs its own source
-    (initiator) or decoder (responder) over the session's one point stream,
-    whose points go to the buckets in bucket order.  The initiator sends
-    characteristic values: a first batch per bucket in its bundle, then
-    whatever the responder requests, one DELTA_REQ holding a count for every
-    bucket.  The mode chooses only the first batch: none in rateless mode,
+    occurrence width (`_elements`) and hash them into `buckets` fine
+    buckets, whose sizes the initiator's bundle carries.  The responder
+    joins runs of fine buckets into as few coarse buckets as its estimate
+    of the difference, the fine buckets' size gaps, allows (`coarse_shift`),
+    and a rateless session's first DELTA_REQ opens with the shift; in fixed
+    mode the bundle's values are the fine buckets' and they stay.  Each
+    bucket runs its own source (initiator) or decoder (responder, its
+    ladder started at the bucket's part of the estimate) over the session's
+    one point stream, whose points go to the buckets in bucket order.  The
+    initiator sends characteristic values: a first batch per bucket in its
+    bundle, then whatever the responder requests, one DELTA_REQ holding a
+    count for every bucket.  The mode chooses only the first batch: none in
+    rateless mode,
     and in fixed mode ceil(min(m_hat, N_A + N_B) / B), a bucket's share of
     the bound, which no difference can pass, so a bucket whose share of the
     difference is larger tops up through the requests.  The bundle also
@@ -1114,6 +1239,10 @@ def _reconcile_step(
     Only when a residual is left does the initiator find its roots among
     its bucket's elements and answer with their instances as runs of its
     own word, which the responder checks against the residuals.
+
+    Both parties hold the values they evaluate, each times its bucket's
+    instances, and the session checks to `_work_cap`, what protocol v16's
+    budgets allowed at the fine buckets.
     """
     l = config.l
     # a stated width may reach what the stating word's instances need, so no
@@ -1137,25 +1266,38 @@ def _reconcile_step(
     report.occ_bits = occ_bits
     report.elem_bits = (local.space.size << occ_bits).bit_length()
     report.value_bits = p.bit_length()
-    first = -(-min(config.m_hat, instances) // buckets) if config.mode == MODE_FIXED else 0
+    rateless = config.mode == MODE_RATELESS
+    first = 0 if rateless else -(-min(config.m_hat, instances) // buckets)
     points = PointStream(codec.field, config.seed)
     elements = _elements(local, occ_bits)
     parts = partition(elements, buckets, config.seed)
     # the session check's whole-set values, on the same point stream
     whole = RatelessSource.from_elements(elements, codec, points)
+    check_work = config.k * len(elements)
     chars = "".join(sorted(local.table.ranks))
-    report.step2_buckets = buckets
+    report.step2_buckets = report.step2_fine_buckets = buckets
     if role == ROLE_INITIATOR:
-        sources = [RatelessSource.from_elements(part, codec, points) for part in parts]
+
+        def budgets(sizes: list[int]) -> tuple[list[int], int]:
+            # the budgets bound what the responder requests beyond the
+            # bundle, which the initiator sized itself and which may
+            # over-serve a bucket done early: no bucket's true difference
+            # needs more pairs than its own instances, every remote instance
+            # and its one verification value, nor one more for each of the
+            # k - 1 failed checks that may reopen it; no session's more than
+            # both totals and B * k
+            return (
+                [size + remote_instances + config.k for size in sizes],
+                sum(sizes) + remote_instances + len(sizes) * config.k,
+            )
+
         sizes = [len(part) for part in parts]
-        # the budgets bound what the responder requests beyond the bundle,
-        # which the initiator sized itself and which may over-serve a bucket
-        # done early: no bucket's true difference needs more pairs than its own
-        # instances, every remote instance and its one verification value, nor
-        # one more for each of the k - 1 failed checks that may reopen it; no
-        # session's more than both totals and B * k
-        bucket_budget = [size + remote_instances + config.k for size in sizes]
-        budget = sum(sizes) + remote_instances + buckets * config.k
+        bucket_budget, budget = budgets(sizes)
+        # a request past it is the peer's
+        meter = _WorkMeter(
+            _work_cap(sizes, bucket_budget, budget, len(elements), config.k), buckets, ProtocolError, check_work
+        )
+        sources = [RatelessSource.from_elements(part, codec, points) for part in parts]
         requested = [0] * buckets
         pairs = [pair for source in sources for pair in source.next_pairs(first)]
         pairs += whole.next_pairs(config.k)
@@ -1163,15 +1305,33 @@ def _reconcile_step(
         bundle = EvalBundle(tuple(z for z, _ in pairs), tuple(v for _, v in pairs), sum(sizes))
         wire.send(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, occ_bits=occ_bits, bucket_sizes=sizes, p=p))
         report.step2_pairs = len(pairs)
+        # in fixed mode no shift crosses: the bundle's values are the fine
+        # buckets', so they stay
+        shift = None if rateless else 0
         while (frame := wire.recv()).kind != FrameKind.DELTA:
             if frame.kind != FrameKind.DELTA_REQ:
                 raise ProtocolError(f"unexpected frame {frame.kind.name} during step 2")
-            counts = decode_request(frame.payload, buckets)
+            payload = frame.payload
+            if shift is None:
+                shift, payload = decode_shift(payload, buckets)
+                if shift:
+                    parts = [list(itertools.chain.from_iterable(run)) for run in _runs(parts, shift)]
+                    sizes = [len(part) for part in parts]
+                    bucket_budget, budget = budgets(sizes)
+                    sources = [RatelessSource.from_elements(part, codec, points) for part in parts]
+                    buckets = report.step2_buckets = len(parts)
+                    requested = [0] * buckets
+            counts = decode_request(payload, buckets)
+            if rateless and not report.step2_rounds:
+                # each bucket's first count is its share of the estimate and
+                # its one verification value (`RatelessDecoder.from_elements`)
+                report.step2_estimate = sum(count - 1 for count in counts if count)
             if not any(counts):
                 # a session check after the bundle's failed
                 if report.step2_checks == config.k:
                     raise ProtocolError(f"the peer asks for more than k = {config.k} session checks")
                 report.step2_checks += 1
+                meter.charge(check_work)
                 pairs = whole.next_pairs(config.k)
             else:
                 for b, count in enumerate(counts):
@@ -1185,6 +1345,7 @@ def _reconcile_step(
                         f"pair request for {sum(counts)} after {sum(requested)} "
                         f"exceeds the budget of {budget}"
                     )
+                meter.charge(sum(map(operator.mul, counts, sizes)))
                 pairs = [pair for source, count in zip(sources, counts) for pair in source.next_pairs(count)]
                 requested = [r + count for r, count in zip(requested, counts)]
             wire.send(FrameKind.EVAL_PAIR, encode_pairs(pairs, p=p))
@@ -1216,7 +1377,30 @@ def _reconcile_step(
             "instances of the announced word"
         )
     report.step2_pairs = len(values)
-    decoders = [RatelessDecoder.from_elements(part, codec, size, k=1) for part, size in zip(parts, sizes)]
+    own_sizes = [len(part) for part in parts]
+    # each fine bucket's size gap bounds its difference from below
+    gaps = list(map(abs, map(operator.sub, own_sizes, sizes)))
+    report.step2_estimate = sum(gaps)
+    # a decoder takes at most its own instances, the initiator's and one
+    # value for each of the k checks that may verify it (`reopen`)
+    decoder_budgets = [mine + theirs + config.k for mine, theirs in zip(own_sizes, sizes)]
+    # the responder stops before it asks for work past it
+    meter = _WorkMeter(
+        _work_cap(own_sizes, decoder_budgets, sum(decoder_budgets), len(elements), config.k),
+        buckets,
+        BoundExceededError,
+        check_work,
+    )
+    shift = coarse_shift(own_sizes, sizes, config.k) if rateless else 0
+    # the shift opens the first request of a rateless session
+    head = bytes([shift]) if rateless else b""
+    if shift:
+        parts = [list(itertools.chain.from_iterable(run)) for run in _runs(parts, shift)]
+        sizes, gaps = ([sum(run) for run in _runs(fine, shift)] for fine in (sizes, gaps))
+        buckets = report.step2_buckets = len(parts)
+    decoders = [
+        RatelessDecoder.from_elements(part, codec, size, k=1, least=gap) for part, size, gap in zip(parts, sizes, gaps)
+    ]
 
     def feed(counts: list[int], values: list[int]) -> None:
         offset = 0
@@ -1226,6 +1410,12 @@ def _reconcile_step(
             decoder.feed_all(zip(points.take(count), values[offset : offset + count]))
             offset += count
 
+    def request(counts: list[int]) -> None:
+        nonlocal head
+        wire.send(FrameKind.DELTA_REQ, head + encode_request(counts))
+        head = b""
+        report.step2_rounds += 1
+
     feed([first] * buckets, values[:bundled])
     # the bundle's check values are at the points after its bucket values'
     own, theirs = whole.next_pairs(config.k), values[bundled:]
@@ -1233,8 +1423,8 @@ def _reconcile_step(
         report.step2_rejected = sum(decoder.rejected for decoder in decoders)
         if all(decoder.result is not None for decoder in decoders):
             if not theirs:
-                wire.send(FrameKind.DELTA_REQ, encode_request([0] * buckets))
-                report.step2_rounds += 1
+                meter.charge(check_work)
+                request([0] * buckets)
                 theirs = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload, config.k, p)
                 report.step2_pairs += len(theirs)
                 own = whole.next_pairs(config.k)
@@ -1248,8 +1438,8 @@ def _reconcile_step(
                 decoder.reopen()
             theirs = []
         counts = [0 if d.result is not None else min(d.pairs_wanted(), MAX_REQUEST) for d in decoders]
-        wire.send(FrameKind.DELTA_REQ, encode_request(counts))
-        report.step2_rounds += 1
+        meter.charge(sum(count * len(decoder.elements) for count, decoder in zip(counts, decoders)))
+        request(counts)
         values = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload, sum(counts), p)
         report.step2_pairs += len(values)
         feed(counts, values)

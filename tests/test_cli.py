@@ -231,6 +231,12 @@ class TestReconcile:
         assert initiator["occ_bits"] == responder["occ_bits"] == 0
         assert initiator["elem_bits"] == responder["elem_bits"] == 5
         assert initiator["value_bits"] == responder["value_bits"] == 14
+        # 6 and 7 instances make two fine buckets, whose sizes differ by 1:
+        # too few instances to join them, and the initiator reads the
+        # estimate off the first request
+        assert initiator["step2_fine_buckets"] == responder["step2_fine_buckets"] == 2
+        assert initiator["step2_buckets"] == responder["step2_buckets"] == 2
+        assert initiator["step2_estimate"] == responder["step2_estimate"] == 1
 
     def test_report_json_states_the_route(self, capsys):
         # katana's run 'tan' leads the responder's walk to the initiator's

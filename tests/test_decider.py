@@ -101,6 +101,15 @@ class TestCharDecider:
             decider.feed_ids(ids)
         assert core_state(decider._core) == core_state(_Core(2)) and decider.verdict.ok
 
+    def test_feed_ids_refuses_a_foreign_id_from_an_iterator(self):
+        # a generator is one pass: the refusal names the id from a copy, not
+        # from the generator the byte conversion used up
+        decider = UdDecider(Alphabet("ab"))
+        with pytest.raises(InvalidSymbolError, match="symbol id 5 not in an alphabet of 2"):
+            decider.feed_ids(iter([0, 5]))
+        assert core_state(decider._core) == core_state(_Core(2)) and decider.verdict.ok
+        assert decider.feed_ids(iter([0, 1, 0])).ok and decider._core.pos == 3
+
     def test_feed_ids_takes_no_lone_int(self):
         # bytes(3) is three zero bytes, not a batch of ids
         decider = UdDecider(Alphabet("ab"))

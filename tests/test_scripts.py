@@ -33,13 +33,17 @@ def test_recon_demo_fixed_session():
     # prime in 20
     lines = run_script("recon_demo.py", "--n", "256", "--alphas", "1", "--mode", "fixed", "--m-hat", "64")
     assert lines[0] == "# alpha=1"
+    # fixed mode reconciles the fine buckets the bundle's values are for
     for line in ("role=initiator", "outcome=ok", "mode=fixed", "n_local=256", "step2_pairs=72",
-                 "step2_buckets=16", "step2_rounds=0", "step2_checks=1", "occ_bits=1", "elem_bits=15", "value_bits=20"):
+                 "step2_buckets=16", "step2_fine_buckets=16", "step2_rounds=0", "step2_checks=1", "occ_bits=1",
+                 "elem_bits=15", "value_bits=20"):
         assert line in lines
     # the route only the responder takes, beside the initiator's report,
-    # which reads 0 for both: the walk found the initiator's 9 one-sided
-    # instances, and no candidate was rejected
-    for line in ("step2_walked=0", "step2_rejected=0", "responder_step2_walked=9", "responder_step2_rejected=0"):
+    # which reads 0 for each: the walk found the initiator's 9 one-sided
+    # instances, no candidate was rejected, and the fine buckets' sizes
+    # differ by 15 in all, which no request carries in fixed mode
+    for line in ("step2_walked=0", "step2_rejected=0", "step2_estimate=0", "responder_step2_walked=9",
+                 "responder_step2_rejected=0", "responder_step2_estimate=15"):
         assert line in lines
     # the bits by frame kind: the bundle is the initiator's, the hand-off the responder's
     assert any(line.startswith("eval_bundle_frame_bits_sent=") and line != "eval_bundle_frame_bits_sent=0"
@@ -66,6 +70,11 @@ def test_recon_demo_takes_the_shingle_length():
     # and the check's floor for 264 + 265 instances at k = 8, a span of
     # 2**(11 + 8), puts the prime in 20
     assert fields["occ_bits"] == "1" and fields["elem_bits"] == "12" and fields["value_bits"] == "20"
+    # a rateless session: the fine buckets' sizes differ by 5 in all, so the
+    # responder joins the 16 fine buckets into 2, and the initiator reads
+    # the estimate off the first request
+    assert (fields["step2_fine_buckets"], fields["step2_buckets"]) == ("16", "2")
+    assert fields["step2_estimate"] == fields["responder_step2_estimate"] == "5"
     assert "l=12" in run_script("recon_demo.py", "--n", "256", "--alphas", "1")
 
 

@@ -337,12 +337,49 @@ class TestPartition:
                 result = decoder.feed(z, v)
         assert (result.only_local, result.only_remote) == true_delta(a, b)
 
+    @pytest.mark.parametrize("least", [0, 3, 7, 8])
+    def test_least_starts_the_ladder_at_the_bound(self, rng, least):
+        # 3 instances on one side only and 5 on the other: a size difference
+        # of 2 and a difference of 8, so any bound up to 8 holds; the first
+        # request reaches the bound (one past an odd gap to the size
+        # difference, as a difference has its parity) and k more, and the
+        # decoder still lands on the difference
+        base = random_multiset(rng, 60)
+        a = base.union(random_multiset(rng, 3, width=5))
+        b = base.union(random_multiset(rng, 5, width=6))
+        elems_a, elems_b = CODEC.encode_multiset(a), CODEC.encode_multiset(b)
+        source = RatelessSource.from_elements(elems_b, CODEC, PointStream(FIELD, 7))
+        decoder = RatelessDecoder.from_elements(elems_a, CODEC, len(elems_b), k=2, least=least)
+        assert decoder.pairs_wanted() == max(2, least + least % 2) + 2
+        result = None
+        while result is None:
+            for z, v in source.next_pairs(decoder.pairs_wanted()):
+                result = decoder.feed(z, v)
+        assert (result.only_local, result.only_remote) == true_delta(a, b)
+
+    @pytest.mark.parametrize("least", [-1, 4])
+    def test_least_past_both_sides_is_refused(self, least):
+        # no difference of a 1-element side and a 2-element side passes 3
+        with pytest.raises(InvalidParameterError):
+            RatelessDecoder.from_elements([1], CODEC, 2, k=1, least=least)
+
     def test_sources_sharing_a_stream_take_its_points_in_turn(self):
         points = PointStream(FIELD, 4)
         first = RatelessSource.from_elements([1, 2], CODEC, points)
         second = RatelessSource.from_elements([3], CODEC, points)
         drawn = [z for z, _ in first.next_pairs(2) + second.next_pairs(3)]
         assert drawn == FIELD.sample_points(4, 5)
+
+
+@pytest.mark.parametrize("roots", [[5], [5, 9], [2, 5, 9]])
+def test_roots_by_candidates_finds_exactly_the_roots(roots):
+    # a root outside the candidates, or a candidate too few, is no answer;
+    # the linear case is read off the constant term, the others evaluated
+    p = 10007
+    poly = poly_from_roots(roots, p)
+    assert roots_by_candidates(poly, [1, *roots, 11], p) == roots
+    assert roots_by_candidates(poly, [1, *roots[1:], 11], p) is None
+    assert roots_by_candidates(poly, roots[1:], p) is None
 
 
 def test_small_field_capacity_error():

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shinglesync import (
@@ -29,6 +29,7 @@ from shinglesync import (
     delimited,
     merge_until_ud,
     random_edits,
+    recommend_shingle_len,
     run_protocol,
     seams_to_records,
     shingle_sequence,
@@ -61,6 +62,7 @@ from shinglesync.stringrecon import (
     _reconcile_step,
     _unpack_block,
     _windows,
+    _work_cap,
     decode_bundle,
     decode_handoff,
     decode_hello,
@@ -77,6 +79,8 @@ from shinglesync.stringrecon import (
     encode_runs,
     occ_bits_cap,
     session_field,
+    coarse_shift,
+    decode_shift,
     step2_buckets,
     word_occ_bits,
 )
@@ -716,7 +720,7 @@ class TestWireCodecs:
     @staticmethod
     def refuses_version(version):
         hello = bytearray(hello_for(ReconConfig(l=7, seed=1), "ab").payload)
-        assert hello[0] == PROTOCOL_VERSION == 16
+        assert hello[0] == PROTOCOL_VERSION == 17
         hello[0] = version
         with pytest.raises(ProtocolError, match=f"unsupported protocol version {version}"):
             decode_hello(bytes(hello))
@@ -756,6 +760,11 @@ class TestWireCodecs:
         # digit for the delimiter in every character, so its fields were
         # wider and its elements other than these
         self.refuses_version(15)
+
+    def test_hello_of_protocol_version_16_is_refused(self):
+        # version 16 reconciled every fine bucket, and its first pair request
+        # held no bucket shift
+        self.refuses_version(16)
 
     def test_hello_symbols_must_be_utf8(self):
         payload = encode_hello(ReconConfig(l=7, seed=1), 2, "ab")
@@ -884,18 +893,22 @@ class TestSessions:
         assert f"step2_pairs={rep_a.step2_pairs}\n" in rep_a.to_text()
 
     def test_zero_difference_rateless_session_sends_k_pairs(self, rng):
-        # one value verifies each bucket, and k values the session: 6
-        # instances make two buckets
+        # the bundle's sizes match, so the estimate is 0 and the fine buckets
+        # join into one, which one value verifies, and k values the session:
+        # 6 instances make two fine buckets
         config = ReconConfig(l=2, mode=MODE_RATELESS, k=6, seed=5)
         (_, rep_a), (_, rep_b) = run_session("hello", "hello", config)
-        assert rep_a.step2_buckets == 2
-        assert rep_a.step2_pairs == rep_b.step2_pairs == 2 + 6
-        # 300 + 12 instances make sixteen buckets
+        assert rep_a.step2_fine_buckets == rep_b.step2_fine_buckets == 2
+        assert rep_a.step2_buckets == rep_b.step2_buckets == 1
+        assert rep_a.step2_estimate == rep_b.step2_estimate == 0
+        assert rep_a.step2_pairs == rep_b.step2_pairs == 1 + 6
+        # 300 + 12 instances make sixteen fine buckets
         word = "".join(rng.choice("01") for _ in range(300))
         config = ReconConfig(l=13, mode=MODE_RATELESS, k=8, seed=5)
         (_, rep_a), (_, rep_b) = run_session(word, word, config)
-        assert rep_a.step2_buckets == rep_b.step2_buckets == 16
-        assert rep_a.step2_pairs == rep_b.step2_pairs == 16 + 8
+        assert rep_a.step2_fine_buckets == rep_b.step2_fine_buckets == 16
+        assert rep_a.step2_buckets == rep_b.step2_buckets == 1
+        assert rep_a.step2_pairs == rep_b.step2_pairs == 1 + 8
         # the check values ride in the bundle: one round asks for the buckets' values
         assert rep_a.step2_rounds == 1 and rep_a.step2_checks == 1
 
@@ -914,15 +927,21 @@ class TestSessions:
         config = ReconConfig(l=13, mode=mode, m_hat=m_hat, k=8, seed=29)
         (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
-        assert rep_a.step2_buckets == rep_b.step2_buckets == 16
+        assert rep_a.step2_fine_buckets == rep_b.step2_fine_buckets == 16
+        # fixed mode reconciles the fine buckets; a rateless responder may
+        # join them, and both parties report what it chose
+        assert rep_a.step2_buckets == rep_b.step2_buckets <= 16
+        assert mode == MODE_RATELESS or rep_a.step2_buckets == 16
+        assert rep_b.step2_estimate > 0
+        assert rep_a.step2_estimate == (0 if mode == MODE_FIXED else rep_b.step2_estimate)
         assert rep_a.step2_rounds == rep_b.step2_rounds == kinds.count(FrameKind.DELTA_REQ)
         assert rep_a.step2_checks == rep_b.step2_checks == 1
         # a rateless bundle holds no bucket values; these fixed first batches
         # of 96 / 16 leave fewer buckets to top up, and the bundle holds the check
         assert rep_a.step2_rounds >= (mode == MODE_RATELESS)
         text = rep_b.to_text()
-        for name in ("step2_buckets", "step2_rounds", "step2_checks", "step2_rejected", "step2_walked",
-                     "step2_residual"):
+        for name in ("step2_buckets", "step2_fine_buckets", "step2_estimate", "step2_rounds", "step2_checks",
+                     "step2_rejected", "step2_walked", "step2_residual"):
             assert f"{name}={getattr(rep_b, name)}\n" in text
 
     @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 96), (MODE_RATELESS, 0)])
@@ -1168,8 +1187,9 @@ class TestSessions:
         header = 40  # length:u32 and kind:u8
         l = 13
         alphabet = Alphabet("01")
-        # 40 + 12 instances make eight buckets; 300 + 12 make sixteen
-        for n, buckets in ((40, 8), (300, 16)):
+        # 40 + 12 instances make eight fine buckets, too small to join, and
+        # 1000 + 12 make 32, which the responder joins
+        for n, fine in ((40, 8), (1000, 32)):
             batches.clear()
             requests.clear()
             walks.clear()
@@ -1178,10 +1198,20 @@ class TestSessions:
             ca, cb = Counter(shingle_sequence(wa, l)), Counter(shingle_sequence(wb, l))
             config = ReconConfig(l=l, mode=MODE_RATELESS, k=8, seed=23)
             (_, rep_a), (_, rep_b) = run_session(wa, wb, config)
-            assert rep_a.step2_buckets == buckets
+            codec = session_codec(wa, wb, l)
+            sizes, own = (
+                [len(part) for part in partition(session_elements(w, l, alphabet, codec.occ_bits), fine, 23)]
+                for w in (wa, wb)
+            )
+            # the responder's estimate is the fine buckets' size gaps, and
+            # the initiator reads it off the first request
+            assert rep_a.step2_estimate == rep_b.step2_estimate == sum(abs(a - b) for a, b in zip(sizes, own))
+            assert rep_a.step2_fine_buckets == rep_b.step2_fine_buckets == fine
+            buckets = fine >> coarse_shift(own, sizes, config.k)
+            assert rep_a.step2_buckets == rep_b.step2_buckets == buckets
+            assert (buckets < fine) == (n > 40)
             # every residue crosses at the bit length of the prime both
             # parties derive from the hellos
-            codec = session_codec(wa, wb, l)
             value_bits = codec.field.p.bit_length()
             assert rep_a.value_bits == rep_b.value_bits == value_bits < 62
             assert f"value_bits={value_bits}\n" in rep_a.to_text()
@@ -1191,7 +1221,6 @@ class TestSessions:
             assert len(batches) == len(requests) == rounds == rep_b.step2_rounds
             # the check in the bundle passes: no request asks for another
             assert [0] * buckets not in requests
-            sizes = [len(part) for part in partition(session_elements(wa, l, alphabet, codec.occ_bits), buckets, 23)]
             # the walk finds every one-sided instance of the initiator's
             (walked,) = walks
             assert _windows(walked, l) == ShingleMultiset(ca - cb)
@@ -1219,18 +1248,19 @@ class TestSessions:
             instances_a = sum(ca.values())
             offset_bits = max(1, (max(sizes) - min(sizes)).bit_length())
             sent_a = (
-                header + 8 + block(1, instances_a.bit_length()) + 8 + block(buckets, offset_bits)
+                header + 8 + block(1, instances_a.bit_length()) + 8 + block(fine, offset_bits)
                 + block(config.k)
                 + sum(header + block(batch) for batch in batches)
             )
-            # responder: its width byte; each request's width byte and counts
-            # at that width; then the walk's total at the bit length of the
+            # responder: its width byte; the shift byte that opens the first
+            # request, each request's width byte and counts at that width;
+            # then the walk's total at the bit length of the
             # initiator's instance count, a residual width byte of 0, the
             # walk's runs, and its own runs
             found = sum((ca - cb).values())
             walk_bits = block(1 + len(walked), found.bit_length()) + block(sum(map(len, walked)), 2)
             sent_b = (
-                header + 8
+                header + 8 + 8
                 + sum(header + 8 + block(buckets, max(1, max(counts).bit_length())) for counts in requests)
                 + header + block(1, instances_a.bit_length()) + 8 + walk_bits
                 + runs_bits(cb, ca, wb)
@@ -1501,13 +1531,123 @@ class TestPartitionedStep2:
         assert delta_a == (only_a, only_b)
         assert delta_b == (only_b, only_a)
         # at most 12 instances per side, so no bucket's rung passes the exact
-        # part of the ladder, and each lands on m_b + 1, its one verification
-        # value; the session check adds k
-        parts_a = partition(session_elements(word_a, 4, codec.alphabet, codec.occ_bits), buckets, seed)
-        parts_b = partition(session_elements(word_b, 4, codec.alphabet, codec.occ_bits), buckets, seed)
+        # part of the ladder, and each bucket the responder reconciles lands
+        # on m_b + 1, its one verification value; the session check adds k
+        coarse = rep_b.step2_buckets
+        assert rep_a.step2_buckets == coarse <= buckets == rep_a.step2_fine_buckets == rep_b.step2_fine_buckets
+        parts_a = partition(session_elements(word_a, 4, codec.alphabet, codec.occ_bits), coarse, seed)
+        parts_b = partition(session_elements(word_b, 4, codec.alphabet, codec.occ_bits), coarse, seed)
         expected = sum(len(set(pa) ^ set(pb)) + 1 for pa, pb in zip(parts_a, parts_b)) + config.k
         assert rep_a.step2_pairs == rep_b.step2_pairs == expected
-        assert rep_a.step2_buckets == rep_b.step2_buckets == buckets
+
+
+class TestCoarseBuckets:
+    """The responder's coarse buckets: B' from its estimate of the
+    difference, the fine buckets' size gaps, and each coarse bucket's
+    ladder started at its own part of that lower bound."""
+
+    def test_coarse_buckets_join_runs_of_fine_buckets(self, rng):
+        # bucket_of takes the hash's top bits, so coarse bucket c holds
+        # exactly the fine buckets c * 2**shift to (c + 1) * 2**shift - 1
+        elements = [rng.randrange(1, 2**40) for _ in range(500)]
+        fine = partition(elements, 32, 9)
+        for shift in range(6):
+            joined = [sorted(itertools.chain.from_iterable(fine[at : at + 2**shift])) for at in range(0, 32, 2**shift)]
+            assert [sorted(part) for part in partition(elements, 32 >> shift, 9)] == joined
+
+    def test_the_estimate_sizes_the_coarse_buckets(self):
+        big = [130] * 128
+        # no size gap: one coarse bucket
+        assert coarse_shift(big, big, 8) == 7
+        # a gap of 9 wants four buckets of at most 4, a gap of 512 or more
+        # keeps all 128
+        assert coarse_shift(big, [131] * 9 + [130] * 119, 8) == 5
+        assert coarse_shift(big, [134] * 128, 8) == 0
+        # a bucket is sized by the gaps, not by the size difference
+        assert coarse_shift(big, [131, 129] * 4 + [130] * 120, 8) == 6
+
+    def test_small_fine_buckets_keep_room_for_the_margin(self):
+        # two instances a side in each of four buckets leave room for
+        # 2 + 2 + k = 12 values a bucket, under the 8 * (0 + 1) + 8 that even
+        # an estimate of 0 must have room for: no bucket joins
+        assert coarse_shift([2] * 4, [2] * 4, 8) == 0
+        # at twice the instances the room is 20, and all four join
+        assert coarse_shift([6] * 4, [6] * 4, 8) == 2
+        # the room is either party's: few instances on the initiator's side
+        # keep it from joining too
+        assert coarse_shift([30] * 4, [1] * 4, 8) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.booleans(),
+        st.text(alphabet="01", min_size=1, max_size=6),
+        st.integers(8, 160),
+        st.integers(0, 4),
+        st.integers(3, 8),
+        st.integers(0, 2**32),
+    )
+    # a unary word with two edits: its 2 one-sided instances cross as the
+    # residual of one coarse bucket out of 16 fine ones
+    @example(True, "0", 150, 2, 4, 1)
+    def test_the_estimate_is_a_lower_bound(self, periodic, period, n, edits, l, seed):
+        # random words, or periodic ones, whose edits may close cycles the
+        # walk never reaches, so that the residual route runs
+        rng = random.Random(seed)
+        wa = (period * n)[:n] if periodic else "".join(rng.choice("01") for _ in range(n))
+        wb = random_edits(wa, edits, rng, "01")
+        config = ReconConfig(l=l, seed=seed)
+        decoders = []
+        real = RatelessDecoder.from_elements.__func__
+
+        def spy(cls, elements, codec, remote_set_size, k=8, least=0):
+            decoders.append((sorted(elements), least))
+            return real(cls, elements, codec, remote_set_size, k, least)
+
+        with mock.patch.object(RatelessDecoder, "from_elements", classmethod(spy)):
+            (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
+        assert ra == wb and rb == wa
+        codec = session_codec(wa, wb, l)
+        elems_a, elems_b = (session_elements(w, l, codec.alphabet, codec.occ_bits) for w in (wa, wb))
+        assert rep_a.step2_estimate == rep_b.step2_estimate <= len(set(elems_a) ^ set(elems_b))
+        coarse = rep_b.step2_buckets
+        assert rep_a.step2_buckets == coarse <= rep_a.step2_fine_buckets == rep_b.step2_fine_buckets
+        parts_a, parts_b = partition(elems_a, coarse, seed), partition(elems_b, coarse, seed)
+        assert [elements for elements, _ in decoders] == [sorted(part) for part in parts_b]
+        for (_, least), part_a, part_b in zip(decoders, parts_a, parts_b):
+            assert least <= len(set(part_a) ^ set(part_b))
+        if (periodic, period, n, edits, l, seed) == (True, "0", 150, 2, 4, 1):
+            assert (coarse, rep_b.step2_fine_buckets, rep_a.step2_residual, rep_b.step2_residual) == (1, 16, 2, 2)
+
+    def test_a_residual_crosses_at_the_coarse_buckets(self):
+        # a unary word one symbol longer: the responder has no run, so the
+        # walk has no start, and the one instance more crosses as the
+        # residual of the single coarse bucket the estimate of 1 asks for
+        (ra, rep_a), (rb, rep_b) = run_session("0" * 301, "0" * 300, ReconConfig(l=3, seed=3))
+        assert ra == "0" * 300 and rb == "0" * 301
+        assert (rep_b.step2_fine_buckets, rep_b.step2_buckets, rep_b.step2_estimate) == (16, 1, 1)
+        assert rep_b.step2_walked == 0 and rep_a.step2_residual == rep_b.step2_residual == 1
+
+    # protocol v16's wire bits for the three sessions below, which
+    # reconciled all 128 fine buckets
+    V16_BITS = (8296, 7856, 7904)
+
+    def test_a_one_edit_session_at_16384_symbols_sends_under_0_7_of_v16(self):
+        # the benchmark's edit-16k cell in size: a random binary word and
+        # one random edit, rateless, at the paper's shingle length
+        n = 16384
+        reports, bits = [], 0
+        for seed in (1, 2, 3):
+            rng = random.Random(f"edit16k-guard:{seed}")
+            wa = "".join(rng.choice("01") for _ in range(n))
+            wb = random_edits(wa, 1, rng, "01")
+            config = ReconConfig(l=recommend_shingle_len(n, 0.6), seed=rng.randrange(1 << 62))
+            (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
+            assert ra == wb and rb == wa
+            assert rep_a.step2_fine_buckets == 128 > rep_a.step2_buckets == rep_b.step2_buckets
+            reports.append(rep_a)
+            bits += sum(sent + received for sent, received in rep_a.bits.values())
+        assert sum(rep.step2_rounds for rep in reports) <= 3 * len(reports)
+        assert bits <= 0.7 * sum(self.V16_BITS)
 
 
 class TestSessionElements:
@@ -1905,15 +2045,17 @@ class TestHostileStep2:
     # two 96-bit words: 108 instances each, so eight buckets
     WIDE = ReconConfig(l=13, mode=MODE_RATELESS, k=8, seed=3)
 
-    def initiator_facing(self, *requests, wide=False, fixed=False, served=None):
+    def initiator_facing(self, *requests, wide=False, fixed=False, served=None, shift=0):
         """The initiator against a responder that sends `requests` as DELTA_REQ
         payloads, checking the values served after each (k for a request of
         all zeros, the session check) and counting them into `served`; a
         request may be a function of the bucket sizes in the initiator's
         bundle.  The words are "abcab" against "abcba" (6 instances each, so
         two buckets), or WIDE_A against WIDE_B (eight buckets) when `wide`.
-        When `fixed`, the session runs in fixed mode with m_hat = 4, so the
-        bundle holds ceil(4 / B) values per bucket."""
+        In rateless mode the first request opens with the bucket shift
+        `shift`, and the rest count the buckets it leaves.  When `fixed`, the
+        session runs in fixed mode with m_hat = 4, so the bundle holds
+        ceil(4 / B) values per bucket, and no shift crosses."""
         config, mine, theirs = (self.WIDE, WIDE_A, WIDE_B) if wide else (self.CONFIG, "abcab", "abcba")
         p = WIDE_P if wide else ABC_P
         instances = len(mine) + config.l - 1
@@ -1929,13 +2071,16 @@ class TestHostileStep2:
             peer.send(hello_for(config, theirs))
             peer.send(width_frame(theirs, config.l))
             sizes, _ = decode_bundle(peer.recv().payload, buckets, first * buckets + config.k, instances, p)
+            head = b"" if fixed or shift is None else bytes([shift])
             for request in requests:
                 payload = request(sizes) if callable(request) else request
-                peer.send(Frame(FrameKind.DELTA_REQ, payload))
+                peer.send(Frame(FrameKind.DELTA_REQ, head + payload))
+                head = b""
                 frame = peer.recv()
                 if frame.kind != FrameKind.EVAL_PAIR:
                     return
-                served.append(decode_pairs(frame.payload, sum(decode_request(payload, buckets)) or config.k, p))
+                count = sum(decode_request(payload, buckets >> (shift or 0)))
+                served.append(decode_pairs(frame.payload, count or config.k, p))
 
         return scripted_session(mine, "initiator", config, script)
 
@@ -2017,6 +2162,81 @@ class TestHostileStep2:
                 fixed=fixed,
             )
             assert isinstance(exc, ProtocolError) and "in bucket 1" in str(exc)
+
+    def test_first_request_shift_is_bounded_by_the_fine_buckets(self):
+        # two fine buckets allow a shift of 1, eight a shift of 3: one more
+        # is refused before any count is read
+        exc = self.initiator_facing(encode_request([1]), shift=2)
+        assert isinstance(exc, ProtocolError) and "bucket shift 2 is past 1" in str(exc), exc
+        exc = self.initiator_facing(encode_request([1]), wide=True, shift=4)
+        assert isinstance(exc, ProtocolError) and "bucket shift 4 is past 3" in str(exc), exc
+        exc = self.initiator_facing(b"", shift=None)
+        assert isinstance(exc, ProtocolError) and "holds no bucket shift" in str(exc), exc
+        # a shift of 1 joins the two buckets: one count asks for values of both
+        served = []
+        exc = self.initiator_facing(encode_request([3]), encode_request([1]), shift=1, served=served)
+        assert [len(values) for values in served] == [3, 1]
+        assert not isinstance(exc, ProtocolError)
+
+    def test_fixed_mode_takes_no_shift(self):
+        # the bundle's values are the fine buckets', so no shift crosses: a
+        # first request that opens with one does not parse
+        for shift in (0, 1):
+            exc = self.initiator_facing(bytes([shift]) + encode_request([1, 0]), fixed=True)
+            assert isinstance(exc, ProtocolError) and "pair request" in str(exc), exc
+
+    def test_requests_at_the_coarse_buckets_stay_within_the_work_cap(self):
+        # one coarse bucket of WIDE_A's 108 instances: each value costs all
+        # of them, so the requests may take only the values that fit the
+        # work protocol v16's budgets allowed at the eight fine buckets,
+        # less the bundle's check, though the coarse budget of 108 + 108 + 8
+        # values allows more
+        def allowed(sizes):
+            cap = _work_cap(sizes, [size + 108 + 8 for size in sizes], 108 + 108 + 8 * 8, 108, 8)
+            return (cap - 8 * 108) // 108
+
+        served = []
+        exc = self.initiator_facing(
+            lambda sizes: encode_request([allowed(sizes)]), encode_request([1]), wide=True, shift=3, served=served
+        )
+        assert isinstance(exc, ProtocolError) and "past the" in str(exc) and "8 fine buckets allow" in str(exc), exc
+        assert len(served) == 1 and len(served[0]) < 108 + 108 + 8
+
+    def test_bundle_sizes_that_hide_the_difference_end_at_the_work_cap(self):
+        # a hostile initiator states the responder's own fine sizes, so the
+        # estimate is 0 and the responder joins all eight buckets into one,
+        # then serves garbage: the responder stops at its work cap, far
+        # below the budget of the one decoder, and the initiator sees ABORT
+        codec = session_codec(WIDE_A, WIDE_B, 13)
+        own = [len(part) for part in partition(session_elements(WIDE_B, 13, codec.alphabet, WIDE_W), 8, 3)]
+        rng = random.Random(5)
+        requested = []
+
+        def script(peer):
+            peer.send(hello_for(self.WIDE, WIDE_A))
+            peer.recv()
+            peer.recv()
+            bundle = EvalBundle(tuple(range(8)), tuple(rng.randrange(1, WIDE_P) for _ in range(8)), 108)
+            peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, occ_bits=WIDE_W, bucket_sizes=own, p=WIDE_P)))
+            shift = None
+            while (frame := peer.recv()).kind == FrameKind.DELTA_REQ:
+                payload = frame.payload
+                if shift is None:
+                    shift, payload = decode_shift(payload, 8)
+                    requested.append(shift)
+                counts = decode_request(payload, 8 >> shift)
+                requested.append(sum(counts))
+                values = [(0, rng.randrange(1, WIDE_P)) for _ in range(sum(counts) or 8)]
+                peer.send(Frame(FrameKind.EVAL_PAIR, encode_pairs(values, p=WIDE_P)))
+            requested.append(frame.kind)
+
+        exc = scripted_session(WIDE_B, "responder", self.WIDE, script)
+        assert isinstance(exc, BoundExceededError) and "8 fine buckets allow" in str(exc), exc
+        shift, *counts, last = requested
+        assert shift == 3 and last == FrameKind.ABORT
+        budgets = [size + size + 8 for size in own]
+        cap = _work_cap(own, budgets, sum(budgets), 108, 8)
+        assert 8 * 108 + 108 * sum(counts) <= cap < 8 * 108 + 108 * (108 + 108 + 1)
 
     def initiator_handed(self, handoff, responder="abcba"):
         """The initiator "abcab" against a responder (`responder`, "abcba"
@@ -2285,7 +2505,11 @@ class TestHostileStep2:
             assert peer.recv() == width_frame("abcba", 2)
             peer.send(Frame(FrameKind.EVAL_BUNDLE, payload))
             if pairs_for is not None:
-                count = sum(decode_request(peer.recv().payload, 2))
+                request = peer.recv().payload
+                shift = 0
+                if config.mode == MODE_RATELESS:
+                    shift, request = decode_shift(request, 2)
+                count = sum(decode_request(request, 2 >> shift))
                 peer.send(Frame(FrameKind.EVAL_PAIR, encode_pairs(pairs_for(count), p=ABC_P)))
 
         return scripted_session("abcba", "responder", config, script)

@@ -204,8 +204,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--k",
         type=int,
-        help=f"values in the session check, and the most checks a session runs: 1 to {MAX_K} "
-        f"(default {MAX_K}); a larger k lowers the floor of the point span, so residues may be narrower",
+        help=f"the most session checks a session runs, 1 to {MAX_K} (default {MAX_K}): each check is one "
+        "whole-set value, and a failed one reopens every bucket for one more value; k sets no residue width",
     )
     p.add_argument("--seed", type=int, help="session seed (default 1)")
     p.set_defaults(func=cmd_reconcile)

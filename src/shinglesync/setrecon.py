@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -169,8 +170,8 @@ class Delta:
     the remote side's missing elements as its roots, and `only_remote`
     factors it here.  A session reads neither multiset: it finds its own
     instances by position in its word, and the peer's by testing the
-    candidates its own graph suggests against `remote_poly`; only the roots
-    that escape that test cross to the peer, as the residual polynomial.
+    candidates its own graph suggests against `remote_poly`, a walk that
+    finds every root.
     """
 
     local_roots: tuple[int, ...]
@@ -210,8 +211,9 @@ class Delta:
 def roots_by_candidates(poly: list[int], candidates: list[int], p: int) -> list[int] | None:
     """Roots of a squarefree polynomial known to lie in `candidates`.
 
-    Evaluates at every candidate; returns None unless exactly degree-many
-    distinct roots are found.  A monic linear polynomial's one root is read
+    Evaluates at every distinct candidate at once, one list-level Horner
+    step per coefficient; returns the roots sorted, or None unless exactly
+    degree-many are found.  A monic linear polynomial's one root is read
     off its constant term and looked up, with no evaluation.
     """
     deg = len(poly) - 1
@@ -222,10 +224,14 @@ def roots_by_candidates(poly: list[int], candidates: list[int], p: int) -> list[
     if deg == 1 and poly[1] == 1:
         root = -poly[0] % p
         return [root] if root in set(candidates) else None
-    roots = [e for e in set(candidates) if peval(poly, e, p) == 0]
+    xs = list(set(candidates))
+    values = [poly[-1] % p] * len(xs)
+    for c in reversed(poly[:-1]):
+        values = [(v * x + c) % p for v, x in zip(values, xs)]
+    roots = sorted(itertools.compress(xs, map(operator.not_, values)))
     if len(roots) != deg:
         return None
-    return sorted(roots)
+    return roots
 
 
 def char_poly_evals(

@@ -2,33 +2,33 @@
 
 Session outline: exchange hello frames (parameters, lengths, observed
 symbols), take the wider of the two words' occurrence widths, which with
-both words' instance counts and k sets the field, reconcile the two initial
+both words' instance counts sets the field, reconcile the two initial
 shingle multisets bucket by bucket (in rateless mode as few buckets as the
 responder's estimate of the difference, read off the bundle's bucket sizes,
-allows; a first batch of characteristic values
-pre-sized from the bound in fixed mode and empty in rateless mode, then
-values on request until every bucket holds a candidate verified by one
-value, then one session check of k whole-set values, which the first batch
-carries, that verifies every bucket at once; a failed check reopens every
-bucket for one more value, and at most k checks run), hand over the one-sided instances as runs of consecutive
-windows, r windows as r + l - 1 symbols (the responder sends its own and
-those of the initiator's that it finds by walking its own de Bruijn graph
-from its runs, testing each step against the buckets' remote polynomials;
-only what the walk misses crosses as polynomial coefficients, whose roots
-the initiator answers with runs of its word),
-merge each side's ordered shingling to unique decodability, exchange one
-chain per merged label (its first shingle's index among the sender's
-distinct keys, its glued count, and the rank of a glued shingle's last
-character only at a branch point, where the receiver's walk over the
-sender's multiset has two or more successors left), rebuild and uniquely
-decode the remote multiset, then confirm with digests.  Steps 1 to 6 run on
-integer positions of the padded word (`ShingledWord`): one-sided instances
-are found by position or by key and cross as runs, merged labels are spans of
-positions, chains slices of its keys, and the remote multiset a
-`ShingleTable`; no instance is decoded from its field element.  Only the
-multiset reconciliation, which grows with the difference, and the merge
-exchange, which grows with the merged labels, carry more than constant-size
-framing.
+allows; a first batch of characteristic values pre-sized from the bound in
+fixed mode and empty in rateless mode, then values on request until every
+bucket holds a candidate verified by one value), hand over the one-sided
+instances as runs of consecutive windows, r windows as r + l - 1 symbols
+(the responder sends its own and the initiator's, which it finds by walking
+its own de Bruijn graph, testing each step against the buckets' remote
+polynomials; the walk is complete, so it finds every one of them), after one
+session check that verifies the whole difference at once: the initiator's
+whole-set value at one point of a wide field of its own, which its bundle
+carries, against the responder's own times the walked elements' factors over
+its own one-sided ones.  A walk that leaves roots or a failed check reopens
+every bucket for one more value, and at most k checks run.  Then merge each
+side's ordered shingling to unique decodability, exchange one chain per
+merged label (its first shingle's index among the sender's distinct keys,
+its glued count, and the rank of a glued shingle's last character only at a
+branch point, where the receiver's walk over the sender's multiset has two
+or more successors left), rebuild and uniquely decode the remote multiset,
+then confirm with digests.  Steps 1 to 6 run on integer positions of the
+padded word (`ShingledWord`): one-sided instances are found by position or
+by key and cross as runs, merged labels are spans of positions, chains
+slices of its keys, and the remote multiset a `ShingleTable`; no instance is
+decoded from its field element.  Only the multiset reconciliation, which
+grows with the difference, and the merge exchange, which grows with the
+merged labels, carry more than constant-size framing.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import json
 import operator
 import random
 import struct
+import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, ClassVar, NamedTuple
@@ -55,12 +56,11 @@ from .errors import (
     ProtocolError,
     SessionAbortError,
 )
-from .field import FieldSpec, PointStream, is_probable_prime, pdivmod, peval, poly_from_roots
-# reconcile_fixed is unused here but stays importable from this module:
-# perfbench/tracing.py rebinds it on it
+from .field import FieldSpec, PointStream, is_probable_prime, peval
+# reconcile_fixed and roots_by_candidates are unused here but stay importable
+# from this module: perfbench/tracing.py rebinds them on it
 from .setrecon import (  # noqa: F401
     DEFAULT_OCC_BITS,
-    Delta,
     EvalBundle,
     RatelessDecoder,
     RatelessSource,
@@ -82,17 +82,22 @@ from .shingles import (  # noqa: F401
 )
 from .transport import Endpoint, Frame, FrameKind
 
-PROTOCOL_VERSION = 17
+PROTOCOL_VERSION = 18
 
 # the field that caps a hello's l: P61 with points drawn from its top 2**40
 # residues.  No session runs over it: each derives its own, no wider, from
 # the hellos (`session_field`), and draws its points from the top residues of
-# that field, a span no wider than 2**40 that the session check's bound sets
+# that field, a span no wider than 2**40
 FIELD = FieldSpec.default61()
 
-# the session check's target below `FIELD`'s span: a wrong difference passes
-# k checks with probability at most 2**-CHECK_BITS (`session_field`)
+# the session check's target: a wrong difference passes one check with
+# probability at most 2**-CHECK_BITS (`check_field`)
 CHECK_BITS = 64
+# the exponents q of the Mersenne primes 2**q - 1 the session check may run in
+CHECK_EXPONENTS = (89, 107, 127, 521)
+# the point span's floor over twice both words' instances, in bits
+# (`session_field`)
+SPAN_MARGIN_BITS = 4
 
 MAX_REQUEST = 0xFFFF  # the most pairs one bucket asks for per round
 # a DELTA_REQ's counts are packed at most this wide, the bit length of MAX_REQUEST
@@ -101,9 +106,9 @@ MAX_REQUEST_BITS = MAX_REQUEST.bit_length()
 MODE_FIXED = "fixed"
 MODE_RATELESS = "rateless"
 
-# the largest session check, and the default: the responder evaluates its
-# whole set at k points for each of at most k checks, so a hello's k sets up
-# to k**2 whole-set passes of the responder's work
+# the most session checks a session runs, and the default: a failed check
+# reopens every bucket for one more value and walks again, so a hello's k
+# sets up to k walks and k more values a bucket of the responder's work
 MAX_K = 8
 
 
@@ -136,33 +141,68 @@ def occ_bits_cap(instances: int) -> int:
     return min(DEFAULT_OCC_BITS, (instances - 1).bit_length())
 
 
-def session_field(symbols: int, l: int, occ_bits: int, instances: int, k: int) -> FieldSpec:
+def session_field(symbols: int, l: int, occ_bits: int, instances: int) -> FieldSpec:
     """The field of a session at shingle length `l` over `symbols` symbols
     (those of both hellos) and occurrence width `occ_bits`, between words of
-    `instances` shingle instances in all, with a session check of `k`
-    values: the smallest prime above E + 2**s, for the largest element
-    E = C * 2**occ_bits, C = `code_count(symbols, l)`, with its top 2**s
-    residues the point range, so every element lies below the points.
+    `instances` shingle instances in all: the smallest prime above E + 2**s,
+    for the largest element E = C * 2**occ_bits, C = `code_count(symbols,
+    l)`, with its top 2**s residues the point range, so every element lies
+    below the points.
 
     The span 2**s is the larger of two, capped at `FIELD`'s 2**40.  The
     first is the widest span that keeps E + 2**s below the next power of
-    two, so it costs the field no width.  The second is the floor that the
-    session check's bound needs: at (2 * instances).bit_length() +
-    ceil(CHECK_BITS / k) bits, ((D* + D) / 2**s)**k <= 2**-CHECK_BITS
-    (`_session_check`).  Both parties derive it from the hellos, k and the
-    session's occurrence width.  The span is never above the cap and C never
-    above (symbols + 1)**l, so the prime is never above the one protocol 14
-    took for the keys at a 2**40 span, and at every l the cap allows
+    two, so it costs the field no width.  The second is a floor sized for
+    a bucket's one verification value, not for the session: 2**s is more
+    than 2**SPAN_MARGIN_BITS times twice both words' instances.  A wrong
+    candidate agrees with the true ratio at no more points than the two
+    sides' degrees, about twice both words' instances at most, so it fits
+    a random point with probability of about 2**-SPAN_MARGIN_BITS at most.
+    One that slips through costs a reopened round, as the session check,
+    in a field of its own (`check_field`), catches it.  Without the margin,
+    short sessions at k = 1 failed their one check about once in 400; the
+    benchmark's words, whose elements take 21 bits and more, leave room
+    for it below their next power of two, so it costs them no width.  Both
+    parties derive the field from the hellos and the session's occurrence
+    width.  The span is never above the cap and C never above
+    (symbols + 1)**l, so the prime is never above the one protocol 14 took
+    for the keys at a 2**40 span, and at every l the cap allows
     (`ShingleCodec.max_shingle_len` over `FIELD`) and every width up to
     `DEFAULT_OCC_BITS`, the most a peer may state, it is at most P61."""
     top = code_count(symbols, l) << occ_bits
     free = ((1 << top.bit_length()) - top - 1).bit_length() - 1
-    floor = (2 * instances).bit_length() + -(-CHECK_BITS // k)
+    floor = (2 * instances).bit_length() + SPAN_MARGIN_BITS
     span = min(FIELD.point_span, 1 << max(free, floor))
     p = top + span + 1
     while not is_probable_prime(p):
         p += 1
     return FieldSpec(p, span)
+
+
+def check_field(instances: int, seed: int) -> tuple[int, int]:
+    """(m, z*): the session check's prime and point between words of
+    `instances` shingle instances in all.
+
+    m is the smallest Mersenne prime 2**q - 1 whose q is at least
+    CHECK_BITS + instances.bit_length(): 2**89 - 1 below 2**25 instances.
+    z* is drawn from the seed in [P61, m), above every element of every
+    session field, which is at most P61 (`session_field`), so no factor
+    z* - e of a whole-set value is 0 mod m.  Both sides of the check
+    (`_session_check`) are polynomials in z* of degree at most `instances`,
+    so two different multisets pass with probability at most instances /
+    (m - P61) <= 2**-CHECK_BITS over the seed.  Both parties derive both
+    from the hellos and the seed, so neither crosses the wire."""
+    need = CHECK_BITS + instances.bit_length()
+    m = (1 << next(q for q in CHECK_EXPONENTS if q >= need)) - 1
+    return m, random.Random(b"shinglesync-check:%d" % seed).randrange(FIELD.p, m)
+
+
+def whole_value(elements: list[int], z: int, m: int) -> int:
+    """prod (z - e) mod m over `elements`: a whole-set value of the session
+    check, one multiply an element."""
+    acc = 1
+    for e in elements:
+        acc = acc * (z - e) % m
+    return acc
 
 
 def _element(code: int, occ: int, occ_bits: int) -> int:
@@ -205,7 +245,8 @@ class ReconConfig:
     the wider of the two words' own (`word_occ_bits`), crosses in the
     responder's OCC_WIDTH frame and the initiator's bundle, and the prime
     and its point span follow from l, the symbols and word lengths of both
-    hellos, k and that width (`session_field`).
+    hellos and that width (`session_field`).  k caps the session checks a
+    session runs.
     """
 
     l: int
@@ -217,7 +258,7 @@ class ReconConfig:
 
     def __post_init__(self):
         # the bounds are the hello's field widths (`_CONFIG`), but for k's:
-        # MAX_K, far inside its u16, bounds the responder's work
+        # MAX_K, far inside its u16, bounds the responder's checks
         if not 2 <= self.l < 2**32:
             raise InvalidParameterError("l must be in [2, 2**32)")
         if not 0 <= self.m_hat < 2**32:
@@ -251,22 +292,22 @@ class SessionReport:
     # buckets of |own size - the initiator's|; the initiator reads it off a
     # rateless session's first request, and reports 0 in fixed mode
     step2_estimate: int = 0
-    step2_rounds: int = 0  # DELTA_REQ frames, one per round of requested values or session check
-    step2_checks: int = 0  # session checks run: each is k whole-set values
+    step2_rounds: int = 0  # DELTA_REQ frames, one per round of requested values
+    # session checks the responder ran, each after a walk; 0 on the
+    # initiator, which sees none
+    step2_checks: int = 0
     # bucket candidates the responder refused, those taken back after a
-    # failed session check included; 0 on the initiator, which sees none
+    # failed session check or an unfinished walk included; 0 on the
+    # initiator, which sees none
     step2_rejected: int = 0
     # the initiator's one-sided instances the responder's walk found; 0 on
     # the initiator, which walks nothing
     step2_walked: int = 0
-    # the degree sum of the residual the walk left, which crosses as
-    # coefficients and the initiator answers with runs; 0 on the walk route
-    step2_residual: int = 0
     # the session's occurrence width w: an element is code * 2**w + occ
     occ_bits: int = 0
     # the bit length of the session's largest element, C * 2**w: beside
-    # value_bits it shows whether the elements or the session check's
-    # floor set the prime
+    # value_bits it shows whether the elements or the span's floor set the
+    # prime
     elem_bits: int = 0
     # the bit length of the session's prime, the width every residue crosses at
     value_bits: int = 0
@@ -279,6 +320,12 @@ class SessionReport:
     bits: dict[str, list[int]] = dc_field(default_factory=dict)
     # the same bits by frame kind (`FrameKind` name), [sent, received]
     frame_bits: dict[str, list[int]] = dc_field(default_factory=dict)
+    # the party's thread CPU seconds by step, each the gap between two reads
+    # of the thread's clock at the step's ends, in session order: "step1"
+    # (shingling), "step2" (the multiset reconciliation), "merge" (steps 3
+    # and 4), "step5" (the chains' exchange) and "rebuild" (step 6's
+    # rebuild and decode)
+    step_cpu_s: dict[str, float] = dc_field(default_factory=dict)
 
     def step_bits(self, step: str) -> tuple[int, int]:
         sent, received = self.bits.get(step, [0, 0])
@@ -293,8 +340,8 @@ class SessionReport:
 
     def figures(self) -> dict[str, object]:
         """Every figure of the report by name, in the order `to_text` prints
-        them: the bits by step, then by frame kind, then in total; `alpha`
-        and `wire_ratio` only when known."""
+        them: the bits by step, then by frame kind, then in total, then the
+        CPU seconds by step; `alpha` and `wire_ratio` only when known."""
         out: dict[str, object] = {
             "role": self.role,
             "outcome": self.outcome,
@@ -317,7 +364,6 @@ class SessionReport:
             "step2_checks",
             "step2_rejected",
             "step2_walked",
-            "step2_residual",
             "occ_bits",
             "elem_bits",
             "value_bits",
@@ -335,6 +381,8 @@ class SessionReport:
         ratio = self.wire_ratio()
         if ratio is not None:
             out["wire_ratio"] = round(ratio, 4)
+        for step, seconds in self.step_cpu_s.items():
+            out[f"{step}_cpu_s"] = round(seconds, 6)
         return out
 
     def to_text(self) -> str:
@@ -513,11 +561,16 @@ def _unpack_block(data: bytes, bits: int, count: int, what: str) -> list[int]:
 
 
 def _unpack_residues(data: bytes, count: int, what: str, p: int) -> list[int]:
-    """`count` residues mod the session's prime `p`, packed at its bit length;
-    any entry of `p` or more is no residue."""
+    """`count` characteristic values mod the prime `p`, packed at its bit
+    length: any entry of `p` or more is no residue, and 0 is no value of a
+    product of factors z - e that are all nonzero.  At a narrow width a
+    block one value short may fill as many bytes as the count asks for,
+    its last value read from the padding: that value is 0."""
     values = _unpack_block(data, p.bit_length(), count, what)
     if values and max(values) >= p:
         raise ProtocolError(f"{what} block holds a value of the prime {p} or more")
+    if 0 in values:
+        raise ProtocolError(f"{what} block holds a value of 0, which no product of nonzero factors is")
     return values
 
 
@@ -579,17 +632,21 @@ def decode_occ_bits(payload: bytes, least: int, most: int, what: str) -> int:
     return occ_bits
 
 
-def encode_bundle(bundle: EvalBundle, *, occ_bits: int, bucket_sizes: list[int], p: int) -> bytes:
+def encode_bundle(
+    bundle: EvalBundle, *, occ_bits: int, bucket_sizes: list[int], p: int, check: int, m: int
+) -> bytes:
     """The session's occurrence width `occ_bits`, one byte; the smallest
     bucket size, packed `_count_bits(set size)` wide for the bundle's set
     size, the sum of the sizes; `width:u8`, the bit length of the largest
     size's offset from the smallest (at least 1); each size's offset, packed
-    `width` wide; then the values at the bit length of the session's prime
-    `p`.  The peer derives the first width from the hellos, the points from
-    the seed and their number from the hello.
+    `width` wide; the session check's whole-set value `check` at the bit
+    length of the check prime `m`; then the bucket values at the bit length
+    of the session's prime `p`.  The peer derives the first width and both
+    primes from the hellos, the points from the seed and their number from
+    the hello.
 
-    `occ_bits`, `bucket_sizes` and `p` are keyword-only: perfbench/tracing.py
-    counts the bundle's pairs from the one positional argument.
+    Everything but the bundle is keyword-only: perfbench/tracing.py counts
+    the bundle's pairs from the one positional argument.
     """
     least = min(bucket_sizes)
     offsets = [size - least for size in bucket_sizes]
@@ -599,15 +656,17 @@ def encode_bundle(bundle: EvalBundle, *, occ_bits: int, bucket_sizes: list[int],
         + _pack_block([least], _count_bits(bundle.set_size))
         + bytes([width])
         + _pack_block(offsets, width)
+        + _pack_block([check], m.bit_length())
         + _pack_block(list(bundle.values), p.bit_length())
     )
 
 
 def decode_bundle(
-    payload: bytes, buckets: int, count: int, instances: int, p: int
-) -> tuple[list[int], list[int]]:
-    """(bucket sizes, values) of a bundle frame holding `count` residues mod
-    `p` from a sender of `instances` shingle instances.
+    payload: bytes, buckets: int, count: int, instances: int, p: int, m: int
+) -> tuple[list[int], list[int], int]:
+    """(bucket sizes, values, check value) of a bundle frame holding `count`
+    residues mod `p` and one mod the check prime `m` from a sender of
+    `instances` shingle instances.
 
     The occurrence width that opens the frame is read first, on its own
     (`decode_occ_bits`), as it sets `p`; this reads past it.  The offsets'
@@ -626,14 +685,15 @@ def decode_bundle(
     sizes = [least + offset for offset in _unpack_block(payload[at + 1 : head], width, buckets, "bundle")]
     if max(sizes) > instances:
         raise ProtocolError(f"bundle bucket size {max(sizes)} is past the {instances} instances of the peer")
-    return sizes, _unpack_residues(payload[head:], count, "bundle", p)
+    values = head + (m.bit_length() + 7) // 8
+    (check,) = _unpack_residues(payload[head:values], 1, "bundle check", m)
+    return sizes, _unpack_residues(payload[values:], count, "bundle", p), check
 
 
 def encode_request(counts: list[int]) -> bytes:
     """`width:u8`, then one count per bucket packed `width` bits wide: the
-    values the bucket asks for this round, 0 once it is done.  All counts 0
-    ask for the session check.  The width is the bit length of the largest
-    count, at least 1."""
+    values the bucket asks for this round, 0 once it is done.  The width is
+    the bit length of the largest count, at least 1."""
     width = _count_bits(max(counts, default=0))
     return bytes([width]) + _pack_block(counts, width)
 
@@ -644,7 +704,12 @@ def decode_request(payload: bytes, buckets: int) -> list[int]:
     width = payload[0]
     if not 1 <= width <= MAX_REQUEST_BITS:
         raise ProtocolError(f"pair request width {width} is outside [1, {MAX_REQUEST_BITS}]")
-    return _unpack_block(payload[1:], width, buckets, "pair request")
+    counts = _unpack_block(payload[1:], width, buckets, "pair request")
+    # a request comes only while a bucket wants values, and after a failed
+    # session check every bucket does
+    if not any(counts):
+        raise ProtocolError("pair request asks for no value")
+    return counts
 
 
 def decode_shift(payload: bytes, buckets: int) -> tuple[int, bytes]:
@@ -739,99 +804,51 @@ def _read_runs(payload: bytes, l: int, total: int, chars: str) -> tuple[list[str
     return runs, end
 
 
-def encode_handoff(
-    runs: list[str], walked: list[str], residuals: list[list[int]], remote_instances: int, l: int, chars: str, p: int
-) -> bytes:
+def encode_handoff(runs: list[str], walked: list[str], remote_instances: int, l: int, chars: str) -> bytes:
     """The responder's DELTA:
 
     - the windows of `walked`, the initiator's one-sided instances its walk
       found (`_walk`), as one count packed `_count_bits(remote_instances)`
       wide for the initiator's instance count;
-    - `width:u8`, the bit length of the largest residual degree, 0 when no
-      bucket has a residual, and only when it is not 0 the degree of each
-      bucket's monic residual polynomial at that width;
     - `walked` as runs (`encode_runs`);
     - the responder's own one-sided instances `runs` as runs, whose windows
-      total the walk's, plus the residual degrees, plus the responder's
-      instance count less the initiator's;
-    - one residue block of the residuals' little-endian coefficients mod
-      `p`, the leading 1 left out.
+      total the walk's plus the responder's instance count less the
+      initiator's.
     """
     found = sum(len(run) - l + 1 for run in walked)
-    degrees = [len(poly) - 1 for poly in residuals]
-    width = max(degrees, default=0).bit_length()
     return (
         _pack_block([found], _count_bits(remote_instances))
-        + bytes([width])
-        + (_pack_block(degrees, width) if width else b"")
         + encode_runs(walked, l, chars)
         + encode_runs(runs, l, chars)
-        + _pack_block([c for poly in residuals for c in poly[:-1]], p.bit_length())
     )
 
 
-def decode_handoff(
-    payload: bytes, instances: int, bucket_sizes: list[int], table: ShingleTable, p: int
-) -> tuple[list[str], list[str], list[list[int]]]:
-    """(the responder's runs, the runs of its walk, one monic residual
-    polynomial per bucket mod `p`) of a DELTA from a responder of
-    `instances` shingle instances, to the initiator whose buckets hold
-    `bucket_sizes` instances and whose word's multiset is `table`.
+def decode_handoff(payload: bytes, instances: int, mine: int, table: ShingleTable) -> tuple[list[str], list[str]]:
+    """(the responder's runs, the runs of its walk) of a DELTA from a
+    responder of `instances` shingle instances, to the initiator of `mine`
+    instances whose word's multiset is `table`.
 
-    Everything is checked before a residue is read: the walk's total is at
-    most the initiator's instances; a residual width is no wider than the
-    largest bucket's size needs, and states a residual; no residual has
-    higher degree than the initiator's instances in its bucket, since a
-    root search costs the degree times the bucket's instances; the walk and
-    the residuals together hold at most the initiator's instances, and so
-    many that the derived total of the responder's runs is not negative;
-    and the walk's runs hold no shingle more often than the initiator's word.
+    The walk's total is checked before any run is read: it is at most the
+    initiator's instances, and so many that the derived total of the
+    responder's runs is not negative.  The walk's runs hold no shingle more
+    often than the initiator's word, and the responder's runs end the frame.
     """
-    mine = sum(bucket_sizes)
     bits = _count_bits(mine)
     at = (bits + 7) // 8
-    if len(payload) <= at:
-        raise ProtocolError("hand-off holds no residual width")
+    if len(payload) < at:
+        raise ProtocolError("hand-off holds no walk total")
     (found,) = _unpack_block(payload[:at], bits, 1, "delta")
     if found > mine:
         raise ProtocolError(f"the walk found {found} instances, more than the initiator's {mine}")
-    width = payload[at]
-    at += 1
-    degrees = [0] * len(bucket_sizes)
-    if width:
-        most = _count_bits(max(bucket_sizes, default=0))
-        if width > most:
-            raise ProtocolError(f"residual degree width {width} is outside [0, {most}]")
-        head = at + (len(bucket_sizes) * width + 7) // 8
-        degrees = _unpack_block(payload[at:head], width, len(bucket_sizes), "delta")
-        at = head
-        for b, (degree, size) in enumerate(zip(degrees, bucket_sizes)):
-            if degree > size:
-                raise ProtocolError(
-                    f"residual polynomial of bucket {b} has degree {degree}, "
-                    f"more than the bucket's {size} instances"
-                )
-        if not any(degrees):
-            raise ProtocolError(f"residual degree width {width} holds no residual")
-    residual = sum(degrees)
-    if found + residual > mine:
-        raise ProtocolError(
-            f"the walk's {found} instances and the residual's {residual} are more than the initiator's {mine}"
-        )
-    total = found + residual + instances - mine
+    total = found + instances - mine
     if total < 0:
         raise ProtocolError(
-            f"the walk and the residual hold {found + residual} instances, fewer than the initiator's "
-            f"{mine - instances} surplus instances"
+            f"the walk holds {found} instances, fewer than the initiator's {mine - instances} surplus instances"
         )
     chars = "".join(sorted(table.ranks))
     walked, used = _read_runs(payload[at:], table.l, found, chars)
     _check_held(table, _windows(walked, table.l))
-    runs, end = _read_runs(payload[at + used :], table.l, total, chars)
-    at += used + end
-    values = iter(_unpack_residues(payload[at:], residual, "delta", p))
-    polys = [list(itertools.islice(values, degree)) + [1] for degree in degrees]
-    return runs, walked, polys
+    return decode_runs(payload[at + used :], table.l, total, chars), walked
 
 
 def _check_held(table: ShingleTable, windows: ShingleMultiset) -> None:
@@ -1014,9 +1031,18 @@ def _run(
             f"the encoding range holds for the {len(alphabet)} symbols of both words together"
         )
 
+    # one read of the thread's clock at each step boundary
+    clock = time.thread_time()
+
+    def lap(step: str) -> None:
+        nonlocal clock
+        clock, before = time.thread_time(), clock
+        report.step_cpu_s[step] = clock - before
+
     # step 1: one rolling pass gives every shingle its node ids and key
     local = ShingledWord(word, config.l, alphabet)
     instances = len(local.keys)
+    lap("step1")
 
     # step 2: reconcile the multisets
     wire.step = "step2"
@@ -1025,6 +1051,7 @@ def _run(
     only_local, only_remote = _reconcile_step(
         wire, role, config, alphabet, local, remote_instances, buckets, report
     )
+    lap("step2")
     # the word's codes go after step 2, its node ids after the merge and its
     # keys after step 4, before step 6 allocates
     del local.codes
@@ -1038,6 +1065,7 @@ def _run(
     report.ranks_sent = len(chains.ranks)
     table = local.table
     del local, firsts
+    lap("merge")
 
     # step 5: exchange the chains of the merged labels
     wire.step = "step5"
@@ -1050,6 +1078,7 @@ def _run(
         remote_chains = decode_merges(wire.expect(FrameKind.MERGES).payload, remote_instances, base)
         wire.send(FrameKind.MERGES, merges_payload)
     report.merges_remote = sum(remote_chains.glued)
+    lap("step5")
 
     # step 6: rebuild and uniquely decode the remote string.  The local
     # table, moved in place by the step-2 difference, is the peer's initial
@@ -1058,6 +1087,7 @@ def _run(
     remote_merged = apply_merge_records(table, remote_chains)
     del table
     remote_word = DeBruijnGraph.build(remote_merged, config.l, config.delimiter).decode_unique()
+    lap("rebuild")
 
     wire.step = "done"
     if role == ROLE_INITIATOR:
@@ -1154,16 +1184,15 @@ def _runs(values: list, shift: int) -> list[list]:
     return [values[at : at + width] for at in range(0, len(values), width)]
 
 
-def _work_cap(sizes: list[int], budgets: list[int], total: int, whole: int, k: int) -> int:
+def _work_cap(sizes: list[int], budgets: list[int], total: int, whole: int) -> int:
     """The most step-2 evaluation work, values times the instances they are
     evaluated over, that protocol v16's budgets allow one party at the fine
     buckets: bucket values within each bucket's budget (`budgets`, over
     buckets of `sizes` instances) and `total` in all, the largest buckets
-    served first, plus at most k session checks of k values over the
-    `whole` set.  At the coarse buckets no budget keeps a bucket's values
-    from costing its whole run of fine buckets, so both parties hold step 2
-    to this."""
-    work = k * k * whole
+    served first, plus the session check's one pass over the `whole` set.
+    At the coarse buckets no budget keeps a bucket's values from costing its
+    whole run of fine buckets, so both parties hold step 2 to this."""
+    work = whole
     for size, budget in sorted(zip(sizes, budgets), reverse=True):
         take = min(budget, total)
         work += take * size
@@ -1203,46 +1232,43 @@ def _reconcile_step(
 
     The responder opens with its word's own occurrence width
     (`word_occ_bits`), and the initiator's bundle opens with the session's,
-    the wider of the two; the session's field follows from it, from both
-    words' instance counts and from k (`session_field`).  Every residue is
-    mod that field's prime and crosses at its bit length.  Both parties
-    build their elements from their shingles' codes at the session's
-    occurrence width (`_elements`) and hash them into `buckets` fine
-    buckets, whose sizes the initiator's bundle carries.  The responder
-    joins runs of fine buckets into as few coarse buckets as its estimate
-    of the difference, the fine buckets' size gaps, allows (`coarse_shift`),
-    and a rateless session's first DELTA_REQ opens with the shift; in fixed
-    mode the bundle's values are the fine buckets' and they stay.  Each
-    bucket runs its own source (initiator) or decoder (responder, its
-    ladder started at the bucket's part of the estimate) over the session's
-    one point stream, whose points go to the buckets in bucket order.  The
-    initiator sends characteristic values: a first batch per bucket in its
-    bundle, then whatever the responder requests, one DELTA_REQ holding a
-    count for every bucket.  The mode chooses only the first batch: none in
-    rateless mode,
+    the wider of the two; the session's field follows from it and from both
+    words' instance counts (`session_field`).  Every bucket value is mod
+    that field's prime and crosses at its bit length.  Both parties build
+    their elements from their shingles' codes at the session's occurrence
+    width (`_elements`) and hash them into `buckets` fine buckets, whose
+    sizes the initiator's bundle carries.  The responder joins runs of fine
+    buckets into as few coarse buckets as its estimate of the difference,
+    the fine buckets' size gaps, allows (`coarse_shift`), and a rateless
+    session's first DELTA_REQ opens with the shift; in fixed mode the
+    bundle's values are the fine buckets' and they stay.  Each bucket runs
+    its own source (initiator) or decoder (responder, its ladder started at
+    the bucket's part of the estimate) over the session's one point stream,
+    whose points go to the buckets in bucket order.  The initiator sends
+    characteristic values: a first batch per bucket in its bundle, then
+    whatever the responder requests, one DELTA_REQ holding a count for every
+    bucket.  The mode chooses only the first batch: none in rateless mode,
     and in fixed mode ceil(min(m_hat, N_A + N_B) / B), a bucket's share of
     the bound, which no difference can pass, so a bucket whose share of the
     difference is larger tops up through the requests.  The bundle also
-    carries the first session check: the initiator's whole-set
-    characteristic values at the k points after the bucket values' points.  The responder feeds each bucket's decoder until
-    it holds a candidate that fits one further value and whose local side
-    splits over the bucket's own elements.  Once every bucket holds one, it
-    runs the session check: the initiator's check values must equal the
-    responder's own times the product of the buckets' candidate ratios.  A
-    failed check reopens every bucket for one more value and asks for a
-    fresh check by a request of all zeros, and at most k checks run.  The
-    responder then finds the initiator's one-sided instances itself, by a
-    walk over its own table from its runs that tests each step against the
-    buckets' remote polynomials (`_walk`), and sends its own instances and
-    those it found as runs, then the residual of each polynomial, what the
-    walk left, as coefficients.  On this, the walk route, that is all.
-    Only when a residual is left does the initiator find its roots among
-    its bucket's elements and answer with their instances as runs of its
-    own word, which the responder checks against the residuals.
+    carries the session check's one value: the initiator's whole-set value
+    at the point z* of the check's own field (`check_field`).
+
+    The responder feeds each bucket's decoder until it holds a candidate
+    that fits one further value and whose local side splits over the
+    bucket's own elements.  Once every bucket holds one, it walks its own
+    table for the initiator's one-sided instances, testing each step
+    against the buckets' remote polynomials (`_walk`), and runs the session
+    check: the initiator's value times its own one-sided elements' factors
+    must equal its own whole-set value times the walked elements' factors
+    (`_session_check`).  A walk that leaves roots, which only a wrong
+    candidate does, or a failed check reopens every bucket for one more
+    value, and at most k checks run.  It then sends its own instances and
+    those it walked as runs, and the initiator checks them against its word.
 
     Both parties hold the values they evaluate, each times its bucket's
-    instances, and the session checks to `_work_cap`, what protocol v16's
-    budgets allowed at the fine buckets.
+    instances, and the session check's one pass to `_work_cap`, what
+    protocol v16's budgets allowed at the fine buckets.
     """
     l = config.l
     # a stated width may reach what the stating word's instances need, so no
@@ -1261,8 +1287,9 @@ def _reconcile_step(
     # no difference holds more than both words' instances, which both
     # parties know from the hellos
     instances = len(local.keys) + remote_instances
-    codec = ShingleCodec(alphabet, session_field(len(alphabet), l, occ_bits, instances, config.k), occ_bits)
+    codec = ShingleCodec(alphabet, session_field(len(alphabet), l, occ_bits, instances), occ_bits)
     p = codec.field.p
+    m, z = check_field(instances, config.seed)
     report.occ_bits = occ_bits
     report.elem_bits = (local.space.size << occ_bits).bit_length()
     report.value_bits = p.bit_length()
@@ -1271,9 +1298,8 @@ def _reconcile_step(
     points = PointStream(codec.field, config.seed)
     elements = _elements(local, occ_bits)
     parts = partition(elements, buckets, config.seed)
-    # the session check's whole-set values, on the same point stream
-    whole = RatelessSource.from_elements(elements, codec, points)
-    check_work = config.k * len(elements)
+    # the session check's one whole-set value
+    whole = whole_value(elements, z, m)
     chars = "".join(sorted(local.table.ranks))
     report.step2_buckets = report.step2_fine_buckets = buckets
     if role == ROLE_INITIATOR:
@@ -1295,15 +1321,16 @@ def _reconcile_step(
         bucket_budget, budget = budgets(sizes)
         # a request past it is the peer's
         meter = _WorkMeter(
-            _work_cap(sizes, bucket_budget, budget, len(elements), config.k), buckets, ProtocolError, check_work
+            _work_cap(sizes, bucket_budget, budget, len(elements)), buckets, ProtocolError, len(elements)
         )
         sources = [RatelessSource.from_elements(part, codec, points) for part in parts]
         requested = [0] * buckets
         pairs = [pair for source in sources for pair in source.next_pairs(first)]
-        pairs += whole.next_pairs(config.k)
-        report.step2_checks = 1
-        bundle = EvalBundle(tuple(z for z, _ in pairs), tuple(v for _, v in pairs), sum(sizes))
-        wire.send(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, occ_bits=occ_bits, bucket_sizes=sizes, p=p))
+        bundle = EvalBundle(tuple(point for point, _ in pairs), tuple(v for _, v in pairs), sum(sizes))
+        wire.send(
+            FrameKind.EVAL_BUNDLE,
+            encode_bundle(bundle, occ_bits=occ_bits, bucket_sizes=sizes, p=p, check=whole, m=m),
+        )
         report.step2_pairs = len(pairs)
         # in fixed mode no shift crosses: the bundle's values are the fine
         # buckets', so they stay
@@ -1326,51 +1353,28 @@ def _reconcile_step(
                 # each bucket's first count is its share of the estimate and
                 # its one verification value (`RatelessDecoder.from_elements`)
                 report.step2_estimate = sum(count - 1 for count in counts if count)
-            if not any(counts):
-                # a session check after the bundle's failed
-                if report.step2_checks == config.k:
-                    raise ProtocolError(f"the peer asks for more than k = {config.k} session checks")
-                report.step2_checks += 1
-                meter.charge(check_work)
-                pairs = whole.next_pairs(config.k)
-            else:
-                for b, count in enumerate(counts):
-                    if requested[b] + count > bucket_budget[b]:
-                        raise ProtocolError(
-                            f"pair request for {count} in bucket {b} after {requested[b]} "
-                            f"exceeds its budget of {bucket_budget[b]}"
-                        )
-                if sum(requested) + sum(counts) > budget:
+            for b, count in enumerate(counts):
+                if requested[b] + count > bucket_budget[b]:
                     raise ProtocolError(
-                        f"pair request for {sum(counts)} after {sum(requested)} "
-                        f"exceeds the budget of {budget}"
+                        f"pair request for {count} in bucket {b} after {requested[b]} "
+                        f"exceeds its budget of {bucket_budget[b]}"
                     )
-                meter.charge(sum(map(operator.mul, counts, sizes)))
-                pairs = [pair for source, count in zip(sources, counts) for pair in source.next_pairs(count)]
-                requested = [r + count for r, count in zip(requested, counts)]
+            if sum(requested) + sum(counts) > budget:
+                raise ProtocolError(
+                    f"pair request for {sum(counts)} after {sum(requested)} exceeds the budget of {budget}"
+                )
+            meter.charge(sum(map(operator.mul, counts, sizes)))
+            pairs = [pair for source, count in zip(sources, counts) for pair in source.next_pairs(count)]
+            requested = [r + count for r, count in zip(requested, counts)]
             wire.send(FrameKind.EVAL_PAIR, encode_pairs(pairs, p=p))
             report.step2_pairs += len(pairs)
             report.step2_rounds += 1
-        # the hand-off's counts are bounded before anything in it is read,
-        # and the whole hand-off is checked before any reply goes out
-        remote_runs, walked, residuals = decode_handoff(frame.payload, remote_instances, sizes, local.table, p)
-        only_local = _windows(walked, l)
-        report.step2_residual = sum(len(poly) - 1 for poly in residuals)
-        if report.step2_residual:
-            my_roots: list[int] = []
-            for b, (poly, part) in enumerate(zip(residuals, parts)):
-                roots = roots_by_candidates(poly, part, p)
-                if roots is None:
-                    raise ProtocolError(f"residual polynomial of bucket {b} does not split over its local elements")
-                my_roots += roots
-            my_runs = _own_runs(local, my_roots, occ_bits)
-            only_local = only_local.union(_windows(my_runs, l))
-            _check_held(local.table, only_local)
-            wire.send(FrameKind.DELTA, encode_runs(my_runs, l, chars))
-        return only_local, _windows(remote_runs, l)
+        # the hand-off's counts are bounded before anything in it is read
+        remote_runs, walked = decode_handoff(frame.payload, remote_instances, len(elements), local.table)
+        return _windows(walked, l), _windows(remote_runs, l)
 
     bundled = first * buckets
-    sizes, values = decode_bundle(bundle_payload, buckets, bundled + config.k, remote_instances, p)
+    sizes, values, theirs = decode_bundle(bundle_payload, buckets, bundled, remote_instances, p, m)
     if sum(sizes) != remote_instances:
         raise ProtocolError(
             f"bundle bucket sizes sum to {sum(sizes)}, not the {remote_instances} "
@@ -1386,10 +1390,10 @@ def _reconcile_step(
     decoder_budgets = [mine + theirs + config.k for mine, theirs in zip(own_sizes, sizes)]
     # the responder stops before it asks for work past it
     meter = _WorkMeter(
-        _work_cap(own_sizes, decoder_budgets, sum(decoder_budgets), len(elements), config.k),
+        _work_cap(own_sizes, decoder_budgets, sum(decoder_budgets), len(elements)),
         buckets,
         BoundExceededError,
-        check_work,
+        len(elements),
     )
     shift = coarse_shift(own_sizes, sizes, config.k) if rateless else 0
     # the shift opens the first request of a rateless session
@@ -1410,53 +1414,35 @@ def _reconcile_step(
             decoder.feed_all(zip(points.take(count), values[offset : offset + count]))
             offset += count
 
-    def request(counts: list[int]) -> None:
-        nonlocal head
-        wire.send(FrameKind.DELTA_REQ, head + encode_request(counts))
-        head = b""
-        report.step2_rounds += 1
-
-    feed([first] * buckets, values[:bundled])
-    # the bundle's check values are at the points after its bucket values'
-    own, theirs = whole.next_pairs(config.k), values[bundled:]
+    feed([first] * buckets, values)
+    bucket = bucket_of(buckets, config.seed)
     while True:
         report.step2_rejected = sum(decoder.rejected for decoder in decoders)
         if all(decoder.result is not None for decoder in decoders):
-            if not theirs:
-                meter.charge(check_work)
-                request([0] * buckets)
-                theirs = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload, config.k, p)
-                report.step2_pairs += len(theirs)
-                own = whole.next_pairs(config.k)
             report.step2_checks += 1
             results = [decoder.result for decoder in decoders]
-            if _session_check(own, theirs, results, p):
+            roots = [root for result in results for root in result.local_roots]
+            spans = _own_spans(local, roots, occ_bits)
+            walk = _walk(local, spans, [list(result.remote_poly) for result in results], bucket, occ_bits, p)
+            if walk is not None and _session_check(theirs, whole, roots, walk[1], z, m):
                 break
             if report.step2_checks == config.k:
                 raise ProtocolError(f"the session check failed {config.k} times")
             for decoder in decoders:
                 decoder.reopen()
-            theirs = []
         counts = [0 if d.result is not None else min(d.pairs_wanted(), MAX_REQUEST) for d in decoders]
         meter.charge(sum(count * len(decoder.elements) for count, decoder in zip(counts, decoders)))
-        request(counts)
+        wire.send(FrameKind.DELTA_REQ, head + encode_request(counts))
+        head = b""
+        report.step2_rounds += 1
         values = decode_pairs(wire.expect(FrameKind.EVAL_PAIR).payload, sum(counts), p)
         report.step2_pairs += len(values)
         feed(counts, values)
-    spans = _own_spans(local, [root for result in results for root in result.local_roots], occ_bits)
+    walked, found = walk
+    report.step2_walked = len(found)
     my_runs = [local.text[start : end + l] for start, end in spans]
-    polys = [list(result.remote_poly) for result in results]
-    walked, found, residuals = _walk(local, spans, polys, bucket_of(buckets, config.seed), occ_bits, p)
-    report.step2_walked = sum(found.values())
-    report.step2_residual = sum(len(poly) - 1 for poly in residuals)
-    wire.send(FrameKind.DELTA, encode_handoff(my_runs, walked, residuals, remote_instances, l, chars, p))
-    only_remote = _windows(walked, l)
-    if report.step2_residual:
-        remote_runs = decode_runs(wire.expect(FrameKind.DELTA).payload, l, report.step2_residual, chars)
-        only_remote = only_remote.union(
-            _initiator_only(remote_runs, local, residuals, found, config.seed, occ_bits, p)
-        )
-    return _windows(my_runs, l), only_remote
+    wire.send(FrameKind.DELTA, encode_handoff(my_runs, walked, remote_instances, l, chars))
+    return _windows(my_runs, l), _windows(walked, l)
 
 
 def _walk(
@@ -1466,47 +1452,62 @@ def _walk(
     bucket: Callable[[int], int],
     occ_bits: int,
     p: int,
-) -> tuple[list[str], Counter, list[list[int]]]:
-    """The initiator's one-sided instances that the responder finds in its
-    own de Bruijn graph, as (their runs, their count by key, each bucket's
-    residual polynomial, `polys[b]` with the found roots divided out).
+) -> tuple[list[str], list[int]] | None:
+    """The initiator's one-sided instances, which the responder finds in its
+    own de Bruijn graph, as (their runs, their elements); None when a root
+    is left, which only a wrong polynomial leaves.
 
     `word` is the responder's, `spans` the first and last position of each
     of its runs (`_own_spans`), and `polys[b]` bucket b's hand-off
     polynomial, whose roots are the initiator's elements in that bucket
     that the responder lacks: of the shingle with key `key`, the
-    occurrences above the responder's count c(key).  The windows an edit
-    adds to the initiator's word form a path that leaves the shared part of
-    the graph at the node where the responder's own run for that edit
-    starts.  So the walk starts from the first node of each run, and from
-    a node tries every successor key, `node * base + rank`, at its next
-    occurrence c(key) + found(key) + 1 (`_element`).  Each node carries
-    beside its key its delimiters and the value of its symbols
-    (`CodeSpace.parse`), so a candidate's code follows from its node's, as
-    value * |symbols| + digit where no delimiter takes part, with no
-    candidate read digit by digit; a symbol after a trailing delimiter is
-    no shingle and is not tried.  It skips a candidate past the
-    2**occ_bits occurrences or whose bucket (`bucket`) has found its
-    degree's count, keeps one that is a root, and then goes on to the
-    root's successor node, coming back to the node while it keeps yielding
-    roots.  A test is exact, as a polynomial has only its own roots, and
-    the walk stops once every bucket has found its degree's count.
+    occurrences above the responder's count c(key).  From a node the walk
+    tries every successor key, `node * base + rank`, at its next occurrence
+    c(key) + found(key) + 1 (`_element`).  Each node carries beside its key
+    its delimiters and the value of its symbols (`CodeSpace.parse`), so a
+    candidate's code follows from its node's, as value * |symbols| + digit
+    where no delimiter takes part, with no candidate read digit by digit; a
+    symbol after a trailing delimiter is no shingle and is not tried.  It
+    skips a candidate past the 2**occ_bits occurrences or whose bucket
+    (`bucket`) has found its degree's count, keeps one that is a root, and
+    then goes on to the root's successor node, coming back to the node
+    while it keeps yielding roots.  A test is exact, as a polynomial has
+    only its own roots, and the walk stops once every bucket has found its
+    degree's count.
 
-    What a walk from the runs misses is a closed walk of the initiator's
-    windows, balanced at every node, that touches no run: an edit in a
-    periodic stretch can add a period.  Such a cycle passes near the edit,
-    so while roots are left the walk starts again from every node of the
-    word within 2l positions of a run.
+    Passes.  The windows an edit adds to the initiator's word form a path
+    that leaves the shared part of the graph at the node where the
+    responder's own run for that edit starts, so the first pass starts from
+    the first node of each run.  An edit in a periodic stretch can add a
+    closed walk of windows that touches no run; it passes near the edit, so
+    while roots are left a second pass starts from every node within 2l
+    positions of a run.  While roots are still left, a third pass starts
+    from every node of the word, all len(keys) + 1 of them.
 
-    A node is visited once from each start and at most twice for each root
-    found, so the first pass makes at most base * (runs + 2 * sum of the
-    degrees) evaluations, and the second, which runs only when the first
-    leaves a root, at most base * (r + 4l + 1) more for each run of r
-    windows.  No run it returns goes on through the l - 1 delimiters from a
+    The third pass is complete.  A node left with no hit has had every
+    one-sided window that leaves it found, and every found window's end
+    node is walked, so the walk reaches every node that a path of the
+    initiator's one-sided windows leads to from a start.  Take any one-sided
+    window of the initiator's, leaving node u.  If the responder's word has
+    u, u is a start.  Otherwise go back along the initiator's padded word
+    from that window to the last node x before it that the responder's word
+    has; there is one, as both padded words start at the node of l - 1
+    delimiters.  Every window from x on to u enters a node the responder's
+    word lacks, so it is no window of the responder's, that is one-sided:
+    the walk follows them from x to u.  So with the right polynomials the
+    third pass finds every root, and a root left after it means a wrong
+    candidate.
+
+    Work.  A node is tried from each start once and, with each root found,
+    at most twice more, so the first pass makes at most base * (runs + 2 *
+    sum of the degrees) evaluations, the second at most base * (r + 4l + 1)
+    more for each run of r windows, and the third at most base * (N + 1 + 2
+    * sum of the degrees) more, for the N = len(keys) instances of the
+    word.  No run it returns goes on through the l - 1 delimiters from a
     word's end to its start: a nonempty word has one window that leaves
     that node, so the initiator's is one-sided only when the responder's is
     too, and then the responder's first run starts at the node, where the
-    walk tries first.  A root both passes miss stays in the residual.
+    walk tries first.
     """
     table, keys, space = word.table, word.keys, word.space
     l, base, counts = table.l, table.base, table.counts
@@ -1614,6 +1615,10 @@ def _walk(
                 for at in range(max(0, start - 2 * l), min(len(keys), end + 2 * l + 1) + 1)
             ]
         )
+    if remaining:
+        walk_from([node_at(at) for at in range(len(keys) + 1)])
+    if remaining:
+        return None
     chars = "".join(sorted(table.ranks))
 
     def spell(node: int) -> str:
@@ -1624,44 +1629,26 @@ def _walk(
         return "".join(reversed(digits))
 
     walked = [spell(first) + "".join(chars[key % base] for key in path) for first, *path in paths]
-    residuals = [
-        pdivmod(poly, poly_from_roots(found_b, p), p)[0] if rest else [1]
-        for poly, found_b, rest in zip(polys, roots, left)
-    ]
-    return walked, found, residuals
+    return walked, list(itertools.chain.from_iterable(roots))
 
 
-def _session_check(
-    own: list[tuple[int, int]], theirs: list[int], results: list[Delta], p: int
-) -> bool:
-    """Whether the initiator's whole-set value at each check point equals the
-    responder's own times the product of the buckets' candidate ratios, the
-    remote side over the local side; checked without a division as
-    theirs * prod local_b == own * prod remote_b.
+def _session_check(theirs: int, own: int, local_roots: list[int], walked: list[int], z: int, m: int) -> bool:
+    """Whether the initiator's whole-set value `theirs` at the check point
+    z* equals the responder's own `own` times the walked elements' factors
+    over its own one-sided elements' factors: checked without a division,
+    as theirs * prod (z* - r) over `local_roots` == own * prod (z* - e)
+    over `walked`, mod the check prime `m` (`check_field`).
 
-    A wrong difference passes with probability at most ((D* + D) / 2**s)**k
-    over the k points, for the true difference degree D*, the candidates'
-    total degree D and the session's point span 2**s (Minsky, Trachtenberg &
-    Zippel, IEEE Trans. IT 2003).  Both degrees are at most N_A + N_B, both
-    words' instances, so below the span's cap of 2**40 the span's floor
-    (`session_field`) holds the bound at 2**-CHECK_BITS; at the cap it is
-    the 2**40 span's bound.
+    With the responder's one-sided factors divided out, both sides are
+    monic polynomials in z* of degree N_A, the initiator's instances: a
+    bucket's candidate takes as many roots from the responder's side as its
+    size difference leaves to the walk.  So when the initiator's multiset
+    is not the responder's less its one-sided instances plus the walked
+    ones, the check passes with probability at most N_A / (m - P61), below
+    2**-CHECK_BITS, over the seed (Minsky, Trachtenberg & Zippel, IEEE
+    Trans. IT 2003).
     """
-    for (z, mine), value in zip(own, theirs):
-        local, remote = value, mine
-        for result in results:
-            remote = remote * peval(result.remote_poly, z, p) % p
-            for root in result.local_roots:
-                local = local * (z - root) % p
-        if local != remote:
-            return False
-    return True
-
-
-def _own_runs(word: ShingledWord, roots: list[int], occ_bits: int) -> list[str]:
-    """The runs of `_own_spans`, each as the r + l - 1 characters of the
-    padded word its r windows cover."""
-    return [word.text[start : end + word.l] for start, end in _own_spans(word, roots, occ_bits)]
+    return theirs * whole_value(local_roots, z, m) % m == own * whole_value(walked, z, m) % m
 
 
 def _own_spans(word: ShingledWord, roots: list[int], occ_bits: int) -> list[tuple[int, int]]:
@@ -1678,46 +1665,6 @@ def _windows(runs: list[str], l: int) -> ShingleMultiset:
     """The length-l windows of runs, as a multiset."""
     windows = Counter(run[i : i + l] for run in runs for i in range(len(run) - l + 1))
     return ShingleMultiset(windows, base_len=l)
-
-
-def _initiator_only(
-    runs: list[str],
-    local: ShingledWord,
-    polys: list[list[int]],
-    walked: Counter,
-    seed: int,
-    occ_bits: int,
-    p: int,
-) -> ShingleMultiset:
-    """The initiator's instances from its runs, checked against the
-    residual polynomials the walk left.
-
-    Each window is an instance above the responder's own count of its
-    shingle and the instances of it the walk found (`walked`, by key),
-    whose element at occurrence width `occ_bits` (`_element`, from the
-    code the window's characters read) lands in the bucket `partition`
-    puts it in; every bucket must then hold exactly its polynomial's roots
-    mod `p`: as many instances as its degree, each of them a root.
-    """
-    only_remote = _windows(runs, local.l)
-    table = local.table
-    elements = []
-    for shingle, mult in only_remote.entries.items():
-        key = table.key(shingle)
-        have = table.counts.get(key, 0) + walked[key]
-        if have + mult > 1 << occ_bits:
-            raise ProtocolError(f"peer sent occurrence {have + mult} of a shingle, past the encoding range")
-        code = local.space.code(shingle)
-        elements += [_element(code, occ, occ_bits) for occ in range(have + 1, have + mult + 1)]
-    for b, (part, poly) in enumerate(zip(partition(elements, len(polys), seed), polys)):
-        if len(part) != len(poly) - 1:
-            raise ProtocolError(
-                f"the peer's runs put {len(part)} instances in bucket {b}, "
-                f"whose hand-off polynomial has degree {len(poly) - 1}"
-            )
-        if any(peval(poly, e, p) for e in part):
-            raise ProtocolError(f"a run of the peer's holds an instance that is no root in bucket {b}")
-    return only_remote
 
 
 def random_edits(word: str, alpha: int, rng: random.Random, symbols: str) -> str:

@@ -9,7 +9,7 @@ from shinglesync.decider import STILL_UD, Reason, Verdict, _Core
 from shinglesync.errors import InvalidParameterError
 from shinglesync.setrecon import ShingleCodec
 from shinglesync.shingles import ShingleTable, noconcat, shingle_sequence
-from shinglesync.stringrecon import MAX_K, session_field
+from shinglesync.stringrecon import session_field
 
 words_ab = st.text(alphabet="ab", max_size=16)
 words_abc = st.text(alphabet="abc", max_size=14)
@@ -68,17 +68,16 @@ def session_elements(word, l, alphabet, occ_bits):
     ]
 
 
-def session_codec(word_a, word_b, l, k=MAX_K):
+def session_codec(word_a, word_b, l):
     """The codec a session between `word_a` and `word_b` at shingle length
-    `l`, with a session check of `k` values, runs step 2 under, as both
-    parties derive it: its occurrence width, the wider of the two words'
-    own, and its field, over the symbols of both words and the instances of
-    both."""
+    `l` runs step 2 under, as both parties derive it: its occurrence width,
+    the wider of the two words' own, and its field, over the symbols of both
+    words and the instances of both."""
     alphabet = Alphabet(sorted(set(word_a) | set(word_b)))
     largest = max(max(Counter(shingle_sequence(word, l)).values()) for word in (word_a, word_b))
     occ_bits = (largest - 1).bit_length()
     instances = len(word_a) + len(word_b) + 2 * (l - 1)
-    return ShingleCodec(alphabet, session_field(len(alphabet), l, occ_bits, instances, k), occ_bits)
+    return ShingleCodec(alphabet, session_field(len(alphabet), l, occ_bits, instances), occ_bits)
 
 
 class StepCore:

@@ -220,17 +220,22 @@ class TestReconcile:
         assert responder["ranks_sent"] == 1 and initiator["ranks_sent"] == 0
         total = initiator["total_bits_sent"] + initiator["total_bits_recv"]
         assert initiator["wire_ratio"] == round(total / initiator["raw_bits"], 4)
-        # one session check; only the responder holds candidates to reject
-        assert initiator["step2_checks"] == responder["step2_checks"] == 1
+        # one session check, which only the responder runs; only it holds
+        # candidates to reject
+        assert (initiator["step2_checks"], responder["step2_checks"]) == (0, 1)
         assert initiator["step2_rejected"] == 0 and responder["step2_rejected"] >= 0
         # no shingle of either word repeats, so the occurrence width is 0;
         # both derive one prime: the elements, up to code_count(4, 2) = 25,
-        # in 5 bits, are far below the span the check's floor sets for 7 + 6
-        # instances at k = 8, 2**(5 + 8), so the prime is just above 2**13
-        # and residues cross at 14 bits
+        # take 5 bits, and the span's floor for 7 + 6 instances, 2**(5 + 4),
+        # puts the prime just above 25 + 512, so residues cross at 10 bits
         assert initiator["occ_bits"] == responder["occ_bits"] == 0
         assert initiator["elem_bits"] == responder["elem_bits"] == 5
-        assert initiator["value_bits"] == responder["value_bits"] == 14
+        assert initiator["value_bits"] == responder["value_bits"] == 10
+        # each party's thread CPU by step, in session order
+        for report in reports.values():
+            steps = [name for name in report if name.endswith("_cpu_s")]
+            assert steps == ["step1_cpu_s", "step2_cpu_s", "merge_cpu_s", "step5_cpu_s", "rebuild_cpu_s"]
+            assert all(report[name] >= 0 for name in steps)
         # 6 and 7 instances make two fine buckets, whose sizes differ by 1:
         # too few instances to join them, and the initiator reads the
         # estimate off the first request
@@ -238,28 +243,28 @@ class TestReconcile:
         assert initiator["step2_buckets"] == responder["step2_buckets"] == 2
         assert initiator["step2_estimate"] == responder["step2_estimate"] == 1
 
-    def test_report_json_states_the_route(self, capsys):
+    def test_report_json_states_the_walk(self, capsys):
         # katana's run 'tan' leads the responder's walk to the initiator's
-        # one one-sided window, 'tn': the walk route leaves no residual
+        # one one-sided window, 'tn', which only the responder reports
         reports = self.json_reports(capsys, "katana", "katna", 2)
-        assert (reports["responder"]["step2_walked"], reports["responder"]["step2_residual"]) == (1, 0)
-        assert (reports["initiator"]["step2_walked"], reports["initiator"]["step2_residual"]) == (0, 0)
+        assert (reports["responder"]["step2_walked"], reports["initiator"]["step2_walked"]) == (1, 0)
         # the responder's windows are all the initiator's: it has no run to
-        # walk from, and the one '000' more crosses as the residual
+        # walk from, and its walk's third pass, from every node of its word,
+        # finds the one '000' more
         reports = self.json_reports(capsys, "0000000", "00000000", 3)
-        for report in reports.values():
-            assert report["outcome"] == "ok"
-            assert (report["step2_walked"], report["step2_residual"]) == (0, 1)
+        assert [report["outcome"] for report in reports.values()] == ["ok", "ok"]
+        assert (reports["responder"]["step2_walked"], reports["responder"]["step2_checks"]) == (1, 1)
+        assert "step2_residual" not in reports["responder"]
 
     def test_report_json_states_the_occurrence_width(self, capsys):
         # 'ab' occurs four times in the served word: the session's width is
         # its 2 bits, stated beside the width of the largest element,
         # code_count(2, 2) * 2**2 = 36, and the width of the residues, which
-        # the check's floor for 9 + 7 instances, a span of 2**(6 + 8), sets
+        # the span's floor for 9 + 7 instances, 2**(6 + 4), sets
         reports = self.json_reports(capsys, "abababab", "ababab", 2)
         for report in reports.values():
             assert report["outcome"] == "ok"
-            assert (report["occ_bits"], report["elem_bits"], report["value_bits"]) == (2, 6, 15)
+            assert (report["occ_bits"], report["elem_bits"], report["value_bits"]) == (2, 6, 11)
             names = list(report)
             assert names.index("occ_bits") + 2 == names.index("elem_bits") + 1 == names.index("value_bits")
 

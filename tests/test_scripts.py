@@ -25,26 +25,32 @@ def run_script(name, *args):
 
 def test_recon_demo_fixed_session():
     # 267 instances make sixteen buckets, each bundled 64 / 16 values beside
-    # the session check's k = 8; no bucket holds more than 3 one-sided
+    # the session check's one value; no bucket holds more than 3 one-sided
     # instances, so the bundle covers them all and no round tops one up.
     # No shingle occurs more than twice: 1 occurrence bit, and elements up
-    # to code_count(2, 12) * 2, in 15 bits, so the check's floor for 267 +
-    # 268 instances at k = 8, 11 + 8 bits, sets a span of 2**19 and puts the
-    # prime in 20
+    # to code_count(2, 12) * 2, in 15 bits, so the span's floor for 267 +
+    # 268 instances, 2**(11 + 4), puts the prime in 16
     lines = run_script("recon_demo.py", "--n", "256", "--alphas", "1", "--mode", "fixed", "--m-hat", "64")
     assert lines[0] == "# alpha=1"
     # fixed mode reconciles the fine buckets the bundle's values are for
-    for line in ("role=initiator", "outcome=ok", "mode=fixed", "n_local=256", "step2_pairs=72",
-                 "step2_buckets=16", "step2_fine_buckets=16", "step2_rounds=0", "step2_checks=1", "occ_bits=1",
-                 "elem_bits=15", "value_bits=20"):
+    for line in ("role=initiator", "outcome=ok", "mode=fixed", "n_local=256", "step2_pairs=64",
+                 "step2_buckets=16", "step2_fine_buckets=16", "step2_rounds=0", "occ_bits=1",
+                 "elem_bits=15", "value_bits=16"):
         assert line in lines
     # the route only the responder takes, beside the initiator's report,
     # which reads 0 for each: the walk found the initiator's 9 one-sided
-    # instances, no candidate was rejected, and the fine buckets' sizes
-    # differ by 15 in all, which no request carries in fixed mode
-    for line in ("step2_walked=0", "step2_rejected=0", "step2_estimate=0", "responder_step2_walked=9",
-                 "responder_step2_rejected=0", "responder_step2_estimate=15"):
+    # instances, one check passed, no candidate was rejected, and the fine
+    # buckets' sizes differ by 15 in all, which no request carries in fixed
+    # mode
+    for line in ("step2_walked=0", "step2_checks=0", "step2_rejected=0", "step2_estimate=0",
+                 "responder_step2_walked=9", "responder_step2_checks=1", "responder_step2_rejected=0",
+                 "responder_step2_estimate=15"):
         assert line in lines
+    # each party's thread CPU by step: the initiator's in its report, the
+    # responder's beside it
+    fields = dict(line.split("=", 1) for line in lines if "=" in line)
+    for step in ("step1", "step2", "merge", "step5", "rebuild"):
+        assert float(fields[f"{step}_cpu_s"]) >= 0 and float(fields[f"responder_{step}_cpu_s"]) >= 0
     # the bits by frame kind: the bundle is the initiator's, the hand-off the responder's
     assert any(line.startswith("eval_bundle_frame_bits_sent=") and line != "eval_bundle_frame_bits_sent=0"
                for line in lines)
@@ -67,9 +73,9 @@ def test_recon_demo_takes_the_shingle_length():
     assert fields["l"] == "9" and fields["outcome"] == "ok"
     # binary words of 256 symbols at l = 9, where no shingle occurs more
     # than twice: the elements, up to code_count(2, 9) * 2, take 12 bits,
-    # and the check's floor for 264 + 265 instances at k = 8, a span of
-    # 2**(11 + 8), puts the prime in 20
-    assert fields["occ_bits"] == "1" and fields["elem_bits"] == "12" and fields["value_bits"] == "20"
+    # and the span's floor for 264 + 265 instances, 2**(11 + 4), puts the
+    # prime in 16
+    assert fields["occ_bits"] == "1" and fields["elem_bits"] == "12" and fields["value_bits"] == "16"
     # a rateless session: the fine buckets' sizes differ by 5 in all, so the
     # responder joins the 16 fine buckets into 2, and the initiator reads
     # the estimate off the first request

@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shinglesync import Alphabet, FieldSpec, ShingleMultiset
@@ -14,7 +14,7 @@ from shinglesync.errors import (
     PointCollisionError,
 )
 from shinglesync import setrecon
-from shinglesync.field import PointStream, poly_from_roots
+from shinglesync.field import PointStream, peval, poly_from_roots
 from shinglesync.setrecon import (
     Delta,
     RatelessDecoder,
@@ -380,6 +380,36 @@ def test_roots_by_candidates_finds_exactly_the_roots(roots):
     assert roots_by_candidates(poly, [1, *roots, 11], p) == roots
     assert roots_by_candidates(poly, [1, *roots[1:], 11], p) is None
     assert roots_by_candidates(poly, roots[1:], p) is None
+
+
+def roots_by_peval(poly, candidates, p):
+    """The roots of `poly` among `candidates`, one `peval` per distinct
+    candidate: sorted, or None unless degree-many are found."""
+    deg = len(poly) - 1
+    if deg < 0:
+        return None
+    roots = sorted(e for e in set(candidates) if peval(poly, e, p) == 0)
+    return roots if len(roots) == deg else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([7, 10007, 4194319]),
+    st.lists(st.integers(0, 2**22), max_size=6),
+    st.lists(st.integers(0, 2**22), max_size=30),
+    st.integers(1, 2**22),
+    st.booleans(),
+)
+def test_roots_by_candidates_matches_the_peval_route(p, roots, others, scale, repeat):
+    # the roots of any polynomial over p, monic or scaled, linear ones
+    # included, among candidates that repeat, miss roots or hold extras
+    # beside them: the list-level Horner steps give what one evaluation a
+    # candidate gives
+    poly = [c * scale % p for c in poly_from_roots([r % p for r in roots], p)]
+    poly = poly if poly[-1] else []
+    candidates = roots[: len(roots) // 2] + others + (others[:3] + roots[:1] if repeat else [])
+    candidates = [c % p for c in candidates]
+    assert roots_by_candidates(poly, candidates, p) == roots_by_peval(poly, candidates, p)
 
 
 def test_small_field_capacity_error():

@@ -47,7 +47,7 @@ from shinglesync.errors import (
     TransportClosedError,
 )
 from shinglesync.field import P61, FieldSpec, is_probable_prime
-from shinglesync.setrecon import EvalBundle, RatelessDecoder, RatelessSource, ShingleCodec, partition
+from shinglesync.setrecon import EvalBundle, RatelessDecoder, ShingleCodec, partition
 from shinglesync.shingles import CodeSpace, code_count
 from shinglesync.stringrecon import (
     _CONFIG,
@@ -57,12 +57,13 @@ from shinglesync.stringrecon import (
     MergeChains,
     SessionReport,
     _MeteredEndpoint,
+    _own_spans,
     _pack_block,
-    _own_runs,
     _reconcile_step,
     _unpack_block,
     _windows,
     _work_cap,
+    check_field,
     decode_bundle,
     decode_handoff,
     decode_hello,
@@ -82,6 +83,7 @@ from shinglesync.stringrecon import (
     coarse_shift,
     decode_shift,
     step2_buckets,
+    whole_value,
     word_occ_bits,
 )
 from shinglesync.transport import Frame, FrameKind, Listener, connect
@@ -439,7 +441,10 @@ def value_block_bytes(count, p):
 
 # the prime of a binary session at l = 26 between 4096-symbol words at
 # occurrence width 13, the widest they allow, whose residues cross at 42 bits
-P42 = session_field(2, 26, 13, 2 * (4096 + 25), MAX_K).p
+P42 = session_field(2, 26, 13, 2 * (4096 + 25)).p
+# the session check's prime below 2**25 instances, whose value crosses at 89
+# bits
+M89 = 2**89 - 1
 # the multiset of "0110" at l = 2 over '$', '0' and '1': '$0', '01', '11',
 # '10' and '0$' once each, the initiator's table in the hand-off codec tests
 TABLE_01 = ShingledWord("0110", 2, Alphabet("01")).table
@@ -479,7 +484,7 @@ class TestWireCodecs:
 
     def test_value_blocks_take_the_bit_length_of_the_prime(self):
         assert P42.bit_length() == 42
-        values = [1, P42 - 1, 0, 2**41 + 3]
+        values = [1, P42 - 1, 2, 2**41 + 3]
         payload = encode_pairs([(0, v) for v in values], p=P42)
         assert len(payload) == value_block_bytes(4, P42) == 21
         assert decode_pairs(payload, 4, P42) == values
@@ -566,58 +571,71 @@ class TestWireCodecs:
     def test_value_blocks_hold_residues_only(self):
         # every value from p to the top of its width is refused, in each
         # frame that carries residues, mod P61 and mod derived primes
-        for p in (P61, P42, session_field(4, 2, 3, 12, MAX_K).p):
+        for p in (P61, P42, session_field(4, 2, 3, 12).p):
             width = p.bit_length()
             for value in (p, p + 1, 2**width - 1):
                 block = _pack_block([7, value], width)
                 for decode in (
                     lambda: decode_pairs(block, 2, p),
-                    # the width byte, one size of 5 at 3 bits, its 1-bit offset
-                    lambda: decode_bundle(bytes([0, 0b101_00000, 1, 0]) + block, 1, 2, 5, p),
-                    # no walked instance, a 2-bit residual degree of 2, no
-                    # walk runs, the responder's run of two windows, then
-                    # the residual's two coefficients
-                    lambda: decode_handoff(
-                        bytes([0, 2, 0b10_000000, 0]) + encode_runs(["011"], 2, "$01") + block, 2, [2], TABLE_01, p
+                    # the width byte, one size of 5 at 3 bits, its 1-bit
+                    # offset, and the check value
+                    lambda: decode_bundle(
+                        bytes([0, 0b101_00000, 1, 0]) + _pack_block([1], 89) + block, 1, 2, 5, p, M89
                     ),
                 ):
                     with pytest.raises(ProtocolError, match=f"the prime {p} or more"):
                         decode()
             assert decode_pairs(_pack_block([7, p - 1], width), 2, p) == [7, p - 1]
+            # no characteristic value at a point is 0
+            with pytest.raises(ProtocolError, match="a value of 0"):
+                decode_pairs(_pack_block([7, 0], width), 2, p)
+        # the check value is a residue mod the check prime: 2**89 - 1, all
+        # ones at 89 bits, is none
+        head = bytes([0, 0b101_00000, 1, 0])
+        with pytest.raises(ProtocolError, match=f"bundle check block holds a value of the prime {M89} or more"):
+            decode_bundle(head + _pack_block([M89], 89), 1, 0, 5, P61, M89)
+        assert decode_bundle(head + _pack_block([M89 - 1], 89), 1, 0, 5, P61, M89) == ([5], [], M89 - 1)
 
     def test_bundle_frame_round_trip_and_exact_length(self):
         # the session's occurrence width; the smallest bucket size at the bit
         # length of the sender's instance count (5: 3 bits); the offsets'
-        # width and each size's offset from the smallest; then the values,
-        # as many as the hello implies
-        payload = encode_bundle(EvalBundle((7, 9), (1, P61 - 1), 5), occ_bits=3, bucket_sizes=[5], p=P61)
+        # width and each size's offset from the smallest; the check value at
+        # the bit length of the check prime, 89 bits in 12 bytes; then the
+        # values, as many as the hello implies
+        check = M89 - 2
+        bundle = EvalBundle((7, 9), (1, P61 - 1), 5)
+        payload = encode_bundle(bundle, occ_bits=3, bucket_sizes=[5], p=P61, check=check, m=M89)
         assert payload[:4] == bytes([3, 0b101_00000, 1, 0])
-        assert len(payload) == 4 + value_block_bytes(2, P61)
-        assert decode_bundle(payload, 1, 2, 5, P61) == ([5], [1, P61 - 1])
+        assert payload[4:16] == _pack_block([check], 89) == bytes([0xFF] * 10 + [0xFE, 0b1_0000000])
+        assert len(payload) == 4 + 12 + value_block_bytes(2, P61)
+        assert decode_bundle(payload, 1, 2, 5, P61, M89) == ([5], [1, P61 - 1], check)
         # the same values mod a 42-bit prime take 42 bits each
-        narrow = encode_bundle(EvalBundle((7, 9), (1, P42 - 1), 5), occ_bits=0, bucket_sizes=[5], p=P42)
-        assert len(narrow) == 4 + value_block_bytes(2, P42) == 15
-        assert decode_bundle(narrow, 1, 2, 5, P42) == ([5], [1, P42 - 1])
+        narrow = encode_bundle(EvalBundle((7, 9), (1, P42 - 1), 5), occ_bits=0, bucket_sizes=[5], p=P42, check=5, m=M89)
+        assert len(narrow) == 4 + 12 + value_block_bytes(2, P42) == 27
+        assert decode_bundle(narrow, 1, 2, 5, P42, M89) == ([5], [1, P42 - 1], 5)
         # the smallest of 4 sizes for 3 instances at 2 bits, then offsets
-        # of 2 bits
-        empty = encode_bundle(EvalBundle((), (), 3), occ_bits=1, bucket_sizes=[1, 0, 2, 0], p=P61)
-        assert empty == bytes([1, 0b00_000000, 2, 0b01_00_10_00])
-        assert decode_bundle(empty, 4, 0, 3, P61) == ([1, 0, 2, 0], [])
+        # of 2 bits, and in a rateless bundle no value after the check's
+        empty = encode_bundle(EvalBundle((), (), 3), occ_bits=1, bucket_sizes=[1, 0, 2, 0], p=P61, check=1, m=M89)
+        assert empty == bytes([1, 0b00_000000, 2, 0b01_00_10_00]) + _pack_block([1], 89)
+        assert decode_bundle(empty, 4, 0, 3, P61, M89) == ([1, 0, 2, 0], [], 1)
+        # a check value of 0 is no product of nonzero factors
+        with pytest.raises(ProtocolError, match="bundle check block holds a value of 0"):
+            decode_bundle(empty[:4] + bytes(12), 4, 0, 3, P61, M89)
         # 607 instances: the smallest size at 10 bits, and offsets as wide as
         # the spread needs, 3 bits for sizes 300 and 307
-        wide = encode_bundle(EvalBundle((), (), 607), occ_bits=2, bucket_sizes=[300, 307], p=P61)
-        assert wide == bytes([2]) + _pack_block([300], 10) + bytes([3, 0b000_111_00])
-        assert decode_bundle(wide, 2, 0, 607, P61) == ([300, 307], [])
-        for bad in (payload[:1], payload[:3], payload[:-1], payload + b"\x00"):
+        wide = encode_bundle(EvalBundle((), (), 607), occ_bits=2, bucket_sizes=[300, 307], p=P61, check=1, m=M89)
+        assert wide == bytes([2]) + _pack_block([300], 10) + bytes([3, 0b000_111_00]) + _pack_block([1], 89)
+        assert decode_bundle(wide, 2, 0, 607, P61, M89) == ([300, 307], [], 1)
+        for bad in (payload[:1], payload[:3], payload[:15], payload[:-1], payload + b"\x00"):
             with pytest.raises(ProtocolError):
-                decode_bundle(bad, 1, 2, 5, P61)
+                decode_bundle(bad, 1, 2, 5, P61, M89)
         for count in (1, 3):
             with pytest.raises(ProtocolError):
-                decode_bundle(payload, 1, count, 5, P61)
+                decode_bundle(payload, 1, count, 5, P61, M89)
         # five offsets need two bytes; one instance leaves the offsets 1 bit
         for buckets, instances in ((5, 3), (4, 1)):
             with pytest.raises(ProtocolError):
-                decode_bundle(empty, buckets, 0, instances, P61)
+                decode_bundle(empty, buckets, 0, instances, P61, M89)
 
     def test_request_frame_round_trip_and_exact_length(self):
         # a width byte, then the counts at that width: the bit length of the largest
@@ -627,68 +645,51 @@ class TestWireCodecs:
         narrow = encode_request([3, 0, 1])
         assert narrow == bytes([2, 0b11_00_01_00])
         assert decode_request(narrow, 3) == [3, 0, 1]
-        # the session check's request: all zeros at width 1
+        # a request asks for a value: all zeros, which protocol 17 sent for
+        # a fresh session check, are refused
         assert encode_request([0] * 9) == bytes([1, 0, 0])
-        assert decode_request(bytes([1, 0, 0]), 9) == [0] * 9
+        with pytest.raises(ProtocolError, match="pair request asks for no value"):
+            decode_request(bytes([1, 0, 0]), 9)
         for bad, buckets in ((payload, 2), (payload, 4), (payload[:-1], 3), (b"", 1), (b"\x01", 1)):
             with pytest.raises(ProtocolError):
                 decode_request(bad, buckets)
 
-    def test_handoff_and_roots_frames_round_trip_and_exact_length(self):
-        # the initiator's DELTA is its runs alone: the run count and each
-        # run's window count at the bit length of the windows' total (3: 2
-        # bits), then each run's r + l - 1 characters as 2-bit ranks
-        roots = encode_runs(["$0", "011"], 2, "$01")
-        assert roots == bytes([0b10_01_10_00, 0b00_01_01_10, 0b10_000000])
-        assert decode_runs(roots, 2, 3, "$01") == ["$0", "011"]
+    def test_handoff_and_runs_frames_round_trip_and_exact_length(self):
+        # a runs frame: the run count and each run's window count at the bit
+        # length of the windows' total (3: 2 bits), then each run's r + l - 1
+        # characters as 2-bit ranks
+        runs = encode_runs(["$0", "011"], 2, "$01")
+        assert runs == bytes([0b10_01_10_00, 0b00_01_01_10, 0b10_000000])
+        assert decode_runs(runs, 2, 3, "$01") == ["$0", "011"]
         assert encode_runs([], 2, "$01") == bytes(1) and decode_runs(bytes(1), 2, 0, "$01") == []
-        for bad, total in ((roots[:-1], 3), (roots + b"\x00", 3), (roots, 2), (roots, 4)):
+        for bad, total in ((runs[:-1], 3), (runs + b"\x00", 3), (runs, 2), (runs, 4)):
             with pytest.raises(ProtocolError):
                 decode_runs(bad, 2, total, "$01")
-        # the responder's, on the walk route: the walk's total at the bit
-        # length of the initiator's instance count (2: 2 bits), a residual
-        # width of 0 and so no degrees, the walk's runs, then its own runs,
-        # whose windows total the walk's plus the responder's instances less
-        # the initiator's, and no residue
-        walked = encode_handoff(["011"], ["$0"], [[1]], 2, 2, "$01", P61)
-        assert walked == bytes([0b01_000000, 0]) + encode_runs(["$0"], 2, "$01") + encode_runs(["011"], 2, "$01")
-        assert decode_handoff(walked, 3, [2], TABLE_01, P61) == (["011"], ["$0"], [[1]])
-        assert decode_handoff(encode_handoff([], [], [[1]], 1, 2, "$01", P61), 1, [1], TABLE_01, P61) == (
-            [],
-            [],
-            [[1]],
-        )
-        # a residual: its width, the bit length of the largest degree, the B
-        # degrees at that width, and after the runs one residue block of the
-        # monic residuals without their leading 1
-        two = encode_handoff(["$0"], [], [[1], [8, 9, 1]], 5, 2, "$01", P42)
-        assert two[:3] == bytes([0, 2, 0b00_10_0000])
-        assert two[3:] == bytes(1) + encode_runs(["$0"], 2, "$01") + _pack_block([8, 9], P42.bit_length())
-        # a responder of 4 instances against 5: 0 + 2 + 4 - 5 windows
-        assert decode_handoff(two, 4, [2, 3], TABLE_01, P42) == (["$0"], [], [[1], [8, 9, 1]])
-        # the degrees' width is refused past the bit length of the largest
-        # bucket, and the degree past the bucket's own size
-        with pytest.raises(ProtocolError, match="degree width 2 is outside"):
-            decode_handoff(two, 4, [1, 1], TABLE_01, P42)
-        with pytest.raises(ProtocolError, match="degree 2, more than the bucket's 1 instances"):
-            decode_handoff(two, 4, [3, 1], TABLE_01, P42)
-        # a residual width states a residual, and the walk and the residual
-        # together hold at most the initiator's instances
-        with pytest.raises(ProtocolError, match="width 1 holds no residual"):
-            decode_handoff(bytes([0, 1, 0]) + bytes(10), 1, [1], TABLE_01, P61)
-        past = encode_handoff([], ["$01"], [[1], [5, 1]], 2, 2, "$01", P61)
-        with pytest.raises(ProtocolError, match="the residual's 1 are more than the initiator's 2"):
-            decode_handoff(past, 0, [1, 1], TABLE_01, P61)
-        for bad in (b"", walked[:1], walked[:-1], walked + b"\x00"):
+        # the responder's hand-off: the walk's total at the bit length of
+        # the initiator's instance count (2: 2 bits), the walk's runs, then
+        # its own runs, whose windows total the walk's plus the responder's
+        # instances less the initiator's
+        walked = encode_handoff(["011"], ["$0"], 2, 2, "$01")
+        assert walked == bytes([0b01_000000]) + encode_runs(["$0"], 2, "$01") + encode_runs(["011"], 2, "$01")
+        assert decode_handoff(walked, 3, 2, TABLE_01) == (["011"], ["$0"])
+        assert decode_handoff(encode_handoff([], [], 1, 2, "$01"), 1, 1, TABLE_01) == ([], [])
+        # protocol 17's residual width byte, or any byte past the runs, is refused
+        for extra in (b"\x00", b"\x01\x80", bytes(12)):
+            with pytest.raises(ProtocolError, match=f"runs frame holds {len(extra)} bytes past its runs"):
+                decode_handoff(walked + extra, 3, 2, TABLE_01)
+        for bad in (b"", walked[:1], walked[:-1]):
             with pytest.raises(ProtocolError):
-                decode_handoff(bad, 3, [2], TABLE_01, P61)
+                decode_handoff(bad, 3, 2, TABLE_01)
         # another instance count derives another total for the runs
         for instances in (1, 4):
             with pytest.raises(ProtocolError):
-                decode_handoff(walked, instances, [2], TABLE_01, P61)
-        # nine buckets' degrees need two bytes at 1 bit each
-        with pytest.raises(ProtocolError):
-            decode_handoff(encode_handoff([], [], [[1]] * 8 + [[3, 1]], 9, 2, "$01", P61), 0, [1] * 8, TABLE_01, P61)
+                decode_handoff(walked, instances, 2, TABLE_01)
+        # the walk holds at most the initiator's instances, and at least its
+        # surplus over the responder's
+        with pytest.raises(ProtocolError, match="found 3 instances, more than the initiator's 2"):
+            decode_handoff(_pack_block([3], 2) + bytes(10), 5, 2, TABLE_01)
+        with pytest.raises(ProtocolError, match="fewer than the initiator's 2 surplus instances"):
+            decode_handoff(_pack_block([0], 3) + bytes(10), 2, 4, TABLE_01)
 
     def test_hello_round_trip(self):
         config = ReconConfig(l=7, mode=MODE_FIXED, m_hat=33, k=5, seed=12345)
@@ -720,7 +721,7 @@ class TestWireCodecs:
     @staticmethod
     def refuses_version(version):
         hello = bytearray(hello_for(ReconConfig(l=7, seed=1), "ab").payload)
-        assert hello[0] == PROTOCOL_VERSION == 17
+        assert hello[0] == PROTOCOL_VERSION == 18
         hello[0] = version
         with pytest.raises(ProtocolError, match=f"unsupported protocol version {version}"):
             decode_hello(bytes(hello))
@@ -766,6 +767,12 @@ class TestWireCodecs:
         # held no bucket shift
         self.refuses_version(16)
 
+    def test_hello_of_protocol_version_17_is_refused(self):
+        # version 17 carried k session check values in the session's field,
+        # whose span they widened, and handed over what its walk missed as
+        # residual coefficients
+        self.refuses_version(17)
+
     def test_hello_symbols_must_be_utf8(self):
         payload = encode_hello(ReconConfig(l=7, seed=1), 2, "ab")
         bad = payload[:-2] + b"\xff\xfe"
@@ -806,8 +813,8 @@ class TestSessions:
         walk = stringrecon._walk
 
         def broken_walk(*args):
-            walked, found, residuals = walk(*args)
-            return walked + walked[:1], found, residuals
+            walked, found = walk(*args)
+            return walked + walked[:1], found
 
         monkeypatch.setattr(stringrecon, "_walk", broken_walk)
         config = ReconConfig(l=2, mode=MODE_RATELESS, seed=11)
@@ -883,34 +890,35 @@ class TestSessions:
         config = ReconConfig(l=3, mode=mode, m_hat=m_hat, k=4, seed=9)
         (_, rep_a), (_, rep_b) = run_session("katana", "katna", config)
         assert rep_a.step2_pairs == rep_b.step2_pairs > 0
-        assert rep_a.step2_checks == rep_b.step2_checks == 1
+        # only the responder runs the session check
+        assert (rep_a.step2_checks, rep_b.step2_checks) == (0, 1)
         if mode == MODE_FIXED:
             # two buckets, whose first batches of m_hat / 2 values cover the
-            # difference, and the session check's k values, all in the bundle
+            # difference, all in the bundle beside the session check's value
             assert rep_a.step2_buckets == 2
-            assert rep_a.step2_pairs == m_hat + 4
+            assert rep_a.step2_pairs == m_hat
             assert rep_a.step2_rounds == 0
         assert f"step2_pairs={rep_a.step2_pairs}\n" in rep_a.to_text()
 
-    def test_zero_difference_rateless_session_sends_k_pairs(self, rng):
+    def test_zero_difference_rateless_session_sends_one_value(self, rng):
         # the bundle's sizes match, so the estimate is 0 and the fine buckets
-        # join into one, which one value verifies, and k values the session:
-        # 6 instances make two fine buckets
+        # join into one, which one value verifies, and the bundle's check
+        # value the session, whatever k: 6 instances make two fine buckets
         config = ReconConfig(l=2, mode=MODE_RATELESS, k=6, seed=5)
         (_, rep_a), (_, rep_b) = run_session("hello", "hello", config)
         assert rep_a.step2_fine_buckets == rep_b.step2_fine_buckets == 2
         assert rep_a.step2_buckets == rep_b.step2_buckets == 1
         assert rep_a.step2_estimate == rep_b.step2_estimate == 0
-        assert rep_a.step2_pairs == rep_b.step2_pairs == 1 + 6
+        assert rep_a.step2_pairs == rep_b.step2_pairs == 1
         # 300 + 12 instances make sixteen fine buckets
         word = "".join(rng.choice("01") for _ in range(300))
         config = ReconConfig(l=13, mode=MODE_RATELESS, k=8, seed=5)
         (_, rep_a), (_, rep_b) = run_session(word, word, config)
         assert rep_a.step2_fine_buckets == rep_b.step2_fine_buckets == 16
         assert rep_a.step2_buckets == rep_b.step2_buckets == 1
-        assert rep_a.step2_pairs == rep_b.step2_pairs == 1 + 8
-        # the check values ride in the bundle: one round asks for the buckets' values
-        assert rep_a.step2_rounds == 1 and rep_a.step2_checks == 1
+        assert rep_a.step2_pairs == rep_b.step2_pairs == 1
+        # the check value rides in the bundle: one round asks for the bucket's value
+        assert rep_a.step2_rounds == 1 and rep_b.step2_checks == 1
 
     @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 96), (MODE_RATELESS, 0)])
     def test_both_parties_report_buckets_and_rounds(self, monkeypatch, rng, mode, m_hat):
@@ -935,14 +943,15 @@ class TestSessions:
         assert rep_b.step2_estimate > 0
         assert rep_a.step2_estimate == (0 if mode == MODE_FIXED else rep_b.step2_estimate)
         assert rep_a.step2_rounds == rep_b.step2_rounds == kinds.count(FrameKind.DELTA_REQ)
-        assert rep_a.step2_checks == rep_b.step2_checks == 1
+        assert (rep_a.step2_checks, rep_b.step2_checks) == (0, 1)
         # a rateless bundle holds no bucket values; these fixed first batches
         # of 96 / 16 leave fewer buckets to top up, and the bundle holds the check
         assert rep_a.step2_rounds >= (mode == MODE_RATELESS)
         text = rep_b.to_text()
         for name in ("step2_buckets", "step2_fine_buckets", "step2_estimate", "step2_rounds", "step2_checks",
-                     "step2_rejected", "step2_walked", "step2_residual"):
+                     "step2_rejected", "step2_walked"):
             assert f"{name}={getattr(rep_b, name)}\n" in text
+        assert "step2_residual" not in text
 
     @pytest.mark.parametrize("mode,m_hat", [(MODE_FIXED, 96), (MODE_RATELESS, 0)])
     def test_sessions_never_factor_or_solve(self, monkeypatch, rng, mode, m_hat):
@@ -1068,8 +1077,8 @@ class TestSessions:
         assert all(m + 1 <= first for m in diffs) and sum(diffs) > 0
         (ra, rep_a), (rb, _) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
-        # the bundle alone, which holds the session check
-        assert rep_a.step2_pairs == buckets * first + k and rep_a.step2_rounds == 0
+        # the bundle alone, which holds the session check's value beside them
+        assert rep_a.step2_pairs == buckets * first and rep_a.step2_rounds == 0
         # each bucket's decoder feeds the first m_b + 1 of its own points: a
         # bucket's k is 1, the session check verifies the rest
         points = session_codec(wa, wb, l).field.sample_points(config.seed, buckets * first)
@@ -1094,15 +1103,14 @@ class TestSessions:
         (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
         assert rep_a.step2_buckets == buckets
-        # a bucket is served its first batch or, past it, m_b + 1; the
-        # session check k more
-        assert rep_a.step2_pairs == rep_b.step2_pairs == sum(max(first, d + 1) for d in diffs) + k
+        # a bucket is served its first batch or, past it, m_b + 1
+        assert rep_a.step2_pairs == rep_b.step2_pairs == sum(max(first, d + 1) for d in diffs)
         assert rep_a.step2_rounds == rep_b.step2_rounds >= 1
 
     def test_fixed_bundle_is_bounded_by_both_words_instances(self):
         # no difference holds more than both words' instances, so the largest
         # m_hat a hello may state bundles no more than those, a bucket's share
-        # rounded up, beside the check's k values, and the session recovers
+        # rounded up, beside the check's value, and the session recovers
         rng = random.Random(64)
         wa = "".join(rng.choice("01") for _ in range(64))
         wb = random_edits(wa, 2, rng, "01")
@@ -1114,8 +1122,8 @@ class TestSessions:
         (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
         assert time.perf_counter() - start < 10
-        assert rep_a.step2_pairs == rep_b.step2_pairs == buckets * -(-instances // buckets) + k
-        assert rep_a.step2_pairs <= instances + buckets + k and rep_a.step2_rounds == 0
+        assert rep_a.step2_pairs == rep_b.step2_pairs == buckets * -(-instances // buckets)
+        assert rep_a.step2_pairs <= instances + buckets and rep_a.step2_rounds == 0
 
     def test_hello_bits_are_the_frame_arithmetic(self):
         config = ReconConfig(l=2, mode=MODE_RATELESS, seed=5)
@@ -1216,16 +1224,15 @@ class TestSessions:
             assert rep_a.value_bits == rep_b.value_bits == value_bits < 62
             assert f"value_bits={value_bits}\n" in rep_a.to_text()
             pairs, rounds = rep_a.step2_pairs, rep_a.step2_rounds
-            # the bundle's k check values, then one value frame per request
-            assert config.k + sum(batches) == pairs == rep_b.step2_pairs
+            # one value frame per request
+            assert sum(batches) == pairs == rep_b.step2_pairs
             assert len(batches) == len(requests) == rounds == rep_b.step2_rounds
-            # the check in the bundle passes: no request asks for another
-            assert [0] * buckets not in requests
-            # the walk finds every one-sided instance of the initiator's
+            # the walk finds every one-sided instance of the initiator's,
+            # and the check after it passes
             (walked,) = walks
             assert _windows(walked, l) == ShingleMultiset(ca - cb)
             assert rep_b.step2_walked == sum((ca - cb).values()) > 0
-            assert rep_a.step2_walked == rep_a.step2_residual == rep_b.step2_residual == 0
+            assert rep_a.step2_walked == 0 and rep_b.step2_checks == 1
 
             def block(count, width=rep_a.value_bits):  # zero-padded to a byte
                 return 8 * ((width * count + 7) // 8)
@@ -1244,25 +1251,25 @@ class TestSessions:
             # initiator: a bundle of the session's width byte, the smallest
             # bucket size at the bit length of its instance count, the
             # offsets' width byte and each size's offset at that width, and
-            # the k check values; one value frame per request; no DELTA
+            # the check value at 89 bits; one value frame per request; no
+            # DELTA
             instances_a = sum(ca.values())
             offset_bits = max(1, (max(sizes) - min(sizes)).bit_length())
             sent_a = (
                 header + 8 + block(1, instances_a.bit_length()) + 8 + block(fine, offset_bits)
-                + block(config.k)
+                + block(1, 89)
                 + sum(header + block(batch) for batch in batches)
             )
             # responder: its width byte; the shift byte that opens the first
             # request, each request's width byte and counts at that width;
-            # then the walk's total at the bit length of the
-            # initiator's instance count, a residual width byte of 0, the
-            # walk's runs, and its own runs
+            # then the walk's total at the bit length of the initiator's
+            # instance count, the walk's runs, and its own runs
             found = sum((ca - cb).values())
             walk_bits = block(1 + len(walked), found.bit_length()) + block(sum(map(len, walked)), 2)
             sent_b = (
                 header + 8 + 8
                 + sum(header + 8 + block(buckets, max(1, max(counts).bit_length())) for counts in requests)
-                + header + block(1, instances_a.bit_length()) + 8 + walk_bits
+                + header + block(1, instances_a.bit_length()) + walk_bits
                 + runs_bits(cb, ca, wb)
             )
             assert rep_a.step_bits("step2") == (sent_a, sent_b)
@@ -1292,7 +1299,7 @@ class TestSessions:
         # the session check: some top up
         assert rep_a.step2_buckets == 16
         assert rep_a.step2_rounds == rep_b.step2_rounds >= 1
-        assert rep_a.step2_pairs == rep_b.step2_pairs > 16 * 1 + 4
+        assert rep_a.step2_pairs == rep_b.step2_pairs > 16 * 1
 
     def test_responder_echo_mismatch_detected(self):
         config = ReconConfig(l=2, mode=MODE_RATELESS, seed=4)
@@ -1413,32 +1420,33 @@ class TestStep2Evaluation:
         (payload,) = [f.payload for f in sent if f.kind == FrameKind.EVAL_BUNDLE]
         # 611 instances a side make 32 buckets, each bundled 64 / 32 values;
         # the session's width, the smallest size at 10 bits, the offsets'
-        # width and the offsets, and the k whole-set values of the session
-        # check follow at the next points
+        # width and the offsets, and the initiator's whole-set value at the
+        # check point, mod 2**89 - 1, come before them
         buckets, first = 32, 2
         codec = session_codec(wa, wb, config.l)
         p = codec.field.p
+        m, z = check_field(2 * 611, config.seed)
+        assert m == M89
         elements = session_elements(wa, config.l, Alphabet("01"), codec.occ_bits)
         parts = partition(elements, buckets, config.seed)
         least = min(map(len, parts))
         width = max(len(part) - least for part in parts).bit_length()
         assert payload[:4] == bytes([codec.occ_bits]) + _pack_block([least], 10) + bytes([width])
-        assert len(payload) == 4 + (width * buckets + 7) // 8 + value_block_bytes(buckets * first + config.k, p)
-        sizes, values = decode_bundle(payload, buckets, buckets * first + config.k, 611, p)
+        assert len(payload) == 4 + (width * buckets + 7) // 8 + 12 + value_block_bytes(buckets * first, p)
+        sizes, values, check = decode_bundle(payload, buckets, buckets * first, 611, p, m)
         assert sizes == [len(part) for part in parts]
-        points = codec.field.sample_points(config.seed, buckets * first + config.k)
+        points = codec.field.sample_points(config.seed, buckets * first)
         for b, part in enumerate(parts):
             window = slice(b * first, (b + 1) * first)
             assert values[window] == char_values_loop(part, points[window], p)
-        check = slice(buckets * first, None)
-        assert values[check] == char_values_loop(elements, points[check], p)
+        assert check == whole_value(elements, z, m) == char_values_loop(elements, [z], m)[0]
         # no shingle of either word occurs more than twice: elements at 1
         # occurrence bit, code_count(2, 12) * 2 = 32,714 of them, in 15 bits;
-        # at k = 8 the check's floor, 12 + 8 bits, sets a span of 2**20, and
-        # residues cross at 21 bits
-        assert (codec.occ_bits, codec.field.point_span, p.bit_length()) == (1, 2**20, 21)
+        # the span's floor for 1,222 instances, 2**(12 + 4), puts the prime
+        # in 17 bits, where protocol 17's check floor at k = 8 put it in 21
+        assert (codec.occ_bits, codec.field.point_span, p.bit_length()) == (1, 2**16, 17)
         assert hashlib.sha256(payload).hexdigest() == (
-            "0e117af5dcc1e760641d27b00761d8bf60b157bfc884f7996aa3fbde0b3a1a27"
+            "632c881bcaaa50716d106d391cd0e3e568a24947434aaf1dbf5b15245ef454df"
         )
 
 
@@ -1447,12 +1455,11 @@ class TestStep2Evaluation:
 # merges and 25-27 shipped ranks a side); each MERGES frame's chain count
 # takes 11 bits, for half of its 2,063 instances.  Only the responder sends
 # a DELTA: its walk finds all 112 of the initiator's one-sided instances,
-# so it carries their runs beside its own and no residual, and the
-# initiator answers with none
+# so it carries their runs beside its own
 GOLDEN_SESSION = {
     ("initiator", "MERGES"): "8017f0f0106e268ed224a7e3eabe344a06b2bc7b0b1b812322583b71f5a50cc8",
     ("responder", "MERGES"): "b21f73574304560fe4a3b3639e64e34974c754759410660854f8fd663cc0199f",
-    ("responder", "DELTA"): "8c5d8dce9b0a8d2931545943adc75edb5a1c0d96808517138dea42a30449ff5a",
+    ("responder", "DELTA"): "1edd5db301c951e3694f139ae0c3d7fdcab921277b18070819fdfd11ca668c29",
 }
 
 
@@ -1477,17 +1484,13 @@ def test_session_wire_is_golden():
         fut_b = pool.submit(run_protocol, wb, ends[1], "responder", config)
         assert fut_a.result(timeout=60)[0] == wb and fut_b.result(timeout=60)[0] == wa
     # the hand-off read as the initiator reads it: each side's one-sided
-    # instances, as the words' shinglings give them, and no residual
+    # instances, as the words' shinglings give them
     count_a, count_b = Counter(shingle_sequence(wa, 16)), Counter(shingle_sequence(wb, 16))
-    codec = session_codec(wa, wb, 16)
-    table = ShingledWord(wa, 16, codec.alphabet).table
-    buckets = step2_buckets(len(wa) + 15, len(wb) + 15)
-    sizes = [len(part) for part in partition(session_elements(wa, 16, codec.alphabet, codec.occ_bits), buckets, 21)]
+    table = shingled(wa, 16).table
     (payload,) = handoffs
-    runs, walked, residuals = decode_handoff(payload, len(wb) + 15, sizes, table, codec.field.p)
+    runs, walked = decode_handoff(payload, len(wb) + 15, len(wa) + 15, table)
     assert _windows(walked, 16) == ShingleMultiset(count_a - count_b) and sum((count_a - count_b).values()) == 112
     assert _windows(runs, 16) == ShingleMultiset(count_b - count_a)
-    assert residuals == [[1]] * buckets == [[1]] * 64
     assert digests == GOLDEN_SESSION
 
 
@@ -1532,12 +1535,12 @@ class TestPartitionedStep2:
         assert delta_b == (only_b, only_a)
         # at most 12 instances per side, so no bucket's rung passes the exact
         # part of the ladder, and each bucket the responder reconciles lands
-        # on m_b + 1, its one verification value; the session check adds k
+        # on m_b + 1, its one verification value
         coarse = rep_b.step2_buckets
         assert rep_a.step2_buckets == coarse <= buckets == rep_a.step2_fine_buckets == rep_b.step2_fine_buckets
         parts_a = partition(session_elements(word_a, 4, codec.alphabet, codec.occ_bits), coarse, seed)
         parts_b = partition(session_elements(word_b, 4, codec.alphabet, codec.occ_bits), coarse, seed)
-        expected = sum(len(set(pa) ^ set(pb)) + 1 for pa, pb in zip(parts_a, parts_b)) + config.k
+        expected = sum(len(set(pa) ^ set(pb)) + 1 for pa, pb in zip(parts_a, parts_b))
         assert rep_a.step2_pairs == rep_b.step2_pairs == expected
 
 
@@ -1586,12 +1589,13 @@ class TestCoarseBuckets:
         st.integers(3, 8),
         st.integers(0, 2**32),
     )
-    # a unary word with two edits: its 2 one-sided instances cross as the
-    # residual of one coarse bucket out of 16 fine ones
+    # a unary word with two edits: its 2 one-sided instances lie in one
+    # coarse bucket out of 16 fine ones, and the walk's third pass finds
+    # them
     @example(True, "0", 150, 2, 4, 1)
     def test_the_estimate_is_a_lower_bound(self, periodic, period, n, edits, l, seed):
-        # random words, or periodic ones, whose edits may close cycles the
-        # walk never reaches, so that the residual route runs
+        # random words, or periodic ones, whose edits may close cycles that
+        # touch no run of the responder's
         rng = random.Random(seed)
         wa = (period * n)[:n] if periodic else "".join(rng.choice("01") for _ in range(n))
         wb = random_edits(wa, edits, rng, "01")
@@ -1616,16 +1620,17 @@ class TestCoarseBuckets:
         for (_, least), part_a, part_b in zip(decoders, parts_a, parts_b):
             assert least <= len(set(part_a) ^ set(part_b))
         if (periodic, period, n, edits, l, seed) == (True, "0", 150, 2, 4, 1):
-            assert (coarse, rep_b.step2_fine_buckets, rep_a.step2_residual, rep_b.step2_residual) == (1, 16, 2, 2)
+            assert (coarse, rep_b.step2_fine_buckets, rep_b.step2_walked) == (1, 16, 2)
 
-    def test_a_residual_crosses_at_the_coarse_buckets(self):
+    def test_a_word_without_runs_is_walked_at_the_coarse_buckets(self):
         # a unary word one symbol longer: the responder has no run, so the
-        # walk has no start, and the one instance more crosses as the
-        # residual of the single coarse bucket the estimate of 1 asks for
+        # walk's first two passes have no start, and its third, from every
+        # node of its word, finds the one instance more in the single coarse
+        # bucket the estimate of 1 asks for
         (ra, rep_a), (rb, rep_b) = run_session("0" * 301, "0" * 300, ReconConfig(l=3, seed=3))
         assert ra == "0" * 300 and rb == "0" * 301
         assert (rep_b.step2_fine_buckets, rep_b.step2_buckets, rep_b.step2_estimate) == (16, 1, 1)
-        assert rep_b.step2_walked == 0 and rep_a.step2_residual == rep_b.step2_residual == 1
+        assert (rep_b.step2_walked, rep_b.step2_checks) == (1, 1)
 
     # protocol v16's wire bits for the three sessions below, which
     # reconciled all 128 fine buckets
@@ -1717,9 +1722,8 @@ class TestSessionElements:
         elements = stringrecon._elements(shingled, occ_bits)
         assert elements == session_elements(word, l, alphabet, occ_bits)
         assert 0 not in elements and len(set(elements)) == len(elements)
-        k = data.draw(st.integers(1, MAX_K))
         instances = 2 * (len(word) + l - 1)
-        assert max(elements) < session_field(len(symbols), l, occ_bits, instances, k).encoding_limit
+        assert max(elements) < session_field(len(symbols), l, occ_bits, instances).encoding_limit
 
     @pytest.mark.parametrize("symbols", ["01", "abc"])
     def test_every_length_up_to_the_cap_stays_in_range(self, symbols):
@@ -1735,10 +1739,9 @@ class TestSessionElements:
                 elements = stringrecon._elements(shingled, occ_bits)
                 assert elements == session_elements(word, l, alphabet, occ_bits)
                 assert 0 not in elements and len(set(elements)) == len(elements)
-                for k in (1, MAX_K):
-                    field = session_field(len(symbols), l, occ_bits, 2 * (len(word) + l - 1), k)
-                    assert field.p <= FIELD.p
-                    assert max(elements) < field.encoding_limit
+                field = session_field(len(symbols), l, occ_bits, 2 * (len(word) + l - 1))
+                assert field.p <= FIELD.p
+                assert max(elements) < field.encoding_limit
         # the empty word's l - 1 windows are all delimiters, the last code
         last = code_count(len(symbols), 3) - 1
         assert stringrecon._elements(ShingledWord("", 3, alphabet), 16) == [last * 2**16 + 1, last * 2**16 + 2]
@@ -1803,117 +1806,84 @@ class TestSessionElements:
             for l in (2, 3, 5, 8, 13):
                 for occ_bits in (0, 1, 7, 13, 16):
                     for instances in (0, 8226, 2**21):
-                        for k in (1, 3, MAX_K):
-                            spec = session_field(symbols, l, occ_bits, instances, k)
-                            top = reference_codes(symbols, l) * 2**occ_bits
-                            floor = top + 2 ** span_bits(symbols, l, occ_bits, instances, k)
-                            assert spec.point_span == floor - top and spec.p > floor
-                            assert is_probable_prime(spec.p)
-                            assert not any(map(is_probable_prime, range(floor + 1, spec.p)))
-                            # the largest element, C * 2**w, lies below the points
-                            assert top < spec.encoding_limit
+                        spec = session_field(symbols, l, occ_bits, instances)
+                        top = reference_codes(symbols, l) * 2**occ_bits
+                        floor = top + 2 ** span_bits(symbols, l, occ_bits, instances)
+                        assert spec.point_span == floor - top and spec.p > floor
+                        assert is_probable_prime(spec.p)
+                        assert not any(map(is_probable_prime, range(floor + 1, spec.p)))
+                        # the largest element, C * 2**w, lies below the points
+                        assert top < spec.encoding_limit
 
-    # each cell's id names its l, its width and protocol 14's prime's width
-    CELLS = [(18, 13, 42, 41), (20, 15, 47, 41), (23, 16, 53, 42), (27, 16, 59, 46),
-             (18, 1, 41, 41), (20, 2, 41, 41), (23, 2, 41, 41), (27, 2, 45, 41)]
-
-    @pytest.mark.parametrize("l,occ_bits,v14_bits,bits", CELLS, ids=["-".join(map(str, cell[:3])) for cell in CELLS])
-    def test_widths_of_the_benchmark_cells(self, l, occ_bits, v14_bits, bits):
-        # binary words: two symbols.  At 4096, 16384, 2**16 and 2**20
-        # symbols, the first four are the widest widths their word lengths
-        # allow (`occ_bits_cap`), the last four the widths of words whose
-        # shingles occur at most 2 to 4 times, as random words' do.  At
-        # k <= 2 the session check's floor passes the 2**40 cap, so the span
-        # is protocol 14's 2**40, and the prime the smallest above it and the
-        # elements: at most protocol 14's, whose keys took a digit for the
-        # delimiter
-        n = {18: 4096, 20: 16384, 23: 2**16, 27: 2**20}[l]
-        for k in (1, 2):
-            field = session_field(2, l, occ_bits, 2 * (n + l - 1), k)
-            assert field.point_span == 2**40 and field.p.bit_length() == bits
-        assert protocol14_prime(3, l, occ_bits).bit_length() == v14_bits >= bits
-
-    # each cell's id names its l, width, instances and k and protocol 15's
-    # residue width
-    CELLS_AT_K = [
-        (18, 13, 8226, 8, 42, 34), (20, 15, 32806, 8, 47, 38), (23, 16, 131116, 8, 53, 42),
-        (27, 16, 2097204, 8, 59, 46), (18, 1, 8226, 8, 30, 24), (18, 2, 8226, 8, 31, 24),
-        (20, 1, 32806, 8, 33, 26), (20, 2, 32806, 8, 34, 26), (23, 1, 131116, 8, 38, 28),
-        (23, 2, 131116, 8, 39, 28), (27, 2, 2097204, 8, 45, 32), (18, 2, 8226, 4, 32, 32),
+    # each cell's id names its l, width and instances, and protocol 17's
+    # residue width, whose span's floor was 8 bits wider at k = 8
+    CELLS = [
+        (18, 13, 8226, 34, 34), (20, 15, 32806, 38, 38), (23, 16, 131116, 42, 42), (27, 16, 2097204, 46, 46),
+        (18, 1, 8226, 24, 22), (18, 2, 8226, 24, 23), (20, 1, 32806, 26, 24), (20, 2, 32806, 26, 25),
+        (23, 1, 131116, 28, 27), (23, 2, 131116, 28, 28), (27, 2, 2097204, 32, 32),
     ]
 
     @pytest.mark.parametrize(
-        "l,occ_bits,instances,k,v15_bits,bits", CELLS_AT_K, ids=["-".join(map(str, cell[:5])) for cell in CELLS_AT_K]
+        "l,occ_bits,instances,v17_bits,bits", CELLS, ids=["-".join(map(str, cell[:4])) for cell in CELLS]
     )
-    def test_widths_of_the_benchmark_cells_at_k(self, l, occ_bits, instances, k, v15_bits, bits):
-        # the same cells, between two words of n + l - 1 instances each, at
-        # the benchmark's k = 8 and at k = 4, beside protocol 15's widths,
-        # whose elements took base 3.  At k = 8 the elements of the random
-        # words (1 or 2 occurrence bits) take 21 to 31 bits, below the
-        # check's floor of (2 (N_A + N_B)).bit_length() + 8 bits, so the floor
-        # sets the span and the prime is one bit wider: 24 bits at 4096
-        # symbols, 26 at 16384, 28 at 2**16 and 32 at 2**20
-        v15 = protocol15_prime(l, occ_bits, instances, k)
-        assert v15.bit_length() == v15_bits
-        assert session_field(2, l, occ_bits, instances, k).p.bit_length() == bits <= v15_bits
+    def test_widths_of_the_benchmark_cells(self, l, occ_bits, instances, v17_bits, bits):
+        # binary words: two symbols, between two words of n + l - 1
+        # instances each at 4096, 16384, 2**16 and 2**20 symbols.  The first
+        # four widths are the widest the word lengths allow
+        # (`occ_bits_cap`), the rest those of words whose shingles occur at
+        # most 2 to 4 times, as random words' do.  Their elements take 21 to
+        # 31 bits, and the span's floor, (2 (N_A + N_B)).bit_length() + 4
+        # bits, no longer passes them: the prime is the one the elements
+        # set, one bit above them, 22 or 23 bits at 4096 symbols and 24 or
+        # 25 at 16384 where protocol 17 took 24 and 26.  Only the widest
+        # widths' elements leave the floor no room below their next power
+        # of two, and keep protocol 17's width
+        assert session_field(2, l, occ_bits, instances).p.bit_length() == bits <= v17_bits
+        assert bits - (reference_codes(2, l) * 2**occ_bits).bit_length() <= 1
 
     @pytest.mark.parametrize("symbols", ["0", "01", "abc", "abcdefghij"])
     def test_a_hostile_word_length_cannot_widen_the_field_past_p61(self, symbols):
         # whatever u64 word length a hello announces, the widest width a
         # peer may state is 16 bits, and at the capped l the prime is then
-        # at most P61, 62 bits, at every k
+        # at most P61, 62 bits
         occ_bits = occ_bits_cap(2**64 - 1 + 2 - 1)
         assert occ_bits == 16
         top = ShingleCodec(Alphabet(symbols), FIELD).max_shingle_len
-        for k in range(1, MAX_K + 1):
-            field = session_field(len(symbols), top, occ_bits, 2 * (2**64 - 1 + top - 1), k)
-            assert field.p <= P61 and field.p.bit_length() <= 62
+        field = session_field(len(symbols), top, occ_bits, 2 * (2**64 - 1 + top - 1))
+        assert field.p <= P61 and field.p.bit_length() <= 62
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.sampled_from(["0", "01", "abc", "abcdefghij", "abcdefghijklmnopqrstuvwxyz"]),
         st.data(),
         st.integers(0, 2**65),
-        st.integers(1, MAX_K),
     )
-    def test_no_field_is_wider_than_protocol_14s(self, symbols, data, instances, k):
-        # for any hello, k and occurrence width a peer may state, the 2**40
+    def test_no_field_is_wider_than_protocol_14s(self, symbols, data, instances):
+        # for any hello and occurrence width a peer may state, the 2**40
         # cap, and codes no more than the keys, keep the prime at or below
         # the one of protocol 14's fixed span over its keys
         l = data.draw(st.integers(2, ShingleCodec(Alphabet(symbols), FIELD).max_shingle_len))
         occ_bits = data.draw(st.integers(0, occ_bits_cap(2**64 - 1 + l - 1)))
-        field = session_field(len(symbols), l, occ_bits, instances, k)
+        field = session_field(len(symbols), l, occ_bits, instances)
         assert field.p <= protocol14_prime(len(symbols) + 1, l, occ_bits) <= P61
         assert field.point_span <= FIELD.point_span
 
-    def test_a_small_k_at_4096_symbols_keeps_protocol_14s_span(self):
-        # at k <= 2 the check's floor passes the 2**40 cap, so the span is
-        # protocol 14's at every width two 4096-symbol words may state, and
-        # the prime the smallest above it and the elements
-        for occ_bits in range(occ_bits_cap(4096 + 17) + 1):
-            top = reference_codes(2, 18) * 2**occ_bits
-            for k in (1, 2):
-                field = session_field(2, 18, occ_bits, 8226, k)
-                assert field.point_span == 2**40
-                assert field.p > top + 2**40
-                assert not any(map(is_probable_prime, range(top + 2**40 + 1, field.p)))
-
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 26), st.integers(2, 30), st.integers(0, 16), st.integers(0, 2**65), st.integers(1, MAX_K))
-    def test_the_span_never_falls_below_the_checks_floor(self, symbols, l, occ_bits, instances, k):
-        span = session_field(symbols, l, occ_bits, instances, k).point_span
-        assert span == 2 ** span_bits(symbols, l, occ_bits, instances, k)
+    @given(st.integers(1, 26), st.integers(2, 30), st.integers(0, 16), st.integers(0, 2**65))
+    def test_the_span_never_falls_below_its_floor(self, symbols, l, occ_bits, instances):
+        span = session_field(symbols, l, occ_bits, instances).point_span
+        assert span == 2 ** span_bits(symbols, l, occ_bits, instances)
         if span < 2**40:
-            # below the cap, ((D* + D) / span)**k <= 2**-64 for any D* + D up
-            # to both words' instances twice
-            assert (2 * instances) ** k * 2**64 <= span**k
+            # below the cap, more than 2**SPAN_MARGIN_BITS times twice both
+            # words' instances
+            assert span > 2**stringrecon.SPAN_MARGIN_BITS * 2 * instances
         else:
             assert span == FIELD.point_span
 
     @pytest.mark.parametrize("k", [1, 2, MAX_K])
     def test_small_sessions_recover_at_every_k(self, k):
-        # the narrowest spans: short words, and at k = 8 a floor of 8 bits
-        # over the instances' own width
+        # the narrowest spans: short words, whose span's floor is just over
+        # twice their instances
         rng = random.Random(f"small:{k}")
         for symbols in ("01", "abcd"):
             for n in (16, 64, 256):
@@ -1926,11 +1896,11 @@ class TestSessionElements:
                     assert ra == wb and rb == wa
                     # none of these seeded sessions rejects a candidate or
                     # runs a second check
-                    assert rep_b.step2_rejected == 0 and rep_a.step2_checks == 1
-                    codec = session_codec(wa, wb, l, k)
+                    assert rep_b.step2_rejected == 0 and rep_b.step2_checks == 1
+                    codec = session_codec(wa, wb, l)
                     assert rep_a.value_bits == rep_b.value_bits == codec.field.p.bit_length()
                     assert codec.field.point_span == 2 ** span_bits(
-                        len(codec.alphabet), l, codec.occ_bits, len(wa) + len(wb) + 2 * (l - 1), k
+                        len(codec.alphabet), l, codec.occ_bits, len(wa) + len(wb) + 2 * (l - 1)
                     )
 
     @pytest.mark.parametrize(
@@ -1952,8 +1922,8 @@ class TestSessionElements:
         fields = []
         real = stringrecon.session_field
 
-        def spy(symbols, l, occ_bits, instances, k):
-            field = real(symbols, l, occ_bits, instances, k)
+        def spy(symbols, l, occ_bits, instances):
+            field = real(symbols, l, occ_bits, instances)
             fields.append(field)
             return field
 
@@ -1962,30 +1932,69 @@ class TestSessionElements:
         assert ra == "abaaaab" and rb == "0110100"
         # four symbols; no shingle of the initiator's word repeats, but
         # 'aaa' of the responder's occurs twice, so the session's width is
-        # the responder's 1 bit.  Both words hold 7 + 2 instances, and at
-        # k = 8 the check's floor, 6 + 8 bits, sets the span above the
-        # elements' 109 * 2 = 218
-        assert fields == [session_field(4, 3, 1, 18, MAX_K)] * 2 == [FieldSpec(16603, 2**14)] * 2
+        # the responder's 1 bit.  Both words hold 7 + 2 instances, and the
+        # span's floor, 2**(6 + 4), sets the span above the elements' 109 * 2
+        # = 218
+        assert fields == [session_field(4, 3, 1, 18)] * 2 == [FieldSpec(1249, 2**10)] * 2
         assert rep_a.occ_bits == rep_b.occ_bits == 1
         assert rep_a.elem_bits == rep_b.elem_bits == 8
-        assert rep_a.value_bits == rep_b.value_bits == fields[0].p.bit_length() == 15
+        assert rep_a.value_bits == rep_b.value_bits == fields[0].p.bit_length() == 11
+
+
+class TestSessionCheck:
+    """The session check: one whole-set value at a point of a Mersenne
+    prime field of its own (`check_field`), compared after the walk
+    (`_session_check`)."""
+
+    @pytest.mark.parametrize(
+        "instances,q",
+        [(0, 89), (2**25 - 1, 89), (2**25, 107), (2**43 - 1, 107), (2**43, 127), (2**63 - 1, 127), (2**63, 521),
+         (2 * (2**64 + 2**32), 521)],
+    )
+    def test_the_check_prime_is_64_bits_wider_than_the_instances(self, instances, q):
+        # the smallest Mersenne prime whose exponent is at least 64 past the
+        # instances' bit length, up to what two u64 word lengths and l below
+        # 2**32 allow; the point lies above P61, past every element, and
+        # follows the seed alone
+        m, z = check_field(instances, 5)
+        assert m == 2**q - 1 and is_probable_prime(m) and q >= 64 + instances.bit_length()
+        assert P61 <= z < m and check_field(instances, 5) == (m, z) != check_field(instances, 6)
+        # a wrong multiset passes with probability at most instances / (m - P61)
+        assert instances * 2**64 <= m - P61
+
+    def test_the_check_compares_the_multisets_after_the_walk(self):
+        # the initiator's multiset is the responder's less its one-sided
+        # elements plus the walked ones: the check passes, and fails when a
+        # walked element, an own root or the initiator's value is off
+        m, z = check_field(30, 9)
+        rng = random.Random(9)
+        shared = [rng.randrange(1, 2**20) for _ in range(10)]
+        own, walked = [2**20 + 1, 2**20 + 2], [2**20 + 3]
+        theirs, mine = whole_value(shared + walked, z, m), whole_value(shared + own, z, m)
+        assert stringrecon._session_check(theirs, mine, own, walked, z, m)
+        assert not stringrecon._session_check(theirs, mine, own, [2**20 + 4], z, m)
+        assert not stringrecon._session_check(theirs, mine, own[:1], walked, z, m)
+        assert not stringrecon._session_check(theirs * 2 % m, mine, own, walked, z, m)
+        assert whole_value([], z, m) == 1
+
+    def test_each_party_reports_its_cpu_by_step(self):
+        # one read of the thread's clock at each step boundary, in session
+        # order, in the report's figures and its JSON
+        steps = ["step1", "step2", "merge", "step5", "rebuild"]
+        (_, rep_a), (_, rep_b) = run_session("katana", "katna", ReconConfig(l=2, seed=3))
+        for rep in (rep_a, rep_b):
+            assert list(rep.step_cpu_s) == steps
+            assert all(seconds >= 0 for seconds in rep.step_cpu_s.values())
+            figures = rep.figures()
+            assert [name for name in figures if name.endswith("_cpu_s")] == [f"{step}_cpu_s" for step in steps]
+            assert json.loads(rep.to_json()) == figures
+        assert SessionReport(role="initiator").step_cpu_s == {}
 
 
 def protocol14_prime(base, l, occ_bits):
     """The prime of protocol 14, whose points spanned 2**40 at every size:
     the smallest above base**l * 2**occ_bits + 2**40."""
     p = base**l * 2**occ_bits + 2**40 + 1
-    while not is_probable_prime(p):
-        p += 1
-    return p
-
-
-def protocol15_prime(l, occ_bits, instances, k):
-    """The prime of protocol 15 for binary words, whose elements read each
-    key in base 3: the smallest above 3**l * 2**occ_bits + 2**s, for the
-    span rule of `span_bits` over those elements."""
-    top = 3**l * 2**occ_bits
-    p = top + 2 ** span_rule(top, instances, k) + 1
     while not is_probable_prime(p):
         p += 1
     return p
@@ -1998,20 +2007,20 @@ def reference_codes(symbols, l):
     return shingle_code("$" * l, l, "".join(chr(ord("a") + i) for i in range(symbols))) + 1
 
 
-def span_rule(top, instances, k):
+def span_rule(top, instances):
     """The point span's exponent by the field rule, spelled out, for the
     largest element `top`: the largest s that keeps top + 2**s within its
-    bit length, or the session check's floor, whichever is larger, at most
-    40."""
+    bit length, or the floor, 4 more than the smallest s with 2**s above
+    twice the instances, whichever is larger, at most 40."""
     free = max((s for s in range(top.bit_length()) if top + 2**s < 2 ** top.bit_length()), default=-1)
-    floor = (2 * instances).bit_length() + math.ceil(64 / k)
+    floor = next(s for s in itertools.count() if 2**s > 2 * instances) + 4
     return min(40, max(free, floor))
 
 
-def span_bits(symbols, l, occ_bits, instances, k):
+def span_bits(symbols, l, occ_bits, instances):
     """The span's exponent of a session over `symbols` symbols, whose
     largest element is the reference's code count times 2**occ_bits."""
-    return span_rule(reference_codes(symbols, l) * 2**occ_bits, instances, k)
+    return span_rule(reference_codes(symbols, l) * 2**occ_bits, instances)
 
 
 def flip(word, i):
@@ -2047,10 +2056,9 @@ class TestHostileStep2:
 
     def initiator_facing(self, *requests, wide=False, fixed=False, served=None, shift=0):
         """The initiator against a responder that sends `requests` as DELTA_REQ
-        payloads, checking the values served after each (k for a request of
-        all zeros, the session check) and counting them into `served`; a
-        request may be a function of the bucket sizes in the initiator's
-        bundle.  The words are "abcab" against "abcba" (6 instances each, so
+        payloads, checking the values served after each and counting them
+        into `served`; a request may be a function of the bucket sizes in
+        the initiator's bundle.  The words are "abcab" against "abcba" (6 instances each, so
         two buckets), or WIDE_A against WIDE_B (eight buckets) when `wide`.
         In rateless mode the first request opens with the bucket shift
         `shift`, and the rest count the buckets it leaves.  When `fixed`, the
@@ -2070,7 +2078,7 @@ class TestHostileStep2:
             peer.recv()
             peer.send(hello_for(config, theirs))
             peer.send(width_frame(theirs, config.l))
-            sizes, _ = decode_bundle(peer.recv().payload, buckets, first * buckets + config.k, instances, p)
+            sizes, _, _ = decode_bundle(peer.recv().payload, buckets, first * buckets, instances, p, M89)
             head = b"" if fixed or shift is None else bytes([shift])
             for request in requests:
                 payload = request(sizes) if callable(request) else request
@@ -2080,7 +2088,7 @@ class TestHostileStep2:
                 if frame.kind != FrameKind.EVAL_PAIR:
                     return
                 count = sum(decode_request(payload, buckets >> (shift or 0)))
-                served.append(decode_pairs(frame.payload, count or config.k, p))
+                served.append(decode_pairs(frame.payload, count, p))
 
         return scripted_session(mine, "initiator", config, script)
 
@@ -2121,13 +2129,15 @@ class TestHostileStep2:
         exc = self.initiator_facing(bytes([1, 0b10_000001]))
         assert isinstance(exc, ProtocolError) and "padding" in str(exc)
 
-    def test_more_session_checks_than_k_refused(self):
-        # the bundle holds the first session check, and each all-zero request
-        # asks for one more of k values; the k-th request is refused
-        served = []
-        exc = self.initiator_facing(*[encode_request([0, 0])] * 8, served=served)
-        assert isinstance(exc, ProtocolError) and "more than k = 8 session checks" in str(exc)
-        assert [len(values) for values in served] == [8] * 7
+    def test_an_all_zero_request_is_refused(self):
+        # the bundle holds the one session check value, so a request of all
+        # zeros, which asked protocol 17's initiator for a fresh check, asks
+        # for nothing: refused at once, or after a request that was served
+        for requests in ([encode_request([0, 0])], [encode_request([1, 1]), encode_request([0, 0])]):
+            served = []
+            exc = self.initiator_facing(*requests, served=served)
+            assert isinstance(exc, ProtocolError) and "pair request asks for no value" in str(exc), exc
+            assert [len(values) for values in served] == [2] * (len(requests) - 1)
 
     # the budgets bound what the requests add to the bundle, so both modes
     # share every count below
@@ -2189,11 +2199,11 @@ class TestHostileStep2:
         # one coarse bucket of WIDE_A's 108 instances: each value costs all
         # of them, so the requests may take only the values that fit the
         # work protocol v16's budgets allowed at the eight fine buckets,
-        # less the bundle's check, though the coarse budget of 108 + 108 + 8
-        # values allows more
+        # less the check's one pass, though the coarse budget of 108 + 108 +
+        # 8 values allows more
         def allowed(sizes):
-            cap = _work_cap(sizes, [size + 108 + 8 for size in sizes], 108 + 108 + 8 * 8, 108, 8)
-            return (cap - 8 * 108) // 108
+            cap = _work_cap(sizes, [size + 108 + 8 for size in sizes], 108 + 108 + 8 * 8, 108)
+            return (cap - 108) // 108
 
         served = []
         exc = self.initiator_facing(
@@ -2216,8 +2226,10 @@ class TestHostileStep2:
             peer.send(hello_for(self.WIDE, WIDE_A))
             peer.recv()
             peer.recv()
-            bundle = EvalBundle(tuple(range(8)), tuple(rng.randrange(1, WIDE_P) for _ in range(8)), 108)
-            peer.send(Frame(FrameKind.EVAL_BUNDLE, encode_bundle(bundle, occ_bits=WIDE_W, bucket_sizes=own, p=WIDE_P)))
+            bundle = EvalBundle((), (), 108)
+            check = rng.randrange(1, M89)
+            payload = encode_bundle(bundle, occ_bits=WIDE_W, bucket_sizes=own, p=WIDE_P, check=check, m=M89)
+            peer.send(Frame(FrameKind.EVAL_BUNDLE, payload))
             shift = None
             while (frame := peer.recv()).kind == FrameKind.DELTA_REQ:
                 payload = frame.payload
@@ -2226,7 +2238,7 @@ class TestHostileStep2:
                     requested.append(shift)
                 counts = decode_request(payload, 8 >> shift)
                 requested.append(sum(counts))
-                values = [(0, rng.randrange(1, WIDE_P)) for _ in range(sum(counts) or 8)]
+                values = [(0, rng.randrange(1, WIDE_P)) for _ in range(sum(counts))]
                 peer.send(Frame(FrameKind.EVAL_PAIR, encode_pairs(values, p=WIDE_P)))
             requested.append(frame.kind)
 
@@ -2235,14 +2247,14 @@ class TestHostileStep2:
         shift, *counts, last = requested
         assert shift == 3 and last == FrameKind.ABORT
         budgets = [size + size + 8 for size in own]
-        cap = _work_cap(own, budgets, sum(budgets), 108, 8)
-        assert 8 * 108 + 108 * sum(counts) <= cap < 8 * 108 + 108 * (108 + 108 + 1)
+        cap = _work_cap(own, budgets, sum(budgets), 108)
+        assert 108 + 108 * sum(counts) <= cap < 108 + 108 * (108 + 108 + 1)
 
     def initiator_handed(self, handoff, responder="abcba"):
         """The initiator "abcab" against a responder (`responder`, "abcba"
-        unless given) that sends the hand-off `handoff(sizes)` right after
-        the bundle, for the bucket sizes in it (`SIZES`); returns what the
-        initiator raised and the frame kinds it sent after the hand-off."""
+        unless given) that sends the hand-off `handoff` right after the
+        bundle; returns what the initiator raised and the kind of the frame
+        it sent after the hand-off, if any, on which the responder stops."""
         after = []
 
         def script(peer):
@@ -2250,119 +2262,61 @@ class TestHostileStep2:
             peer.send(hello_for(self.CONFIG, responder))
             peer.send(width_frame(responder, 2))
             assert peer.recv().kind == FrameKind.EVAL_BUNDLE
-            peer.send(Frame(FrameKind.DELTA, handoff(self.SIZES)))
-            while True:
-                after.append(peer.recv().kind)
+            peer.send(Frame(FrameKind.DELTA, handoff))
+            after.append(peer.recv().kind)
 
         return scripted_session("abcab", "initiator", self.CONFIG, script), after
 
     # both words hold 6 instances, so the responder's runs hold as many
-    # windows as the walk's and the residual degrees together
-    @pytest.mark.parametrize(
-        "handoff",
-        [
-            # the walk's run "cab", then the responder's run of two windows,
-            # "a$" and "$b", that no padded word holds
-            lambda sizes: encode_handoff(["a$b"], ["cab"], [[1], [1]], 6, 2, "$abc", ABC_P),
-            # a residual Z + 7 has no root among the initiator's elements of
-            # bucket 0
-            lambda sizes: encode_handoff(["ab"], [], [[7, 1], [1]], 6, 2, "$abc", ABC_P),
-            # no walked instance, then the two 3-bit degrees with a padding
-            # bit set
-            lambda sizes: bytes([0, 3, 0b000_000_01]),
-        ],
-        ids=["malformed-instance", "poly-does-not-split", "padding"],
-    )
-    def test_initiator_checks_the_hand_off_before_replying(self, handoff):
-        exc, after = self.initiator_handed(handoff)
-        assert isinstance(exc, ProtocolError)
-        assert FrameKind.DELTA not in after
-
-    @staticmethod
-    def read_no_residue(monkeypatch):
-        """Make reading any residue, and any root search, fail the test."""
-
-        def forbidden(*_args):
-            raise AssertionError("an oversized hand-off was decoded or searched")
-
-        real = stringrecon._unpack_residues
-
-        def no_residues(data, count, what, p):
-            if count:
-                forbidden()
-            return real(data, count, what, p)
-
-        monkeypatch.setattr(stringrecon, "_unpack_residues", no_residues)
-        monkeypatch.setattr(stringrecon, "roots_by_candidates", forbidden)
-        return forbidden
-
-    # the walk's total takes 3 bits, for the initiator's 6 instances
-    @pytest.mark.parametrize(
-        "handoff,match",
-        [
-            # no walked instance and no residual leave the responder no
-            # one-sided instance, yet the walk's runs count one run, at 1 bit
-            (bytes([0, 0]) + _pack_block([1], 1) + bytes(100), "1 runs for 0 windows"),
-            # residual degree 7 against the initiator's 4 instances in bucket 0
-            (bytes([0, 3]) + _pack_block([7, 0], 3) + bytes(100), "degree 7, more than the bucket's 4"),
-            # degrees 4 bits wide, past the 3 of the largest bucket's 4
-            (bytes([0, 4]) + _pack_block([1, 1], 4) + bytes(100), "width 4 is outside [0, 3]"),
-            # a width of 0 states no residual, so no residue may follow the
-            # two empty runs blocks
-            (bytes([0, 0, 0, 0]) + bytes(100), "delta block holds 100 bytes, not 0 values"),
-        ],
-        ids=["one-sided", "degree", "degree-width-past-the-buckets", "degree-width-zero"],
-    )
-    def test_hand_off_is_bounded_before_any_search(self, monkeypatch, handoff, match):
-        forbidden = self.read_no_residue(monkeypatch)
-        monkeypatch.setattr(stringrecon, "is_valid_shingle", forbidden)
-        start = time.perf_counter()
-        exc, _ = self.initiator_handed(lambda sizes: handoff)
-        assert time.perf_counter() - start < 1
-        assert isinstance(exc, ProtocolError) and match in str(exc), exc
+    # windows as the walk's, and the walk's total takes 3 bits
+    HONEST_HANDOFF = encode_handoff(["cba$"], ["cab$"], 6, 2, "$abc")
 
     @pytest.mark.parametrize(
         "responder,handoff,match",
         [
             # 7 walked instances, past the initiator's 6
-            ("abcba", _pack_block([7], 3) + bytes([0]) + bytes(100), "found 7 instances, more than the initiator's 6"),
+            ("abcba", _pack_block([7], 3) + bytes(100), "found 7 instances, more than the initiator's 6"),
+            # no walked instance, yet the walk's runs count one run, at 1 bit
+            ("abcba", _pack_block([0], 3) + _pack_block([1], 1) + bytes(100), "1 runs for 0 windows"),
+            # the responder "abc" holds 4 instances against the initiator's
+            # 6: with no walked instance its runs would hold -2 windows
+            ("abc", _pack_block([0], 3) + bytes(100), "fewer than the initiator's 2 surplus instances"),
             # the walk's three runs "ab" name 'ab' three times, of which
-            # "abcab" holds two, before the residual's one coefficient
+            # "abcab" holds two
             (
                 "abcba",
-                _pack_block([3], 3) + bytes([1]) + _pack_block([1, 0], 1) + encode_runs(["ab"] * 3, 2, "$abc")
-                + bytes(100),
+                _pack_block([3], 3) + encode_runs(["ab"] * 3, 2, "$abc") + encode_runs(["ab"] * 3, 2, "$abc"),
                 "names 3 instances of 'ab', of which the word holds 2",
             ),
-            # a residual width of 3 is the most the largest bucket's 4 need
-            ("abcba", bytes([0, 9]) + bytes(100), "width 9 is outside [0, 3]"),
-            # the responder "abc" holds 4 instances against the initiator's
-            # 6: with no walked instance and no residual its runs would
-            # hold -2 windows
-            ("abc", bytes([0, 0]) + bytes(100), "fewer than the initiator's 2 surplus instances"),
+            # the responder's run of two windows, "a$" and "$b", that no
+            # padded word holds
+            ("abcba", encode_handoff(["a$b"], ["cab"], 6, 2, "$abc"), "delimiter between two symbols"),
+            # the honest hand-off with protocol 17's residual width byte, or
+            # a residual's coefficients, after it
+            ("abcba", HONEST_HANDOFF + bytes(1), "holds 1 bytes past its runs"),
+            ("abcba", HONEST_HANDOFF + bytes([1]) + _pack_block([5, 7], ABC_P.bit_length()), "bytes past its runs"),
         ],
-        ids=["walk-total-past-the-instances", "walk-runs-past-the-word", "residual-width", "negative-total"],
+        ids=[
+            "walk-total-past-the-instances",
+            "runs-past-the-walk-total",
+            "negative-total",
+            "walk-runs-past-the-word",
+            "malformed-instance",
+            "residual-width-byte",
+            "residual-coefficients",
+        ],
     )
-    def test_hand_off_walk_is_checked_before_any_coefficient(self, monkeypatch, responder, handoff, match):
-        self.read_no_residue(monkeypatch)
-        exc, after = self.initiator_handed(lambda sizes: handoff, responder)
+    def test_hand_off_is_checked_before_the_initiator_replies(self, responder, handoff, match):
+        exc, after = self.initiator_handed(handoff, responder)
         assert isinstance(exc, ProtocolError) and match in str(exc), exc
-        assert FrameKind.DELTA not in after
+        assert after == []
 
-    def test_walk_and_residual_together_stay_within_the_word(self):
-        # the walk names both of the initiator's 'ab', and the residual has
-        # the element of its first 'ab' as its root: the initiator finds it,
-        # but three instances of 'ab' are one more than "abcab" holds
-        codec = session_codec("abcab", "abcba", 2)
-        elements = session_elements("abcab", 2, codec.alphabet, codec.occ_bits)
-        first_ab = elements[ShingleMultiset(shingle_sequence("abcab", 2)).instances().index(("ab", 1))]
-        residuals = [[1], [1]]
-        residuals[setrecon.bucket_of(2, self.CONFIG.seed)(first_ab)] = [ABC_P - first_ab, 1]
-        exc, after = self.initiator_handed(
-            lambda sizes: encode_handoff(["cba$"], ["ab", "ab"], residuals, 6, 2, "$abc", ABC_P)
-        )
-        assert isinstance(exc, ProtocolError) and "names 3 instances of 'ab', of which the word holds 2" in str(exc)
-        assert FrameKind.DELTA not in after
+    def test_the_honest_hand_off_is_accepted(self):
+        # the frame every refused case above is a variation of: "abcab"
+        # takes 'ca', 'ab' and 'b$' from the walk, and the responder's own
+        # 'cb', 'ba' and 'a$', and goes on to its MERGES
+        exc, after = self.initiator_handed(self.HONEST_HANDOFF)
+        assert isinstance(exc, TransportClosedError) and after == [FrameKind.MERGES], (exc, after)
 
     def initiator_told(self, frame):
         """The initiator "abcab" against a responder "abcba" that opens step
@@ -2469,8 +2423,8 @@ class TestHostileStep2:
         assert isinstance(scripted_session("0101", "responder", config, script), ProtocolError)
 
     def test_hello_k_past_the_cap_is_refused_before_shingling(self, monkeypatch):
-        # k sets up to k**2 whole-set points of the responder's work, so a
-        # hello may ask for no more than MAX_K
+        # k sets up to k walks and k more values a bucket of the responder's
+        # work, so a hello may ask for no more than MAX_K
         def no_shingling(*_args, **_kwargs):
             raise AssertionError("shingled under k = 9")
 
@@ -2483,20 +2437,14 @@ class TestHostileStep2:
         exc = scripted_session("abcba", "responder", self.CONFIG, script)
         assert isinstance(exc, ProtocolError) and "k must be in [1, 8]" in str(exc), exc
 
-    @staticmethod
-    def with_check(bundle, k=8):
-        """`bundle` with k session check values after its own."""
-        count = len(bundle.values) + k
-        return EvalBundle(tuple(range(count)), bundle.values + (1,) * k, bundle.set_size)
-
     def responder_facing(self, config, bundle, pairs_for=None, payload=None):
         """The responder "abcba" against an initiator "abcab" that sends `bundle`
-        and k check values, with all its instances in the first of its two
-        buckets, or the bundle frame `payload` when given, and then answers
-        the first pair request with `pairs_for(count)`, for the values
-        requested in all."""
+        and a check value of 1, with all its instances in the first of its
+        two buckets, or the bundle frame `payload` when given, and then
+        answers the first pair request with `pairs_for(count)`, for the
+        values requested in all."""
         payload = payload or encode_bundle(
-            self.with_check(bundle), occ_bits=ABC_W, bucket_sizes=[bundle.set_size, 0], p=ABC_P
+            bundle, occ_bits=ABC_W, bucket_sizes=[bundle.set_size, 0], p=ABC_P, check=1, m=M89
         )
 
         def script(peer):
@@ -2515,14 +2463,17 @@ class TestHostileStep2:
         return scripted_session("abcba", "responder", config, script)
 
     def test_pair_frame_must_hold_the_requested_count(self):
-        points = session_codec("abcab", "abcba", 2).field.sample_points(1, 40)
+        # at this session's 10-bit residues a frame one value short or over
+        # fills another number of bytes, or leaves its last value to the
+        # zero padding, which no characteristic value is
+        points = session_codec("abcab", "abcba", 2).field.sample_points(1, 20)
         for extra in (-1, 1):
             exc = self.responder_facing(
                 self.CONFIG,
                 EvalBundle((), (), 6),
                 lambda count: [(z, 1) for z in points[: count + extra]],
             )
-            assert isinstance(exc, ProtocolError)
+            assert isinstance(exc, ProtocolError), exc
 
     @pytest.mark.parametrize("value", [ABC_P, 2**ABC_P.bit_length() - 1], ids=["p", "all-ones"])
     def test_pair_values_must_be_residues(self, value):
@@ -2549,8 +2500,8 @@ class TestHostileStep2:
                 peer.send(hello_for(self.WIDE, WIDE_A))
                 peer.recv()
                 peer.recv()
-                bundle = self.with_check(EvalBundle((), (), 108))
-                payload = encode_bundle(bundle, occ_bits=WIDE_W, bucket_sizes=sizes, p=WIDE_P)
+                bundle = EvalBundle((), (), 108)
+                payload = encode_bundle(bundle, occ_bits=WIDE_W, bucket_sizes=sizes, p=WIDE_P, check=1, m=M89)
                 peer.send(Frame(FrameKind.EVAL_BUNDLE, payload))
                 replies.append(peer.recv().kind)
 
@@ -2562,13 +2513,12 @@ class TestHostileStep2:
         exc, replies = first_reply([100, 8] + [0] * 6)
         assert replies == [FrameKind.DELTA_REQ]
 
-    def test_responder_checks_the_roots_count(self):
-        # equal words: every bucket polynomial has degree 0, so the walk
-        # leaves no residual and no run may come back; runs where the
-        # initiator's MERGES belongs are refused
+    def test_responder_refuses_a_delta_from_the_initiator(self):
+        # only the responder hands over: a DELTA where the initiator's
+        # MERGES belongs is refused
         replaced = []
 
-        def tamper(frame, _check):
+        def tamper(frame):
             if frame.kind == FrameKind.MERGES:
                 replaced.append(frame)
                 return Frame(FrameKind.DELTA, encode_runs(["ab"], 2, "$abc"))
@@ -2581,11 +2531,11 @@ class TestHostileStep2:
     def test_fixed_responder_never_draws_the_peer_m_hat(self):
         # drawing m_hat = 2**32 - 1 points for the two buckets would take
         # hours; the responder expects a bundle of min(m_hat, 6 + 6) values
-        # and the check's, and refuses one of 4
+        # beside the check's, and refuses one of 4
         config = ReconConfig(l=2, mode=MODE_FIXED, m_hat=2**32 - 1, k=8, seed=3)
         points = tuple(FIELD.sample_points(3, 4))
         exc = self.responder_facing(config, EvalBundle(points, (1, 1, 1, 1), 6))
-        assert isinstance(exc, ProtocolError) and "not 20 values" in str(exc), exc
+        assert isinstance(exc, ProtocolError) and "not 12 values" in str(exc), exc
 
     def test_fixed_responder_stops_at_its_budget(self, monkeypatch, rng):
         # a bundle of garbage for a huge m_hat, sized by both words' 12
@@ -2614,63 +2564,74 @@ class TestHostileStep2:
         assert list(fed.values()) == [6, 6]
 
     @pytest.mark.parametrize(
-        "values,match",
+        "check,match",
         [
-            (lambda values: values[:-1], "bundle block holds"),
-            (lambda values: [ABC_P] + values[1:], f"the prime {ABC_P} or more"),
+            (lambda block: block[:-1], "bundle check block holds 11 bytes"),
+            (lambda block: _pack_block([M89], 89), f"bundle check block holds a value of the prime {M89} or more"),
         ],
-        ids=["short", "p"],
+        ids=["short", "m"],
     )
-    def test_check_values_are_checked(self, values, match):
-        def tamper(frame, check):
-            return with_check_values(frame, values, ABC_P) if check else frame
+    def test_check_value_is_checked(self, check, match):
+        def tamper(frame):
+            return with_check_block(frame, 2, 6, check)
 
         exc = scripted_session("abcba", "responder", self.CONFIG, tampered_initiator("abcab", self.CONFIG, tamper))
         assert isinstance(exc, ProtocolError) and match in str(exc), exc
 
-    def test_check_values_that_never_match_end_the_session(self):
-        # every check fails, and every failed check reopens both buckets for
-        # a value: after k checks the responder gives up
-        checks = []
+    @pytest.mark.parametrize("k", [1, 3, MAX_K])
+    def test_a_check_value_that_never_matches_ends_the_session(self, k):
+        # the bundle's check value is one off, so every check fails, and
+        # every failed check reopens all buckets for a value: after k checks
+        # the responder gives up with a typed error
+        bundles = []
 
-        def tamper(frame, check):
-            if check:
-                checks.append(frame)
-                return with_check_values(frame, lambda values: [(v + 1) % WIDE_P for v in values], WIDE_P)
+        def tamper(frame):
+            if frame.kind == FrameKind.EVAL_BUNDLE:
+                bundles.append(frame)
+                # the block holds the value's 89 bits, then 7 padding bits
+                def one_off(block):
+                    return _pack_block([(int.from_bytes(block, "big") >> 7) + 1], 89)
+
+                return with_check_block(frame, 8, 108, one_off)
             return frame
 
+        config = dataclasses.replace(self.WIDE, k=k)
         start = time.perf_counter()
-        exc = scripted_session(WIDE_B, "responder", self.WIDE, tampered_initiator(WIDE_A, self.WIDE, tamper))
+        exc = scripted_session(WIDE_B, "responder", config, tampered_initiator(WIDE_A, config, tamper))
         assert time.perf_counter() - start < 10
-        assert isinstance(exc, ShingleSyncError) and "failed 8 times" in str(exc), exc
-        assert len(checks) == 8
+        assert isinstance(exc, ProtocolError) and str(exc) == f"the session check failed {k} times", exc
+        assert len(bundles) == 1
 
-    def test_failing_checks_cost_the_responder_at_most_k_squared_points(self, monkeypatch):
-        # check values of all ones fail every check: at k = MAX_K the
-        # responder evaluates its whole set at k points for each of k checks
-        # and gives up, having evaluated no more than k**2 points
-        assert MAX_K == self.WIDE.k == 8
+    def test_failing_checks_evaluate_the_whole_set_once(self, monkeypatch):
+        # check values that fail every check: the responder evaluates its
+        # whole set once, at the bundle, however many of the k checks it runs
         evaluated = []
-        real_next_pairs = RatelessSource.next_pairs
+        real = stringrecon.whole_value
 
-        def spy(source, count):
-            if threading.current_thread().name == "party":  # the responder's whole set
-                evaluated.append(count)
-            return real_next_pairs(source, count)
+        def spy(elements, z, m):
+            if threading.current_thread().name == "party":  # the responder
+                evaluated.append(len(elements))
+            return real(elements, z, m)
 
-        monkeypatch.setattr(RatelessSource, "next_pairs", spy)
+        monkeypatch.setattr(stringrecon, "whole_value", spy)
 
-        def tamper(frame, check):
-            return with_check_values(frame, lambda values: [1] * len(values), WIDE_P) if check else frame
+        def tamper(frame):
+            if frame.kind == FrameKind.EVAL_BUNDLE:
+                return with_check_block(frame, 8, 108, lambda block: _pack_block([1], 89))
+            return frame
 
         exc = scripted_session(WIDE_B, "responder", self.WIDE, tampered_initiator(WIDE_A, self.WIDE, tamper))
         assert isinstance(exc, ProtocolError) and str(exc) == "the session check failed 8 times", exc
-        assert 0 < sum(evaluated) <= MAX_K**2
+        # the whole set's 108 instances, then each check's two sides: the
+        # responder's one-sided roots and the walked elements
+        assert evaluated[0] == 108 and evaluated.count(108) == 1
+        assert len(evaluated) == 1 + 2 * 8 and sum(evaluated[1:]) < 8 * 108
 
-    def test_a_wrong_bucket_candidate_is_caught_by_the_session_check(self, monkeypatch, rng):
+    def test_a_wrong_bucket_candidate_is_caught_and_reopened(self, monkeypatch, rng):
         # the first bucket to accept a candidate accepts a wrong one: its
-        # remote side gains a root.  The session check fails, every bucket
-        # reopens for one value, and the right candidates come back
+        # remote side gains a root in the point range, which no walk finds.
+        # The walk leaves it, every bucket reopens for one value, and the
+        # right candidates come back
         real_decode = RatelessDecoder._decode
         wrong = []
 
@@ -2689,9 +2650,9 @@ class TestHostileStep2:
         (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
         assert ra == wb and rb == wa
         assert len(wrong) == 1
-        assert rep_a.step2_checks == rep_b.step2_checks == 2
-        # the reopened buckets, all 16 of them
-        assert rep_b.step2_rejected >= rep_b.step2_buckets == 16
+        assert (rep_a.step2_checks, rep_b.step2_checks) == (0, 2)
+        # the reopened buckets, all of them
+        assert rep_b.step2_rejected >= rep_b.step2_buckets
         assert rep_a.step2_rejected == 0
 
 
@@ -2720,13 +2681,13 @@ class TestHeavyShingles:
             widths[wa is heavy] = (rep_a.occ_bits, rep_a.value_bits)
         # the run of 1500 ones holds about 1481 instances of the all-ones
         # shingle: 11 occurrence bits.  Its elements, up to
-        # code_count(2, 20) * 2**11, take 33 bits, and the check's floor,
-        # 14 + 8 bits, puts the prime at 34; the light words' elements, up
-        # to code_count(2, 20), take 22 bits, and a floor of 12 + 8 bits
+        # code_count(2, 20) * 2**11, take 33 bits, and the span's floor,
+        # 14 + 4 bits, puts the prime at 34; the light words' elements, up
+        # to code_count(2, 20), take 22 bits, and a floor of 12 + 4 bits
         # puts it at 23
         assert widths[False] == (0, 23)
         assert widths[True][0] == 11
-        assert widths[True][1] == session_field(2, l, 11, 2 * (2100 + l - 1), MAX_K).p.bit_length() == 34
+        assert widths[True][1] == session_field(2, l, 11, 2 * (2100 + l - 1)).p.bit_length() == 34
 
     @pytest.mark.parametrize("heavy_role", ["initiator", "responder"])
     def test_a_multiplicity_past_2_16_is_refused(self, heavy_role):
@@ -2794,27 +2755,10 @@ def word_pairs(draw):
     return symbols, l, word, draw(ends) + middle + draw(ends)
 
 
-# "00101" against "00110" at l = 3: the initiator's one-sided windows are
-# '010', '101', '01$' and '1$$', the run "0101$$" of its padded word.  The
-# responder's walk finds them all from its own run "0110$$", so the cases
-# below take the walk away (`walk_finds_nothing`): the whole hand-off is
-# then the residual, and the initiator answers with that run.  The responder
-# derives its total, 4, so counts take 3 bits, and a rank among '$', '0'
-# and '1' takes 2.  Each word's 7 instances make two buckets.  No shingle
-# repeats in either word, so the session's occurrence width is 0.
-RUNS_A, RUNS_B = "00101", "00110"
-RUNS_CONFIG = ReconConfig(l=3, mode=MODE_RATELESS, k=8, seed=8)
+# "0101$$", a run of 4 windows of "00101" padded at l = 3, as a runs frame:
+# the run count and window count at 3 bits, for the total of 4, then the six
+# characters at 2 bits, for the ranks of '$', '0' and '1'
 HONEST_RUNS = bytes([0b001_100_00, 0b01_10_01_10, 0b00_00_0000])
-
-
-def walk_finds_nothing(monkeypatch):
-    """Make the responder's walk find no root, so every bucket's whole
-    hand-off polynomial is its residual: the fallback route."""
-
-    def no_walk(_table, _runs, polys, *_rest):
-        return [], Counter(), polys
-
-    monkeypatch.setattr(stringrecon, "_walk", no_walk)
 
 
 class TestRuns:
@@ -2833,7 +2777,7 @@ class TestRuns:
         element = dict(zip(ShingleMultiset(mine).instances(), session_elements(word, l, alphabet, occ_bits)))
         roots = [element[s, occ] for s, m in only.items() for occ in range(theirs[s] + 1, theirs[s] + m + 1)]
         shingled_word = ShingledWord(word, l, alphabet)
-        runs = _own_runs(shingled_word, roots, occ_bits)
+        runs = [shingled_word.text[start : end + l] for start, end in _own_spans(shingled_word, roots, occ_bits)]
         assert all(run in delimited(word, l) for run in runs)
         chars = "".join(sorted(shingled_word.table.ranks))
         payload = encode_runs(runs, l, chars)
@@ -2857,16 +2801,7 @@ class TestRuns:
             (_pack_block([1, 4], 3) + _pack_block([1, 2, 1, 3, 0, 0], 2), "rank of 3"),
             (HONEST_RUNS[:-1] + bytes([1]), "padding"),
             (HONEST_RUNS[:-1], "runs block holds 1 bytes"),
-            # '10100$': '101', '010', '100' and '00$' land three in bucket 0
-            # and one in bucket 1, as the degrees ask, but '100' and '00$'
-            # are no roots
-            (encode_runs(["10100$"], 3, "$01"), "no root in bucket"),
-            # '101000': four instances, as the degrees sum to, but all four
-            # in bucket 0, whose polynomial has degree 3
-            (encode_runs(["101000"], 3, "$01"), "4 instances in bucket 0, whose hand-off polynomial has degree 3"),
-            # '011' of '1011$$' would be the responder's second, past the
-            # one occurrence a width of 0 numbers
-            (encode_runs(["1011$$"], 3, "$01"), "occurrence 2 of a shingle, past the encoding range"),
+            (HONEST_RUNS + bytes(1), "1 bytes past its runs"),
         ],
         ids=[
             "zero-window-run",
@@ -2877,55 +2812,40 @@ class TestRuns:
             "rank-past-base",
             "padding",
             "truncated",
-            "not-a-root",
-            "wrong-buckets",
-            "occurrence-past-the-width",
+            "over-long",
         ],
     )
-    def test_initiator_runs_are_checked(self, monkeypatch, payload, match):
-        walk_finds_nothing(monkeypatch)
+    def test_malformed_runs_are_refused(self, payload, match):
+        # a runs frame whose windows the receiver knows to total 4
+        with pytest.raises(ProtocolError, match=match):
+            decode_runs(payload, 3, 4, "$01")
 
-        def tamper(frame, _check):
-            if frame.kind == FrameKind.DELTA:
-                assert frame.payload == HONEST_RUNS
-                return Frame(FrameKind.DELTA, payload)
-            return frame
 
-        exc = scripted_session(RUNS_B, "responder", RUNS_CONFIG, tampered_initiator(RUNS_A, RUNS_CONFIG, tamper))
-        assert isinstance(exc, ProtocolError) and match in str(exc), exc
+def periodic_pair(rng):
+    """Two words that share a periodic stretch whose period count differs by
+    -1, +1 or +2, with up to 30 random symbols on each side, 0 to 3
+    substitutions in one of them, and a shingle length of 3 to 8, over 2
+    to 4 symbols: (word_a, word_b, l)."""
+    symbols = "abcd"[: rng.randint(2, 4)]
 
-    def test_instances_past_the_occurrence_range_are_refused(self):
-        # the responder holds '00' 2**16 - 1 times, so the two '00' of the
-        # run "000" would be its occurrences 2**16 and 2**16 + 1, one past
-        # the 16 occurrence bits
-        local = ShingledWord("0" * 2**16, 2, Alphabet("0"))
-        with pytest.raises(ProtocolError, match="encoding range"):
-            stringrecon._initiator_only(["000"], local, [[1, 1]], Counter(), seed=3, occ_bits=16, p=P61)
-        # at a session's own width: '00' 7 times of 3 bits' 8 occurrences
-        local = ShingledWord("0" * 8, 2, Alphabet("0"))
-        with pytest.raises(ProtocolError, match="occurrence 9 of a shingle, past the encoding range"):
-            stringrecon._initiator_only(["000"], local, [[1, 1]], Counter(), seed=3, occ_bits=3, p=P42)
-        # an instance of '00' the walk found counts too: the one '00' of
-        # the run "00" is then occurrence 9
-        walked = Counter({local.table.key("00"): 1})
-        with pytest.raises(ProtocolError, match="occurrence 9 of a shingle, past the encoding range"):
-            stringrecon._initiator_only(["00"], local, [[1, 1]], walked, seed=3, occ_bits=3, p=P42)
+    def text(count):
+        return "".join(rng.choice(symbols) for _ in range(count))
 
-    def test_honest_initiator_runs_are_accepted(self, monkeypatch):
-        # on the walk route the initiator sends no runs; on the fallback all four
-        (_, rep_a), (_, rep_b) = run_session(RUNS_A, RUNS_B, RUNS_CONFIG)
-        assert (rep_b.step2_walked, rep_b.step2_residual, rep_a.frame_bits["DELTA"][0]) == (4, 0, 0)
-        walk_finds_nothing(monkeypatch)
-        (ra, rep_a), (rb, rep_b) = run_session(RUNS_A, RUNS_B, RUNS_CONFIG)
-        assert ra == RUNS_B and rb == RUNS_A
-        assert (rep_b.step2_walked, rep_a.step2_residual, rep_b.step2_residual) == (0, 4, 4)
-        assert rep_a.frame_bits["DELTA"][0] == 40 + 8 * len(HONEST_RUNS)
+    period, count, change = text(rng.randint(1, 5)), rng.randint(2, 12), rng.choice([-1, 1, 2])
+    left, right = text(rng.randint(0, 30)), text(rng.randint(0, 30))
+    wa, wb = left + period * count + right, left + period * (count + change) + right
+    chars = list(wb)
+    for _ in range(rng.randint(0, 3)):
+        if chars:
+            chars[rng.randrange(len(chars))] = rng.choice(symbols)
+    wb = "".join(chars)
+    return (wa, wb, rng.randint(3, 8)) if rng.random() < 0.5 else (wb, wa, rng.randint(3, 8))
 
 
 class TestWalk:
     """The responder's walk over its own table (`_walk`), which finds the
     initiator's one-sided instances by testing its own graph's steps
-    against the hand-off polynomials, and the fallback for what it misses."""
+    against the hand-off polynomials, and finds them all."""
 
     @staticmethod
     def walk_counted(word, spans, polys, buckets, seed, occ_bits, p):
@@ -2944,11 +2864,13 @@ class TestWalk:
     @staticmethod
     def bound(word, spans, degrees):
         """The most evaluations a walk may make: base for each run and two
-        for each root in the first pass, and base for each node within 2l
-        positions of a run in the second."""
+        for each root in the first pass, base for each node within 2l
+        positions of a run in the second, and base for each of the word's
+        len(keys) + 1 nodes and two for each root in the third."""
         base, l = word.table.base, word.l
         second = sum(end - start + 1 + 4 * l + 1 for start, end in spans)
-        return base * (len(spans) + 2 * degrees) + base * second
+        third = len(word.keys) + 1 + 2 * degrees
+        return base * (len(spans) + 2 * degrees) + base * second + base * third
 
     @pytest.mark.parametrize("symbols", ["01", "!~", "!#", "!#~x"])
     def test_edits_at_both_ends_are_walked_at_any_rank_of_the_delimiter(self, symbols):
@@ -2956,7 +2878,7 @@ class TestWalk:
         # delimiters on both sides, and the responder a run at each end to
         # walk from.  The walk derives their codes from its nodes' classes
         # and finds them all, with the delimiter ranked first, between the
-        # symbols and last, and leaves no residual
+        # symbols and last
         rng = random.Random(f"ends:{symbols}")
 
         def other(ch):
@@ -2969,62 +2891,75 @@ class TestWalk:
             (ra, rep_a), (rb, rep_b) = run_session(wa, wb, config)
             assert ra == wb and rb == wa
             only_a = Counter(shingle_sequence(wa, config.l)) - Counter(shingle_sequence(wb, config.l))
-            assert (rep_b.step2_walked, rep_b.step2_residual) == (sum(only_a.values()), 0)
+            assert (rep_b.step2_walked, rep_b.step2_checks) == (sum(only_a.values()), 1)
 
-    def test_a_polynomial_without_a_candidate_root_leaves_the_whole_residual(self):
+    def test_a_polynomial_without_a_candidate_root_leaves_the_walk_unfinished(self):
         # the roots p - 1, p - 2 and p - 3 lie in the point range, where no
         # element does.  The runs "$a" and "cba$" of "$abcba$" start the
         # first pass at the nodes '$' and 'c'; the second starts at every
-        # node within 2l = 4 positions of them, all four of the word's.
-        # Each start node tries its base successors once, and the walk
-        # finds nothing
+        # node within 2l = 4 positions of them, and the third at every node
+        # of the word, in both cases all four of its nodes.  Each start
+        # node tries its base successors once, the walk finds nothing, and
+        # the roots it leaves mean a wrong polynomial
         word = ShingledWord("abcba", 2, Alphabet("abc"))
         spans = [(0, 0), (3, 5)]
         assert [word.text[start : end + 2] for start, end in spans] == ["$a", "cba$"]
         polys = [field.poly_from_roots([ABC_P - 1, ABC_P - 2], ABC_P), field.poly_from_roots([ABC_P - 3], ABC_P)]
-        (walked, found, residuals), points = self.walk_counted(word, spans, polys, 2, 3, ABC_W, ABC_P)
-        assert walked == [] and not found and residuals == polys
-        assert len(points) == word.table.base * (2 + 4) <= word.table.base * (len(spans) + 2 * 3)
-        assert len(points) <= self.bound(word, spans, 3)
+        out, points = self.walk_counted(word, spans, polys, 2, 3, ABC_W, ABC_P)
+        assert out is None
+        assert len(points) == word.table.base * (2 + 4 + 4) <= self.bound(word, spans, 3)
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(word_pairs(), st.sampled_from([1, 2, 4]), st.integers(0, 2**16))
-    def test_the_walk_finds_only_one_sided_instances_within_its_bound(self, case, buckets, seed):
+    def test_the_walk_finds_every_one_sided_instance_within_its_bound(self, case, buckets, seed):
         # the initiator `word`, the responder `other`; each bucket's
-        # polynomial has the initiator's one-sided elements in it as roots
-        symbols, l, word, other = case
-        alphabet = Alphabet(symbols)
+        # polynomial has the initiator's one-sided elements in it as roots,
+        # over the symbols of both words, as in a session
+        _, l, word, other = case
         codec = session_codec(word, other, l)
-        occ_bits, p = codec.occ_bits, codec.field.p
+        alphabet, occ_bits, p = codec.alphabet, codec.occ_bits, codec.field.p
         mine, theirs = Counter(shingle_sequence(word, l)), Counter(shingle_sequence(other, l))
         element = dict(zip(ShingleMultiset(mine).instances(), session_elements(word, l, alphabet, occ_bits)))
         one_sided = [element[s, occ] for s, m in (mine - theirs).items() for occ in range(theirs[s] + 1, mine[s] + 1)]
-        roots = partition(one_sided, buckets, seed)
-        polys = [field.poly_from_roots(part, p) for part in roots]
+        polys = [field.poly_from_roots(part, p) for part in partition(one_sided, buckets, seed)]
         responder = ShingledWord(other, l, alphabet)
         spans = responder.spans(Counter({responder.table.key(s): m for s, m in (theirs - mine).items()}))
-        (walked, found, residuals), points = self.walk_counted(responder, spans, polys, buckets, seed, occ_bits, p)
-        # every walked window is a one-sided instance, every run one a
-        # padded word may hold, and the walk's count by key matches its runs
-        windows = _windows(walked, l)
-        assert not windows.entries - (mine - theirs)
+        out, points = self.walk_counted(responder, spans, polys, buckets, seed, occ_bits, p)
+        # the walk is complete: its windows are the one-sided instances,
+        # every run one a padded word may hold, and its elements their roots
+        walked, found = out
+        assert _windows(walked, l) == ShingleMultiset(mine - theirs)
         assert all(map(shingles.is_valid_shingle, walked))
-        assert Counter({responder.table.key(s): m for s, m in windows.entries.items()}) == found
-        # the residuals hold exactly the roots the walk missed
-        missed = set(one_sided) - {
-            element[s, occ] for s, m in windows.entries.items() for occ in range(theirs[s] + 1, theirs[s] + m + 1)
-        }
-        assert residuals == [field.poly_from_roots([e for e in part if e in missed], p) for part in roots]
+        assert sorted(found) == sorted(one_sided)
         assert len(points) <= self.bound(responder, spans, len(one_sided))
 
-    def test_a_whole_residual_crosses_and_both_words_are_recovered(self):
+    @pytest.mark.parametrize("l", [2, 3, 4])
+    def test_the_walk_is_complete_over_every_pair_of_short_binary_words(self, l):
+        # every pair of binary words of up to 5 symbols, one bucket: the
+        # walk finds all of the initiator's one-sided instances
+        words = ["".join(bits) for n in range(6) for bits in itertools.product("01", repeat=n)]
+        alphabet = Alphabet("01")
+        for word, other in itertools.product(words, repeat=2):
+            mine, theirs = Counter(shingle_sequence(word, l)), Counter(shingle_sequence(other, l))
+            responder = ShingledWord(other, l, alphabet)
+            occ_bits = max(word_occ_bits(ShingledWord(word, l, alphabet).table), word_occ_bits(responder.table))
+            element = dict(zip(ShingleMultiset(mine).instances(), session_elements(word, l, alphabet, occ_bits)))
+            one_sided = [
+                element[s, occ] for s in (mine - theirs) for occ in range(theirs[s] + 1, mine[s] + 1)
+            ]
+            spans = responder.spans(Counter({responder.table.key(s): m for s, m in (theirs - mine).items()}))
+            polys = [field.poly_from_roots(one_sided, P61)]
+            out = stringrecon._walk(responder, spans, polys, lambda e: 0, occ_bits, P61)
+            assert out is not None and sorted(out[1]) == sorted(one_sided), (word, other)
+
+    def test_a_word_without_runs_is_walked_from_every_node(self):
         # the responder's windows are all the initiator's: it has no run,
-        # so the walk has no start, and the one '000' more of the
-        # initiator's crosses as the residual
+        # so the first two passes have no start, and the third finds the
+        # one '000' more of the initiator's.  Only the responder hands over
         (ra, rep_a), (rb, rep_b) = run_session("00000000", "0000000", ReconConfig(l=3, seed=3))
         assert ra == "0000000" and rb == "00000000"
-        assert rep_b.step2_walked == 0 and rep_a.step2_residual == rep_b.step2_residual == 1
-        assert rep_a.frame_bits["DELTA"][0] > 0
+        assert (rep_b.step2_walked, rep_b.step2_checks) == (1, 1)
+        assert rep_a.frame_bits["DELTA"][0] == rep_b.frame_bits["DELTA"][1] == 0
 
     def test_a_cycle_that_touches_no_run_is_found_near_the_runs(self):
         # "1111110011000" twice in the initiator's word, and once with an
@@ -3047,11 +2982,11 @@ class TestWalk:
         assert not any(balance.values()) and not run_nodes & set(balance)
         (ra, rep_a), (rb, rep_b) = run_session(wa, wb, ReconConfig(l=18, seed=1))
         assert ra == wb and rb == wa
-        assert (rep_b.step2_walked, rep_a.step2_residual, rep_b.step2_residual) == (14, 0, 0)
+        assert rep_b.step2_walked == 14
 
-    def test_a_partial_residual_crosses_and_both_words_are_recovered(self):
-        # a short shingle length: the walk finds 4 of the initiator's 6
-        # one-sided instances, and the other 2 cross as the residual
+    def test_a_short_shingle_length_is_walked_in_full(self):
+        # a short shingle length: the first two passes find 4 of the
+        # initiator's 6 one-sided instances, and the third the other 2
         rng = random.Random("partial:72")
         wa = "".join(rng.choice("01") for _ in range(64))
         wb = random_edits(wa, 4, rng, "01")
@@ -3059,41 +2994,51 @@ class TestWalk:
         assert ra == wb and rb == wa
         count_a, count_b = Counter(shingle_sequence(wa, 4)), Counter(shingle_sequence(wb, 4))
         assert sum((count_a - count_b).values()) == 6
-        assert (rep_b.step2_walked, rep_a.step2_residual, rep_b.step2_residual) == (4, 2, 2)
-        assert rep_a.step2_walked == 0
-        assert rep_a.frame_bits["DELTA"][0] > 0
+        assert (rep_a.step2_walked, rep_b.step2_walked, rep_b.step2_checks) == (0, 6, 1)
+
+    def test_periodic_stretches_are_walked_in_full(self, monkeypatch):
+        # seeded sessions over periodic stretches whose period count
+        # changes, where the initiator's one-sided windows may close cycles
+        # far from every run of the responder's, and a unary pair whose
+        # responder has no run at all: every session recovers both words,
+        # and the responder's hand-off is its one DELTA
+        deltas = []
+        real_send = _MeteredEndpoint.send
+
+        def spy(wire, kind, payload=b""):
+            if kind == FrameKind.DELTA:
+                deltas.append(wire.report.role)
+            return real_send(wire, kind, payload)
+
+        monkeypatch.setattr(_MeteredEndpoint, "send", spy)
+        rng = random.Random("periodic")
+        cases = [("0000000", "00000000", 3)] + [periodic_pair(rng) for _ in range(300)]
+        for index, (wa, wb, l) in enumerate(cases):
+            deltas.clear()
+            (ra, _), (rb, rep_b) = run_session(wa, wb, ReconConfig(l=l, seed=index))
+            assert (ra, rb) == (wb, wa), (wa, wb, l)
+            assert deltas == ["responder"], (wa, wb, l)
 
 
-def with_check_values(frame, values, p, k=8):
-    """A frame that ends in k session check values mod `p`, with
-    `values(them)` in their place: a rateless bundle, whose values are the
-    check's alone, or the answer to a request of all zeros."""
-    tail = value_block_bytes(k, p)
-    replaced = values(decode_pairs(frame.payload[-tail:], k, p))
-    return Frame(frame.kind, frame.payload[:-tail] + encode_pairs([(0, v) for v in replaced], p=p))
+def with_check_block(frame, buckets, instances, check):
+    """A bundle frame from a sender of `instances` shingle instances over
+    `buckets` fine buckets whose check block, the 12 bytes after the bucket
+    sizes, is replaced by `check(block)`; any other frame as it is."""
+    if frame.kind != FrameKind.EVAL_BUNDLE:
+        return frame
+    payload = frame.payload
+    at = 1 + (max(1, instances.bit_length()) + 7) // 8
+    head = at + 1 + (buckets * payload[at] + 7) // 8
+    return Frame(frame.kind, payload[:head] + check(payload[head : head + 12]) + payload[head + 12 :])
 
 
 def tampered_initiator(word, config, tamper):
     """A script for `scripted_session`: the honest initiator holding `word`,
-    whose every outgoing frame passes through `tamper(frame, check)` first,
-    where `check` tells whether the frame carries session check values: the
-    bundle, which holds the first check's, and the answer to a request of
-    all zeros."""
+    whose every outgoing frame passes through `tamper(frame)` first."""
 
     def script(peer):
-        recv, send = peer.recv, peer.send
-        last = []
-
-        def spy(*args):
-            frame = recv(*args)
-            last[:] = [frame.kind == FrameKind.DELTA_REQ and not any(frame.payload[1:])]
-            return frame
-
-        def tampered(frame):
-            check = frame.kind == FrameKind.EVAL_BUNDLE or (frame.kind == FrameKind.EVAL_PAIR and last == [True])
-            send(tamper(frame, check))
-
-        peer.recv, peer.send = spy, tampered
+        send = peer.send
+        peer.send = lambda frame: send(tamper(frame))
         try:
             run_protocol(word, peer, "initiator", config)
         except ShingleSyncError:

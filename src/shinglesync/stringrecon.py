@@ -19,10 +19,10 @@ its own one-sided ones.  A walk that leaves roots or a failed check reopens
 every bucket for one more value, and at most k checks run.  Then merge each
 side's ordered shingling to unique decodability, exchange one chain per
 merged label (its first shingle's index among the sender's distinct keys,
-its glued count, and the rank of a glued shingle's last character only at a
-branch point, where the receiver's walk over the sender's multiset has two
-or more successors left), rebuild and uniquely decode the remote multiset,
-then confirm with digests.  Steps 1 to 6 run on integer positions of the
+its glued count, and only at a branch point, where the receiver's walk over
+the sender's multiset has c >= 2 successors left, the next shingle's index
+among them in ceil(log2 c) bits), rebuild and uniquely decode the remote
+multiset, then confirm with digests.  Steps 1 to 6 run on integer positions of the
 padded word (`ShingledWord`): one-sided instances are found by position or
 by key and cross as runs, merged labels are spans of positions, chains
 slices of its keys, and the remote multiset a `ShingleTable`; no instance is
@@ -39,7 +39,6 @@ import itertools
 import json
 import operator
 import random
-import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
@@ -80,9 +79,9 @@ from .shingles import (  # noqa: F401
     is_valid_shingle,
     shingle_sequence,
 )
-from .transport import Endpoint, Frame, FrameKind
+from .transport import MAX_PAYLOAD, Endpoint, Frame, FrameKind, encode_varint, read_varint
 
-PROTOCOL_VERSION = 18
+PROTOCOL_VERSION = 19
 
 # the field that caps a hello's l: P61 with points drawn from its top 2**40
 # residues.  No session runs over it: each derives its own, no wider, from
@@ -110,6 +109,11 @@ MODE_RATELESS = "rateless"
 # reopens every bucket for one more value and walks again, so a hello's k
 # sets up to k walks and k more values a bucket of the responder's work
 MAX_K = 8
+
+# the largest l and m_hat a session may state, and the longest word: the
+# bounds to which a hello's varints are read (`decode_hello`)
+MOST_L = MOST_M_HAT = 2**32 - 1
+MOST_WORD = 2**64 - 1
 
 
 # a session's elements: occurrence occ = 1..2**w of the shingle with
@@ -257,11 +261,10 @@ class ReconConfig:
     delimiter: ClassVar[str] = DEFAULT_DELIMITER
 
     def __post_init__(self):
-        # the bounds are the hello's field widths (`_CONFIG`), but for k's:
-        # MAX_K, far inside its u16, bounds the responder's checks
-        if not 2 <= self.l < 2**32:
+        # the seed crosses in 8 bytes
+        if not 2 <= self.l <= MOST_L:
             raise InvalidParameterError("l must be in [2, 2**32)")
-        if not 0 <= self.m_hat < 2**32:
+        if not 0 <= self.m_hat <= MOST_M_HAT:
             raise InvalidParameterError("m_hat must be in [0, 2**32)")
         if not 1 <= self.k <= MAX_K:
             raise InvalidParameterError(f"k must be in [1, {MAX_K}]")
@@ -281,7 +284,6 @@ class SessionReport:
     outcome: str = "incomplete"
     merges_local: int = 0
     merges_remote: int = 0
-    ranks_sent: int = 0  # ranks in the local MERGES frame: one per branch point its chains pass
     step2_pairs: int = 0  # evaluation values that crossed the wire in step 2
     # the buckets step 2 reconciled, B', and the fine buckets whose sizes
     # the bundle carries, B: B' = B in fixed mode, and in rateless mode the
@@ -355,7 +357,6 @@ class SessionReport:
         for name in (
             "merges_local",
             "merges_remote",
-            "ranks_sent",
             "step2_pairs",
             "step2_buckets",
             "step2_fine_buckets",
@@ -406,15 +407,23 @@ class MergeChains(NamedTuple):
     party's sorted distinct keys and glues `glued[j]` more shingles onto it.
     A peer that holds the party's multiset walks the chains over it in order
     (`ShingleTable.walk`): each step uses up an instance and goes on to the
-    one successor with an instance left where there is one.  `ranks` holds,
-    chain after chain, the rest: at each branch point, where two or more
-    successors are left, the next shingle's `key % base`, the rank of its
-    last character, so the next key is `key % base**(l-1) * base + rank`.
+    one successor with an instance left where there is one.  `choices`
+    holds, chain after chain, the rest: at each branch point, where c >= 2
+    successors are left, the index of the next shingle among them in key
+    order, in ceil(log2 c) bits (`_choice_bits`), packed big-endian and
+    zero-padded to a byte.  Only the walk tells where one choice ends and
+    the next starts.
     """
 
     heads: list[int]
     glued: list[int]
-    ranks: list[int]
+    choices: bytes
+
+
+def _choice_bits(live: int) -> int:
+    """The width of a choice among `live` successors: ceil(log2 live), 1 bit
+    for the two of a binary word's branch point."""
+    return (live - 1).bit_length()
 
 
 def seams_to_records(word: ShingledWord, firsts: list[int]) -> MergeChains:
@@ -422,7 +431,7 @@ def seams_to_records(word: ShingledWord, firsts: list[int]) -> MergeChains:
     label in stream order (as `merge_until_ud` returns them).
 
     Replays the peer's walk (`ShingleTable.walk`) over the word's own
-    multiset, chain by chain, and keeps a glued shingle's rank only where
+    multiset, chain by chain, and keeps a glued shingle's choice only where
     the walk reaches a branch node with two or more successors left.  The
     walk uses up the chains' positions in stream order, and only the counts
     of a branch node's successors decide a step, so the replay counts just
@@ -436,7 +445,7 @@ def seams_to_records(word: ShingledWord, firsts: list[int]) -> MergeChains:
     left = {key: table.counts[key] for run in runs.values() for key in run}
     heads: list[int] = []
     glued: list[int] = []
-    ranks: list[int] = []
+    choices: list[tuple[int, int]] = []
     for first, end in zip(firsts, itertools.chain(firsts[1:], [len(keys)])):
         if end - first > 1:
             heads.append(bisect.bisect_left(order, keys[first]))
@@ -444,10 +453,32 @@ def seams_to_records(word: ShingledWord, firsts: list[int]) -> MergeChains:
             for at in itertools.compress(range(first, end), map(left.__contains__, keys[first:end])):
                 key = keys[at]
                 # the step onto a glued shingle that leaves a branch node
-                if at > first and len([k for k in runs[key // base] if left[k]]) > 1:
-                    ranks.append(key % base)
+                if at > first:
+                    live = [k for k in runs[key // base] if left[k]]
+                    if len(live) > 1:
+                        choices.append((live.index(key), len(live)))
                 left[key] -= 1
-    return MergeChains(heads, glued, ranks)
+    return MergeChains(heads, glued, _pack_choices(choices))
+
+
+def _pack_choices(choices: list[tuple[int, int]]) -> bytes:
+    """(index, live successors) choices as `MergeChains` holds them: each
+    index in `_choice_bits(live)` bits, big-endian, zero-padded to a byte,
+    emitted a byte at a time as `_pack_block` does."""
+    acc = 0
+    nbits = 0
+    out = bytearray()
+    for index, live in choices:
+        width = _choice_bits(live)
+        acc = (acc << width) | index
+        nbits += width
+        while nbits >= 8:
+            nbits -= 8
+            out.append((acc >> nbits) & 0xFF)
+        acc &= (1 << nbits) - 1
+    if nbits:
+        out.append((acc << (8 - nbits)) & 0xFF)
+    return bytes(out)
 
 
 def apply_merge_records(initial: ShingleTable, chains: MergeChains) -> ShingleMultiset:
@@ -455,12 +486,14 @@ def apply_merge_records(initial: ShingleTable, chains: MergeChains) -> ShingleMu
     its merged labels.
 
     Each chain uses up one instance of every shingle it passes through, and
-    the instances left over stay single labels.  A chain the peer could not
-    have sent raises ProtocolError: one whose head is past the distinct keys
-    or has no instance left, one that reaches a shingle with no successor
-    left, or a branch point with no rank left or whose rank names no live
-    successor, one whose label holds a delimiter inside it, and ranks left
-    over after the last chain.
+    the instances left over stay single labels.  The choices are read as
+    the walk reaches each branch point, at the width its live successors
+    set.  A chain the peer could not have sent raises ProtocolError: one
+    whose head is past the distinct keys or has no instance left, one that
+    reaches a shingle with no successor left, or a branch point past the
+    last choice or whose choice is no index of a live successor, one whose
+    label holds a delimiter inside it, and whole bytes or nonzero padding
+    bits of choices left over after the last chain.
 
     The rebuild uses up `initial.counts` as its running count of the
     instances left, so the table holds no multiset afterwards, whether the
@@ -470,23 +503,29 @@ def apply_merge_records(initial: ShingleTable, chains: MergeChains) -> ShingleMu
     order = initial.order
     left = initial.counts
     base = initial.base
-    # key % top is the key of a shingle's last l - 1 characters
-    top = base ** (initial.l - 1)
     # the character of each rank, for the last character of a key
     chars = sorted(initial.ranks)
     merged: dict[str, int] = {}
-    ranks = iter(chains.ranks)
+    data = iter(chains.choices)
+    acc = nbits = 0
 
-    def read_rank(key: int, live: list[int]) -> int:
+    def read_choice(key: int, live: list[int]) -> int:
+        nonlocal acc, nbits
         if not live:
             raise ProtocolError("merge chain steps on where no successor has an instance left")
-        rank = next(ranks, None)
-        if rank is None:
-            raise ProtocolError("merge chain reaches a branch point with no shipped rank left")
-        key = key % top * base + rank
-        if key not in live:
-            raise ProtocolError("merge chain's shipped rank names a successor with no instance left")
-        return key
+        width = _choice_bits(len(live))
+        while nbits < width:
+            byte = next(data, None)
+            if byte is None:
+                raise ProtocolError("merge chain reaches a branch point past the last choice")
+            acc = (acc << 8) | byte
+            nbits += 8
+        nbits -= width
+        index = acc >> nbits
+        acc &= (1 << nbits) - 1
+        if index >= len(live):
+            raise ProtocolError(f"merge chain's choice {index} is past the {len(live)} live successors")
+        return live[index]
 
     for head, glued in zip(chains.heads, chains.glued):
         if head >= len(order):
@@ -495,16 +534,18 @@ def apply_merge_records(initial: ShingleTable, chains: MergeChains) -> ShingleMu
         if not left[key]:
             raise ProtocolError("merge chain starts at a shingle with no instance left")
         left[key] -= 1
-        path = initial.walk(key, glued, left, read_rank)
+        path = initial.walk(key, glued, left, read_choice)
         label = initial.shingle(key) + "".join([chars[after % base] for after in path])
         # a word's delimiters pad only its ends: no label of it walks on
         # from the last shingle to the first
         if not is_valid_shingle(label):
             raise ProtocolError("merge chain runs on through the delimiters that end the word")
         merged[label] = merged.get(label, 0) + 1
-    leftover = sum(1 for _ in ranks)
+    leftover = sum(1 for _ in data)
     if leftover:
-        raise ProtocolError(f"{leftover} shipped ranks left over after the last merge chain")
+        raise ProtocolError(f"{leftover} bytes of choices left over after the last merge chain")
+    if acc:
+        raise ProtocolError("merge choices have nonzero padding bits")
     for key, count in left.items():
         if count:
             merged[initial.shingle(key)] = count
@@ -574,44 +615,83 @@ def _unpack_residues(data: bytes, count: int, what: str, p: int) -> list[int]:
     return values
 
 
-# the session parameters in a hello: l, mode (0 fixed, 1 rateless), m_hat, k, seed
-_CONFIG = struct.Struct(">IBIHQ")
-
-
 def encode_hello(config: ReconConfig, word_len: int, symbols: str) -> bytes:
-    """`version:u8`, the parameters the peer must adopt, the word's length and
-    its observed symbols as `count:u32be` UTF-8 bytes."""
-    sym = symbols.encode("utf-8")
+    """The initiator's hello: `version:u8`, `mode:u8` (0 fixed, 1
+    rateless), l, m_hat and k as varints (`encode_varint`), `seed:u64be`,
+    then its word (`_encode_word`).  The responder adopts these parameters,
+    so its reply (`encode_reply`) does not echo them."""
     mode = 0 if config.mode == MODE_FIXED else 1
     return (
-        struct.pack(">B", PROTOCOL_VERSION)
-        + _CONFIG.pack(config.l, mode, config.m_hat, config.k, config.seed)
-        + struct.pack(">QI", word_len, len(sym))
-        + sym
+        bytes([PROTOCOL_VERSION, mode])
+        + encode_varint(config.l)
+        + encode_varint(config.m_hat)
+        + encode_varint(config.k)
+        + config.seed.to_bytes(8, "big")
+        + _encode_word(word_len, symbols)
     )
 
 
+def encode_reply(word_len: int, symbols: str) -> bytes:
+    """The responder's hello: `version:u8`, then its word
+    (`_encode_word`)."""
+    return bytes([PROTOCOL_VERSION]) + _encode_word(word_len, symbols)
+
+
+def _encode_word(word_len: int, symbols: str) -> bytes:
+    """A hello's word: its length and the byte count of its observed
+    symbols as varints, then the symbols in UTF-8."""
+    sym = symbols.encode("utf-8")
+    return encode_varint(word_len) + encode_varint(len(sym)) + sym
+
+
 def decode_hello(payload: bytes) -> tuple[ReconConfig, int, str]:
-    head = 1 + _CONFIG.size + 12  # version, config, word length, symbol bytes
-    if len(payload) < head:
-        raise ProtocolError("short hello frame")
-    if payload[0] != PROTOCOL_VERSION:
-        raise ProtocolError(f"unsupported protocol version {payload[0]}")
-    l, mode, m_hat, k, seed = _CONFIG.unpack_from(payload, 1)
-    word_len, sym_len = struct.unpack_from(">QI", payload, 1 + _CONFIG.size)
-    if len(payload) != head + sym_len:
-        raise ProtocolError("hello frame length mismatch")
-    try:
-        sym = payload[head:].decode("utf-8")
-    except UnicodeDecodeError:
-        raise ProtocolError("hello symbol field is not valid UTF-8") from None
+    """(config, word length, symbols) of the initiator's hello.  Every
+    varint is bounded by its parameter's bound before it is read in full
+    (`read_varint`): l and m_hat below 2**32, k at most `MAX_K`, the word
+    length below 2**64."""
+    _check_version(payload)
+    if len(payload) < 2:
+        raise ProtocolError("hello holds no mode")
+    mode = payload[1]
     if mode not in (0, 1):
         raise ProtocolError(f"hello mode byte {mode} is neither 0 (fixed) nor 1 (rateless)")
+    l, at = read_varint(payload, 2, MOST_L, "hello l")
+    m_hat, at = read_varint(payload, at, MOST_M_HAT, "hello m_hat")
+    k, at = read_varint(payload, at, MAX_K, "hello k")
+    if len(payload) < at + 8:
+        raise ProtocolError("hello holds no seed")
+    seed = int.from_bytes(payload[at : at + 8], "big")
+    word_len, sym = _decode_word(payload, at + 8, "hello")
     try:
         config = ReconConfig(l=l, mode=MODE_FIXED if mode == 0 else MODE_RATELESS, m_hat=m_hat, k=k, seed=seed)
     except InvalidParameterError as exc:
         raise ProtocolError(f"bad hello: {exc}") from None
     return config, word_len, sym
+
+
+def decode_reply(payload: bytes) -> tuple[int, str]:
+    """(word length, symbols) of the responder's hello."""
+    _check_version(payload)
+    return _decode_word(payload, 1, "hello reply")
+
+
+def _check_version(payload: bytes) -> None:
+    if not payload:
+        raise ProtocolError("empty hello frame")
+    if payload[0] != PROTOCOL_VERSION:
+        raise ProtocolError(f"unsupported protocol version {payload[0]}")
+
+
+def _decode_word(payload: bytes, at: int, what: str) -> tuple[int, str]:
+    """The word (`_encode_word`) that ends a hello at `payload[at:]`."""
+    word_len, at = read_varint(payload, at, MOST_WORD, f"{what} word length")
+    sym_len, at = read_varint(payload, at, MAX_PAYLOAD, f"{what} symbol byte count")
+    if len(payload) != at + sym_len:
+        raise ProtocolError(f"{what} frame length mismatch")
+    try:
+        return word_len, payload[at:].decode("utf-8")
+    except UnicodeDecodeError:
+        raise ProtocolError(f"{what} symbol field is not valid UTF-8") from None
 
 
 def encode_occ_bits(occ_bits: int) -> bytes:
@@ -860,32 +940,33 @@ def _check_held(table: ShingleTable, windows: ShingleMultiset) -> None:
             raise ProtocolError(f"the peer names {mult} instances of {shingle!r}, of which the word holds {have}")
 
 
-def encode_merges(chains: MergeChains, instances: int, base: int) -> bytes:
+def encode_merges(chains: MergeChains, instances: int) -> bytes:
     """The chain count, packed `_count_bits(instances // 2)` wide, as every
     chain covers two instances or more; one block packed
-    `_count_bits(instances - 1)` wide of the shipped-rank count and each
-    chain's head and glued count, each below the sender's instance count;
-    then one block of the shipped ranks packed `_rank_bits(base)` wide: a
-    merge costs a rank only at a branch point, 2 bits for a binary word.
-    The peer derives the widths from the sender's instance count and the
-    session's alphabet."""
-    head_block = [len(chains.ranks)] + [value for chain in zip(chains.heads, chains.glued) for value in chain]
+    `_count_bits(instances - 1)` wide of each chain's head and glued count,
+    each below the sender's instance count; then the choices as they are
+    (`MergeChains`): a merge costs a choice only at a branch point, 1 bit
+    where two successors are left.  The peer derives the widths from the
+    sender's instance count and its own walk, so no count of choices
+    crosses the wire."""
+    head_block = [value for chain in zip(chains.heads, chains.glued) for value in chain]
     return (
         _pack_block([len(chains.heads)], _count_bits(instances // 2))
         + _pack_block(head_block, _count_bits(instances - 1))
-        + _pack_block(chains.ranks, _rank_bits(base))
+        + chains.choices
     )
 
 
-def decode_merges(payload: bytes, instances: int, base: int) -> MergeChains:
+def decode_merges(payload: bytes, instances: int) -> MergeChains:
     """The chains of a MERGES payload from a sender of `instances` shingle
-    instances over `base` ranks.
+    instances.
 
-    Every chain glues at least one shingle onto its head, all chains
-    together cover at most the sender's instances, and at most every glued
-    shingle ships a rank, which is checked before the rank block is read: no
-    count the peer chooses makes this unpack more values than its instances
-    allow.
+    Every chain covers two instances or more, which is checked before the
+    head block is read, so no count the peer chooses makes this unpack more
+    values than its instances allow; every chain glues at least one
+    shingle onto its head, and all chains together cover at most the
+    sender's instances.  The choices, the rest of the frame, are read only
+    by the walk (`apply_merge_records`).
     """
     count_bits = _count_bits(instances // 2)
     start = (count_bits + 7) // 8
@@ -893,22 +974,16 @@ def decode_merges(payload: bytes, instances: int, base: int) -> MergeChains:
     if 2 * count > instances:
         raise ProtocolError(f"merges frame holds {count} chains, more than {instances} instances hold")
     bits = _count_bits(instances - 1)
-    end = start + ((2 * count + 1) * bits + 7) // 8
-    shipped, *block = _unpack_block(payload[start:end], bits, 2 * count + 1, "merges")
+    end = start + (2 * count * bits + 7) // 8
+    block = _unpack_block(payload[start:end], bits, 2 * count, "merges")
     heads, glued = block[0::2], block[1::2]
     if 0 in glued:
         raise ProtocolError("merge chain glues no shingle")
-    merges = sum(glued)
-    if merges + count > instances:
+    if sum(glued) + count > instances:
         raise ProtocolError(
-            f"merge chains cover {merges + count} instances, more than the {instances} the peer announced"
+            f"merge chains cover {sum(glued) + count} instances, more than the {instances} the peer announced"
         )
-    if shipped > merges:
-        raise ProtocolError(f"merges frame ships {shipped} ranks for {merges} glued shingles")
-    ranks = _unpack_block(payload[end:], _rank_bits(base), shipped, "merges")
-    if ranks and max(ranks) >= base:
-        raise ProtocolError(f"merge chain holds a rank of {base} or more")
-    return MergeChains(heads, glued, ranks)
+    return MergeChains(heads, glued, payload[end:])
 
 
 def _count_bits(most: int) -> int:
@@ -989,8 +1064,10 @@ def run_protocol(
     except BaseException as exc:
         if report.outcome == "incomplete":
             report.outcome = f"error:{type(exc).__name__}"
+        # the peer stops at the ABORT, not at its receive deadline; an
+        # ABORT it sent needs none
         try:
-            if not isinstance(exc, (SessionAbortError, ProtocolError)):
+            if not isinstance(exc, SessionAbortError):
                 wire.send(FrameKind.ABORT, str(exc).encode("utf-8"))
         except Exception:
             pass
@@ -1008,12 +1085,10 @@ def _run(
     symbols = "".join(sorted(set(word)))
     if role == ROLE_INITIATOR:
         wire.send(FrameKind.HELLO, encode_hello(config, len(word), symbols))
-        peer_cfg, n_remote, peer_syms = decode_hello(wire.expect(FrameKind.HELLO).payload)
-        if peer_cfg != config:
-            raise SessionAbortError("peer did not adopt the offered parameters")
+        n_remote, peer_syms = decode_reply(wire.expect(FrameKind.HELLO).payload)
     else:
         config, n_remote, peer_syms = decode_hello(wire.expect(FrameKind.HELLO).payload)
-        wire.send(FrameKind.HELLO, encode_hello(config, len(word), symbols))
+        wire.send(FrameKind.HELLO, encode_reply(len(word), symbols))
 
     report.l = config.l
     report.mode = config.mode
@@ -1062,20 +1137,18 @@ def _run(
     report.merges_local = instances - len(firsts)
     report.longest_label = max(b - a for a, b in zip(firsts, [*firsts[1:], instances]))
     chains = seams_to_records(local, firsts)
-    report.ranks_sent = len(chains.ranks)
     table = local.table
     del local, firsts
     lap("merge")
 
     # step 5: exchange the chains of the merged labels
     wire.step = "step5"
-    base = table.base
-    merges_payload = encode_merges(chains, instances, base)
+    merges_payload = encode_merges(chains, instances)
     if role == ROLE_INITIATOR:
         wire.send(FrameKind.MERGES, merges_payload)
-        remote_chains = decode_merges(wire.expect(FrameKind.MERGES).payload, remote_instances, base)
+        remote_chains = decode_merges(wire.expect(FrameKind.MERGES).payload, remote_instances)
     else:
-        remote_chains = decode_merges(wire.expect(FrameKind.MERGES).payload, remote_instances, base)
+        remote_chains = decode_merges(wire.expect(FrameKind.MERGES).payload, remote_instances)
         wire.send(FrameKind.MERGES, merges_payload)
     report.merges_remote = sum(remote_chains.glued)
     lap("step5")
@@ -1131,8 +1204,10 @@ def step2_buckets(local_instances: int, remote_instances: int) -> int:
 # the estimated one-sided instances a coarse bucket is sized for
 COARSE_LOAD = 4
 # how many times its part of the estimate plus one a coarse bucket must have
-# room for within the work cap (`coarse_shift`)
+# room for within the work caps (`coarse_shift`)
 COARSE_MARGIN = 8
+# the fewest fine buckets whose estimate may join them (`coarse_shift`)
+COARSE_MIN_FINE = 16
 
 
 def coarse_shift(own: list[int], theirs: list[int], k: int) -> int:
@@ -1147,34 +1222,72 @@ def coarse_shift(own: list[int], theirs: list[int], k: int) -> int:
 
     A coarse bucket's value costs each party its whole run of fine buckets,
     and both parties hold step 2 to the work that protocol v16 allowed at
-    the fine buckets (`_work_cap`).  So B' is doubled until every coarse
-    bucket has room, within its run's share of either party's cap, for
-    `COARSE_MARGIN` times its own part of the estimate plus one, and its k
-    verification values: a run's share is each fine bucket's
-    instances times the values it may take, both words' instances in it
-    and k.  Where the fine buckets are small that room is small, and the
-    estimate, only a lower bound, is least sure where it is large against
-    B: without the margin a few differences more than it shows would pass
+    the fine buckets, one total over all of them (`_caps`).  So B' is
+    doubled until both parties' caps have room for every coarse bucket to
+    take `COARSE_MARGIN` times its own part of the estimate plus one, and
+    its k verification values, each value times its instances.  Without
+    the margin a few differences more than the estimate shows would pass
     the cap of an honest session.
+
+    Below `COARSE_MIN_FINE` fine buckets nothing joins.  A difference hides
+    from the estimate where a fine bucket holds as many one-sided instances
+    of each word, and over a few fine buckets it can hide whole: short
+    unrelated words of one length showed no gap in any of four fine
+    buckets, joined them all into one, and about one such join in three
+    then passed the cap of an honest session.  A join saves such words a
+    few verification values.
 
     Coarse bucket c joins the fine buckets c * 2**shift up to
     (c + 1) * 2**shift, as `bucket_of` takes the hash's top bits."""
+    if len(own) < COARSE_MIN_FINE:
+        return 0
     gaps = list(map(abs, map(operator.sub, own, theirs)))
     coarse = 1
     while coarse * COARSE_LOAD < sum(gaps) and coarse < len(own):
         coarse *= 2
     shift = (len(own) // coarse).bit_length() - 1
-    budgets = [mine + other + k for mine, other in zip(own, theirs)]
+    caps = _caps(own, theirs, k)
     while shift:
         wanted = [COARSE_MARGIN * (sum(gap) + 1) + k for gap in _runs(gaps, shift)]
         if all(
-            need * sum(size) <= sum(map(operator.mul, size, budget))
-            for fine in (own, theirs)
-            for need, size, budget in zip(wanted, _runs(fine, shift), _runs(budgets, shift))
+            sum(map(operator.mul, wanted, map(sum, _runs(fine, shift)))) <= cap
+            for fine, cap in zip((own, theirs), caps)
         ):
             break
         shift -= 1
     return shift
+
+
+def _caps(own: list[int], theirs: list[int], k: int) -> tuple[int, int]:
+    """(the responder's, the initiator's) step-2 work cap, less the session
+    check's one pass, for fine buckets of `own` of the responder's
+    instances and `theirs` of the initiator's: what their meters hold step
+    2 to (`_work_cap`), each over its own bucket budgets."""
+    mine = _responder_budgets(own, theirs, k)
+    return _work_cap(own, mine, sum(mine), 0), _work_cap(theirs, *_initiator_budgets(theirs, sum(own), k), 0)
+
+
+def _responder_budgets(own: list[int], theirs: list[int], k: int) -> list[int]:
+    """The values each of the responder's decoders may take, over buckets
+    of `own` of its instances and `theirs` of the initiator's: its own
+    instances, the initiator's and one value for each of the k checks that
+    may verify it (`RatelessDecoder.reopen`)."""
+    return [mine + other + k for mine, other in zip(own, theirs)]
+
+
+def _initiator_budgets(sizes: list[int], remote_instances: int, k: int) -> tuple[list[int], int]:
+    """(each bucket's, the session's) most values the initiator serves
+    beyond its bundle, over buckets of `sizes` of its instances against a
+    responder of `remote_instances`.  The bundle, which the initiator sized
+    itself, may over-serve a bucket done early: no bucket's true difference
+    needs more values than its own instances, every remote instance and its
+    one verification value, nor one more for each of the k - 1 failed
+    checks that may reopen it; no session's more than both totals and
+    B * k."""
+    return (
+        [size + remote_instances + k for size in sizes],
+        sum(sizes) + remote_instances + len(sizes) * k,
+    )
 
 
 def _runs(values: list, shift: int) -> list[list]:
@@ -1304,21 +1417,8 @@ def _reconcile_step(
     report.step2_buckets = report.step2_fine_buckets = buckets
     if role == ROLE_INITIATOR:
 
-        def budgets(sizes: list[int]) -> tuple[list[int], int]:
-            # the budgets bound what the responder requests beyond the
-            # bundle, which the initiator sized itself and which may
-            # over-serve a bucket done early: no bucket's true difference
-            # needs more pairs than its own instances, every remote instance
-            # and its one verification value, nor one more for each of the
-            # k - 1 failed checks that may reopen it; no session's more than
-            # both totals and B * k
-            return (
-                [size + remote_instances + config.k for size in sizes],
-                sum(sizes) + remote_instances + len(sizes) * config.k,
-            )
-
         sizes = [len(part) for part in parts]
-        bucket_budget, budget = budgets(sizes)
+        bucket_budget, budget = _initiator_budgets(sizes, remote_instances, config.k)
         # a request past it is the peer's
         meter = _WorkMeter(
             _work_cap(sizes, bucket_budget, budget, len(elements)), buckets, ProtocolError, len(elements)
@@ -1344,7 +1444,7 @@ def _reconcile_step(
                 if shift:
                     parts = [list(itertools.chain.from_iterable(run)) for run in _runs(parts, shift)]
                     sizes = [len(part) for part in parts]
-                    bucket_budget, budget = budgets(sizes)
+                    bucket_budget, budget = _initiator_budgets(sizes, remote_instances, config.k)
                     sources = [RatelessSource.from_elements(part, codec, points) for part in parts]
                     buckets = report.step2_buckets = len(parts)
                     requested = [0] * buckets
@@ -1385,9 +1485,7 @@ def _reconcile_step(
     # each fine bucket's size gap bounds its difference from below
     gaps = list(map(abs, map(operator.sub, own_sizes, sizes)))
     report.step2_estimate = sum(gaps)
-    # a decoder takes at most its own instances, the initiator's and one
-    # value for each of the k checks that may verify it (`reopen`)
-    decoder_budgets = [mine + theirs + config.k for mine, theirs in zip(own_sizes, sizes)]
+    decoder_budgets = _responder_budgets(own_sizes, sizes, config.k)
     # the responder stops before it asks for work past it
     meter = _WorkMeter(
         _work_cap(own_sizes, decoder_budgets, sum(decoder_budgets), len(elements)),

@@ -1,8 +1,10 @@
 """Byte-exact framed transport with bit metering.
 
-Frames are a 4-byte big-endian payload length, a 1-byte kind, then the
-payload.  The in-process channel pair and the socket-backed endpoint carry
-identical bytes; counters account for every framed byte in both directions.
+Frames are a 1-byte kind, the payload length as a minimal LEB128 varint
+(`encode_varint`), at most 4 bytes as the payload is at most `MAX_PAYLOAD`,
+then the payload.  The in-process channel pair and the socket-backed
+endpoint carry identical bytes; counters account for every framed byte in
+both directions.
 A receive that waits longer than `RECV_TIMEOUT_S` raises
 `TransportClosedError`, so a peer that stops sending cannot hang a session.
 """
@@ -11,14 +13,14 @@ from __future__ import annotations
 
 import queue
 import socket
-import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
 from .errors import ProtocolError, TransportClosedError
 
 MAX_PAYLOAD = 1 << 26
-HEADER = struct.Struct(">IB")
+# the most bytes a frame's length varint takes: 7 bits each
+LENGTH_BYTES = -(-MAX_PAYLOAD.bit_length() // 7)
 RECV_TIMEOUT_S = 300.0  # the longest one receive waits for the peer's next bytes
 
 
@@ -34,6 +36,52 @@ class FrameKind(IntEnum):
     OCC_WIDTH = 9
 
 
+def encode_varint(value: int) -> bytes:
+    """`value` as a minimal LEB128 varint: 7-bit groups, least significant
+    first, each byte but the last with its top bit set."""
+    out = bytearray()
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def read_varint(data: bytes, at: int, most: int, what: str) -> tuple[int, int]:
+    """(value, end) of the varint at `data[at:]`, at most `most`.
+
+    No more bytes are read than `most` needs, so no varint the peer sends
+    grows a number past it.  A varint that runs past `data`, that needs a
+    byte more, that ends in a zero group after its first byte (not
+    minimal), or whose value is past `most` raises ProtocolError."""
+    limit = max(1, -(-most.bit_length() // 7))
+    value = 0
+    for i, byte in enumerate(data[at : at + limit]):
+        value |= (byte & 0x7F) << 7 * i
+        if not byte & 0x80:
+            if i and not byte:
+                raise ProtocolError(f"{what} is not a minimal varint")
+            if value > most:
+                raise ProtocolError(f"{what} {value} is past {most}")
+            return value, at + i + 1
+    if len(data) < at + limit:
+        raise ProtocolError(f"{what} ends inside its varint")
+    raise ProtocolError(f"{what} takes more than {limit} varint bytes")
+
+
+def _read_header(data: bytes) -> tuple[FrameKind, int, int]:
+    """(kind, payload length, header length) of the frame header that opens
+    `data`: refused before any payload byte is read."""
+    if not data:
+        raise ProtocolError("truncated frame header")
+    try:
+        kind = FrameKind(data[0])
+    except ValueError:
+        raise ProtocolError(f"unknown frame kind {data[0]}") from None
+    length, end = read_varint(data, 1, MAX_PAYLOAD, "frame length")
+    return kind, length, end
+
+
 @dataclass(frozen=True)
 class Frame:
     kind: FrameKind
@@ -42,20 +90,14 @@ class Frame:
     def encode(self) -> bytes:
         if len(self.payload) > MAX_PAYLOAD:
             raise ProtocolError("payload too large")
-        return HEADER.pack(len(self.payload), int(self.kind)) + self.payload
+        return bytes([self.kind]) + encode_varint(len(self.payload)) + self.payload
 
     @classmethod
     def decode(cls, data: bytes) -> "Frame":
-        if len(data) < HEADER.size:
-            raise ProtocolError("truncated frame header")
-        length, kind = HEADER.unpack_from(data)
-        if len(data) != HEADER.size + length:
+        kind, length, end = _read_header(data)
+        if len(data) != end + length:
             raise ProtocolError("frame length mismatch")
-        try:
-            kind = FrameKind(kind)
-        except ValueError:
-            raise ProtocolError(f"unknown frame kind {kind}") from None
-        return cls(kind, data[HEADER.size :])
+        return cls(kind, data[end:])
 
 
 class Endpoint:
@@ -77,13 +119,20 @@ class Endpoint:
         self._bytes_sent += len(data)
 
     def recv(self) -> Frame:
-        header = self._recv_exactly(HEADER.size)
-        length, _ = HEADER.unpack(header)
-        if length > MAX_PAYLOAD:
-            raise ProtocolError("payload too large")
+        """The next frame.  Its header is read a byte at a time, up to the
+        byte that ends the length or the `LENGTH_BYTES`-th, and refused
+        before any payload byte is read; a peer that closes inside it sent
+        a truncated header, a ProtocolError."""
+        header = self._recv_exactly(1)
+        try:
+            while len(header) == 1 or header[-1] & 0x80 and len(header) <= LENGTH_BYTES:
+                header += self._recv_exactly(1)
+        except TransportClosedError as exc:
+            raise ProtocolError(f"truncated frame header: {exc}") from exc
+        kind, length, _ = _read_header(header)
         body = self._recv_exactly(length) if length else b""
         self._bytes_received += len(header) + len(body)
-        return Frame.decode(header + body)
+        return Frame(kind, body)
 
     def _send_bytes(self, data: bytes) -> None:
         raise NotImplementedError

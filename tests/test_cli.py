@@ -216,8 +216,13 @@ class TestReconcile:
         initiator, responder = reports["initiator"], reports["responder"]
         assert initiator["outcome"] == responder["outcome"] == "ok"
         assert initiator["merges_remote"] == responder["merges_local"] == 2
-        # katana's one branch point: out of 'ta'
-        assert responder["ranks_sent"] == 1 and initiator["ranks_sent"] == 0
+        # katana's one merged label, 'tana', crosses as the chain count, its
+        # head and glued count, and the one choice at its branch point out
+        # of 'ta', 2 bits among three live successors: a byte each, after
+        # the kind byte and the one-byte length.  katna merges nothing and
+        # sends its chain count alone
+        assert responder["merges_frame_bits_sent"] == 8 * (2 + 3)
+        assert initiator["merges_frame_bits_sent"] == 8 * (2 + 1)
         total = initiator["total_bits_sent"] + initiator["total_bits_recv"]
         assert initiator["wire_ratio"] == round(total / initiator["raw_bits"], 4)
         # one session check, which only the responder runs; only it holds

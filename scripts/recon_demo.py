@@ -5,10 +5,11 @@ Prints each session's report, the initiator's, so the per-step bit accounting
 is easy to eyeball against the edit count and shingle length, then the
 responder's walk, session checks and rejected candidates, which only its
 report holds, its estimate of the difference, which the initiator reads off
-the first request in rateless mode only, and its thread CPU by step, then
-the session's wall time and the process's peak resident set so far: in MiB,
-and in bytes a symbol a party, its rise over the peak before the first
-session (the interpreter and the package) over both words' symbols.
+the first request in rateless mode only, and its thread CPU and wall time
+by step, then the session's wall time and the process's peak resident set
+so far: in MiB, and in bytes a symbol a party, its rise over the peak
+before the first session (the interpreter and the package) over both
+words' symbols.
 
     PYTHONPATH=src python3 scripts/recon_demo.py --n 65536 --alphas 16
 
@@ -89,13 +90,14 @@ def main() -> int:
         print(report_a.to_text(), end="")
         # the route only the responder takes: its walk, its checks and its
         # rejected candidates, the estimate that chose its buckets, and
-        # where its CPU went
+        # where its CPU and wall time went
         print(f"responder_step2_walked={report_b.step2_walked}")
         print(f"responder_step2_checks={report_b.step2_checks}")
         print(f"responder_step2_rejected={report_b.step2_rejected}")
         print(f"responder_step2_estimate={report_b.step2_estimate}")
         for step, seconds in report_b.step_cpu_s.items():
             print(f"responder_{step}_cpu_s={seconds:.6f}")
+            print(f"responder_{step}_wall_s={report_b.step_wall_s[step]:.6f}")
         print(f"session_wall_s={wall:.3f}")
         print(f"peak_rss_mib={peak / 2**20:.1f}")
         print(f"peak_rss_bytes_per_symbol_party={(peak - before) / (len(word_a) + len(word_b)):.0f}")

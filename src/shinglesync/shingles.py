@@ -7,17 +7,19 @@ delimiters on each side, so the first and last windows are anchored at pure
 delimiter runs.
 
 `ShingledWord` holds the same windows as integers, from one rolling pass over
-the padded word, and `ShingleTable` a multiset of length-l shingles under
-integer keys that sort in canonical order.  `CodeSpace` numbers the same
-shingles without a digit for the delimiter.
+the padded word and one sort of its positions by key, and `ShingleTable` a
+multiset of length-l shingles as aligned array columns, a row for each
+distinct shingle under an integer key, the rows in canonical order.
+`CodeSpace` numbers the same shingles without a digit for the delimiter.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from itertools import compress, count
+from collections import Counter, deque
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, eq, floordiv, itemgetter, ne, setitem, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .alphabet import DEFAULT_DELIMITER, Alphabet, validate_word
@@ -299,7 +301,8 @@ class CodeSpace:
 
 
 class ShingleTable:
-    """A multiset of length-l shingles, each held under its key.
+    """A multiset of length-l shingles as aligned columns, a row for each
+    distinct shingle.
 
     A key reads its shingle as base-(|alphabet| + 1) digits, each character's
     digit its `rank_digits` rank, so keys order like their shingles: sorted
@@ -307,99 +310,123 @@ class ShingleTable:
     `key % base**(l-1)` are the keys of the shingle's first and last
     l - 1 characters, and `key % base` ranks its last character.
 
-    `counts` holds the multiplicities.  The shingle of a counted key is
-    `text[where[key] : where[key] + l]`.  `move` is the one change a table
-    takes: it turns the multiset into another in place, and patches the
-    sorted keys and successor index already built for the keys it adds or
-    empties.  `order`, if given, is the sorted keys of `counts`.
+    Row r holds the r-th distinct key in sorted order, so a row number is
+    its shingle's place in canonical order:
+
+    * `keys[r]`, the key;
+    * `places[r]`, where its shingle is in `text`:
+      `text[places[r] : places[r] + l]`;
+    * `mults[r]`, its multiplicity;
+    * `codes[r]`, its code in `space`, the word's `CodeSpace`: None once
+      a session no longer reads them;
+    * `succ[r]`, the first row of its successors, the rows whose shingles
+      begin with its last l - 1 characters.  They are one contiguous run of
+      at most base rows, as their keys share all but the last digit; where
+      there are none, `succ[r]` is the row where they would start;
+    * `single[r]`, 1 where that run is one row, else 0.
+
+    Each column is an `array('q')`, `single` a `bytearray`, and `keys` and
+    `codes` are lists where a key does not fit 63 bits.  A key finds its
+    row by bisection (`row`).  `move` is the one change a table takes: it
+    turns the multiset into another in place, and patches the columns once
+    for the rows it adds or empties.
     """
 
-    __slots__ = ("l", "ranks", "base", "counts", "text", "where", "_top", "_order", "_runs", "_next")
+    __slots__ = ("l", "ranks", "base", "space", "text", "keys", "places", "mults", "codes", "succ", "single", "_top")
 
     def __init__(
         self,
         l: int,
         ranks: dict[str, int],
-        counts: dict[int, int],
+        space: CodeSpace,
         text: str,
-        where: dict[int, int],
-        order: list[int] | None = None,
+        keys: array | list,
+        places: array,
+        mults: array,
+        codes: array | list | None,
+        succ: array,
+        single: bytearray,
     ):
         self.l = l
         self.ranks = ranks
         self.base = len(ranks)
-        self.counts = counts
+        self.space = space
         self.text = text
-        self.where = where
+        self.keys = keys
+        self.places = places
+        self.mults = mults
+        self.codes = codes
+        self.succ = succ
+        self.single = single
         # key % _top is the key of a shingle's last l - 1 characters
         self._top = self.base ** (l - 1)
-        self._order = order
-        self._runs: dict[int, list[int]] | None = None
-        self._next: dict[int, int] | None = None
 
-    @property
-    def order(self) -> list[int]:
-        """The distinct keys, sorted: `ShingleMultiset`'s canonical order."""
-        if self._order is None:
-            self._order = sorted(self.counts)
-        return self._order
+    def __len__(self) -> int:
+        return len(self.keys)
 
-    def branch_runs(self) -> dict[int, list[int]]:
-        """The successors of each branch node, by the node's key.
+    def row(self, key: int) -> int | None:
+        """The row of `key`, or None where the table does not hold it."""
+        at = bisect_left(self.keys, key)
+        return at if at < len(self.keys) and self.keys[at] == key else None
+
+    def count(self, key: int) -> int:
+        """The multiplicity of `key`, 0 where the table does not hold it."""
+        at = self.row(key)
+        return 0 if at is None else self.mults[at]
+
+    def run(self, node: int) -> tuple[int, int]:
+        """The rows [lo, hi) of the shingles that begin with node `node`, the
+        key of l - 1 characters: at most base rows from the first key at or
+        past node * base."""
+        keys, base = self.keys, self.base
+        lo = bisect_left(keys, node * base)
+        return lo, bisect_left(keys, (node + 1) * base, lo, min(len(keys), lo + base))
+
+    def branch_runs(self) -> list[tuple[int, int]]:
+        """The successors of each branch node, as rows [lo, hi).
 
         A node is the key of l - 1 characters, and its successors are the
-        distinct keys whose first l - 1 characters it is: the shingles a
-        walk through the de Bruijn graph may take on from a shingle whose
-        last l - 1 characters it is (`key % base**(l-1)`).  They are a run
-        of the sorted keys, found without trying each of the base
-        characters.  A branch node has two or more.  A walk that uses up
-        instances may need a choice only at a branch node, and needs one
-        there when two or more of its successors still have an instance.
+        rows whose shingles begin with it: the shingles a walk through the
+        de Bruijn graph may take on from a shingle whose last l - 1
+        characters it is.  They are a run of rows, found without trying
+        each of the base characters.  A branch node has two or more.  A
+        walk that uses up instances may need a choice only at a branch
+        node, and needs one there when two or more of its successors still
+        have an instance.
         """
-        if self._runs is None:
-            self._index_successors()
-        return self._runs
+        grams = list(map(floordiv, self.keys, repeat(self.base)))
+        runs: list[list[int]] = []
+        # each row that begins with the gram of the row before it
+        for row in compress(count(1), map(eq, islice(grams, 1, None), grams)):
+            if runs and runs[-1][1] == row:
+                runs[-1][1] = row + 1
+            else:
+                runs.append([row - 1, row + 1])
+        return [(lo, hi) for lo, hi in runs]
 
-    def _index_successors(self) -> None:
-        """Fill `_runs` and `_next`, the one successor of every node that is
-        not a branch node: both at once, for `move` to patch together."""
-        order, base = self.order, self.base
-        # grams[i] is the node order[i] leaves from, so grams is sorted
-        grams = [key // base for key in order]
-        self._runs = {
-            gram: order[bisect_left(grams, gram) : bisect_right(grams, gram)]
-            for gram in {gram for gram, after in zip(grams, grams[1:]) if gram == after}
-        }
-        self._next = dict(zip(grams, order))
-        for gram in self._runs:
-            del self._next[gram]
+    def walk(self, row: int, steps: int, left: array, choose: Callable[[int, list[int]], int]) -> list[int]:
+        """The rows of the `steps` shingles a walk glues on after the shingle
+        of row `row`, each using up one instance in `left`, a running count
+        of every row.
 
-    def walk(
-        self, key: int, steps: int, left: dict[int, int], choose: Callable[[int, list[int]], int]
-    ) -> list[int]:
-        """The keys of the `steps` shingles a walk glues on after shingle
-        `key`, each using up one instance in `left`, a running count of
-        every distinct key.
-
-        A step goes on to a live successor of the current shingle's last
-        l - 1 characters (see `branch_runs`), one that still has an
-        instance in `left`.  Where exactly one is live the walk takes it.
-        Anywhere else, at a branch node with two or more live or at a dead
-        end, it takes `choose(key, live)`.
+        A step goes on to a live successor of the current shingle (see
+        `branch_runs`), one that still has an instance in `left`.  Where
+        exactly one is live the walk takes it.  Anywhere else, at a branch
+        node with two or more live or at a dead end, it takes
+        `choose(row, live)`.
         """
-        if self._runs is None:
-            self._index_successors()
-        top, runs, only = self._top, self._runs, self._next.get
+        keys, succ, single, top = self.keys, self.succ, self.single, self._top
         path = []
         for _ in range(steps):
-            after = only(key % top)
-            if after is not None and left[after]:
-                key = after
+            after = succ[row]
+            if single[row] and left[after]:
+                row = after
             else:
-                live = [k for k in runs.get(key % top, ()) if left[k]]
-                key = live[0] if len(live) == 1 else choose(key, live)
-            left[key] -= 1
-            path.append(key)
+                lo, hi = self.run(keys[row] % top)
+                live = [at for at in range(lo, hi) if left[at]]
+                row = live[0] if len(live) == 1 else choose(row, live)
+            left[row] -= 1
+            path.append(row)
         return path
 
     def key(self, shingle: str) -> int:
@@ -413,114 +440,206 @@ class ShingleTable:
             raise InvalidSymbolError(f"symbol {exc.args[0]!r} not in alphabet") from None
         return key
 
-    def shingle(self, key: int) -> str:
-        i = self.where[key]
-        return self.text[i : i + self.l]
+    def shingle(self, row: int) -> str:
+        at = self.places[row]
+        return self.text[at : at + self.l]
 
     def move(self, remove: ShingleMultiset, add: ShingleMultiset) -> None:
         """Turn this multiset into itself less `remove`, which it must
         contain, plus `add`, in place.  A move that raises changes nothing.
 
         A key that `add` brings in gets its shingle's place at the end of
-        `text`.  The sorted keys and the successor index, where built, are
-        patched for the keys the move brings in or empties, not rebuilt.
+        `text`.  The columns are patched once, a slice at a time between
+        the rows the move brings in or empties, not rebuilt.  A row's
+        successors start as many rows later as the move brought in less it
+        emptied at the nodes below the one its shingle ends in, and only
+        the rows whose own node's run changed are looked up again.
         """
-        counts, where = self.counts, self.where
-        dropped = [(self.key(s), s, mult) for s, mult in remove.entries.items()]
-        added = [(self.key(s), s, mult) for s, mult in add.entries.items()]
-        for key, s, mult in dropped:
-            if counts.get(key, 0) < mult:
-                raise InvalidParameterError(f"cannot remove {mult} x {s!r}, only {counts.get(key, 0)} present")
-        # whether each key the move touches was counted before it
-        held = {key: key in counts for key, _, _ in dropped + added}
-        for key, _, mult in dropped:
-            left = counts[key] - mult
-            if left:
-                counts[key] = left
-            else:
-                del counts[key]
+        keys, mults, base, l, top = self.keys, self.mults, self.base, self.l, self._top
+        # the row of each key held before the move, and its change
+        rows: dict[int, int] = {}
+        change: dict[int, int] = {}
+        for s, mult in remove.entries.items():
+            key = self.key(s)
+            at = self.row(key)
+            have = 0 if at is None else mults[at]
+            if have < mult:
+                raise InvalidParameterError(f"cannot remove {mult} x {s!r}, only {have} present")
+            rows[key], change[key] = at, -mult
         new = []
-        for key, s, mult in added:
-            counts[key] = counts.get(key, 0) + mult
-            if key not in where:
-                where[key] = len(self.text) + self.l * len(new)
-                new.append(s)
-        self.text += "".join(new)
-        changed = [key for key, was in held.items() if was != (key in counts)]
-        if changed and self._order is not None:
-            self._order = _patched(self._order, sorted(changed), counts)
-            if self._runs is not None:
-                self._reindex({key // self.base for key in changed})
+        for s, mult in add.entries.items():
+            key = self.key(s)
+            if key in change:
+                change[key] += mult
+            elif (at := self.row(key)) is not None:
+                rows[key], change[key] = at, mult
+            else:
+                code = None if self.codes is None else self.space.code(s)
+                new.append((key, len(self.text) + l * len(new), mult, code, s))
+        for key, at in rows.items():
+            mults[at] += change[key]
+        self.text += "".join(s for *_, s in new)
+        # the rows the move empties, and those it brings in, in key order
+        gone = sorted(at for at in rows.values() if not mults[at])
+        new.sort()
+        if not gone and not new:
+            return
+        # the rows each node whose run changes gains or loses
+        grown: dict[int, int] = {}
+        for node, delta in [(keys[at] // base, -1) for at in gone] + [(key // base, 1) for key, *_ in new]:
+            grown[node] = grown.get(node, 0) + delta
+        succ, ends = self._shifted(grown)
+        # each kept stretch of old rows [lo, hi), then the new row after it
+        ins = [bisect_left(keys, key) for key, *_ in new]
+        plan: list[tuple[int, int, tuple | None]] = []
+        at = 0
+        for cut, _, row in sorted([*zip(ins, repeat(0), new), *zip(gone, repeat(1), repeat(None))]):
+            plan.append((at, cut, row))
+            at = cut if row else cut + 1
+        plan.append((at, len(keys), None))
+        columns = []
+        for c, column in enumerate((keys, self.places, mults, self.codes, succ, self.single)):
+            if column is not None:
+                out = column[:0]
+                for lo, hi, row in plan:
+                    out += column[lo:hi]
+                    if row:
+                        out.append(row[c] if c < 4 else 0)
+                column = out
+            columns.append(column)
+        self.keys, self.places, self.mults, self.codes, self.succ, self.single = columns
+        # the new rows, and the rows whose shingles end in a changed node,
+        # each past the rows that went before it and the new rows before it
+        redo = [at - bisect_left(gone, at) + j for j, at in enumerate(ins)]
+        redo += [at - bisect_left(gone, at) + bisect_right(ins, at) for at in ends if mults[at]]
+        for at in redo:
+            lo, hi = self.run(self.keys[at] % top)
+            self.succ[at] = lo
+            self.single[at] = hi - lo == 1
 
-    def _reindex(self, grams: set[int]) -> None:
-        """Set the `_runs` and `_next` entries of `grams` from the sorted keys."""
-        order, base, runs, only = self._order, self.base, self._runs, self._next
-        for gram in grams:
-            start = bisect_left(order, gram * base)
-            after = order[start : bisect_left(order, (gram + 1) * base, start)]
-            runs.pop(gram, None)
-            only.pop(gram, None)
-            if len(after) > 1:
-                runs[gram] = after
-            elif after:
-                only[gram] = after[0]
+    def _shifted(self, grown: dict[int, int]) -> tuple[array, list[int]]:
+        """(`succ` with each row's successors moved by the rows that the
+        nodes of `grown` gain or lose below the node its shingle ends in,
+        the rows whose shingles end in a node of `grown`).
+
+        The rows of one first character end in nodes in ascending order, so
+        the shift is the same over each stretch of them between two nodes
+        of `grown`, and a row that ends in one of them ends its stretch."""
+        keys, top = self.keys, self._top
+        nodes = sorted(grown)
+        # the shift of a stretch before the first node, and past each node
+        shifts = [0, *accumulate(map(grown.__getitem__, nodes))]
+        lengths: list[int] = []
+        ends: list[int] = []
+        for first in range(self.base):
+            lo, end = bisect_left(keys, first * top), bisect_left(keys, (first + 1) * top)
+            # the keys of the rows of this first character that end in the nodes
+            ending = list(map(add, nodes, repeat(first * top)))
+            cuts = [lo, *map(bisect_right, repeat(keys), ending, repeat(lo), repeat(end)), end]
+            lengths += map(sub, islice(cuts, 1, None), cuts)
+            lasts = list(map(sub, islice(cuts, 1, len(cuts) - 1), repeat(1)))
+            ends += compress(lasts, map(eq, map(keys.__getitem__, lasts), ending))
+        steps = map(repeat, chain.from_iterable(repeat(shifts, self.base)), lengths)
+        return array("q", list(map(add, self.succ, chain.from_iterable(steps)))), ends
 
 
-def _patched(order: list[int], changed: list[int], counts: dict[int, int]) -> list[int]:
-    """Sorted `order` with the sorted keys of `changed` toggled: one that
-    `counts` holds goes in, any other comes out.  Each change is a bisect,
-    and the rest of `order` is copied a slice at a time."""
-    out: list[int] = []
-    at = 0
-    for key in changed:
-        cut = bisect_left(order, key, at)
-        out += order[at:cut]
-        if key in counts:
-            out.append(key)
-            at = cut
-        else:
-            at = cut + 1
-    out += order[at:]
-    return out
+def _tabled(keys: array | list, base: int) -> tuple[array | list, array, array, bytes, array]:
+    """The keys, places and multiplicities of the table (`ShingleTable`)
+    of a word whose windows have keys `keys`, where each gram's run of rows
+    opens, and the word's node ids, from one stable sort of the positions
+    by key: equal keys keep word order, so each row's place is its key's
+    first position.
+
+    Node j, the first l - 1 characters of shingle j, takes the first row of
+    its gram's run of rows, whose keys share their first l - 1 digits.  The
+    last node, the l - 1 delimiters that end the padded word, is node 0,
+    the l - 1 that start it.
+
+    Each sequence goes once the next no longer reads it, so the sort's
+    boxed keys and positions set the peak.
+    """
+    boxed = keys.tolist() if isinstance(keys, array) else keys
+    at = sorted(range(len(keys)), key=boxed.__getitem__)
+    ordered = list(map(boxed.__getitem__, at))
+    del boxed
+    # True at the first position, in key order, of each distinct key.  A
+    # column whose boxed ints fit under the sort's peak is gathered into a
+    # list, which CPython fills faster than an array, and then copied
+    fresh = [True, *map(ne, islice(ordered, 1, None), ordered)]
+    rows = keys[:0]
+    rows.extend(compress(ordered, fresh))
+    del ordered
+    grams = list(map(floordiv, rows, repeat(base)))
+    # 1 at each row that starts a gram's run, and past the last row
+    opens = b"\x01" + bytes(map(ne, islice(grams, 1, None), grams)) + b"\x01"
+    # each row that begins with the gram of the row before it, a few where
+    # grams seldom repeat
+    joined = list(compress(count(1), map(eq, islice(grams, 1, None), grams)))
+    del grams
+    # the first row of each row's run
+    first = list(range(len(rows)))
+    for row in joined:
+        first[row] = first[row - 1]
+    nodes = array("q", [0]) * (len(at) + 1)
+    deque(map(setitem, repeat(nodes), at, map(first.__getitem__, accumulate(islice(fresh, 1, None), initial=0))), 0)
+    nodes[-1] = nodes[0]
+    del first
+    places = array("q", list(compress(at, fresh)))
+    del at
+    starts = list(compress(count(), fresh))
+    del fresh
+    starts.append(len(nodes) - 1)
+    mults = array("q", list(map(sub, islice(starts, 1, None), starts)))
+    return rows, places, mults, opens, nodes
 
 
-def _node_ids(keys: Sequence[int], base: int, top: int) -> array:
-    """Dense ids of the nodes of shingles `keys`, equal ids for equal grams:
-    node j is the first l - 1 characters of shingle j, and the last node
-    the last l - 1 of the last shingle."""
-    grams = [key // base for key in keys]
-    grams.append(keys[-1] % top)
-    ids = dict(zip(dict.fromkeys(grams), count()))
-    return array("q", map(ids.__getitem__, grams))
+# the indices `_picked` takes at once
+PICK_CHUNK = 1024
 
 
-def _tabled(keys: Sequence[int]) -> tuple[dict[int, int], dict[int, int], list[int]]:
-    """The first position of each distinct key, its multiplicity in key
-    order, and the sorted distinct keys, which share one int a key."""
-    # later positions are overwritten
-    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-    order = sorted(first)
-    tally = Counter(keys)
-    return first, dict(zip(order, map(tally.__getitem__, order))), order
+def _picked(indices: Sequence[int], sources: tuple[Sequence, ...], outs: tuple) -> None:
+    """Extend each of `outs` by its source's items at `indices`: a C-level
+    pass (`itemgetter`) over each chunk of `PICK_CHUNK` of them, shared by
+    the sources, so only a chunk's indices and items are boxed at once."""
+    for at in range(0, len(indices), PICK_CHUNK):
+        chunk = indices[at : at + PICK_CHUNK]
+        pick = itemgetter(*chunk)
+        for source, out in zip(sources, outs):
+            out.extend(pick(source) if len(chunk) > 1 else [source[chunk[0]]])
 
 
-def _window_codes(word: str, space: CodeSpace, codes: array | list) -> array | list:
-    """The codes of the windows of `word` padded for `space`'s l, in
-    `codes`, an empty sequence.
+def _windows(word: str, ranks: dict[str, int], space: CodeSpace, keys: array | list, codes: array | list) -> None:
+    """Fill `keys` and `codes`, empty sequences, with the `ShingleTable`
+    key and the `space` code of each window of `word` padded for `space`'s
+    l, from one rolling pass over the word's symbols.
 
-    One rolling pass reads the word's symbols in base |symbols|: after
-    symbol u it holds the value of the up to l symbols that end there, the
-    code of window u when that window is the word's own.  The l - 1 windows
-    at each end are delimiter-padded, and each takes its class's code from
-    the value of the symbols it holds, the last m of those the pass held
-    after its last one."""
-    l, s = space.l, space.symbols
+    The key rolls over the padded word's characters in base |alphabet| + 1,
+    starting from its l - 1 leading delimiters, so after symbol u it is the
+    key of window u; l - 1 trailing delimiters give the last windows'.  The
+    code rolls over the symbols alone in base |symbols|: after symbol u it
+    holds the value of the up to l symbols that end there, the code of
+    window u when that window is the word's own.  The l - 1 windows at each
+    end are delimiter-padded, and each takes its class's code from the
+    value of the symbols it holds, the last m of those the pass held after
+    its last one."""
+    l, s, base = space.l, space.symbols, len(ranks)
     n = len(word)
-    top = s ** (l - 1)
-    code = 0
-    for d in map(space.digits.__getitem__, word):
-        code = code % top * s + d
-        codes.append(code)
+    top, stop = base ** (l - 1), s ** (l - 1)
+    gap = ranks[space.delimiter]
+    key = code = 0
+    for _ in range(l - 1):
+        key = key * base + gap
+    try:
+        for r, d in zip(map(ranks.__getitem__, word), map(space.digits.__getitem__, word)):
+            key = key % top * base + r
+            keys.append(key)
+            code = code % stop * s + d
+            codes.append(code)
+    except KeyError as exc:
+        raise InvalidSymbolError(f"symbol {exc.args[0]!r} not in alphabet") from None
+    for _ in range(l - 1):
+        key = key % top * base + gap
+        keys.append(key)
 
     def end(t: int) -> int:
         # window t holds word[a:b] behind max(0, l - 1 - t) delimiters
@@ -532,7 +651,6 @@ def _window_codes(word: str, space: CodeSpace, codes: array | list) -> array | l
     tail = list(map(end, range(max(n, l - 1), n + l - 1)))
     codes[: l - 1] = head
     codes.extend(tail)
-    return codes
 
 
 class ShingledWord:
@@ -542,18 +660,22 @@ class ShingledWord:
     from node i to node i + 1, where node j is the gram `text[j : j + l - 1]`.
 
     * `keys[i]` is the `ShingleTable` key of shingle i;
-    * `codes[i]` is its code in `space`, the word's `CodeSpace`;
-    * `nodes[j]` is a dense id of node j, equal ids for equal grams;
-    * `table` holds the distinct shingles in canonical order, each at its
-      first position, and their keys sorted once, here.
+    * `nodes[j]` is an id of node j, equal ids for equal grams: the first
+      row of the table whose shingle begins with that gram, so every id is
+      below the table's rows;
+    * `table` holds the word's multiset as columns (`ShingleTable`), each
+      distinct shingle at its first position, with its code in `space`,
+      the word's `CodeSpace`.
 
-    `nodes` is an `array('q')`, and so are `keys` and `codes` where every
-    key fits 63 bits, (|alphabet| + 1)**l <= 2**63: binary words up to
-    l = 39.  Wider keys and codes are lists.  A session drops each sequence
-    once the last step that reads it is done.
+    One sort of the positions by key, equal keys in word order, gives every
+    column and the node ids; no dict is built.  `nodes` is an
+    `array('q')`, and so is `keys` where every key fits 63 bits,
+    (|alphabet| + 1)**l <= 2**63: binary words up to l = 39.  Wider keys are
+    a list.  A session drops each sequence once the last step that reads it
+    is done.
     """
 
-    __slots__ = ("text", "l", "keys", "codes", "space", "nodes", "table")
+    __slots__ = ("text", "l", "keys", "space", "nodes", "table")
 
     def __init__(self, word: str, l: int, alphabet: Alphabet):
         if l < 2:
@@ -562,35 +684,25 @@ class ShingledWord:
         text = delimited(word, l, alphabet.delimiter)
         ranks = rank_digits(alphabet)
         base = len(ranks)
-        top = base ** (l - 1)
-        try:
-            rank_of = list(map(ranks.__getitem__, text))
-        except KeyError as exc:
-            raise InvalidSymbolError(f"symbol {exc.args[0]!r} not in alphabet") from None
+        space = CodeSpace(alphabet, l)
         # 8 bytes a position where every key fits a machine word
         narrow = base**l <= 1 << 63
-        keys = array("q") if narrow else []
-        key = 0
-        for r in rank_of:
-            key = key % top * base + r
-            keys.append(key)
-        # the first l - 1 keys read only part of a window of leading delimiters
-        del keys[: l - 1]
-        # the ranks, and each helper's scratch, go before the next is
-        # built, so the pass peaks near what it keeps
-        del rank_of
-        space = CodeSpace(alphabet, l)
-        codes = _window_codes(word, space, array("q") if narrow else [])
-        nodes = _node_ids(keys, base, top)
-        first, counts, order = _tabled(keys)
+        keys, windows = (array("q"), array("q")) if narrow else ([], [])
+        _windows(word, ranks, space, keys, windows)
+        rows, places, mults, opens, nodes = _tabled(keys, base)
+        # each row's code, and the node its first window enters, whose run
+        # starts at its id; then whether that run is one row
+        codes, succ, single = windows[:0], array("q"), bytearray()
+        _picked(places, (windows, nodes[1:]), (codes, succ))
+        del windows
+        _picked(succ, (opens[1:],), (single,))
 
         self.text = text
         self.l = l
         self.keys = keys
-        self.codes = codes
         self.space = space
         self.nodes = nodes
-        self.table = ShingleTable(l, ranks, counts, text, first, order)
+        self.table = ShingleTable(l, ranks, space, text, rows, places, mults, codes, succ, single)
 
     def runs(self, wanted: dict[int, int]) -> list[str]:
         """The runs of `spans`, each as the r + l - 1 characters of the
@@ -603,9 +715,9 @@ class ShingledWord:
         order.  A key wanted less often than it occurs gives first its
         positions next to a taken one, which extend a run, and only then the
         rest in word order."""
-        keys, counts = self.keys, self.table.counts
+        keys, table = self.keys, self.table
         # the instances left to take of each key wanted in part
-        left = {key: n for key, n in wanted.items() if n < counts.get(key, 0)}
+        left = {key: n for key, n in wanted.items() if n < table.count(key)}
         whole = wanted.keys() - left.keys()
         stack = list(compress(count(), map(whole.__contains__, keys)))
         taken = set(stack)

@@ -33,7 +33,6 @@ merged labels, carry more than constant-size framing.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import json
@@ -130,7 +129,7 @@ def word_occ_bits(table: ShingleTable) -> int:
     of its most frequent shingle.  A multiplicity past the 2**16 occurrences
     of the `DEFAULT_OCC_BITS` with which P61 caps l raises
     EncodingCapacityError."""
-    largest = max(table.counts.values(), default=1)
+    largest = max(table.mults, default=1)
     if largest > 1 << DEFAULT_OCC_BITS:
         raise EncodingCapacityError(f"occurrence {(1 << DEFAULT_OCC_BITS) + 1} exceeds {DEFAULT_OCC_BITS} bits")
     return (largest - 1).bit_length()
@@ -214,28 +213,37 @@ def _element(code: int, occ: int, occ_bits: int) -> int:
     return (code << occ_bits) + occ
 
 
-def _elements(word: ShingledWord, occ_bits: int) -> list[int]:
-    """The elements of a word's instances, shingle after shingle in
-    canonical order, each shingle's code read at its first position."""
-    table = word.table
-    order = table.order
-    mults = list(map(table.counts.__getitem__, order))
-    if mults and max(mults) > 1 << occ_bits:
+def _elements(table: ShingleTable, occ_bits: int) -> list[int]:
+    """The elements of a table's instances, shingle after shingle in
+    canonical order: its rows, each code and multiplicity read off its
+    columns."""
+    mults = table.mults
+    if max(mults, default=1) > 1 << occ_bits:
         raise EncodingCapacityError(f"occurrence {(1 << occ_bits) + 1} exceeds {occ_bits} bits")
-    codes = map(word.codes.__getitem__, map(table.where.__getitem__, order))
-    starts = [(code << occ_bits) + 1 for code in codes]  # _element(code, 1, occ_bits)
-    return list(itertools.chain.from_iterable(map(range, starts, map(operator.add, starts, mults))))
+    # _element(code, 1, occ_bits) of every row, then each row's further
+    # occurrences spliced in after it
+    ones = list(map(operator.add, map(operator.lshift, table.codes, itertools.repeat(occ_bits)), itertools.repeat(1)))
+    parts: list = []
+    at = 0
+    for row in itertools.compress(itertools.count(), map(operator.lt, itertools.repeat(1), mults)):
+        parts += ones[at : row + 1], range(ones[row] + 1, ones[row] + mults[row])
+        at = row + 1
+    if not parts:
+        return ones
+    parts.append(ones[at:])
+    return list(itertools.chain.from_iterable(parts))
 
 
 def _root_keys(word: ShingledWord, roots: list[int], occ_bits: int) -> Counter:
     """The instances of the word's own elements `roots`, counted by key: each
-    root's code is looked up among the word's codes, not decoded."""
+    root's code is looked up among the codes of the word's table, not
+    decoded."""
     wanted = Counter((root - 1) >> occ_bits for root in roots)
-    codes, keys = word.codes, word.keys
-    key_of = {codes[at]: keys[at] for at in itertools.compress(itertools.count(), map(wanted.__contains__, codes))}
-    if len(key_of) != len(wanted):
-        raise InvariantError(f"{len(wanted) - len(key_of)} of the roots are no element of the word")
-    return Counter({key_of[code]: count for code, count in wanted.items()})
+    table = word.table
+    rows = list(itertools.compress(itertools.count(), map(wanted.__contains__, table.codes)))
+    if len(rows) != len(wanted):
+        raise InvariantError(f"{len(wanted) - len(rows)} of the roots are no element of the word")
+    return Counter({table.keys[row]: wanted[table.codes[row]] for row in rows})
 
 
 @dataclass(frozen=True)
@@ -328,6 +336,10 @@ class SessionReport:
     # and 4), "step5" (the chains' exchange) and "rebuild" (step 6's
     # rebuild and decode)
     step_cpu_s: dict[str, float] = dc_field(default_factory=dict)
+    # the same steps' wall seconds, from one read of `time.perf_counter` at
+    # each step boundary: beside the CPU, the time a step waited, on the
+    # peer or for the interpreter lock
+    step_wall_s: dict[str, float] = dc_field(default_factory=dict)
 
     def step_bits(self, step: str) -> tuple[int, int]:
         sent, received = self.bits.get(step, [0, 0])
@@ -343,7 +355,8 @@ class SessionReport:
     def figures(self) -> dict[str, object]:
         """Every figure of the report by name, in the order `to_text` prints
         them: the bits by step, then by frame kind, then in total, then the
-        CPU seconds by step; `alpha` and `wire_ratio` only when known."""
+        CPU and wall seconds by step; `alpha` and `wire_ratio` only when
+        known."""
         out: dict[str, object] = {
             "role": self.role,
             "outcome": self.outcome,
@@ -384,6 +397,7 @@ class SessionReport:
             out["wire_ratio"] = round(ratio, 4)
         for step, seconds in self.step_cpu_s.items():
             out[f"{step}_cpu_s"] = round(seconds, 6)
+            out[f"{step}_wall_s"] = round(self.step_wall_s[step], 6)
         return out
 
     def to_text(self) -> str:
@@ -436,28 +450,42 @@ def seams_to_records(word: ShingledWord, firsts: list[int]) -> MergeChains:
     walk uses up the chains' positions in stream order, and only the counts
     of a branch node's successors decide a step, so the replay counts just
     those, at the positions that hold them.
+
+    A position finds its row from the word's node ids, each the first row
+    of its node's run (`ShingledWord`), and the last character of its
+    window, so the word's keys are not read.
     """
-    keys = word.keys
-    table = word.table
-    base = table.base
-    order = table.order
-    runs = table.branch_runs()
-    left = {key: table.counts[key] for run in runs.values() for key in run}
+    table, nodes, text, l = word.table, word.nodes, word.text, word.l
+    keys, base, ranks = table.keys, table.base, table.ranks
+    left = table.mults[:]
+
+    def row_at(at: int) -> int:
+        """The row of the shingle at position `at`: the row of its node's
+        run whose key ends in its last character."""
+        row, last = nodes[at], ranks[text[at + l - 1]]
+        while keys[row] % base != last:
+            row += 1
+        return row
+
+    # the end of each branch node's run by its first row: the one dict the
+    # merge builds, over the branch nodes only, as every glued position
+    # asks it
+    branch = dict(table.branch_runs())
     heads: list[int] = []
     glued: list[int] = []
     choices: list[tuple[int, int]] = []
-    for first, end in zip(firsts, itertools.chain(firsts[1:], [len(keys)])):
+    for first, end in zip(firsts, itertools.chain(firsts[1:], [len(nodes) - 1])):
         if end - first > 1:
-            heads.append(bisect.bisect_left(order, keys[first]))
+            heads.append(row_at(first))
             glued.append(end - first - 1)
-            for at in itertools.compress(range(first, end), map(left.__contains__, keys[first:end])):
-                key = keys[at]
+            for at in itertools.compress(range(first, end), map(branch.__contains__, nodes[first:end])):
+                row = row_at(at)
                 # the step onto a glued shingle that leaves a branch node
                 if at > first:
-                    live = [k for k in runs[key // base] if left[k]]
+                    live = [r for r in range(nodes[at], branch[nodes[at]]) if left[r]]
                     if len(live) > 1:
-                        choices.append((live.index(key), len(live)))
-                left[key] -= 1
+                        choices.append((live.index(row), len(live)))
+                left[row] -= 1
     return MergeChains(heads, glued, _pack_choices(choices))
 
 
@@ -495,13 +523,13 @@ def apply_merge_records(initial: ShingleTable, chains: MergeChains) -> ShingleMu
     label holds a delimiter inside it, and whole bytes or nonzero padding
     bits of choices left over after the last chain.
 
-    The rebuild uses up `initial.counts` as its running count of the
+    The rebuild uses up `initial.mults` as its running count of the
     instances left, so the table holds no multiset afterwards, whether the
     rebuild returns or raises: a caller that reads the table again passes a
     copy.
     """
-    order = initial.order
-    left = initial.counts
+    keys = initial.keys
+    left = initial.mults
     base = initial.base
     # the character of each rank, for the last character of a key
     chars = sorted(initial.ranks)
@@ -509,7 +537,7 @@ def apply_merge_records(initial: ShingleTable, chains: MergeChains) -> ShingleMu
     data = iter(chains.choices)
     acc = nbits = 0
 
-    def read_choice(key: int, live: list[int]) -> int:
+    def read_choice(row: int, live: list[int]) -> int:
         nonlocal acc, nbits
         if not live:
             raise ProtocolError("merge chain steps on where no successor has an instance left")
@@ -528,14 +556,13 @@ def apply_merge_records(initial: ShingleTable, chains: MergeChains) -> ShingleMu
         return live[index]
 
     for head, glued in zip(chains.heads, chains.glued):
-        if head >= len(order):
-            raise ProtocolError(f"merge chain starts at key {head}, past the {len(order)} distinct keys")
-        key = order[head]
-        if not left[key]:
+        if head >= len(keys):
+            raise ProtocolError(f"merge chain starts at key {head}, past the {len(keys)} distinct keys")
+        if not left[head]:
             raise ProtocolError("merge chain starts at a shingle with no instance left")
-        left[key] -= 1
-        path = initial.walk(key, glued, left, read_choice)
-        label = initial.shingle(key) + "".join([chars[after % base] for after in path])
+        left[head] -= 1
+        path = initial.walk(head, glued, left, read_choice)
+        label = initial.shingle(head) + "".join([chars[keys[row] % base] for row in path])
         # a word's delimiters pad only its ends: no label of it walks on
         # from the last shingle to the first
         if not is_valid_shingle(label):
@@ -546,9 +573,12 @@ def apply_merge_records(initial: ShingleTable, chains: MergeChains) -> ShingleMu
         raise ProtocolError(f"{leftover} bytes of choices left over after the last merge chain")
     if acc:
         raise ProtocolError("merge choices have nonzero padding bits")
-    for key, count in left.items():
-        if count:
-            merged[initial.shingle(key)] = count
+    # the instances left over, a row's shingle sliced from the text at its
+    # place, in C-level passes over the rows
+    rows = list(itertools.compress(itertools.count(), left))
+    places = [initial.places[row] for row in rows]
+    ends = map(operator.add, places, itertools.repeat(initial.l))
+    merged.update(zip(map(initial.text.__getitem__, map(slice, places, ends)), map(left.__getitem__, rows)))
     return ShingleMultiset(merged, base_len=initial.l)
 
 
@@ -935,7 +965,7 @@ def _check_held(table: ShingleTable, windows: ShingleMultiset) -> None:
     """Refuse one-sided instances of the table's word that it does not hold:
     a shingle more often than the word has it."""
     for shingle, mult in windows.entries.items():
-        have = table.counts.get(table.key(shingle), 0)
+        have = table.count(table.key(shingle))
         if mult > have:
             raise ProtocolError(f"the peer names {mult} instances of {shingle!r}, of which the word holds {have}")
 
@@ -1106,13 +1136,15 @@ def _run(
             f"the encoding range holds for the {len(alphabet)} symbols of both words together"
         )
 
-    # one read of the thread's clock at each step boundary
-    clock = time.thread_time()
+    # one read of the thread's clock and of the wall clock at each step
+    # boundary
+    clock, wall = time.thread_time(), time.perf_counter()
 
     def lap(step: str) -> None:
-        nonlocal clock
-        clock, before = time.thread_time(), clock
-        report.step_cpu_s[step] = clock - before
+        nonlocal clock, wall
+        now, now_wall = time.thread_time(), time.perf_counter()
+        report.step_cpu_s[step], report.step_wall_s[step] = now - clock, now_wall - wall
+        clock, wall = now, now_wall
 
     # step 1: one rolling pass gives every shingle its node ids and key
     local = ShingledWord(word, config.l, alphabet)
@@ -1127,13 +1159,13 @@ def _run(
         wire, role, config, alphabet, local, remote_instances, buckets, report
     )
     lap("step2")
-    # the word's codes go after step 2, its node ids after the merge and its
-    # keys after step 4, before step 6 allocates
-    del local.codes
+    # the word's codes and keys go after step 2, before the merge allocates,
+    # and its node ids after step 4, before step 6 allocates
+    local.table.codes = None
+    del local.keys
 
     # steps 3-4: merge to unique decodability (local work only)
     firsts = merge_until_ud(local)
-    del local.nodes
     report.merges_local = instances - len(firsts)
     report.longest_label = max(b - a for a, b in zip(firsts, [*firsts[1:], instances]))
     chains = seams_to_records(local, firsts)
@@ -1409,7 +1441,7 @@ def _reconcile_step(
     rateless = config.mode == MODE_RATELESS
     first = 0 if rateless else -(-min(config.m_hat, instances) // buckets)
     points = PointStream(codec.field, config.seed)
-    elements = _elements(local, occ_bits)
+    elements = _elements(local.table, occ_bits)
     parts = partition(elements, buckets, config.seed)
     # the session check's one whole-set value
     whole = whole_value(elements, z, m)
@@ -1608,7 +1640,7 @@ def _walk(
     walk tries first.
     """
     table, keys, space = word.table, word.keys, word.space
-    l, base, counts = table.l, table.base, table.counts
+    l, base, row_keys, mults = table.l, table.base, table.keys, table.mults
     top = base ** (l - 1)
     s, first, last = space.symbols, space.first, space.size - 1
     # the delimiter's rank, and each symbol's digit by its rank
@@ -1663,6 +1695,11 @@ def _walk(
         while remaining and stack:
             node, state, path = stack.pop()
             lead, _, trail, sym, after = state
+            # the responder's count of each successor key, by its last rank
+            counts = [0] * base
+            lo, hi = table.run(node)
+            for row in range(lo, hi):
+                counts[row_keys[row] % base] = mults[row]
             hits = []
             for rank in range(base):
                 if rank == gap:
@@ -1673,7 +1710,7 @@ def _walk(
                 else:
                     code = sym + digit[rank]
                 key = node * base + rank
-                occ = counts.get(key, 0) + found.get(key, 0) + 1
+                occ = counts[rank] + found.get(key, 0) + 1
                 if occ > most:
                     continue
                 element = (code << occ_bits) + occ  # _element(code, occ, occ_bits)

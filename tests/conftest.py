@@ -1,4 +1,6 @@
 import random
+from array import array
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
@@ -272,17 +274,34 @@ def span_labels(word, firsts):
 
 
 def copied_table(table):
-    """A table with its own copy of `table`'s counts, for a rebuild
+    """A table with its own copy of `table`'s multiplicities, for a rebuild
     (`apply_merge_records`) to use up while `table` stays whole."""
-    return ShingleTable(table.l, table.ranks, dict(table.counts), table.text, table.where, list(table.order))
+    return ShingleTable(
+        table.l, table.ranks, table.space, table.text, table.keys, table.places, table.mults[:], table.codes,
+        table.succ, table.single,
+    )
+
+
+def table_counts(table):
+    """A table's multiset as a dict of multiplicities by key."""
+    return dict(zip(table.keys, table.mults))
+
+
+def table_columns(table):
+    """Every column of a table, and its text, as plain values."""
+    return (
+        table.text, list(table.keys), list(table.places), list(table.mults),
+        None if table.codes is None else list(table.codes), list(table.succ), bytes(table.single),
+    )
 
 
 def reference_moved(table, remove, add):
     """The reference for `ShingleTable.move`: the peer's table built beside
-    `table` from copies of its counts and places, as sessions built it
-    before the move was made in place.  Its sorted keys and successor index
-    are built afresh when first read."""
-    counts = dict(table.counts)
+    `table` from dicts of its counts and places, as sessions built it
+    before the move patched the columns in place.  Its columns are laid out
+    afresh from the dicts, each row's code read off its shingle and its
+    successors found by bisection."""
+    counts = table_counts(table)
     for s, mult in remove.entries.items():
         key = table.key(s)
         left = counts.get(key, 0) - mult
@@ -292,7 +311,7 @@ def reference_moved(table, remove, add):
             counts[key] = left
         else:
             del counts[key]
-    where = dict(table.where)
+    where = dict(zip(table.keys, table.places))
     new = []
     for s, mult in add.entries.items():
         key = table.key(s)
@@ -300,4 +319,24 @@ def reference_moved(table, remove, add):
         if key not in where:
             where[key] = len(table.text) + table.l * len(new)
             new.append(s)
-    return ShingleTable(table.l, table.ranks, counts, table.text + "".join(new), where)
+    text = table.text + "".join(new)
+    keys = sorted(counts)
+    places = array("q", map(where.__getitem__, keys))
+    codes = None if table.codes is None else _like(table.codes, [table.space.code(text[at : at + table.l]) for at in places])
+    # each row's successors: the keys that begin with its last l - 1 characters
+    top = table.base ** (table.l - 1)
+    runs = [
+        (bisect_left(keys, key % top * table.base), bisect_left(keys, (key % top + 1) * table.base)) for key in keys
+    ]
+    return ShingleTable(
+        table.l, table.ranks, table.space, text, _like(table.keys, keys), places,
+        array("q", map(counts.__getitem__, keys)), codes, array("q", [lo for lo, _ in runs]),
+        bytearray(hi - lo == 1 for lo, hi in runs),
+    )
+
+
+def _like(column, values):
+    """`values` in a sequence of `column`'s type: an array of its typecode, or a list."""
+    out = column[:0]
+    out.extend(values)
+    return out

@@ -236,11 +236,14 @@ class TestReconcile:
         assert initiator["occ_bits"] == responder["occ_bits"] == 0
         assert initiator["elem_bits"] == responder["elem_bits"] == 5
         assert initiator["value_bits"] == responder["value_bits"] == 10
-        # each party's thread CPU by step, in session order
+        # each party's thread CPU and wall time by step, in session order
         for report in reports.values():
             steps = [name for name in report if name.endswith("_cpu_s")]
             assert steps == ["step1_cpu_s", "step2_cpu_s", "merge_cpu_s", "step5_cpu_s", "rebuild_cpu_s"]
             assert all(report[name] >= 0 for name in steps)
+            walls = [name for name in report if name.endswith("_wall_s")]
+            assert walls == [name.replace("_cpu_s", "_wall_s") for name in steps]
+            assert all(report[wall] >= report[cpu] - 1e-3 for cpu, wall in zip(steps, walls))
         # 6 and 7 instances make two fine buckets, whose sizes differ by 1:
         # too few instances to join them, and the initiator reads the
         # estimate off the first request

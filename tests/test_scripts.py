@@ -46,11 +46,13 @@ def test_recon_demo_fixed_session():
                  "responder_step2_walked=9", "responder_step2_checks=1", "responder_step2_rejected=0",
                  "responder_step2_estimate=15"):
         assert line in lines
-    # each party's thread CPU by step: the initiator's in its report, the
-    # responder's beside it
+    # each party's thread CPU and wall time by step: the initiator's in its
+    # report, the responder's beside it
     fields = dict(line.split("=", 1) for line in lines if "=" in line)
     for step in ("step1", "step2", "merge", "step5", "rebuild"):
         assert float(fields[f"{step}_cpu_s"]) >= 0 and float(fields[f"responder_{step}_cpu_s"]) >= 0
+        for party in ("", "responder_"):
+            assert float(fields[f"{party}{step}_wall_s"]) >= float(fields[f"{party}{step}_cpu_s"]) - 1e-3
     # the bits by frame kind: the bundle is the initiator's, the hand-off the responder's
     assert any(line.startswith("eval_bundle_frame_bits_sent=") and line != "eval_bundle_frame_bits_sent=0"
                for line in lines)

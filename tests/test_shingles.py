@@ -1,7 +1,8 @@
 from array import array
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shinglesync import (
@@ -24,8 +25,9 @@ from shinglesync.errors import (
     OverlapMismatchError,
 )
 from shinglesync.shingles import is_valid_shingle
+from shinglesync.stringrecon import _elements
 
-from conftest import words_abc
+from conftest import table_columns, words_abc
 
 
 KATANA_BIGRAMS = {"$k": 1, "ka": 1, "at": 1, "ta": 1, "an": 1, "na": 1, "a$": 1}
@@ -195,9 +197,10 @@ def test_runs_keep_a_repeated_shingle_in_the_edited_run():
 
 @given(words_abc, st.integers(2, 6))
 def test_shingled_word_hands_its_table_the_sorted_keys(word, l):
-    table = ShingledWord(word, l, Alphabet("abc")).table
-    assert table.order == sorted(table.counts)
-    assert [table.shingle(key) for key in table.order] == sorted(set(shingle_sequence(word, l)))
+    shingled = ShingledWord(word, l, Alphabet("abc"))
+    table = shingled.table
+    assert list(table.keys) == sorted(set(shingled.keys))
+    assert [table.shingle(row) for row in range(len(table))] == sorted(set(shingle_sequence(word, l)))
 
 
 @pytest.mark.parametrize("l", [39, 40])
@@ -209,4 +212,84 @@ def test_keys_and_codes_past_63_bits_stay_exact(l):
     windows = shingle_sequence(word, l)
     assert isinstance(shingled.keys, array) == (l == 39)
     assert list(shingled.keys) == [shingled.table.key(s) for s in windows]
-    assert [shingled.table.shingle(key) for key in shingled.keys] == windows
+    assert [shingled.table.shingle(shingled.table.row(key)) for key in shingled.keys] == windows
+    table = shingled.table
+    assert isinstance(table.keys, array) == isinstance(table.codes, array) == (l == 39)
+    assert list(table.codes) == [shingled.space.code(table.shingle(row)) for row in range(len(table))]
+
+
+def run_words(max_symbols=4):
+    """Words over 1 to `max_symbols` symbols built from runs of one symbol,
+    long enough that shingles repeat."""
+    return st.integers(1, max_symbols).flatmap(
+        lambda k: st.tuples(
+            st.just("abcd"[:k]),
+            st.lists(st.tuples(st.sampled_from("abcd"[:k]), st.integers(1, 12)), max_size=8).map(
+                lambda parts: "".join(ch * n for ch, n in parts)
+            ),
+        )
+    )
+
+
+def reference_rows(table, counts, places):
+    """Check a table's columns against a multiset `counts` of shingles and
+    the place of each in the table's text."""
+    order = sorted(counts)
+    assert [table.shingle(row) for row in range(len(table))] == order
+    assert list(table.keys) == [table.key(s) for s in order] == sorted(set(table.keys))
+    assert list(table.mults) == [counts[s] for s in order]
+    assert list(table.places) == [places[s] for s in order]
+    assert list(table.codes) == [table.space.code(s) for s in order]
+    # the instances' elements at 8 occurrence bits, as a multiset
+    assert Counter(_elements(table, 8)) == Counter(
+        (table.space.code(s) << 8) + occ for s in order for occ in range(1, counts[s] + 1)
+    )
+    # the runs of rows that share their first l - 1 characters, and each
+    # row's successors: the run of rows that begin with its last l - 1
+    l = table.l
+    runs = [[row for row, s in enumerate(order) if s[:-1] == node] for node in dict.fromkeys(s[:-1] for s in order)]
+    assert table.branch_runs() == [(run[0], run[-1] + 1) for run in runs if len(run) > 1]
+    for row, s in enumerate(order):
+        after = [r for r, t in enumerate(order) if t[: l - 1] == s[1:]]
+        assert table.single[row] == (len(after) == 1)
+        if after:
+            assert table.succ[row] == after[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_words(), st.integers(2, 6), st.data())
+def test_the_column_table_matches_a_counter_of_its_shingles(symbols_word, l, data):
+    # the columns against a Counter and first positions of the windows,
+    # before and after a random move, and a move that raises changes nothing
+    symbols, word = symbols_word
+    shingled = ShingledWord(word, l, Alphabet(symbols))
+    table = shingled.table
+    windows = shingle_sequence(word, l)
+    counts = Counter(windows)
+    places = {s: windows.index(s) for s in counts}
+    reference_rows(table, counts, places)
+    # node j is the first l - 1 characters of window j, the last node the
+    # last l - 1 of the last window: equal ids exactly for equal grams
+    grams = [s[:-1] for s in windows] + [windows[-1][1:]]
+    assert len(shingled.nodes) == len(grams)
+    assert len(set(zip(grams, shingled.nodes))) == len(set(grams)) == len(set(shingled.nodes))
+
+    before = table_columns(table)
+    s = data.draw(st.sampled_from(sorted(counts)))
+    with pytest.raises(InvalidParameterError, match="cannot remove"):
+        table.move(ShingleMultiset({s: counts[s] + 1}), ShingleMultiset({}))
+    with pytest.raises(InvalidSymbolError):
+        table.move(ShingleMultiset({s: 1}), ShingleMultiset({"x" * l: 1}))
+    assert table_columns(table) == before
+
+    remove = Counter({s: data.draw(st.integers(0, n)) for s, n in counts.items()})
+    shingles = st.tuples(st.integers(0, l - 1), st.text(alphabet=symbols, min_size=1, max_size=l)).map(
+        lambda lead_core: ("$" * lead_core[0] + lead_core[1] + "$" * l)[:l]
+    )
+    add = Counter(data.draw(st.lists(shingles, max_size=10)))
+    # a shingle the table did not hold takes its place at the end of the
+    # text, in the order `add` names them
+    fresh = [s for s in add if s not in counts]
+    places.update((s, len(table.text) + l * i) for i, s in enumerate(fresh))
+    table.move(ShingleMultiset(+remove), ShingleMultiset(add))
+    reference_rows(table, counts - remove + add, places)

@@ -98,6 +98,8 @@ from conftest import (
     session_elements,
     shingle_code,
     span_labels,
+    table_columns,
+    table_counts,
 )
 
 
@@ -221,12 +223,18 @@ def shingled(word, l):
     return ShingledWord(word, l, Alphabet(sorted(set(word))))
 
 
-def walk_log(table, key):
-    """A walk from shingle `key` over every instance the table has left,
-    taking the last live successor at each choice: its path, or None at a
-    dead end, and the choices it was put to."""
-    left = dict(table.counts)
-    left[key] -= 1
+def window_codes(word):
+    """The code of each window of a `ShingledWord`, read off its table's row."""
+    table = word.table
+    return [table.codes[table.row(key)] for key in word.keys]
+
+
+def walk_log(table, row):
+    """A walk from the shingle of row `row` over every instance the table
+    has left, taking the last live successor at each choice: its path, or
+    None at a dead end, and the choices it was put to."""
+    left = table.mults[:]
+    left[row] -= 1
     choices = []
 
     def choose(at, live):
@@ -236,7 +244,7 @@ def walk_log(table, key):
         return live[-1]
 
     try:
-        path = table.walk(key, sum(left.values()), left, choose)
+        path = table.walk(row, sum(left), left, choose)
     except LookupError:
         path = None
     return path, choices
@@ -348,8 +356,9 @@ class TestMergeBookkeeping:
             ShingleMultiset(ms_mine.entries - ms_theirs.entries),
             ShingleMultiset(ms_theirs.entries - ms_mine.entries),
         )
-        assert [moved.shingle(key) for key in sorted(moved.counts)] == sorted(ms_theirs.entries)
-        assert {moved.shingle(key): count for key, count in moved.counts.items()} == ms_theirs.entries
+        assert list(moved.keys) == sorted(table_counts(moved))
+        assert [moved.shingle(row) for row in range(len(moved))] == sorted(ms_theirs.entries)
+        assert {moved.shingle(row): count for row, count in enumerate(moved.mults)} == ms_theirs.entries
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -357,32 +366,30 @@ class TestMergeBookkeeping:
         st.integers(0, 8),
         st.integers(0, 2**32),
         st.integers(2, 6),
-        st.booleans(),
     )
-    def test_move_in_place_matches_the_copying_reference(self, symbols_word, edits, seed, l, indexed):
-        # the local table moved by the step-2 difference against a copy moved
-        # beside it and indexed afresh, with the local index built first as
-        # `seams_to_records` builds it, or left to be built after the move
+    def test_move_in_place_matches_the_copying_reference(self, symbols_word, edits, seed, l):
+        # the local table, its columns patched by the step-2 difference,
+        # against the same multiset's columns laid out afresh beside it, each
+        # row's successors found by bisection
         symbols, mine = symbols_word
         theirs = random_edits(mine, edits, random.Random(seed), symbols)
         alphabet = Alphabet(symbols)
         ours, peer = Counter(shingle_sequence(mine, l)), Counter(shingle_sequence(theirs, l))
         remove, add = ShingleMultiset(ours - peer), ShingleMultiset(peer - ours)
         table = ShingledWord(mine, l, alphabet).table
-        if indexed:
-            table.branch_runs()
         reference = reference_moved(table, remove, add)
         table.move(remove, add)
-        assert table.counts == reference.counts
-        assert {key: table.shingle(key) for key in table.counts} == {
-            key: reference.shingle(key) for key in reference.counts
-        }
-        assert {table.shingle(key): count for key, count in table.counts.items()} == peer
-        assert table.order == reference.order == sorted(table.counts)
+        assert table_counts(table) == table_counts(reference)
+        assert [table.shingle(row) for row in range(len(table))] == [
+            reference.shingle(row) for row in range(len(reference))
+        ]
+        assert {table.shingle(row): count for row, count in enumerate(table.mults)} == peer
+        assert list(table.keys) == list(reference.keys) == sorted(table_counts(table))
+        assert list(table.codes) == list(reference.codes)
         assert table.branch_runs() == reference.branch_runs()
-        assert table._next == reference._next
-        for key in table.order:
-            assert walk_log(table, key) == walk_log(reference, key)
+        assert (table.succ, table.single) == (reference.succ, reference.single)
+        for row in range(len(table)):
+            assert walk_log(table, row) == walk_log(reference, row)
         sender = ShingledWord(theirs, l, alphabet)
         firsts = merge_until_ud(sender)
         chains = seams_to_records(sender, firsts)
@@ -392,13 +399,12 @@ class TestMergeBookkeeping:
 
     def test_move_that_raises_changes_nothing(self):
         table = shingled("abca", 2).table
-        table.branch_runs()
-        before = (dict(table.counts), dict(table.where), table.text, list(table.order), dict(table.branch_runs()))
+        before = (table_columns(table), table.branch_runs())
         with pytest.raises(InvalidParameterError, match="cannot remove 2 x 'ab', only 1 present"):
             table.move(ShingleMultiset({"bc": 1, "ab": 2}), ShingleMultiset({"cc": 1}))
         with pytest.raises(InvalidSymbolError):
             table.move(ShingleMultiset({"bc": 1}), ShingleMultiset({"cc": 1, "cx": 1}))
-        assert (table.counts, table.where, table.text, table.order, table.branch_runs()) == before
+        assert (table_columns(table), table.branch_runs()) == before
 
     def test_bad_records_rejected(self):
         # "abca" at l = 2 holds one instance each of '$a', 'a$', 'ab', 'bc'
@@ -434,7 +440,7 @@ class TestMergeBookkeeping:
         # "abacad" at l = 2: node 'a' has three successors, 'ab', 'ac' and
         # 'ad', so a choice there takes 2 bits, and 3 names none of them
         table = shingled("abacad", 2).table
-        head = table.order.index(table.key("$a"))
+        head = table.row(table.key("$a"))
         for index, label in enumerate(("$ab", "$ac", "$ad")):
             rebuilt = apply_merge_records(copied_table(table), MergeChains([head], [1], bytes([index << 6])))
             assert rebuilt[label] == 1
@@ -447,7 +453,7 @@ class TestMergeBookkeeping:
         # 'aa' has an instance left; once it has none, 'a$' is the one way on
         # and takes no rank, so a fourth round's rank is left over
         table = shingled("aaaa", 2).table
-        head = table.order.index(table.key("aa"))
+        head = table.row(table.key("aa"))
         # 'aa' is index 1 of the live 'a$' and 'aa', a bit each time
         assert apply_merge_records(copied_table(table), MergeChains([head], [2], b"\xc0")) == ShingleMultiset(
             {"$a": 1, "aaaa": 1, "a$": 1}
@@ -1111,23 +1117,24 @@ class TestSessions:
         assert ra == wb and rb == wa
 
     def test_each_party_sorts_and_indexes_its_keys_once(self, monkeypatch, rng):
-        # a party sorts its distinct keys in `ShingledWord` and builds their
-        # successor index in step 4; step 6 moves that table into the peer's
-        # and patches both, sorting only the keys the move changes
+        # a party sorts its positions by key in `ShingledWord`, which lays
+        # out the one table it builds, its successor rows included, from
+        # that one sort; step 6 moves that table into the peer's and patches
+        # the columns, sorting only the keys the move changes
         sorts, indexes = [], []
-        real_index = ShingleTable._index_successors
+        real_init = ShingleTable.__init__
 
         def sorted_spy(items, *args, **kwargs):
             out = sorted(items, *args, **kwargs)
             sorts.append((threading.current_thread().name, len(out)))
             return out
 
-        def index_spy(table):
+        def init_spy(table, *args):
             indexes.append(threading.current_thread().name)
-            real_index(table)
+            real_init(table, *args)
 
         monkeypatch.setattr(shingles, "sorted", sorted_spy, raising=False)
-        monkeypatch.setattr(ShingleTable, "_index_successors", index_spy)
+        monkeypatch.setattr(ShingleTable, "__init__", init_spy)
         wa = "".join(rng.choice("01") for _ in range(2000))
         wb = random_edits(wa, 4, rng, "01")
         (ra, _), (rb, _) = run_session(wa, wb, ReconConfig(l=13, seed=47))
@@ -1856,7 +1863,7 @@ class TestSessionElements:
             # a shingle without a delimiter is coded by its value alone
             assert space.code(symbols[-1] * l) == len(symbols) ** l - 1
             assert space.code("$" * l) == space.size - 1
-            assert ShingledWord("", l, alphabet).codes.tolist() == [space.size - 1] * (l - 1)
+            assert window_codes(ShingledWord("", l, alphabet)) == [space.size - 1] * (l - 1)
 
     @pytest.mark.parametrize("symbols", SYMBOL_SETS)
     def test_rolling_codes_match_the_windows(self, symbols):
@@ -1866,8 +1873,8 @@ class TestSessionElements:
         for l in range(2, 7):
             for n in range(7):
                 for word in map("".join, itertools.islice(itertools.product(symbols, repeat=n), 100)):
-                    codes = ShingledWord(word, l, alphabet).codes
-                    assert list(codes) == [shingle_code(s, l, symbols) for s in shingle_sequence(word, l)]
+                    codes = window_codes(ShingledWord(word, l, alphabet))
+                    assert codes == [shingle_code(s, l, symbols) for s in shingle_sequence(word, l)]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1883,7 +1890,7 @@ class TestSessionElements:
         # the word's own width, or any wider one a peer's word sets
         shingled = ShingledWord(word, l, alphabet)
         occ_bits = data.draw(st.integers(word_occ_bits(shingled.table), 16))
-        elements = stringrecon._elements(shingled, occ_bits)
+        elements = stringrecon._elements(shingled.table, occ_bits)
         assert elements == session_elements(word, l, alphabet, occ_bits)
         assert 0 not in elements and len(set(elements)) == len(elements)
         instances = 2 * (len(word) + l - 1)
@@ -1900,7 +1907,7 @@ class TestSessionElements:
             for word in ("", symbols[-1] * l, symbols * 3 + symbols[0] * l):
                 shingled = ShingledWord(word, l, alphabet)
                 occ_bits = word_occ_bits(shingled.table)
-                elements = stringrecon._elements(shingled, occ_bits)
+                elements = stringrecon._elements(shingled.table, occ_bits)
                 assert elements == session_elements(word, l, alphabet, occ_bits)
                 assert 0 not in elements and len(set(elements)) == len(elements)
                 field = session_field(len(symbols), l, occ_bits, 2 * (len(word) + l - 1))
@@ -1908,7 +1915,7 @@ class TestSessionElements:
                 assert max(elements) < field.encoding_limit
         # the empty word's l - 1 windows are all delimiters, the last code
         last = code_count(len(symbols), 3) - 1
-        assert stringrecon._elements(ShingledWord("", 3, alphabet), 16) == [last * 2**16 + 1, last * 2**16 + 2]
+        assert stringrecon._elements(ShingledWord("", 3, alphabet).table, 16) == [last * 2**16 + 1, last * 2**16 + 2]
         # one past the cap, the largest key no longer fits
         assert (len(symbols) + 1) ** (top + 1) * 2**16 >= FIELD.encoding_limit
 
@@ -1920,29 +1927,29 @@ class TestSessionElements:
         # '$0' and '0$' sort first, then the 2**16 instances of '00', whose
         # code is 0
         assert full.space.code("00") == 0
-        assert stringrecon._elements(full, 16)[2:] == list(range(1, 2**16 + 1))
+        assert stringrecon._elements(full.table, 16)[2:] == list(range(1, 2**16 + 1))
         past = ShingledWord("0" * (2**16 + 2), 2, alphabet)
-        for refuse in (lambda word: word_occ_bits(word.table), lambda word: stringrecon._elements(word, 16)):
+        for refuse in (lambda word: word_occ_bits(word.table), lambda word: stringrecon._elements(word.table, 16)):
             with pytest.raises(EncodingCapacityError, match="occurrence 65537 exceeds 16 bits"):
                 refuse(past)
         # a word's own width holds every multiplicity it has, and no more
         short = ShingledWord("0" * 10, 2, alphabet)
         assert word_occ_bits(short.table) == 4
-        assert stringrecon._elements(short, 4)[2:] == list(range(1, 10))
+        assert stringrecon._elements(short.table, 4)[2:] == list(range(1, 10))
         with pytest.raises(EncodingCapacityError, match="occurrence 9 exceeds 3 bits"):
-            stringrecon._elements(short, 3)
+            stringrecon._elements(short.table, 3)
 
     def test_root_keys_and_peer_instances_share_the_format(self):
         word = ShingledWord("abcab", 3, Alphabet("abc"))
         table = word.table
         instances = ShingleMultiset(shingle_sequence("abcab", 3)).instances()
         for occ_bits in (3, 16):
-            elements = stringrecon._elements(word, occ_bits)
+            elements = stringrecon._elements(word.table, occ_bits)
             for (shingle, occ), element in zip(instances, elements):
                 assert stringrecon._element(word.space.code(shingle), occ, occ_bits) == element
                 assert stringrecon._root_keys(word, [element], occ_bits) == Counter({table.key(shingle): 1})
             # the roots' keys, counted: every instance of the word
-            assert stringrecon._root_keys(word, elements, occ_bits) == Counter(table.counts)
+            assert stringrecon._root_keys(word, elements, occ_bits) == Counter(table_counts(table))
         with pytest.raises(InvariantError, match="1 of the roots are no element of the word"):
             stringrecon._root_keys(word, [word.space.code("ccc") * 8 + 1], 3)
 
@@ -2142,17 +2149,21 @@ class TestSessionCheck:
         assert whole_value([], z, m) == 1
 
     def test_each_party_reports_its_cpu_by_step(self):
-        # one read of the thread's clock at each step boundary, in session
-        # order, in the report's figures and its JSON
+        # one read of the thread's clock and one of the wall clock at each
+        # step boundary, in session order, in the report's figures and its
+        # JSON; a step's thread takes no more CPU than the wall time it
+        # spans, within the clocks' resolution
         steps = ["step1", "step2", "merge", "step5", "rebuild"]
         (_, rep_a), (_, rep_b) = run_session("katana", "katna", ReconConfig(l=2, seed=3))
         for rep in (rep_a, rep_b):
-            assert list(rep.step_cpu_s) == steps
+            assert list(rep.step_cpu_s) == list(rep.step_wall_s) == steps
             assert all(seconds >= 0 for seconds in rep.step_cpu_s.values())
+            assert all(rep.step_wall_s[step] >= rep.step_cpu_s[step] - 1e-3 for step in steps)
             figures = rep.figures()
             assert [name for name in figures if name.endswith("_cpu_s")] == [f"{step}_cpu_s" for step in steps]
+            assert [name for name in figures if name.endswith("_wall_s")] == [f"{step}_wall_s" for step in steps]
             assert json.loads(rep.to_json()) == figures
-        assert SessionReport(role="initiator").step_cpu_s == {}
+        assert SessionReport(role="initiator").step_cpu_s == SessionReport(role="initiator").step_wall_s == {}
 
 
 def protocol14_prime(base, l, occ_bits):

@@ -4,12 +4,18 @@ Nodes are the length l-1 prefixes and suffixes of the shingles; each shingle
 is one directed edge weighted by its multiplicity.  The all-delimiter gram
 anchors both ends of any decodable multiset, so decoding is a closed Eulerian
 walk through that node.
+
+Each node gram is interned once, as an edge is added, into a dense integer
+id, and the edges are flat columns over those ids: the walk, its checks and
+the decider run on integers and never slice a gram again.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .alphabet import DEFAULT_DELIMITER
-from .decider import TokenDecider
+from .decider import _Core, feed_labels
 from .errors import (
     InconsistentMultisetError,
     InvalidParameterError,
@@ -20,15 +26,25 @@ from .shingles import ShingleMultiset
 
 
 class DeBruijnGraph:
-    """Mutable multigraph keyed by edge label; single-owner, not thread-safe."""
+    """Multigraph over interned node grams; single-owner, not thread-safe.
+
+    Edge i carries `labels[i]` from node `sources[i]` to node `targets[i]`
+    with weight `weights[i]`.  A label added again is a parallel edge with
+    the same label, which every method reads as one edge of the summed
+    weight.
+    """
 
     def __init__(self, l: int, delimiter: str = DEFAULT_DELIMITER):
         if l < 2:
             raise InvalidParameterError(f"shingle length l must be >= 2, got {l}")
         self.l = l
         self.delimiter = delimiter
-        # label -> [source, target, weight]
-        self.edges: dict[str, list] = {}
+        # node gram -> node id, in order of first appearance
+        self._ids: dict[str, int] = {}
+        self.labels: list[str] = []
+        self.sources: list[int] = []
+        self.targets: list[int] = []
+        self.weights: list[int] = []
 
     @classmethod
     def build(
@@ -45,83 +61,105 @@ class DeBruijnGraph:
         if weight < 1:
             raise InvalidParameterError("edge weight must be >= 1")
         k = self.l - 1
-        entry = self.edges.get(label)
-        if entry is None:
-            self.edges[label] = [label[:k], label[len(label) - k :], weight]
-        else:
-            entry[2] += weight
+        ids = self._ids
+        self.sources.append(ids.setdefault(label[:k], len(ids)))
+        self.targets.append(ids.setdefault(label[len(label) - k :], len(ids)))
+        self.labels.append(label)
+        self.weights.append(weight)
 
     @property
     def nodes(self) -> set[str]:
-        out = set()
-        for src, dst, _ in self.edges.values():
-            out.add(src)
-            out.add(dst)
-        return out
+        return set(self._ids)
 
     @property
     def start_node(self) -> str | None:
         anchor = self.delimiter * (self.l - 1)
-        return anchor if anchor in self.nodes else None
+        return anchor if anchor in self._ids else None
 
     end_node = start_node
 
     def total_weight(self) -> int:
-        return sum(w for _, _, w in self.edges.values())
+        return sum(self.weights)
+
+    def _weights(self) -> Counter:
+        """Each distinct label's summed weight, in order of first addition."""
+        out: Counter = Counter()
+        for label, w in zip(self.labels, self.weights):
+            out[label] += w
+        return out
 
     def multiset(self) -> ShingleMultiset:
-        return ShingleMultiset({label: w for label, (_, _, w) in self.edges.items()}, base_len=self.l)
+        return ShingleMultiset(self._weights(), base_len=self.l)
 
     def edge(self, label: str) -> tuple[str, str, int]:
-        src, dst, w = self.edges[label]
-        return src, dst, w
+        w = self._weights()[label]
+        if not w:
+            raise KeyError(label)
+        k = self.l - 1
+        return label[:k], label[len(label) - k :], w
 
-    def eulerian_labels(self) -> list[str]:
-        """Some closed Eulerian walk from the all-delimiter node, as labels."""
-        start = self.delimiter * (self.l - 1)
-        out: dict[str, list[tuple[str, str]]] = {}
-        for label, (src, dst, w) in self.edges.items():
-            out.setdefault(src, []).extend([(dst, label)] * w)
-        if start not in out:
+    def _trail(self) -> list[int]:
+        """Some closed Eulerian walk from the all-delimiter node, as edge
+        indices: Hierholzer's, each node's edges taken last added first."""
+        start = self._ids.get(self.delimiter * (self.l - 1))
+        sources, targets = self.sources, self.targets
+        # per node, the edge it leaves by next, and per edge the one after
+        # it, -1 ending each list; `left` counts each edge's unwalked weight
+        head = [-1] * len(self._ids)
+        after = []
+        for e, src in enumerate(sources):
+            after.append(head[src])
+            head[src] = e
+        if start is None or head[start] < 0:
             raise InconsistentMultisetError("no delimiter-anchored start shingle present")
-        total = self.total_weight()
-        # Hierholzer with an explicit stack; entry labels recorded per node
-        stack: list[tuple[str, str | None]] = [(start, None)]
-        trail: list[str] = []
+        left = self.weights[:]
+        # the edges walked into each node on the stack, -1 for the start
+        stack = [-1]
+        trail: list[int] = []
         while stack:
-            node, via = stack[-1]
-            avail = out.get(node)
-            if avail:
-                dst, label = avail.pop()
-                stack.append((dst, label))
+            via = stack[-1]
+            node = start if via < 0 else targets[via]
+            e = head[node]
+            if e >= 0:
+                left[e] -= 1
+                if not left[e]:
+                    head[node] = after[e]
+                stack.append(e)
             else:
                 stack.pop()
-                if via is not None:
+                if via >= 0:
                     trail.append(via)
         trail.reverse()
-        if len(trail) != total:
+        if len(trail) != self.total_weight():
             raise InconsistentMultisetError("shingle multiset is not connected into one walk")
         node = start
-        for label in trail:
-            src, dst, _ = self.edges[label]
-            if src != node:
+        for e in trail:
+            if sources[e] != node:
                 raise InconsistentMultisetError("shingles do not chain into a walk")
-            node = dst
+            node = targets[e]
         if node != start:
             raise InconsistentMultisetError("walk does not close at the delimiter node")
         return trail
+
+    def eulerian_labels(self) -> list[str]:
+        """Some closed Eulerian walk from the all-delimiter node, as labels."""
+        return [self.labels[e] for e in self._trail()]
 
     def decode_unique(self) -> str:
         """The single word consistent with this graph.
 
         An Eulerian walk is found in linear time and then re-checked with the
-        streaming decider; a rejected walk means a second decoding exists.
+        streaming decider over the graph's node ids; a rejected walk means a
+        second decoding exists.
         """
-        trail = self.eulerian_labels()
-        if not TokenDecider(self.l, self.delimiter).push_shingles(trail).ok:
+        trail = self._trail()
+        labels = [self.labels[e] for e in trail]
+        core = _Core(len(self._ids))
+        walk = feed_labels(core, {}, [self.sources[e] for e in trail], [self.targets[e] for e in trail], labels)
+        if not walk.ok:
             raise NotUniqueError("multiset admits more than one decoding")
         k = self.l - 1
-        folded = self.delimiter * k + "".join(label[k:] for label in trail)
+        folded = self.delimiter * k + "".join(label[k:] for label in labels)
         word = folded[k:-k] if len(folded) > 2 * k else ""
         if self.delimiter in word:
             raise InconsistentMultisetError("walk does not assemble into a single word")
@@ -129,8 +167,9 @@ class DeBruijnGraph:
 
     def to_text(self) -> str:
         """Debug adjacency dump: `source TAB target TAB weight TAB label` lines."""
+        k = self.l - 1
         lines = [
-            f"{src}\t{dst}\t{w}\t{label}"
-            for label, (src, dst, w) in sorted(self.edges.items())
+            f"{label[:k]}\t{label[len(label) - k :]}\t{w}\t{label}"
+            for label, w in sorted(self._weights().items())
         ]
         return "".join(line + "\n" for line in lines)

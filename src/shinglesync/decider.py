@@ -59,6 +59,9 @@ little past its intake.
 
 `TokenDecider` runs the same transition system over an interned alphabet of
 length l-1 node grams, where each pushed shingle contributes one edge.
+`feed_labels` walks such labelled edges through a core and holds the rule
+that a node pair carries one label; the token decider and the de Bruijn
+decode, which walks its graph's own node ids, share it.
 `merge_until_ud` runs the transition system with undo over a word's node
 ids: a rejected shingle is fused with its predecessor into their transitive
 closure and retried, which always terminates because a single label spanning
@@ -440,7 +443,7 @@ class TokenDecider:
         return self.push_shingles((shingle,))
 
     def push_shingles(self, labels: list[str]) -> Verdict:
-        """Walk the edges of a batch of shingles in one `_Core.feed`.
+        """Walk the edges of a batch of shingles in one `feed_labels`.
 
         The verdict is that of pushing the labels one at a time: the batch
         stops at its first rejection, which absorbs, so what the labels
@@ -455,26 +458,38 @@ class TokenDecider:
         if not core.verdict.ok or not labels:
             return core.verdict
         k = l - 1
-        tokens, edge_labels = self._ids, self._edge_labels
-        # the node id each label walks into, after the first label's source
-        # on the stream's first push; the walk stops at the first label whose
-        # node pair carries another label
-        visit = core.pos == 0
-        path = [tokens.setdefault(labels[0][:k], len(tokens))] if visit else []
+        tokens = self._ids
+        sources, targets = [], []
         for label in labels:
-            sid = tokens.setdefault(label[:k], len(tokens))
-            did = tokens.setdefault(label[len(label) - k :], len(tokens))
-            if edge_labels.setdefault((sid, did), label) != label:
-                break
-            path.append(did)
+            sources.append(tokens.setdefault(label[:k], len(tokens)))
+            targets.append(tokens.setdefault(label[len(label) - k :], len(tokens)))
         core.grow_to(len(tokens))
-        verdict = core.feed(path)
-        if verdict.ok and len(path) - visit < len(labels):
-            verdict = core._reject(Reason.PARALLEL_LABELS, core.pos + 1)
-        return verdict
+        return feed_labels(core, self._edge_labels, sources, targets, labels)
 
     def push_word(self, word: str) -> Verdict:
         return self.push_shingles(shingle_sequence(word, self.l, self.delimiter))
+
+
+def feed_labels(core: _Core, edge_labels: dict, sources, targets, labels) -> Verdict:
+    """Walk one edge a label, from `sources[i]` to `targets[i]`, through
+    `core`: `_Core.feed`'s two rules, and one label a node pair.
+
+    The core walks the target ids, after the first source on the stream's
+    first push.  `edge_labels` maps each node pair to the one label allowed
+    on it, its first; the walk stops before the first label whose pair
+    carries another, and if the core accepts every step before it, that
+    label is rejected for parallel labels.  The ids index `core`'s slots.
+    """
+    visit = core.pos == 0
+    path = [sources[0]] if visit else []
+    for pair, label in zip(zip(sources, targets), labels):
+        if edge_labels.setdefault(pair, label) != label:
+            break
+        path.append(pair[1])
+    verdict = core.feed(path)
+    if verdict.ok and len(path) - visit < len(labels):
+        verdict = core._reject(Reason.PARALLEL_LABELS, core.pos + 1)
+    return verdict
 
 
 def merge_until_ud(word: ShingledWord) -> list[int]:
@@ -492,10 +507,13 @@ def merge_until_ud(word: ShingledWord) -> list[int]:
     them, over flat per-node arrays in locals, so a step or an undo makes
     no call into `_Core` and builds no `Verdict`, record tuple or per-node
     list; a closed cycle's popped nodes go on a side stack.  A node pair
-    carries an edge exactly when it carries a label, so a new edge is a pair
-    without one.  A merge needs only whether a step is accepted, so a new
-    edge meets cycle intrusion alone, as a node with two parents is on a
-    cycle, and an edge walked again communicating parents alone.
+    carries an edge exactly when it carries a label, and a node has at most
+    two parents, so the label on each in-edge sits in a slot beside its
+    parent entry: a pair is looked up by comparing its source with the
+    target's two parents, and a new edge is a pair with neither.  A merge
+    needs only whether a step is accepted, so a new edge meets cycle
+    intrusion alone, as a node with two parents is on a cycle, and an edge
+    walked again communicating parents alone.
     `tests/test_decider.py::TestMerging::test_span_merge_matches_the_string_loop`
     pins this copy to `_Core.feed`.
 
@@ -509,18 +527,20 @@ def merge_until_ud(word: ShingledWord) -> list[int]:
     # visit, since a label from position 0 is always accepted
     first_ix = [0] * slots
     last_ix = [0] * slots
-    on_cycle = [False] * slots
+    on_cycle = bytearray(slots)
     parent0 = [-1] * slots
     parent1 = [-1] * slots
+    # the first position of the one label on the edge from each parent,
+    # which ends at ends[first]
+    span0 = [0] * slots
+    span1 = [0] * slots
     stack = [nodes[0]]
     first_ix[nodes[0]] = last_ix[nodes[0]] = pos = 1
     # per closed cycle: the nodes it popped off the stack, then their count
     cycled: list[int] = []
-    # per live label: its target's last_ix before its step, then the node
-    # pair whose label it became, or -1 if the pair had one
+    # per live label: its target's last_ix before its step, then whether
+    # the step added a parent, a new edge
     log: list[int] = []
-    # node pair -> first position of the one label on it, which ends at ends[first]
-    spans: dict[int, int] = {}
     ends = [0] * len(nodes)
     firsts: list[int] = []
     for last in range(len(nodes) - 1):
@@ -528,9 +548,13 @@ def merge_until_ud(word: ShingledWord) -> list[int]:
         first = last
         while True:
             src = nodes[first]
-            pair = src * slots + dst
-            span = spans.get(pair)
-            if span is None:
+            if src == parent0[dst]:
+                span = span0[dst]
+            elif src == parent1[dst]:
+                span = span1[dst]
+            else:
+                span = -1
+            if span < 0:
                 # a new edge: only cycle intrusion can reject
                 if not on_cycle[dst]:
                     pos += 1
@@ -549,13 +573,14 @@ def merge_until_ud(word: ShingledWord) -> list[int]:
                                 break
                         cycled.append(len(cycled) - popped)
                     log.append(last_ix[dst])
-                    log.append(pair)
+                    log.append(True)
                     last_ix[dst] = pos
                     if parent0[dst] < 0:
                         parent0[dst] = src
+                        span0[dst] = first
                     else:
                         parent1[dst] = src
-                    spans[pair] = first
+                        span1[dst] = first
                     ends[first] = last
                     break
             elif ends[span] - span == last - first and (
@@ -566,14 +591,14 @@ def merge_until_ud(word: ShingledWord) -> list[int]:
                 if b < 0 or last_ix[a] < first_ix[b] or last_ix[b] < first_ix[a]:
                     pos += 1
                     log.append(last_ix[dst])
-                    log.append(-1)
+                    log.append(False)
                     last_ix[dst] = pos
                     break
             # undo the live label before, whose step walked into src
-            pair = log.pop()
+            new_edge = log.pop()
             last_ix[src] = log.pop()
-            if pair >= 0:
-                del spans[pair]
+            if new_edge:
+                # its parent entry is the one set last, which frees its slot
                 if parent1[src] >= 0:
                     parent1[src] = -1
                 else:

@@ -70,12 +70,8 @@ class ShingleMultiset:
     __slots__ = ("entries", "base_len", "_order")
 
     def __init__(self, entries: Iterable[str] | dict[str, int] | Counter | None = None, base_len: int = 0):
-        if entries is None:
-            counter: Counter = Counter()
-        elif isinstance(entries, (dict, Counter)):
-            counter = Counter(dict(entries))
-        else:
-            counter = Counter(entries)
+        # one copy: a mapping's multiplicities, or a count of an iterable's shingles
+        counter = Counter(entries)
         for s, mult in counter.items():
             if mult < 1:
                 raise InvalidParameterError(f"multiplicity for {s!r} must be >= 1")

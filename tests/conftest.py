@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from shinglesync.alphabet import Alphabet
 from shinglesync.decider import STILL_UD, Reason, Verdict, _Core
-from shinglesync.errors import InvalidParameterError
+from shinglesync.errors import (
+    InconsistentMultisetError,
+    InvalidParameterError,
+    InvalidShingleError,
+    NotUniqueError,
+)
 from shinglesync.setrecon import ShingleCodec
 from shinglesync.shingles import ShingleTable, noconcat, shingle_sequence
 from shinglesync.stringrecon import session_field
@@ -16,6 +21,23 @@ from shinglesync.stringrecon import session_field
 words_ab = st.text(alphabet="ab", max_size=16)
 words_abc = st.text(alphabet="abc", max_size=14)
 words_abcd = st.text(alphabet="abcd", max_size=24)
+
+
+def _periodic(period, repeats, substitutions):
+    word = list(period * repeats)
+    for at, symbol in substitutions:
+        word[at % len(word)] = symbol
+    return "".join(word)
+
+
+# a period of 1-6 symbols repeated, with 0-3 substitutions: many closed
+# cycles and nodes with two parents
+periodic_words = st.builds(
+    _periodic,
+    st.text(alphabet="abc", min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=24),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=143), st.sampled_from("abc")), max_size=3),
+)
 
 
 @pytest.fixture
@@ -265,6 +287,63 @@ def reference_merge(word, l, delimiter="$"):
         while not push(pending):
             pending = noconcat(undo(), pending, l)
     return labels
+
+
+def reference_decode(ms, l, delimiter="$"):
+    """The string-route decode `DeBruijnGraph.decode_unique` ran before the
+    graph took integer node ids.
+
+    A string-keyed edge dict, adjacency lists of (target gram, label) with
+    each label repeated by its weight, Hierholzer's walk over grams, and the
+    walk re-checked by a node-gram decider, here the one-push-a-call
+    `StepTokens`.  Returns the word or raises as the graph did.
+    """
+    k = l - 1
+    # label -> [source, target, weight]
+    edges = {}
+    for label, w in ms.entries.items():
+        if len(label) < l:
+            raise InvalidShingleError(f"shingle {label!r} shorter than l={l}")
+        edges[label] = [label[:k], label[len(label) - k :], w]
+    start = delimiter * k
+    out = {}
+    for label, (src, dst, w) in edges.items():
+        out.setdefault(src, []).extend([(dst, label)] * w)
+    if start not in out:
+        raise InconsistentMultisetError("no delimiter-anchored start shingle present")
+    total = sum(w for _, _, w in edges.values())
+    stack = [(start, None)]
+    trail = []
+    while stack:
+        node, via = stack[-1]
+        avail = out.get(node)
+        if avail:
+            dst, label = avail.pop()
+            stack.append((dst, label))
+        else:
+            stack.pop()
+            if via is not None:
+                trail.append(via)
+    trail.reverse()
+    if len(trail) != total:
+        raise InconsistentMultisetError("shingle multiset is not connected into one walk")
+    node = start
+    for label in trail:
+        src, dst, _ = edges[label]
+        if src != node:
+            raise InconsistentMultisetError("shingles do not chain into a walk")
+        node = dst
+    if node != start:
+        raise InconsistentMultisetError("walk does not close at the delimiter node")
+    decider = StepTokens(l)
+    for label in trail:
+        if not decider.push_shingle(label).ok:
+            raise NotUniqueError("multiset admits more than one decoding")
+    folded = delimiter * k + "".join(label[k:] for label in trail)
+    word = folded[k:-k] if len(folded) > 2 * k else ""
+    if delimiter in word:
+        raise InconsistentMultisetError("walk does not assemble into a single word")
+    return word
 
 
 def span_labels(word, firsts):

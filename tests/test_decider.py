@@ -33,7 +33,16 @@ from shinglesync.errors import (
     InvalidTokenError,
 )
 
-from conftest import StepCore, StepTokens, reference_merge, span_labels, words_ab, words_abc, words_abcd
+from conftest import (
+    StepCore,
+    StepTokens,
+    periodic_words,
+    reference_merge,
+    span_labels,
+    words_ab,
+    words_abc,
+    words_abcd,
+)
 
 
 def push_all(word, alphabet=None):
@@ -406,6 +415,14 @@ class TestMerging:
     )
     def test_span_merge_matches_the_string_loop(self, w, l):
         # the live labels in stream order, against the string loop
+        shingled = ShingledWord(w, l, Alphabet.from_text(w))
+        assert span_labels(shingled, merge_until_ud(shingled)) == reference_merge(w, l)
+
+    @settings(max_examples=300, deadline=None)
+    @given(periodic_words, st.integers(min_value=2, max_value=8))
+    def test_span_merge_matches_the_string_loop_on_periodic_words(self, w, l):
+        # cycles close over and over, and nodes take their second parent,
+        # so the per-node label slots are looked up and freed through both
         shingled = ShingledWord(w, l, Alphabet.from_text(w))
         assert span_labels(shingled, merge_until_ud(shingled)) == reference_merge(w, l)
 

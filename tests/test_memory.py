@@ -1,19 +1,26 @@
-"""Memory bounds, measured with tracemalloc: a shingled word's columns and
-one in-process session at n = 16384."""
+"""Memory bounds, measured with tracemalloc: a shingled word's columns,
+its merge and the decode of its merged multiset, and one in-process session
+at n = 16384."""
 
 import random
 import threading
 import tracemalloc
+from collections import Counter
 
 from shinglesync import (
     Alphabet,
+    DeBruijnGraph,
     ReconConfig,
     ShingledWord,
+    ShingleMultiset,
     channel_pair,
+    merge_until_ud,
     random_edits,
     recommend_shingle_len,
     run_protocol,
 )
+
+from conftest import span_labels
 
 N = 2**14
 # the shingle length of the paper's rule for random binary words, as the
@@ -48,6 +55,29 @@ def test_a_shingled_word_holds_64_bytes_a_symbol_and_peaks_at_128():
     held, peak = traced(lambda: ShingledWord(word, L, alphabet))
     assert held / N <= 64
     assert peak / N <= 128
+
+
+def test_the_merge_of_a_word_peaks_within_128_bytes_a_symbol():
+    # with a dict from each node pair to its label's first position, a
+    # boxed pair key logged a label and a list of on-cycle flags, it peaked
+    # at about 134
+    word = ShingledWord(binary_word(16), L, Alphabet("01"))
+    _, peak = traced(lambda: merge_until_ud(word))
+    assert peak / N <= 128
+
+
+def test_the_decode_of_a_merged_word_peaks_within_80_bytes_a_symbol():
+    # the multiset a session's responder decodes; a string-keyed graph, its
+    # adjacency dict and the node-gram decider's second interning peaked
+    # at about 99
+    word = binary_word(16)
+    shingled = ShingledWord(word, L, Alphabet("01"))
+    merged = ShingleMultiset(Counter(span_labels(shingled, merge_until_ud(shingled))), base_len=L)
+    del shingled
+    decoded = []
+    _, peak = traced(lambda: decoded.append(DeBruijnGraph.build(merged, L).decode_unique()))
+    assert decoded == [word]
+    assert peak / N <= 80
 
 
 def test_a_session_at_n_16384_peaks_within_6_mib():

@@ -23,6 +23,7 @@ from shinglesync import (
     ShingledWord,
     ShingleMultiset,
     ShingleTable,
+    TokenDecider,
     apply_merge_records,
     channel_pair,
     decoding_count,
@@ -1114,6 +1115,18 @@ class TestSessions:
         wb = random_edits(wa, 3, rng, "01")
         config = ReconConfig(l=13, mode=mode, m_hat=m_hat, k=8, seed=41)
         (ra, _), (rb, _) = run_session(wa, wb, config)
+        assert ra == wb and rb == wa
+
+    def test_sessions_decode_without_the_node_gram_decider(self, monkeypatch, rng):
+        # the decode checks its walk on the graph's own node ids, so no gram
+        # is interned a second time in a `TokenDecider`
+        def forbidden(*_args):
+            raise AssertionError("a session pushed shingles into a node-gram decider")
+
+        monkeypatch.setattr(TokenDecider, "push_shingles", forbidden)
+        wa = "".join(rng.choice("01") for _ in range(300))
+        wb = random_edits(wa, 4, rng, "01")
+        (ra, _), (rb, _) = run_session(wa, wb, ReconConfig(l=13, seed=53))
         assert ra == wb and rb == wa
 
     def test_each_party_sorts_and_indexes_its_keys_once(self, monkeypatch, rng):

@@ -40,22 +40,23 @@ batch.
 So an accepted stream has at most 2|Σ| distinct edges, one a parent entry,
 and all but that many of its steps walk an edge already walked: the step
 from p to child[p].  Such a step changes only last_ix, and meets only the
-communicating-parents rule.  `_Core.feed_bytes` takes ids as bytes (an
-alphabet of at most 255 symbols, so 255 marks an empty child entry) and
-splits the batch at its new edges.  A stretch of walked steps is found in C:
-the batch translated through the child table is each step's expected
-symbol, and the first difference from the batch, by XOR as little-endian
-ints, ends the stretch.  The stretch is applied in bulk, each symbol's last
-position from `rfind`.  Along walked edges first_ix, child, the parents,
-on_cycle and the stack stay as they are, and intervals only grow; so if the
-two parents of each symbol the stretch walks into are apart at its end,
-they were apart at every step of it, and one test a symbol at the end
-stands for all of them.  Where the test fails, the stretch replays through
-`feed`, which places the rejection exactly (or accepts, when the intervals
-met only after the symbol's last step).  Each new edge is a one-id `feed`.
-A stretch is 64 symbols after a new edge and doubles up to 64 KiB, so the
-C work a new edge wastes is bounded, and a stream rejected early costs
-little past its intake.
+communicating-parents rule.  `_Core.feed_bytes` takes ids as bytes or a
+bytearray (an alphabet of at most 255 symbols, so 255 marks an empty child
+entry) and splits the batch at its new edges.  A stretch of walked steps is
+found in C: the batch translated through the child table is each step's
+expected symbol, and the first difference from the batch ends the stretch.
+Halving finds it by comparing slices, which runs as memcmp, down to 64
+bytes, where an XOR as little-endian ints places it.  The stretch is
+applied in bulk, each symbol's last position from `rfind`.  Along walked
+edges first_ix, child, the parents, on_cycle and the stack stay as they
+are, and intervals only grow; so if the two parents of each symbol the
+stretch walks into are apart at its end, they were apart at every step of
+it, and one test a symbol at the end stands for all of them.  Where the
+test fails, the stretch replays through `feed`, which places the rejection
+exactly (or accepts, when the intervals met only after the symbol's last
+step).  Each new edge is a one-id `feed`.  A stretch is 64 symbols after a
+new edge and doubles up to 64 KiB, so the C work a new edge wastes is
+bounded, and a stream rejected early costs little past its intake.
 
 `TokenDecider` runs the same transition system over an interned alphabet of
 length l-1 node grams, where each pushed shingle contributes one edge.
@@ -73,6 +74,8 @@ test_span_merge_matches_the_string_loop` pins the copy to `_Core.feed`.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -119,6 +122,8 @@ BYTE_SLOTS = 255
 # A walked stretch's length after a new edge, and its cap as it doubles.
 FIRST_STRETCH = 64
 LAST_STRETCH = 1 << 16
+# The most bytes whose first difference is found by XOR as ints.
+DIFF_WORD = 64
 
 
 class _Core:
@@ -231,7 +236,7 @@ class _Core:
         self.prev, self.pos = p, pos - 1
         return self._reject(reason, pos)
 
-    def feed_bytes(self, data: bytes) -> Verdict:
+    def feed_bytes(self, data: bytes | bytearray) -> Verdict:
         """`feed` for ids as bytes, in a core of at most `BYTE_SLOTS` slots:
         walked stretches go in bulk and every other step through `feed` (see
         the module docstring).  The verdict and the state are `feed`'s."""
@@ -255,11 +260,7 @@ class _Core:
             else:
                 expected = (bytes((self.prev,)) + data[: end - 1]).translate(table)
             got = data[start:end]
-            if expected == got:
-                walked = end - start
-            else:
-                diff = int.from_bytes(expected, "little") ^ int.from_bytes(got, "little")
-                walked = ((diff & -diff).bit_length() - 1) >> 3
+            walked = end - start if expected == got else _first_difference(expected, got)
             if walked and not self._walk(data, start, start + walked):
                 verdict = self.feed(data[start : start + walked])
                 if not verdict.ok:
@@ -277,7 +278,7 @@ class _Core:
                 span = min(2 * span, LAST_STRETCH)
         return STILL_UD
 
-    def _walk(self, data: bytes, lo: int, hi: int) -> bool:
+    def _walk(self, data: bytes | bytearray, lo: int, hi: int) -> bool:
         """Apply `data[lo:hi]`, a stretch of walked edges from `prev`, in
         bulk, or change nothing and return False if its end test finds two
         parents' intervals that meet."""
@@ -311,12 +312,29 @@ class _Core:
         return self.verdict
 
 
+def _first_difference(a: bytes | bytearray, b: bytes | bytearray) -> int:
+    """The first index at which `a` and `b`, of one length, differ; they
+    must differ somewhere.  Halving compares slices, in C by memcmp, down to
+    `DIFF_WORD` bytes, and the XOR of those as little-endian ints places the
+    first differing byte."""
+    lo, hi = 0, len(a)
+    while hi - lo > DIFF_WORD:
+        mid = (lo + hi) >> 1
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    diff = int.from_bytes(a[lo:hi], "little") ^ int.from_bytes(b[lo:hi], "little")
+    return lo + (((diff & -diff).bit_length() - 1) >> 3)
+
+
 class UdDecider:
     """Character-level decider over a fixed alphabet.
 
     An alphabet of at most `BYTE_SLOTS` symbols takes the bulk route: every
     batch is checked and turned into id bytes in C, then fed to
-    `_Core.feed_bytes`.  A larger one feeds `_Core.feed` with id lists.
+    `_Core.feed_bytes`.  A larger one checks each batch in C, as an
+    `array("q")`, and feeds `_Core.feed` the ids.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -357,38 +375,49 @@ class UdDecider:
         except UnicodeEncodeError:
             # a character past U+00FF: the alphabet's own lookup names a
             # foreign one, or maps one of its own
-            data = bytes(self.alphabet.encode(word))
+            data = bytearray(self.alphabet.encode(word))
         bad = data.find(255)
         if bad >= 0:
             raise InvalidSymbolError(f"symbol {word[bad]!r} not in alphabet")
         return self._core.feed_bytes(data)
 
-    def feed_ids(self, ids: list[int]) -> Verdict:
-        """Push a batch of symbol ids; a batch holding an id outside the
-        alphabet raises before any state changes."""
-        size = len(self.alphabet)
+    def feed_ids(self, ids: Iterable[int]) -> Verdict:
+        """Push a batch of symbol ids, from any iterable of ints; a batch
+        holding an id outside the alphabet raises, naming it, before any
+        state changes."""
         if not isinstance(ids, (list, tuple, bytes, bytearray)):
             # a one-shot iterator would be used up by the first pass over it,
-            # and the refusal below searches it again; a lone int is no batch
-            # and raises TypeError here
+            # and the refusal searches it again; a lone int is no batch and
+            # raises TypeError here
             ids = list(ids)
         if self._char_ids is None:
-            if ids:
-                low, high = min(ids), max(ids)
-                if low < 0 or high >= size:
-                    bad = low if low < 0 else high
-                    raise InvalidSymbolError(f"symbol id {bad} not in an alphabet of {size}")
+            # array("q") refuses anything but an int of 64 bits; extend reads
+            # bytes as ids, where the constructor would read machine words
+            packed = array("q")
+            try:
+                packed.extend(ids)
+            except (TypeError, OverflowError):
+                packed = None
+            if packed is None or (packed and (min(packed) < 0 or max(packed) >= len(self.alphabet))):
+                raise self._refusal(ids)
             return self._core.feed(ids)
-        # bytes() refuses anything but ints in 0..255, and deleting the
-        # alphabet's ids leaves those of |alphabet| or more
+        # bytearray() refuses anything but ints in 0..255, and deleting the
+        # alphabet's ids leaves those of |alphabet| or more; the buffer goes
+        # to the core as it is, one byte an id
         try:
-            data = bytes(ids)
+            data = bytearray(ids)
         except (TypeError, ValueError):
             data = None
         if data is None or data.translate(None, self._valid):
-            bad = next(i for i in ids if i not in range(size))
-            raise InvalidSymbolError(f"symbol id {bad!r} not in an alphabet of {size}")
+            raise self._refusal(ids)
         return self._core.feed_bytes(data)
+
+    def _refusal(self, ids) -> InvalidSymbolError:
+        """The error that names the first of `ids` that is no id of the
+        alphabet."""
+        size = len(self.alphabet)
+        bad = next(i for i in ids if not (isinstance(i, int) and 0 <= i < size))
+        return InvalidSymbolError(f"symbol id {bad!r} not in an alphabet of {size}")
 
 
 def is_ud(word: str, alphabet: Alphabet | None = None) -> bool:

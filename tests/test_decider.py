@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -27,7 +28,8 @@ from shinglesync import (
     qgram_map,
     shingle_sequence,
 )
-from shinglesync.decider import _Core
+from shinglesync import decider as decider_module
+from shinglesync.decider import LAST_STRETCH, _Core, _first_difference
 from shinglesync.errors import (
     InvalidSymbolError,
     InvalidTokenError,
@@ -100,15 +102,22 @@ class TestCharDecider:
             decider.push("z")
         assert decider.push("b").ok
 
-    @pytest.mark.parametrize("ids", [[0, -1, 0], [0, 2], [0, 256], [0, 1.5]])
-    def test_feed_ids_refuses_ids_outside_the_alphabet(self, ids):
-        # -1 would alias "b" and 2 would index past the state; -1, 256 and
-        # 1.5 are no byte, and 2 is a byte past the alphabet: the batch is
-        # refused, naming the id, before any of it is consumed
-        decider = UdDecider(Alphabet("ab"))
-        with pytest.raises(InvalidSymbolError, match=f"symbol id {ids[1]} not in an alphabet of 2"):
-            decider.feed_ids(ids)
-        assert core_state(decider._core) == core_state(_Core(2)) and decider.verdict.ok
+    @pytest.mark.parametrize(
+        "size, bad",
+        [(2, 2), (2, 256), (300, 300)]
+        + [(size, bad) for size in (2, 300) for bad in (-1, 2**64, 1.5, 1.0, None, "a")],
+    )
+    def test_feed_ids_refuses_ids_outside_the_alphabet(self, size, bad):
+        # both routes: two symbols go as bytes, 300 as an id list.  -1 would
+        # alias the last symbol and |alphabet| would index past the state;
+        # 256 and 2**64 are no byte, 2**64 no int of 64 bits either, and the
+        # rest no int: the batch is refused, naming the id, before any of it
+        # is consumed
+        alphabet = Alphabet("ab") if size == 2 else Alphabet([chr(256 + i) for i in range(size)])
+        decider = UdDecider(alphabet)
+        with pytest.raises(InvalidSymbolError, match=re.escape(f"symbol id {bad!r} not in an alphabet of {size}")):
+            decider.feed_ids([0, bad, 0])
+        assert core_state(decider._core) == core_state(_Core(size)) and decider.verdict.ok
 
     def test_feed_ids_refuses_a_foreign_id_from_an_iterator(self):
         # a generator is one pass: the refusal names the id from a copy, not
@@ -600,6 +609,64 @@ class TestBulkRoute:
         assert verdict == reference.feed(ids) == Verdict(False, Reason.COMMUNICATING_PARENTS, 105)
         assert core_state(core) == core_state(reference)
         assert stretches[-1] == (54, 115, False)
+
+    @pytest.mark.parametrize("change", [None, 0, 1, 63, 64, 65, 4095, 4096, 65535, "run end"])
+    def test_long_stretches_match_the_rule_loop(self, monkeypatch, change):
+        # the benchmark's live stream: a run of each symbol, each run longer
+        # than two full-length stretches; one id is changed at an offset into
+        # the second run's first full-length stretch, where the first
+        # difference is found by halving, or at that run's last symbol
+        sigma, run = 4, 2 * LAST_STRETCH + 4096
+        ids = [s for s in range(sigma) for _ in range(run)]
+        alphabet = Alphabet("abcd")
+        stretches = []
+        walk = _Core._walk
+
+        def stretch_spy(core, data, lo, hi):
+            stretches.append((lo, hi))
+            return walk(core, data, lo, hi)
+
+        monkeypatch.setattr(_Core, "_walk", stretch_spy)
+        assert UdDecider(alphabet).feed_ids(ids).ok
+        full = next(lo for lo, hi in stretches if hi - lo == LAST_STRETCH and lo >= run)
+        if change is not None:
+            ids[2 * run - 1 if change == "run end" else full + change] = 2
+        found = []
+
+        def finder_spy(a, b):
+            i = _first_difference(a, b)
+            assert a[:i] == b[:i] and a[i] != b[i]
+            found.append((len(a), i))
+            return i
+
+        monkeypatch.setattr(decider_module, "_first_difference", finder_spy)
+        decider, reference = UdDecider(alphabet), _Core(sigma)
+        assert decider.feed_ids(ids) == reference.feed(ids)
+        assert core_state(decider._core) == core_state(reference)
+        if isinstance(change, int):
+            assert (LAST_STRETCH, change) in found
+
+    @pytest.mark.parametrize("size", [255, 300])
+    @pytest.mark.parametrize(
+        "container", [list, tuple, bytes, bytearray, pytest.param(lambda ids: ids, id="range"), iter]
+    )
+    def test_every_container_gives_the_same_result(self, size, container):
+        # the cycle through 255 symbols, walked again in bulk, then every
+        # other symbol, which intrudes on the cycle: three batches, each a
+        # range, so that every container can carry them on both routes
+        alphabet = Alphabet([chr(256 + i) for i in range(size)])
+        decider, reference = UdDecider(alphabet), _Core(size)
+        for batch in (range(255), range(255), range(0, 255, 2)):
+            ids = container(batch)
+            refs = sys.getrefcount(ids)
+            verdict = decider.feed_ids(ids)
+            assert verdict == reference.feed(batch)
+            # the core keeps no reference to the batch, and changes no buffer
+            assert sys.getrefcount(ids) == refs
+            if isinstance(ids, bytearray):
+                assert ids == bytearray(batch)
+        assert verdict == Verdict(False, Reason.CYCLE_INTRUSION, 512)
+        assert core_state(decider._core) == core_state(reference)
 
     @pytest.mark.parametrize("size, bulk", [(255, True), (256, False)])
     def test_the_largest_byte_alphabet_and_the_next(self, monkeypatch, size, bulk):
